@@ -36,6 +36,7 @@ use crate::persist::{DiskTier, PersistStats};
 use crate::pipeline::MappingResult;
 use crate::program::TileProgram;
 use crate::schedule::Schedule;
+use crate::summary::MappingSummary;
 use fpfa_arch::{ArrayConfig, TileConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -95,27 +96,6 @@ impl MappingKey {
     /// so a hash collision can never alias two kernels on disk either).
     pub(crate) fn source(&self) -> &str {
         &self.source
-    }
-}
-
-/// A prepared full-mapping lookup: the content key plus its resolved shard
-/// index, built once by [`MappingCache::prepare`] and probed with
-/// [`MappingCache::peek_prepared`].
-#[derive(Clone, Debug)]
-pub struct MappingLookup {
-    key: MappingKey,
-    shard: usize,
-}
-
-impl MappingLookup {
-    /// The index of the cache shard that owns this key.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// The prepared content key.
-    pub fn key(&self) -> &MappingKey {
-        &self.key
     }
 }
 
@@ -201,6 +181,15 @@ impl PostTransformArtifacts {
             fingerprint: result.config_fingerprint,
         }
     }
+}
+
+/// The tier a [`MappingCache::summary`] probe answered from.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum SummaryTier {
+    /// The in-memory LRU held the mapping.
+    Memory,
+    /// The disk tier's summary map held it; the mapping was not decoded.
+    Disk,
 }
 
 /// How one mapping request interacted with the cache.
@@ -520,24 +509,25 @@ impl MappingCache {
         found
     }
 
-    /// Prepares a full-mapping lookup: hashes the source and resolves the
-    /// owning shard once, so a caller that routes work by cache shard (the
-    /// server's I/O shards) pays for hashing a single time per request.
-    pub fn prepare(&self, source: &str, config: u64) -> MappingLookup {
-        let key = MappingKey::new(source, config);
-        let shard = key.shard_hash() as usize % self.mapping_shards.len();
-        MappingLookup { key, shard }
-    }
-
-    /// Looks up a prepared full-mapping key *without* touching the hit/miss
-    /// counters (recency is still refreshed).  Callers that keep their own
-    /// derived caches use this to probe speculatively and account the
-    /// authoritative hit/miss themselves ([`note_shard_hit`]/the mapping
-    /// flow's own counted lookup).
+    /// Probes for the served summary of a full mapping: the in-memory LRU
+    /// first (refreshing the entry's recency), then the disk tier's summary
+    /// map.  Nothing is decoded, nothing is promoted and the hit/miss
+    /// counters are left alone: a caller that answers from the summary
+    /// accounts the hit itself ([`note_shard_hit`]), and on `None` the
+    /// request goes through the counted [`get_mapping`] path.  Requests
+    /// that need the mapping itself (verification, simulation) must use
+    /// [`get_mapping`].
     ///
     /// [`note_shard_hit`]: MappingCache::note_shard_hit
-    pub fn peek_prepared(&self, lookup: &MappingLookup) -> Option<Arc<MappingResult>> {
-        lock_shard(&self.mapping_shards[lookup.shard]).get(&lookup.key)
+    /// [`get_mapping`]: MappingCache::get_mapping
+    pub fn summary(&self, source: &str, config: u64) -> Option<(MappingSummary, SummaryTier)> {
+        let key = MappingKey::new(source, config);
+        let shard = &self.mapping_shards[key.shard_hash() as usize % self.mapping_shards.len()];
+        if let Some(result) = lock_shard(shard).get(&key) {
+            return Some((MappingSummary::of(&result), SummaryTier::Memory));
+        }
+        let summary = self.disk.as_ref()?.summary(source, config)?;
+        Some((summary, SummaryTier::Disk))
     }
 
     /// Records one full-mapping hit served from a derived cache (e.g. an I/O
@@ -785,17 +775,34 @@ mod tests {
         let tier = Arc::new(DiskTier::open(&dir).unwrap());
         let cache = MappingCache::with_capacity(8).with_disk_tier(tier);
         assert_eq!(cache.persist_stats().warm_start_entries, 2);
+        // The summary probe answers from the disk tier's summary map without
+        // decoding anything or touching the hit/miss counters.
+        let fingerprint = mapper.cache_fingerprint();
+        let summary = MappingSummary::of(&cold);
+        assert_eq!(
+            cache.summary(source, fingerprint),
+            Some((summary, SummaryTier::Disk))
+        );
+        assert_eq!(cache.summary("void main() {}", fingerprint), None);
+        assert_eq!(cache.persist_stats().loads, 0);
+        assert_eq!(cache.stats().lookups(), 0);
         let warm = mapper.map_source_cached(source, &cache).unwrap();
         assert_eq!(warm.report.cache, CacheOutcome::MappingHit);
         assert_eq!(warm.program, cold.program);
         assert_eq!(warm.layout, cold.layout);
         assert_eq!(cache.persist_stats().loads, 1);
+        // Promoted into memory, the mapping now answers from L1.
+        assert_eq!(
+            cache.summary(source, fingerprint),
+            Some((summary, SummaryTier::Memory))
+        );
         // The promoted entry now lives in memory: the next lookup does not
         // touch disk again.
         mapper.map_source_cached(source, &cache).unwrap();
         assert_eq!(cache.persist_stats().loads, 1);
         // clear() truncates the disk tier too: cold again everywhere.
         cache.clear();
+        assert_eq!(cache.summary(source, fingerprint), None);
         let reset = mapper.map_source_cached(source, &cache).unwrap();
         assert_eq!(reset.report.cache, CacheOutcome::Miss);
         let _ = std::fs::remove_dir_all(&dir);

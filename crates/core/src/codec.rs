@@ -22,7 +22,7 @@
 //!   is validated, so arbitrarily corrupted bytes produce [`CodecError`],
 //!   which the disk tier converts into a typed cache miss.
 //!
-//! [`program_digest`]: https://en.wikipedia.org/wiki/Fowler%E2%80%93Noll%E2%80%93Vo_hash_function
+//! [`program_digest`]: crate::summary::program_digest
 
 use crate::cache::{CacheOutcome, PostTransformArtifacts};
 use crate::cluster::{Cluster, ClusterId, ClusteredGraph};

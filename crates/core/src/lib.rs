@@ -71,10 +71,11 @@ pub mod program;
 pub mod report;
 pub mod schedule;
 pub mod service;
+pub mod summary;
 pub mod viz;
 
 pub use allocate::Allocator;
-pub use cache::{CacheOutcome, CacheStats, MappingCache, MappingLookup};
+pub use cache::{CacheOutcome, CacheStats, MappingCache, SummaryTier};
 pub use cluster::{Cluster, ClusterId, ClusteredGraph, Clusterer};
 pub use dfg::{MappingGraph, OpId, OpKind, ValueRef};
 pub use error::MapError;
@@ -92,3 +93,4 @@ pub use program::{AluJob, CycleJob, Location, MoveJob, TileProgram, WritebackJob
 pub use report::MappingReport;
 pub use schedule::{Schedule, Scheduler};
 pub use service::MappingService;
+pub use summary::{program_digest, MappingSummary};

@@ -5,65 +5,135 @@
 //! service answers previously mapped kernels without re-running any flow
 //! stage.  It sits **below** the in-memory LRU: the memory tier is probed
 //! first, the disk tier only on a memory miss (the cold path), and every
-//! disk hit is promoted back into memory.
+//! disk load is promoted back into memory.
 //!
-//! # On-disk format
+//! # On-disk format (v2)
 //!
-//! A segment file is the 8-byte magic `FPFASEG1` followed by records:
+//! A segment file is the 8-byte magic `FPFASEG2` followed by records:
 //!
 //! ```text
-//! [payload_len: u32 LE][fnv1a64(payload): u64 LE][payload]
-//! payload = [tag: u8][config: u64 LE][key_len: u32 LE][key bytes][value bytes]
+//! [payload_len: u32 LE][checksum(payload): u64 LE][payload]
+//! payload = [tag: u8][config: u64 LE][key_len: u32 LE][key bytes]
+//!           [summary: 7 x u64 LE, tag 1 only][value bytes]
 //! ```
 //!
 //! `tag` is 1 for a full mapping, 2 for post-transform artifacts; `key` is
 //! the full source text (tag 1) or structural detail string (tag 2), stored
 //! verbatim so hash collisions can never alias kernels; `value` is a
-//! [`crate::codec`] payload.  Records for the same key supersede earlier
-//! ones (append-only updates); superseded bytes are *dead* and reclaimed by
-//! compaction once they outweigh the live bytes.
+//! [`crate::codec`] payload.  A full-mapping record also carries the
+//! mapping's served [`MappingSummary`] (digest, operations, clusters,
+//! levels, cycles, tiles, inter-tile transfers), so a restarted service can
+//! answer a plain map request without decoding the value.  Records for the
+//! same key supersede earlier ones (append-only updates); superseded bytes
+//! are *dead* and reclaimed by compaction once they outweigh the live
+//! bytes.
+//!
+//! The checksum reads the payload as 8-byte little-endian words (the tail
+//! zero-padded) in four lanes, each folding every fourth word with xor,
+//! multiply and rotate; the lanes are then folded together with the
+//! payload length.  Every step is a bijection of its lane for a fixed word,
+//! so any change confined to one word — every single-byte flip — changes
+//! the checksum.
+//!
+//! # Warm start
+//!
+//! [`DiskTier::open`] streams every segment through one reusable record
+//! buffer: each record is checksum-verified and indexed by location, and
+//! the source text and summary of each full-mapping record go into a
+//! *summary map*.  That map has its own lock, which no code holds across a
+//! segment read, write or compaction, so [`DiskTier::summary`] answers from
+//! memory and never waits for the disk.  It returns a summary only after a
+//! verbatim compare of the source text, never on a hash match alone.
+//!
+//! A file that does not start with the current magic — an older format
+//! such as `FPFASEG1`, or an empty file left by a crash between creating a
+//! segment and writing its magic — cannot be read.  It is counted as
+//! corrupt and deleted, and appends go to a fresh segment: its records are
+//! re-mapped cold and stored again in the current format.
 //!
 //! # Corruption policy
 //!
-//! Every record is digest-checked on scan **and** again on load; the value
-//! payload is additionally validated by the versioned codec.  Any mismatch
-//! — bit flip, truncated tail, unknown version — makes that record a
-//! **typed miss** (counted in [`PersistStats::corrupt_skipped`]): the caller
-//! falls through to a cold mapping, and corrupt bytes are never served.
-//! Nothing in this module panics on malformed input.
+//! Every record is checksum-verified on scan **and** again on load; the
+//! value payload is additionally validated by the versioned codec.  Any
+//! mismatch — bit flip, truncated tail, unknown version — makes that record
+//! a **typed miss** (counted in [`PersistStats::corrupt_skipped`]): the
+//! caller falls through to a cold mapping, and corrupt bytes are never
+//! served.  Nothing in this module panics on malformed input.
 
 use crate::cache::{MappingKey, PostTransformArtifacts, PostTransformKey};
 use crate::codec;
 use crate::pipeline::MappingResult;
+use crate::summary::MappingSummary;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Magic prefix of every segment file.
-const SEGMENT_MAGIC: &[u8; 8] = b"FPFASEG1";
+const SEGMENT_MAGIC: &[u8; 8] = b"FPFASEG2";
 /// Record tag: a full mapping result.
 const TAG_MAPPING: u8 = 1;
 /// Record tag: post-transform artifacts.
 const TAG_POST: u8 = 2;
-/// Frame header size: payload length (u32) + payload digest (u64).
+/// Frame header size: payload length (u32) + payload checksum (u64).
 const FRAME_HEADER: u64 = 12;
+/// Payload bytes before the key: tag (u8), config (u64), key length (u32).
+const KEY_PREFIX: usize = 13;
+/// Encoded size of a [`MappingSummary`]: seven little-endian `u64`s.
+const SUMMARY_LEN: usize = 56;
 /// Compaction floor: never compact below this many dead bytes.
 const COMPACT_MIN_DEAD: u64 = 1 << 20;
+/// Read-ahead of the warm-start scan.
+const SCAN_READ_AHEAD: usize = 64 * 1024;
+/// Multiplier of the checksum lanes (odd, so multiplying is a bijection).
+const CHECKSUM_MUL: u64 = 0x9e37_79b1_85eb_ca87;
+/// Initial checksum lane states (hex digits of pi).
+const CHECKSUM_LANES: [u64; 4] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+];
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+fn mix(lane: u64, word: u64) -> u64 {
+    (lane ^ word).wrapping_mul(CHECKSUM_MUL).rotate_left(31)
+}
+
+/// The frame checksum (see the module docs).  Also the in-memory hash of
+/// index keys.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = CHECKSUM_LANES;
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(
+                *lane,
+                u64::from_le_bytes(word.try_into().expect("8-byte word")),
+            );
+        }
     }
-    hash
+    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        let mut padded = [0u8; 8];
+        padded[..word.len()].copy_from_slice(word);
+        *lane = mix(*lane, u64::from_le_bytes(padded));
+    }
+    lanes
+        .iter()
+        .fold(bytes.len() as u64, |acc, &lane| mix(acc, lane))
 }
 
 fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("seg-{id:08}.fpfa"))
+}
+
+fn read_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8-byte field"))
+}
+
+fn read_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[..4].try_into().expect("4-byte field"))
 }
 
 // ---------------------------------------------------------------------------
@@ -73,12 +143,14 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
 /// A point-in-time snapshot of the disk tier's counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PersistStats {
-    /// Records successfully loaded (and decoded) from disk.
+    /// Records read back and decoded from disk (summary answers decode
+    /// nothing and are not counted).
     pub loads: u64,
     /// Records appended to disk.
     pub stores: u64,
-    /// Records skipped because their bytes failed a digest, framing or
-    /// codec check — each one became a typed miss, never a wrong answer.
+    /// Records skipped because their bytes failed a checksum, framing or
+    /// codec check, and unreadable segment files deleted at open — each
+    /// one became a typed miss, never a wrong answer.
     pub corrupt_skipped: u64,
     /// Entries indexed by the warm-start scan when the tier was opened.
     pub warm_start_entries: u64,
@@ -95,13 +167,19 @@ struct PersistCounters {
     compactions: AtomicU64,
 }
 
+impl PersistCounters {
+    fn corrupt(&self) {
+        self.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Index
+// Records
 // ---------------------------------------------------------------------------
 
-/// Index key: record tag, config fingerprint and the FNV of the key string.
-/// Collisions are tolerated — the key string stored in the record is
-/// compared verbatim on load, so a collision is a miss, never an alias.
+/// Index key: record tag, config fingerprint and the hash of the key
+/// string.  Collisions are tolerated — the key string stored in the record
+/// is compared verbatim on load, so a collision is a miss, never an alias.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 struct RecordKey {
     tag: u8,
@@ -109,7 +187,17 @@ struct RecordKey {
     key_hash: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+impl RecordKey {
+    fn new(tag: u8, config: u64, key: &[u8]) -> Self {
+        RecordKey {
+            tag,
+            config,
+            key_hash: checksum(key),
+        }
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct RecordLoc {
     seg: u64,
     /// Offset of the frame header within the segment.
@@ -124,6 +212,99 @@ impl RecordLoc {
     }
 }
 
+/// The fields of one checksum-verified payload.
+struct Record<'a> {
+    tag: u8,
+    config: u64,
+    key: &'a [u8],
+    /// Present on full-mapping records only.
+    summary: Option<MappingSummary>,
+    value: &'a [u8],
+}
+
+impl<'a> Record<'a> {
+    /// Checks `payload` against its frame checksum and splits it into its
+    /// fields; `None` on any mismatch.
+    fn verified(payload: &'a [u8], sum: u64) -> Option<Self> {
+        if checksum(payload) != sum || payload.len() < KEY_PREFIX {
+            return None;
+        }
+        let tag = payload[0];
+        let config = read_u64(&payload[1..]);
+        let key_len = read_u32(&payload[9..]) as usize;
+        let (key, rest) = payload[KEY_PREFIX..].split_at_checked(key_len)?;
+        let (summary, value) = match tag {
+            TAG_MAPPING => {
+                let (words, value) = rest.split_at_checked(SUMMARY_LEN)?;
+                let [digest, operations, clusters, levels, cycles, tiles, inter_tile_transfers] =
+                    std::array::from_fn(|i| read_u64(&words[i * 8..]));
+                let summary = MappingSummary {
+                    digest,
+                    operations,
+                    clusters,
+                    levels,
+                    cycles,
+                    tiles,
+                    inter_tile_transfers,
+                };
+                (Some(summary), value)
+            }
+            TAG_POST => (None, rest),
+            _ => return None,
+        };
+        Some(Record {
+            tag,
+            config,
+            key,
+            summary,
+            value,
+        })
+    }
+}
+
+/// Encodes one complete frame (header and payload); `None` when the payload
+/// outgrows the `u32` length field.
+fn encode_frame(
+    tag: u8,
+    config: u64,
+    key: &str,
+    summary: Option<&MappingSummary>,
+    value: &[u8],
+) -> Option<Vec<u8>> {
+    let summary_len = summary.map_or(0, |_| SUMMARY_LEN);
+    let payload_len = u32::try_from(KEY_PREFIX + key.len() + summary_len + value.len()).ok()?;
+    let key_len = u32::try_from(key.len()).ok()?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER as usize + payload_len as usize);
+    frame.extend_from_slice(&payload_len.to_le_bytes());
+    frame.extend_from_slice(&[0; 8]); // The checksum, once the payload is in.
+    frame.push(tag);
+    frame.extend_from_slice(&config.to_le_bytes());
+    frame.extend_from_slice(&key_len.to_le_bytes());
+    frame.extend_from_slice(key.as_bytes());
+    if let Some(s) = summary {
+        let words = [
+            s.digest,
+            s.operations,
+            s.clusters,
+            s.levels,
+            s.cycles,
+            s.tiles,
+            s.inter_tile_transfers,
+        ];
+        for word in words {
+            frame.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+    frame.extend_from_slice(value);
+    let sum = checksum(&frame[FRAME_HEADER as usize..]);
+    frame[4..12].copy_from_slice(&sum.to_le_bytes());
+    Some(frame)
+}
+
+/// Summaries of the full-mapping records by config fingerprint, then by
+/// verbatim source text.
+type SummaryMap = HashMap<u64, HashMap<Box<str>, MappingSummary>>;
+
 #[derive(Debug)]
 struct TierInner {
     index: HashMap<RecordKey, RecordLoc>,
@@ -135,29 +316,57 @@ struct TierInner {
     dead_bytes: u64,
 }
 
+impl TierInner {
+    fn empty(active: u64) -> Self {
+        TierInner {
+            index: HashMap::new(),
+            segments: HashMap::new(),
+            active,
+            active_len: 0,
+            live_bytes: 0,
+            dead_bytes: 0,
+        }
+    }
+
+    /// Points `key` at a newly written record, accounting whatever record
+    /// it supersedes as dead bytes.
+    fn index_record(&mut self, key: RecordKey, loc: RecordLoc) {
+        self.live_bytes += loc.frame_len();
+        if let Some(old) = self.index.insert(key, loc) {
+            self.live_bytes = self.live_bytes.saturating_sub(old.frame_len());
+            self.dead_bytes += old.frame_len();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The tier
 // ---------------------------------------------------------------------------
 
-/// The persistent, content-addressed cache tier.  All methods take `&self`;
-/// the segment files and index live behind one mutex, which only the cold
-/// path (memory-tier misses and inserts) ever touches.
+/// The persistent, content-addressed cache tier.  All methods take `&self`.
+/// The segment files and their index live behind one mutex, which only the
+/// cold path (memory-tier misses and inserts) ever touches; the summary map
+/// has a mutex of its own that is never held across disk I/O (when both are
+/// taken, the index lock comes first).
 #[derive(Debug)]
 pub struct DiskTier {
     dir: PathBuf,
     inner: Mutex<TierInner>,
+    summaries: Mutex<SummaryMap>,
     counters: PersistCounters,
 }
 
 impl DiskTier {
     /// Opens (creating if needed) a cache directory and warm-starts from any
-    /// segment files already present: every record is digest-checked and
-    /// indexed; corrupt or truncated records are skipped and counted.
+    /// segment files already present: every record is checksum-verified
+    /// and indexed, and every full-mapping record's summary is kept in
+    /// memory; corrupt or truncated records are skipped and counted, and
+    /// unreadable segment files are deleted.
     ///
     /// # Errors
-    /// Only on I/O errors creating or listing the directory — corrupt
-    /// segment *contents* never fail the open.
-    pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<DiskTier> {
+    /// Only on I/O errors creating or listing the directory or creating a
+    /// fresh segment — corrupt segment *contents* never fail the open.
+    pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskTier> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         let counters = PersistCounters::default();
@@ -175,40 +384,44 @@ impl DiskTier {
         }
         seg_ids.sort_unstable();
 
-        let mut inner = TierInner {
-            index: HashMap::new(),
-            segments: HashMap::new(),
-            active: 0,
-            active_len: 0,
-            live_bytes: 0,
-            dead_bytes: 0,
-        };
-        for id in seg_ids {
+        let mut inner = TierInner::empty(0);
+        let mut summaries = SummaryMap::new();
+        let mut record = Vec::new();
+        for &id in &seg_ids {
             let path = segment_path(&dir, id);
-            let mut file = match OpenOptions::new().read(true).append(true).open(&path) {
-                Ok(file) => file,
-                Err(_) => {
-                    counters.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
+            let Ok(file) = OpenOptions::new().read(true).append(true).open(&path) else {
+                counters.corrupt();
+                continue;
             };
-            let scanned_len = scan_segment(&mut file, id, &mut inner, &counters);
+            let Some(scanned_len) = scan_segment(
+                &file,
+                id,
+                &mut inner,
+                &mut summaries,
+                &counters,
+                &mut record,
+            ) else {
+                // Not a segment of this format: appending to it would lose
+                // every record at the next open.
+                counters.corrupt();
+                drop(file);
+                let _ = fs::remove_file(&path);
+                continue;
+            };
             // Chop any torn tail so appends resume exactly where the valid
             // records end (the file is opened in append mode, which always
             // writes at EOF).
-            if file
-                .metadata()
-                .map(|m| m.len() > scanned_len)
-                .unwrap_or(false)
-            {
+            if file.metadata().is_ok_and(|m| m.len() > scanned_len) {
                 let _ = file.set_len(scanned_len);
             }
             inner.segments.insert(id, file);
             inner.active = id;
             inner.active_len = scanned_len;
         }
-        if inner.segments.is_empty() {
-            new_segment(&dir, &mut inner, 0)?;
+        // Append to the highest-numbered segment only if it was readable.
+        let highest = seg_ids.last().copied();
+        if highest.is_none_or(|id| !inner.segments.contains_key(&id)) {
+            new_segment(&dir, &mut inner, highest.map_or(0, |id| id + 1))?;
         }
         counters
             .warm_start_entries
@@ -216,6 +429,7 @@ impl DiskTier {
         Ok(DiskTier {
             dir,
             inner: Mutex::new(inner),
+            summaries: Mutex::new(summaries),
             counters,
         })
     }
@@ -241,48 +455,48 @@ impl DiskTier {
         }
     }
 
+    /// The persisted summary of the full mapping of `source` under `config`,
+    /// from memory: no disk access and no decoding.  `None` unless a
+    /// verified record (or a store by this process) holds exactly this
+    /// source text.
+    pub fn summary(&self, source: &str, config: u64) -> Option<MappingSummary> {
+        self.lock_summaries().get(&config)?.get(source).copied()
+    }
+
     /// Loads a full mapping by content key.  Any corruption along the way is
     /// a counted miss.
     pub fn load_mapping(&self, key: &MappingKey) -> Option<MappingResult> {
-        let value = self.load_value(TAG_MAPPING, key.config, key.source())?;
-        match codec::decode_mapping_result(&value) {
-            Ok(result) => {
-                self.counters.loads.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
-            Err(_) => {
-                self.discard_corrupt(TAG_MAPPING, key.config, key.source());
-                None
-            }
-        }
+        self.load_value(
+            TAG_MAPPING,
+            key.config,
+            key.source(),
+            codec::decode_mapping_result,
+        )
     }
 
-    /// Stores a full mapping under its content key (best effort: an I/O
-    /// error leaves the tier consistent and the entry simply unpersisted).
+    /// Stores a full mapping and its summary under its content key (best
+    /// effort: an I/O error leaves the tier consistent and the entry simply
+    /// unpersisted).
     pub fn store_mapping(&self, key: &MappingKey, result: &MappingResult) {
         let value = codec::encode_mapping_result(result);
-        self.store_value(TAG_MAPPING, key.config, key.source(), &value);
+        let summary = MappingSummary::of(result);
+        self.store_value(TAG_MAPPING, key.config, key.source(), Some(summary), &value);
     }
 
     /// Loads post-transform artifacts by structural key.
     pub fn load_post_transform(&self, key: &PostTransformKey) -> Option<PostTransformArtifacts> {
-        let value = self.load_value(TAG_POST, key.config, key.detail())?;
-        match codec::decode_post_transform(&value) {
-            Ok(artifacts) => {
-                self.counters.loads.fetch_add(1, Ordering::Relaxed);
-                Some(artifacts)
-            }
-            Err(_) => {
-                self.discard_corrupt(TAG_POST, key.config, key.detail());
-                None
-            }
-        }
+        self.load_value(
+            TAG_POST,
+            key.config,
+            key.detail(),
+            codec::decode_post_transform,
+        )
     }
 
     /// Stores post-transform artifacts under their structural key.
     pub fn store_post_transform(&self, key: &PostTransformKey, artifacts: &PostTransformArtifacts) {
         let value = codec::encode_post_transform(artifacts);
-        self.store_value(TAG_POST, key.config, key.detail(), &value);
+        self.store_value(TAG_POST, key.config, key.detail(), None, &value);
     }
 
     /// Drops every persisted entry: deletes all segment files and starts a
@@ -293,19 +507,16 @@ impl DiskTier {
         let mut inner = self.lock();
         let removed = inner.index.len();
         let next = inner.active + 1;
-        let ids: Vec<u64> = inner.segments.keys().copied().collect();
-        for id in ids {
-            let _ = fs::remove_file(segment_path(&self.dir, id));
+        for id in inner.segments.keys() {
+            let _ = fs::remove_file(segment_path(&self.dir, *id));
         }
-        inner.segments.clear();
-        inner.index.clear();
-        inner.live_bytes = 0;
-        inner.dead_bytes = 0;
+        *inner = TierInner::empty(next);
         let _ = new_segment(&self.dir, &mut inner, next);
+        self.lock_summaries().clear();
         removed
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, TierInner> {
+    fn lock(&self) -> MutexGuard<'_, TierInner> {
         // Same poison policy as the memory shards: a panic mid-operation can
         // at worst lose one record, never tear the index structures we
         // re-derive from disk anyway.
@@ -314,79 +525,77 @@ impl DiskTier {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Reads and digest-verifies the raw value bytes for a key, comparing
-    /// the stored key string verbatim.  Returns `None` (counting corruption
-    /// where applicable) on any mismatch.
-    fn load_value(&self, tag: u8, config: u64, key_str: &str) -> Option<Vec<u8>> {
-        let record_key = RecordKey {
-            tag,
-            config,
-            key_hash: fnv1a64(key_str.as_bytes()),
+    fn lock_summaries(&self) -> MutexGuard<'_, SummaryMap> {
+        // Every update is a single map insert or clear, so a poisoned map
+        // is still valid.
+        self.summaries
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Reads a key's record, verifies its frame and compares the stored key
+    /// string verbatim, then decodes the value straight from the read
+    /// buffer.  The disk read holds the index lock; verifying and decoding
+    /// do not.  Returns `None` (counting corruption where applicable) on
+    /// any mismatch.
+    fn load_value<T, E>(
+        &self,
+        tag: u8,
+        config: u64,
+        key_str: &str,
+        decode: impl FnOnce(&[u8]) -> Result<T, E>,
+    ) -> Option<T> {
+        let record_key = RecordKey::new(tag, config, key_str.as_bytes());
+        let (loc, frame) = {
+            let mut inner = self.lock();
+            let loc = *inner.index.get(&record_key)?;
+            (loc, read_frame(&mut inner, loc))
         };
-        let mut inner = self.lock();
-        let loc = *inner.index.get(&record_key)?;
-        let payload = match read_payload(&mut inner, loc) {
-            Ok(payload) => payload,
+        let Some(record) = frame.as_deref().ok().and_then(verified_frame) else {
+            // Unreadable or checksum-mismatched on a re-read: drop the
+            // entry so we stop probing it.
+            self.discard(record_key, loc);
+            return None;
+        };
+        if record.tag != tag || record.config != config || record.key != key_str.as_bytes() {
+            return None; // A hash collision with a different key: a plain miss.
+        }
+        match decode(record.value) {
+            Ok(value) => {
+                self.counters.loads.fetch_add(1, Ordering::Relaxed);
+                Some(value)
+            }
             Err(_) => {
-                // Unreadable or digest-mismatched on a re-read: drop the
-                // entry so we stop probing it.
-                drop_entry(&mut inner, record_key, loc);
-                self.counters
-                    .corrupt_skipped
-                    .fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        match split_payload(&payload) {
-            Some((ptag, pconfig, pkey, value))
-                if ptag == tag && pconfig == config && pkey == key_str.as_bytes() =>
-            {
-                Some(value.to_vec())
-            }
-            Some(_) => None, // FNV collision with a different key: a plain miss.
-            None => {
-                drop_entry(&mut inner, record_key, loc);
-                self.counters
-                    .corrupt_skipped
-                    .fetch_add(1, Ordering::Relaxed);
+                self.discard(record_key, loc);
                 None
             }
         }
     }
 
-    /// Removes an entry whose *value* failed codec validation.
-    fn discard_corrupt(&self, tag: u8, config: u64, key_str: &str) {
-        let record_key = RecordKey {
-            tag,
-            config,
-            key_hash: fnv1a64(key_str.as_bytes()),
-        };
+    /// Removes an entry whose record failed a check on load — unless a
+    /// newer record for the same key has replaced it meanwhile.
+    fn discard(&self, key: RecordKey, loc: RecordLoc) {
         let mut inner = self.lock();
-        if let Some(loc) = inner.index.get(&record_key).copied() {
-            drop_entry(&mut inner, record_key, loc);
+        if inner.index.get(&key) == Some(&loc) {
+            inner.index.remove(&key);
+            inner.live_bytes = inner.live_bytes.saturating_sub(loc.frame_len());
+            inner.dead_bytes += loc.frame_len();
         }
-        self.counters
-            .corrupt_skipped
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.corrupt();
     }
 
-    fn store_value(&self, tag: u8, config: u64, key_str: &str, value: &[u8]) {
-        let mut payload = Vec::with_capacity(1 + 8 + 4 + key_str.len() + value.len());
-        payload.push(tag);
-        payload.extend_from_slice(&config.to_le_bytes());
-        payload.extend_from_slice(&(key_str.len() as u32).to_le_bytes());
-        payload.extend_from_slice(key_str.as_bytes());
-        payload.extend_from_slice(value);
-        let mut frame = Vec::with_capacity(FRAME_HEADER as usize + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-
-        let record_key = RecordKey {
-            tag,
-            config,
-            key_hash: fnv1a64(key_str.as_bytes()),
+    fn store_value(
+        &self,
+        tag: u8,
+        config: u64,
+        key_str: &str,
+        summary: Option<MappingSummary>,
+        value: &[u8],
+    ) {
+        let Some(frame) = encode_frame(tag, config, key_str, summary.as_ref(), value) else {
+            return;
         };
+        let record_key = RecordKey::new(tag, config, key_str.as_bytes());
         let mut inner = self.lock();
         let active = inner.active;
         let offset = inner.active_len;
@@ -404,13 +613,15 @@ impl DiskTier {
         let loc = RecordLoc {
             seg: active,
             offset,
-            payload_len: payload.len() as u32,
+            payload_len: (frame.len() as u64 - FRAME_HEADER) as u32,
         };
         inner.active_len += loc.frame_len();
-        inner.live_bytes += loc.frame_len();
-        if let Some(old) = inner.index.insert(record_key, loc) {
-            inner.live_bytes = inner.live_bytes.saturating_sub(old.frame_len());
-            inner.dead_bytes += old.frame_len();
+        inner.index_record(record_key, loc);
+        if let Some(summary) = summary {
+            self.lock_summaries()
+                .entry(config)
+                .or_default()
+                .insert(key_str.into(), summary);
         }
         self.counters.stores.fetch_add(1, Ordering::Relaxed);
         if inner.dead_bytes >= COMPACT_MIN_DEAD && inner.dead_bytes > inner.live_bytes {
@@ -419,53 +630,43 @@ impl DiskTier {
     }
 
     /// Rewrites every live record into a fresh segment and deletes the old
-    /// files, reclaiming the dead bytes of superseded records.
+    /// files, reclaiming the dead bytes of superseded records.  A record
+    /// that no longer verifies is left behind (its summary, verified when
+    /// it was read or stored, stays answerable).
     fn compact(&self, inner: &mut TierInner) {
         let next = inner.active + 1;
         let entries: Vec<(RecordKey, RecordLoc)> =
             inner.index.iter().map(|(k, v)| (*k, *v)).collect();
-        let mut payloads = Vec::with_capacity(entries.len());
+        let mut frames = Vec::with_capacity(entries.len());
         for (key, loc) in entries {
-            match read_payload(inner, loc) {
-                Ok(payload) => payloads.push((key, payload)),
-                Err(_) => {
-                    self.counters
-                        .corrupt_skipped
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+            match read_frame(inner, loc) {
+                Ok(frame) if verified_frame(&frame).is_some() => frames.push((key, frame)),
+                _ => self.counters.corrupt(),
             }
         }
         let old_ids: Vec<u64> = inner.segments.keys().copied().collect();
-        let mut fresh = TierInner {
-            index: HashMap::new(),
-            segments: HashMap::new(),
-            active: next,
-            active_len: 0,
-            live_bytes: 0,
-            dead_bytes: 0,
-        };
+        let mut fresh = TierInner::empty(next);
         if new_segment(&self.dir, &mut fresh, next).is_err() {
             return; // Keep serving from the uncompacted segments.
         }
-        {
-            let file = fresh.segments.get_mut(&next).expect("fresh segment");
-            for (key, payload) in &payloads {
-                let mut frame = Vec::with_capacity(FRAME_HEADER as usize + payload.len());
-                frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-                frame.extend_from_slice(payload);
-                if file.write_all(&frame).is_err() {
-                    return; // Old segments stay authoritative.
-                }
-                let loc = RecordLoc {
-                    seg: next,
-                    offset: fresh.active_len,
-                    payload_len: payload.len() as u32,
-                };
-                fresh.active_len += loc.frame_len();
-                fresh.live_bytes += loc.frame_len();
-                fresh.index.insert(*key, loc);
+        let file = fresh.segments.get_mut(&next).expect("fresh segment");
+        let mut placed = Vec::with_capacity(frames.len());
+        let mut offset = fresh.active_len;
+        for (key, frame) in &frames {
+            if file.write_all(frame).is_err() {
+                return; // Old segments stay authoritative.
             }
+            let loc = RecordLoc {
+                seg: next,
+                offset,
+                payload_len: (frame.len() as u64 - FRAME_HEADER) as u32,
+            };
+            offset += loc.frame_len();
+            placed.push((*key, loc));
+        }
+        fresh.active_len = offset;
+        for (key, loc) in placed {
+            fresh.index_record(key, loc);
         }
         *inner = fresh;
         for id in old_ids {
@@ -475,17 +676,9 @@ impl DiskTier {
     }
 }
 
-/// Accounts a superseded or discarded record as dead bytes.
-fn drop_entry(inner: &mut TierInner, key: RecordKey, loc: RecordLoc) {
-    if inner.index.remove(&key).is_some() {
-        inner.live_bytes = inner.live_bytes.saturating_sub(loc.frame_len());
-        inner.dead_bytes += loc.frame_len();
-    }
-}
-
 /// Creates segment file `id`, writes the magic and registers it as the
 /// append target.
-fn new_segment(dir: &Path, inner: &mut TierInner, id: u64) -> std::io::Result<()> {
+fn new_segment(dir: &Path, inner: &mut TierInner, id: u64) -> io::Result<()> {
     let mut file = OpenOptions::new()
         .read(true)
         .append(true)
@@ -498,107 +691,95 @@ fn new_segment(dir: &Path, inner: &mut TierInner, id: u64) -> std::io::Result<()
     Ok(())
 }
 
-/// Reads one record's payload and verifies its digest.
-fn read_payload(inner: &mut TierInner, loc: RecordLoc) -> std::io::Result<Vec<u8>> {
-    use std::io::{Error, ErrorKind};
+/// Reads one record's frame (header and payload) without verifying it.
+fn read_frame(inner: &mut TierInner, loc: RecordLoc) -> io::Result<Vec<u8>> {
     let file = inner
         .segments
         .get_mut(&loc.seg)
-        .ok_or_else(|| Error::new(ErrorKind::NotFound, "segment closed"))?;
+        .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "segment closed"))?;
     file.seek(SeekFrom::Start(loc.offset))?;
-    let mut header = [0u8; FRAME_HEADER as usize];
-    file.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice"));
-    let digest = u64::from_le_bytes(header[4..12].try_into().expect("8-byte slice"));
-    if len != loc.payload_len {
-        return Err(Error::new(ErrorKind::InvalidData, "frame length mismatch"));
-    }
-    let mut payload = vec![0u8; len as usize];
-    file.read_exact(&mut payload)?;
-    if fnv1a64(&payload) != digest {
-        return Err(Error::new(ErrorKind::InvalidData, "digest mismatch"));
-    }
-    Ok(payload)
+    let mut frame = vec![0u8; loc.frame_len() as usize];
+    file.read_exact(&mut frame)?;
+    Ok(frame)
 }
 
-/// Splits a verified payload into `(tag, config, key bytes, value bytes)`.
-fn split_payload(payload: &[u8]) -> Option<(u8, u64, &[u8], &[u8])> {
-    let (&tag, rest) = payload.split_first()?;
-    if rest.len() < 12 {
+/// The record in a frame read back from disk, if its length field and
+/// checksum still hold.
+fn verified_frame(frame: &[u8]) -> Option<Record<'_>> {
+    let (header, payload) = frame.split_at_checked(FRAME_HEADER as usize)?;
+    if read_u32(header) as usize != payload.len() {
         return None;
     }
-    let (config_bytes, rest) = rest.split_at(8);
-    let config = u64::from_le_bytes(config_bytes.try_into().expect("8-byte slice"));
-    let (len_bytes, rest) = rest.split_at(4);
-    let key_len = u32::from_le_bytes(len_bytes.try_into().expect("4-byte slice")) as usize;
-    if rest.len() < key_len {
-        return None;
-    }
-    let (key, value) = rest.split_at(key_len);
-    Some((tag, config, key, value))
+    Record::verified(payload, read_u64(&header[4..]))
 }
 
-/// Scans one segment at warm start: digest-checks every record, indexes the
-/// valid ones (later records supersede earlier ones) and counts corruption.
-/// Returns the number of bytes consumed (the resume offset for appends).
+/// Scans one segment at warm start, streaming it through `record` (the
+/// scan's one reusable record buffer): checksum-verifies every record,
+/// indexes the valid ones (later records supersede earlier ones), keeps the
+/// summary of every full-mapping record and counts corruption.  Returns the
+/// length of the valid prefix (the resume offset for appends), or `None`
+/// when the file does not start with the current magic.
 fn scan_segment(
-    file: &mut File,
+    file: &File,
     seg_id: u64,
     inner: &mut TierInner,
+    summaries: &mut SummaryMap,
     counters: &PersistCounters,
-) -> u64 {
-    let mut bytes = Vec::new();
-    if file.seek(SeekFrom::Start(0)).is_err() || file.read_to_end(&mut bytes).is_err() {
-        counters.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
-        return bytes.len() as u64;
+    record: &mut Vec<u8>,
+) -> Option<u64> {
+    let file_len = file.metadata().ok()?.len();
+    let mut reader = BufReader::with_capacity(SCAN_READ_AHEAD, file);
+    let mut magic = [0u8; SEGMENT_MAGIC.len()];
+    if reader.read_exact(&mut magic).is_err() || &magic != SEGMENT_MAGIC {
+        return None;
     }
-    if bytes.len() < SEGMENT_MAGIC.len() || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
-        counters.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
-        return bytes.len() as u64;
-    }
-    let mut offset = SEGMENT_MAGIC.len();
-    while offset < bytes.len() {
-        let Some(header) = bytes.get(offset..offset + FRAME_HEADER as usize) else {
-            // Torn frame header: a crash mid-append.  The tail is dead.
-            counters.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+    let mut offset = SEGMENT_MAGIC.len() as u64;
+    let mut header = [0u8; FRAME_HEADER as usize];
+    while offset < file_len {
+        // A torn header, a truncated payload and a corrupt length field all
+        // look alike: framing beyond this point is unreliable, so the rest
+        // of the segment is dead.
+        let payload_len = (offset + FRAME_HEADER <= file_len
+            && reader.read_exact(&mut header).is_ok())
+        .then(|| read_u32(&header))
+        .filter(|&len| offset + FRAME_HEADER + u64::from(len) <= file_len);
+        let Some(payload_len) = payload_len else {
+            counters.corrupt();
             break;
         };
-        let len = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice")) as usize;
-        let digest = u64::from_le_bytes(header[4..12].try_into().expect("8-byte slice"));
-        let start = offset + FRAME_HEADER as usize;
-        let Some(payload) = bytes.get(start..start + len) else {
-            // Truncated payload — and a corrupt length field looks the same,
-            // so framing beyond this point is unreliable: stop the segment.
-            counters.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
+        record.resize(payload_len as usize, 0);
+        if reader.read_exact(record).is_err() {
+            counters.corrupt();
             break;
-        };
-        let frame_len = FRAME_HEADER + len as u64;
-        if fnv1a64(payload) != digest {
-            // The payload is bad but the framing held: skip just this
-            // record and keep scanning.
-            counters.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
-        } else if let Some((tag, config, key, _value)) = split_payload(payload) {
-            let record_key = RecordKey {
-                tag,
-                config,
-                key_hash: fnv1a64(key),
-            };
-            let loc = RecordLoc {
-                seg: seg_id,
-                offset: offset as u64,
-                payload_len: len as u32,
-            };
-            inner.live_bytes += frame_len;
-            if let Some(old) = inner.index.insert(record_key, loc) {
-                inner.live_bytes = inner.live_bytes.saturating_sub(old.frame_len());
-                inner.dead_bytes += old.frame_len();
-            }
-        } else {
-            counters.corrupt_skipped.fetch_add(1, Ordering::Relaxed);
         }
-        offset += frame_len as usize;
+        let loc = RecordLoc {
+            seg: seg_id,
+            offset,
+            payload_len,
+        };
+        offset += loc.frame_len();
+        // A record whose payload is bad while the framing held is skipped
+        // alone; the scan goes on.
+        let Some(verified) = Record::verified(record, read_u64(&header[4..])) else {
+            counters.corrupt();
+            continue;
+        };
+        if let Some(summary) = verified.summary {
+            let Ok(source) = std::str::from_utf8(verified.key) else {
+                counters.corrupt();
+                continue;
+            };
+            summaries
+                .entry(verified.config)
+                .or_default()
+                .insert(source.into(), summary);
+        }
+        inner.index_record(
+            RecordKey::new(verified.tag, verified.config, verified.key),
+            loc,
+        );
     }
-    offset as u64
+    Some(offset)
 }
 
 #[cfg(test)]
@@ -640,11 +821,93 @@ mod tests {
         let tier = DiskTier::open(&dir).unwrap();
         assert_eq!(tier.stats().warm_start_entries, 1);
         assert_eq!(tier.entry_count(), 1);
+        // The summary answers from memory: nothing is read or decoded.
+        let summary = tier.summary(SRC, key.config).unwrap();
+        assert_eq!(summary, MappingSummary::of(&result));
+        assert_eq!(tier.stats().loads, 0);
+        // Only the exact source text under the same config matches.
+        assert_eq!(tier.summary(&format!("{SRC} "), key.config), None);
+        assert_eq!(tier.summary(SRC, key.config ^ 1), None);
         let loaded = tier.load_mapping(&key).unwrap();
         assert_eq!(loaded.program, result.program);
         assert_eq!(loaded.report, result.report);
+        assert_eq!(MappingSummary::of(&loaded), summary);
         assert_eq!(tier.stats().loads, 1);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn every_byte_flip_in_a_record_is_a_typed_miss() {
+        let dir = temp_dir("flips");
+        let result = Mapper::new().map_source(SRC).unwrap();
+        let key = MappingKey::new(SRC, fingerprint());
+        let seg_path = {
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.store_mapping(&key, &result);
+            let active = tier.lock().active;
+            segment_path(tier.dir(), active)
+        };
+        let pristine = fs::read(&seg_path).unwrap();
+        // The segment holds exactly one record after the magic: header,
+        // key prefix, key, summary, value.
+        let record = SEGMENT_MAGIC.len();
+        let summary_at = record + FRAME_HEADER as usize + KEY_PREFIX + SRC.len();
+        assert!(summary_at + SUMMARY_LEN < pristine.len());
+        for at in record..pristine.len() {
+            let mut bytes = pristine.clone();
+            bytes[at] ^= 1 << (at % 8);
+            fs::write(&seg_path, &bytes).unwrap();
+            let tier = DiskTier::open(&dir).unwrap();
+            let stats = tier.stats();
+            assert_eq!(stats.warm_start_entries, 0, "flip at byte {at}");
+            assert!(stats.corrupt_skipped >= 1, "flip at byte {at}");
+            assert_eq!(tier.summary(SRC, key.config), None, "flip at byte {at}");
+            assert!(tier.load_mapping(&key).is_none(), "flip at byte {at}");
+        }
+        // The unflipped segment still answers both ways.
+        fs::write(&seg_path, &pristine).unwrap();
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(
+            tier.summary(SRC, key.config),
+            Some(MappingSummary::of(&result))
+        );
+        assert!(tier.load_mapping(&key).is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unreadable_segments_are_replaced_not_appended_to() {
+        // What a crash between creating a segment and writing its magic
+        // leaves, and a segment of the previous format.
+        for (tag, contents) in [
+            ("empty", &b""[..]),
+            (
+                "v1",
+                &b"FPFASEG1\x04\0\0\0\0\0\0\0\0\0\0\0\x01\x02\x03\x04"[..],
+            ),
+        ] {
+            let dir = temp_dir(&format!("magic-{tag}"));
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(segment_path(&dir, 0), contents).unwrap();
+            let result = Mapper::new().map_source(SRC).unwrap();
+            let key = MappingKey::new(SRC, fingerprint());
+            {
+                let tier = DiskTier::open(&dir).unwrap();
+                assert_eq!(tier.stats().corrupt_skipped, 1, "{tag}");
+                assert!(!segment_path(&dir, 0).exists(), "{tag}");
+                tier.store_mapping(&key, &result);
+            }
+            let tier = DiskTier::open(&dir).unwrap();
+            let stats = tier.stats();
+            assert_eq!(stats.warm_start_entries, 1, "{tag}");
+            assert_eq!(stats.corrupt_skipped, 0, "{tag}");
+            assert_eq!(
+                tier.summary(SRC, key.config),
+                Some(MappingSummary::of(&result))
+            );
+            assert_eq!(tier.load_mapping(&key).unwrap().program, result.program);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

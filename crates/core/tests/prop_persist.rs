@@ -1,12 +1,14 @@
 //! Property tests for the persistent (L2) mapping-cache tier: arbitrary
 //! cached mappings survive a round trip through the on-disk segment files,
-//! and arbitrary corruption — bit flips anywhere in a segment, truncated
-//! tails — yields a *typed miss* that falls through to a cold re-map with
-//! an identical program. Never a panic, never a wrong answer.
+//! their persisted summaries match the mappings they summarise, and
+//! arbitrary corruption — bit flips anywhere in a segment, truncated tails
+//! — yields a *typed miss* that falls through to a cold re-map with an
+//! identical program. Never a panic, never a wrong answer.
 
-use fpfa_core::cache::CacheOutcome;
+use fpfa_core::cache::{CacheOutcome, SummaryTier};
 use fpfa_core::pipeline::Mapper;
 use fpfa_core::service::MappingService;
+use fpfa_core::summary::{program_digest, MappingSummary};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -93,14 +95,28 @@ proptest! {
 
         // Lifetime 2: a fresh cache over the same directory warm-starts and
         // serves every kernel as a mapping hit with the identical program.
+        // Before any load, the disk tier already holds each kernel's
+        // summary: the summary of the decoded mapping, with the digest of a
+        // one-shot map.
         let service = MappingService::with_cache_dir(mapper(), 64, &dir).expect("reopen tier");
+        let fingerprint = service.mapper().cache_fingerprint();
         prop_assert!(service.cache().persist_stats().warm_start_entries >= sources.len() as u64);
+        let mut summaries = Vec::new();
         for (source, (program, multi)) in sources.iter().zip(&programs) {
+            let probed = service.cache().summary(source, fingerprint);
+            let Some((summary, SummaryTier::Disk)) = probed else {
+                return Err(TestCaseError::fail(format!("no disk summary: {probed:?}")));
+            };
             let warm = service.map_source(source).expect("warm-started kernels map");
             prop_assert_eq!(warm.report.cache, CacheOutcome::MappingHit);
             prop_assert_eq!(&warm.program, program);
             prop_assert_eq!(&warm.multi, multi);
+            prop_assert_eq!(summary, MappingSummary::of(&warm));
+            let one_shot = mapper().map_source(source).expect("random kernels map");
+            prop_assert_eq!(summary.digest, program_digest(&one_shot));
+            summaries.push(summary);
         }
+        prop_assert_eq!(service.cache().persist_stats().loads, sources.len() as u64);
         drop(service);
 
         // Corruption: flip bytes at arbitrary offsets (magic, framing,
@@ -134,6 +150,15 @@ proptest! {
         // re-map where it did not).
         let service = MappingService::with_cache_dir(mapper(), 64, &dir)
             .expect("corrupt contents never fail the open");
+        // The summary probe answers with the true summary or not at all.
+        for (source, summary) in sources.iter().zip(&summaries) {
+            let probed = service.cache().summary(source, fingerprint);
+            prop_assert!(
+                probed.is_none() || probed == Some((*summary, SummaryTier::Disk)),
+                "corrupt summary served: {:?}",
+                probed
+            );
+        }
         for (source, (program, multi)) in sources.iter().zip(&programs) {
             let result = service
                 .map_source(source)

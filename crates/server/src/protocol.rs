@@ -45,9 +45,13 @@
 //! yields a typed [`ProtocolError`] (the property tests fuzz this).
 
 use fpfa_core::cache::CacheOutcome;
-use fpfa_core::pipeline::MappingResult;
 use std::fmt;
 use std::io::{self, Read, Write};
+
+/// The structural program digest a [`MapSummary`] carries, computed by
+/// `fpfa-core` (re-exported here for the clients and tests that compare a
+/// served digest with a locally mapped one).
+pub use fpfa_core::summary::program_digest;
 
 /// Hard ceiling on one frame's payload, request or response (16 MiB —
 /// generous for batches of kernel sources, small enough that a corrupt
@@ -1153,22 +1157,25 @@ pub struct StatsSummary {
     /// error; the pipelining contract promises zero of these for a healthy
     /// client).
     pub protocol_errors: u64,
-    /// Map requests answered inline by an I/O shard's warm summary table
-    /// without queueing (a subset of `served_ok`; these hits are also folded
-    /// into `cache_mapping_hits` so the hit ratio covers them).
+    /// Map requests answered inline by an I/O shard without queueing (a
+    /// subset of `served_ok`; these hits are also folded into
+    /// `cache_mapping_hits` so the hit ratio covers them).
     pub fast_hits: u64,
     /// The subset of `fast_hits` answered from the shard's L0 tier — a
     /// pre-encoded response frame copied into the write buffer with only the
     /// request id and `server_micros` patched (no summary rebuild, no
-    /// re-encode).  `fast_hits - l0_hits` is the L1 (shared in-memory cache)
-    /// share of the fast path.
+    /// re-encode).  `fast_hits - l0_hits` is the share answered from a
+    /// summary probe: the shared in-memory cache (L1) or a summary persisted
+    /// in the disk tier.
     pub l0_hits: u64,
-    /// Mappings loaded from the persistent disk tier (L2) after an in-memory
-    /// miss.  Zero when the server runs without `--cache-dir`.
+    /// Records read back and decoded from the persistent disk tier (L2)
+    /// after an in-memory miss; inline answers from persisted summaries
+    /// decode nothing and are not counted.  Zero when the server runs
+    /// without `--cache-dir`.
     pub persist_loads: u64,
     /// Mappings written through to the disk tier.
     pub persist_stores: u64,
-    /// Disk-tier records whose digest or framing failed verification and
+    /// Disk-tier records whose checksum or framing failed verification and
     /// were skipped (each one degrades to a typed miss, never an error).
     pub persist_corrupt_skipped: u64,
     /// Valid records indexed from pre-existing segment files when the tier
@@ -1600,98 +1607,6 @@ impl Response {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Program digest
-// ---------------------------------------------------------------------------
-
-/// FNV-1a, the classic dependency-free stable hash: unlike
-/// `DefaultHasher`, its output is guaranteed identical across processes, so
-/// a digest computed by the daemon can be compared against one computed by
-/// a test or a client on the other side of the wire.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn byte(&mut self, byte: u8) {
-        self.0 ^= u64::from(byte);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    fn u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.byte(byte);
-        }
-    }
-
-    fn usize(&mut self, value: usize) {
-        self.u64(value as u64);
-    }
-
-    fn str(&mut self, value: &str) {
-        self.usize(value.len());
-        for byte in value.as_bytes() {
-            self.byte(*byte);
-        }
-    }
-}
-
-/// A stable structural digest of a mapped program: the headline report
-/// numbers, the per-cycle occupancy pattern of every tile, and the scalar
-/// output names.  Equal digests mean the server handed out the same mapping
-/// — the cheap cross-process identity check used by the end-to-end tests
-/// and the load generator (building the full listing per request would cost
-/// more than a warm cache hit itself).
-pub fn program_digest(result: &MappingResult) -> u64 {
-    let mut fnv = Fnv::new();
-    let report = &result.report;
-    for value in [
-        report.operations,
-        report.clusters,
-        report.levels,
-        report.cycles,
-        report.stall_cycles,
-        report.alus_used,
-        report.register_hits,
-        report.register_misses,
-        report.mem_writebacks,
-        report.crossbar_transfers,
-        report.tiles.max(1),
-        report.inter_tile_transfers,
-    ] {
-        fnv.usize(value);
-    }
-    let mut digest_tile = |program: &fpfa_core::TileProgram| {
-        fnv.usize(program.cycle_count());
-        for cycle in &program.cycles {
-            fnv.usize(cycle.alus.len());
-            fnv.usize(cycle.moves.len());
-            fnv.usize(cycle.writebacks.len());
-        }
-    };
-    match &result.multi {
-        Some(multi) => {
-            for tile in &multi.program.tiles {
-                digest_tile(tile);
-            }
-            fnv.usize(multi.program.transfers.len());
-            for (name, tile, _) in &multi.program.scalar_outputs {
-                fnv.str(name);
-                fnv.usize(*tile);
-            }
-        }
-        None => {
-            digest_tile(&result.program);
-            for (name, _) in &result.program.scalar_outputs {
-                fnv.str(name);
-            }
-        }
-    }
-    fnv.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2014,21 +1929,5 @@ mod tests {
         let mut fb = FrameBuffer::new();
         fb.extend(&((MAX_FRAME_LEN + 1) as u32).to_le_bytes());
         assert!(matches!(fb.next_frame(), Err(FrameError::TooLarge { .. })));
-    }
-
-    #[test]
-    fn digest_distinguishes_programs() {
-        let mapper = fpfa_core::pipeline::Mapper::new();
-        let fir = mapper
-            .map_source(
-                "void main() { int a[4]; int c[4]; int s; int i; s = 0; i = 0;
-                  while (i < 4) { s = s + a[i] * c[i]; i = i + 1; } }",
-            )
-            .unwrap();
-        let other = mapper
-            .map_source("void main() { int a[2]; int r; r = a[0] + a[1]; }")
-            .unwrap();
-        assert_eq!(program_digest(&fir), program_digest(&fir));
-        assert_ne!(program_digest(&fir), program_digest(&other));
     }
 }

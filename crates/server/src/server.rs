@@ -42,15 +42,17 @@
 //! returns.
 
 use crate::protocol::{
-    decode_request_frame, encode_response_frame, program_digest, request_id_of, BatchEntrySummary,
-    BatchSummary, CacheFlavor, FrameBuffer, HealthSummary, Hello, HelloAck, Histogram,
-    KernelSource, MapKnobs, MapSummary, MetricsFormat, Request, Response, ShardStatsSummary,
-    SimSummary, StatsSummary, WireError, PROTOCOL_VERSION, UNKNOWN_REQUEST_ID,
+    decode_request_frame, encode_response_frame, request_id_of, BatchEntrySummary, BatchSummary,
+    CacheFlavor, FrameBuffer, HealthSummary, Hello, HelloAck, Histogram, KernelSource, MapKnobs,
+    MapSummary, MetricsFormat, Request, Response, ShardStatsSummary, SimSummary, StatsSummary,
+    WireError, PROTOCOL_VERSION, UNKNOWN_REQUEST_ID,
 };
 use crate::sys::{Event, Interest, Poller, WakeSender, Waker, WAKE_TOKEN};
+use fpfa_core::cache::SummaryTier;
 use fpfa_core::flow::KernelSpec;
 use fpfa_core::pipeline::MappingResult;
 use fpfa_core::service::MappingService;
+use fpfa_core::summary::MappingSummary;
 use fpfa_obs::{FlightEntry, FlightRecorder, Registry, SpanEvent, TraceSink};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -421,7 +423,7 @@ struct Completion {
     response: Response,
     /// `(config fingerprint, source, request name, digested answer)` — the
     /// seed of an L0 entry on the owning shard.
-    warm: Option<(u64, Arc<str>, Arc<str>, WarmValue)>,
+    warm: Option<(u64, Arc<str>, Arc<str>, MappingSummary)>,
     timing: JobTiming,
 }
 
@@ -844,7 +846,7 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
     let epoch = inner.cache_epoch.load(Ordering::SeqCst);
     let service_started = Instant::now();
     let done = |response: Response,
-                warm: Option<(u64, Arc<str>, Arc<str>, WarmValue)>,
+                warm: Option<(u64, Arc<str>, Arc<str>, MappingSummary)>,
                 stages: Option<StageTimings>| {
         Completion {
             conn,
@@ -958,7 +960,7 @@ fn serve_map_job(
     knobs: &MapKnobs,
     decoded_at: Instant,
     traced: bool,
-) -> Result<(MapSummary, WarmValue, Option<StageTimings>), WireError> {
+) -> Result<(MapSummary, MappingSummary, Option<StageTimings>), WireError> {
     let (result, outcome) =
         service
             .map_source_shared(&kernel.source)
@@ -990,12 +992,13 @@ fn serve_map_job(
             .map(|timing| (timing.stage, timing.wall.as_micros() as u64))
             .collect()
     });
-    let value = WarmValue::of(&result);
-    let summary = value.summary(
+    let value = MappingSummary::of(&result);
+    let summary = map_summary(
+        &value,
         kernel.name.clone(),
         CacheFlavor::from(outcome),
         sim,
-        decoded_at,
+        decoded_at.elapsed().as_micros() as u64,
     );
     Ok((summary, value, stages))
 }
@@ -1034,12 +1037,37 @@ fn summarize(
     sim: Option<SimSummary>,
     decoded_at: Instant,
 ) -> MapSummary {
-    WarmValue::of(result).summary(
+    map_summary(
+        &MappingSummary::of(result),
         name.to_string(),
         CacheFlavor::from(result.report.cache),
         sim,
-        decoded_at,
+        decoded_at.elapsed().as_micros() as u64,
     )
+}
+
+/// The wire answer for one request: the mapping's summary plus the
+/// request's name, cache flavor, simulation outcome and server time.
+fn map_summary(
+    value: &MappingSummary,
+    name: String,
+    cache: CacheFlavor,
+    sim: Option<SimSummary>,
+    server_micros: u64,
+) -> MapSummary {
+    MapSummary {
+        name,
+        digest: value.digest,
+        operations: value.operations,
+        clusters: value.clusters,
+        levels: value.levels,
+        cycles: value.cycles,
+        tiles: value.tiles,
+        inter_tile_transfers: value.inter_tile_transfers,
+        cache,
+        sim,
+        server_micros,
+    }
 }
 
 fn simulate(mapping: &MappingResult) -> Result<SimSummary, String> {
@@ -1090,20 +1118,6 @@ fn validate(knobs: &MapKnobs, batch_len: usize) -> Result<(), String> {
 // Shard side
 // ---------------------------------------------------------------------------
 
-/// The pre-digested answer a shard keeps for a kernel it has served: enough
-/// to build a [`MapSummary`] without touching the shared cache or cloning a
-/// mapping.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct WarmValue {
-    digest: u64,
-    operations: u64,
-    clusters: u64,
-    levels: u64,
-    cycles: u64,
-    tiles: u64,
-    inter_tile_transfers: u64,
-}
-
 /// One L0 entry: a complete, length-prefixed `Mapped` response frame,
 /// pre-encoded once at insert time.  A hit copies the bytes into the write
 /// buffer and patches exactly two fields in place — the echoed request id
@@ -1115,69 +1129,20 @@ pub(crate) struct WarmValue {
 #[derive(Clone, Debug)]
 struct L0Entry {
     frame: Vec<u8>,
-    value: WarmValue,
+    value: MappingSummary,
 }
 
 /// One fingerprint's slice of the L0 tier: kernel source → named entries.
 type WarmBySource = HashMap<Arc<str>, Vec<(Arc<str>, L0Entry)>>;
 
 impl L0Entry {
-    fn of(value: WarmValue, name: &str) -> Self {
-        let summary = MapSummary {
-            name: name.to_string(),
-            digest: value.digest,
-            operations: value.operations,
-            clusters: value.clusters,
-            levels: value.levels,
-            cycles: value.cycles,
-            tiles: value.tiles,
-            inter_tile_transfers: value.inter_tile_transfers,
-            cache: CacheFlavor::MappingHit,
-            sim: None,
-            server_micros: 0,
-        };
+    fn of(value: MappingSummary, name: &str) -> Self {
+        let summary = map_summary(&value, name.to_string(), CacheFlavor::MappingHit, None, 0);
         let payload = encode_response_frame(0, &Response::Mapped(summary));
         let mut frame = Vec::with_capacity(4 + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
         L0Entry { frame, value }
-    }
-}
-
-impl WarmValue {
-    fn of(result: &MappingResult) -> Self {
-        let report = &result.report;
-        WarmValue {
-            digest: program_digest(result),
-            operations: report.operations as u64,
-            clusters: report.clusters as u64,
-            levels: report.levels as u64,
-            cycles: report.cycles as u64,
-            tiles: report.tiles.max(1) as u64,
-            inter_tile_transfers: report.inter_tile_transfers as u64,
-        }
-    }
-
-    fn summary(
-        &self,
-        name: String,
-        cache: CacheFlavor,
-        sim: Option<SimSummary>,
-        decoded_at: Instant,
-    ) -> MapSummary {
-        MapSummary {
-            name,
-            digest: self.digest,
-            operations: self.operations,
-            clusters: self.clusters,
-            levels: self.levels,
-            cycles: self.cycles,
-            tiles: self.tiles,
-            inter_tile_transfers: self.inter_tile_transfers,
-            cache,
-            sim,
-            server_micros: decoded_at.elapsed().as_micros() as u64,
-        }
     }
 }
 
@@ -1588,9 +1553,11 @@ impl<'a> ShardRt<'a> {
         }
     }
 
-    /// The map fast path: warm table, then a shared-cache probe, then the
-    /// queue.  `simulate` requests always take the queue — simulation is
-    /// real compute that must not stall the I/O loop.
+    /// The map fast path: the shard's L0 frames, then a summary probe of
+    /// the shared cache (L1, then the disk tier's summary map), then the
+    /// queue.  `simulate` and `verify` requests always take the queue —
+    /// they need the mapping itself, and simulation is real compute that
+    /// must not stall the I/O loop.
     fn serve_map(
         &mut self,
         conn: &mut Conn,
@@ -1630,7 +1597,7 @@ impl<'a> ShardRt<'a> {
                     inner.stats.fast_hits.inc();
                     inner.base.cache().note_shard_hit();
                     inner.stats.served_ok.inc();
-                    self.finish_preencoded(conn, id, &frame, decoded_at);
+                    self.finish_preencoded(conn, id, &frame, decoded_at, "l0");
                     return;
                 }
                 // Same kernel under a new name: mint an entry from the
@@ -1638,34 +1605,43 @@ impl<'a> ShardRt<'a> {
                 // the shared cache.
                 if let Some(value) = entries.first().map(|(_, e)| e.value) {
                     inner.stats.l0_hits.inc();
-                    inner.stats.fast_hits.inc();
-                    inner.base.cache().note_shard_hit();
-                    inner.stats.served_ok.inc();
-                    let name: Arc<str> = Arc::from(kernel.name.as_str());
-                    let entry = L0Entry::of(value, &name);
-                    let frame = entry.frame.clone();
-                    self.warm_insert(fingerprint, Arc::from(kernel.source.as_str()), name, entry);
-                    self.finish_preencoded(conn, id, &frame, decoded_at);
+                    let frame = self.mint_inline(fingerprint, &kernel, value);
+                    self.finish_preencoded(conn, id, &frame, decoded_at, "l0");
                     return;
                 }
             }
-            // L1: the shared in-memory cache (zero-copy `Arc` hit).  The
-            // answer is digested into a fresh L0 entry for next time.
-            let cache = inner.base.cache();
-            let lookup = cache.prepare(&kernel.source, fingerprint);
-            if let Some(result) = cache.peek_prepared(&lookup) {
-                cache.note_shard_hit();
-                inner.stats.fast_hits.inc();
-                inner.stats.served_ok.inc();
-                let name: Arc<str> = Arc::from(kernel.name.as_str());
-                let entry = L0Entry::of(WarmValue::of(&result), &name);
-                let frame = entry.frame.clone();
-                self.warm_insert(fingerprint, Arc::from(kernel.source.as_str()), name, entry);
-                self.finish_preencoded(conn, id, &frame, decoded_at);
+            // L1, then the disk tier's summary map: the persisted summary
+            // answers without decoding a mapping.
+            if let Some((value, tier)) = inner.base.cache().summary(&kernel.source, fingerprint) {
+                let outcome = match tier {
+                    SummaryTier::Memory => "l1",
+                    SummaryTier::Disk => "disk",
+                };
+                let frame = self.mint_inline(fingerprint, &kernel, value);
+                self.finish_preencoded(conn, id, &frame, decoded_at, outcome);
                 return;
             }
         }
         self.submit_job(conn, idx, id, Work::One(kernel), knobs, decoded_at);
+    }
+
+    /// Counts an inline answer from a mapping summary and mints its L0
+    /// entry for next time; returns the frame to serve.
+    fn mint_inline(
+        &mut self,
+        fingerprint: u64,
+        kernel: &KernelSource,
+        value: MappingSummary,
+    ) -> Vec<u8> {
+        let inner = self.inner;
+        inner.base.cache().note_shard_hit();
+        inner.stats.fast_hits.inc();
+        inner.stats.served_ok.inc();
+        let name: Arc<str> = Arc::from(kernel.name.as_str());
+        let entry = L0Entry::of(value, &name);
+        let frame = entry.frame.clone();
+        self.warm_insert(fingerprint, Arc::from(kernel.source.as_str()), name, entry);
+        frame
     }
 
     fn submit_job(
@@ -2024,13 +2000,21 @@ impl<'a> ShardRt<'a> {
         }
     }
 
-    /// Serves an L0 hit: copies the pre-encoded frame into the write buffer
-    /// and patches the two per-request fields in place — the echoed id
-    /// (bytes 4..12, after the length prefix) and `server_micros` (the
+    /// Serves an inline answer: copies the pre-encoded frame into the write
+    /// buffer and patches the two per-request fields in place — the echoed
+    /// id (bytes 4..12, after the length prefix) and `server_micros` (the
     /// trailing 8 bytes of a sim-less `Mapped` body).  Bypasses
     /// [`append_frame`](Self::append_frame), so the served counter and the
-    /// map-latency histogram are maintained here.
-    fn finish_preencoded(&mut self, conn: &mut Conn, id: u64, frame: &[u8], decoded_at: Instant) {
+    /// map-latency histogram are maintained here.  `outcome` names the tier
+    /// that held the answer (`l0`, `l1` or `disk`) for the flight recorder.
+    fn finish_preencoded(
+        &mut self,
+        conn: &mut Conn,
+        id: u64,
+        frame: &[u8],
+        decoded_at: Instant,
+        outcome: &'static str,
+    ) {
         let start = conn.wbuf.len();
         conn.wbuf.extend_from_slice(frame);
         conn.wbuf[start + 4..start + 12].copy_from_slice(&id.to_le_bytes());
@@ -2039,7 +2023,7 @@ impl<'a> ShardRt<'a> {
         conn.wbuf[end - 8..end].copy_from_slice(&micros.to_le_bytes());
         self.mailbox().counters.served.inc();
         self.inner.stats.map_latency.record(micros);
-        self.observe(id, "map", "l0", micros, frame.len() as u64, None);
+        self.observe(id, "map", outcome, micros, frame.len() as u64, None);
     }
 }
 

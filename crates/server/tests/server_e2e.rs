@@ -844,6 +844,152 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
 
     handle.shutdown();
     handle.join();
+
+    // Every inline answer is tagged with the tier that produced it.  A
+    // restarted server answers its first request from the disk tier's
+    // summaries, the repeat from the L0 frame that answer minted, and a
+    // kernel a batch put into the shared cache from L1.
+    let dir = std::env::temp_dir().join(format!("fpfa-e2e-dump-tiers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let first = start_with_cache_dir(&dir);
+    let mut client = Client::connect(first.addr()).expect("connect");
+    client.map("k", TRIVIAL, MapKnobs::default()).expect("cold");
+    first.shutdown();
+    first.join();
+    let restarted = start_with_cache_dir(&dir);
+    let mut client = Client::connect(restarted.addr()).expect("connect");
+    client
+        .map("k", TRIVIAL, MapKnobs::default())
+        .expect("from disk");
+    client
+        .map("k", TRIVIAL, MapKnobs::default())
+        .expect("from L0");
+    let batched = "void main() { int a[2]; int r; r = a[0] * a[1]; }";
+    client
+        .batch(vec![KernelSource::new("b", batched)], MapKnobs::default())
+        .expect("batch");
+    client
+        .map("b", batched, MapKnobs::default())
+        .expect("from L1");
+    let dump = client.dump().expect("dump");
+    assert_eq!(
+        map_outcomes(&dump),
+        ["disk", "l0", "l1"],
+        "inline answers mis-tagged in: {dump}"
+    );
+    restarted.shutdown();
+    restarted.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A server with a persistent disk tier under `dir`.
+fn start_with_cache_dir(dir: &std::path::Path) -> ServerHandle {
+    let service = MappingService::with_cache_dir(Mapper::new(), 64, dir).expect("open disk tier");
+    Server::bind("127.0.0.1:0", ServerConfig::default(), service)
+        .expect("bind on port 0")
+        .spawn()
+        .expect("spawn server")
+}
+
+/// The flight-recorder outcomes of a dump's `map` entries, in id order.
+fn map_outcomes(dump: &str) -> Vec<String> {
+    let parsed = fpfa_obs::json::parse(dump).expect("dump is valid JSON");
+    let mut entries: Vec<(u64, String)> = parsed
+        .as_object()
+        .and_then(|top| top.get("shards"))
+        .and_then(|v| v.as_array())
+        .expect("shards array")
+        .iter()
+        .flat_map(|shard| {
+            shard
+                .as_object()
+                .and_then(|o| o.get("recent"))
+                .and_then(|v| v.as_array())
+                .map(<[fpfa_obs::json::JsonValue]>::to_vec)
+                .unwrap_or_default()
+        })
+        .filter_map(|entry| {
+            let entry = entry.as_object()?;
+            (entry.get("verb")?.as_str()? == "map").then_some(())?;
+            let id = entry.get("id")?.as_u64()?;
+            Some((id, entry.get("outcome")?.as_str()?.to_string()))
+        })
+        .collect();
+    entries.sort();
+    entries.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
+/// The value of an unlabelled counter or gauge in a server's registry.
+fn metric(handle: &ServerHandle, name: &str) -> u64 {
+    let snapshot = handle.registry().snapshot();
+    let found = snapshot
+        .metrics
+        .iter()
+        .find(|m| m.key.name == name && m.key.labels.is_empty())
+        .unwrap_or_else(|| panic!("no metric {name}"));
+    match found.value {
+        fpfa_obs::MetricValue::Counter(v) | fpfa_obs::MetricValue::Gauge(v) => v,
+        ref other => panic!("{name} is not a counter or gauge: {other:?}"),
+    }
+}
+
+/// A second server over the first one's cache directory answers the
+/// registry's first pass inline from the persisted summaries: the cold
+/// digests, no record decoded, no job queued.  A `verify` request needs the
+/// mapping itself, so it decodes one and verifies it.
+#[test]
+fn restarted_server_answers_from_persisted_summaries_without_decoding() {
+    let dir = std::env::temp_dir().join(format!("fpfa-e2e-restart-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let kernels = fpfa_workloads::registry();
+
+    let first = start_with_cache_dir(&dir);
+    let mut client = Client::connect(first.addr()).expect("connect");
+    let cold: Vec<u64> = kernels
+        .iter()
+        .map(|k| {
+            let summary = client
+                .map(&k.name, &k.source, MapKnobs::default())
+                .expect("registry kernels map");
+            summary.digest
+        })
+        .collect();
+    first.shutdown();
+    first.join();
+
+    let restarted = start_with_cache_dir(&dir);
+    let mut client = Client::connect(restarted.addr()).expect("connect");
+    for (kernel, digest) in kernels.iter().zip(&cold) {
+        let summary = client
+            .map(&kernel.name, &kernel.source, MapKnobs::default())
+            .expect("warm map");
+        assert_eq!(summary.digest, *digest, "digest of `{}`", kernel.name);
+        assert_eq!(summary.cache, fpfa_server::CacheFlavor::MappingHit);
+    }
+    assert_eq!(metric(&restarted, "persist.loads"), 0);
+    assert_eq!(metric(&restarted, "serve.accepted"), 0);
+    assert_eq!(
+        metric(&restarted, "cache.mapping.hits"),
+        kernels.len() as u64
+    );
+
+    let kernel = &kernels[0];
+    let verified = client
+        .map(
+            &kernel.name,
+            &kernel.source,
+            MapKnobs {
+                verify: true,
+                ..MapKnobs::default()
+            },
+        )
+        .expect("a persisted mapping verifies clean");
+    assert_eq!(verified.digest, cold[0]);
+    assert!(metric(&restarted, "persist.loads") >= 1);
+    assert_eq!(metric(&restarted, "serve.accepted"), 1);
+    restarted.shutdown();
+    restarted.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
