@@ -223,8 +223,11 @@ impl TopoScratch {
 /// and output ports determined by their [`NodeKind`]; each input port is
 /// driven by at most one edge, while output ports may fan out to any number of
 /// consumers. Removed nodes and edges leave holes in the arena so that
-/// identifiers stay stable; [`Cdfg::compact`] rebuilds a dense graph, and
-/// [`Cdfg::enable_id_reuse`] opts a graph into free-list reuse of the holes.
+/// identifiers stay stable while a graph is rewritten; [`Cdfg::compact`]
+/// rebuilds a dense, exactly sized graph (the mapping flow's `transform`
+/// stage ends with it, so every later stage and cache tier holds no holes),
+/// and [`Cdfg::enable_id_reuse`] opts a graph into free-list reuse of the
+/// holes.
 ///
 /// Every mutation primitive reports a [`RewriteEvent`] to an optional
 /// [`ChangeJournal`] (see [`Cdfg::enable_journal`]); the incremental rewrite
@@ -876,8 +879,24 @@ impl Cdfg {
 
     /// Rebuilds the graph without holes, returning the compacted graph and a
     /// dense mapping from old to new node ids.
+    ///
+    /// The result is exactly sized: its node and edge arenas reserve the live
+    /// counts and nothing more.  Live nodes keep their relative order (the
+    /// remap is strictly increasing) and edges are re-created in id order, so
+    /// [`Cdfg::edges`] yields the same sequence.  On a graph that never
+    /// enabled [`Cdfg::enable_id_reuse`], edge ids grow in connect order, so
+    /// every output port also keeps its sink order, and walks that follow
+    /// id or connect order (the topological sort, extraction) visit the
+    /// compacted graph in the same order as the original.  Under id reuse
+    /// the per-port sink order becomes edge-id order instead.
     pub fn compact(&self) -> (Cdfg, NodeRemap) {
-        let mut out = Cdfg::new(self.name.clone());
+        let mut out = Cdfg {
+            name: self.name.clone(),
+            kinds: Vec::with_capacity(self.live_nodes),
+            ports: Vec::with_capacity(self.live_nodes),
+            edges: Vec::with_capacity(self.live_edges),
+            ..Cdfg::default()
+        };
         let mut remap = NodeRemap::with_bound(self.node_bound());
         for (id, node) in self.nodes() {
             let new_id = out.add_node(node.kind.clone());

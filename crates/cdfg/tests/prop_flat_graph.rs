@@ -17,7 +17,8 @@
 use fpfa_cdfg::canonical_signature;
 use fpfa_cdfg::interp::{Interpreter, RunResult};
 use fpfa_cdfg::{
-    BinOp, Cdfg, CdfgError, GraphStats, LoopSpec, NodeId, NodeKind, RewriteEvent, UnOp, Value,
+    BinOp, Cdfg, CdfgError, Edge, Endpoint, GraphStats, LoopSpec, NodeId, NodeKind, RewriteEvent,
+    UnOp, Value,
 };
 use proptest::prelude::*;
 
@@ -591,7 +592,10 @@ proptest! {
     }
 
     /// `compact` and `splice` preserve structure for any mutation history,
-    /// including histories that left holes or recycled slots.
+    /// including histories that left holes or recycled slots.  `compact`
+    /// also preserves order: node order and the global edge order always,
+    /// and every output port's sink order when the history never enabled
+    /// id reuse (edge ids then grow in connect order).
     #[test]
     fn compact_and_splice_preserve_the_reference_structure(
         ops in prop::collection::vec(arb_op(), 1..40),
@@ -609,6 +613,25 @@ proptest! {
             }
         }
         prop_assert_eq!(canonical_signature(&compacted), canonical_signature(&graph));
+
+        let new_ids: Vec<NodeId> = remap.iter().map(|(_, new)| new).collect();
+        prop_assert!(new_ids.windows(2).all(|pair| pair[0] < pair[1]));
+        let moved = |end: Endpoint| Endpoint::new(remap[end.node], end.port_index());
+        let original_edges: Vec<Edge> = graph
+            .edges()
+            .map(|(_, edge)| Edge::new(moved(edge.from), moved(edge.to)))
+            .collect();
+        let compacted_edges: Vec<Edge> = compacted.edges().map(|(_, edge)| *edge).collect();
+        prop_assert_eq!(compacted_edges, original_edges);
+        if !reuse {
+            for (id, node) in graph.nodes() {
+                for port in 0..node.output_count() {
+                    let sinks: Vec<Endpoint> =
+                        graph.output_sinks_iter(id, port).map(moved).collect();
+                    prop_assert_eq!(compacted.output_sinks(remap[id], port), sinks);
+                }
+            }
+        }
 
         let mut spliced = Cdfg::new(graph.name());
         spliced.splice(&compacted);

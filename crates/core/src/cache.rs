@@ -760,7 +760,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fpfa-cache-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mapper = crate::pipeline::Mapper::new();
-        let source = "void main() { int a[4]; int r; r = a[0] * a[1] + a[2] * a[3]; }";
+        // A loop, so unrolling and folding leave holes for the transform
+        // stage to compact away.
+        let source = "void main() { int a[4]; int r; int i; r = 0; i = 0; \
+                      while (i < 4) { r = r + a[i] * a[i]; i = i + 1; } }";
         let cold = {
             let tier = Arc::new(DiskTier::open(&dir).unwrap());
             let cache = MappingCache::with_capacity(8).with_disk_tier(tier);
@@ -790,6 +793,8 @@ mod tests {
         assert_eq!(warm.report.cache, CacheOutcome::MappingHit);
         assert_eq!(warm.program, cold.program);
         assert_eq!(warm.layout, cold.layout);
+        // The disk record held the dense graph the transform stage built.
+        assert_eq!(warm.simplified.node_bound(), warm.simplified.node_count());
         assert_eq!(cache.persist_stats().loads, 1);
         // Promoted into memory, the mapping now answers from L1.
         assert_eq!(

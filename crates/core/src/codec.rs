@@ -18,8 +18,9 @@
 //!   version; decoders reject unknown versions with a typed error instead of
 //!   misreading bytes.
 //! * **Corruption is an error, never a panic** — every length is bounds
-//!   checked against the remaining input before it allocates, and every tag
-//!   is validated, so arbitrarily corrupted bytes produce [`CodecError`],
+//!   checked against the remaining input before it allocates, every tag
+//!   is validated, and every op reference of a mapping graph must name one
+//!   of its ops, so arbitrarily corrupted bytes produce [`CodecError`],
 //!   which the disk tier converts into a typed cache miss.
 //!
 //! [`program_digest`]: crate::summary::program_digest
@@ -357,6 +358,19 @@ fn get_value_ref(input: &mut &[u8]) -> Result<ValueRef> {
     })
 }
 
+/// Reads a value reference of a mapping graph with `op_count` operations.
+/// A reference to an op at or past the end is malformed: the consumer index
+/// built on decode (and every stage reading the graph) would index past the
+/// op list.
+fn get_graph_value_ref(input: &mut &[u8], op_count: usize) -> Result<ValueRef> {
+    match get_value_ref(input)? {
+        ValueRef::Op(op) if op.index() >= op_count => {
+            Err(CodecError::Malformed("op reference out of range"))
+        }
+        value => Ok(value),
+    }
+}
+
 fn op_index<T: PartialEq>(all: &[T], op: &T) -> u8 {
     let index = all
         .iter()
@@ -435,14 +449,14 @@ fn get_mapping_graph(input: &mut &[u8]) -> Result<MappingGraph> {
     for _ in 0..n {
         scalar_inputs.push(get_str(input)?);
     }
-    let n = get_len(input, 5)?;
-    let mut ops = Vec::with_capacity(n);
-    for _ in 0..n {
+    let op_count = get_len(input, 5)?;
+    let mut ops = Vec::with_capacity(op_count);
+    for _ in 0..op_count {
         let kind = get_op_kind(input)?;
         let nin = get_len(input, 5)?;
         let mut inputs = Vec::with_capacity(nin);
         for _ in 0..nin {
-            inputs.push(get_value_ref(input)?);
+            inputs.push(get_graph_value_ref(input, op_count)?);
         }
         ops.push(MapOp { kind, inputs });
     }
@@ -450,7 +464,7 @@ fn get_mapping_graph(input: &mut &[u8]) -> Result<MappingGraph> {
     let mut mem_writes = Vec::with_capacity(n);
     for _ in 0..n {
         let address = get_i64(input)?;
-        let value = get_value_ref(input)?;
+        let value = get_graph_value_ref(input, op_count)?;
         let seq = get_usize(input)?;
         mem_writes.push(MemWrite {
             address,
@@ -462,7 +476,7 @@ fn get_mapping_graph(input: &mut &[u8]) -> Result<MappingGraph> {
     let mut scalar_outputs = Vec::with_capacity(n);
     for _ in 0..n {
         let name = get_str(input)?;
-        let value = get_value_ref(input)?;
+        let value = get_graph_value_ref(input, op_count)?;
         scalar_outputs.push((name, value));
     }
     let n = get_len(input, 8)?;
@@ -1348,23 +1362,64 @@ mod tests {
         assert_eq!(decoded, artifacts);
     }
 
+    /// Decodes `payload` once per byte with that byte flipped.  A flip
+    /// either fails cleanly or decodes to *some* value (a flipped payload
+    /// byte may still parse); it must never panic.
+    fn flip_every_byte<T>(payload: &[u8], decode: impl Fn(&[u8]) -> Result<T>) {
+        let mut corrupted = payload.to_vec();
+        for (i, &byte) in payload.iter().enumerate() {
+            corrupted[i] = byte ^ 0x5A;
+            let _ = decode(&corrupted);
+            corrupted[i] = byte;
+        }
+    }
+
+    #[test]
+    fn op_references_past_the_op_list_are_malformed() {
+        // A one-op graph; `op_input`, `write` and `output` are the values its
+        // op, its memory write and its scalar output read.
+        let encode = |op_input: ValueRef, write: ValueRef, output: ValueRef| {
+            let mut out = Vec::new();
+            put_str(&mut out, "g");
+            put_u32(&mut out, 0);
+            put_u32(&mut out, 1);
+            put_op_kind(&mut out, &OpKind::Un(UnOp::Neg));
+            put_u32(&mut out, 1);
+            put_value_ref(&mut out, &op_input);
+            put_u32(&mut out, 1);
+            put_i64(&mut out, 0);
+            put_value_ref(&mut out, &write);
+            put_usize(&mut out, 0);
+            put_u32(&mut out, 1);
+            put_str(&mut out, "r");
+            put_value_ref(&mut out, &output);
+            put_u32(&mut out, 0);
+            out
+        };
+        let decode = |bytes: Vec<u8>| get_mapping_graph(&mut bytes.as_slice()).map(|_| ());
+        let (op0, op1) = (ValueRef::Op(OpId(0)), ValueRef::Op(OpId(1)));
+        assert_eq!(decode(encode(ValueRef::Const(1), op0, op0)), Ok(()));
+        let out_of_range = Err(CodecError::Malformed("op reference out of range"));
+        assert_eq!(decode(encode(op1, op0, op0)), out_of_range);
+        assert_eq!(decode(encode(ValueRef::Const(1), op1, op0)), out_of_range);
+        assert_eq!(decode(encode(ValueRef::Const(1), op0, op1)), out_of_range);
+    }
+
     #[test]
     fn corrupt_bytes_never_panic() {
         let result = Mapper::new().map_source(FIR).unwrap();
+        let four_tiles = Mapper::new().with_tiles(4).map_source(FIR).unwrap();
         let bytes = encode_mapping_result(&result);
         // Every truncation fails cleanly.
         for cut in 0..bytes.len().min(512) {
             assert!(decode_mapping_result(&bytes[..cut]).is_err());
         }
         assert!(decode_mapping_result(&bytes[..bytes.len() - 1]).is_err());
-        // Single-byte corruptions either fail cleanly or decode to *some*
-        // value (a flipped payload byte may still parse); they must never
-        // panic.
-        for i in 0..bytes.len().min(2048) {
-            let mut corrupted = bytes.clone();
-            corrupted[i] ^= 0x5A;
-            let _ = decode_mapping_result(&corrupted);
-        }
+        // Single-byte corruptions anywhere in either payload kind.
+        flip_every_byte(&bytes, decode_mapping_result);
+        flip_every_byte(&encode_mapping_result(&four_tiles), decode_mapping_result);
+        let post = encode_post_transform(&PostTransformArtifacts::of(&four_tiles));
+        flip_every_byte(&post, decode_post_transform);
         // Wrong kind tag and version are typed errors.
         assert_eq!(
             decode_post_transform(&bytes),

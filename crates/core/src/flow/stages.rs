@@ -178,6 +178,12 @@ impl Stage<SourceInput, CompiledKernel> for FrontendStage {
 /// falls back to the legacy scan-until-fixpoint pass pipeline rebuilt on
 /// [`FlowDriver::fixpoint`] — the reference oracle both engines are
 /// validated against.
+///
+/// Whichever path ran (either engine, or none with
+/// [`FlowToggles::simplify`](super::FlowToggles) off), the stage hands on
+/// the graph [`Cdfg::compact`]ed: dense and exactly sized, with the node,
+/// edge and per-port sink order of the rewritten graph, so later stages
+/// decide exactly as they would on the graph with holes.
 pub struct TransformStage {
     passes: Vec<Box<dyn Transform + Send + Sync>>,
     driver: FlowDriver,
@@ -254,6 +260,9 @@ impl Stage<CompiledKernel, SimplifiedKernel> for TransformStage {
                 ),
             );
         }
+        // Unrolling and folding leave most arena slots as holes; every later
+        // stage and cache tier holds the graph, so hand it on dense.
+        let (cdfg, _) = cdfg.compact();
         Ok(SimplifiedKernel {
             simplified: cdfg,
             layout,

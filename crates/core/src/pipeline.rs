@@ -519,6 +519,10 @@ mod tests {
         assert!(result.report.cycles >= result.report.levels);
         assert!(result.report.alus_used <= 5);
         assert!(result.layout.array("a").is_some());
+        // The transform stage hands on a dense graph: no holes left by
+        // unrolling and folding.
+        let simplified = &result.simplified;
+        assert_eq!(simplified.node_bound(), simplified.node_count());
     }
 
     #[test]

@@ -215,6 +215,8 @@ void main() {
         assert_eq!(warm.report.cache, CacheOutcome::PostTransformHit);
         // The mapped program is shared verbatim.
         assert_eq!(cold.program, warm.program);
+        // The re-run transform stage still hands on a dense graph.
+        assert_eq!(warm.simplified.node_bound(), warm.simplified.node_count());
         assert_eq!(
             fpfa_cdfg::canonical_signature(&cold.simplified),
             fpfa_cdfg::canonical_signature(&warm.simplified)

@@ -4,8 +4,9 @@
 //! The workspace has no crates.io access (no serde), and the observability
 //! layer only needs the subset of JSON it emits itself: objects, arrays,
 //! strings, and unsigned/signed integers.  The parser accepts standard JSON
-//! for those shapes (including `\uXXXX` escapes and arbitrary whitespace) and
-//! rejects everything else with a positioned error string.
+//! (including `\uXXXX` escapes, arbitrary whitespace and, for the
+//! checked-in bench files, fractional numbers) and rejects everything else
+//! with a positioned error string.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -19,8 +20,11 @@ pub enum JsonValue {
     Array(Vec<JsonValue>),
     /// A JSON string.
     String(String),
-    /// A JSON number (integral; the formats emit no fractions).
+    /// An integral JSON number (the only kind the observability formats
+    /// emit).
     Number(i128),
+    /// A JSON number with a fraction or an exponent.
+    Float(f64),
     /// `true` / `false`.
     Bool(bool),
     /// `null`.
@@ -203,17 +207,46 @@ impl<'a> Parser<'a> {
 
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
+        let bad = || format!("bad number at offset {start}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        if self.digits() == 0 {
+            return Err(bad());
+        }
+        let integral = self.pos;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| bad())?;
+        if self.pos == integral {
+            text.parse::<i128>()
+                .map(JsonValue::Number)
+                .map_err(|_| bad())
+        } else {
+            text.parse::<f64>().map(JsonValue::Float).map_err(|_| bad())
+        }
+    }
+
+    /// Consumes a run of decimal digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at offset {start}"))?;
-        text.parse::<i128>()
-            .map(JsonValue::Number)
-            .map_err(|_| format!("bad number at offset {start}"))
+        self.pos - start
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -301,8 +334,31 @@ mod tests {
     }
 
     #[test]
+    fn parses_fractional_numbers() {
+        let value = parse(r#"[1.5, -0.25, 2e3, 7E-1, 12]"#).unwrap();
+        let items = value.as_array().unwrap();
+        assert_eq!(items[0], JsonValue::Float(1.5));
+        assert_eq!(items[1], JsonValue::Float(-0.25));
+        assert_eq!(items[2], JsonValue::Float(2000.0));
+        assert_eq!(items[3], JsonValue::Float(0.7));
+        assert_eq!(items[4], JsonValue::Number(12));
+    }
+
+    #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{", "[1,]", "\"open", "12x", "{\"a\"}", "{} trailing"] {
+        for bad in [
+            "{",
+            "[1,]",
+            "\"open",
+            "12x",
+            "{\"a\"}",
+            "{} trailing",
+            "1.",
+            ".5",
+            "-",
+            "1e",
+            "1.e5",
+        ] {
             assert!(parse(bad).is_err(), "{bad} should not parse");
         }
     }
