@@ -2,144 +2,197 @@
 //!
 //! Storage is a flat arena in struct-of-arrays form: node operations
 //! ([`NodeKind`]) and port connectivity (`PortRecord`) live in parallel
-//! vectors indexed by the dense `u32` inside [`NodeId`].  Per-node port data
-//! uses small-inline storage (`InlineVec`): up to four entries live on the
-//! node record itself, so the common case — every fixed node kind has at
-//! most three ports — allocates nothing on the heap.  [`Node`] is a cheap
-//! `Copy` *view* over one arena slot, not an owned record.
+//! vectors indexed by the dense `u32` inside [`NodeId`].  A node's port
+//! connectivity is one small buffer of edge ids: its input slots followed by
+//! its outgoing edges in connect order.  Up to seven entries live on the
+//! 40-byte record itself, so nearly every node of a simplified graph
+//! allocates nothing on the heap; larger sets spill into one `Vec`.  An
+//! outgoing edge's port is not stored on the record: it is read from the
+//! edge table.  [`Node`] is a cheap `Copy` *view* over one arena slot, not an
+//! owned record.
 
 use crate::edge::{Edge, Endpoint};
 use crate::error::CdfgError;
 use crate::ids::{EdgeId, NodeId, NodeRemap};
 use crate::node::NodeKind;
 use crate::observer::{ChangeJournal, RewriteEvent, RewriteObserver};
+use std::fmt;
 
 /// Sentinel for an unconnected input-port slot.
 const NO_EDGE: u32 = u32::MAX;
 
-/// Inline capacity of the per-node port stores.  Every fixed node kind has
-/// at most three input ports and one output port; only loop headers (arity =
-/// carried variables) and high-fanout values spill to the heap.
-const INLINE_PORTS: usize = 4;
+/// Inline capacity of a node's port buffer, in entries.  Fixed node kinds
+/// have at most three input ports and one output port, so they stay inline
+/// up to a fan-out of four; loop headers (arity = carried variables) and
+/// high-fanout values spill to the heap.
+const INLINE_SLOTS: usize = 7;
 
-/// Small-inline vector for per-node port data: up to [`INLINE_PORTS`]
-/// entries are stored on the node record itself, larger sets spill to a
-/// heap `Vec`.
+/// Entry storage of a [`PortRecord`]: inline up to [`INLINE_SLOTS`], one heap
+/// `Vec` beyond.  A buffer that spilled stays spilled.
+#[derive(Clone, Debug)]
+enum Slots {
+    Inline([u32; INLINE_SLOTS]),
+    Spilled(Vec<u32>),
+}
+
+/// Port connectivity of one arena slot: one buffer holding `ins` input-edge
+/// slots ([`NO_EDGE`] while unconnected) followed by the outgoing edge ids in
+/// connect order across all output ports.  An out entry's port is the
+/// edge's own `from.port`.
 ///
-/// Invariant: when `spill` is empty the live entries are `inline[..len]`,
-/// otherwise they are `spill[..]` (and `len == spill.len()`).
-#[derive(Clone, Debug, Default)]
-struct InlineVec<T: Copy + Default> {
-    len: u32,
-    inline: [T; INLINE_PORTS],
-    spill: Vec<T>,
-}
-
-impl<T: Copy + Default> InlineVec<T> {
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// A vector holding `len` copies of `value`.
-    fn filled(len: usize, value: T) -> Self {
-        let mut v = Self::new();
-        for _ in 0..len {
-            v.push(value);
-        }
-        v
-    }
-
-    fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    fn as_slice(&self) -> &[T] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len as usize]
-        } else {
-            &self.spill
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [T] {
-        if self.spill.is_empty() {
-            &mut self.inline[..self.len as usize]
-        } else {
-            &mut self.spill
-        }
-    }
-
-    fn push(&mut self, value: T) {
-        if self.spill.is_empty() {
-            if (self.len as usize) < INLINE_PORTS {
-                self.inline[self.len as usize] = value;
-                self.len += 1;
-                return;
-            }
-            self.spill.extend_from_slice(&self.inline);
-        }
-        self.spill.push(value);
-        self.len = self.spill.len() as u32;
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        if self.spill.is_empty() {
-            let mut kept = 0usize;
-            for i in 0..self.len as usize {
-                if keep(&self.inline[i]) {
-                    self.inline[kept] = self.inline[i];
-                    kept += 1;
-                }
-            }
-            self.len = kept as u32;
-        } else {
-            self.spill.retain(|item| keep(item));
-            self.len = self.spill.len() as u32;
-        }
-    }
-}
-
-impl<T: Copy + Default + PartialEq> PartialEq for InlineVec<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-/// One `(output port, edge)` entry of a node's fan-out list.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-struct OutEdge {
-    port: u16,
-    edge: u32,
-}
-
-/// Port connectivity of one arena slot: incoming edge per input port
-/// ([`NO_EDGE`] while unconnected) and the outgoing `(port, edge)` pairs in
-/// connect order.
-#[derive(Clone, PartialEq, Debug, Default)]
+/// Equality compares the logical entries, so a record that spilled equals an
+/// inline one with the same entries.
+#[derive(Clone, Debug)]
 struct PortRecord {
-    ins: InlineVec<u32>,
-    outs: InlineVec<OutEdge>,
+    slots: Slots,
+    /// Live entries: `inline[..len]`, or the whole spilled `Vec`.
+    len: u32,
+    /// Number of input ports (fixed by the node kind; ports are `u16`, as in
+    /// [`Endpoint`]).
+    ins: u16,
     /// Number of output ports (fixed by the node kind).
     out_ports: u16,
+}
+
+// Every copy of a graph pays this per node slot: keep the record small.
+const _: () = assert!(std::mem::size_of::<PortRecord>() <= 40);
+
+impl Default for PortRecord {
+    fn default() -> Self {
+        PortRecord::new(0, 0)
+    }
+}
+
+impl PartialEq for PortRecord {
+    fn eq(&self, other: &Self) -> bool {
+        self.ins == other.ins
+            && self.out_ports == other.out_ports
+            && self.entries() == other.entries()
+    }
+}
+
+impl PortRecord {
+    /// A record with `ins` unconnected input slots and no outgoing edges.
+    fn new(ins: usize, out_ports: usize) -> Self {
+        let slots = if ins <= INLINE_SLOTS {
+            Slots::Inline([NO_EDGE; INLINE_SLOTS])
+        } else {
+            Slots::Spilled(vec![NO_EDGE; ins])
+        };
+        PortRecord {
+            slots,
+            len: ins as u32,
+            ins: ins as u16,
+            out_ports: out_ports as u16,
+        }
+    }
+
+    fn entries(&self) -> &[u32] {
+        match &self.slots {
+            Slots::Inline(inline) => &inline[..self.len as usize],
+            Slots::Spilled(spilled) => spilled,
+        }
+    }
+
+    /// Input slots in port order.
+    fn in_slots(&self) -> &[u32] {
+        &self.entries()[..usize::from(self.ins)]
+    }
+
+    fn in_slots_mut(&mut self) -> &mut [u32] {
+        let ins = usize::from(self.ins);
+        match &mut self.slots {
+            Slots::Inline(inline) => &mut inline[..ins],
+            Slots::Spilled(spilled) => &mut spilled[..ins],
+        }
+    }
+
+    /// Outgoing edge ids in connect order, across all output ports.
+    fn out_edges(&self) -> &[u32] {
+        &self.entries()[usize::from(self.ins)..]
+    }
+
+    /// Appends an outgoing edge.
+    fn push_out(&mut self, edge: u32) {
+        let len = self.len as usize;
+        match &mut self.slots {
+            Slots::Inline(inline) if len < INLINE_SLOTS => inline[len] = edge,
+            Slots::Inline(inline) => {
+                let mut spilled = inline.to_vec();
+                spilled.push(edge);
+                self.slots = Slots::Spilled(spilled);
+            }
+            Slots::Spilled(spilled) => spilled.push(edge),
+        }
+        self.len += 1;
+    }
+
+    /// Removes an outgoing edge, keeping the order of the others.
+    fn remove_out(&mut self, edge: u32) {
+        let Some(offset) = self.out_edges().iter().position(|out| *out == edge) else {
+            return;
+        };
+        let at = usize::from(self.ins) + offset;
+        match &mut self.slots {
+            Slots::Inline(inline) => inline.copy_within(at + 1..self.len as usize, at),
+            Slots::Spilled(spilled) => {
+                spilled.remove(at);
+            }
+        }
+        self.len -= 1;
+    }
+
+    /// The outgoing edges leaving output port `port`, in connect order.
+    /// Single-output kinds skip the edge table: all their edges leave port 0.
+    fn port_out_edges<'g>(
+        &'g self,
+        edges: &'g [Option<Edge>],
+        port: usize,
+    ) -> impl Iterator<Item = u32> + 'g {
+        let outs = if port < usize::from(self.out_ports) {
+            self.out_edges()
+        } else {
+            &[]
+        };
+        let single = self.out_ports == 1;
+        outs.iter().copied().filter(move |raw| {
+            single
+                || edges
+                    .get(*raw as usize)
+                    .and_then(Option::as_ref)
+                    .is_some_and(|edge| edge.from.port_index() == port)
+        })
+    }
 }
 
 /// A read-only view of one node: its operation plus port connectivity.
 ///
 /// The graph stores nodes in flat parallel arrays (see [`Cdfg`]); `Node` is
 /// a cheap `Copy` view into one slot of that storage, not an owned record.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub struct Node<'g> {
     /// The operation performed by this node.
     pub kind: &'g NodeKind,
     ports: &'g PortRecord,
+    /// The graph's edge table, where out-edge ports are read.
+    edges: &'g [Option<Edge>],
+}
+
+impl fmt::Debug for Node<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Node")
+            .field("kind", self.kind)
+            .field("ins", &self.ports.in_slots())
+            .field("outs", &self.ports.out_edges())
+            .finish()
+    }
 }
 
 impl<'g> Node<'g> {
     /// Incoming edge connected to input port `port`, if any.
     pub fn input_edge(&self, port: usize) -> Option<EdgeId> {
         self.ports
-            .ins
-            .as_slice()
+            .in_slots()
             .get(port)
             .copied()
             .filter(|raw| *raw != NO_EDGE)
@@ -149,8 +202,7 @@ impl<'g> Node<'g> {
     /// Iterates over the connected input edges in port order.
     pub fn input_edges(self) -> impl Iterator<Item = EdgeId> + 'g {
         self.ports
-            .ins
-            .as_slice()
+            .in_slots()
             .iter()
             .filter(|raw| **raw != NO_EDGE)
             .map(|raw| EdgeId::from_index(*raw as usize))
@@ -158,33 +210,29 @@ impl<'g> Node<'g> {
 
     /// Iterates over the edges leaving output port `port`, allocation-free.
     pub fn output_edges(self, port: usize) -> impl Iterator<Item = EdgeId> + 'g {
-        let port = port as u16;
         self.ports
-            .outs
-            .as_slice()
-            .iter()
-            .filter(move |out| out.port == port)
-            .map(|out| EdgeId::from_index(out.edge as usize))
+            .port_out_edges(self.edges, port)
+            .map(|raw| EdgeId::from_index(raw as usize))
     }
 
     /// Number of input ports.
     pub fn input_count(&self) -> usize {
-        self.ports.ins.len()
+        usize::from(self.ports.ins)
     }
 
     /// Number of output ports.
     pub fn output_count(&self) -> usize {
-        self.ports.out_ports as usize
+        usize::from(self.ports.out_ports)
     }
 
     /// Total number of edges leaving this node across all output ports.
     pub fn fanout(&self) -> usize {
-        self.ports.outs.len()
+        self.ports.out_edges().len()
     }
 
     /// `true` when every input port has an incoming edge.
     pub fn fully_connected(&self) -> bool {
-        self.ports.ins.as_slice().iter().all(|raw| *raw != NO_EDGE)
+        self.ports.in_slots().iter().all(|raw| *raw != NO_EDGE)
     }
 }
 
@@ -371,6 +419,7 @@ impl Cdfg {
             Some(Some(kind)) => Ok(Node {
                 kind,
                 ports: &self.ports[id.index()],
+                edges: &self.edges,
             }),
             _ => Err(CdfgError::UnknownNode(id)),
         }
@@ -413,8 +462,14 @@ impl Cdfg {
             .zip(&self.ports)
             .enumerate()
             .filter_map(|(i, (kind, ports))| {
-                kind.as_ref()
-                    .map(|kind| (NodeId::from_index(i), Node { kind, ports }))
+                kind.as_ref().map(|kind| {
+                    let node = Node {
+                        kind,
+                        ports,
+                        edges: &self.edges,
+                    };
+                    (NodeId::from_index(i), node)
+                })
             })
     }
 
@@ -437,11 +492,7 @@ impl Cdfg {
 
     /// Adds a node and returns its id.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
-        let record = PortRecord {
-            ins: InlineVec::filled(kind.input_arity(), NO_EDGE),
-            outs: InlineVec::new(),
-            out_ports: kind.output_arity() as u16,
-        };
+        let record = PortRecord::new(kind.input_arity(), kind.output_arity());
         let id = match self.free_nodes.pop() {
             Some(id) => {
                 self.kinds[id.index()] = Some(kind);
@@ -513,11 +564,8 @@ impl Cdfg {
                 id
             }
         };
-        self.ports[from.index()].outs.push(OutEdge {
-            port: from_port as u16,
-            edge: id.index() as u32,
-        });
-        self.ports[to.index()].ins.as_mut_slice()[to_port] = id.index() as u32;
+        self.ports[from.index()].push_out(id.index() as u32);
+        self.ports[to.index()].in_slots_mut()[to_port] = id.index() as u32;
         self.live_edges += 1;
         self.notify(RewriteEvent::NodeTouched(from));
         self.notify(RewriteEvent::NodeTouched(to));
@@ -532,11 +580,11 @@ impl Cdfg {
         let edge = self.edge(id).copied()?;
         let raw = id.index() as u32;
         if let Some(record) = self.ports.get_mut(edge.from.node.index()) {
-            record.outs.retain(|out| out.edge != raw);
+            record.remove_out(raw);
         }
         if let Some(record) = self.ports.get_mut(edge.to.node.index()) {
             let port = edge.to.port_index();
-            let ins = record.ins.as_mut_slice();
+            let ins = record.in_slots_mut();
             if port < ins.len() && ins[port] == raw {
                 ins[port] = NO_EDGE;
             }
@@ -563,10 +611,9 @@ impl Cdfg {
         let mut attached: Vec<EdgeId> = node.input_edges().collect();
         attached.extend(
             node.ports
-                .outs
-                .as_slice()
+                .out_edges()
                 .iter()
-                .map(|out| EdgeId::from_index(out.edge as usize)),
+                .map(|raw| EdgeId::from_index(*raw as usize)),
         );
         // A self-edge appears in both the input and the output port lists;
         // deduplicate so it is disconnected exactly once.
@@ -607,50 +654,40 @@ impl Cdfg {
         node: NodeId,
         port: usize,
     ) -> impl Iterator<Item = Endpoint> + '_ {
-        let edges = match self.node(node) {
-            Ok(n) => n.ports.outs.as_slice(),
-            Err(_) => &[],
-        };
-        let port = port as u16;
-        edges
-            .iter()
-            .filter(move |out| out.port == port)
-            .filter_map(|out| {
-                self.edge(EdgeId::from_index(out.edge as usize))
-                    .ok()
-                    .map(|e| e.to)
-            })
+        self.node(node)
+            .into_iter()
+            .flat_map(move |n| n.ports.port_out_edges(&self.edges, port))
+            .filter_map(|raw| self.edge_at(raw).map(|e| e.to))
     }
 
     /// Iterates over every sink endpoint of `node` across all output ports,
     /// in connect order, without allocating.  Duplicate target nodes are
     /// *not* removed — one entry per edge.
     pub fn sink_endpoints(&self, node: NodeId) -> impl Iterator<Item = Endpoint> + '_ {
-        let edges = match self.node(node) {
-            Ok(n) => n.ports.outs.as_slice(),
+        let outs = match self.node(node) {
+            Ok(n) => n.ports.out_edges(),
             Err(_) => &[],
         };
-        edges.iter().filter_map(|out| {
-            self.edge(EdgeId::from_index(out.edge as usize))
-                .ok()
-                .map(|e| e.to)
-        })
+        outs.iter()
+            .filter_map(|raw| self.edge_at(*raw).map(|e| e.to))
     }
 
     /// Iterates over the source endpoints driving `node`'s input ports, in
     /// port order, without allocating.  Duplicate source nodes are *not*
     /// removed — one entry per connected port.
     pub fn source_endpoints(&self, node: NodeId) -> impl Iterator<Item = Endpoint> + '_ {
-        let ins: &[u32] = match self.node(node) {
-            Ok(n) => n.ports.ins.as_slice(),
+        let ins = match self.node(node) {
+            Ok(n) => n.ports.in_slots(),
             Err(_) => &[],
         };
-        ins.iter().filter(|raw| **raw != NO_EDGE).filter_map(|raw| {
-            self.edges
-                .get(*raw as usize)
-                .and_then(Option::as_ref)
-                .map(|e| e.from)
-        })
+        ins.iter()
+            .filter(|raw| **raw != NO_EDGE)
+            .filter_map(|raw| self.edge_at(*raw).map(|e| e.from))
+    }
+
+    /// The live edge with raw id `raw`, if any.
+    fn edge_at(&self, raw: u32) -> Option<&Edge> {
+        self.edges.get(raw as usize).and_then(Option::as_ref)
     }
 
     /// Predecessor nodes of `node` (one entry per connected input port, in
@@ -816,8 +853,7 @@ impl Cdfg {
             live += 1;
             let connected = node
                 .ports
-                .ins
-                .as_slice()
+                .in_slots()
                 .iter()
                 .filter(|raw| **raw != NO_EDGE)
                 .count() as u32;
@@ -833,12 +869,9 @@ impl Cdfg {
             // with its edge multiplicity, using the zeroed `counts` table as
             // the seen-marker.
             let record = &self.ports[id.index()];
-            for port in 0..record.out_ports {
-                for out in record.outs.as_slice() {
-                    if out.port != port {
-                        continue;
-                    }
-                    let to = self.edges[out.edge as usize]
+            for port in 0..usize::from(record.out_ports) {
+                for raw in record.port_out_edges(&self.edges, port) {
+                    let to = self.edges[raw as usize]
                         .as_ref()
                         .expect("port lists only hold live edges")
                         .to
@@ -1111,14 +1144,19 @@ impl Cdfg {
             }
         }
         for record in &self.ports {
-            put_u32(out, record.ins.len() as u32);
-            for &edge in record.ins.as_slice() {
+            put_u32(out, u32::from(record.ins));
+            for &edge in record.in_slots() {
                 put_u32(out, edge);
             }
-            put_u32(out, record.outs.len() as u32);
-            for out_edge in record.outs.as_slice() {
-                put_u16(out, out_edge.port);
-                put_u32(out, out_edge.edge);
+            let outs = record.out_edges();
+            put_u32(out, outs.len() as u32);
+            for &edge in outs {
+                let from = self.edges[edge as usize]
+                    .as_ref()
+                    .expect("port lists only hold live edges")
+                    .from;
+                put_u16(out, from.port);
+                put_u32(out, edge);
             }
             put_u16(out, record.out_ports);
         }
@@ -1149,10 +1187,17 @@ impl Cdfg {
     /// Decodes a graph previously written by [`Cdfg::encode_into`],
     /// consuming its bytes from the front of `input`.
     ///
+    /// Every cross-reference is checked before the graph is handed out, so
+    /// no byte sequence decodes into a graph that breaks the arena's
+    /// invariants: record arities match the node kinds (holes have empty
+    /// records), every port entry names a live edge attached at that node
+    /// and port, every live edge is listed once at each end, and the free
+    /// lists hold distinct holes.
+    ///
     /// # Errors
-    /// [`CdfgError::Invalid`] on truncated input, an unknown format version
-    /// or any malformed field; the input slice is left in an unspecified
-    /// position after an error.
+    /// [`CdfgError::Invalid`] on truncated input, an unknown format version,
+    /// any malformed field or any inconsistent cross-reference; the input
+    /// slice is left in an unspecified position after an error.
     pub fn decode_from(input: &mut &[u8]) -> Result<Cdfg, CdfgError> {
         let version = get_u8(input)?;
         if version != CDFG_CODEC_VERSION {
@@ -1171,25 +1216,33 @@ impl Cdfg {
             }
         }
         let mut ports = Vec::with_capacity(nslots);
-        for _ in 0..nslots {
+        // The encoded port of every out entry, in record order: the records
+        // do not store it, so it is checked against the edge table below.
+        let mut out_entry_ports = Vec::new();
+        for kind in &kinds {
+            let (in_arity, out_arity) = kind
+                .as_ref()
+                .map_or((0, 0), |k| (k.input_arity(), k.output_arity()));
             let nins = get_len(input, 4)?;
-            let mut ins = InlineVec::new();
-            for _ in 0..nins {
-                ins.push(get_u32(input)?);
+            if nins != in_arity || in_arity > usize::from(u16::MAX) {
+                return Err(decode_err("input port count does not match the node kind"));
+            }
+            let mut record = PortRecord::new(nins, out_arity);
+            for slot in record.in_slots_mut() {
+                *slot = get_u32(input)?;
             }
             let nouts = get_len(input, 6)?;
-            let mut outs = InlineVec::new();
-            for _ in 0..nouts {
-                let port = get_u16(input)?;
-                let edge = get_u32(input)?;
-                outs.push(OutEdge { port, edge });
+            if kind.is_none() && nouts > 0 {
+                return Err(decode_err("hole with outgoing edges"));
             }
-            let out_ports = get_u16(input)?;
-            ports.push(PortRecord {
-                ins,
-                outs,
-                out_ports,
-            });
+            for _ in 0..nouts {
+                out_entry_ports.push(get_u16(input)?);
+                record.push_out(get_u32(input)?);
+            }
+            if usize::from(get_u16(input)?) != out_arity || out_arity > usize::from(u16::MAX) {
+                return Err(decode_err("output port count does not match the node kind"));
+            }
+            ports.push(record);
         }
         let nedges = get_len(input, 1)?;
         let mut edges = Vec::with_capacity(nedges);
@@ -1232,7 +1285,7 @@ impl Cdfg {
         };
         let live_nodes = kinds.iter().filter(|k| k.is_some()).count();
         let live_edges = edges.iter().filter(|e| e.is_some()).count();
-        Ok(Cdfg {
+        let graph = Cdfg {
             name,
             kinds,
             ports,
@@ -1243,7 +1296,69 @@ impl Cdfg {
             live_nodes,
             live_edges,
             journal: None,
-        })
+        };
+        graph.check_links(&out_entry_ports)?;
+        Ok(graph)
+    }
+
+    /// Cross-reference check of a decoded arena (see [`Cdfg::decode_from`]).
+    /// `out_entry_ports` holds the encoded port of every out entry, in
+    /// record order.
+    fn check_links(&self, out_entry_ports: &[u16]) -> Result<(), CdfgError> {
+        let mut out_listed = vec![false; self.edges.len()];
+        let mut encoded_ports = out_entry_ports.iter();
+        for (slot, record) in self.ports.iter().enumerate() {
+            let node = NodeId::from_index(slot);
+            for (port, &raw) in record.in_slots().iter().enumerate() {
+                if raw != NO_EDGE
+                    && self.edge_at(raw).map(|e| e.to) != Some(Endpoint::new(node, port))
+                {
+                    return Err(decode_err(
+                        "input slot names an edge that does not end there",
+                    ));
+                }
+            }
+            for (&raw, &port) in record.out_edges().iter().zip(&mut encoded_ports) {
+                let from = Endpoint { node, port };
+                if self.edge_at(raw).map(|e| e.from) != Some(from) {
+                    return Err(decode_err(
+                        "out entry names an edge that does not start there",
+                    ));
+                }
+                if std::mem::replace(&mut out_listed[raw as usize], true) {
+                    return Err(decode_err("edge listed twice at its source"));
+                }
+            }
+        }
+        for (raw, edge) in self.edges.iter().enumerate() {
+            let Some(edge) = edge else { continue };
+            let from_ok = self
+                .node(edge.from.node)
+                .is_ok_and(|n| edge.from.port_index() < n.output_count());
+            let to_ok = self
+                .node(edge.to.node)
+                .is_ok_and(|n| n.ports.in_slots().get(edge.to.port_index()) == Some(&(raw as u32)));
+            if !from_ok || !to_ok || !out_listed[raw] {
+                return Err(decode_err("edge is not listed at both of its endpoints"));
+            }
+        }
+        let mut freed = vec![false; self.kinds.len()];
+        for id in &self.free_nodes {
+            if self.kinds.get(id.index()) != Some(&None)
+                || std::mem::replace(&mut freed[id.index()], true)
+            {
+                return Err(decode_err("free node list entry is not a distinct hole"));
+            }
+        }
+        let mut freed = vec![false; self.edges.len()];
+        for id in &self.free_edges {
+            if self.edges.get(id.index()) != Some(&None)
+                || std::mem::replace(&mut freed[id.index()], true)
+            {
+                return Err(decode_err("free edge list entry is not a distinct hole"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1351,12 +1466,12 @@ mod tests {
         let mut g = Cdfg::new("fanout");
         let c = g.add_node(NodeKind::Const(7));
         let mut sinks = Vec::new();
-        for i in 0..INLINE_PORTS + 3 {
+        for i in 0..INLINE_SLOTS + 3 {
             let out = g.add_node(NodeKind::Output(format!("o{i}")));
             g.connect(c, 0, out, 0).unwrap();
             sinks.push(out);
         }
-        assert_eq!(g.node(c).unwrap().fanout(), INLINE_PORTS + 3);
+        assert_eq!(g.node(c).unwrap().fanout(), INLINE_SLOTS + 3);
         let observed: Vec<NodeId> = g.output_sinks(c, 0).iter().map(|e| e.node).collect();
         assert_eq!(observed, sinks);
         // Disconnecting from a spilled list keeps the remaining order.
@@ -1364,6 +1479,18 @@ mod tests {
         g.disconnect(first).unwrap();
         let observed: Vec<NodeId> = g.output_sinks(c, 0).iter().map(|e| e.node).collect();
         assert_eq!(observed, sinks[1..]);
+        // Shrunk below the inline capacity, the record stays spilled, yet it
+        // equals the inline record a decode rebuilds with the same entries.
+        while g.node(c).unwrap().fanout() > 2 {
+            let edge = g.node(c).unwrap().output_edges(0).nth(1).unwrap();
+            g.disconnect(edge).unwrap();
+        }
+        let mut bytes = Vec::new();
+        g.encode_into(&mut bytes);
+        let decoded = Cdfg::decode_from(&mut bytes.as_slice()).unwrap();
+        assert!(matches!(g.ports[c.index()].slots, Slots::Spilled(_)));
+        assert!(matches!(decoded.ports[c.index()].slots, Slots::Inline(_)));
+        assert_eq!(decoded, g);
     }
 
     #[test]
@@ -1585,7 +1712,7 @@ mod tests {
         g.enable_id_reuse();
         g.remove_node(mul).unwrap();
         let big = g.add_node(NodeKind::Const(9));
-        for i in 0..INLINE_PORTS + 2 {
+        for i in 0..INLINE_SLOTS + 2 {
             let sink = g.add_node(NodeKind::Output(format!("s{i}")));
             g.connect(big, 0, sink, 0).unwrap();
         }

@@ -7,8 +7,12 @@
 //! over node kinds that include the statespace operators and structured
 //! loops.  Every observable must agree: allocated ids, per-port
 //! connectivity, predecessor/successor order, journal event streams,
-//! `GraphStats`, canonical signatures, and interpreter results.  A second
-//! property covers `compact` and `splice` against the same reference.
+//! `GraphStats`, canonical signatures, and interpreter results.  A fan-out
+//! primitive drives one output past the inline port capacity and then cuts
+//! a consumer out of the middle, so spilled port lists and their order are
+//! compared too.  Further properties cover the binary codec (every history
+//! round-trips exactly) and `compact` and `splice` against the same
+//! reference.
 
 // Test helpers outside `#[test]` functions are not covered by
 // `allow-unwrap-in-tests`.
@@ -17,8 +21,8 @@
 use fpfa_cdfg::canonical_signature;
 use fpfa_cdfg::interp::{Interpreter, RunResult};
 use fpfa_cdfg::{
-    BinOp, Cdfg, CdfgError, Edge, Endpoint, GraphStats, LoopSpec, NodeId, NodeKind, RewriteEvent,
-    UnOp, Value,
+    BinOp, Cdfg, CdfgError, Edge, EdgeId, Endpoint, GraphStats, LoopSpec, NodeId, NodeKind,
+    RewriteEvent, UnOp, Value,
 };
 use proptest::prelude::*;
 
@@ -217,6 +221,14 @@ enum Op {
     Disconnect(usize, usize),
     Remove(usize),
     ReplaceUses(usize, usize, usize, usize),
+    /// Connects one output to `count` fresh consumers, then disconnects the
+    /// consumer at `cut % count`.
+    FanOut {
+        from: usize,
+        port: usize,
+        count: usize,
+        cut: usize,
+    },
 }
 
 fn arb_kind() -> impl Strategy<Value = Kind> {
@@ -272,6 +284,14 @@ fn arb_op() -> impl Strategy<Value = Op> {
             any::<usize>()
         )
             .prop_map(|(a, b, c, d)| Op::ReplaceUses(a, b, c, d)),
+        (any::<usize>(), any::<usize>(), 1usize..13, any::<usize>()).prop_map(
+            |(from, port, count, cut)| Op::FanOut {
+                from,
+                port,
+                count,
+                cut
+            }
+        ),
     ]
 }
 
@@ -310,6 +330,27 @@ fn loop_spec(arity: usize) -> LoopSpec {
 // Driving both implementations through the same sequence
 // ---------------------------------------------------------------------------
 
+/// Adds `kind` to both graphs, asserting they allocate the same slot, and
+/// records the slot as live.  Returns the slot.
+fn add_both(
+    graph: &mut Cdfg,
+    reference: &mut RefGraph,
+    ids: &mut Vec<NodeId>,
+    live: &mut Vec<usize>,
+    kind: NodeKind,
+) -> usize {
+    let id = graph.add_node(kind.clone());
+    let slot = reference.add_node(kind);
+    assert_eq!(id.index(), slot, "node allocation diverged");
+    if slot == ids.len() {
+        ids.push(id);
+    } else {
+        ids[slot] = id;
+    }
+    live.push(slot);
+    slot
+}
+
 /// Applies `ops` to a fresh journal-enabled [`Cdfg`] and the reference model
 /// in lock-step, asserting that allocated node/edge ids always agree.
 /// Returns the graph, the reference, and the real id stored at each slot.
@@ -347,15 +388,7 @@ fn apply(ops: &[Op], reuse: bool) -> (Cdfg, RefGraph, Vec<NodeId>) {
                     Kind::Copy => NodeKind::Copy,
                     Kind::Loop(arity) => NodeKind::Loop(Box::new(loop_spec(*arity))),
                 };
-                let id = graph.add_node(kind.clone());
-                let slot = reference.add_node(kind);
-                assert_eq!(id.index(), slot, "node allocation diverged");
-                if slot == ids.len() {
-                    ids.push(id);
-                } else {
-                    ids[slot] = id;
-                }
-                live.push(slot);
+                add_both(&mut graph, &mut reference, &mut ids, &mut live, kind);
             }
             Op::Connect(a, b, c, d) => {
                 if live.is_empty() {
@@ -433,6 +466,39 @@ fn apply(ops: &[Op], reuse: bool) -> (Cdfg, RefGraph, Vec<NodeId>) {
                     .replace_uses(ids[from], from_port, ids[to], to_port)
                     .unwrap();
                 reference.replace_uses(from, from_port, to, to_port);
+            }
+            Op::FanOut {
+                from,
+                port,
+                count,
+                cut,
+            } => {
+                if live.is_empty() {
+                    continue;
+                }
+                let from = live[from % live.len()];
+                let arity = reference.node(from).kind.output_arity();
+                if arity == 0 {
+                    continue;
+                }
+                let port = port % arity;
+                let mut edges = Vec::with_capacity(*count);
+                for _ in 0..*count {
+                    let sink = add_both(
+                        &mut graph,
+                        &mut reference,
+                        &mut ids,
+                        &mut live,
+                        NodeKind::Copy,
+                    );
+                    let eid = graph.connect(ids[from], port, ids[sink], 0).unwrap();
+                    let slot = reference.connect(from, port, sink, 0);
+                    assert_eq!(eid.index(), slot, "edge allocation diverged");
+                    edges.push(eid);
+                }
+                let eid = edges[cut % count];
+                graph.disconnect(eid).unwrap();
+                reference.disconnect(eid.index());
             }
         }
     }
@@ -589,6 +655,37 @@ proptest! {
         prop_assert_eq!(GraphStats::of(&graph), GraphStats::of(&rebuilt));
         prop_assert_eq!(canonical_signature(&graph), canonical_signature(&rebuilt));
         compare_runs(&graph, &rebuilt, &values);
+    }
+
+    /// Every history, with and without id reuse, survives the binary codec:
+    /// the decoded graph is `==` the original, with the same `edges()`
+    /// sequence, per-port sinks, neighbour order and free lists, and it
+    /// re-encodes to the same bytes.
+    #[test]
+    fn codec_round_trips_every_history(ops in prop::collection::vec(arb_op(), 1..60)) {
+        for reuse in [false, true] {
+            let (graph, reference, ids) = apply(&ops, reuse);
+            let mut bytes = Vec::new();
+            graph.encode_into(&mut bytes);
+            let mut rest = bytes.as_slice();
+            let decoded = Cdfg::decode_from(&mut rest).unwrap();
+            prop_assert!(rest.is_empty());
+            prop_assert!(decoded == graph);
+            let edges: Vec<(EdgeId, Edge)> = graph.edges().map(|(id, e)| (id, *e)).collect();
+            let decoded_edges: Vec<(EdgeId, Edge)> =
+                decoded.edges().map(|(id, e)| (id, *e)).collect();
+            prop_assert_eq!(decoded_edges, edges);
+            check_structure(&decoded, &reference, &ids);
+            let mut again = Vec::new();
+            decoded.encode_into(&mut again);
+            prop_assert_eq!(again, bytes);
+            // The free lists came through: both graphs allocate alike.
+            let (mut original, mut copy) = (graph.clone(), decoded);
+            prop_assert_eq!(
+                original.add_node(NodeKind::Copy),
+                copy.add_node(NodeKind::Copy)
+            );
+        }
     }
 
     /// `compact` and `splice` preserve structure for any mutation history,

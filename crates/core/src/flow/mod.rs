@@ -118,10 +118,17 @@ pub struct TransformStats {
     /// Total node visits across all rounds and passes.
     pub visited_nodes: usize,
     /// Live nodes in the graph when the largest round started (the scale the
-    /// engine was up against).
+    /// engine was up against).  Unrolling happens inside a round, so this is
+    /// not the stage's memory high-water: see
+    /// [`arena_slots`](Self::arena_slots).
     pub peak_graph_nodes: usize,
     /// Graph changes made in total.
     pub changes: usize,
+    /// Arena slots of the rewritten graph just before the stage's final
+    /// compaction ([`Cdfg::node_bound`](fpfa_cdfg::Cdfg::node_bound)).  The
+    /// flow never reuses node ids, so this counts every node the stage
+    /// created: the real memory high-water of the transform.
+    pub arena_slots: usize,
 }
 
 /// Wall-clock (and change count) of one stage of a flow run.

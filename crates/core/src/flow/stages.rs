@@ -229,6 +229,7 @@ impl Stage<CompiledKernel, SimplifiedKernel> for TransformStage {
                 visited_nodes: outcome.visited_total(),
                 peak_graph_nodes: 0,
                 changes: outcome.report.total_changes(),
+                arena_slots: cdfg.node_bound(),
             };
             for round in &outcome.round_stats {
                 stats.peak_graph_nodes = stats.peak_graph_nodes.max(round.graph_nodes);
@@ -243,8 +244,8 @@ impl Stage<CompiledKernel, SimplifiedKernel> for TransformStage {
             cx.info(
                 self.name(),
                 format!(
-                    "{} rounds, {} changes ({} node visits, incremental engine)",
-                    stats.rounds, stats.changes, stats.visited_nodes
+                    "{} rounds, {} changes ({} node visits, {} arena slots, incremental engine)",
+                    stats.rounds, stats.changes, stats.visited_nodes, stats.arena_slots
                 ),
             );
             cx.transform_stats = Some(stats);

@@ -526,6 +526,36 @@ mod tests {
     }
 
     #[test]
+    fn transform_stats_report_the_arena_high_water() {
+        let driver = FlowDriver::new();
+        let mut cx = Mapper::new().flow_context();
+        let compiled = driver
+            .run(&FrontendStage, SourceInput::new(FIR), &mut cx)
+            .unwrap();
+        let frontend_slots = compiled.cdfg.node_bound();
+        let simplified = driver
+            .run(&TransformStage::standard(), compiled, &mut cx)
+            .unwrap();
+        let stats = cx.transform_stats.unwrap();
+        // The loop unrolls inside round 1, so the arena outgrows every
+        // round-start live count; ids are never reused, so it still holds a
+        // slot for every node the frontend or the stage allocated.
+        assert!(stats.arena_slots > stats.peak_graph_nodes);
+        assert!(stats.arena_slots >= frontend_slots.max(simplified.simplified.node_count()));
+        let summary = cx
+            .diagnostics()
+            .iter()
+            .rfind(|d| d.stage == "transform")
+            .unwrap();
+        assert!(
+            summary
+                .message
+                .contains(&format!("{} arena slots", stats.arena_slots)),
+            "{summary}"
+        );
+    }
+
+    #[test]
     fn clustering_ablation_increases_levels_or_keeps_them() {
         let with = Mapper::new().map_source(FIR).unwrap();
         let without = Mapper::new().without_clustering().map_source(FIR).unwrap();

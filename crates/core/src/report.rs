@@ -49,7 +49,11 @@ pub struct MappingReport {
     /// Nodes the incremental minimiser examined across all rounds — the
     /// output-sensitivity measure reported by `--timings`.
     pub transform_visited_nodes: usize,
-    /// Largest live-node count the minimiser faced in any round.
+    /// Largest live-node count the minimiser faced at the start of a round.
+    /// Loops unroll inside a round, so this is not the transform's memory
+    /// high-water ([`TransformStats::arena_slots`] is).
+    ///
+    /// [`TransformStats::arena_slots`]: crate::flow::TransformStats::arena_slots
     pub transform_peak_graph_nodes: usize,
     /// How this mapping interacted with a [`MappingCache`]
     /// ([`CacheOutcome::Uncached`] for plain [`Mapper`] runs).
