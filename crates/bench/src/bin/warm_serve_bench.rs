@@ -24,6 +24,7 @@
 
 use fpfa_core::pipeline::Mapper;
 use fpfa_core::service::MappingService;
+use fpfa_obs::{MetricValue, Snapshot};
 use fpfa_server::protocol::{decode_response_frame, read_frame, write_frame, FrameBuffer, Hello};
 use fpfa_server::sys::{Event, Interest, Poller};
 use fpfa_server::{Client, KernelSource, MapKnobs, Request, Response, Server, ServerConfig};
@@ -332,6 +333,14 @@ fn render_json(
     out
 }
 
+/// The value of the unlabelled counter `name` in a registry snapshot.
+fn counter(snapshot: &Snapshot, name: &str) -> Result<u64, String> {
+    match snapshot.get(name, &[]) {
+        Some(MetricValue::Counter(v)) => Ok(*v),
+        other => Err(format!("the registry holds no counter `{name}`: {other:?}")),
+    }
+}
+
 fn run(options: &Options) -> Result<bool, String> {
     let kernels = fpfa_workloads::registry();
     let names: Vec<String> = kernels.iter().map(|k| k.name.clone()).collect();
@@ -372,7 +381,7 @@ fn run(options: &Options) -> Result<bool, String> {
             }
         }
     }
-    let baseline = handle.stats();
+    let baseline = handle.registry().snapshot();
 
     let mut measured = run_storm(&addr, options, &bodies, &names, &digests)?;
     measured.latencies_us.sort_unstable();
@@ -381,7 +390,7 @@ fn run(options: &Options) -> Result<bool, String> {
     let mut control = Client::connect(&addr).map_err(|e| format!("control connect: {e}"))?;
     control.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     drop(control);
-    let stats = handle.join();
+    let last = handle.join();
 
     let ok = measured.latencies_us.len();
     let throughput = ok as f64 / measured.wall.as_secs_f64().max(1e-9);
@@ -390,8 +399,11 @@ fn run(options: &Options) -> Result<bool, String> {
     let max = measured.latencies_us.last().copied().unwrap_or(0);
     // The split over the *measured* phase: the warmup's own hits are
     // subtracted out via the pre-storm snapshot.
-    let l0_hits = stats.l0_hits.saturating_sub(baseline.l0_hits);
-    let fast_hits = stats.fast_hits.saturating_sub(baseline.fast_hits);
+    let growth = |name| -> Result<u64, String> {
+        Ok(counter(&last, name)?.saturating_sub(counter(&baseline, name)?))
+    };
+    let l0_hits = growth("serve.l0_hits")?;
+    let fast_hits = growth("serve.fast_hits")?;
     let l1_hits = fast_hits.saturating_sub(l0_hits);
     let l0_share = if fast_hits > 0 {
         l0_hits as f64 / fast_hits as f64

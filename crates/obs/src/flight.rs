@@ -26,7 +26,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct FlightEntry {
     /// Trace id (the v2 request id).
     pub id: u64,
-    /// Request verb (`map`, `batch`, `stats`, ...).
+    /// Request verb (`map`, `batch`, `metrics`, ...).
     pub verb: &'static str,
     /// Outcome label (`ok`, `l0`, `error`, `rejected`, ...).
     pub outcome: &'static str,

@@ -17,8 +17,8 @@ use crate::json::{self, JsonValue};
 /// `< 2^i` (the last bucket absorbs everything larger).
 pub const HISTOGRAM_BUCKETS: usize = 24;
 
-/// Returns the bucket index for a sample (same law as the wire histogram in
-/// the serving protocol: zero lands in bucket 0, `2^i..2^(i+1)` in `i+1`).
+/// Returns the bucket index for a sample: zero lands in bucket 0,
+/// `2^i..2^(i+1)` in `i+1`, and everything from `2^22` up in the last.
 pub fn bucket_of(value: u64) -> usize {
     ((u64::BITS - value.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
@@ -421,6 +421,17 @@ pub fn quantile_upper_bound(buckets: &[u64; HISTOGRAM_BUCKETS], q: f64) -> Optio
 }
 
 impl Snapshot {
+    /// The captured value of the metric `name` with exactly the label set
+    /// `labels` (in any order); `None` when the snapshot holds no such
+    /// metric.
+    pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
+        let key = MetricKey::new(name, labels);
+        self.metrics
+            .iter()
+            .find(|metric| metric.key == key)
+            .map(|metric| &metric.value)
+    }
+
     /// Renders as Prometheus-style text: one `# TYPE` line per family, then
     /// one sample line per labelled series.  Histograms expose cumulative
     /// `_bucket` lines (`le` = exclusive power-of-two upper bound), `_sum`,
@@ -637,14 +648,55 @@ mod tests {
         h.record(1); // bucket 1
         h.record(2); // bucket 2
         h.record(3); // bucket 2
+        h.record(1023); // bucket 10
         h.record(1 << 30); // clamped to last bucket
         let buckets = h.buckets();
         assert_eq!(buckets[0], 1);
         assert_eq!(buckets[1], 1);
         assert_eq!(buckets[2], 2);
+        assert_eq!(buckets[10], 1);
         assert_eq!(buckets[HISTOGRAM_BUCKETS - 1], 1);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 6 + (1 << 30));
+        assert_eq!(h.count(), 6);
+        assert_eq!(h.sum(), 6 + 1023 + (1 << 30));
+        assert_eq!(bucket_of(1023), 10);
+        assert_eq!(bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
+    }
+
+    #[test]
+    fn get_matches_name_and_exact_label_set() {
+        let reg = Registry::new();
+        reg.counter("serve.served", &[("outcome", "ok")]).add(3);
+        reg.counter("serve.served", &[("outcome", "err")]).add(1);
+        reg.gauge("shard.open", &[("shard", "0"), ("kind", "tcp")])
+            .set(2);
+        reg.histogram("serve.map.latency", &[]).record(5);
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.get("serve.served", &[("outcome", "ok")]),
+            Some(&MetricValue::Counter(3))
+        );
+        assert_eq!(
+            snap.get("serve.served", &[("outcome", "err")]),
+            Some(&MetricValue::Counter(1))
+        );
+        // Label order does not matter; the label set must match exactly.
+        assert_eq!(
+            snap.get("shard.open", &[("kind", "tcp"), ("shard", "0")]),
+            Some(&MetricValue::Gauge(2))
+        );
+        assert_eq!(snap.get("shard.open", &[("shard", "0")]), None);
+        assert_eq!(snap.get("serve.served", &[]), None);
+        assert_eq!(snap.get("serve.servd", &[("outcome", "ok")]), None);
+        assert!(matches!(
+            snap.get("serve.map.latency", &[]),
+            Some(MetricValue::Histogram { sum: 5, .. })
+        ));
+        // A scrape parsed back from JSON answers the same lookups.
+        let parsed = Snapshot::from_json(&snap.to_json()).expect("round-trip");
+        assert_eq!(
+            parsed.get("serve.served", &[("outcome", "ok")]),
+            Some(&MetricValue::Counter(3))
+        );
     }
 
     #[test]
@@ -728,6 +780,12 @@ mod tests {
         buckets[10] = 1; // 1 sample in [512, 1024)
         assert_eq!(quantile_upper_bound(&buckets, 0.5), Some(8));
         assert_eq!(quantile_upper_bound(&buckets, 0.999), Some(1 << 10));
+        // q = 1.0 reports the bound of the highest occupied bucket.
+        assert_eq!(quantile_upper_bound(&buckets, 1.0), Some(1 << 10));
         assert_eq!(quantile_upper_bound(&[0; HISTOGRAM_BUCKETS], 0.5), None);
+        // A sample in the overflow bucket has no finite bound to report.
+        buckets[HISTOGRAM_BUCKETS - 1] = 1;
+        assert_eq!(quantile_upper_bound(&buckets, 1.0), None);
+        assert_eq!(quantile_upper_bound(&buckets, 0.5), Some(8));
     }
 }

@@ -5,7 +5,7 @@
 //! [`wait`](Client::wait) flushes and reads responses until the ticket's
 //! answer arrives, stashing any responses that complete out of order for
 //! their own tickets.  The blocking one-call verbs ([`map`](Client::map),
-//! [`stats`](Client::stats), …) are thin `submit` + `wait` wrappers.
+//! [`metrics`](Client::metrics), …) are thin `submit` + `wait` wrappers.
 //!
 //! Connecting performs the v2 handshake (magic + version): a server that
 //! does not speak this client's version answers with a typed
@@ -14,7 +14,7 @@
 use crate::protocol::{
     decode_response_frame, encode_request_frame, read_frame, write_frame, BatchSummary, FrameError,
     HealthSummary, Hello, HelloAck, KernelSource, MapKnobs, MapSummary, MetricsFormat,
-    ProtocolError, Request, Response, StatsSummary, WireError,
+    ProtocolError, Request, Response, WireError,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -218,18 +218,6 @@ impl Client {
             Response::Batch(summary) => Ok(summary),
             Response::Error(error) => Err(ClientError::Server(error)),
             _ => Err(ClientError::Unexpected("expected a batch summary")),
-        }
-    }
-
-    /// Fetches the server statistics.
-    ///
-    /// # Errors
-    /// Fails on transport errors or typed server rejections.
-    pub fn stats(&mut self) -> Result<StatsSummary, ClientError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            Response::Error(error) => Err(ClientError::Server(error)),
-            _ => Err(ClientError::Unexpected("expected statistics")),
         }
     }
 

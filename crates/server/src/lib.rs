@@ -64,8 +64,7 @@ pub mod server;
 
 pub use client::{Client, ClientError, Ticket};
 pub use protocol::{
-    program_digest, BatchSummary, CacheFlavor, HelloAck, Histogram, KernelSource, MapKnobs,
-    MapSummary, MetricsFormat, ProtocolError, Request, Response, ShardStatsSummary, StatsSummary,
-    WireError,
+    program_digest, BatchSummary, CacheFlavor, HelloAck, KernelSource, MapKnobs, MapSummary,
+    MetricsFormat, ProtocolError, Request, Response, WireError,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownTrigger};

@@ -11,15 +11,15 @@
 //!   I/O.  Frames above [`MAX_FRAME_LEN`] are rejected before any allocation
 //!   happens, so a corrupt length prefix cannot balloon memory.
 //! * **Requests** ([`Request`]) — `map` (one kernel + [`MapKnobs`]), `batch`
-//!   (many kernels under one knob set), `stats`, `reset` (drop cached
-//!   entries and zero the counters), `health` and `shutdown`.
+//!   (many kernels under one knob set), `reset` (drop cached entries and
+//!   zero the counters), `health`, `shutdown`, `metrics` (the metrics
+//!   registry, rendered) and `dump` (the flight recorder).
 //! * **Responses** ([`Response`]) — a mapping summary (headline report
 //!   numbers plus a structural [program digest](program_digest) and the
-//!   cache outcome), a batch summary, server statistics including per-verb
-//!   latency [`Histogram`]s, a health snapshot, acks, or a *typed*
-//!   [`WireError`].  Admission-control rejections travel as
-//!   [`WireError::Overloaded`] — a first-class response, never a dropped
-//!   connection.
+//!   cache outcome), a batch summary, a health snapshot, a metrics scrape,
+//!   a flight dump, acks, or a *typed* [`WireError`].  Admission-control
+//!   rejections travel as [`WireError::Overloaded`] — a first-class
+//!   response, never a dropped connection.
 //!
 //! **Protocol v2** adds an explicit handshake and pipelining on top of the
 //! same framing:
@@ -63,17 +63,13 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Magic bytes opening a [`Hello`] frame.  Chosen so no v1 request can
-/// alias it: a v1 payload starts with a request tag byte in `1..=6`,
+/// alias it: a v1 payload starts with a request tag byte in `1..=8`,
 /// never `b'F'`.
 pub const HELLO_MAGIC: [u8; 4] = *b"FPFA";
 
 /// The request id echoed on responses to frames whose id could not be
 /// decoded (a payload shorter than the 8-byte id prefix).
 pub const UNKNOWN_REQUEST_ID: u64 = u64::MAX;
-
-/// Number of latency buckets in a [`Histogram`]: bucket `i` counts requests
-/// that finished in `< 2^i` microseconds, the last bucket is the overflow.
-pub const HISTOGRAM_BUCKETS: usize = 24;
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -317,7 +313,7 @@ impl Hello {
 
     /// `true` when a first frame opens with the [`HELLO_MAGIC`] bytes —
     /// i.e. the peer speaks v2.  A v1 request payload can never match
-    /// (its first byte is a request tag in `1..=6`).
+    /// (its first byte is a request tag in `1..=8`).
     pub fn looks_like_hello(payload: &[u8]) -> bool {
         payload.len() >= HELLO_MAGIC.len() && payload[..HELLO_MAGIC.len()] == HELLO_MAGIC
     }
@@ -658,9 +654,6 @@ pub enum Request {
         /// Mapping knobs shared by the whole batch.
         knobs: MapKnobs,
     },
-    /// Ask for the server's statistics (admission counters, latency
-    /// histograms, cache hit ratio).
-    Stats,
     /// Drop every cached mapping and zero the statistics counters.
     Reset,
     /// Liveness / drain-state probe.
@@ -710,7 +703,8 @@ impl MetricsFormat {
 
 const REQ_MAP: u8 = 1;
 const REQ_BATCH: u8 = 2;
-const REQ_STATS: u8 = 3;
+// Tag 3 (the retired `stats` verb) is never reused: an old client sending
+// it gets a typed `BadTag`, answered on the wire as `Invalid`.
 const REQ_RESET: u8 = 4;
 const REQ_HEALTH: u8 = 5;
 const REQ_SHUTDOWN: u8 = 6;
@@ -735,7 +729,6 @@ impl Request {
                 }
                 knobs.encode(&mut e);
             }
-            Request::Stats => e.u8(REQ_STATS),
             Request::Reset => e.u8(REQ_RESET),
             Request::Health => e.u8(REQ_HEALTH),
             Request::Shutdown => e.u8(REQ_SHUTDOWN),
@@ -771,7 +764,6 @@ impl Request {
                     knobs: MapKnobs::decode(&mut d)?,
                 }
             }
-            REQ_STATS => Request::Stats,
             REQ_RESET => Request::Reset,
             REQ_HEALTH => Request::Health,
             REQ_SHUTDOWN => Request::Shutdown,
@@ -1006,297 +998,6 @@ impl BatchSummary {
     }
 }
 
-/// A power-of-two latency histogram: bucket `i` counts requests that
-/// completed in `< 2^i` microseconds (the last bucket is the overflow).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Histogram {
-    /// Bucket counts ([`HISTOGRAM_BUCKETS`] of them).
-    pub buckets: Vec<u64>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: vec![0; HISTOGRAM_BUCKETS],
-        }
-    }
-}
-
-impl Histogram {
-    /// The bucket index a latency of `micros` lands in.
-    pub fn bucket_of(micros: u64) -> usize {
-        ((u64::BITS - micros.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
-    }
-
-    /// Records one observation (used by the client-side merge; the server
-    /// records into atomics).
-    pub fn record(&mut self, micros: u64) {
-        self.buckets[Self::bucket_of(micros)] += 1;
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Upper bound (µs) of the bucket holding the `q`-quantile observation.
-    /// Bucketed, so the value is a ≤ 2x overestimate — plenty for "p99
-    /// under a millisecond" style statements.  `None` while empty, and
-    /// `None` when the quantile lands in the overflow bucket (such an
-    /// observation has no finite bound to report).
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((total as f64 * q).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (index, count) in self.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                if index + 1 == self.buckets.len() {
-                    return None; // overflow bucket: not actually a bound
-                }
-                return Some(1u64 << index.min(63));
-            }
-        }
-        None
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
-
-    fn encode(&self, e: &mut Enc) {
-        e.u32(self.buckets.len() as u32);
-        for &count in &self.buckets {
-            e.u64(count);
-        }
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, ProtocolError> {
-        let count = d.seq_len("histogram buckets")?;
-        let mut buckets = Vec::with_capacity(count);
-        for _ in 0..count {
-            buckets.push(d.u64("histogram bucket")?);
-        }
-        Ok(Histogram { buckets })
-    }
-}
-
-/// Per-I/O-shard serving counters (protocol v2: each shard owns its
-/// connections and their buffers end to end).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct ShardStatsSummary {
-    /// Connections this shard has owned since start (or the last reset).
-    pub connections: u64,
-    /// Requests this shard admitted to the worker queue.
-    pub accepted: u64,
-    /// Responses this shard wrote back (inline and worker-completed).
-    pub served: u64,
-    /// Payload bytes read off this shard's sockets.
-    pub bytes_in: u64,
-    /// Payload bytes written back to this shard's sockets.
-    pub bytes_out: u64,
-}
-
-impl ShardStatsSummary {
-    fn encode(&self, e: &mut Enc) {
-        for v in [
-            self.connections,
-            self.accepted,
-            self.served,
-            self.bytes_in,
-            self.bytes_out,
-        ] {
-            e.u64(v);
-        }
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, ProtocolError> {
-        Ok(ShardStatsSummary {
-            connections: d.u64("shard.connections")?,
-            accepted: d.u64("shard.accepted")?,
-            served: d.u64("shard.served")?,
-            bytes_in: d.u64("shard.bytes_in")?,
-            bytes_out: d.u64("shard.bytes_out")?,
-        })
-    }
-}
-
-/// Server statistics: admission counters, per-verb latency histograms and
-/// the mapping cache's counters.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct StatsSummary {
-    /// Connections accepted since start (or the last reset).
-    pub connections: u64,
-    /// Requests admitted to the job queue.
-    pub accepted: u64,
-    /// Requests answered with a mapping or batch summary.
-    pub served_ok: u64,
-    /// Requests whose kernel failed to map (typed `MapFailed` responses).
-    pub served_err: u64,
-    /// `map` requests whose mapping the static verifier rejected (typed
-    /// `VerifyFailed` responses; disjoint from `served_err`).
-    pub verify_failures_map: u64,
-    /// `batch` requests containing at least one verify-rejected kernel.
-    pub verify_failures_batch: u64,
-    /// Requests rejected at admission because the queue was full.
-    pub rejected_overload: u64,
-    /// Requests dropped because their deadline budget lapsed in the queue.
-    pub rejected_deadline: u64,
-    /// Requests rejected because the server was draining.
-    pub rejected_shutdown: u64,
-    /// Connections rejected at the handshake for speaking an unserved
-    /// protocol version (including bare v1 requests).
-    pub rejected_version: u64,
-    /// Frames that decoded to garbage (answered with a typed `Invalid`
-    /// error; the pipelining contract promises zero of these for a healthy
-    /// client).
-    pub protocol_errors: u64,
-    /// Map requests answered inline by an I/O shard without queueing (a
-    /// subset of `served_ok`; these hits are also folded into
-    /// `cache_mapping_hits` so the hit ratio covers them).
-    pub fast_hits: u64,
-    /// The subset of `fast_hits` answered from the shard's L0 tier — a
-    /// pre-encoded response frame copied into the write buffer with only the
-    /// request id and `server_micros` patched (no summary rebuild, no
-    /// re-encode).  `fast_hits - l0_hits` is the share answered from a
-    /// summary probe: the shared in-memory cache (L1) or a summary persisted
-    /// in the disk tier.
-    pub l0_hits: u64,
-    /// Records read back and decoded from the persistent disk tier (L2)
-    /// after an in-memory miss; inline answers from persisted summaries
-    /// decode nothing and are not counted.  Zero when the server runs
-    /// without `--cache-dir`.
-    pub persist_loads: u64,
-    /// Mappings written through to the disk tier.
-    pub persist_stores: u64,
-    /// Disk-tier records whose checksum or framing failed verification and
-    /// were skipped (each one degrades to a typed miss, never an error).
-    pub persist_corrupt_skipped: u64,
-    /// Valid records indexed from pre-existing segment files when the tier
-    /// was opened — the warm-start inventory a restarted server begins with.
-    pub persist_warm_start_entries: u64,
-    /// Times the disk tier rewrote its segments to drop superseded records.
-    pub persist_compactions: u64,
-    /// Configured worker threads.
-    pub workers: u64,
-    /// Configured job-queue capacity.
-    pub queue_depth: u64,
-    /// Full-mapping cache hits.
-    pub cache_mapping_hits: u64,
-    /// Full-mapping cache misses.
-    pub cache_mapping_misses: u64,
-    /// Post-transform cache hits.
-    pub cache_post_hits: u64,
-    /// Post-transform cache misses.
-    pub cache_post_misses: u64,
-    /// Cache entries currently resident.
-    pub cache_entries: u64,
-    /// Nominal cache capacity per level.
-    pub cache_capacity: u64,
-    /// Latency histogram of `map` requests, frame-decode → response
-    /// write-back, so queueing delay is part of every observation.
-    pub map_latency: Histogram,
-    /// Latency histogram of `batch` requests (same decode → write-back
-    /// clock).
-    pub batch_latency: Histogram,
-    /// Per-I/O-shard serving counters.
-    pub shards: Vec<ShardStatsSummary>,
-}
-
-impl StatsSummary {
-    /// Fraction of full-mapping lookups that hit (`None` before the first).
-    pub fn mapping_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_mapping_hits + self.cache_mapping_misses;
-        (total > 0).then(|| self.cache_mapping_hits as f64 / total as f64)
-    }
-
-    fn encode(&self, e: &mut Enc) {
-        for v in [
-            self.connections,
-            self.accepted,
-            self.served_ok,
-            self.served_err,
-            self.verify_failures_map,
-            self.verify_failures_batch,
-            self.rejected_overload,
-            self.rejected_deadline,
-            self.rejected_shutdown,
-            self.rejected_version,
-            self.protocol_errors,
-            self.fast_hits,
-            self.l0_hits,
-            self.persist_loads,
-            self.persist_stores,
-            self.persist_corrupt_skipped,
-            self.persist_warm_start_entries,
-            self.persist_compactions,
-            self.workers,
-            self.queue_depth,
-            self.cache_mapping_hits,
-            self.cache_mapping_misses,
-            self.cache_post_hits,
-            self.cache_post_misses,
-            self.cache_entries,
-            self.cache_capacity,
-        ] {
-            e.u64(v);
-        }
-        self.map_latency.encode(e);
-        self.batch_latency.encode(e);
-        e.u32(self.shards.len() as u32);
-        for shard in &self.shards {
-            shard.encode(e);
-        }
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, ProtocolError> {
-        Ok(StatsSummary {
-            connections: d.u64("stats.connections")?,
-            accepted: d.u64("stats.accepted")?,
-            served_ok: d.u64("stats.served_ok")?,
-            served_err: d.u64("stats.served_err")?,
-            verify_failures_map: d.u64("stats.verify_failures_map")?,
-            verify_failures_batch: d.u64("stats.verify_failures_batch")?,
-            rejected_overload: d.u64("stats.rejected_overload")?,
-            rejected_deadline: d.u64("stats.rejected_deadline")?,
-            rejected_shutdown: d.u64("stats.rejected_shutdown")?,
-            rejected_version: d.u64("stats.rejected_version")?,
-            protocol_errors: d.u64("stats.protocol_errors")?,
-            fast_hits: d.u64("stats.fast_hits")?,
-            l0_hits: d.u64("stats.l0_hits")?,
-            persist_loads: d.u64("stats.persist_loads")?,
-            persist_stores: d.u64("stats.persist_stores")?,
-            persist_corrupt_skipped: d.u64("stats.persist_corrupt_skipped")?,
-            persist_warm_start_entries: d.u64("stats.persist_warm_start_entries")?,
-            persist_compactions: d.u64("stats.persist_compactions")?,
-            workers: d.u64("stats.workers")?,
-            queue_depth: d.u64("stats.queue_depth")?,
-            cache_mapping_hits: d.u64("stats.cache_mapping_hits")?,
-            cache_mapping_misses: d.u64("stats.cache_mapping_misses")?,
-            cache_post_hits: d.u64("stats.cache_post_hits")?,
-            cache_post_misses: d.u64("stats.cache_post_misses")?,
-            cache_entries: d.u64("stats.cache_entries")?,
-            cache_capacity: d.u64("stats.cache_capacity")?,
-            map_latency: Histogram::decode(d)?,
-            batch_latency: Histogram::decode(d)?,
-            shards: {
-                let count = d.seq_len("stats.shards")?;
-                let mut shards = Vec::with_capacity(count);
-                for _ in 0..count {
-                    shards.push(ShardStatsSummary::decode(d)?);
-                }
-                shards
-            },
-        })
-    }
-}
-
 /// A liveness snapshot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HealthSummary {
@@ -1398,8 +1099,6 @@ pub enum Response {
     Mapped(MapSummary),
     /// A served batch.
     Batch(BatchSummary),
-    /// Statistics snapshot.
-    Stats(StatsSummary),
     /// Health snapshot.
     Health(HealthSummary),
     /// Acknowledges a [`Request::Reset`]; carries the number of cache
@@ -1430,7 +1129,7 @@ pub enum Response {
 
 const RESP_MAPPED: u8 = 1;
 const RESP_BATCH: u8 = 2;
-const RESP_STATS: u8 = 3;
+// Tag 3 (the retired `stats` answer) is never reused.
 const RESP_HEALTH: u8 = 4;
 const RESP_RESET: u8 = 5;
 const RESP_SHUTDOWN: u8 = 6;
@@ -1459,10 +1158,6 @@ impl Response {
             Response::Batch(batch) => {
                 e.u8(RESP_BATCH);
                 batch.encode(&mut e);
-            }
-            Response::Stats(stats) => {
-                e.u8(RESP_STATS);
-                stats.encode(&mut e);
             }
             Response::Health(health) => {
                 e.u8(RESP_HEALTH);
@@ -1545,7 +1240,6 @@ impl Response {
         let response = match d.u8("response tag")? {
             RESP_MAPPED => Response::Mapped(MapSummary::decode(&mut d)?),
             RESP_BATCH => Response::Batch(BatchSummary::decode(&mut d)?),
-            RESP_STATS => Response::Stats(StatsSummary::decode(&mut d)?),
             RESP_HEALTH => Response::Health(HealthSummary {
                 uptime_micros: d.u64("health.uptime")?,
                 in_flight: d.u64("health.in_flight")?,
@@ -1633,7 +1327,6 @@ mod tests {
                 ],
                 knobs: MapKnobs::default(),
             },
-            Request::Stats,
             Request::Reset,
             Request::Health,
             Request::Shutdown,
@@ -1649,6 +1342,22 @@ mod tests {
             let decoded = Request::decode(&request.encode()).unwrap();
             assert_eq!(decoded, request);
         }
+        // The retired `stats` tag decodes to a typed error in both
+        // directions.
+        assert_eq!(
+            Request::decode(&[3]),
+            Err(ProtocolError::BadTag {
+                context: "request tag",
+                tag: 3
+            })
+        );
+        assert_eq!(
+            Response::decode(&[3]),
+            Err(ProtocolError::BadTag {
+                context: "response tag",
+                tag: 3
+            })
+        );
     }
 
     #[test]
@@ -1684,35 +1393,6 @@ mod tests {
                 ],
                 wall_micros: 900,
                 deduped: 1,
-            }),
-            Response::Stats(StatsSummary {
-                accepted: 3,
-                rejected_version: 1,
-                protocol_errors: 2,
-                fast_hits: 40,
-                l0_hits: 33,
-                persist_loads: 7,
-                persist_stores: 11,
-                persist_corrupt_skipped: 1,
-                persist_warm_start_entries: 5,
-                persist_compactions: 2,
-                map_latency: {
-                    let mut h = Histogram::default();
-                    h.record(10);
-                    h.record(100_000);
-                    h
-                },
-                shards: vec![
-                    ShardStatsSummary {
-                        connections: 2,
-                        accepted: 3,
-                        served: 3,
-                        bytes_in: 4096,
-                        bytes_out: 8192,
-                    },
-                    ShardStatsSummary::default(),
-                ],
-                ..StatsSummary::default()
             }),
             Response::Hello(HelloAck {
                 version: PROTOCOL_VERSION,
@@ -1817,28 +1497,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_and_quantiles() {
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(1023), 10);
-        assert_eq!(Histogram::bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        let mut h = Histogram::default();
-        assert_eq!(h.quantile_upper_bound(0.5), None);
-        for micros in [3, 3, 3, 900] {
-            h.record(micros);
-        }
-        // Three of four observations sit in the `< 4 µs` bucket.
-        assert_eq!(h.quantile_upper_bound(0.5), Some(4));
-        assert_eq!(h.quantile_upper_bound(1.0), Some(1024));
-        assert_eq!(h.total(), 4);
-        // An observation in the overflow bucket has no finite bound.
-        h.record(u64::MAX);
-        assert_eq!(h.quantile_upper_bound(1.0), None);
-        assert_eq!(h.quantile_upper_bound(0.5), Some(4));
-    }
-
-    #[test]
     fn hello_roundtrip_and_v1_discrimination() {
         let hello = Hello::current();
         let encoded = hello.encode();
@@ -1846,14 +1504,14 @@ mod tests {
         assert_eq!(Hello::decode(&encoded).unwrap(), hello);
 
         // No v1 request payload can be mistaken for a hello: the first byte
-        // is a request tag in 1..=6, never b'F'.
+        // is a request tag in 1..=8, never b'F'.
         for request in [
             Request::Map {
                 kernel: KernelSource::new("k", "src"),
                 knobs: MapKnobs::default(),
             },
-            Request::Stats,
             Request::Shutdown,
+            Request::Dump,
         ] {
             assert!(!Hello::looks_like_hello(&request.encode()));
         }
@@ -1893,7 +1551,7 @@ mod tests {
         );
 
         // A corrupt body still yields its id for the error echo.
-        let mut corrupt = encode_request_frame(9, &Request::Stats);
+        let mut corrupt = encode_request_frame(9, &Request::Health);
         corrupt.push(0xff);
         assert_eq!(request_id_of(&corrupt), Some(9));
         assert!(decode_request_frame(&corrupt).is_err());

@@ -13,8 +13,8 @@
 //! 3. The first frame must be the v2 hello; anything else (including a bare
 //!    v1 request) is answered with a typed
 //!    [`WireError::UnsupportedVersion`] and the connection is closed.
-//! 4. Cheap verbs (`stats`, `health`, `reset`, `shutdown`) are answered
-//!    inline on the shard.  `map` requests first consult the shard's
+//! 4. Cheap verbs (`health`, `reset`, `shutdown`, `metrics`, `dump`) are
+//!    answered inline on the shard.  `map` requests first consult the shard's
 //!    **warm summary table** (a private, epoch-invalidated digest of past
 //!    answers) and then probe the shared mapping cache — both answer inline
 //!    without queueing, which is the common warm-traffic fast path.
@@ -43,9 +43,8 @@
 
 use crate::protocol::{
     decode_request_frame, encode_response_frame, request_id_of, BatchEntrySummary, BatchSummary,
-    CacheFlavor, FrameBuffer, HealthSummary, Hello, HelloAck, Histogram, KernelSource, MapKnobs,
-    MapSummary, MetricsFormat, Request, Response, ShardStatsSummary, SimSummary, StatsSummary,
-    WireError, PROTOCOL_VERSION, UNKNOWN_REQUEST_ID,
+    CacheFlavor, FrameBuffer, HealthSummary, Hello, HelloAck, KernelSource, MapKnobs, MapSummary,
+    MetricsFormat, Request, Response, SimSummary, WireError, PROTOCOL_VERSION, UNKNOWN_REQUEST_ID,
 };
 use crate::sys::{Event, Interest, Poller, WakeSender, Waker, WAKE_TOKEN};
 use fpfa_core::cache::SummaryTier;
@@ -53,7 +52,7 @@ use fpfa_core::flow::KernelSpec;
 use fpfa_core::pipeline::MappingResult;
 use fpfa_core::service::MappingService;
 use fpfa_core::summary::MappingSummary;
-use fpfa_obs::{FlightEntry, FlightRecorder, Registry, SpanEvent, TraceSink};
+use fpfa_obs::{FlightEntry, FlightRecorder, Registry, Snapshot, SpanEvent, TraceSink};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -252,10 +251,9 @@ impl<T> JobQueue<T> {
 // ---------------------------------------------------------------------------
 
 /// The daemon's counters: typed handles onto the shared [`Registry`], so
-/// the hot path records with relaxed atomics while the `metrics` verb and
-/// `--metrics-file` snapshots read the very same cells.  The 26-field wire
-/// [`StatsSummary`] is now a *view* over this registry, assembled when a
-/// `stats` request is served.
+/// the hot path records with relaxed atomics while the `metrics` verb,
+/// [`ServerHandle::join`] and `--metrics-file` snapshots read the very same
+/// cells.
 pub struct ServerStats {
     connections: fpfa_obs::Counter,
     accepted: fpfa_obs::Counter,
@@ -301,14 +299,6 @@ impl ServerStats {
     }
 }
 
-/// Converts an obs histogram reading into the wire [`Histogram`] (identical
-/// power-of-two bucket layout).
-fn wire_histogram(histogram: &fpfa_obs::Histogram) -> Histogram {
-    Histogram {
-        buckets: histogram.buckets().to_vec(),
-    }
-}
-
 /// Bridges the cache and persistence counters (owned by `fpfa-core`, which
 /// knows nothing of the registry) into it as snapshot-time callback gauges.
 fn register_cache_gauges(registry: &Registry, service: &MappingService) {
@@ -336,8 +326,7 @@ fn register_cache_gauges(registry: &Registry, service: &MappingService) {
     }
 }
 
-/// Per-shard serving counters (mirrored onto the wire as
-/// [`ShardStatsSummary`]), registered under `shard.*` names with a
+/// Per-shard serving counters, registered under `shard.*` names with a
 /// `shard` label.
 struct ShardCounters {
     open: fpfa_obs::Gauge,
@@ -357,16 +346,6 @@ impl ShardCounters {
             served: registry.counter("shard.served", labels),
             bytes_in: registry.counter("shard.bytes_in", labels),
             bytes_out: registry.counter("shard.bytes_out", labels),
-        }
-    }
-
-    fn summary(&self) -> ShardStatsSummary {
-        ShardStatsSummary {
-            connections: self.open.get(),
-            accepted: self.accepted.get(),
-            served: self.served.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
         }
     }
 }
@@ -524,46 +503,6 @@ impl Inner {
             .collect();
         fpfa_obs::dump_json(&shards, &self.trace.to_json())
     }
-
-    fn stats_summary(&self) -> StatsSummary {
-        let cache = self.base.stats();
-        let persist = self.base.cache().persist_stats();
-        StatsSummary {
-            connections: self.stats.connections.get(),
-            accepted: self.stats.accepted.get(),
-            served_ok: self.stats.served_ok.get(),
-            served_err: self.stats.served_err.get(),
-            verify_failures_map: self.stats.verify_failures_map.get(),
-            verify_failures_batch: self.stats.verify_failures_batch.get(),
-            rejected_overload: self.stats.rejected_overload.get(),
-            rejected_deadline: self.stats.rejected_deadline.get(),
-            rejected_shutdown: self.stats.rejected_shutdown.get(),
-            rejected_version: self.stats.rejected_version.get(),
-            protocol_errors: self.stats.protocol_errors.get(),
-            fast_hits: self.stats.fast_hits.get(),
-            l0_hits: self.stats.l0_hits.get(),
-            persist_loads: persist.loads,
-            persist_stores: persist.stores,
-            persist_corrupt_skipped: persist.corrupt_skipped,
-            persist_warm_start_entries: persist.warm_start_entries,
-            persist_compactions: persist.compactions,
-            workers: self.config.workers as u64,
-            queue_depth: self.config.queue_depth as u64,
-            cache_mapping_hits: cache.mapping_hits,
-            cache_mapping_misses: cache.mapping_misses,
-            cache_post_hits: cache.post_transform_hits,
-            cache_post_misses: cache.post_transform_misses,
-            cache_entries: cache.entries,
-            cache_capacity: self.base.cache().capacity() as u64,
-            map_latency: wire_histogram(&self.stats.map_latency),
-            batch_latency: wire_histogram(&self.stats.batch_latency),
-            shards: self
-                .shards
-                .iter()
-                .map(|mailbox| mailbox.counters.summary())
-                .collect(),
-        }
-    }
 }
 
 /// A bound-but-not-yet-running daemon (bind first so callers can learn the
@@ -600,12 +539,6 @@ impl ServerHandle {
         }
     }
 
-    /// A snapshot of the daemon's statistics (same payload as the `stats`
-    /// verb, without a connection).
-    pub fn stats(&self) -> StatsSummary {
-        self.inner.stats_summary()
-    }
-
     /// The daemon's metrics registry (same cells the `metrics` verb
     /// renders), for out-of-band snapshots like `--metrics-file`.
     pub fn registry(&self) -> Registry {
@@ -619,10 +552,10 @@ impl ServerHandle {
     }
 
     /// Waits for the daemon to finish draining and exit; returns the final
-    /// statistics.
-    pub fn join(self) -> StatsSummary {
+    /// snapshot of its metrics registry.
+    pub fn join(self) -> Snapshot {
         let _ = self.thread.join();
-        self.inner.stats_summary()
+        self.inner.registry.snapshot()
     }
 }
 
@@ -644,11 +577,6 @@ impl ShutdownTrigger {
     /// taken after [`ServerHandle::join`] consumed the handle.
     pub fn flight_json(&self) -> String {
         self.inner.flight_json()
-    }
-
-    /// The daemon's metrics registry, for out-of-band snapshots.
-    pub fn registry(&self) -> Registry {
-        self.inner.registry.clone()
     }
 }
 
@@ -1471,10 +1399,6 @@ impl<'a> ShardRt<'a> {
     ) {
         let inner = self.inner;
         match request {
-            Request::Stats => {
-                let stats = inner.stats_summary();
-                self.finish_control(conn, id, &Response::Stats(stats), decoded_at, "stats");
-            }
             Request::Health => {
                 let health = HealthSummary {
                     uptime_micros: inner.started.elapsed().as_micros() as u64,

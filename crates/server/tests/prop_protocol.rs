@@ -5,9 +5,9 @@
 
 use fpfa_server::protocol::{
     decode_request_frame, decode_response_frame, encode_request_frame, encode_response_frame,
-    BatchEntrySummary, BatchSummary, CacheFlavor, FrameBuffer, HelloAck, Histogram, KernelSource,
-    MapKnobs, MapSummary, ProtocolError, Request, Response, ShardStatsSummary, SimSummary,
-    StatsSummary, WireError, HISTOGRAM_BUCKETS,
+    BatchEntrySummary, BatchSummary, CacheFlavor, FrameBuffer, HealthSummary, HelloAck,
+    KernelSource, MapKnobs, MapSummary, MetricsFormat, ProtocolError, Request, Response,
+    SimSummary, WireError,
 };
 use proptest::prelude::*;
 
@@ -53,15 +53,20 @@ fn arb_kernel() -> impl Strategy<Value = KernelSource> {
     (arb_string(), arb_string()).prop_map(|(name, source)| KernelSource { name, source })
 }
 
+fn arb_metrics_format() -> impl Strategy<Value = MetricsFormat> {
+    prop_oneof![Just(MetricsFormat::Prometheus), Just(MetricsFormat::Json)]
+}
+
 fn arb_request() -> BoxedStrategy<Request> {
     prop_oneof![
         (arb_kernel(), arb_knobs()).prop_map(|(kernel, knobs)| Request::Map { kernel, knobs }),
         (prop::collection::vec(arb_kernel(), 0..5), arb_knobs())
             .prop_map(|(kernels, knobs)| Request::Batch { kernels, knobs }),
-        Just(Request::Stats),
         Just(Request::Reset),
         Just(Request::Health),
         Just(Request::Shutdown),
+        arb_metrics_format().prop_map(|format| Request::Metrics { format }),
+        Just(Request::Dump),
     ]
     .boxed()
 }
@@ -115,11 +120,6 @@ fn arb_summary() -> impl Strategy<Value = MapSummary> {
         )
 }
 
-fn arb_histogram() -> impl Strategy<Value = Histogram> {
-    prop::collection::vec(any::<u64>(), HISTOGRAM_BUCKETS..=HISTOGRAM_BUCKETS)
-        .prop_map(|buckets| Histogram { buckets })
-}
-
 fn arb_wire_error() -> BoxedStrategy<WireError> {
     prop_oneof![
         any::<u64>().prop_map(|queue_depth| WireError::Overloaded { queue_depth }),
@@ -144,25 +144,6 @@ fn arb_wire_error() -> BoxedStrategy<WireError> {
     .boxed()
 }
 
-fn arb_shard_stats() -> impl Strategy<Value = ShardStatsSummary> {
-    (
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(
-            |(connections, accepted, served, bytes_in, bytes_out)| ShardStatsSummary {
-                connections,
-                accepted,
-                served,
-                bytes_in,
-                bytes_out,
-            },
-        )
-}
-
 fn arb_response() -> BoxedStrategy<Response> {
     let entry = (arb_string(), any::<bool>(), arb_summary(), arb_string()).prop_map(
         |(name, ok, summary, error)| BatchEntrySummary {
@@ -184,45 +165,13 @@ fn arb_response() -> BoxedStrategy<Response> {
                     deduped,
                 })
             ),
-        (
-            prop::collection::vec(any::<u64>(), 26..=26),
-            arb_histogram(),
-            arb_histogram(),
-            prop::collection::vec(arb_shard_stats(), 0..4)
-        )
-            .prop_map(|(counters, map_latency, batch_latency, shards)| {
-                Response::Stats(StatsSummary {
-                    connections: counters[0],
-                    accepted: counters[1],
-                    served_ok: counters[2],
-                    served_err: counters[3],
-                    verify_failures_map: counters[4],
-                    verify_failures_batch: counters[5],
-                    rejected_overload: counters[6],
-                    rejected_deadline: counters[7],
-                    rejected_shutdown: counters[8],
-                    rejected_version: counters[9],
-                    protocol_errors: counters[10],
-                    fast_hits: counters[11],
-                    l0_hits: counters[12],
-                    persist_loads: counters[13],
-                    persist_stores: counters[14],
-                    persist_corrupt_skipped: counters[15],
-                    persist_warm_start_entries: counters[16],
-                    persist_compactions: counters[17],
-                    workers: counters[18],
-                    queue_depth: counters[19],
-                    cache_mapping_hits: counters[20],
-                    cache_mapping_misses: counters[21],
-                    cache_post_hits: counters[22],
-                    cache_post_misses: counters[23],
-                    cache_entries: counters[24],
-                    cache_capacity: counters[25],
-                    map_latency,
-                    batch_latency,
-                    shards,
-                })
-            }),
+        (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
+            |(uptime_micros, in_flight, draining)| Response::Health(HealthSummary {
+                uptime_micros,
+                in_flight,
+                draining,
+            })
+        ),
         any::<u64>().prop_map(|dropped_entries| Response::ResetDone { dropped_entries }),
         Just(Response::ShutdownStarted),
         (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(version, shards, max_in_flight)| {
@@ -233,6 +182,9 @@ fn arb_response() -> BoxedStrategy<Response> {
             })
         }),
         arb_wire_error().prop_map(Response::Error),
+        (arb_metrics_format(), arb_string())
+            .prop_map(|(format, body)| Response::Metrics { format, body }),
+        arb_string().prop_map(|json| Response::Dump { json }),
     ]
     .boxed()
 }

@@ -5,6 +5,7 @@
 
 use fpfa_core::pipeline::Mapper;
 use fpfa_core::service::MappingService;
+use fpfa_obs::{MetricValue, Snapshot};
 use fpfa_server::protocol::{
     decode_response_frame, encode_request_frame, read_frame, write_frame, Hello, KernelSource,
     MapKnobs, MetricsFormat, Request, Response, WireError, PROTOCOL_VERSION,
@@ -30,6 +31,22 @@ fn heavy_kernel(index: usize) -> String {
 }
 
 const TRIVIAL: &str = "void main() { int a[2]; int r; r = a[0] + a[1]; }";
+
+/// The value of the counter or gauge `name{labels}`; a metric the snapshot
+/// does not hold fails the test.
+fn value(snapshot: &Snapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
+    match snapshot.get(name, labels) {
+        Some(MetricValue::Counter(v) | MetricValue::Gauge(v)) => *v,
+        other => panic!("{name} {labels:?} is not a counter or gauge: {other:?}"),
+    }
+}
+
+/// The daemon's registry, scraped over the wire (the `metrics` verb's
+/// JSON).
+fn scrape(client: &mut Client) -> Snapshot {
+    let json = client.metrics(MetricsFormat::Json).expect("metrics scrape");
+    Snapshot::from_json(&json).expect("scrape parses")
+}
 
 #[test]
 fn concurrent_clients_agree_with_direct_service_calls() {
@@ -71,18 +88,22 @@ fn concurrent_clients_agree_with_direct_service_calls() {
         }
     });
 
-    let stats = Client::connect(addr)
-        .expect("connect for stats")
-        .stats()
-        .expect("stats");
-    assert_eq!(stats.served_ok, 4 * kernels.len() as u64);
-    assert_eq!(stats.served_err, 0);
-    assert_eq!(stats.rejected_overload, 0);
+    let stats = scrape(&mut Client::connect(addr).expect("connect for metrics"));
+    assert_eq!(
+        value(&stats, "serve.served", &[("outcome", "ok")]),
+        4 * kernels.len() as u64
+    );
+    assert_eq!(value(&stats, "serve.served", &[("outcome", "err")]), 0);
+    assert_eq!(
+        value(&stats, "serve.rejected", &[("reason", "overload")]),
+        0
+    );
     // 4 passes over the same kernels: at most one miss per kernel, the rest
     // served from the shared cache.
     assert!(
-        stats.cache_mapping_hits >= 3 * kernels.len() as u64,
-        "expected a warm cache, got {stats:?}"
+        value(&stats, "cache.mapping.hits", &[]) >= 3 * kernels.len() as u64,
+        "expected a warm cache, got\n{}",
+        stats.to_prometheus()
     );
     handle.shutdown();
     handle.join();
@@ -249,8 +270,8 @@ fn saturated_queue_rejects_with_typed_overloaded() {
         .map("probe", TRIVIAL, MapKnobs::default())
         .expect("probe maps after the burst");
     assert!(served.cycles > 0);
-    let stats = handle.stats();
-    assert!(stats.rejected_overload >= overloaded as u64);
+    let stats = handle.registry().snapshot();
+    assert!(value(&stats, "serve.rejected", &[("reason", "overload")]) >= overloaded as u64);
     handle.shutdown();
     handle.join();
 }
@@ -305,7 +326,8 @@ fn lapsed_deadline_budget_is_a_typed_rejection() {
         "a 1 ms budget behind a heavy job never lapsed"
     );
     heavy.join().expect("heavy thread");
-    assert!(handle.stats().rejected_deadline >= 1);
+    let stats = handle.registry().snapshot();
+    assert!(value(&stats, "serve.rejected", &[("reason", "deadline")]) >= 1);
     handle.shutdown();
     handle.join();
 }
@@ -366,6 +388,40 @@ fn invalid_knobs_and_payloads_are_typed_not_fatal() {
     }
     // The connection survives both rejections.
     assert!(client.map("k", TRIVIAL, MapKnobs::default()).is_ok());
+
+    // A v2 frame carrying the retired `stats` tag (3) is a typed `Invalid`
+    // answer under its request id, and the same connection then maps.
+    let mut raw = TcpStream::connect(handle.addr()).expect("connect raw");
+    write_frame(&mut raw, &Hello::current().encode()).expect("hello");
+    raw.flush().expect("flush hello");
+    let ack = read_frame(&mut raw).expect("ack").expect("ack frame");
+    assert!(matches!(Response::decode(&ack), Ok(Response::Hello(_))));
+    let mut retired = 5u64.to_le_bytes().to_vec();
+    retired.push(3);
+    write_frame(&mut raw, &retired).expect("write tag 3");
+    raw.flush().expect("flush tag 3");
+    let reply = read_frame(&mut raw).expect("reply").expect("a reply");
+    match decode_response_frame(&reply).expect("reply decodes") {
+        (5, Response::Error(WireError::Invalid(reason))) => {
+            assert!(
+                reason.contains("request tag"),
+                "unexpected reason: {reason}"
+            );
+        }
+        other => panic!("expected a typed Invalid for tag 3, got {other:?}"),
+    }
+    let map = Request::Map {
+        kernel: KernelSource::new("k", TRIVIAL),
+        knobs: MapKnobs::default(),
+    };
+    write_frame(&mut raw, &encode_request_frame(6, &map)).expect("write map");
+    raw.flush().expect("flush map");
+    let reply = read_frame(&mut raw).expect("reply").expect("a reply");
+    assert!(matches!(
+        decode_response_frame(&reply),
+        Ok((6, Response::Mapped(_)))
+    ));
+    assert_eq!(metric(&handle, "serve.protocol_errors"), 1);
     handle.shutdown();
     handle.join();
 }
@@ -426,11 +482,16 @@ fn verify_knob_rejects_bad_kernels_with_a_typed_error() {
     let error = batch.entries[1].outcome.as_ref().unwrap_err();
     assert!(error.contains("FS006"), "unexpected batch error: {error}");
 
-    let stats = handle.stats();
-    assert!(stats.verify_failures_map >= 1, "map rejections: {stats:?}");
+    let stats = handle.registry().snapshot();
     assert!(
-        stats.verify_failures_batch >= 1,
-        "batch rejections: {stats:?}"
+        value(&stats, "serve.verify_failures", &[("verb", "map")]) >= 1,
+        "map rejections:\n{}",
+        stats.to_prometheus()
+    );
+    assert!(
+        value(&stats, "serve.verify_failures", &[("verb", "batch")]) >= 1,
+        "batch rejections:\n{}",
+        stats.to_prometheus()
     );
     handle.shutdown();
     handle.join();
@@ -448,18 +509,23 @@ fn stats_reset_clears_cache_and_counters() {
     let health = client.health().expect("health");
     assert!(!health.draining);
 
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.served_ok, 2);
-    assert_eq!(stats.cache_mapping_hits, 1);
-    assert!(stats.cache_entries >= 1);
-    assert!(stats.map_latency.total() >= 2);
+    let stats = scrape(&mut client);
+    assert_eq!(value(&stats, "serve.served", &[("outcome", "ok")]), 2);
+    assert_eq!(value(&stats, "cache.mapping.hits", &[]), 1);
+    assert!(value(&stats, "cache.entries", &[]) >= 1);
+    match stats.get("serve.map.latency", &[]) {
+        Some(MetricValue::Histogram { buckets, .. }) => {
+            assert!(buckets.iter().sum::<u64>() >= 2)
+        }
+        other => panic!("serve.map.latency is not a histogram: {other:?}"),
+    }
 
     let dropped = client.reset().expect("reset");
     assert!(dropped >= 1, "reset drops the resident entries");
-    let stats = client.stats().expect("stats after reset");
-    assert_eq!(stats.served_ok, 0);
-    assert_eq!(stats.cache_mapping_hits, 0);
-    assert_eq!(stats.cache_entries, 0);
+    let stats = scrape(&mut client);
+    assert_eq!(value(&stats, "serve.served", &[("outcome", "ok")]), 0);
+    assert_eq!(value(&stats, "cache.mapping.hits", &[]), 0);
+    assert_eq!(value(&stats, "cache.entries", &[]), 0);
     // The next map is a cold miss again.
     let cold = client
         .map("k", TRIVIAL, MapKnobs::default())
@@ -488,13 +554,13 @@ fn reset_truncates_the_disk_tier_and_the_l0_frames() {
         .expect("repeat");
     assert_eq!(repeat.digest, cold.digest);
 
-    let stats = client.stats().expect("stats");
+    let stats = scrape(&mut client);
     assert!(
-        stats.persist_stores >= 1,
+        value(&stats, "persist.stores", &[]) >= 1,
         "cold mappings are written through to the disk tier"
     );
     assert!(
-        stats.l0_hits >= 1,
+        value(&stats, "serve.l0_hits", &[]) >= 1,
         "the identical repeat was answered from the pre-encoded L0 tier"
     );
 
@@ -525,7 +591,7 @@ fn v1_clients_are_rejected_with_a_typed_unsupported_version() {
     // A bare v1 request (no hello) is answered with a typed
     // `UnsupportedVersion`, then the connection is closed — not hung.
     let mut v1 = TcpStream::connect(handle.addr()).expect("connect raw");
-    write_frame(&mut v1, &Request::Stats.encode()).expect("write v1 frame");
+    write_frame(&mut v1, &Request::Health.encode()).expect("write v1 frame");
     v1.flush().expect("flush");
     let payload = read_frame(&mut v1)
         .expect("read rejection")
@@ -559,7 +625,8 @@ fn v1_clients_are_rejected_with_a_typed_unsupported_version() {
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
 
-    assert!(handle.stats().rejected_version >= 2);
+    let stats = handle.registry().snapshot();
+    assert!(value(&stats, "serve.rejected", &[("reason", "version")]) >= 2);
     handle.shutdown();
     handle.join();
 }
@@ -646,15 +713,31 @@ fn per_shard_counters_are_reported() {
     let mut b = Client::connect(handle.addr()).expect("connect b");
     a.map("k", TRIVIAL, MapKnobs::default()).expect("map a");
     b.map("k", TRIVIAL, MapKnobs::default()).expect("map b");
-    let stats = a.stats().expect("stats");
-    assert_eq!(stats.shards.len(), 2, "one summary per shard");
-    let accepted: u64 = stats.shards.iter().map(|s| s.accepted).sum();
-    let served: u64 = stats.shards.iter().map(|s| s.served).sum();
-    let bytes_in: u64 = stats.shards.iter().map(|s| s.bytes_in).sum();
-    let bytes_out: u64 = stats.shards.iter().map(|s| s.bytes_out).sum();
-    assert!(accepted >= 2, "both connections adopted: {stats:?}");
-    assert!(served >= 3, "two maps + handshakes served: {stats:?}");
-    assert!(bytes_in > 0 && bytes_out > 0);
+    let stats = scrape(&mut a);
+    // One counter set per shard: shards 0 and 1, no shard 2.
+    assert_eq!(stats.get("shard.accepted", &[("shard", "2")]), None);
+    let total = |name| -> u64 {
+        ["0", "1"]
+            .iter()
+            .map(|&shard| value(&stats, name, &[("shard", shard)]))
+            .sum()
+    };
+    let text = stats.to_prometheus();
+    assert_eq!(
+        total("shard.accepted"),
+        2,
+        "exactly the two connections adopted:\n{text}"
+    );
+    assert_eq!(
+        total("shard.open"),
+        2,
+        "both connections still open:\n{text}"
+    );
+    assert!(
+        total("shard.served") >= 3,
+        "two maps + handshakes served:\n{text}"
+    );
+    assert!(total("shard.bytes_in") > 0 && total("shard.bytes_out") > 0);
     handle.shutdown();
     handle.join();
 }
@@ -681,10 +764,11 @@ fn graceful_shutdown_drains_and_rejects_new_work() {
     // join() returns only after the drain: workers exited, every
     // connection thread joined, the listener dropped.
     let stats = handle.join();
-    assert!(stats.served_ok >= 1);
+    assert!(value(&stats, "serve.served", &[("outcome", "ok")]) >= 1);
     assert!(
-        stats.rejected_shutdown >= 1,
-        "the refused request is accounted: {stats:?}"
+        value(&stats, "serve.rejected", &[("reason", "shutdown")]) >= 1,
+        "the refused request is accounted:\n{}",
+        stats.to_prometheus()
     );
 }
 
@@ -727,21 +811,21 @@ fn metrics_verb_renders_prometheus_and_json_over_the_registry() {
     );
 
     // The JSON exposition round-trips through the obs parser and agrees
-    // with the stats verb (the wire stats are a view over the registry).
-    let json = client.metrics(MetricsFormat::Json).expect("json scrape");
-    let snapshot = fpfa_obs::Snapshot::from_json(&json).expect("scrape parses");
-    let served_ok = snapshot
-        .metrics
-        .iter()
-        .find(|m| m.key.name == "serve.served" && m.key.labels == [("outcome".into(), "ok".into())])
-        .expect("serve.served{outcome=ok} present");
-    let stats = client.stats().expect("stats");
-    match served_ok.value {
-        fpfa_obs::MetricValue::Counter(v) => assert_eq!(v, stats.served_ok),
-        ref other => panic!("serve.served is not a counter: {other:?}"),
-    }
+    // with the registry read in process.
+    let scraped = scrape(&mut client);
+    assert_eq!(
+        scraped.get("serve.served", &[("outcome", "ok")]),
+        Some(&MetricValue::Counter(2))
+    );
+    assert_eq!(
+        scraped.get("serve.served", &[("outcome", "ok")]),
+        handle
+            .registry()
+            .snapshot()
+            .get("serve.served", &[("outcome", "ok")])
+    );
 
-    // `reset` zeroes the registry's counters along with the legacy stats.
+    // `reset` zeroes the registry's counters.
     client.reset().expect("reset");
     let text = client
         .metrics(MetricsFormat::Prometheus)
@@ -921,16 +1005,7 @@ fn map_outcomes(dump: &str) -> Vec<String> {
 
 /// The value of an unlabelled counter or gauge in a server's registry.
 fn metric(handle: &ServerHandle, name: &str) -> u64 {
-    let snapshot = handle.registry().snapshot();
-    let found = snapshot
-        .metrics
-        .iter()
-        .find(|m| m.key.name == name && m.key.labels.is_empty())
-        .unwrap_or_else(|| panic!("no metric {name}"));
-    match found.value {
-        fpfa_obs::MetricValue::Counter(v) | fpfa_obs::MetricValue::Gauge(v) => v,
-        ref other => panic!("{name} is not a counter or gauge: {other:?}"),
-    }
+    value(&handle.registry().snapshot(), name, &[])
 }
 
 /// A second server over the first one's cache directory answers the

@@ -1,11 +1,12 @@
 //! `fpfa-loadgen` — load generator for `fpfa-serve`.
 //!
 //! Two modes share warmup, digest verification and the final server-side
-//! cross-check, which includes a latency sanity gate: the client-observed
-//! p99 of the measured phase is compared against the server's own
-//! decode → write-back histogram for the same phase (pre-phase counts
-//! subtracted), and a gross disagreement — client p99 more than 8x below
-//! the server's bucket floor — fails the run:
+//! cross-check, read from the daemon's metrics registry (the `metrics`
+//! verb's JSON snapshot).  It includes a latency sanity gate: the
+//! client-observed p99 of the measured phase is compared against the
+//! server's own decode → write-back histogram for the same phase (pre-phase
+//! counts subtracted), and a gross disagreement — client p99 more than 8x
+//! below the server's bucket floor — fails the run:
 //!
 //! * **Closed loop** (default): N connections, each issuing map requests
 //!   back-to-back (one outstanding request per connection), cycling through
@@ -53,7 +54,9 @@
 
 use fpfa::server::protocol::{decode_response_frame, read_frame, write_frame, FrameBuffer, Hello};
 use fpfa::server::sys::{Event, Interest, Poller};
-use fpfa::server::{Client, Histogram, MapKnobs, Request, Response, WireError};
+use fpfa::server::{Client, MapKnobs, MetricsFormat, Request, Response, WireError};
+use fpfa_obs::{quantile_upper_bound, MetricValue, Snapshot, HISTOGRAM_BUCKETS};
+use report::count;
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
@@ -61,6 +64,8 @@ use std::os::fd::AsRawFd;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+mod report;
 
 struct Options {
     addr: String,
@@ -198,6 +203,24 @@ fn percentile(sorted_us: &[u64], q: f64) -> u64 {
     sorted_us[rank - 1]
 }
 
+/// Scrapes the daemon's metrics registry over `client`.
+fn scrape(client: &mut Client) -> Result<Snapshot, String> {
+    let json = client
+        .metrics(MetricsFormat::Json)
+        .map_err(|e| format!("metrics scrape failed: {e}"))?;
+    Snapshot::from_json(&json).map_err(|e| format!("metrics scrape does not parse: {e}"))
+}
+
+/// The bucket counts of the histogram `name`.
+fn histogram(snapshot: &Snapshot, name: &str) -> Result<[u64; HISTOGRAM_BUCKETS], String> {
+    match snapshot.get(name, &[]) {
+        Some(MetricValue::Histogram { buckets, .. }) => Ok(*buckets),
+        other => Err(format!(
+            "the server reports no histogram `{name}`: {other:?}"
+        )),
+    }
+}
+
 fn run(options: &Options) -> Result<(), String> {
     let kernels: Vec<(String, String)> = fpfa::workloads::registry()
         .into_iter()
@@ -239,9 +262,7 @@ fn run(options: &Options) -> Result<(), String> {
     // Snapshot the server's map-latency histogram before the measured
     // phase, so the cross-check below compares phase-against-phase instead
     // of letting the warmup mappings pollute the server side.
-    let before = warm
-        .stats()
-        .map_err(|e| format!("pre-phase stats failed: {e}"))?;
+    let before = histogram(&scrape(&mut warm)?, "serve.map.latency")?;
     drop(warm);
 
     // Measured phase.
@@ -279,53 +300,48 @@ fn run(options: &Options) -> Result<(), String> {
 
     // Cross-check with the server's own counters.
     let mut control =
-        Client::connect(&options.addr).map_err(|e| format!("cannot reconnect for stats: {e}"))?;
-    let stats = control.stats().map_err(|e| format!("stats failed: {e}"))?;
-    let hit_ratio = stats.mapping_hit_rate().unwrap_or(0.0);
+        Client::connect(&options.addr).map_err(|e| format!("cannot reconnect for metrics: {e}"))?;
+    let server = scrape(&mut control)?;
+    let counter = |name| count(&server, name, &[]);
+    let protocol_errors = counter("serve.protocol_errors")?;
     println!(
         "  server: accepted {}, served ok {}, map failures {}, overloaded {}, \
-         deadline-expired {}, fast-path hits {} (L0 {}), protocol errors {}",
-        stats.accepted,
-        stats.served_ok,
-        stats.served_err,
-        stats.rejected_overload,
-        stats.rejected_deadline,
-        stats.fast_hits,
-        stats.l0_hits,
-        stats.protocol_errors,
+         deadline-expired {}, fast-path hits {} (L0 {}), protocol errors {protocol_errors}",
+        counter("serve.accepted")?,
+        count(&server, "serve.served", &[("outcome", "ok")])?,
+        count(&server, "serve.served", &[("outcome", "err")])?,
+        count(&server, "serve.rejected", &[("reason", "overload")])?,
+        count(&server, "serve.rejected", &[("reason", "deadline")])?,
+        counter("serve.fast_hits")?,
+        counter("serve.l0_hits")?,
     );
-    if options.verify || stats.verify_failures_map + stats.verify_failures_batch > 0 {
+    let verify_map = count(&server, "serve.verify_failures", &[("verb", "map")])?;
+    let verify_batch = count(&server, "serve.verify_failures", &[("verb", "batch")])?;
+    if options.verify || verify_map + verify_batch > 0 {
         println!(
-            "  server: {} verify failure(s) (map/batch {}/{})",
-            stats.verify_failures_map + stats.verify_failures_batch,
-            stats.verify_failures_map,
-            stats.verify_failures_batch
+            "  server: {} verify failure(s) (map/batch {verify_map}/{verify_batch})",
+            verify_map + verify_batch,
         );
     }
+    let hits = counter("cache.mapping.hits")?;
+    let hit_ratio = report::hit_ratio(&server)?.unwrap_or(0.0);
     println!(
-        "  cache: {}/{} mapping hit(s), ratio {hit_ratio:.3}, {} resident entr(ies)",
-        stats.cache_mapping_hits,
-        stats.cache_mapping_hits + stats.cache_mapping_misses,
-        stats.cache_entries
+        "  cache: {hits}/{} mapping hit(s), ratio {hit_ratio:.3}, {} resident entr(ies)",
+        hits + counter("cache.mapping.misses")?,
+        counter("cache.entries")?,
     );
-    if stats.persist_loads + stats.persist_stores + stats.persist_warm_start_entries > 0 {
-        println!(
-            "  persist: {} load(s), {} store(s), {} corrupt skipped, \
-             {} warm-start entr(ies), {} compaction(s)",
-            stats.persist_loads,
-            stats.persist_stores,
-            stats.persist_corrupt_skipped,
-            stats.persist_warm_start_entries,
-            stats.persist_compactions
-        );
+    if counter("persist.loads")?
+        + counter("persist.stores")?
+        + counter("persist.warm_start_entries")?
+        > 0
+    {
+        println!("  {}", report::persist_line(&server)?);
     }
-    for (index, shard) in stats.shards.iter().enumerate() {
-        println!(
-            "  shard {index}: {} conn(s), {} queued, {} served, {} B in, {} B out",
-            shard.connections, shard.accepted, shard.served, shard.bytes_in, shard.bytes_out
-        );
+    for line in report::shard_lines(&server)? {
+        println!("  {line}");
     }
-    if let Some(p99) = stats.map_latency.quantile_upper_bound(0.99) {
+    let after = histogram(&server, "serve.map.latency")?;
+    if let Some(p99) = quantile_upper_bound(&after, 0.99) {
         println!("  server-side map p99 < {p99} us (decode \u{2192} write-back)");
     }
 
@@ -336,16 +352,9 @@ fn run(options: &Options) -> Result<(), String> {
     // contains the server side (plus network and generator overhead), so a
     // client p99 *grossly below* the server's own p99 means one of the two
     // measurement paths is broken — fail loudly rather than report it.
-    let phase = Histogram {
-        buckets: stats
-            .map_latency
-            .buckets
-            .iter()
-            .zip(&before.map_latency.buckets)
-            .map(|(after, before)| after.saturating_sub(*before))
-            .collect(),
-    };
-    if let Some(server_p99) = phase.quantile_upper_bound(0.99) {
+    let phase: [u64; HISTOGRAM_BUCKETS] =
+        std::array::from_fn(|i| after[i].saturating_sub(before[i]));
+    if let Some(server_p99) = quantile_upper_bound(&phase, 0.99) {
         let client_p99 = percentile(&outcome.latencies_us, 0.99);
         println!(
             "  cross-check: client p99 {client_p99} us vs server map p99 < {server_p99} us \
@@ -377,10 +386,9 @@ fn run(options: &Options) -> Result<(), String> {
     if !outcome.failures.is_empty() {
         return Err(format!("{} request(s) failed", outcome.failures.len()));
     }
-    if stats.protocol_errors > 0 {
+    if protocol_errors > 0 {
         return Err(format!(
-            "server counted {} protocol error(s) during the run",
-            stats.protocol_errors
+            "server counted {protocol_errors} protocol error(s) during the run"
         ));
     }
     if options.forbid_overload && outcome.overloaded > 0 {

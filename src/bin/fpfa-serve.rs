@@ -23,7 +23,8 @@
 //! The daemon prints one `listening on <addr>` line once it accepts
 //! connections (scripts wait for it), serves until a client sends the
 //! `shutdown` verb — or, on Linux, until `SIGTERM`/`SIGINT` arrives —
-//! then drains in-flight work and prints the final statistics.
+//! then drains in-flight work and prints a report read from the final
+//! snapshot of its metrics registry.
 //!
 //! With `--cache-dir`, mapped kernels are also written through to
 //! append-only segment files in that directory, and a restarted daemon
@@ -44,9 +45,13 @@ use fpfa::core::pipeline::Mapper;
 use fpfa::core::MappingService;
 use fpfa::server::sys::{TermSignals, SIGUSR1};
 use fpfa::server::{Server, ServerConfig};
+use fpfa_obs::Snapshot;
+use report::count;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
+
+mod report;
 
 struct Options {
     addr: String,
@@ -303,13 +308,10 @@ fn main() -> ExitCode {
         });
         tx
     });
-    let stats = handle.join();
+    let snapshot = handle.join();
     drop(metrics_stop);
     if let Some(path) = &options.metrics_file {
-        if let Err(e) = write_atomic(
-            Path::new(path),
-            trigger.registry().render_prometheus().as_bytes(),
-        ) {
+        if let Err(e) = write_atomic(Path::new(path), snapshot.to_prometheus().as_bytes()) {
             eprintln!("fpfa-serve: cannot write {path}: {e}");
         }
     }
@@ -319,45 +321,50 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("fpfa-serve: cannot write {path}: {e}"),
         }
     }
+    match drain_report(&snapshot, options.cache_dir.is_some()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("fpfa-serve: {message}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Prints the drain report from the final registry snapshot.
+fn drain_report(snapshot: &Snapshot, persist: bool) -> Result<(), String> {
+    let counter = |name| count(snapshot, name, &[]);
+    let verify_map = count(snapshot, "serve.verify_failures", &[("verb", "map")])?;
+    let verify_batch = count(snapshot, "serve.verify_failures", &[("verb", "batch")])?;
     println!(
         "fpfa-serve: drained and stopped; {} connection(s), {} request(s) accepted, \
          {} served ok, {} map failure(s), {} verify failure(s) (map/batch {}/{}), \
          {} overloaded, {} deadline-expired",
-        stats.connections,
-        stats.accepted,
-        stats.served_ok,
-        stats.served_err,
-        stats.verify_failures_map + stats.verify_failures_batch,
-        stats.verify_failures_map,
-        stats.verify_failures_batch,
-        stats.rejected_overload,
-        stats.rejected_deadline
+        counter("serve.connections")?,
+        counter("serve.accepted")?,
+        count(snapshot, "serve.served", &[("outcome", "ok")])?,
+        count(snapshot, "serve.served", &[("outcome", "err")])?,
+        verify_map + verify_batch,
+        verify_map,
+        verify_batch,
+        count(snapshot, "serve.rejected", &[("reason", "overload")])?,
+        count(snapshot, "serve.rejected", &[("reason", "deadline")])?,
     );
-    if let Some(rate) = stats.mapping_hit_rate() {
+    if let Some(rate) = report::hit_ratio(snapshot)? {
         println!("fpfa-serve: final cache hit ratio {rate:.3}");
     }
     println!(
         "fpfa-serve: {} fast-path hit(s) ({} from the L0 pre-encoded tier), \
          {} version rejection(s), {} protocol error(s)",
-        stats.fast_hits, stats.l0_hits, stats.rejected_version, stats.protocol_errors
+        counter("serve.fast_hits")?,
+        counter("serve.l0_hits")?,
+        count(snapshot, "serve.rejected", &[("reason", "version")])?,
+        counter("serve.protocol_errors")?,
     );
-    if options.cache_dir.is_some() {
-        println!(
-            "fpfa-serve: persist: {} load(s), {} store(s), {} corrupt skipped, \
-             {} warm-start entr(ies), {} compaction(s)",
-            stats.persist_loads,
-            stats.persist_stores,
-            stats.persist_corrupt_skipped,
-            stats.persist_warm_start_entries,
-            stats.persist_compactions
-        );
+    if persist {
+        println!("fpfa-serve: {}", report::persist_line(snapshot)?);
     }
-    for (index, shard) in stats.shards.iter().enumerate() {
-        println!(
-            "fpfa-serve: shard {index}: {} conn(s), {} queued, {} served, \
-             {} B in, {} B out",
-            shard.connections, shard.accepted, shard.served, shard.bytes_in, shard.bytes_out
-        );
+    for line in report::shard_lines(snapshot)? {
+        println!("fpfa-serve: {line}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -128,11 +128,27 @@ fn daemon_serves_open_loop_pipelined_traffic() {
         "{stdout}"
     );
     assert!(stdout.contains("protocol errors 0"), "{stdout}");
+    // The client-vs-server p99 cross-check must have run, not skipped.
+    assert!(stdout.contains("cross-check: client p99"), "{stdout}");
 
     let tail = drain_daemon(&mut daemon);
     assert!(tail.contains("drained and stopped"), "{tail}");
     assert!(tail.contains("shard 0:"), "{tail}");
     assert!(tail.contains("shard 1:"), "{tail}");
+    // The shards adopted every connection the loadgen opened: warmup, the
+    // 8 open-loop connections and the final control connection.
+    let adopted: u64 = tail
+        .lines()
+        .filter(|line| line.starts_with("fpfa-serve: shard "))
+        .map(|line| {
+            let (head, _) = line
+                .split_once(" conn(s) adopted")
+                .unwrap_or_else(|| panic!("no adopted count in: {line}"));
+            let count = head.rsplit(' ').next().expect("a count");
+            count.parse::<u64>().expect("a number")
+        })
+        .sum();
+    assert_eq!(adopted, 10, "{tail}");
 }
 
 /// Maps the whole workload registry once over one connection and returns
@@ -150,8 +166,17 @@ fn map_registry(addr: &str) -> (Vec<(String, u64)>, f64) {
             (kernel.name, summary.digest)
         })
         .collect();
-    let stats = client.stats().expect("stats verb");
-    (digests, stats.mapping_hit_rate().unwrap_or(0.0))
+    let json = client
+        .metrics(fpfa::server::MetricsFormat::Json)
+        .expect("metrics verb");
+    let snapshot = fpfa_obs::Snapshot::from_json(&json).expect("scrape parses");
+    let gauge = |name| match snapshot.get(name, &[]) {
+        Some(fpfa_obs::MetricValue::Gauge(v)) => *v,
+        other => panic!("{name} is not a gauge: {other:?}"),
+    };
+    let hits = gauge("cache.mapping.hits");
+    let lookups = hits + gauge("cache.mapping.misses");
+    (digests, hits as f64 / lookups.max(1) as f64)
 }
 
 /// A full warm-restart cycle through the persistent disk tier: warm a
