@@ -36,8 +36,8 @@ use crate::persist::{DiskTier, PersistStats};
 use crate::pipeline::MappingResult;
 use crate::program::TileProgram;
 use crate::schedule::Schedule;
-use crate::summary::MappingSummary;
-use fpfa_arch::{ArrayConfig, TileConfig};
+use crate::summary::{Fnv, MappingSummary};
+use fpfa_arch::{AluCapability, ArrayConfig, TileConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
@@ -51,16 +51,76 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Fingerprints every mapper knob that influences the produced mapping:
 /// the tile configuration (including the ALU capability), the array
-/// configuration (including the tile count) and the feature toggles.  The
-/// structs are hashed wholesale via their `Hash` derives, so a field added
-/// to any of them is automatically part of the key.  Two mappers with equal
-/// fingerprints produce identical mappings for identical inputs.
+/// configuration (including the tile count) and the feature toggles.  Two
+/// mappers with equal fingerprints produce identical mappings for identical
+/// inputs.
+///
+/// Disk records are keyed by the fingerprint, so it is FNV-1a over every
+/// field in a fixed order: Rust promises no stable output for
+/// `DefaultHasher` or derived `Hash` impls, and a toolchain upgrade must not
+/// turn the disk tier into misses.  The structs are destructured, so a
+/// field added to any of them does not compile here until it is hashed.
 pub fn config_fingerprint(config: &TileConfig, array: &ArrayConfig, toggles: &FlowToggles) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    config.hash(&mut hasher);
-    array.hash(&mut hasher);
-    toggles.hash(&mut hasher);
-    hasher.finish()
+    let TileConfig {
+        num_pps,
+        banks_per_pp,
+        regs_per_bank,
+        mems_per_pp,
+        mem_words,
+        crossbar_buses,
+        mem_ports,
+        regbank_write_ports,
+        input_move_window,
+        alu:
+            AluCapability {
+                max_inputs,
+                max_depth,
+                max_ops,
+                max_multiplies,
+                max_outputs,
+                max_memory_ops,
+            },
+    } = *config;
+    let ArrayConfig {
+        num_tiles,
+        links_per_cycle,
+        hop_latency,
+    } = *array;
+    // `verify` stays out: the verifier only observes a mapping, so a
+    // verified and an unverified request share cache entries.
+    let FlowToggles {
+        clustering,
+        locality,
+        simplify,
+        verify: _,
+    } = *toggles;
+    let mut fnv = Fnv::new();
+    for value in [
+        num_pps,
+        banks_per_pp,
+        regs_per_bank,
+        mems_per_pp,
+        mem_words,
+        crossbar_buses,
+        mem_ports,
+        regbank_write_ports,
+        input_move_window,
+        max_inputs,
+        max_depth,
+        max_ops,
+        max_multiplies,
+        max_outputs,
+        max_memory_ops,
+        num_tiles,
+        links_per_cycle,
+        hop_latency,
+    ] {
+        fnv.usize(value);
+    }
+    for flag in [clustering, locality, simplify] {
+        fnv.byte(u8::from(flag));
+    }
+    fnv.finish()
 }
 
 /// Key of the full-mapping cache: the source content plus the config
@@ -711,15 +771,14 @@ mod tests {
             one,
             config_fingerprint(&config, &ArrayConfig::single_tile(), &no_locality)
         );
-        // Parallel-stage runs may refine multi-tile partitions differently,
-        // so they must never share cache entries with serial runs.
-        let parallel = FlowToggles {
-            parallel_stages: true,
+        // Verification only observes a mapping: it shares the fingerprint.
+        let verified = FlowToggles {
+            verify: true,
             ..toggles
         };
-        assert_ne!(
+        assert_eq!(
             one,
-            config_fingerprint(&config, &ArrayConfig::single_tile(), &parallel)
+            config_fingerprint(&config, &ArrayConfig::single_tile(), &verified)
         );
         let small = config.with_num_pps(3);
         assert_ne!(
@@ -731,6 +790,20 @@ mod tests {
             one,
             config_fingerprint(&config, &ArrayConfig::single_tile(), &toggles)
         );
+    }
+
+    #[test]
+    fn config_fingerprint_is_pinned_across_toolchains() {
+        // Disk records are keyed by this value: it must never drift with the
+        // compiler or the standard library's hasher.  It is FNV-1a over the
+        // 18 configuration words (little-endian u64s) and the three toggle
+        // bytes, in declaration order.
+        let fingerprint = config_fingerprint(
+            &TileConfig::paper(),
+            &ArrayConfig::with_tiles(4),
+            &FlowToggles::default(),
+        );
+        assert_eq!(fingerprint, 0xf527_46e5_97ec_6118);
     }
 
     #[test]

@@ -341,8 +341,6 @@ pub struct Clusterer {
     /// When `false`, clustering is disabled and every operation becomes its
     /// own cluster (the A1 ablation baseline).
     enabled: bool,
-    /// Worker-pool width for speculative candidate scoring (1 = serial).
-    threads: usize,
 }
 
 impl Clusterer {
@@ -351,7 +349,6 @@ impl Clusterer {
         Clusterer {
             capability,
             enabled: true,
-            threads: 1,
         }
     }
 
@@ -361,21 +358,7 @@ impl Clusterer {
         Clusterer {
             capability,
             enabled: false,
-            threads: 1,
         }
-    }
-
-    /// Scores merge candidates speculatively on `threads` workers.
-    ///
-    /// The commit order — and therefore the resulting clustering — is
-    /// *identical* to the serial pass: a window of upcoming candidates is
-    /// scored read-only against the current cluster graph, the first
-    /// accepted candidate is committed serially, and the (now stale) scores
-    /// behind it are discarded.  Parallelism only buys wasted speculative
-    /// work, never a different answer.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Clusters a mapping graph.
@@ -444,20 +427,16 @@ impl Clusterer {
             .contracted_critical_path(&mut scratch, None)
             .expect("the initial per-op cluster graph is acyclic");
 
-        if self.threads <= 1 {
-            for (producer, consumer) in edges {
-                let a = state.membership[producer.index()];
-                let b = state.membership[consumer.index()];
-                if a == b {
-                    continue;
-                }
-                if let Some(cp) = self.evaluate(&state, &mut scratch, a, b, best_cp) {
-                    state.commit(a, b);
-                    best_cp = cp;
-                }
+        for (producer, consumer) in edges {
+            let a = state.membership[producer.index()];
+            let b = state.membership[consumer.index()];
+            if a == b {
+                continue;
             }
-        } else {
-            self.merge_speculative(&mut state, &edges, &mut best_cp);
+            if let Some(cp) = self.evaluate(&state, &mut scratch, a, b, best_cp) {
+                state.commit(a, b);
+                best_cp = cp;
+            }
         }
         membership.copy_from_slice(&state.membership);
     }
@@ -480,59 +459,6 @@ impl Clusterer {
         let cp = state.contracted_critical_path(scratch, Some((a, b)))?;
         (cp <= best_cp).then_some(cp)
     }
-
-    /// The parallel twin of the serial merge loop: score a window of
-    /// upcoming candidates read-only on the worker pool, commit the first
-    /// accepted one serially, drop the stale scores behind it and continue
-    /// from the candidate after the commit.  Candidates ahead of the first
-    /// accepted one were rejected against exactly the state the serial pass
-    /// would have seen, so the final membership is identical.
-    fn merge_speculative(
-        &self,
-        state: &mut MergeState<'_>,
-        edges: &[(OpId, OpId)],
-        best_cp: &mut usize,
-    ) {
-        let n = state.graph.op_count();
-        let mut index = 0;
-        while index < edges.len() {
-            let window = &edges[index..edges.len().min(index + self.threads * 4)];
-            let chunk_len = window.len().div_ceil(self.threads);
-            let chunks: Vec<&[(OpId, OpId)]> = window.chunks(chunk_len).collect();
-            let current = &*state;
-            let cp_bound = *best_cp;
-            let scores: Vec<Option<usize>> =
-                crate::flow::batch::parallel_map(&chunks, self.threads, |chunk| {
-                    let mut scratch = EvalScratch::new(n);
-                    chunk
-                        .iter()
-                        .map(|(producer, consumer)| {
-                            let a = current.membership[producer.index()];
-                            let b = current.membership[consumer.index()];
-                            if a == b {
-                                return None;
-                            }
-                            self.evaluate(current, &mut scratch, a, b, cp_bound)
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-            let accepted = scores.iter().position(Option::is_some);
-            match accepted {
-                Some(offset) => {
-                    let (producer, consumer) = window[offset];
-                    let a = state.membership[producer.index()];
-                    let b = state.membership[consumer.index()];
-                    state.commit(a, b);
-                    *best_cp = scores[offset].expect("accepted candidate has a score");
-                    index += offset + 1;
-                }
-                None => index += window.len(),
-            }
-        }
-    }
 }
 
 /// Incremental state of [`Clusterer::merge_pass`]: the cluster graph keyed by
@@ -553,9 +479,9 @@ struct MergeState<'g> {
     ext_used: Vec<bool>,
 }
 
-/// Reusable per-worker scratch for candidate evaluation, split out of
-/// [`MergeState`] so several workers can score candidates against one shared
-/// read-only state.
+/// Reusable scratch for candidate evaluation, split out of [`MergeState`] so
+/// a candidate is scored against the state through a shared borrow while the
+/// scratch buffers are mutated.
 struct EvalScratch {
     // Label-indexed unless noted.
     mark: Vec<u64>,
@@ -1002,23 +928,6 @@ mod tests {
         let clustered = Clusterer::default().cluster(&m).unwrap();
         assert!(clustered.is_empty());
         assert_eq!(clustered.critical_path(), 0);
-    }
-
-    #[test]
-    fn parallel_candidate_scoring_matches_the_serial_clustering() {
-        // Speculative scoring commits candidates in the exact serial order,
-        // so the clustering must be identical for any worker count.
-        for taps in [3usize, 8, 16] {
-            let m = fir_mapping_graph(taps);
-            let serial = Clusterer::default().cluster(&m).unwrap();
-            for threads in [2, 4, 7] {
-                let parallel = Clusterer::default()
-                    .with_threads(threads)
-                    .cluster(&m)
-                    .unwrap();
-                assert_eq!(serial, parallel, "threads={threads} taps={taps}");
-            }
-        }
     }
 
     #[test]

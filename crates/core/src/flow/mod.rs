@@ -1,6 +1,6 @@
 //! The staged flow engine: a generic [`Stage`] trait, a [`FlowDriver`] that
-//! times stages and runs fixpoint iterations, and a [`FlowContext`] threaded
-//! through the whole mapping flow.
+//! times stages, and a [`FlowContext`] threaded through the whole mapping
+//! flow.
 //!
 //! The original `Mapper` hand-wired frontend → transformations → clustering →
 //! scheduling → allocation and only timed the middle of that sequence.  This
@@ -10,8 +10,6 @@
 //!   counts end up in the [`FlowContext`], and in the
 //!   [`FlowTrace`] of every
 //!   [`MappingResult`](crate::pipeline::MappingResult));
-//! * the fixpoint loop of `fpfa_transform::Pipeline` is generalized into
-//!   [`FlowDriver::fixpoint`], usable by any pass set over any value;
 //! * stages compose with [`StageExt::then`], so alternative flows (ablation
 //!   baselines, future loop-capable pipelines) are assembled instead of
 //!   re-implemented;
@@ -34,8 +32,6 @@ pub use stages::{
 
 use crate::error::MapError;
 use fpfa_arch::{ArrayConfig, TileConfig};
-use fpfa_cdfg::Cdfg;
-use fpfa_transform::{Transform, TransformError};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -52,48 +48,14 @@ pub struct FlowToggles {
     pub locality: bool,
     /// CDFG simplification before mapping.
     pub simplify: bool,
-    /// Run the simplifier on the worklist-driven incremental rewrite engine
-    /// (disabled = the legacy scan-until-fixpoint pass pipeline, kept as the
-    /// reference oracle and comparison baseline).
-    pub incremental_transform: bool,
-    /// Run the cold-path mapping stages on the scoped-thread worker pool:
-    /// cluster candidates are scored speculatively in parallel, KL
-    /// refinement moves are scored in parallel (and applied serially), and
-    /// multi-tile allocation runs one tile per worker.  Disabled by default;
-    /// the single-threaded flow is the byte-identity baseline.  The toggle is
-    /// part of [`FlowToggles`]'s `Hash`, so cached mappings never cross the
-    /// serial/parallel boundary.
-    pub parallel_stages: bool,
     /// Run the static mapping verifier (`fpfa-verify`) over every produced
     /// mapping.  The flag is advisory — the core crate cannot depend on the
     /// verifier — so callers (CLI bins, the server) consult it to decide
-    /// whether to verify.  Deliberately *excluded* from `Hash` (see the
-    /// manual impl below): verification is an observer, so a verified and an
-    /// unverified request must share cache entries and config fingerprints.
+    /// whether to verify.  Deliberately *excluded* from
+    /// [`config_fingerprint`](crate::cache::config_fingerprint):
+    /// verification is an observer, so a verified and an unverified request
+    /// must share cache entries and config fingerprints.
     pub verify: bool,
-}
-
-/// `Hash` is written by hand to leave [`FlowToggles::verify`] out: the
-/// verifier never changes the produced mapping, so cache keys and config
-/// fingerprints must not fork on it.  (Two toggles that compare unequal on
-/// `verify` alone hashing identically is benign — the `Hash`/`Eq` law only
-/// requires equal values to hash equally.)
-impl std::hash::Hash for FlowToggles {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let FlowToggles {
-            clustering,
-            locality,
-            simplify,
-            incremental_transform,
-            parallel_stages,
-            verify: _,
-        } = self;
-        clustering.hash(state);
-        locality.hash(state);
-        simplify.hash(state);
-        incremental_transform.hash(state);
-        parallel_stages.hash(state);
-    }
 }
 
 impl Default for FlowToggles {
@@ -102,8 +64,6 @@ impl Default for FlowToggles {
             clustering: true,
             locality: true,
             simplify: true,
-            incremental_transform: true,
-            parallel_stages: false,
             verify: false,
         }
     }
@@ -251,10 +211,6 @@ pub struct FlowContext {
     /// Visited-versus-size instrumentation left behind by the transform
     /// stage (`None` when simplification was skipped).
     pub transform_stats: Option<TransformStats>,
-    /// Worker-pool width the parallel stages use when
-    /// [`FlowToggles::parallel_stages`] is on (ignored otherwise; `1` keeps
-    /// every stage serial regardless of the toggle).
-    pub stage_threads: usize,
     timings: Vec<StageTiming>,
     diagnostics: Vec<Diagnostic>,
 }
@@ -267,7 +223,6 @@ impl FlowContext {
             array: ArrayConfig::single_tile(),
             toggles: FlowToggles::default(),
             transform_stats: None,
-            stage_threads: 1,
             timings: Vec::new(),
             diagnostics: Vec::new(),
         }
@@ -277,22 +232,6 @@ impl FlowContext {
     pub fn with_toggles(mut self, toggles: FlowToggles) -> Self {
         self.toggles = toggles;
         self
-    }
-
-    /// Overrides the worker-pool width of the parallel stages.
-    pub fn with_stage_threads(mut self, threads: usize) -> Self {
-        self.stage_threads = threads.max(1);
-        self
-    }
-
-    /// The worker-pool width the mapping stages should use: the configured
-    /// width when [`FlowToggles::parallel_stages`] is on, `1` otherwise.
-    pub fn effective_stage_threads(&self) -> usize {
-        if self.toggles.parallel_stages {
-            self.stage_threads
-        } else {
-            1
-        }
     }
 
     /// Targets a tile array instead of the default single tile.
@@ -455,63 +394,19 @@ pub trait StageExt<In, Out>: Stage<In, Out> + Sized {
 impl<In, Out, S: Stage<In, Out>> StageExt<In, Out> for S {}
 
 // ---------------------------------------------------------------------------
-// The driver and its generalized fixpoint loop
+// The driver
 // ---------------------------------------------------------------------------
 
-/// A pass usable inside [`FlowDriver::fixpoint`]: applies once, reports how
-/// many changes it made.
-pub trait FixpointPass<T> {
-    /// Short pass name used in change reports.
-    fn name(&self) -> &'static str;
-
-    /// Applies the pass once.
-    ///
-    /// # Errors
-    /// Returns a [`MapError`] when the pass cannot proceed.
-    fn apply_once(&self, value: &mut T) -> Result<usize, MapError>;
-}
-
-/// Every `fpfa_transform` pass is a fixpoint pass over CDFGs, so the
-/// transformation engine plugs directly into the generalized driver.
-impl<P: Transform> FixpointPass<Cdfg> for P {
-    fn name(&self) -> &'static str {
-        Transform::name(self)
-    }
-
-    fn apply_once(&self, value: &mut Cdfg) -> Result<usize, MapError> {
-        Ok(self.apply(value)?)
-    }
-}
-
-/// Summary of one [`FlowDriver::fixpoint`] run.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct FixpointOutcome {
-    /// Number of rounds executed (including the final all-quiet round).
-    pub rounds: usize,
-    /// Total changes across all passes and rounds.
-    pub changes: usize,
-    /// `(pass, changes)` pairs in execution order, zero-change runs omitted.
-    pub pass_changes: Vec<(&'static str, usize)>,
-}
-
-/// Drives stages and fixpoint pass sets; the generalization of
-/// `fpfa_transform::Pipeline`'s fixpoint loop.
-#[derive(Clone, Copy, Debug)]
-pub struct FlowDriver {
-    max_rounds: usize,
-}
+/// Runs stages, recording each stage's wall-clock in the [`FlowContext`]
+/// (a composite stage built with [`StageExt::then`] times its children
+/// individually).
+#[derive(Clone, Copy, Default, Debug)]
+pub struct FlowDriver;
 
 impl FlowDriver {
-    /// A driver with the default round budget (64, matching
-    /// `fpfa_transform::Pipeline`).
+    /// Creates a driver.
     pub fn new() -> Self {
-        FlowDriver { max_rounds: 64 }
-    }
-
-    /// Overrides the fixpoint round budget.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.max_rounds = rounds;
-        self
+        FlowDriver
     }
 
     /// Runs a (possibly composite) stage, timing it into the context.
@@ -528,48 +423,6 @@ impl FlowDriver {
         S: Stage<In, Out> + ?Sized,
     {
         run_timed(stage, input, cx)
-    }
-
-    /// Runs `passes` over `value` repeatedly until a full round changes
-    /// nothing, attributing change counts to `stage` in the context.
-    ///
-    /// # Errors
-    /// Propagates pass errors; reports
-    /// [`TransformError::PipelineDiverged`] (wrapped in
-    /// [`MapError::Transform`]) when the round budget is exhausted.
-    pub fn fixpoint<T, P: FixpointPass<T>>(
-        &self,
-        stage: &'static str,
-        passes: &[P],
-        value: &mut T,
-        cx: &mut FlowContext,
-    ) -> Result<FixpointOutcome, MapError> {
-        let mut outcome = FixpointOutcome::default();
-        for round in 0..self.max_rounds {
-            let mut changes_this_round = 0;
-            for pass in passes {
-                let changes = pass.apply_once(value)?;
-                if changes > 0 {
-                    outcome.pass_changes.push((pass.name(), changes));
-                }
-                changes_this_round += changes;
-            }
-            outcome.rounds = round + 1;
-            outcome.changes += changes_this_round;
-            if changes_this_round == 0 {
-                cx.record_changes(stage, outcome.changes);
-                return Ok(outcome);
-            }
-        }
-        Err(MapError::Transform(TransformError::PipelineDiverged {
-            rounds: self.max_rounds,
-        }))
-    }
-}
-
-impl Default for FlowDriver {
-    fn default() -> Self {
-        FlowDriver::new()
     }
 }
 
@@ -655,96 +508,6 @@ mod tests {
         driver.run(&stage, String::from("b"), &mut cx).unwrap();
         assert_eq!(cx.timings().len(), 1);
         assert!(cx.wall_of("same").unwrap() >= Duration::from_micros(100));
-    }
-
-    /// A fixpoint pass that decrements until zero.
-    struct Decrement;
-
-    impl FixpointPass<i64> for Decrement {
-        fn name(&self) -> &'static str {
-            "decrement"
-        }
-        fn apply_once(&self, value: &mut i64) -> Result<usize, MapError> {
-            if *value > 0 {
-                *value -= 1;
-                Ok(1)
-            } else {
-                Ok(0)
-            }
-        }
-    }
-
-    /// A pass that never settles.
-    struct Oscillate;
-
-    impl FixpointPass<i64> for Oscillate {
-        fn name(&self) -> &'static str {
-            "oscillate"
-        }
-        fn apply_once(&self, value: &mut i64) -> Result<usize, MapError> {
-            *value = -*value;
-            Ok(1)
-        }
-    }
-
-    #[test]
-    fn fixpoint_converges_and_attributes_changes_to_the_stage() {
-        let passes = [Decrement];
-        let mut value = 5i64;
-        let mut cx = cx();
-        let outcome = FlowDriver::new()
-            .fixpoint("count", &passes, &mut value, &mut cx)
-            .unwrap();
-        assert_eq!(value, 0);
-        assert_eq!(outcome.changes, 5);
-        assert_eq!(outcome.rounds, 6); // five changing rounds + the quiet one
-        let timing = cx.timings().iter().find(|t| t.stage == "count").unwrap();
-        assert_eq!(timing.changes, 5);
-    }
-
-    #[test]
-    fn fixpoint_divergence_is_reported_with_the_round_budget() {
-        let passes = [Oscillate];
-        let mut value = 1i64;
-        let mut cx = cx();
-        let err = FlowDriver::new()
-            .with_max_rounds(7)
-            .fixpoint("osc", &passes, &mut value, &mut cx)
-            .unwrap_err();
-        match err {
-            MapError::Transform(TransformError::PipelineDiverged { rounds }) => {
-                assert_eq!(rounds, 7)
-            }
-            other => panic!("unexpected error: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn transform_passes_plug_into_the_generalized_fixpoint() {
-        use fpfa_cdfg::{BinOp, CdfgBuilder};
-        let mut b = CdfgBuilder::new("t");
-        let two = b.constant(2);
-        let three = b.constant(3);
-        let six = b.mul(two, three);
-        let x = b.input("x");
-        let r = b.binop(BinOp::Add, six, x);
-        b.output("r", r);
-        let mut graph = b.finish().unwrap();
-
-        let passes: Vec<Box<dyn fpfa_transform::Transform + Send + Sync>> = vec![
-            Box::new(fpfa_transform::const_fold::ConstantFold),
-            Box::new(fpfa_transform::dce::DeadCodeElimination),
-        ];
-        let mut cx = cx();
-        let outcome = FlowDriver::new()
-            .fixpoint("transform", &passes, &mut graph, &mut cx)
-            .unwrap();
-        assert!(outcome.changes > 0);
-        assert!(outcome
-            .pass_changes
-            .iter()
-            .any(|(name, _)| *name == "const-fold"));
-        assert_eq!(fpfa_cdfg::GraphStats::of(&graph).multiplies, 0);
     }
 
     #[test]

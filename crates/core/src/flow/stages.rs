@@ -13,7 +13,7 @@
 //! stages read the tile configuration and feature toggles from the
 //! [`FlowContext`] and leave their wall-clock and change counts in it.
 
-use super::{FlowContext, FlowDriver, Stage, TransformStats};
+use super::{FlowContext, Stage, TransformStats};
 use crate::allocate::Allocator;
 use crate::cluster::{ClusteredGraph, Clusterer};
 use crate::dfg::MappingGraph;
@@ -24,7 +24,6 @@ use crate::program::TileProgram;
 use crate::schedule::{Schedule, Scheduler};
 use fpfa_cdfg::Cdfg;
 use fpfa_frontend::MemoryLayout;
-use fpfa_transform::Transform;
 
 /// Input of the flow: a C-subset source string.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -168,41 +167,26 @@ impl Stage<SourceInput, CompiledKernel> for FrontendStage {
 
 /// Simplifies the CDFG (stage `transform`).
 ///
-/// By default the stage runs the nine standard passes on the worklist-driven
-/// incremental rewrite engine
-/// ([`fpfa_transform::WorklistDriver`]), which only re-examines the
-/// neighbourhood of earlier rewrites and reports per-round visited-node
-/// counts against the graph size ([`TransformStats`] on the
-/// [`FlowContext`]).  With
-/// [`FlowToggles::incremental_transform`](super::FlowToggles) off, the stage
-/// falls back to the legacy scan-until-fixpoint pass pipeline rebuilt on
-/// [`FlowDriver::fixpoint`] — the reference oracle both engines are
-/// validated against.
+/// The stage runs the nine standard passes
+/// ([`fpfa_transform::standard_local_rewrites`]) on the worklist-driven
+/// incremental rewrite engine ([`fpfa_transform::WorklistDriver`]), which
+/// only re-examines the neighbourhood of earlier rewrites and reports
+/// per-round visited-node counts against the graph size ([`TransformStats`]
+/// on the [`FlowContext`]).  `fpfa_transform::Pipeline`, the
+/// scan-until-fixpoint loop over the same passes, is the reference the
+/// engine is tested against; no flow runs it.
 ///
-/// Whichever path ran (either engine, or none with
-/// [`FlowToggles::simplify`](super::FlowToggles) off), the stage hands on
-/// the graph [`Cdfg::compact`]ed: dense and exactly sized, with the node,
-/// edge and per-port sink order of the rewritten graph, so later stages
-/// decide exactly as they would on the graph with holes.
-pub struct TransformStage {
-    passes: Vec<Box<dyn Transform + Send + Sync>>,
-    driver: FlowDriver,
-}
+/// Simplified or not (with [`FlowToggles::simplify`](super::FlowToggles)
+/// off), the stage hands on the graph [`Cdfg::compact`]ed: dense and exactly
+/// sized, with the node, edge and per-port sink order of the rewritten graph,
+/// so later stages decide exactly as they would on the graph with holes.
+pub struct TransformStage;
 
 impl TransformStage {
-    /// The paper's "full simplification" recipe —
-    /// [`fpfa_transform::standard_passes`], the same single definition
-    /// `Pipeline::standard` uses.
+    /// The paper's "full simplification" recipe, the only one the stage
+    /// runs.
     pub fn standard() -> Self {
-        TransformStage {
-            passes: fpfa_transform::standard_passes(),
-            driver: FlowDriver::new(),
-        }
-    }
-
-    /// Names of the passes in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
+        TransformStage
     }
 }
 
@@ -219,7 +203,7 @@ impl Stage<CompiledKernel, SimplifiedKernel> for TransformStage {
         let CompiledKernel { mut cdfg, layout } = input;
         if !cx.toggles.simplify {
             cx.info(self.name(), "simplification disabled");
-        } else if cx.toggles.incremental_transform {
+        } else {
             let outcome = fpfa_transform::WorklistDriver::new()
                 .run_standard(&mut cdfg)
                 .map_err(MapError::Transform)?;
@@ -244,22 +228,11 @@ impl Stage<CompiledKernel, SimplifiedKernel> for TransformStage {
             cx.info(
                 self.name(),
                 format!(
-                    "{} rounds, {} changes ({} node visits, {} arena slots, incremental engine)",
+                    "{} rounds, {} changes ({} node visits, {} arena slots)",
                     stats.rounds, stats.changes, stats.visited_nodes, stats.arena_slots
                 ),
             );
             cx.transform_stats = Some(stats);
-        } else {
-            let outcome = self
-                .driver
-                .fixpoint(self.name(), &self.passes, &mut cdfg, cx)?;
-            cx.info(
-                self.name(),
-                format!(
-                    "{} rounds, {} changes (legacy full-scan engine)",
-                    outcome.rounds, outcome.changes
-                ),
-            );
         }
         // Unrolling and folding leave most arena slots as holes; every later
         // stage and cache tier holds the graph, so hand it on dense.
@@ -314,9 +287,7 @@ impl Stage<ExtractedKernel, ClusteredKernel> for ClusterStage {
         } else {
             Clusterer::disabled(cx.config.alu)
         };
-        let clustered = clusterer
-            .with_threads(cx.effective_stage_threads())
-            .cluster(&input.graph)?;
+        let clustered = clusterer.cluster(&input.graph)?;
         cx.info(
             self.name(),
             format!(
@@ -352,9 +323,8 @@ impl Stage<ClusteredKernel, PartitionedKernel> for PartitionStage {
         input: ClusteredKernel,
         cx: &mut FlowContext,
     ) -> Result<PartitionedKernel, MapError> {
-        let partition = Partitioner::new(cx.array.num_tiles)
-            .with_threads(cx.effective_stage_threads())
-            .partition(&input.graph, &input.clustered)?;
+        let partition =
+            Partitioner::new(cx.array.num_tiles).partition(&input.graph, &input.clustered)?;
         if cx.array.num_tiles > 1 {
             cx.info(
                 self.name(),
@@ -469,14 +439,12 @@ impl Stage<ScheduledKernel, AllocatedKernel> for AllocateStage {
         } else {
             MultiTileAllocator::new(cx.config, cx.array).without_locality()
         };
-        let program = allocator
-            .with_threads(cx.effective_stage_threads())
-            .allocate(
-                &input.graph,
-                &input.clustered,
-                &input.partition,
-                &input.multi_schedule,
-            )?;
+        let program = allocator.allocate(
+            &input.graph,
+            &input.clustered,
+            &input.partition,
+            &input.multi_schedule,
+        )?;
         cx.info(
             self.name(),
             format!(

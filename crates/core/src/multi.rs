@@ -451,8 +451,6 @@ pub struct MultiTileAllocator {
     config: TileConfig,
     array: ArrayConfig,
     locality: bool,
-    /// Worker-pool width for per-tile level allocation (1 = serial).
-    threads: usize,
 }
 
 impl MultiTileAllocator {
@@ -462,22 +460,12 @@ impl MultiTileAllocator {
             config,
             array,
             locality: true,
-            threads: 1,
         }
     }
 
     /// Disables locality of reference in the per-tile allocation.
     pub fn without_locality(mut self) -> Self {
         self.locality = false;
-        self
-    }
-
-    /// Allocates each tile's share of a level on its own worker.  Tiles only
-    /// touch their own allocation state inside a level (cross-tile transfers
-    /// are scheduled between levels), so the per-tile programs are identical
-    /// to a serial allocation for any worker count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -627,38 +615,9 @@ impl MultiTileAllocator {
         // so consumers don't all contend for pp0's memory ports.
         let mut arrival_rr: Vec<usize> = vec![0; num_tiles];
         for level in 0..schedule.level_count() {
-            if self.threads > 1 && num_tiles > 1 {
-                // Each worker owns exactly one tile's state; the allocation
-                // of a level never reads another tile, so this matches the
-                // serial loop bit for bit.
-                let results: Vec<Result<(), MapError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = states
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(tile, state)| {
-                            let per_tile = &per_tile;
-                            scope.spawn(move || {
-                                let clusters = schedule.tile(tile).level(level).to_vec();
-                                per_tile.allocate_level(graph, clustered, &clusters, state)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| match handle.join() {
-                            Ok(result) => result,
-                            Err(payload) => std::panic::resume_unwind(payload),
-                        })
-                        .collect()
-                });
-                // Report the first failure in tile order, like the serial
-                // loop would.
-                results.into_iter().collect::<Result<(), MapError>>()?;
-            } else {
-                for (tile, state) in states.iter_mut().enumerate() {
-                    let clusters = schedule.tile(tile).level(level).to_vec();
-                    per_tile.allocate_level(graph, clustered, &clusters, state)?;
-                }
+            for (tile, state) in states.iter_mut().enumerate() {
+                let clusters = schedule.tile(tile).level(level);
+                per_tile.allocate_level(graph, clustered, clusters, state)?;
             }
             // Keep the tiles cycle-aligned after every level so transfer
             // cycles mean the same instant everywhere.
@@ -1079,26 +1038,6 @@ mod tests {
         );
         let pair_words: usize = program.traffic.per_pair.iter().map(|(_, n)| n).sum();
         assert_eq!(pair_words, program.traffic.total_transfers());
-    }
-
-    #[test]
-    fn parallel_per_tile_allocation_matches_the_serial_program() {
-        let (m, c) = fir(24);
-        let array = ArrayConfig::with_tiles(4);
-        let assignment = Partitioner::new(4).partition(&m, &c).unwrap();
-        let schedule = MultiScheduler::new(TileConfig::paper().num_pps, array.hop_latency)
-            .schedule(&c, &assignment)
-            .unwrap();
-        let serial = MultiTileAllocator::new(TileConfig::paper(), array)
-            .allocate(&m, &c, &assignment, &schedule)
-            .unwrap();
-        for threads in [2, 4, 8] {
-            let parallel = MultiTileAllocator::new(TileConfig::paper(), array)
-                .with_threads(threads)
-                .allocate(&m, &c, &assignment, &schedule)
-                .unwrap();
-            assert_eq!(serial, parallel, "threads={threads}");
-        }
     }
 
     #[test]

@@ -151,8 +151,6 @@ pub struct Partitioner {
     /// Load slack: a tile may hold up to `ceil(total / num_tiles) * slack`
     /// operations (never less than the largest single cluster).
     balance_slack: f64,
-    /// Worker-pool width for refinement-move scoring (1 = serial KL).
-    threads: usize,
 }
 
 impl Partitioner {
@@ -162,25 +160,12 @@ impl Partitioner {
             num_tiles: num_tiles.max(1),
             refinement_passes: 8,
             balance_slack: 1.2,
-            threads: 1,
         }
     }
 
     /// Overrides the refinement-pass budget (0 disables refinement).
     pub fn with_refinement_passes(mut self, passes: usize) -> Self {
         self.refinement_passes = passes;
-        self
-    }
-
-    /// Scores refinement moves on `threads` workers: every cluster's best
-    /// move is gained read-only in parallel, then the single highest-gain
-    /// move is applied serially, repeating until no positive move remains.
-    /// The visit order differs from the serial first-improvement sweep, so
-    /// the refined cut may differ (it is never worse than unrefined) — which
-    /// is why the parallel flow sits behind its own
-    /// [`FlowToggles`](crate::flow::FlowToggles) switch and cache key.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -242,26 +227,22 @@ impl Partitioner {
         for _ in 0..self.refinement_passes {
             let mut improved = false;
             // Single-cluster moves (Fiduccia–Mattheyses flavour).
-            if self.threads > 1 {
-                improved |= self.parallel_move_round(clustered, &weights, cap, &mut state);
-            } else {
-                for cluster in clustered.ids() {
-                    let weight = weights[cluster.index()];
-                    let from = state.tile_of[cluster.index()].expect("seeded");
-                    let mut best: Option<(i64, TileId)> = None;
-                    for to in 0..self.num_tiles {
-                        if to == from || state.load[to] + weight > cap {
-                            continue;
-                        }
-                        let gain = state.move_gain(cluster, to);
-                        if gain > 0 && best.map(|(g, _)| gain > g).unwrap_or(true) {
-                            best = Some((gain, to));
-                        }
+            for cluster in clustered.ids() {
+                let weight = weights[cluster.index()];
+                let from = state.tile_of[cluster.index()].expect("seeded");
+                let mut best: Option<(i64, TileId)> = None;
+                for to in 0..self.num_tiles {
+                    if to == from || state.load[to] + weight > cap {
+                        continue;
                     }
-                    if let Some((_, to)) = best {
-                        state.apply_move(cluster, to, weight);
-                        improved = true;
+                    let gain = state.move_gain(cluster, to);
+                    if gain > 0 && best.map(|(g, _)| gain > g).unwrap_or(true) {
+                        best = Some((gain, to));
                     }
+                }
+                if let Some((_, to)) = best {
+                    state.apply_move(cluster, to, weight);
+                    improved = true;
                 }
             }
             // Pair swaps: catch the moves a load bound blocks one-way.
@@ -303,49 +284,6 @@ impl Partitioner {
             tiles,
             num_tiles: self.num_tiles,
         })
-    }
-
-    /// One parallel move round: score every cluster's best positive move
-    /// read-only on the worker pool, apply the globally best one serially
-    /// (ties to the lowest cluster id, so the result is deterministic for
-    /// any worker count), repeat until no positive move remains.  Returns
-    /// `true` when at least one move was applied.
-    fn parallel_move_round(
-        &self,
-        clustered: &ClusteredGraph,
-        weights: &[usize],
-        cap: usize,
-        state: &mut CutState<'_>,
-    ) -> bool {
-        let clusters: Vec<ClusterId> = clustered.ids().collect();
-        let mut improved = false;
-        loop {
-            let shared = &*state;
-            let scored = crate::flow::batch::parallel_map(&clusters, self.threads, |&cluster| {
-                let weight = weights[cluster.index()];
-                let from = shared.tile_of[cluster.index()].expect("seeded");
-                let mut best: Option<(i64, TileId)> = None;
-                for to in 0..self.num_tiles {
-                    if to == from || shared.load[to] + weight > cap {
-                        continue;
-                    }
-                    let gain = shared.move_gain_readonly(cluster, to);
-                    if gain > 0 && best.map(|(g, _)| gain > g).unwrap_or(true) {
-                        best = Some((gain, to));
-                    }
-                }
-                best.map(|(gain, to)| (gain, cluster, to))
-            });
-            let winner = scored
-                .into_iter()
-                .flatten()
-                .max_by_key(|(gain, cluster, _)| (*gain, std::cmp::Reverse(cluster.index())));
-            let Some((_, cluster, to)) = winner else {
-                return improved;
-            };
-            state.apply_move(cluster, to, weights[cluster.index()]);
-            improved = true;
-        }
     }
 
     fn load_cap(&self, total: usize, weights: &[usize]) -> usize {
@@ -438,59 +376,6 @@ impl<'a> CutState<'a> {
             .enumerate()
             .filter(|(tile, count)| **count > 0 && *tile != producer_tile)
             .count() as i64
-    }
-
-    /// Cut contribution of one value with the consumer counts of `cluster`
-    /// hypothetically shifted `from → to` (no mutation; the scoring twin of
-    /// [`CutState::shift`] + [`CutState::value_cost`]).
-    fn value_cost_shifted(
-        &self,
-        value: OpId,
-        producer_tile: TileId,
-        shifted: Option<(TileId, TileId)>,
-    ) -> i64 {
-        let Some(counts) = self.consumers.get(&value) else {
-            return 0;
-        };
-        let mut cost = 0;
-        for (tile, &count) in counts.iter().enumerate() {
-            let mut count = count as i64;
-            if let Some((from, to)) = shifted {
-                if tile == from {
-                    count -= 1;
-                }
-                if tile == to {
-                    count += 1;
-                }
-            }
-            if count > 0 && tile != producer_tile {
-                cost += 1;
-            }
-        }
-        cost
-    }
-
-    /// Gain (cut reduction) of moving `cluster` to `to`, computed without
-    /// mutating the state — safe to call from several scoring workers at
-    /// once.  Agrees exactly with [`CutState::move_gain`].
-    fn move_gain_readonly(&self, cluster: ClusterId, to: TileId) -> i64 {
-        let from = self.tile_of[cluster.index()].expect("placed");
-        let mut gain = 0;
-        // Values the cluster consumes: their producers stay put, but the
-        // cluster's consumer count moves from `from` to `to`.
-        for value in &self.consumed_by[cluster.index()] {
-            let producer = self.producer_tile(*value);
-            gain += self.value_cost_shifted(*value, producer, None)
-                - self.value_cost_shifted(*value, producer, Some((from, to)));
-        }
-        // Values the cluster produces: the consumer counts stay put (a
-        // cluster never externally consumes its own op), but the producer
-        // tile becomes `to`.
-        for value in &self.produced_by[cluster.index()] {
-            gain += self.value_cost_shifted(*value, from, None)
-                - self.value_cost_shifted(*value, to, None);
-        }
-        gain
     }
 
     /// Gain (cut reduction) of moving `cluster` to `to`.
@@ -647,67 +532,6 @@ mod tests {
             .partition(&m, &clustered)
             .unwrap();
         assert!(refined.cut_size(&m, &clustered) <= unrefined.cut_size(&m, &clustered));
-    }
-
-    #[test]
-    fn readonly_move_gain_matches_the_mutating_one() {
-        let (m, clustered) = fir(20);
-        let num_tiles = 3;
-        let mut state = CutState::new(&m, &clustered, num_tiles);
-        for (i, id) in clustered.ids().collect::<Vec<_>>().into_iter().enumerate() {
-            state.place(id, i % num_tiles, clustered.cluster(id).len());
-        }
-        for id in clustered.ids() {
-            for to in 0..num_tiles {
-                if state.tile_of[id.index()] == Some(to) {
-                    continue;
-                }
-                assert_eq!(
-                    state.move_gain_readonly(id, to),
-                    state.move_gain(id, to),
-                    "{id} -> tile {to}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_refinement_is_valid_deterministic_and_never_worse() {
-        let (m, clustered) = fir(24);
-        let num_tiles = 4;
-        let unrefined = Partitioner::new(num_tiles)
-            .with_refinement_passes(0)
-            .partition(&m, &clustered)
-            .unwrap();
-        let two = Partitioner::new(num_tiles)
-            .with_threads(2)
-            .partition(&m, &clustered)
-            .unwrap();
-        let five = Partitioner::new(num_tiles)
-            .with_threads(5)
-            .partition(&m, &clustered)
-            .unwrap();
-        // Best-move selection breaks ties on cluster id, so the refined
-        // partition is the same for every worker count.
-        assert_eq!(two, five);
-        assert_eq!(two.len(), clustered.len());
-        assert!(two.cut_size(&m, &clustered) <= unrefined.cut_size(&m, &clustered));
-        let total: usize = clustered.ids().map(|id| clustered.cluster(id).len()).sum();
-        let largest = clustered
-            .ids()
-            .map(|id| clustered.cluster(id).len())
-            .max()
-            .unwrap();
-        let cap = (((total.div_ceil(num_tiles)) as f64) * 1.2).ceil() as usize;
-        let cap = cap.max(largest);
-        for tile in 0..num_tiles {
-            let load: usize = two
-                .clusters_on(tile)
-                .iter()
-                .map(|c| clustered.cluster(*c).len())
-                .sum();
-            assert!(load <= cap, "tile {tile} holds {load} ops, cap {cap}");
-        }
     }
 
     #[test]

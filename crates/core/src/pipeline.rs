@@ -71,7 +71,6 @@ pub struct Mapper {
     array: ArrayConfig,
     toggles: FlowToggles,
     batch_threads: Option<usize>,
-    stage_threads: Option<usize>,
 }
 
 impl Mapper {
@@ -83,7 +82,6 @@ impl Mapper {
             array: ArrayConfig::single_tile(),
             toggles: FlowToggles::default(),
             batch_threads: None,
-            stage_threads: None,
         }
     }
 
@@ -126,37 +124,10 @@ impl Mapper {
         self
     }
 
-    /// Runs the simplifier on the legacy scan-until-fixpoint pipeline
-    /// instead of the worklist-driven incremental engine (the comparison
-    /// baseline for the `transform_scaling` bench and `--timings` A/B runs).
-    pub fn with_legacy_transform(mut self) -> Self {
-        self.toggles.incremental_transform = false;
-        self
-    }
-
     /// Overrides the worker-pool width used by [`Mapper::map_many`]
     /// (default: one thread per available core).
     pub fn with_batch_threads(mut self, threads: usize) -> Self {
         self.batch_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Runs the cold-path mapping stages (cluster candidate scoring, KL
-    /// refinement, per-tile allocation) on the scoped-thread worker pool.
-    ///
-    /// The worker width defaults to one thread per available core; override
-    /// it with [`Mapper::with_stage_threads`].  The toggle participates in
-    /// the cache key, so cached mappings never cross the serial/parallel
-    /// boundary.
-    pub fn with_parallel_stages(mut self) -> Self {
-        self.toggles.parallel_stages = true;
-        self
-    }
-
-    /// Overrides the worker-pool width of the parallel stages (implies
-    /// nothing unless [`Mapper::with_parallel_stages`] is also set).
-    pub fn with_stage_threads(mut self, threads: usize) -> Self {
-        self.stage_threads = Some(threads.max(1));
         self
     }
 
@@ -192,10 +163,6 @@ impl Mapper {
         FlowContext::new(self.config)
             .with_array(self.array)
             .with_toggles(self.toggles)
-            .with_stage_threads(
-                self.stage_threads
-                    .unwrap_or_else(crate::flow::batch::default_threads),
-            )
     }
 
     /// Maps a C-subset source string.
@@ -572,32 +539,6 @@ mod tests {
             .unwrap();
         assert!(one.report.cycles >= five.report.cycles);
         assert_eq!(one.report.alus_used, 1);
-    }
-
-    #[test]
-    fn parallel_stages_match_the_serial_flow_on_one_tile() {
-        let serial = Mapper::new().map_source(FIR).unwrap();
-        let parallel = Mapper::new()
-            .with_parallel_stages()
-            .with_stage_threads(4)
-            .map_source(FIR)
-            .unwrap();
-        // Single-tile flows take exactly the serial decisions: cluster
-        // scoring is speculative (commit order preserved) and there is no
-        // partition refinement or per-tile fan-out on one tile.
-        assert_eq!(serial.program, parallel.program);
-        assert_eq!(serial.clustered, parallel.clustered);
-
-        // Multi-tile parallel flows may refine the partition differently but
-        // must still produce a complete mapping.
-        let multi = Mapper::new()
-            .with_tiles(4)
-            .with_parallel_stages()
-            .with_stage_threads(4)
-            .map_source(FIR)
-            .unwrap();
-        assert!(multi.multi.is_some());
-        assert!(multi.report.cycles > 0);
     }
 
     #[test]

@@ -43,8 +43,8 @@ pub struct MappingReport {
     /// Time spent in the mapping phases, in microseconds (clustering +
     /// scheduling + allocation).
     pub mapping_time_us: u128,
-    /// Fixpoint rounds of the incremental minimiser (0 when the legacy
-    /// engine ran or simplification was skipped).
+    /// Fixpoint rounds of the incremental minimiser (0 when simplification
+    /// was skipped).
     pub transform_rounds: usize,
     /// Nodes the incremental minimiser examined across all rounds — the
     /// output-sensitivity measure reported by `--timings`.

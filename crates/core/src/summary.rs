@@ -48,17 +48,23 @@ impl MappingSummary {
 }
 
 /// FNV-1a, the classic dependency-free stable hash: unlike
-/// `DefaultHasher`, its output is guaranteed identical across processes, so
-/// a digest computed by the daemon can be compared against one computed by
-/// a test or a client on the other side of the wire.
-struct Fnv(u64);
+/// `DefaultHasher`, its output is fixed by its definition, identical across
+/// processes and toolchains, so a digest computed by the daemon can be
+/// compared against one computed by a test or a client on the other side of
+/// the wire, and a fingerprint stored on disk still matches after an upgrade.
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn byte(&mut self, byte: u8) {
+    /// The hash of everything written so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
+    }
+
+    pub(crate) fn byte(&mut self, byte: u8) {
         self.0 ^= u64::from(byte);
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -69,7 +75,7 @@ impl Fnv {
         }
     }
 
-    fn usize(&mut self, value: usize) {
+    pub(crate) fn usize(&mut self, value: usize) {
         self.u64(value as u64);
     }
 
@@ -132,7 +138,7 @@ pub fn program_digest(result: &MappingResult) -> u64 {
             }
         }
     }
-    fnv.0
+    fnv.finish()
 }
 
 #[cfg(test)]

@@ -23,9 +23,11 @@ fn start(config: ServerConfig, mapper: Mapper) -> ServerHandle {
 }
 
 /// A unique heavy kernel per index: a 2D convolution whose added constant
-/// makes every source a cold cache miss.
+/// makes every source a cold cache miss.  At 16×16 it holds a worker for
+/// about a second in the debug test profile (70 ms in release), far longer
+/// than a probe's round trip.
 fn heavy_kernel(index: usize) -> String {
-    fpfa_workloads::conv2d_3x3(8, 8)
+    fpfa_workloads::conv2d_3x3(16, 16)
         .source
         .replace("acc = acc +", &format!("acc = acc + {} +", index + 1))
 }
@@ -38,6 +40,31 @@ fn value(snapshot: &Snapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
     match snapshot.get(name, labels) {
         Some(MetricValue::Counter(v) | MetricValue::Gauge(v)) => *v,
         other => panic!("{name} {labels:?} is not a counter or gauge: {other:?}"),
+    }
+}
+
+/// Samples recorded by the histogram `name` (no labels).
+fn samples(snapshot: &Snapshot, name: &str) -> u64 {
+    match snapshot.get(name, &[]) {
+        Some(MetricValue::Histogram { buckets, .. }) => buckets.iter().sum(),
+        other => panic!("{name} is not a histogram: {other:?}"),
+    }
+}
+
+/// Polls the server's registry until `ready` holds, failing after a minute.
+fn wait_until(handle: &ServerHandle, what: &str, ready: impl Fn(&Snapshot) -> bool) {
+    let started = std::time::Instant::now();
+    loop {
+        let snapshot = handle.registry().snapshot();
+        if ready(&snapshot) {
+            return;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "timed out waiting for {what}:\n{}",
+            snapshot.to_prometheus()
+        );
+        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -214,55 +241,47 @@ fn saturated_queue_rejects_with_typed_overloaded() {
         Mapper::new(),
     );
     let addr = handle.addr();
-
-    // Three heavy cold kernels contend for the single worker and the single
-    // queue slot, retrying *immediately* when shed — so for as long as at
-    // least two heavies remain unserved, the queue slot is (re)taken within
-    // microseconds of freeing and quick probes must see `Overloaded`.
-    let heavies: Vec<_> = (0..3)
-        .map(|index| {
-            let source = heavy_kernel(index);
-            std::thread::spawn(move || {
-                let mut client = Client::connect(addr).expect("connect heavy");
-                loop {
-                    match client.map(&format!("heavy{index}"), &source, MapKnobs::default()) {
-                        Ok(summary) => return summary,
-                        Err(ClientError::Server(WireError::Overloaded { .. })) => {}
-                        Err(e) => panic!("heavy kernel {index} failed: {e}"),
-                    }
-                }
-            })
+    let map_heavy = |index: usize| {
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("connect heavy");
+            client
+                .map(
+                    &format!("heavy{index}"),
+                    &heavy_kernel(index),
+                    MapKnobs::default(),
+                )
+                .expect("heavy kernel maps")
         })
-        .collect();
+    };
+    let in_flight = |snapshot: &Snapshot| value(snapshot, "serve.in_flight", &[]);
 
-    // Each probe is a *distinct* cold kernel, so it cannot be answered from
-    // an I/O shard's warm table and must contend for the queue slot.
+    // Fill the server on observed state, not on timing: the first heavy
+    // kernel is admitted and taken off the queue by the only worker (one
+    // queue-wait sample), so the second finds the queue empty and waits in
+    // its single slot.
+    let mut heavies = vec![map_heavy(0)];
+    wait_until(&handle, "the worker to take the first heavy kernel", |s| {
+        in_flight(s) == 1 && samples(s, "serve.queue.wait") == 1
+    });
+    heavies.push(map_heavy(1));
+    wait_until(&handle, "one heavy kernel running and one queued", |s| {
+        in_flight(s) == 2
+    });
+
+    // A distinct cold probe cannot be answered from an I/O shard's warm
+    // table, and the full queue sheds it.
     let mut probe = Client::connect(addr).expect("connect probe");
-    let mut overloaded = 0usize;
-    for attempt in 0..2000 {
-        let source = format!("void main() {{ int a[2]; int r; r = a[0] + a[1] + {attempt}; }}");
-        match probe.call(&Request::Map {
-            kernel: KernelSource::new("probe", &source),
-            knobs: MapKnobs::default(),
-        }) {
-            Ok(Response::Error(WireError::Overloaded { queue_depth })) => {
-                assert_eq!(queue_depth, 1);
-                overloaded += 1;
-                if overloaded >= 3 {
-                    break;
-                }
-            }
-            Ok(Response::Mapped(_)) => {} // slipped into a free slot
-            other => panic!("unexpected probe outcome: {other:?}"),
-        }
+    let source = "void main() { int a[2]; int r; r = a[0] + a[1] + 7; }";
+    match probe.call(&Request::Map {
+        kernel: KernelSource::new("probe", source),
+        knobs: MapKnobs::default(),
+    }) {
+        Ok(Response::Error(WireError::Overloaded { queue_depth })) => assert_eq!(queue_depth, 1),
+        other => panic!("a probe against a full 1-deep queue got {other:?}"),
     }
-    assert!(
-        overloaded >= 1,
-        "saturating a 1-deep queue never produced an Overloaded rejection"
-    );
 
     for heavy in heavies {
-        heavy.join().expect("heavy mapping threads");
+        heavy.join().expect("heavy mapping thread");
     }
     // The shedding connection stays healthy: the same probe client now gets
     // served once capacity frees up.
@@ -271,7 +290,7 @@ fn saturated_queue_rejects_with_typed_overloaded() {
         .expect("probe maps after the burst");
     assert!(served.cycles > 0);
     let stats = handle.registry().snapshot();
-    assert!(value(&stats, "serve.rejected", &[("reason", "overload")]) >= overloaded as u64);
+    assert!(value(&stats, "serve.rejected", &[("reason", "overload")]) >= 1);
     handle.shutdown();
     handle.join();
 }

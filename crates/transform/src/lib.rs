@@ -20,19 +20,18 @@
 //! * [`unroll`] — complete unrolling of structured loops with statically
 //!   decidable trip counts.
 //!
-//! Every pass exists in two composable forms:
+//! The mapping flow runs every pass as a [`LocalRewrite`] (node-local
+//! rewrite over a worklist) composed by the [`WorklistDriver`], which seeds
+//! each pass once and afterwards only re-examines the neighbourhood of
+//! earlier rewrites, using the change journal of `fpfa-cdfg`'s mutation
+//! primitives.
 //!
-//! * as a [`Transform`] (whole-graph sweep) composed by the legacy
-//!   scan-until-fixpoint [`Pipeline`] — [`Pipeline::standard`] is the "full
-//!   simplification" recipe used for the paper's Fig. 3 experiment, kept as
-//!   the reference oracle;
-//! * as a [`LocalRewrite`] (node-local rewrite over a worklist) composed by
-//!   the [`WorklistDriver`] — the production engine, which seeds each pass
-//!   once and afterwards only re-examines the neighbourhood of earlier
-//!   rewrites, using the change journal of `fpfa-cdfg`'s mutation
-//!   primitives. Both engines minimise a graph to the same canonical
-//!   structure with the same per-pass change totals (see
-//!   `tests/prop_worklist.rs`).
+//! Every pass is also a [`Transform`] (whole-graph sweep), composed by the
+//! scan-until-fixpoint [`Pipeline`]: [`Pipeline::standard`] is the "full
+//! simplification" recipe of the paper's Fig. 3 experiment and the
+//! reference the worklist engine is tested against. No mapping flow runs
+//! it; both minimise a graph to the same canonical structure with the same
+//! per-pass change totals (see `tests/prop_worklist.rs`).
 //!
 //! [`verify`] provides interpreter-based equivalence checking so that every
 //! pass can be validated against the original graph.

@@ -84,25 +84,13 @@ impl fmt::Display for TransformReport {
     }
 }
 
-/// Boxed passes forward to their contents, so pass lists can be shared
-/// between [`Pipeline`] and other drivers (the flow engine of `fpfa-core`).
-impl<T: Transform + ?Sized> Transform for Box<T> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn apply(&self, graph: &mut Cdfg) -> Result<usize, TransformError> {
-        (**self).apply(graph)
-    }
-}
-
 /// The paper's "full simplification" pass list: loop unrolling followed by
 /// constant folding, algebraic simplification, strength reduction,
 /// store-to-load forwarding, CSE, dead-store elimination, copy propagation
 /// and dead-code elimination.
 ///
-/// This is the single definition of the recipe; [`Pipeline::standard`] and
-/// the flow engine of `fpfa-core` both build on it.
+/// [`Pipeline::standard`] runs it; the production engine runs the same
+/// rewrites as [`standard_local_rewrites`](crate::standard_local_rewrites).
 pub fn standard_passes() -> Vec<Box<dyn Transform + Send + Sync>> {
     vec![
         Box::new(unroll::UnrollLoops::default()),
@@ -117,19 +105,20 @@ pub fn standard_passes() -> Vec<Box<dyn Transform + Send + Sync>> {
     ]
 }
 
-/// An ordered list of passes run to a fixpoint.
+/// Fixpoint rounds a [`Pipeline`] runs before it reports divergence.
+const MAX_ROUNDS: usize = 64;
+
+/// An ordered list of passes run to a fixpoint: the scan-until-fixpoint
+/// reference the worklist engine ([`WorklistDriver`](crate::WorklistDriver))
+/// is tested against.
 pub struct Pipeline {
     passes: Vec<Box<dyn Transform>>,
-    max_rounds: usize,
 }
 
 impl Pipeline {
     /// Creates an empty pipeline.
     pub fn new() -> Self {
-        Pipeline {
-            passes: Vec::new(),
-            max_rounds: 64,
-        }
+        Pipeline { passes: Vec::new() }
     }
 
     /// The paper's "full simplification" recipe ([`standard_passes`]),
@@ -142,33 +131,10 @@ impl Pipeline {
         pipeline
     }
 
-    /// A variant of [`Pipeline::standard`] without loop unrolling, used to
-    /// measure the contribution of unrolling in the ablation experiments.
-    pub fn without_unrolling() -> Self {
-        let mut pipeline = Pipeline::new();
-        for pass in standard_passes() {
-            if pass.name() != "unroll" {
-                pipeline.passes.push(pass);
-            }
-        }
-        pipeline
-    }
-
     /// Appends a pass to the pipeline.
     pub fn with<T: Transform + 'static>(mut self, pass: T) -> Self {
         self.passes.push(Box::new(pass));
         self
-    }
-
-    /// Overrides the maximum number of fixpoint rounds.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.max_rounds = rounds;
-        self
-    }
-
-    /// Names of the passes in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// Runs every pass in order, repeating the whole sequence until no pass
@@ -180,7 +146,7 @@ impl Pipeline {
     /// within the round budget.
     pub fn run(&self, graph: &mut Cdfg) -> Result<TransformReport, TransformError> {
         let mut report = TransformReport::default();
-        for round in 0..self.max_rounds {
+        for round in 0..MAX_ROUNDS {
             let mut changes_this_round = 0;
             for pass in &self.passes {
                 let changes = pass.apply(graph)?;
@@ -192,9 +158,7 @@ impl Pipeline {
                 return Ok(report);
             }
         }
-        Err(TransformError::PipelineDiverged {
-            rounds: self.max_rounds,
-        })
+        Err(TransformError::PipelineDiverged { rounds: MAX_ROUNDS })
     }
 }
 
@@ -243,15 +207,5 @@ mod tests {
         // The multiply has been folded away.
         assert_eq!(fpfa_cdfg::GraphStats::of(&g).multiplies, 0);
         assert!(report.to_string().contains("const-fold"));
-    }
-
-    #[test]
-    fn pass_names_are_exposed() {
-        let names = Pipeline::standard().pass_names();
-        assert!(names.contains(&"unroll"));
-        assert!(names.contains(&"dce"));
-        assert!(!Pipeline::without_unrolling()
-            .pass_names()
-            .contains(&"unroll"));
     }
 }

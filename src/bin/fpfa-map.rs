@@ -28,10 +28,10 @@
 //! files, the `fpfa-workloads` registry) are mapped in parallel through a
 //! `MappingService` and the aggregated batch report — including the
 //! content-addressed cache's hit/miss/eviction stats — is printed;
-//! `--threads N` bounds the worker pool.  `--repeat N` runs the whole
-//! mapping N times through one long-lived `MappingService`, printing the
-//! wall-clock and cache stats of every pass: the first pass is cold, later
-//! passes are served from the cache.
+//! `--threads N` bounds the worker pool (it applies to `--batch` only).
+//! `--repeat N` runs the whole mapping N times through one long-lived
+//! `MappingService`, printing the wall-clock and cache stats of every pass:
+//! the first pass is cold, later passes are served from the cache.
 //!
 //! With `--verify`, the kernel source is linted by the `fpfa-verify` semantic
 //! pass (`FS0xx` rules, spans and snippets included) and the finished mapping
@@ -53,7 +53,6 @@ struct Options {
     tiles: usize,
     clustering: bool,
     locality: bool,
-    legacy_transform: bool,
     listing: bool,
     dot: Option<String>,
     simulate: bool,
@@ -61,7 +60,6 @@ struct Options {
     timings_json: bool,
     batch: bool,
     threads: Option<usize>,
-    parallel_stages: bool,
     repeat: usize,
     cache_capacity: Option<usize>,
     cache_dir: Option<String>,
@@ -71,12 +69,11 @@ struct Options {
 
 fn usage() -> &'static str {
     "usage: fpfa-map <kernel.c> [--pps N] [--tiles N] [--no-clustering] [--no-locality] \
-     [--legacy-transform] [--parallel-stages] [--listing] [--dot cdfg|clusters|schedule] \
-     [--simulate] [--timings] [--timings-json] [--verify] [--diag-json] [--repeat N] \
-     [--cache-capacity N] [--cache-dir DIR]\n\
+     [--listing] [--dot cdfg|clusters|schedule] [--simulate] [--timings] [--timings-json] \
+     [--verify] [--diag-json] [--repeat N] [--cache-capacity N] [--cache-dir DIR]\n\
      \x20      fpfa-map --batch [kernel.c ...] [--pps N] [--tiles N] [--threads N] \
-     [--legacy-transform] [--parallel-stages] [--timings] [--timings-json] [--verify] \
-     [--diag-json] [--repeat N] [--cache-capacity N] [--cache-dir DIR]"
+     [--timings] [--timings-json] [--verify] [--diag-json] [--repeat N] \
+     [--cache-capacity N] [--cache-dir DIR]"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -86,7 +83,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         tiles: 1,
         clustering: true,
         locality: true,
-        legacy_transform: false,
         listing: false,
         dot: None,
         simulate: false,
@@ -94,7 +90,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         timings_json: false,
         batch: false,
         threads: None,
-        parallel_stages: false,
         repeat: 1,
         cache_capacity: None,
         cache_dir: None,
@@ -146,8 +141,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--no-clustering" => options.clustering = false,
             "--no-locality" => options.locality = false,
-            "--legacy-transform" => options.legacy_transform = true,
-            "--parallel-stages" => options.parallel_stages = true,
             "--listing" => options.listing = true,
             "--verify" => options.verify = true,
             "--diag-json" => {
@@ -182,11 +175,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 usage()
             ));
         }
-    } else if options.threads.is_some() && !options.parallel_stages {
-        return Err(format!(
-            "--threads only applies to --batch or --parallel-stages\n{}",
-            usage()
-        ));
+    } else if options.threads.is_some() {
+        return Err(format!("--threads only applies to --batch\n{}", usage()));
     } else if options.cache_capacity.is_some() && options.repeat == 1 && options.cache_dir.is_none()
     {
         // The cache only exists on the MappingService paths (`--cache-dir`
@@ -219,19 +209,11 @@ fn build_mapper(options: &Options) -> Mapper {
     if !options.locality {
         mapper = mapper.without_locality();
     }
-    if options.legacy_transform {
-        mapper = mapper.with_legacy_transform();
-    }
-    if options.parallel_stages {
-        mapper = mapper.with_parallel_stages();
-    }
     if options.verify {
         mapper = mapper.with_verify();
     }
     if let Some(threads) = options.threads {
-        mapper = mapper
-            .with_batch_threads(threads)
-            .with_stage_threads(threads);
+        mapper = mapper.with_batch_threads(threads);
     }
     mapper
 }

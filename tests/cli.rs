@@ -148,17 +148,26 @@ fn zero_threads_are_rejected_like_zero_tiles() {
     let dir = std::env::temp_dir().join("fpfa-map-test-threads0");
     std::fs::create_dir_all(&dir).unwrap();
     let kernel = write_kernel(&dir);
-    for args in [
-        vec!["--batch", "--threads", "0"],
-        vec![kernel.to_str().unwrap(), "--threads", "0"],
+    let kernel = kernel.to_str().unwrap();
+    for (args, expected) in [
+        (
+            vec!["--batch", "--threads", "0"],
+            "--threads needs at least one thread",
+        ),
+        (
+            vec![kernel, "--threads", "0"],
+            "--threads needs at least one thread",
+        ),
+        // A single kernel maps on one thread: there is no pool to size.
+        (
+            vec![kernel, "--threads", "2"],
+            "--threads only applies to --batch",
+        ),
     ] {
         let output = binary().args(&args).output().unwrap();
         assert!(!output.status.success(), "{args:?} must be rejected");
         let stderr = String::from_utf8_lossy(&output.stderr);
-        assert!(
-            stderr.contains("--threads needs at least one thread"),
-            "{args:?}: {stderr}"
-        );
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
     }
 }
 
