@@ -15,7 +15,7 @@ use crate::edge::{Edge, Endpoint};
 use crate::error::CdfgError;
 use crate::ids::{EdgeId, NodeId, NodeRemap};
 use crate::node::NodeKind;
-use crate::observer::{ChangeJournal, RewriteEvent, RewriteObserver};
+use crate::observer::ChangeJournal;
 use std::fmt;
 
 /// Sentinel for an unconnected input-port slot.
@@ -277,7 +277,7 @@ impl TopoScratch {
 /// and [`Cdfg::enable_id_reuse`] opts a graph into free-list reuse of the
 /// holes.
 ///
-/// Every mutation primitive reports a [`RewriteEvent`] to an optional
+/// Every mutation primitive records the nodes it touches in an optional
 /// [`ChangeJournal`] (see [`Cdfg::enable_journal`]); the incremental rewrite
 /// engine uses the journal to learn which nodes a rewrite touched.  Equality
 /// compares only graph structure (name, nodes, edges) — journal state and
@@ -321,13 +321,13 @@ impl Cdfg {
     // Change journal
     // ------------------------------------------------------------------
 
-    /// Installs a fresh [`ChangeJournal`]: every subsequent mutation reports
-    /// a [`RewriteEvent`] until [`Cdfg::disable_journal`] is called.
+    /// Installs a fresh [`ChangeJournal`]: every subsequent mutation records
+    /// the nodes it touches until [`Cdfg::disable_journal`] is called.
     pub fn enable_journal(&mut self) {
         self.journal = Some(ChangeJournal::new());
     }
 
-    /// Removes the journal (if any) and returns it with its pending events.
+    /// Removes the journal (if any) and returns it with its pending nodes.
     pub fn disable_journal(&mut self) -> Option<ChangeJournal> {
         self.journal.take()
     }
@@ -337,26 +337,17 @@ impl Cdfg {
         self.journal.is_some()
     }
 
-    /// Drains pending rewrite events (empty when no journal is installed).
-    pub fn drain_events(&mut self) -> Vec<RewriteEvent> {
-        self.journal
-            .as_mut()
-            .map(ChangeJournal::drain)
-            .unwrap_or_default()
-    }
-
-    /// Drains the touched node ids of pending rewrite events into `out`
-    /// without allocating (the hot-loop variant of [`Cdfg::drain_events`]
-    /// used by the worklist driver).
+    /// Moves the nodes touched since the last drain into `out`, each once, in
+    /// first-touch order (nothing when no journal is installed).
     pub fn drain_touched_into(&mut self, out: &mut Vec<NodeId>) {
         if let Some(journal) = &mut self.journal {
             journal.drain_nodes_into(out);
         }
     }
 
-    fn notify(&mut self, event: RewriteEvent) {
+    fn touch(&mut self, id: NodeId) {
         if let Some(journal) = &mut self.journal {
-            journal.on_event(event);
+            journal.record(id);
         }
     }
 
@@ -379,8 +370,8 @@ impl Cdfg {
     /// order) — and therefore every mapped-program digest — is reproducible
     /// run-over-run.  Long-running rewrite sessions that churn many nodes
     /// can opt in to keep the arena dense; graph *semantics* (canonical
-    /// signature, interpreter results, journal events) are unaffected, only
-    /// the identity of freshly allocated ids changes.
+    /// signature, interpreter results) are unaffected, only the identity of
+    /// freshly allocated ids changes.
     pub fn enable_id_reuse(&mut self) {
         self.reuse_ids = true;
     }
@@ -507,7 +498,7 @@ impl Cdfg {
             }
         };
         self.live_nodes += 1;
-        self.notify(RewriteEvent::NodeAdded(id));
+        self.touch(id);
         id
     }
 
@@ -567,8 +558,8 @@ impl Cdfg {
         self.ports[from.index()].push_out(id.index() as u32);
         self.ports[to.index()].in_slots_mut()[to_port] = id.index() as u32;
         self.live_edges += 1;
-        self.notify(RewriteEvent::NodeTouched(from));
-        self.notify(RewriteEvent::NodeTouched(to));
+        self.touch(from);
+        self.touch(to);
         Ok(id)
     }
 
@@ -594,8 +585,8 @@ impl Cdfg {
             self.free_edges.push(id);
         }
         self.live_edges -= 1;
-        self.notify(RewriteEvent::NodeTouched(edge.from.node));
-        self.notify(RewriteEvent::NodeTouched(edge.to.node));
+        self.touch(edge.from.node);
+        self.touch(edge.to.node);
         Ok(edge)
     }
 
@@ -623,7 +614,7 @@ impl Cdfg {
             self.disconnect(eid)?;
         }
         self.live_nodes -= 1;
-        self.notify(RewriteEvent::NodeRemoved(id));
+        self.touch(id);
         let kind = self.kinds[id.index()].take().expect("checked above");
         self.ports[id.index()] = PortRecord::default();
         if self.reuse_ids {
@@ -944,25 +935,85 @@ impl Cdfg {
         (out, remap)
     }
 
-    /// Copies another graph into this one, returning the dense node id
-    /// remapping.
+    /// Splices one copy of `body`'s operations into this graph, wired to
+    /// host values instead of the body's interface nodes, which are not
+    /// copied: one iteration of complete loop unrolling.
     ///
-    /// Interface (`Input`/`Output`) nodes of the spliced graph are copied
-    /// verbatim; callers typically rewire or remove them afterwards (this is
-    /// what the loop-unrolling transformation does).
-    pub fn splice(&mut self, other: &Cdfg) -> NodeRemap {
-        let mut remap = NodeRemap::with_bound(other.node_bound());
-        for (id, node) in other.nodes() {
-            let new_id = self.add_node(node.kind.clone());
-            remap.insert(id, new_id);
+    /// `inputs[k]` is the host endpoint bound to the `k`-th `Input` of `body`
+    /// in id order; every consumer of that input is driven by it directly.
+    /// Returns, for every `Output` of `body` in id order, the host endpoint
+    /// that carries its value: the copy of the operation feeding it, or the
+    /// endpoint bound to the input feeding it (`None` when it is undriven).
+    ///
+    /// The copies are created in body id order, then the internal edges are
+    /// connected in body edge order, then the edges from the bound inputs
+    /// (inputs in id order, each input's edges in body edge order).  That is
+    /// the relative node and edge order a verbatim copy would leave once its
+    /// interface nodes were rewired away and removed, so [`Cdfg::compact`]
+    /// hands on the same graph either way.
+    ///
+    /// # Errors
+    /// [`CdfgError::Invalid`] when `inputs` does not bind every body `Input`
+    /// exactly once, [`CdfgError::UnknownNode`] or
+    /// [`CdfgError::PortOutOfRange`] when a bound endpoint is not an output
+    /// port of a live host node.  The graph is left unchanged on error.
+    pub fn splice(
+        &mut self,
+        body: &Cdfg,
+        inputs: &[Endpoint],
+    ) -> Result<Vec<Option<Endpoint>>, CdfgError> {
+        let is_input = |id: NodeId| matches!(body.kind(id), Ok(NodeKind::Input(_)));
+        let is_output = |id: NodeId| matches!(body.kind(id), Ok(NodeKind::Output(_)));
+        let body_inputs = body.node_ids().filter(|id| is_input(*id)).count();
+        if inputs.len() != body_inputs {
+            return Err(CdfgError::Invalid(format!(
+                "splice binds {} endpoints to {body_inputs} body inputs",
+                inputs.len()
+            )));
         }
-        for (_, edge) in other.edges() {
-            let from = remap[edge.from.node];
-            let to = remap[edge.to.node];
-            self.connect(from, edge.from.port_index(), to, edge.to.port_index())
-                .expect("edges of a well-formed graph remain connectable");
+        for bound in inputs {
+            let arity = self.node(bound.node)?.output_count();
+            if bound.port_index() >= arity {
+                return Err(CdfgError::PortOutOfRange {
+                    node: bound.node,
+                    port: bound.port_index(),
+                    arity,
+                    is_input: false,
+                });
+            }
         }
-        remap
+        // Where port 0 of each body node lands in the host: port 0 of its
+        // copy, or the endpoint bound to an input (whose only port is 0).
+        let mut host: Vec<Option<Endpoint>> = vec![None; body.node_bound()];
+        let at = |host: &[Option<Endpoint>], end: Endpoint| {
+            let base = host[end.node.index()].expect("body edges join body nodes");
+            Endpoint::new(base.node, base.port_index() + end.port_index())
+        };
+        let mut bound = inputs.iter();
+        for (id, node) in body.nodes() {
+            host[id.index()] = match node.kind {
+                NodeKind::Input(_) => bound.next().copied(),
+                NodeKind::Output(_) => None,
+                kind => Some(Endpoint::new(self.add_node(kind.clone()), 0)),
+            };
+        }
+        let (mut from_inputs, internal): (Vec<Edge>, Vec<Edge>) = body
+            .edges()
+            .map(|(_, edge)| *edge)
+            .filter(|edge| !is_output(edge.to.node))
+            .partition(|edge| is_input(edge.from.node));
+        // Stable: each input keeps its edges in body edge order.
+        from_inputs.sort_by_key(|edge| edge.from.node);
+        for edge in internal.into_iter().chain(from_inputs) {
+            let (from, to) = (at(&host, edge.from), at(&host, edge.to));
+            self.connect(from.node, from.port_index(), to.node, to.port_index())
+                .expect("body edges and bound endpoints remain connectable");
+        }
+        Ok(body
+            .nodes()
+            .filter(|(id, _)| is_output(*id))
+            .map(|(id, _)| body.input_source(id, 0).map(|src| at(&host, src)))
+            .collect())
     }
 }
 
@@ -1611,15 +1662,51 @@ mod tests {
     }
 
     #[test]
-    fn splice_copies_everything() {
-        let (mut g, ..) = mac_graph();
-        let (other, ..) = mac_graph();
+    fn splice_binds_inputs_and_copies_no_interface_node() {
+        let (mut g, a, b, c, mul, add, _out) = mac_graph();
+        let (body, ..) = mac_graph();
         let before_nodes = g.node_count();
         let before_edges = g.edge_count();
-        let remap = g.splice(&other);
-        assert_eq!(g.node_count(), before_nodes * 2);
-        assert_eq!(g.edge_count(), before_edges * 2);
-        assert_eq!(remap.len(), before_nodes);
+        // Feed the body `a * b + c` with the host's `mul`, `c` and `add`.
+        let bound = [mul, c, add].map(|id| Endpoint::new(id, 0));
+        let produced = g.splice(&body, &bound).unwrap();
+        // Only the body's two operations are copied; the three input edges
+        // and the internal edge are re-created, the output edge is not.
+        assert_eq!(g.node_count(), before_nodes + 2);
+        assert_eq!(g.node_bound(), before_nodes + 2);
+        assert_eq!(g.edge_count(), before_edges + 4);
+        let sum = produced[0].unwrap();
+        let product = g.input_source(sum.node, 0).unwrap();
+        assert_eq!(g.kind(product.node).unwrap(), &NodeKind::BinOp(BinOp::Mul));
+        assert_eq!(g.input_source(product.node, 0).unwrap().node, mul);
+        assert_eq!(g.input_source(product.node, 1).unwrap().node, c);
+        assert_eq!(g.input_source(sum.node, 1).unwrap().node, add);
+        // Wrong bindings are rejected before anything is copied.
+        let bound_edges = g.edge_count();
+        assert!(matches!(
+            g.splice(&body, &[Endpoint::new(a, 0)]),
+            Err(CdfgError::Invalid(_))
+        ));
+        assert!(matches!(
+            g.splice(&body, &[a, b, mul].map(|id| Endpoint::new(id, 1))),
+            Err(CdfgError::PortOutOfRange { .. })
+        ));
+        assert_eq!(g.node_bound(), before_nodes + 2);
+        assert_eq!(g.edge_count(), bound_edges);
+    }
+
+    #[test]
+    fn splice_passes_a_bound_input_straight_to_an_output() {
+        let mut body = Cdfg::new("through");
+        let x = body.add_node(NodeKind::Input("x".into()));
+        let y = body.add_node(NodeKind::Output("y".into()));
+        body.add_node(NodeKind::Output("undriven".into()));
+        body.connect(x, 0, y, 0).unwrap();
+        let (mut g, _a, _b, _c, mul, ..) = mac_graph();
+        let before = g.clone();
+        let produced = g.splice(&body, &[Endpoint::new(mul, 0)]).unwrap();
+        assert_eq!(produced, vec![Some(Endpoint::new(mul, 0)), None]);
+        assert_eq!(g, before);
     }
 
     #[test]
@@ -1639,52 +1726,50 @@ mod tests {
         assert_eq!(g.edge_count(), 2);
         // Splice and compact keep the caches consistent too.
         let (other, ..) = mac_graph();
-        g.splice(&other);
-        assert_eq!(g.node_count(), 12);
-        assert_eq!(g.edge_count(), 7);
+        g.splice(&other, &[Endpoint::new(extra, 0); 3]).unwrap();
+        assert_eq!(g.node_count(), 8);
+        assert_eq!(g.edge_count(), 6);
         let (compacted, _) = g.compact();
-        assert_eq!(compacted.node_count(), 12);
-        assert_eq!(compacted.edge_count(), 7);
+        assert_eq!(compacted.node_count(), 8);
+        assert_eq!(compacted.edge_count(), 6);
         // The caches agree with a full scan.
         assert_eq!(g.node_count(), g.nodes().count());
         assert_eq!(g.edge_count(), g.edges().count());
     }
 
     #[test]
-    fn journal_reports_rewrite_events() {
-        use crate::observer::RewriteEvent;
-        let (mut g, _a, _b, c, mul, add, _out) = mac_graph();
+    fn journal_records_each_touched_node_once_per_drain() {
+        let (mut g, _a, _b, c, mul, add, out) = mac_graph();
+        let drain = |g: &mut Cdfg| {
+            let mut touched = Vec::new();
+            g.drain_touched_into(&mut touched);
+            touched
+        };
         assert!(!g.journal_enabled());
-        assert!(g.drain_events().is_empty());
+        assert!(drain(&mut g).is_empty());
         g.enable_journal();
         assert!(g.journal_enabled());
 
         let n = g.add_node(NodeKind::Const(9));
-        let events = g.drain_events();
-        assert_eq!(events, vec![RewriteEvent::NodeAdded(n)]);
+        assert_eq!(drain(&mut g), vec![n]);
 
-        g.connect(n, 0, add, 0).unwrap_err(); // port already driven: no event
-        assert!(g.drain_events().is_empty());
+        g.connect(n, 0, add, 0).unwrap_err(); // port already driven: no record
+        assert!(drain(&mut g).is_empty());
 
-        // replace_uses touches the old source, the new source and consumers.
+        // replace_uses disconnects and reconnects `add`'s first port: the
+        // old source, the consumer and the new source, each recorded once.
         g.replace_uses(mul, 0, c, 0).unwrap();
-        let touched: Vec<_> = g.drain_events().iter().map(|e| e.node()).collect();
-        assert!(touched.contains(&mul));
-        assert!(touched.contains(&c));
-        assert!(touched.contains(&add));
+        assert_eq!(drain(&mut g), vec![mul, add, c]);
 
-        // remove_node reports the peers of every dropped edge and the node.
-        g.remove_node(mul).unwrap();
-        let events = g.drain_events();
-        assert!(events.contains(&RewriteEvent::NodeRemoved(mul)));
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, RewriteEvent::NodeTouched(id) if *id != mul)));
+        // After a drain the same nodes are recorded again: `add` loses both
+        // input edges, then the node itself goes.
+        g.remove_node(add).unwrap();
+        assert_eq!(drain(&mut g), vec![c, add, out]);
 
         let journal = g.disable_journal().unwrap();
         assert!(journal.is_empty());
         g.add_node(NodeKind::Const(0));
-        assert!(g.drain_events().is_empty());
+        assert!(drain(&mut g).is_empty());
     }
 
     #[test]

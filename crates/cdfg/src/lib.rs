@@ -76,7 +76,7 @@ pub use error::CdfgError;
 pub use graph::{Cdfg, Node, TopoScratch};
 pub use ids::{EdgeId, NodeId, NodeRemap};
 pub use node::{BinOp, LoopSpec, NodeKind, UnOp};
-pub use observer::{ChangeJournal, RewriteEvent, RewriteObserver};
+pub use observer::ChangeJournal;
 pub use statespace::StateSpace;
 pub use stats::GraphStats;
 pub use value::Value;

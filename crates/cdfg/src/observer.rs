@@ -8,62 +8,31 @@
 //! [`connect`](crate::Cdfg::connect), [`disconnect`](crate::Cdfg::disconnect),
 //! [`remove_node`](crate::Cdfg::remove_node),
 //! [`replace_uses`](crate::Cdfg::replace_uses),
-//! [`splice`](crate::Cdfg::splice)) reports a [`RewriteEvent`] to the graph's
-//! optional [`ChangeJournal`].
+//! [`splice`](crate::Cdfg::splice)) records the nodes it created, removed or
+//! re-connected in the graph's optional [`ChangeJournal`].
 //!
-//! The graph hosts the concrete [`ChangeJournal`] (a plain value type, so
-//! the graph stays `Clone`/`PartialEq`); drivers drain its events with
-//! [`Cdfg::drain_events`](crate::Cdfg::drain_events) after every rewrite
-//! step.  The [`RewriteObserver`] trait is the consumer-side integration
-//! point: anything downstream of the journal — a dirty-set builder, a
-//! statistics collector, a replay log — implements it and is fed either
-//! event by event or wholesale via [`ChangeJournal::drain_into`].
+//! The journal is a set: a node is recorded once until the next drain, no
+//! matter how many mutations touch it, so its size is bounded by the graph's
+//! node bound and not by the number of mutations (unrolling a loop nest
+//! makes more than ten of those per node).  The graph hosts the journal (a
+//! plain value type, so the graph stays `Clone`/`PartialEq`); drivers drain
+//! it with [`Cdfg::drain_touched_into`](crate::Cdfg::drain_touched_into)
+//! after every rewrite step.
 
 use crate::ids::NodeId;
 
-/// One observable change to the graph.
-///
-/// Events are reported at the granularity of nodes: edge insertions and
-/// removals surface as [`RewriteEvent::NodeTouched`] for both endpoints, so a
-/// consumer that tracks dirty nodes needs no edge bookkeeping.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RewriteEvent {
-    /// A node was created ([`Cdfg::add_node`](crate::Cdfg::add_node) or
-    /// [`Cdfg::splice`](crate::Cdfg::splice)).
-    NodeAdded(NodeId),
-    /// A node was deleted; its id will never refer to a live node again.
-    NodeRemoved(NodeId),
-    /// A node's connectivity changed (an edge on one of its ports was added
-    /// or removed).
-    NodeTouched(NodeId),
-}
-
-impl RewriteEvent {
-    /// The node the event concerns.
-    pub fn node(self) -> NodeId {
-        match self {
-            RewriteEvent::NodeAdded(id)
-            | RewriteEvent::NodeRemoved(id)
-            | RewriteEvent::NodeTouched(id) => id,
-        }
-    }
-}
-
-/// A sink for [`RewriteEvent`]s.
-pub trait RewriteObserver {
-    /// Called by the graph after every observable mutation.
-    fn on_event(&mut self, event: RewriteEvent);
-}
-
-/// The default observer: an append-only log of rewrite events.
+/// The set of nodes touched since the last drain, in first-touch order.
 ///
 /// Install with [`Cdfg::enable_journal`](crate::Cdfg::enable_journal) and
-/// drain with [`Cdfg::drain_events`](crate::Cdfg::drain_events).  The journal
-/// deliberately performs no deduplication — consumers fold the event stream
-/// into whatever dirty-set representation they need.
+/// drain with [`Cdfg::drain_touched_into`](crate::Cdfg::drain_touched_into).
+/// A removed node stays recorded: consumers skip ids that are no longer
+/// live.
 #[derive(Clone, Debug, Default)]
 pub struct ChangeJournal {
-    events: Vec<RewriteEvent>,
+    /// One bit per node id: set while the id is in `touched`.
+    seen: Vec<u64>,
+    /// Recorded ids in first-touch order.
+    touched: Vec<NodeId>,
 }
 
 impl ChangeJournal {
@@ -72,45 +41,35 @@ impl ChangeJournal {
         ChangeJournal::default()
     }
 
-    /// Number of recorded (undrained) events.
+    /// Number of recorded (undrained) nodes.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.touched.len()
     }
 
-    /// `true` when no events are pending.
+    /// `true` when no node is pending.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.touched.is_empty()
     }
 
-    /// Removes and returns all recorded events in emission order.
-    pub fn drain(&mut self) -> Vec<RewriteEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Drains every pending event into another observer, in emission order.
-    pub fn drain_into(&mut self, observer: &mut dyn RewriteObserver) {
-        for event in self.events.drain(..) {
-            observer.on_event(event);
+    /// Records `id` unless it is already pending.
+    pub(crate) fn record(&mut self, id: NodeId) {
+        let (word, mask) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if word >= self.seen.len() {
+            self.seen.resize(word + 1, 0);
+        }
+        if self.seen[word] & mask == 0 {
+            self.seen[word] |= mask;
+            self.touched.push(id);
         }
     }
 
-    /// Drains the touched node of every pending event into `out`, in
-    /// emission order — the allocation-free variant of
-    /// [`ChangeJournal::drain`] for dirty-set builders that only need node
-    /// ids.
+    /// Moves every pending node into `out`, in first-touch order, and
+    /// empties the journal.
     pub fn drain_nodes_into(&mut self, out: &mut Vec<NodeId>) {
-        out.extend(self.events.drain(..).map(RewriteEvent::node));
-    }
-
-    /// Read-only view of the pending events.
-    pub fn events(&self) -> &[RewriteEvent] {
-        &self.events
-    }
-}
-
-impl RewriteObserver for ChangeJournal {
-    fn on_event(&mut self, event: RewriteEvent) {
-        self.events.push(event);
+        for id in self.touched.drain(..) {
+            self.seen[id.index() / 64] &= !(1u64 << (id.index() % 64));
+            out.push(id);
+        }
     }
 }
 
@@ -118,39 +77,36 @@ impl RewriteObserver for ChangeJournal {
 mod tests {
     use super::*;
 
-    #[test]
-    fn drain_into_feeds_a_custom_observer() {
-        /// A custom observer counting removals.
-        #[derive(Default)]
-        struct Removals(usize);
-        impl RewriteObserver for Removals {
-            fn on_event(&mut self, event: RewriteEvent) {
-                if matches!(event, RewriteEvent::NodeRemoved(_)) {
-                    self.0 += 1;
-                }
-            }
-        }
-        let mut journal = ChangeJournal::new();
-        journal.on_event(RewriteEvent::NodeAdded(NodeId::from_index(0)));
-        journal.on_event(RewriteEvent::NodeRemoved(NodeId::from_index(0)));
-        journal.on_event(RewriteEvent::NodeRemoved(NodeId::from_index(1)));
-        let mut removals = Removals::default();
-        journal.drain_into(&mut removals);
-        assert_eq!(removals.0, 2);
-        assert!(journal.is_empty());
+    fn drained(journal: &mut ChangeJournal) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        journal.drain_nodes_into(&mut out);
+        out
     }
 
     #[test]
-    fn journal_records_and_drains() {
+    fn a_node_is_recorded_once_until_drained() {
+        let (a, b) = (NodeId::from_index(3), NodeId::from_index(130));
         let mut journal = ChangeJournal::new();
         assert!(journal.is_empty());
-        journal.on_event(RewriteEvent::NodeAdded(NodeId::from_index(1)));
-        journal.on_event(RewriteEvent::NodeTouched(NodeId::from_index(2)));
+        for id in [a, b, a, b, a] {
+            journal.record(id);
+        }
         assert_eq!(journal.len(), 2);
-        assert_eq!(journal.events()[0].node(), NodeId::from_index(1));
-        let events = journal.drain();
-        assert_eq!(events.len(), 2);
+        assert_eq!(drained(&mut journal), vec![a, b]);
         assert!(journal.is_empty());
-        assert!(journal.drain().is_empty());
+        assert!(drained(&mut journal).is_empty());
+    }
+
+    #[test]
+    fn a_drained_node_is_recorded_again() {
+        let (a, b) = (NodeId::from_index(0), NodeId::from_index(64));
+        let mut journal = ChangeJournal::new();
+        journal.record(a);
+        assert_eq!(drained(&mut journal), vec![a]);
+        // First-touch order restarts after a drain.
+        journal.record(b);
+        journal.record(a);
+        journal.record(b);
+        assert_eq!(drained(&mut journal), vec![b, a]);
     }
 }

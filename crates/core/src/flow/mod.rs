@@ -86,8 +86,12 @@ pub struct TransformStats {
     pub changes: usize,
     /// Arena slots of the rewritten graph just before the stage's final
     /// compaction ([`Cdfg::node_bound`](fpfa_cdfg::Cdfg::node_bound)).  The
-    /// flow never reuses node ids, so this counts every node the stage
-    /// created: the real memory high-water of the transform.
+    /// flow never reuses node ids, so this counts every node the frontend
+    /// or the stage created: the real memory high-water of the transform.
+    /// Unrolling splices only a body's operations, never its interface
+    /// nodes, so the slots the unroller leaves empty are its removed loop
+    /// nodes (`matmul10`: unrolling leaves 15,151 slots for 15,040 live
+    /// nodes, and the stage ends at 21,561 slots).
     pub arena_slots: usize,
 }
 

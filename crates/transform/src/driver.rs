@@ -217,7 +217,6 @@ impl WorklistDriver {
             .iter()
             .map(|pass| pass.seed(graph).into_vec())
             .collect();
-        graph.drain_events();
 
         let mut outcome = WorklistOutcome::default();
         let mut rounds = 0usize;
@@ -254,16 +253,15 @@ impl WorklistDriver {
                     }
                     visited += 1;
                     pass_changes += passes[pi].visit(graph, id)?;
-                    // Fold the event stream into a dirty set: a cascade
-                    // (dce) or a fan-out rewire (replace_uses) touches the
-                    // same nodes many times over.  Only the *current* pass
-                    // is routed per visit (its sweep may need to revisit a
-                    // node this round); every other pass is routed once at
-                    // sweep end, deduplicated across the whole sweep.
+                    // The journal holds each node the visit touched once.
+                    // Only the *current* pass is routed per visit (its sweep
+                    // may need to revisit a node this round); every other
+                    // pass is routed once at sweep end, deduplicated across
+                    // the whole sweep.  Routing order does not matter: the
+                    // sweep queue is a heap, and a pending list is sorted
+                    // when its sweep starts.
                     dirty.clear();
                     graph.drain_touched_into(&mut dirty);
-                    dirty.sort_unstable();
-                    dirty.dedup();
                     sweep_dirty.extend_from_slice(&dirty);
                     for &node in dirty.iter() {
                         let Ok(kind) = graph.kind(node) else {

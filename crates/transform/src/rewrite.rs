@@ -12,8 +12,8 @@
 //! The [`WorklistDriver`](crate::WorklistDriver) owns the scheduling: it
 //! seeds every pass from the graph, runs each pass over its pending
 //! [`Worklist`], and folds the graph's
-//! [`RewriteEvent`](fpfa_cdfg::RewriteEvent) journal back into the pending
-//! sets so that a change made in round *N* only re-examines its transitive
+//! [`ChangeJournal`](fpfa_cdfg::ChangeJournal) back into the pending sets
+//! so that a change made in round *N* only re-examines its transitive
 //! neighbourhood in round *N + 1*.
 
 use crate::error::TransformError;

@@ -7,29 +7,35 @@
 //! [`LoopSpec`] nodes whose trip count can be decided
 //! statically:
 //!
-//! 1. resolve the current value of every loop-carried variable to a constant
-//!    where possible (a memoised evaluation of the wire's dependence cone —
-//!    the graph itself is *not* const-folded during unrolling; the arithmetic
-//!    the evaluation short-circuits is folded by the pipeline's own
-//!    constant-folding pass afterwards);
+//! 1. resolve the current value of every loop-carried variable the condition
+//!    reads to a constant where possible (a memoised evaluation of the wire's
+//!    dependence cone, walked with an explicit stack; which variables the
+//!    condition reads is worked out once per loop, so an accumulator the
+//!    condition never reads is never evaluated).  The graph itself is *not*
+//!    const-folded during unrolling: the arithmetic the evaluation
+//!    short-circuits is folded by the constant-folding pass afterwards;
 //! 2. evaluate the condition sub-graph on those constants — if any variable
 //!    the condition actually reads is unknown, the loop is left in place and
 //!    reported as unresolvable;
-//! 3. while the condition holds, splice one copy of the body into the host
-//!    graph, wiring the body's inputs to the current variable wires and
-//!    taking the body's outputs as the next variable wires;
+//! 3. while the condition holds, [splice](Cdfg::splice) one copy of the
+//!    body's operations into the host graph: the body's inputs are bound to
+//!    the current variable wires and its outputs name the next ones, so no
+//!    interface node is copied;
 //! 4. when the condition becomes false, rewire the loop node's consumers to
 //!    the final variable wires and delete the loop node.
 
 use crate::error::TransformError;
 use crate::pass::Transform;
-use fpfa_cdfg::builder::Wire;
 use fpfa_cdfg::interp::eval_graph;
 use fpfa_cdfg::{Cdfg, Endpoint, LoopSpec, NodeId, NodeKind, Value};
 use std::collections::HashMap;
 
 /// Default maximum number of iterations a single loop may be unrolled to.
 pub const DEFAULT_UNROLL_BUDGET: usize = 4096;
+
+/// Name of the carried statespace variable; a condition that reads it
+/// cannot be decided statically.
+const STATE_VAR: &str = "@state";
 
 /// Completely unrolls statically-counted structured loops.
 #[derive(Clone, Copy, Debug)]
@@ -74,10 +80,9 @@ impl Transform for UnrollLoops {
     fn apply(&self, graph: &mut Cdfg) -> Result<usize, TransformError> {
         let mut changes = 0;
         // Peel every loop as far as its condition can be decided, repeating
-        // until no loop makes progress. Nested loops resolve naturally: a
-        // spliced inner loop is fully unrolled in the same round, which lets
-        // constant folding resolve the outer loop's counter for the next
-        // peel.
+        // until no loop makes progress. Nested loops resolve round by round:
+        // an inner loop spliced by an outer peel is not in this round's
+        // snapshot, so it unrolls in the next round.
         loop {
             let loops: Vec<NodeId> = graph
                 .node_ids()
@@ -147,6 +152,53 @@ impl crate::rewrite::LocalRewrite for UnrollLoops {
     }
 }
 
+/// How one loop's condition and body attach to its carried variables,
+/// worked out once per loop instead of once per peel.
+struct LoopPorts {
+    /// The carried port bound to each body `Input`, in id order (`Err` holds
+    /// the name of an input that is not carried).
+    inputs: Vec<Result<usize, String>>,
+    /// The carried port each body `Output` feeds, in id order (`None` for a
+    /// name that is not carried: its value is dropped).
+    outputs: Vec<Option<usize>>,
+    /// The carried ports the condition reads, with their condition input
+    /// names; `None` when the condition reads memory or a name that is not
+    /// carried, so it can never be decided here.
+    cond_reads: Option<Vec<(usize, String)>>,
+}
+
+impl LoopPorts {
+    fn of(spec: &LoopSpec) -> Self {
+        let inputs = spec
+            .body
+            .inputs()
+            .into_iter()
+            .map(|(name, _)| spec.port_of(&name).ok_or(name))
+            .collect();
+        let outputs = spec
+            .body
+            .outputs()
+            .into_iter()
+            .map(|(name, _)| spec.port_of(&name))
+            .collect();
+        let cond_reads = spec
+            .cond
+            .inputs()
+            .into_iter()
+            .filter(|(_, id)| spec.cond.node(*id).is_ok_and(|n| n.fanout() > 0))
+            .map(|(name, _)| match spec.port_of(&name) {
+                Some(port) if name != STATE_VAR => Some((port, name)),
+                _ => None,
+            })
+            .collect();
+        LoopPorts {
+            inputs,
+            outputs,
+            cond_reads,
+        }
+    }
+}
+
 impl UnrollLoops {
     /// Peels decided iterations of one loop. Returns `(iterations peeled,
     /// loop removed)`; an undecidable condition stops peeling without error
@@ -160,20 +212,17 @@ impl UnrollLoops {
             return Ok((0, false));
         };
         let spec: LoopSpec = *spec;
+        let ports = LoopPorts::of(&spec);
 
         // The loop node's own input edges are used as anchors for the current
         // value of every carried variable: constant folding rewires consumers
         // when it replaces nodes, so reading the wires through the loop node
         // after each folding round always yields live nodes.
-        let read_vars = |graph: &Cdfg| -> Result<Vec<Wire>, TransformError> {
+        let read_vars = |graph: &Cdfg| -> Result<Vec<Endpoint>, TransformError> {
             (0..spec.arity())
                 .map(|port| {
                     graph
                         .input_source(loop_node, port)
-                        .map(|e| Wire {
-                            node: e.node,
-                            port: e.port_index(),
-                        })
                         .ok_or(TransformError::Graph(
                             fpfa_cdfg::CdfgError::PortUnconnected {
                                 node: loop_node,
@@ -191,17 +240,29 @@ impl UnrollLoops {
         // evaluated).  It is dropped when this loop finishes, before the
         // loop node's consumers are rewired.
         let mut memo: HashMap<Endpoint, Option<i64>> = HashMap::new();
+        let mut stack = Vec::new();
+        // Condition inputs the condition does not read keep the value 0.
+        let mut bindings: HashMap<String, Value> = spec
+            .cond
+            .inputs()
+            .into_iter()
+            .map(|(name, _)| (name, Value::Word(0)))
+            .collect();
         let mut iterations = 0usize;
         loop {
             let vars = read_vars(graph)?;
-            let known = resolve_constants(graph, &vars, &spec.vars, &mut memo);
-            if !self.condition_inputs_known(&spec, &known) {
-                // Undecidable (for now): stop peeling and keep the loop in
-                // place; the iterations already peeled remain valid.
+            // Undecidable (for now): stop peeling and keep the loop in
+            // place; the iterations already peeled remain valid.
+            let Some(cond_reads) = &ports.cond_reads else {
                 return Ok((iterations, false));
+            };
+            for (port, name) in cond_reads {
+                let Some(value) = eval_wire(graph, vars[*port], &mut memo, &mut stack) else {
+                    return Ok((iterations, false));
+                };
+                bindings.insert(name.clone(), Value::Word(value));
             }
-            let proceed = evaluate_condition(&spec, &known)?;
-            if !proceed {
+            if !evaluate_condition(&spec, &bindings)? {
                 break;
             }
             if iterations >= self.budget {
@@ -209,7 +270,7 @@ impl UnrollLoops {
                     budget: self.budget,
                 });
             }
-            let next = splice_body(graph, &spec, &vars)?;
+            let next = splice_body(graph, &spec, &ports, &vars)?;
             // Re-anchor the loop node's inputs on the values produced by the
             // iteration that was just spliced.
             for (port, wire) in next.iter().enumerate() {
@@ -218,7 +279,7 @@ impl UnrollLoops {
                     .input_edge(port)
                     .expect("loop inputs stay connected");
                 graph.disconnect(edge)?;
-                graph.connect(wire.node, wire.port, loop_node, port)?;
+                graph.connect(wire.node, wire.port_index(), loop_node, port)?;
             }
             iterations += 1;
         }
@@ -227,43 +288,11 @@ impl UnrollLoops {
         // and remove it.
         let vars = read_vars(graph)?;
         for (port, wire) in vars.iter().enumerate() {
-            graph.replace_uses(loop_node, port, wire.node, wire.port)?;
+            graph.replace_uses(loop_node, port, wire.node, wire.port_index())?;
         }
         graph.remove_node(loop_node)?;
         Ok((iterations, true))
     }
-
-    fn condition_inputs_known(&self, spec: &LoopSpec, known: &HashMap<String, i64>) -> bool {
-        for (name, id) in spec.cond.inputs() {
-            let used = spec.cond.node(id).map(|n| n.fanout() > 0).unwrap_or(false);
-            if used && name != "@state" && !known.contains_key(&name) {
-                return false;
-            }
-            if used && name == "@state" {
-                // A condition that inspects memory cannot be decided
-                // statically by this pass.
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// Maps carried-variable names to constants where the driving wire's
-/// dependence cone evaluates to a compile-time value.
-fn resolve_constants(
-    graph: &Cdfg,
-    vars: &[Wire],
-    names: &[String],
-    memo: &mut HashMap<Endpoint, Option<i64>>,
-) -> HashMap<String, i64> {
-    let mut known = HashMap::new();
-    for (wire, name) in vars.iter().zip(names) {
-        if let Some(v) = eval_wire(graph, Endpoint::new(wire.node, wire.port), memo) {
-            known.insert(name.clone(), v);
-        }
-    }
-    known
 }
 
 /// Evaluates the pure-constant cone feeding an output endpoint, memoised.
@@ -271,51 +300,68 @@ fn resolve_constants(
 /// Returns `None` for anything that is not compile-time decidable: inputs,
 /// statespace operations, loops, or arithmetic that traps (division by
 /// zero stays in the graph so the runtime error is preserved, exactly like
-/// the constant-folding pass).
-fn eval_wire(graph: &Cdfg, at: Endpoint, memo: &mut HashMap<Endpoint, Option<i64>>) -> Option<i64> {
-    if let Some(cached) = memo.get(&at) {
-        return *cached;
-    }
-    let input = |graph: &Cdfg, memo: &mut HashMap<Endpoint, Option<i64>>, port: usize| {
-        let src = graph.input_source(at.node, port)?;
-        eval_wire(graph, src, memo)
-    };
-    let value = match graph.kind(at.node) {
-        Ok(NodeKind::Const(v)) => Some(*v),
-        Ok(NodeKind::BinOp(op)) => {
-            let op = *op;
-            match (input(graph, memo, 0), input(graph, memo, 1)) {
-                (Some(a), Some(b)) => op.eval(a, b),
-                _ => None,
+/// the constant-folding pass).  The cone is walked with an explicit `stack`
+/// (empty between calls): it can be as deep as the iterations already
+/// peeled, deeper than a thread stack allows recursion to go.
+fn eval_wire(
+    graph: &Cdfg,
+    at: Endpoint,
+    memo: &mut HashMap<Endpoint, Option<i64>>,
+    stack: &mut Vec<Endpoint>,
+) -> Option<i64> {
+    stack.push(at);
+    while let Some(&top) = stack.last() {
+        if memo.contains_key(&top) {
+            stack.pop();
+            continue;
+        }
+        match eval_step(graph, top, memo) {
+            Ok(value) => {
+                memo.insert(top, value);
+                stack.pop();
             }
+            Err(operand) => stack.push(operand),
         }
-        Ok(NodeKind::UnOp(op)) => {
-            let op = *op;
-            input(graph, memo, 0).map(|a| op.eval(a))
-        }
-        Ok(NodeKind::Mux) => match input(graph, memo, 0) {
-            Some(sel) => input(graph, memo, if sel != 0 { 1 } else { 2 }),
-            None => None,
-        },
-        Ok(NodeKind::Copy) => input(graph, memo, 0),
-        _ => None,
-    };
-    memo.insert(at, value);
-    value
+    }
+    memo[&at]
 }
 
-/// Evaluates the loop condition on the known constants.
+/// The value at `at` once every operand it needs is memoised; otherwise the
+/// first operand still to evaluate.  Operands are read lazily: a `BinOp`
+/// whose first operand is unknown and a `Mux`'s unselected input are never
+/// evaluated.
+fn eval_step(
+    graph: &Cdfg,
+    at: Endpoint,
+    memo: &HashMap<Endpoint, Option<i64>>,
+) -> Result<Option<i64>, Endpoint> {
+    let operand = |port: usize| match graph.input_source(at.node, port) {
+        Some(src) => memo.get(&src).copied().ok_or(src),
+        None => Ok(None),
+    };
+    Ok(match graph.kind(at.node) {
+        Ok(NodeKind::Const(v)) => Some(*v),
+        Ok(NodeKind::BinOp(op)) => match operand(0)? {
+            Some(a) => operand(1)?.and_then(|b| op.eval(a, b)),
+            None => None,
+        },
+        Ok(NodeKind::UnOp(op)) => operand(0)?.map(|a| op.eval(a)),
+        Ok(NodeKind::Mux) => match operand(0)? {
+            Some(sel) => operand(if sel != 0 { 1 } else { 2 })?,
+            None => None,
+        },
+        Ok(NodeKind::Copy) => operand(0)?,
+        _ => None,
+    })
+}
+
+/// Evaluates the loop condition on `bindings` (every condition input).
 fn evaluate_condition(
     spec: &LoopSpec,
-    known: &HashMap<String, i64>,
+    bindings: &HashMap<String, Value>,
 ) -> Result<bool, TransformError> {
-    let mut bindings: HashMap<String, Value> = HashMap::new();
-    for (name, _) in spec.cond.inputs() {
-        let value = known.get(&name).copied().unwrap_or(0);
-        bindings.insert(name, Value::Word(value));
-    }
     let mut evaluations = 0;
-    let outputs = eval_graph(&spec.cond, &bindings, 1, &mut evaluations)?;
+    let outputs = eval_graph(&spec.cond, bindings, 1, &mut evaluations)?;
     let cond =
         outputs
             .get(LoopSpec::COND_OUTPUT)
@@ -325,47 +371,30 @@ fn evaluate_condition(
     Ok(cond.is_truthy())
 }
 
-/// Splices one copy of the loop body into `graph`, wiring its inputs to the
-/// current variable wires, and returns the wires of the body's outputs.
+/// Splices one iteration of the loop body into `graph` on the current
+/// variable wires and returns the next ones, in carried-variable order.
 fn splice_body(
     graph: &mut Cdfg,
     spec: &LoopSpec,
-    vars: &[Wire],
-) -> Result<Vec<Wire>, TransformError> {
-    let remap = graph.splice(&spec.body);
-
-    // Rewire spliced Input nodes to the current variable wires.
-    for (name, original_id) in spec.body.inputs() {
-        let spliced = remap[original_id];
-        let port = spec
-            .port_of(&name)
-            .ok_or_else(|| TransformError::UnresolvableLoop {
+    ports: &LoopPorts,
+    vars: &[Endpoint],
+) -> Result<Vec<Endpoint>, TransformError> {
+    let bound = ports
+        .inputs
+        .iter()
+        .map(|port| match port {
+            Ok(port) => Ok(vars[*port]),
+            Err(name) => Err(TransformError::UnresolvableLoop {
                 detail: format!("body reads `{name}` which is not loop carried"),
-            })?;
-        let wire = vars[port];
-        graph.replace_uses(spliced, 0, wire.node, wire.port)?;
-        graph.remove_node(spliced)?;
-    }
-
-    // Collect the wires feeding the spliced Output nodes, in carried-variable
-    // order, then remove those outputs.
+            }),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let produced = graph.splice(&spec.body, &bound)?;
     let mut next = vec![None; spec.arity()];
-    for (name, original_id) in spec.body.outputs() {
-        let spliced = remap[original_id];
-        let Some(port) = spec.port_of(&name) else {
-            // Outputs that are not carried variables should not exist; drop
-            // them defensively.
-            graph.remove_node(spliced)?;
-            continue;
-        };
-        let src = graph
-            .input_source(spliced, 0)
-            .expect("body outputs are connected");
-        next[port] = Some(Wire {
-            node: src.node,
-            port: src.port_index(),
-        });
-        graph.remove_node(spliced)?;
+    for (port, value) in ports.outputs.iter().zip(produced) {
+        if let Some(port) = port {
+            next[*port] = value;
+        }
     }
     next.into_iter()
         .enumerate()
@@ -546,6 +575,76 @@ mod tests {
         let mut interp = Interpreter::new(&unrolled);
         interp.bind("mem", Value::State(state));
         assert_eq!(interp.run().unwrap().word("sum"), Some(expected));
+    }
+
+    /// A nested multiply-accumulate: `acc` grows one node per inner
+    /// iteration across the whole nest, and the outer condition never
+    /// reads it.
+    fn nested_mac(n: usize) -> Cdfg {
+        let src = format!(
+            r#"
+            void main() {{
+                int a[{n}];
+                int b[{n}];
+                int acc;
+                int i;
+                int j;
+                acc = 0;
+                for (i = 0; i < {n}; i = i + 1) {{
+                    for (j = 0; j < {n}; j = j + 1) {{
+                        acc = acc + a[i] * b[j];
+                    }}
+                }}
+            }}
+        "#
+        );
+        fpfa_frontend::compile(&src).unwrap().cdfg
+    }
+
+    #[test]
+    fn long_accumulator_chains_unroll_on_a_small_stack() {
+        let mut g = nested_mac(64);
+        let worker = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                UnrollLoops::default().apply(&mut g).unwrap();
+                g
+            })
+            .unwrap();
+        let g = worker.join().unwrap();
+        assert_eq!(GraphStats::of(&g).loops, 0);
+        assert_eq!(GraphStats::of(&g).multiplies, 64 * 64);
+    }
+
+    #[test]
+    fn unrolling_leaves_one_hole_per_removed_loop() {
+        // The registry's `matmul10`: 1 + 10 + 100 loop nodes are unrolled
+        // and removed; no interface node of a spliced body is ever copied.
+        let src = r#"
+            void main() {
+                int a[100];
+                int b[100];
+                int c[100];
+                int i;
+                int j;
+                int k;
+                int acc;
+                for (i = 0; i < 10; i = i + 1) {
+                    for (j = 0; j < 10; j = j + 1) {
+                        acc = 0;
+                        for (k = 0; k < 10; k = k + 1) {
+                            acc = acc + a[i * 10 + k] * b[k * 10 + j];
+                        }
+                        c[i * 10 + j] = acc;
+                    }
+                }
+            }
+        "#;
+        let mut g = fpfa_frontend::compile(src).unwrap().cdfg;
+        let holes_before = g.node_bound() - g.node_count();
+        UnrollLoops::default().apply(&mut g).unwrap();
+        assert_eq!(GraphStats::of(&g).loops, 0);
+        assert_eq!(g.node_bound() - g.node_count() - holes_before, 111);
     }
 
     #[test]
