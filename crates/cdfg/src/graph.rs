@@ -1017,402 +1017,6 @@ impl Cdfg {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Binary serialization
-// ---------------------------------------------------------------------------
-
-/// Version tag of the [`Cdfg::encode_into`] byte format.  Bumped whenever the
-/// arena layout below changes shape; decoders reject unknown versions with a
-/// typed error instead of misreading bytes.
-const CDFG_CODEC_VERSION: u8 = 1;
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn decode_err(what: &str) -> CdfgError {
-    CdfgError::Invalid(format!("decode: {what}"))
-}
-
-fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CdfgError> {
-    if input.len() < n {
-        return Err(decode_err("truncated input"));
-    }
-    let (head, tail) = input.split_at(n);
-    *input = tail;
-    Ok(head)
-}
-
-fn get_u8(input: &mut &[u8]) -> Result<u8, CdfgError> {
-    Ok(take(input, 1)?[0])
-}
-
-fn get_u16(input: &mut &[u8]) -> Result<u16, CdfgError> {
-    let bytes = take(input, 2)?.try_into().expect("take returned 2 bytes");
-    Ok(u16::from_le_bytes(bytes))
-}
-
-fn get_u32(input: &mut &[u8]) -> Result<u32, CdfgError> {
-    let bytes = take(input, 4)?.try_into().expect("take returned 4 bytes");
-    Ok(u32::from_le_bytes(bytes))
-}
-
-fn get_i64(input: &mut &[u8]) -> Result<i64, CdfgError> {
-    let bytes = take(input, 8)?.try_into().expect("take returned 8 bytes");
-    Ok(i64::from_le_bytes(bytes))
-}
-
-/// Bounded element-count read: each element needs at least `min_elem_bytes`
-/// bytes, so a corrupt length cannot trigger a huge allocation.
-fn get_len(input: &mut &[u8], min_elem_bytes: usize) -> Result<usize, CdfgError> {
-    let len = get_u32(input)? as usize;
-    if len.saturating_mul(min_elem_bytes.max(1)) > input.len() {
-        return Err(decode_err("length prefix exceeds input"));
-    }
-    Ok(len)
-}
-
-fn get_str(input: &mut &[u8]) -> Result<String, CdfgError> {
-    let len = get_len(input, 1)?;
-    let bytes = take(input, len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| decode_err("invalid utf-8 string"))
-}
-
-fn put_node_kind(out: &mut Vec<u8>, kind: &NodeKind) {
-    use crate::node::{BinOp, UnOp};
-    match kind {
-        NodeKind::Const(c) => {
-            out.push(1);
-            put_i64(out, *c);
-        }
-        NodeKind::Input(name) => {
-            out.push(2);
-            put_str(out, name);
-        }
-        NodeKind::Output(name) => {
-            out.push(3);
-            put_str(out, name);
-        }
-        NodeKind::BinOp(op) => {
-            out.push(4);
-            let index = BinOp::ALL
-                .iter()
-                .position(|o| o == op)
-                .expect("every BinOp is listed in ALL");
-            out.push(index as u8);
-        }
-        NodeKind::UnOp(op) => {
-            out.push(5);
-            let index = UnOp::ALL
-                .iter()
-                .position(|o| o == op)
-                .expect("every UnOp is listed in ALL");
-            out.push(index as u8);
-        }
-        NodeKind::Mux => out.push(6),
-        NodeKind::Store => out.push(7),
-        NodeKind::Fetch => out.push(8),
-        NodeKind::Delete => out.push(9),
-        NodeKind::Copy => out.push(10),
-        NodeKind::Loop(spec) => {
-            out.push(11);
-            put_u32(out, spec.vars.len() as u32);
-            for var in &spec.vars {
-                put_str(out, var);
-            }
-            spec.cond.encode_into(out);
-            spec.body.encode_into(out);
-        }
-    }
-}
-
-fn get_node_kind(input: &mut &[u8]) -> Result<NodeKind, CdfgError> {
-    use crate::node::{BinOp, LoopSpec, UnOp};
-    Ok(match get_u8(input)? {
-        1 => NodeKind::Const(get_i64(input)?),
-        2 => NodeKind::Input(get_str(input)?),
-        3 => NodeKind::Output(get_str(input)?),
-        4 => NodeKind::BinOp(
-            *BinOp::ALL
-                .get(get_u8(input)? as usize)
-                .ok_or_else(|| decode_err("binop tag out of range"))?,
-        ),
-        5 => NodeKind::UnOp(
-            *UnOp::ALL
-                .get(get_u8(input)? as usize)
-                .ok_or_else(|| decode_err("unop tag out of range"))?,
-        ),
-        6 => NodeKind::Mux,
-        7 => NodeKind::Store,
-        8 => NodeKind::Fetch,
-        9 => NodeKind::Delete,
-        10 => NodeKind::Copy,
-        11 => {
-            let nvars = get_len(input, 4)?;
-            let mut vars = Vec::with_capacity(nvars);
-            for _ in 0..nvars {
-                vars.push(get_str(input)?);
-            }
-            let cond = Cdfg::decode_from(input)?;
-            let body = Cdfg::decode_from(input)?;
-            NodeKind::Loop(Box::new(LoopSpec { vars, cond, body }))
-        }
-        _ => return Err(decode_err("unknown node kind tag")),
-    })
-}
-
-impl Cdfg {
-    /// Appends a self-contained binary encoding of the graph to `out`.
-    ///
-    /// The encoding dumps the flat arena verbatim — including removed-slot
-    /// holes, free lists and the id-reuse flag — so a decoded graph is
-    /// *exactly* equal (`PartialEq`, node/edge ids, iteration order,
-    /// [`canonical_signature`](crate::canonical_signature)) to the original.
-    /// Journal state is not persisted: a decoded graph has no journal
-    /// installed.  The format is versioned and little-endian; it is the
-    /// substrate of the mapping cache's on-disk tier.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.push(CDFG_CODEC_VERSION);
-        put_str(out, &self.name);
-        put_u32(out, self.kinds.len() as u32);
-        for kind in &self.kinds {
-            match kind {
-                None => out.push(0),
-                Some(kind) => put_node_kind(out, kind),
-            }
-        }
-        for record in &self.ports {
-            put_u32(out, u32::from(record.ins));
-            for &edge in record.in_slots() {
-                put_u32(out, edge);
-            }
-            let outs = record.out_edges();
-            put_u32(out, outs.len() as u32);
-            for &edge in outs {
-                let from = self.edges[edge as usize]
-                    .as_ref()
-                    .expect("port lists only hold live edges")
-                    .from;
-                put_u16(out, from.port);
-                put_u32(out, edge);
-            }
-            put_u16(out, record.out_ports);
-        }
-        put_u32(out, self.edges.len() as u32);
-        for edge in &self.edges {
-            match edge {
-                None => out.push(0),
-                Some(edge) => {
-                    out.push(1);
-                    put_u32(out, edge.from.node.0);
-                    put_u16(out, edge.from.port);
-                    put_u32(out, edge.to.node.0);
-                    put_u16(out, edge.to.port);
-                }
-            }
-        }
-        put_u32(out, self.free_nodes.len() as u32);
-        for id in &self.free_nodes {
-            put_u32(out, id.0);
-        }
-        put_u32(out, self.free_edges.len() as u32);
-        for id in &self.free_edges {
-            put_u32(out, id.0);
-        }
-        out.push(u8::from(self.reuse_ids));
-    }
-
-    /// Decodes a graph previously written by [`Cdfg::encode_into`],
-    /// consuming its bytes from the front of `input`.
-    ///
-    /// Every cross-reference is checked before the graph is handed out, so
-    /// no byte sequence decodes into a graph that breaks the arena's
-    /// invariants: record arities match the node kinds (holes have empty
-    /// records), every port entry names a live edge attached at that node
-    /// and port, every live edge is listed once at each end, and the free
-    /// lists hold distinct holes.
-    ///
-    /// # Errors
-    /// [`CdfgError::Invalid`] on truncated input, an unknown format version,
-    /// any malformed field or any inconsistent cross-reference; the input
-    /// slice is left in an unspecified position after an error.
-    pub fn decode_from(input: &mut &[u8]) -> Result<Cdfg, CdfgError> {
-        let version = get_u8(input)?;
-        if version != CDFG_CODEC_VERSION {
-            return Err(decode_err("unsupported cdfg codec version"));
-        }
-        let name = get_str(input)?;
-        let nslots = get_len(input, 1)?;
-        let mut kinds = Vec::with_capacity(nslots);
-        for _ in 0..nslots {
-            // Peek the tag: 0 is a hole, anything else a node kind.
-            if input.first() == Some(&0) {
-                *input = &input[1..];
-                kinds.push(None);
-            } else {
-                kinds.push(Some(get_node_kind(input)?));
-            }
-        }
-        let mut ports = Vec::with_capacity(nslots);
-        // The encoded port of every out entry, in record order: the records
-        // do not store it, so it is checked against the edge table below.
-        let mut out_entry_ports = Vec::new();
-        for kind in &kinds {
-            let (in_arity, out_arity) = kind
-                .as_ref()
-                .map_or((0, 0), |k| (k.input_arity(), k.output_arity()));
-            let nins = get_len(input, 4)?;
-            if nins != in_arity || in_arity > usize::from(u16::MAX) {
-                return Err(decode_err("input port count does not match the node kind"));
-            }
-            let mut record = PortRecord::new(nins, out_arity);
-            for slot in record.in_slots_mut() {
-                *slot = get_u32(input)?;
-            }
-            let nouts = get_len(input, 6)?;
-            if kind.is_none() && nouts > 0 {
-                return Err(decode_err("hole with outgoing edges"));
-            }
-            for _ in 0..nouts {
-                out_entry_ports.push(get_u16(input)?);
-                record.push_out(get_u32(input)?);
-            }
-            if usize::from(get_u16(input)?) != out_arity || out_arity > usize::from(u16::MAX) {
-                return Err(decode_err("output port count does not match the node kind"));
-            }
-            ports.push(record);
-        }
-        let nedges = get_len(input, 1)?;
-        let mut edges = Vec::with_capacity(nedges);
-        for _ in 0..nedges {
-            edges.push(match get_u8(input)? {
-                0 => None,
-                1 => {
-                    let from_node = NodeId(get_u32(input)?);
-                    let from_port = get_u16(input)?;
-                    let to_node = NodeId(get_u32(input)?);
-                    let to_port = get_u16(input)?;
-                    Some(Edge {
-                        from: Endpoint {
-                            node: from_node,
-                            port: from_port,
-                        },
-                        to: Endpoint {
-                            node: to_node,
-                            port: to_port,
-                        },
-                    })
-                }
-                _ => return Err(decode_err("bad edge presence tag")),
-            });
-        }
-        let nfree_nodes = get_len(input, 4)?;
-        let mut free_nodes = Vec::with_capacity(nfree_nodes);
-        for _ in 0..nfree_nodes {
-            free_nodes.push(NodeId(get_u32(input)?));
-        }
-        let nfree_edges = get_len(input, 4)?;
-        let mut free_edges = Vec::with_capacity(nfree_edges);
-        for _ in 0..nfree_edges {
-            free_edges.push(EdgeId(get_u32(input)?));
-        }
-        let reuse_ids = match get_u8(input)? {
-            0 => false,
-            1 => true,
-            _ => return Err(decode_err("bad reuse flag")),
-        };
-        let live_nodes = kinds.iter().filter(|k| k.is_some()).count();
-        let live_edges = edges.iter().filter(|e| e.is_some()).count();
-        let graph = Cdfg {
-            name,
-            kinds,
-            ports,
-            edges,
-            free_nodes,
-            free_edges,
-            reuse_ids,
-            live_nodes,
-            live_edges,
-            journal: None,
-        };
-        graph.check_links(&out_entry_ports)?;
-        Ok(graph)
-    }
-
-    /// Cross-reference check of a decoded arena (see [`Cdfg::decode_from`]).
-    /// `out_entry_ports` holds the encoded port of every out entry, in
-    /// record order.
-    fn check_links(&self, out_entry_ports: &[u16]) -> Result<(), CdfgError> {
-        let mut out_listed = vec![false; self.edges.len()];
-        let mut encoded_ports = out_entry_ports.iter();
-        for (slot, record) in self.ports.iter().enumerate() {
-            let node = NodeId::from_index(slot);
-            for (port, &raw) in record.in_slots().iter().enumerate() {
-                if raw != NO_EDGE
-                    && self.edge_at(raw).map(|e| e.to) != Some(Endpoint::new(node, port))
-                {
-                    return Err(decode_err(
-                        "input slot names an edge that does not end there",
-                    ));
-                }
-            }
-            for (&raw, &port) in record.out_edges().iter().zip(&mut encoded_ports) {
-                let from = Endpoint { node, port };
-                if self.edge_at(raw).map(|e| e.from) != Some(from) {
-                    return Err(decode_err(
-                        "out entry names an edge that does not start there",
-                    ));
-                }
-                if std::mem::replace(&mut out_listed[raw as usize], true) {
-                    return Err(decode_err("edge listed twice at its source"));
-                }
-            }
-        }
-        for (raw, edge) in self.edges.iter().enumerate() {
-            let Some(edge) = edge else { continue };
-            let from_ok = self
-                .node(edge.from.node)
-                .is_ok_and(|n| edge.from.port_index() < n.output_count());
-            let to_ok = self
-                .node(edge.to.node)
-                .is_ok_and(|n| n.ports.in_slots().get(edge.to.port_index()) == Some(&(raw as u32)));
-            if !from_ok || !to_ok || !out_listed[raw] {
-                return Err(decode_err("edge is not listed at both of its endpoints"));
-            }
-        }
-        let mut freed = vec![false; self.kinds.len()];
-        for id in &self.free_nodes {
-            if self.kinds.get(id.index()) != Some(&None)
-                || std::mem::replace(&mut freed[id.index()], true)
-            {
-                return Err(decode_err("free node list entry is not a distinct hole"));
-            }
-        }
-        let mut freed = vec![false; self.edges.len()];
-        for id in &self.free_edges {
-            if self.edges.get(id.index()) != Some(&None)
-                || std::mem::replace(&mut freed[id.index()], true)
-            {
-                return Err(decode_err("free edge list entry is not a distinct hole"));
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1531,17 +1135,19 @@ mod tests {
         let observed: Vec<NodeId> = g.output_sinks(c, 0).iter().map(|e| e.node).collect();
         assert_eq!(observed, sinks[1..]);
         // Shrunk below the inline capacity, the record stays spilled, yet it
-        // equals the inline record a decode rebuilds with the same entries.
+        // equals an inline record built with the same entries.
         while g.node(c).unwrap().fanout() > 2 {
             let edge = g.node(c).unwrap().output_edges(0).nth(1).unwrap();
             g.disconnect(edge).unwrap();
         }
-        let mut bytes = Vec::new();
-        g.encode_into(&mut bytes);
-        let decoded = Cdfg::decode_from(&mut bytes.as_slice()).unwrap();
-        assert!(matches!(g.ports[c.index()].slots, Slots::Spilled(_)));
-        assert!(matches!(decoded.ports[c.index()].slots, Slots::Inline(_)));
-        assert_eq!(decoded, g);
+        let spilled = &g.ports[c.index()];
+        let mut inline = PortRecord::new(usize::from(spilled.ins), usize::from(spilled.out_ports));
+        for &edge in spilled.out_edges() {
+            inline.push_out(edge);
+        }
+        assert!(matches!(spilled.slots, Slots::Spilled(_)));
+        assert!(matches!(inline.slots, Slots::Inline(_)));
+        assert_eq!(&inline, spilled);
     }
 
     #[test]
@@ -1787,70 +1393,5 @@ mod tests {
         assert_eq!(g.input_named("a"), Some(a));
         assert_eq!(g.input_named("missing"), None);
         assert!(g.output_named("out").is_some());
-    }
-
-    #[test]
-    fn codec_roundtrips_exactly_including_holes() {
-        // A graph with removed slots, id reuse and a spilled fan-out list
-        // exercises every arena feature the codec must preserve.
-        let (mut g, _a, _b, _c, mul, _add, _out) = mac_graph();
-        g.enable_id_reuse();
-        g.remove_node(mul).unwrap();
-        let big = g.add_node(NodeKind::Const(9));
-        for i in 0..INLINE_SLOTS + 2 {
-            let sink = g.add_node(NodeKind::Output(format!("s{i}")));
-            g.connect(big, 0, sink, 0).unwrap();
-        }
-        let mut bytes = Vec::new();
-        g.encode_into(&mut bytes);
-        let mut slice = bytes.as_slice();
-        let decoded = Cdfg::decode_from(&mut slice).unwrap();
-        assert!(slice.is_empty(), "codec must consume exactly its bytes");
-        assert_eq!(decoded, g);
-        assert_eq!(decoded.live_nodes, g.live_nodes);
-        assert_eq!(decoded.live_edges, g.live_edges);
-        assert_eq!(decoded.free_nodes, g.free_nodes);
-        assert_eq!(decoded.free_edges, g.free_edges);
-        assert_eq!(decoded.reuse_ids, g.reuse_ids);
-        assert_eq!(
-            crate::canonical_signature(&decoded),
-            crate::canonical_signature(&g)
-        );
-    }
-
-    #[test]
-    fn codec_roundtrips_structured_loops() {
-        // A loop node nests two full graphs inside its spec.
-        let mut outer = Cdfg::new("outer");
-        let mut cond = Cdfg::new("cond");
-        let c = cond.add_node(NodeKind::Const(1));
-        let o = cond.add_node(NodeKind::Output("c".into()));
-        cond.connect(c, 0, o, 0).unwrap();
-        let body = Cdfg::new("body");
-        outer.add_node(NodeKind::Loop(Box::new(crate::node::LoopSpec {
-            vars: vec!["i".into(), "acc".into()],
-            cond,
-            body,
-        })));
-        let mut bytes = Vec::new();
-        outer.encode_into(&mut bytes);
-        let decoded = Cdfg::decode_from(&mut bytes.as_slice()).unwrap();
-        assert_eq!(decoded, outer);
-    }
-
-    #[test]
-    fn codec_rejects_corrupt_bytes_without_panicking() {
-        let (g, ..) = mac_graph();
-        let mut bytes = Vec::new();
-        g.encode_into(&mut bytes);
-        // Truncations at every prefix length must fail cleanly or decode to
-        // a valid graph (never panic, never read out of bounds).
-        for cut in 0..bytes.len() {
-            let _ = Cdfg::decode_from(&mut &bytes[..cut]);
-        }
-        // A wrong version byte is a typed error.
-        let mut wrong = bytes.clone();
-        wrong[0] = 0xEE;
-        assert!(Cdfg::decode_from(&mut wrong.as_slice()).is_err());
     }
 }

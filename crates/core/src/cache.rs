@@ -26,6 +26,14 @@
 //! and each shard evicts its least-recently-used entry when it outgrows its
 //! share of the capacity.  Hit/miss/eviction counters are kept in atomics and
 //! surface in [`CacheStats`].
+//!
+//! An optional [`DiskTier`] sits below both levels and survives restarts.
+//! It keeps a full mapping as its served summary only, which answers
+//! [`MappingCache::summary`] probes, and the post-transform artifacts in
+//! full, which a post-transform lookup falls through to on a memory miss.
+//! So after a restart a request that needs the mapping itself runs frontend
+//! and transform and is a post-transform hit: the costly phases do not
+//! re-run.
 
 use crate::cluster::ClusteredGraph;
 use crate::dfg::MappingGraph;
@@ -152,7 +160,7 @@ impl MappingKey {
         self.source_hash ^ self.config.rotate_left(32)
     }
 
-    /// The full source text (the disk tier stores it alongside the payload
+    /// The full source text (the disk tier stores it alongside the summary
     /// so a hash collision can never alias two kernels on disk either).
     pub(crate) fn source(&self) -> &str {
         &self.source
@@ -447,9 +455,10 @@ pub struct MappingCache {
     post_shards: Vec<Mutex<Shard<PostTransformKey, PostTransformArtifacts>>>,
     per_shard_capacity: usize,
     counters: Counters,
-    /// Optional persistent tier below the in-memory LRU: memory misses fall
-    /// through to it, every insert stores through to it, and disk hits are
-    /// promoted back into memory.  See [`crate::persist`].
+    /// Optional persistent tier below the in-memory LRU: every insert stores
+    /// through to it (a full mapping as its summary), post-transform misses
+    /// fall through to it, and disk hits are promoted back into memory.  See
+    /// [`crate::persist`].
     disk: Option<Arc<DiskTier>>,
 }
 
@@ -523,9 +532,10 @@ impl MappingCache {
     }
 
     /// Attaches a persistent [`DiskTier`] below the in-memory LRU (builder
-    /// style, before the cache is shared).  Lookups that miss in memory fall
-    /// through to disk, inserts store through, and
-    /// [`clear`](Self::clear) truncates the disk tier too.
+    /// style, before the cache is shared).  Summary probes and
+    /// post-transform lookups that miss in memory fall through to disk,
+    /// inserts store through, and [`clear`](Self::clear) truncates the disk
+    /// tier too.
     pub fn with_disk_tier(mut self, tier: Arc<DiskTier>) -> Self {
         self.disk = Some(tier);
         self
@@ -545,23 +555,13 @@ impl MappingCache {
             .unwrap_or_default()
     }
 
-    /// Looks up a full mapping by content key, refreshing its recency.  On a
-    /// memory miss the lookup falls through to the disk tier (when one is
-    /// attached); a disk hit is promoted back into memory and counts as a
-    /// mapping hit — the flow never re-runs for it.
+    /// Looks up a full mapping by content key in memory, refreshing its
+    /// recency.  The disk tier holds no full mappings, only their summaries:
+    /// after a restart a miss here runs frontend and transform, and
+    /// [`get_post_transform`](Self::get_post_transform) loads the rest.
     pub fn get_mapping(&self, key: &MappingKey) -> Option<Arc<MappingResult>> {
         let shard = &self.mapping_shards[key.shard_hash() as usize % self.mapping_shards.len()];
-        let mut found = lock_shard(shard).get(key);
-        if found.is_none() {
-            if let Some(loaded) = self.disk.as_ref().and_then(|tier| tier.load_mapping(key)) {
-                let promoted = Arc::new(loaded);
-                // Promote into memory without storing back to disk (the
-                // record is already there).
-                let (fresh, evicted) = lock_shard(shard).insert(key.clone(), Arc::clone(&promoted));
-                self.note_insert(fresh, evicted);
-                found = Some(promoted);
-            }
-        }
+        let found = lock_shard(shard).get(key);
         match &found {
             Some(_) => self.counters.mapping_hits.fetch_add(1, Ordering::Relaxed),
             None => self.counters.mapping_misses.fetch_add(1, Ordering::Relaxed),
@@ -610,8 +610,8 @@ impl MappingCache {
     }
 
     /// Stores an already shared full mapping under its content key, avoiding
-    /// a deep clone when the caller keeps the same [`Arc`].  Stores through
-    /// to the disk tier when one is attached.
+    /// a deep clone when the caller keeps the same [`Arc`].  Stores its
+    /// summary through to the disk tier when one is attached.
     pub fn insert_mapping_arc(&self, key: MappingKey, result: Arc<MappingResult>) {
         if let Some(tier) = &self.disk {
             tier.store_mapping(&key, &result);
@@ -622,8 +622,9 @@ impl MappingCache {
     }
 
     /// Looks up post-transform artifacts by structural key, refreshing their
-    /// recency.  Falls through to the disk tier like
-    /// [`get_mapping`](Self::get_mapping).
+    /// recency.  On a memory miss the lookup falls through to the disk tier
+    /// (when one is attached); a disk hit is promoted back into memory and
+    /// counts as a post-transform hit.
     pub fn get_post_transform(
         &self,
         key: &PostTransformKey,
@@ -833,8 +834,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fpfa-cache-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mapper = crate::pipeline::Mapper::new();
-        // A loop, so unrolling and folding leave holes for the transform
-        // stage to compact away.
+        // A loop, so the rebuild after the restart re-runs unrolling and
+        // folding.
         let source = "void main() { int a[4]; int r; int i; r = 0; i = 0; \
                       while (i < 4) { r = r + a[i] * a[i]; i = i + 1; } }";
         let cold = {
@@ -846,8 +847,8 @@ mod tests {
             assert_eq!(cache.persist_stats().stores, 2);
             result
         };
-        // A brand-new process (fresh cache over the same directory) answers
-        // the same request from disk without running any flow stage.
+        // A brand-new process (fresh cache over the same directory) rebuilds
+        // the same mapping from disk without running phases 1-3.
         let tier = Arc::new(DiskTier::open(&dir).unwrap());
         let cache = MappingCache::with_capacity(8).with_disk_tier(tier);
         assert_eq!(cache.persist_stats().warm_start_entries, 2);
@@ -862,21 +863,28 @@ mod tests {
         assert_eq!(cache.summary("void main() {}", fingerprint), None);
         assert_eq!(cache.persist_stats().loads, 0);
         assert_eq!(cache.stats().lookups(), 0);
+        // The mapping itself is not on disk: frontend and transform re-run
+        // and the persisted post-transform record supplies the rest.
         let warm = mapper.map_source_cached(source, &cache).unwrap();
-        assert_eq!(warm.report.cache, CacheOutcome::MappingHit);
+        assert_eq!(warm.report.cache, CacheOutcome::PostTransformHit);
         assert_eq!(warm.program, cold.program);
+        assert_eq!(warm.multi, cold.multi);
         assert_eq!(warm.layout, cold.layout);
-        // The disk record held the dense graph the transform stage built.
-        assert_eq!(warm.simplified.node_bound(), warm.simplified.node_count());
+        assert_eq!(MappingSummary::of(&warm), summary);
+        let stages: Vec<&str> = warm.trace.timings.iter().map(|t| t.stage).collect();
+        assert_eq!(stages, ["frontend", "transform"]);
         assert_eq!(cache.persist_stats().loads, 1);
-        // Promoted into memory, the mapping now answers from L1.
+        // The summary on disk already matches: the rebuild appends nothing.
+        assert_eq!(cache.persist_stats().stores, 0);
+        // Inserted into memory, the mapping now answers from L1.
         assert_eq!(
             cache.summary(source, fingerprint),
             Some((summary, SummaryTier::Memory))
         );
-        // The promoted entry now lives in memory: the next lookup does not
-        // touch disk again.
-        mapper.map_source_cached(source, &cache).unwrap();
+        // The rebuilt mapping now lives in memory: the next lookup is a
+        // mapping hit that does not touch disk again.
+        let again = mapper.map_source_cached(source, &cache).unwrap();
+        assert_eq!(again.report.cache, CacheOutcome::MappingHit);
         assert_eq!(cache.persist_stats().loads, 1);
         // clear() truncates the disk tier too: cold again everywhere.
         cache.clear();

@@ -1,19 +1,20 @@
-//! Versioned binary codec for cached mapping artifacts.
+//! Versioned binary codec for the post-transform artifacts the mapping
+//! cache persists.
 //!
-//! This is the serialization substrate of the mapping cache's on-disk tier
-//! ([`crate::persist`]): a [`MappingResult`] (or the post-transform share of
-//! one) is turned into a self-contained, little-endian byte string and back,
-//! using only `std` — no external serialization crates.
+//! This is the value format of the on-disk tier's post-transform records
+//! ([`crate::persist`]): the [`PostTransformArtifacts`] of a mapping (its
+//! extracted graph, clustering, schedule, tile program and multi-tile
+//! mapping — the output of the costly phases 1–3) are turned into a
+//! self-contained, little-endian byte string and back, using only `std` —
+//! no external serialization crates.  A full mapping is never encoded: the
+//! disk tier keeps only its summary, and a restarted service rebuilds it by
+//! running frontend and transform and reusing these artifacts.
 //!
 //! Properties the persistence layer relies on:
 //!
-//! * **Exact roundtrip** — a decoded result compares equal (`PartialEq`) to
-//!   the encoded one on every mapped artifact, and its
-//!   [`program_digest`]-style derived values are bit-identical, so a disk
-//!   hit can never serve a different answer than the original mapping.
-//!   The only field not persisted is the flow trace's diagnostics list and
-//!   any stage timing whose name is not one of the known flow stages (stage
-//!   names are `&'static str` and are re-interned on decode).
+//! * **Exact roundtrip** — decoded artifacts compare equal (`PartialEq`) to
+//!   the encoded ones, so a rebuilt mapping carries the program, and hence
+//!   the [`program_digest`], the original mapping had.
 //! * **Version gated** — every payload starts with a magic tag and format
 //!   version; decoders reject unknown versions with a typed error instead of
 //!   misreading bytes.
@@ -25,57 +26,36 @@
 //!
 //! [`program_digest`]: crate::summary::program_digest
 
-use crate::cache::{CacheOutcome, PostTransformArtifacts};
+use crate::cache::PostTransformArtifacts;
 use crate::cluster::{Cluster, ClusterId, ClusteredGraph};
 use crate::dfg::{MapOp, MappingGraph, MemWrite, OpId, OpKind, ValueRef};
-use crate::flow::{FlowTrace, StageTiming};
 use crate::multi::{
     InputBroadcast, MultiSchedule, MultiTileMapping, MultiTileProgram, TrafficReport, TransferJob,
 };
 use crate::partition::{CutEdge, TileAssignment};
-use crate::pipeline::MappingResult;
 use crate::program::{
     AllocationStats, AluJob, CycleJob, Location, MicroOp, MoveJob, OperandSource, TileProgram,
     WritebackJob,
 };
-use crate::report::MappingReport;
 use crate::schedule::Schedule;
 use fpfa_arch::{
     AluCapability, ArrayConfig, MemId, MemRef, RegBankName, RegRef, TileConfig, TileId,
 };
-use fpfa_cdfg::{BinOp, Cdfg, UnOp};
-use fpfa_frontend::{ArraySymbol, MemoryLayout};
+use fpfa_cdfg::{BinOp, UnOp};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Magic prefix of every payload produced by this module.
 const MAGIC: &[u8; 4] = b"FPFM";
 /// Format version; bump on any layout change below.
 ///
-/// v2 appended the config fingerprint to both payload kinds (for the
-/// verifier's cache-boundary check); v1 records on disk decode as typed
-/// misses and are re-mapped.
+/// v2 appended the config fingerprint (for the verifier's cache-boundary
+/// check); v1 records on disk decode as typed misses and are re-mapped.
 const VERSION: u32 = 2;
-/// Payload kind tag: a full [`MappingResult`].
-const KIND_MAPPING: u8 = 1;
-/// Payload kind tag: [`PostTransformArtifacts`].
+/// Payload kind tag of [`PostTransformArtifacts`]: it stays 2 so records
+/// written by earlier builds still decode.
 const KIND_POST: u8 = 2;
-
-/// The flow stage names a persisted trace timing may reference; stage names
-/// are `&'static str` in [`StageTiming`], so decode re-interns against this
-/// list (and drops timings of stages it does not know).
-const KNOWN_STAGES: [&str; 8] = [
-    "frontend",
-    "transform",
-    "extract",
-    "cluster",
-    "partition",
-    "schedule",
-    "allocate",
-    "simulate",
-];
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -94,8 +74,6 @@ pub enum CodecError {
     BadMagic,
     /// The payload was written by an unknown format version.
     UnsupportedVersion(u32),
-    /// The embedded CDFG failed to decode.
-    Cdfg(String),
 }
 
 impl fmt::Display for CodecError {
@@ -105,7 +83,6 @@ impl fmt::Display for CodecError {
             CodecError::Malformed(what) => write!(f, "malformed payload: {what}"),
             CodecError::BadMagic => write!(f, "not a mapping codec payload"),
             CodecError::UnsupportedVersion(v) => write!(f, "unsupported codec version {v}"),
-            CodecError::Cdfg(err) => write!(f, "embedded cdfg: {err}"),
         }
     }
 }
@@ -140,14 +117,6 @@ fn put_usize(out: &mut Vec<u8>, v: usize) {
 
 fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
 }
 
 fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -196,16 +165,6 @@ fn get_i64(input: &mut &[u8]) -> Result<i64> {
     Ok(i64::from_le_bytes(
         take(input, 8)?.try_into().expect("take returned 8 bytes"),
     ))
-}
-
-fn get_u128(input: &mut &[u8]) -> Result<u128> {
-    Ok(u128::from_le_bytes(
-        take(input, 16)?.try_into().expect("take returned 16 bytes"),
-    ))
-}
-
-fn get_f64(input: &mut &[u8]) -> Result<f64> {
-    Ok(f64::from_bits(get_u64(input)?))
 }
 
 /// Bounded element-count read: each element needs at least `min_elem_bytes`
@@ -1020,145 +979,16 @@ fn get_multi(input: &mut &[u8]) -> Result<MultiTileMapping> {
 }
 
 // ---------------------------------------------------------------------------
-// Report, layout and trace
-// ---------------------------------------------------------------------------
-
-fn put_cache_outcome(out: &mut Vec<u8>, outcome: &CacheOutcome) {
-    put_u8(
-        out,
-        match outcome {
-            CacheOutcome::Uncached => 0,
-            CacheOutcome::Miss => 1,
-            CacheOutcome::MappingHit => 2,
-            CacheOutcome::PostTransformHit => 3,
-        },
-    );
-}
-
-fn get_cache_outcome(input: &mut &[u8]) -> Result<CacheOutcome> {
-    Ok(match get_u8(input)? {
-        0 => CacheOutcome::Uncached,
-        1 => CacheOutcome::Miss,
-        2 => CacheOutcome::MappingHit,
-        3 => CacheOutcome::PostTransformHit,
-        _ => return Err(CodecError::Malformed("cache outcome tag")),
-    })
-}
-
-fn put_report(out: &mut Vec<u8>, report: &MappingReport) {
-    put_str(out, &report.kernel);
-    put_usize(out, report.operations);
-    put_usize(out, report.clusters);
-    put_usize(out, report.critical_path);
-    put_usize(out, report.levels);
-    put_usize(out, report.cycles);
-    put_usize(out, report.stall_cycles);
-    put_usize(out, report.alus_used);
-    put_f64(out, report.alu_utilization);
-    put_usize(out, report.register_hits);
-    put_usize(out, report.register_misses);
-    put_usize(out, report.mem_writebacks);
-    put_usize(out, report.crossbar_transfers);
-    put_usize(out, report.tiles);
-    put_usize(out, report.inter_tile_transfers);
-    put_u128(out, report.mapping_time_us);
-    put_usize(out, report.transform_rounds);
-    put_usize(out, report.transform_visited_nodes);
-    put_usize(out, report.transform_peak_graph_nodes);
-    put_cache_outcome(out, &report.cache);
-}
-
-fn get_report(input: &mut &[u8]) -> Result<MappingReport> {
-    Ok(MappingReport {
-        kernel: get_str(input)?,
-        operations: get_usize(input)?,
-        clusters: get_usize(input)?,
-        critical_path: get_usize(input)?,
-        levels: get_usize(input)?,
-        cycles: get_usize(input)?,
-        stall_cycles: get_usize(input)?,
-        alus_used: get_usize(input)?,
-        alu_utilization: get_f64(input)?,
-        register_hits: get_usize(input)?,
-        register_misses: get_usize(input)?,
-        mem_writebacks: get_usize(input)?,
-        crossbar_transfers: get_usize(input)?,
-        tiles: get_usize(input)?,
-        inter_tile_transfers: get_usize(input)?,
-        mapping_time_us: get_u128(input)?,
-        transform_rounds: get_usize(input)?,
-        transform_visited_nodes: get_usize(input)?,
-        transform_peak_graph_nodes: get_usize(input)?,
-        cache: get_cache_outcome(input)?,
-    })
-}
-
-fn put_layout(out: &mut Vec<u8>, layout: &MemoryLayout) {
-    put_u32(out, layout.arrays().len() as u32);
-    for symbol in layout.arrays() {
-        put_str(out, &symbol.name);
-        put_i64(out, symbol.base);
-        put_usize(out, symbol.len);
-    }
-}
-
-fn get_layout(input: &mut &[u8]) -> Result<MemoryLayout> {
-    let n = get_len(input, 20)?;
-    let mut arrays = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = get_str(input)?;
-        let base = get_i64(input)?;
-        let len = get_usize(input)?;
-        arrays.push(ArraySymbol { name, base, len });
-    }
-    Ok(MemoryLayout::from_symbols(arrays))
-}
-
-fn put_trace(out: &mut Vec<u8>, trace: &FlowTrace) {
-    // Diagnostics are per-run narration, not mapping data; only the stage
-    // timings are persisted (and the stage name survives via interning).
-    put_u32(out, trace.timings.len() as u32);
-    for timing in &trace.timings {
-        put_str(out, timing.stage);
-        put_u128(out, timing.wall.as_nanos());
-        put_usize(out, timing.changes);
-    }
-}
-
-fn get_trace(input: &mut &[u8]) -> Result<FlowTrace> {
-    let n = get_len(input, 28)?;
-    let mut timings = Vec::with_capacity(n);
-    for _ in 0..n {
-        let stage = get_str(input)?;
-        let nanos = get_u128(input)?;
-        let changes = get_usize(input)?;
-        // Stage names are `&'static str`; re-intern against the known flow
-        // stages and drop timings of stages this build does not know.
-        if let Some(interned) = KNOWN_STAGES.iter().find(|s| **s == stage) {
-            timings.push(StageTiming {
-                stage: interned,
-                wall: Duration::from_nanos(nanos.min(u64::MAX as u128) as u64),
-                changes,
-            });
-        }
-    }
-    Ok(FlowTrace {
-        timings,
-        diagnostics: Vec::new(),
-    })
-}
-
-// ---------------------------------------------------------------------------
 // Top-level payloads
 // ---------------------------------------------------------------------------
 
-fn put_header(out: &mut Vec<u8>, kind: u8) {
+fn put_header(out: &mut Vec<u8>) {
     out.extend_from_slice(MAGIC);
     put_u32(out, VERSION);
-    put_u8(out, kind);
+    put_u8(out, KIND_POST);
 }
 
-fn check_header(input: &mut &[u8], kind: u8) -> Result<()> {
+fn check_header(input: &mut &[u8]) -> Result<()> {
     if take(input, 4)? != MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -1166,81 +996,16 @@ fn check_header(input: &mut &[u8], kind: u8) -> Result<()> {
     if version != VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    if get_u8(input)? != kind {
+    if get_u8(input)? != KIND_POST {
         return Err(CodecError::Malformed("payload kind mismatch"));
     }
     Ok(())
 }
 
-fn get_cdfg(input: &mut &[u8]) -> Result<Cdfg> {
-    Cdfg::decode_from(input).map_err(|e| CodecError::Cdfg(e.to_string()))
-}
-
-/// Encodes a complete [`MappingResult`] into a self-contained payload.
-pub fn encode_mapping_result(result: &MappingResult) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4096);
-    put_header(&mut out, KIND_MAPPING);
-    result.simplified.encode_into(&mut out);
-    put_layout(&mut out, &result.layout);
-    put_mapping_graph(&mut out, &result.mapping_graph);
-    put_clustered(&mut out, &result.clustered);
-    put_schedule(&mut out, &result.schedule);
-    put_tile_program(&mut out, &result.program);
-    match &result.multi {
-        None => put_u8(&mut out, 0),
-        Some(multi) => {
-            put_u8(&mut out, 1);
-            put_multi(&mut out, multi);
-        }
-    }
-    put_report(&mut out, &result.report);
-    put_trace(&mut out, &result.trace);
-    put_u64(&mut out, result.config_fingerprint);
-    out
-}
-
-/// Decodes a payload written by [`encode_mapping_result`].
-///
-/// # Errors
-/// [`CodecError`] on any corruption; never panics.
-pub fn decode_mapping_result(mut input: &[u8]) -> Result<MappingResult> {
-    let input = &mut input;
-    check_header(input, KIND_MAPPING)?;
-    let simplified = Arc::new(get_cdfg(input)?);
-    let layout = get_layout(input)?;
-    let mapping_graph = Arc::new(get_mapping_graph(input)?);
-    let clustered = Arc::new(get_clustered(input)?);
-    let schedule = Arc::new(get_schedule(input)?);
-    let program = Arc::new(get_tile_program(input)?);
-    let multi = match get_u8(input)? {
-        0 => None,
-        1 => Some(Arc::new(get_multi(input)?)),
-        _ => return Err(CodecError::Malformed("multi presence tag")),
-    };
-    let report = get_report(input)?;
-    let trace = get_trace(input)?;
-    let config_fingerprint = get_u64(input)?;
-    if !input.is_empty() {
-        return Err(CodecError::Malformed("trailing bytes"));
-    }
-    Ok(MappingResult {
-        simplified,
-        mapping_graph,
-        clustered,
-        schedule,
-        program,
-        multi,
-        report,
-        layout,
-        trace,
-        config_fingerprint,
-    })
-}
-
 /// Encodes the post-transform share of a mapping.
 pub fn encode_post_transform(artifacts: &PostTransformArtifacts) -> Vec<u8> {
     let mut out = Vec::with_capacity(2048);
-    put_header(&mut out, KIND_POST);
+    put_header(&mut out);
     put_mapping_graph(&mut out, &artifacts.graph);
     put_clustered(&mut out, &artifacts.clustered);
     put_schedule(&mut out, &artifacts.schedule);
@@ -1262,7 +1027,7 @@ pub fn encode_post_transform(artifacts: &PostTransformArtifacts) -> Vec<u8> {
 /// [`CodecError`] on any corruption; never panics.
 pub fn decode_post_transform(mut input: &[u8]) -> Result<PostTransformArtifacts> {
     let input = &mut input;
-    check_header(input, KIND_POST)?;
+    check_header(input)?;
     let graph = Arc::new(get_mapping_graph(input)?);
     let clustered = Arc::new(get_clustered(input)?);
     let schedule = Arc::new(get_schedule(input)?);
@@ -1302,55 +1067,10 @@ mod tests {
         }
     "#;
 
-    #[test]
-    fn mapping_result_roundtrips_exactly() {
-        let result = Mapper::new().map_source(FIR).unwrap();
-        let bytes = encode_mapping_result(&result);
-        let decoded = decode_mapping_result(&bytes).unwrap();
-        assert_eq!(decoded.simplified, result.simplified);
-        assert_eq!(decoded.mapping_graph, result.mapping_graph);
-        assert_eq!(decoded.clustered, result.clustered);
-        assert_eq!(decoded.schedule, result.schedule);
-        assert_eq!(decoded.program, result.program);
-        assert_eq!(decoded.multi, result.multi);
-        assert_eq!(decoded.report, result.report);
-        assert_eq!(decoded.layout, result.layout);
-        assert_eq!(decoded.trace.timings, result.trace.timings);
-    }
-
-    #[test]
-    fn multi_tile_mapping_roundtrips_exactly() {
-        let result = Mapper::new().with_tiles(4).map_source(FIR).unwrap();
-        assert!(result.multi.is_some());
-        let bytes = encode_mapping_result(&result);
-        let decoded = decode_mapping_result(&bytes).unwrap();
-        assert_eq!(decoded.multi, result.multi);
-        assert_eq!(decoded.program, result.program);
-        assert_eq!(decoded.report, result.report);
-    }
-
-    #[test]
-    fn equal_results_encode_to_identical_bytes() {
-        // Content-addressed storage relies on a deterministic encoding; the
-        // only nondeterministic containers (hash maps) are sorted on encode.
-        let a = Mapper::new().map_source(FIR).unwrap();
-        let b = Mapper::new().map_source(FIR).unwrap();
-        let mut a = encode_mapping_result(&a);
-        let mut b = encode_mapping_result(&b);
-        // Timings differ run to run; strip the trace (the trailing field) by
-        // comparing only up to the report's end... simpler: re-encode with a
-        // cleared trace.
-        a.clear();
-        b.clear();
-        let mut result_a = Mapper::new().map_source(FIR).unwrap();
-        let mut result_b = Mapper::new().map_source(FIR).unwrap();
-        result_a.trace = FlowTrace::default();
-        result_b.trace = FlowTrace::default();
-        result_a.report.mapping_time_us = 0;
-        result_b.report.mapping_time_us = 0;
-        a.extend_from_slice(&encode_mapping_result(&result_a));
-        b.extend_from_slice(&encode_mapping_result(&result_b));
-        assert_eq!(a, b);
+    /// The post-transform payload of `FIR` mapped onto `tiles` tiles.
+    fn post_payload(tiles: usize) -> Vec<u8> {
+        let result = Mapper::new().with_tiles(tiles).map_source(FIR).unwrap();
+        encode_post_transform(&PostTransformArtifacts::of(&result))
     }
 
     #[test]
@@ -1407,34 +1127,32 @@ mod tests {
 
     #[test]
     fn corrupt_bytes_never_panic() {
-        let result = Mapper::new().map_source(FIR).unwrap();
-        let four_tiles = Mapper::new().with_tiles(4).map_source(FIR).unwrap();
-        let bytes = encode_mapping_result(&result);
+        let bytes = post_payload(1);
         // Every truncation fails cleanly.
         for cut in 0..bytes.len().min(512) {
-            assert!(decode_mapping_result(&bytes[..cut]).is_err());
+            assert!(decode_post_transform(&bytes[..cut]).is_err());
         }
-        assert!(decode_mapping_result(&bytes[..bytes.len() - 1]).is_err());
-        // Single-byte corruptions anywhere in either payload kind.
-        flip_every_byte(&bytes, decode_mapping_result);
-        flip_every_byte(&encode_mapping_result(&four_tiles), decode_mapping_result);
-        let post = encode_post_transform(&PostTransformArtifacts::of(&four_tiles));
-        flip_every_byte(&post, decode_post_transform);
-        // Wrong kind tag and version are typed errors.
+        assert!(decode_post_transform(&bytes[..bytes.len() - 1]).is_err());
+        // Single-byte corruptions anywhere in a one- and a four-tile payload.
+        flip_every_byte(&bytes, decode_post_transform);
+        flip_every_byte(&post_payload(4), decode_post_transform);
+        // Wrong kind tag, version and magic are typed errors.
+        let mut wrong_kind = bytes.clone();
+        wrong_kind[8] = 1;
         assert_eq!(
-            decode_post_transform(&bytes),
+            decode_post_transform(&wrong_kind),
             Err(CodecError::Malformed("payload kind mismatch"))
         );
         let mut wrong_version = bytes.clone();
         wrong_version[4] = 0xEE;
         assert!(matches!(
-            decode_mapping_result(&wrong_version),
+            decode_post_transform(&wrong_version),
             Err(CodecError::UnsupportedVersion(_))
         ));
         let mut wrong_magic = bytes;
         wrong_magic[0] = b'X';
         assert_eq!(
-            decode_mapping_result(&wrong_magic),
+            decode_post_transform(&wrong_magic),
             Err(CodecError::BadMagic)
         );
     }

@@ -1,11 +1,16 @@
 //! The on-disk tier of the mapping cache.
 //!
-//! A [`DiskTier`] persists finished mappings (and post-transform artifacts)
-//! in append-only *segment files* under a cache directory, so a restarted
-//! service answers previously mapped kernels without re-running any flow
-//! stage.  It sits **below** the in-memory LRU: the memory tier is probed
-//! first, the disk tier only on a memory miss (the cold path), and every
-//! disk load is promoted back into memory.
+//! A [`DiskTier`] persists two kinds of record in append-only *segment
+//! files* under a cache directory: the served summary of every full mapping,
+//! and the post-transform artifacts of every simplified kernel — the output
+//! of the costly clustering, partitioning, scheduling and allocation phases.
+//! A restarted service answers a plain map request from the summaries
+//! without decoding anything.  A request that needs the mapping itself
+//! (verification, simulation, a batch) re-runs only frontend and transform,
+//! and the post-transform record supplies the rest.  The tier sits **below**
+//! the in-memory LRU: the memory tier is probed first, the disk tier only on
+//! a memory miss, and every post-transform load is promoted back into
+//! memory.
 //!
 //! # On-disk format (v2)
 //!
@@ -14,19 +19,21 @@
 //! ```text
 //! [payload_len: u32 LE][checksum(payload): u64 LE][payload]
 //! payload = [tag: u8][config: u64 LE][key_len: u32 LE][key bytes]
-//!           [summary: 7 x u64 LE, tag 1 only][value bytes]
+//!           tag 1: [summary: 7 x u64 LE][ignored bytes]
+//!           tag 2: [value bytes]
 //! ```
 //!
-//! `tag` is 1 for a full mapping, 2 for post-transform artifacts; `key` is
-//! the full source text (tag 1) or structural detail string (tag 2), stored
-//! verbatim so hash collisions can never alias kernels; `value` is a
-//! [`crate::codec`] payload.  A full-mapping record also carries the
-//! mapping's served [`MappingSummary`] (digest, operations, clusters,
-//! levels, cycles, tiles, inter-tile transfers), so a restarted service can
-//! answer a plain map request without decoding the value.  Records for the
-//! same key supersede earlier ones (append-only updates); superseded bytes
-//! are *dead* and reclaimed by compaction once they outweigh the live
-//! bytes.
+//! `tag` is 1 for a full mapping's summary, 2 for post-transform artifacts;
+//! `key` is the full source text (tag 1) or structural detail string
+//! (tag 2), stored verbatim so hash collisions can never alias kernels.  A
+//! tag-1 record holds the mapping's served [`MappingSummary`] (digest,
+//! operations, clusters, levels, cycles, tiles, inter-tile transfers).  This
+//! tier writes nothing after it and ignores whatever follows it, so segments
+//! whose tag-1 records also carry an encoded mapping (as earlier versions
+//! wrote them) still warm-start.  A tag-2 value is a [`crate::codec`]
+//! payload.  Records for the same key supersede earlier ones (append-only
+//! updates); superseded bytes are *dead* and reclaimed by compaction once
+//! they outweigh the live bytes.
 //!
 //! The checksum reads the payload as 8-byte little-endian words (the tail
 //! zero-padded) in four lanes, each folding every fourth word with xor,
@@ -53,9 +60,9 @@
 //!
 //! # Corruption policy
 //!
-//! Every record is checksum-verified on scan **and** again on load; the
-//! value payload is additionally validated by the versioned codec.  Any
-//! mismatch — bit flip, truncated tail, unknown version — makes that record
+//! Every record is checksum-verified on scan, and a post-transform record
+//! again on load, where its value is also validated by the versioned codec.
+//! Any mismatch — bit flip, truncated tail, unknown version — makes that record
 //! a **typed miss** (counted in [`PersistStats::corrupt_skipped`]): the
 //! caller falls through to a cold mapping, and corrupt bytes are never
 //! served.  Nothing in this module panics on malformed input.
@@ -73,7 +80,7 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Magic prefix of every segment file.
 const SEGMENT_MAGIC: &[u8; 8] = b"FPFASEG2";
-/// Record tag: a full mapping result.
+/// Record tag: the summary of a full mapping.
 const TAG_MAPPING: u8 = 1;
 /// Record tag: post-transform artifacts.
 const TAG_POST: u8 = 2;
@@ -143,8 +150,8 @@ fn read_u32(bytes: &[u8]) -> u32 {
 /// A point-in-time snapshot of the disk tier's counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PersistStats {
-    /// Records read back and decoded from disk (summary answers decode
-    /// nothing and are not counted).
+    /// Post-transform records read back and decoded from disk (summary
+    /// answers decode nothing and are not counted).
     pub loads: u64,
     /// Records appended to disk.
     pub stores: u64,
@@ -219,6 +226,8 @@ struct Record<'a> {
     key: &'a [u8],
     /// Present on full-mapping records only.
     summary: Option<MappingSummary>,
+    /// A post-transform record's codec payload; on a full-mapping record,
+    /// the ignored bytes after the summary.
     value: &'a [u8],
 }
 
@@ -439,7 +448,8 @@ impl DiskTier {
         &self.dir
     }
 
-    /// Number of entries currently indexed (loadable without re-mapping).
+    /// Number of records currently indexed: summaries and post-transform
+    /// artifacts.
     pub fn entry_count(&self) -> usize {
         self.lock().index.len()
     }
@@ -463,34 +473,53 @@ impl DiskTier {
         self.lock_summaries().get(&config)?.get(source).copied()
     }
 
-    /// Loads a full mapping by content key.  Any corruption along the way is
-    /// a counted miss.
-    pub fn load_mapping(&self, key: &MappingKey) -> Option<MappingResult> {
-        self.load_value(
-            TAG_MAPPING,
-            key.config,
-            key.source(),
-            codec::decode_mapping_result,
-        )
-    }
-
-    /// Stores a full mapping and its summary under its content key (best
+    /// Stores the summary of a full mapping under its content key (best
     /// effort: an I/O error leaves the tier consistent and the entry simply
-    /// unpersisted).
+    /// unpersisted).  Appends nothing when the tier already holds this
+    /// summary for the same source and config — the case of every mapping a
+    /// restarted service rebuilds from a persisted post-transform record.
     pub fn store_mapping(&self, key: &MappingKey, result: &MappingResult) {
-        let value = codec::encode_mapping_result(result);
         let summary = MappingSummary::of(result);
-        self.store_value(TAG_MAPPING, key.config, key.source(), Some(summary), &value);
+        if self.summary(key.source(), key.config) == Some(summary) {
+            return;
+        }
+        self.store_value(TAG_MAPPING, key.config, key.source(), Some(summary), &[]);
     }
 
-    /// Loads post-transform artifacts by structural key.
+    /// Loads post-transform artifacts by structural key: reads the record,
+    /// verifies its frame and compares the stored key string verbatim, then
+    /// decodes the value straight from the read buffer.  The disk read
+    /// holds the index lock; verifying and decoding do not.  Any corruption
+    /// along the way is a counted miss.
     pub fn load_post_transform(&self, key: &PostTransformKey) -> Option<PostTransformArtifacts> {
-        self.load_value(
-            TAG_POST,
-            key.config,
-            key.detail(),
-            codec::decode_post_transform,
-        )
+        let record_key = RecordKey::new(TAG_POST, key.config, key.detail().as_bytes());
+        let (loc, frame) = {
+            let mut inner = self.lock();
+            let loc = *inner.index.get(&record_key)?;
+            (loc, read_frame(&mut inner, loc))
+        };
+        let Some(record) = frame.as_deref().ok().and_then(verified_frame) else {
+            // Unreadable or checksum-mismatched on a re-read: drop the
+            // entry so we stop probing it.
+            self.discard(record_key, loc);
+            return None;
+        };
+        if record.tag != TAG_POST
+            || record.config != key.config
+            || record.key != key.detail().as_bytes()
+        {
+            return None; // A hash collision with a different key: a plain miss.
+        }
+        match codec::decode_post_transform(record.value) {
+            Ok(artifacts) => {
+                self.counters.loads.fetch_add(1, Ordering::Relaxed);
+                Some(artifacts)
+            }
+            Err(_) => {
+                self.discard(record_key, loc);
+                None
+            }
+        }
     }
 
     /// Stores post-transform artifacts under their structural key.
@@ -531,45 +560,6 @@ impl DiskTier {
         self.summaries
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Reads a key's record, verifies its frame and compares the stored key
-    /// string verbatim, then decodes the value straight from the read
-    /// buffer.  The disk read holds the index lock; verifying and decoding
-    /// do not.  Returns `None` (counting corruption where applicable) on
-    /// any mismatch.
-    fn load_value<T, E>(
-        &self,
-        tag: u8,
-        config: u64,
-        key_str: &str,
-        decode: impl FnOnce(&[u8]) -> Result<T, E>,
-    ) -> Option<T> {
-        let record_key = RecordKey::new(tag, config, key_str.as_bytes());
-        let (loc, frame) = {
-            let mut inner = self.lock();
-            let loc = *inner.index.get(&record_key)?;
-            (loc, read_frame(&mut inner, loc))
-        };
-        let Some(record) = frame.as_deref().ok().and_then(verified_frame) else {
-            // Unreadable or checksum-mismatched on a re-read: drop the
-            // entry so we stop probing it.
-            self.discard(record_key, loc);
-            return None;
-        };
-        if record.tag != tag || record.config != config || record.key != key_str.as_bytes() {
-            return None; // A hash collision with a different key: a plain miss.
-        }
-        match decode(record.value) {
-            Ok(value) => {
-                self.counters.loads.fetch_add(1, Ordering::Relaxed);
-                Some(value)
-            }
-            Err(_) => {
-                self.discard(record_key, loc);
-                None
-            }
-        }
     }
 
     /// Removes an entry whose record failed a check on load — unless a
@@ -804,6 +794,20 @@ mod tests {
         )
     }
 
+    /// The post-transform key and artifacts of a finished mapping, the key
+    /// rebuilt from its simplified CDFG and layout exactly as the cached
+    /// flow derives it.
+    fn post_transform_of(result: &MappingResult) -> (PostTransformKey, PostTransformArtifacts) {
+        let simplified = crate::flow::stages::SimplifiedKernel {
+            simplified: (*result.simplified).clone(),
+            layout: result.layout.clone(),
+        };
+        (
+            PostTransformKey::new(&simplified, fingerprint()),
+            PostTransformArtifacts::of(result),
+        )
+    }
+
     const SRC: &str = "void main() { int a[3]; int r; r = a[0] + a[1] * a[2]; }";
 
     #[test]
@@ -816,7 +820,9 @@ mod tests {
             assert_eq!(tier.stats().warm_start_entries, 0);
             tier.store_mapping(&key, &result);
             assert_eq!(tier.stats().stores, 1);
-            assert_eq!(tier.load_mapping(&key).unwrap().program, result.program);
+            // The same summary again appends nothing.
+            tier.store_mapping(&key, &result);
+            assert_eq!(tier.stats().stores, 1);
         }
         let tier = DiskTier::open(&dir).unwrap();
         assert_eq!(tier.stats().warm_start_entries, 1);
@@ -828,11 +834,42 @@ mod tests {
         // Only the exact source text under the same config matches.
         assert_eq!(tier.summary(&format!("{SRC} "), key.config), None);
         assert_eq!(tier.summary(SRC, key.config ^ 1), None);
-        let loaded = tier.load_mapping(&key).unwrap();
-        assert_eq!(loaded.program, result.program);
-        assert_eq!(loaded.report, result.report);
-        assert_eq!(MappingSummary::of(&loaded), summary);
-        assert_eq!(tier.stats().loads, 1);
+        // A persisted summary holds off an equal store after the reopen; a
+        // different one supersedes it.
+        tier.store_mapping(&key, &result);
+        assert_eq!(tier.stats().stores, 0);
+        let mut changed = result.clone();
+        changed.report.cycles += 1;
+        tier.store_mapping(&key, &changed);
+        assert_eq!(tier.stats().stores, 1);
+        assert_eq!(
+            tier.summary(SRC, key.config),
+            Some(MappingSummary::of(&changed))
+        );
+        assert_eq!(tier.entry_count(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn summary_records_with_trailing_bytes_still_answer() {
+        // Earlier versions wrote the encoded mapping after a full-mapping
+        // record's summary; such a segment still warm-starts and answers.
+        let dir = temp_dir("trailing");
+        let result = Mapper::new().map_source(SRC).unwrap();
+        let key = MappingKey::new(SRC, fingerprint());
+        let summary = MappingSummary::of(&result);
+        {
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.store_value(TAG_MAPPING, key.config, SRC, Some(summary), &[0xA5; 300]);
+        }
+        let tier = DiskTier::open(&dir).unwrap();
+        let stats = tier.stats();
+        assert_eq!(stats.warm_start_entries, 1);
+        assert_eq!(stats.corrupt_skipped, 0);
+        assert_eq!(tier.summary(SRC, key.config), Some(summary));
+        // The summary matches, so storing the same mapping appends nothing.
+        tier.store_mapping(&key, &result);
+        assert_eq!(tier.stats().stores, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -841,28 +878,41 @@ mod tests {
         let dir = temp_dir("flips");
         let result = Mapper::new().map_source(SRC).unwrap();
         let key = MappingKey::new(SRC, fingerprint());
+        let (post_key, artifacts) = post_transform_of(&result);
         let seg_path = {
             let tier = DiskTier::open(&dir).unwrap();
             tier.store_mapping(&key, &result);
+            tier.store_post_transform(&post_key, &artifacts);
             let active = tier.lock().active;
             segment_path(tier.dir(), active)
         };
         let pristine = fs::read(&seg_path).unwrap();
-        // The segment holds exactly one record after the magic: header,
-        // key prefix, key, summary, value.
+        // After the magic: the summary record (header, key prefix, key,
+        // summary and nothing more), then the post-transform record.
         let record = SEGMENT_MAGIC.len();
-        let summary_at = record + FRAME_HEADER as usize + KEY_PREFIX + SRC.len();
-        assert!(summary_at + SUMMARY_LEN < pristine.len());
+        let post_at = record + FRAME_HEADER as usize + KEY_PREFIX + SRC.len() + SUMMARY_LEN;
+        assert!(post_at < pristine.len());
         for at in record..pristine.len() {
             let mut bytes = pristine.clone();
             bytes[at] ^= 1 << (at % 8);
             fs::write(&seg_path, &bytes).unwrap();
             let tier = DiskTier::open(&dir).unwrap();
             let stats = tier.stats();
-            assert_eq!(stats.warm_start_entries, 0, "flip at byte {at}");
+            assert!(stats.warm_start_entries <= 1, "flip at byte {at}");
             assert!(stats.corrupt_skipped >= 1, "flip at byte {at}");
-            assert_eq!(tier.summary(SRC, key.config), None, "flip at byte {at}");
-            assert!(tier.load_mapping(&key).is_none(), "flip at byte {at}");
+            if at < post_at {
+                assert_eq!(tier.summary(SRC, key.config), None, "flip at byte {at}");
+            } else {
+                assert_eq!(
+                    tier.summary(SRC, key.config),
+                    Some(MappingSummary::of(&result)),
+                    "flip at byte {at}"
+                );
+                assert!(
+                    tier.load_post_transform(&post_key).is_none(),
+                    "flip at byte {at}"
+                );
+            }
         }
         // The unflipped segment still answers both ways.
         fs::write(&seg_path, &pristine).unwrap();
@@ -871,7 +921,7 @@ mod tests {
             tier.summary(SRC, key.config),
             Some(MappingSummary::of(&result))
         );
-        assert!(tier.load_mapping(&key).is_some());
+        assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -905,7 +955,6 @@ mod tests {
                 tier.summary(SRC, key.config),
                 Some(MappingSummary::of(&result))
             );
-            assert_eq!(tier.load_mapping(&key).unwrap().program, result.program);
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -919,7 +968,7 @@ mod tests {
         tier.store_mapping(&key, &result);
         assert_eq!(tier.clear(), 1);
         assert_eq!(tier.entry_count(), 0);
-        assert!(tier.load_mapping(&key).is_none());
+        assert_eq!(tier.summary(SRC, key.config), None);
         // A reopened tier is empty too.
         drop(tier);
         let tier = DiskTier::open(&dir).unwrap();
@@ -948,7 +997,7 @@ mod tests {
         // The warm-start scan already rejects the record.
         assert_eq!(tier.stats().warm_start_entries, 0);
         assert!(tier.stats().corrupt_skipped >= 1);
-        assert!(tier.load_mapping(&key).is_none());
+        assert_eq!(tier.summary(SRC, key.config), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -974,13 +1023,16 @@ mod tests {
         let tier = DiskTier::open(&dir).unwrap();
         assert_eq!(tier.stats().warm_start_entries, 1);
         assert!(tier.stats().corrupt_skipped >= 1);
-        assert!(tier.load_mapping(&key).is_some());
-        assert!(tier.load_mapping(&other_key).is_none());
+        assert!(tier.summary(SRC, key.config).is_some());
+        assert_eq!(tier.summary(other, other_key.config), None);
         // The tier keeps accepting stores after recovering a torn tail.
         tier.store_mapping(&other_key, &other_result);
+        drop(tier);
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.stats().corrupt_skipped, 0);
         assert_eq!(
-            tier.load_mapping(&other_key).unwrap().program,
-            other_result.program
+            tier.summary(other, other_key.config),
+            Some(MappingSummary::of(&other_result))
         );
         let _ = fs::remove_dir_all(&dir);
     }
@@ -990,15 +1042,18 @@ mod tests {
         let dir = temp_dir("compact");
         let result = Mapper::new().map_source(SRC).unwrap();
         let key = MappingKey::new(SRC, fingerprint());
+        let (post_key, artifacts) = post_transform_of(&result);
         let tier = DiskTier::open(&dir).unwrap();
+        tier.store_mapping(&key, &result);
         let record_bytes = {
-            tier.store_mapping(&key, &result);
-            tier.lock().live_bytes
+            let before = tier.lock().live_bytes;
+            tier.store_post_transform(&post_key, &artifacts);
+            tier.lock().live_bytes - before
         };
         // Re-store the same key until the dead bytes pass the floor.
         let rewrites = (COMPACT_MIN_DEAD / record_bytes.max(1)) + 2;
         for _ in 0..rewrites {
-            tier.store_mapping(&key, &result);
+            tier.store_post_transform(&post_key, &artifacts);
         }
         let stats = tier.stats();
         assert!(
@@ -1006,12 +1061,16 @@ mod tests {
             "no compaction after {rewrites} rewrites"
         );
         assert!(tier.lock().dead_bytes < COMPACT_MIN_DEAD);
-        // The survivor is intact, on disk and in the reopened index.
-        assert_eq!(tier.load_mapping(&key).unwrap().program, result.program);
+        // Both survivors are intact, on disk and in the reopened index.
+        assert_eq!(tier.load_post_transform(&post_key), Some(artifacts.clone()));
         drop(tier);
         let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier.stats().warm_start_entries, 1);
-        assert_eq!(tier.load_mapping(&key).unwrap().program, result.program);
+        assert_eq!(tier.stats().warm_start_entries, 2);
+        assert_eq!(
+            tier.summary(SRC, key.config),
+            Some(MappingSummary::of(&result))
+        );
+        assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1019,14 +1078,7 @@ mod tests {
     fn post_transform_roundtrips_through_disk() {
         let dir = temp_dir("post");
         let result = Mapper::new().map_source(SRC).unwrap();
-        let artifacts = PostTransformArtifacts::of(&result);
-        // Rebuild the structural key from the finished mapping's simplified
-        // CDFG and layout, exactly as the cached flow derives it.
-        let simplified = crate::flow::stages::SimplifiedKernel {
-            simplified: (*result.simplified).clone(),
-            layout: result.layout.clone(),
-        };
-        let key = PostTransformKey::new(&simplified, fingerprint());
+        let (key, artifacts) = post_transform_of(&result);
         let tier = DiskTier::open(&dir).unwrap();
         tier.store_post_transform(&key, &artifacts);
         let loaded = tier.load_post_transform(&key).unwrap();

@@ -75,8 +75,9 @@ impl MappingService {
     /// a persistent disk tier under `cache_dir` (the `--cache-dir` knob of
     /// `fpfa-map` and `fpfa-serve`).  The directory is created if missing
     /// and warm-started from any segment files already present — a restarted
-    /// service answers previously mapped kernels without re-running the
-    /// flow.
+    /// service answers previously mapped kernels from their persisted
+    /// summaries, and rebuilds a mapping it needs in full by running only
+    /// frontend and transform over the persisted post-transform record.
     ///
     /// # Errors
     /// Only I/O errors creating or listing the directory; corrupt cache

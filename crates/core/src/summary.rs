@@ -4,9 +4,8 @@
 //! structural [`program_digest`] plus the headline report figures — not the
 //! mapping itself.  [`MappingSummary`] is that answer.  The serving layer
 //! mints its response frames from it, and the disk tier
-//! ([`crate::persist`]) stores it beside every full mapping, so a restarted
-//! service answers a persisted kernel from its summary without decoding the
-//! mapping.
+//! ([`crate::persist`]) stores it in place of every full mapping, so a
+//! restarted service answers a persisted kernel from its summary alone.
 
 use crate::pipeline::MappingResult;
 use crate::program::TileProgram;

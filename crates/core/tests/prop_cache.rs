@@ -11,32 +11,9 @@ use fpfa_core::cache::{CacheOutcome, MappingCache};
 use fpfa_core::flow::KernelSpec;
 use fpfa_core::pipeline::Mapper;
 use fpfa_core::service::MappingService;
+use fpfa_workloads::straight_line_kernel;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// A random straight-line kernel (same generator family as `prop_mapper`).
-fn random_kernel_source(ops: &[(u8, u8, u8)]) -> String {
-    let mut body = String::new();
-    for (i, (kind, a, b)) in ops.iter().enumerate() {
-        let lhs = format!("a[{}]", a % 6);
-        let rhs = if i == 0 {
-            format!("a[{}]", b % 6)
-        } else {
-            format!("t{}", (*b as usize) % i)
-        };
-        let op = match kind % 4 {
-            0 => "+",
-            1 => "-",
-            2 => "*",
-            _ => "^",
-        };
-        body.push_str(&format!("            t{i} = {lhs} {op} {rhs};\n"));
-    }
-    let decls: String = (0..ops.len())
-        .map(|i| format!("            int t{i};\n"))
-        .collect();
-    format!("void main() {{\n            int a[6];\n{decls}{body}        }}")
-}
 
 /// A distinct trivial kernel per index (for filling the cache).
 fn numbered_kernel(index: usize) -> String {
@@ -54,7 +31,7 @@ proptest! {
         ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 4..24),
         tiles in 1usize..5,
     ) {
-        let source = random_kernel_source(&ops);
+        let source = straight_line_kernel(&ops);
         let mapper = Mapper::new().with_tiles(tiles);
         let cold = mapper.map_source(&source).expect("random kernels map");
 

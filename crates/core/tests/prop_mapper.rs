@@ -6,6 +6,7 @@ use fpfa_core::allocate::Allocator;
 use fpfa_core::cluster::{ClusteredGraph, Clusterer};
 use fpfa_core::dfg::MappingGraph;
 use fpfa_core::schedule::Scheduler;
+use fpfa_workloads::straight_line_kernel;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -35,30 +36,6 @@ fn arb_dag(max_nodes: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize)
 // ----------------------------------------------------------------------
 // Random straight-line kernels for clustering + allocation.
 // ----------------------------------------------------------------------
-
-fn random_kernel_source(ops: &[(u8, u8, u8)]) -> String {
-    // Each element builds `t{i} = <expr over array a and earlier temps>`.
-    let mut body = String::new();
-    for (i, (kind, a, b)) in ops.iter().enumerate() {
-        let lhs = format!("a[{}]", a % 6);
-        let rhs = if i == 0 {
-            format!("a[{}]", b % 6)
-        } else {
-            format!("t{}", (*b as usize) % i)
-        };
-        let op = match kind % 4 {
-            0 => "+",
-            1 => "-",
-            2 => "*",
-            _ => "^",
-        };
-        body.push_str(&format!("            t{i} = {lhs} {op} {rhs};\n"));
-    }
-    let decls: String = (0..ops.len())
-        .map(|i| format!("            int t{i};\n"))
-        .collect();
-    format!("void main() {{\n            int a[6];\n{decls}{body}        }}")
-}
 
 fn mapping_graph(source: &str) -> MappingGraph {
     let program = fpfa_frontend::compile(source).expect("random kernels compile");
@@ -118,7 +95,7 @@ proptest! {
     fn clustering_partitions_operations_and_respects_the_capability(
         ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..14),
     ) {
-        let graph = mapping_graph(&random_kernel_source(&ops));
+        let graph = mapping_graph(&straight_line_kernel(&ops));
         let capability = AluCapability::paper();
         let clustered = Clusterer::new(capability).cluster(&graph).unwrap();
 
@@ -148,7 +125,7 @@ proptest! {
         ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..12),
         locality in any::<bool>(),
     ) {
-        let graph = mapping_graph(&random_kernel_source(&ops));
+        let graph = mapping_graph(&straight_line_kernel(&ops));
         let config = TileConfig::paper();
         let clustered = Clusterer::new(config.alu).cluster(&graph).unwrap();
         let schedule = Scheduler::new(config.num_pps).schedule(&clustered).unwrap();

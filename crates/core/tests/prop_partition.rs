@@ -11,32 +11,9 @@ use fpfa_core::cluster::Clusterer;
 use fpfa_core::dfg::MappingGraph;
 use fpfa_core::multi::{MultiScheduler, MultiTileAllocator};
 use fpfa_core::partition::Partitioner;
+use fpfa_workloads::straight_line_kernel;
 use proptest::prelude::*;
 use std::collections::HashSet;
-
-/// A random straight-line kernel (same generator family as `prop_mapper`).
-fn random_kernel_source(ops: &[(u8, u8, u8)]) -> String {
-    let mut body = String::new();
-    for (i, (kind, a, b)) in ops.iter().enumerate() {
-        let lhs = format!("a[{}]", a % 6);
-        let rhs = if i == 0 {
-            format!("a[{}]", b % 6)
-        } else {
-            format!("t{}", (*b as usize) % i)
-        };
-        let op = match kind % 4 {
-            0 => "+",
-            1 => "-",
-            2 => "*",
-            _ => "^",
-        };
-        body.push_str(&format!("            t{i} = {lhs} {op} {rhs};\n"));
-    }
-    let decls: String = (0..ops.len())
-        .map(|i| format!("            int t{i};\n"))
-        .collect();
-    format!("void main() {{\n            int a[6];\n{decls}{body}        }}")
-}
 
 fn mapping_graph(source: &str) -> MappingGraph {
     let program = fpfa_frontend::compile(source).expect("random kernels compile");
@@ -55,7 +32,7 @@ proptest! {
         ops in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 4..40),
         num_tiles in 2usize..5,
     ) {
-        let graph = mapping_graph(&random_kernel_source(&ops));
+        let graph = mapping_graph(&straight_line_kernel(&ops));
         let clustered = Clusterer::default().cluster(&graph).expect("clusterable");
         let assignment = Partitioner::new(num_tiles)
             .partition(&graph, &clustered)
@@ -81,7 +58,7 @@ proptest! {
     ) {
         let config = TileConfig::paper();
         let array = ArrayConfig::with_tiles(num_tiles);
-        let graph = mapping_graph(&random_kernel_source(&ops));
+        let graph = mapping_graph(&straight_line_kernel(&ops));
         let clustered = Clusterer::default().cluster(&graph).expect("clusterable");
         let assignment = Partitioner::new(num_tiles)
             .partition(&graph, &clustered)
@@ -115,7 +92,7 @@ proptest! {
     ) {
         let config = TileConfig::paper();
         let array = ArrayConfig::with_tiles(num_tiles);
-        let graph = mapping_graph(&random_kernel_source(&ops));
+        let graph = mapping_graph(&straight_line_kernel(&ops));
         let clustered = Clusterer::default().cluster(&graph).expect("clusterable");
         let assignment = Partitioner::new(num_tiles)
             .partition(&graph, &clustered)

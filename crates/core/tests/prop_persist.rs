@@ -1,41 +1,19 @@
 //! Property tests for the persistent (L2) mapping-cache tier: arbitrary
-//! cached mappings survive a round trip through the on-disk segment files,
-//! their persisted summaries match the mappings they summarise, and
-//! arbitrary corruption — bit flips anywhere in a segment, truncated tails
-//! — yields a *typed miss* that falls through to a cold re-map with an
-//! identical program. Never a panic, never a wrong answer.
+//! cached mappings are rebuilt after a restart from their persisted
+//! post-transform records, their persisted summaries match the mappings
+//! they summarise, and arbitrary corruption — bit flips anywhere in a
+//! segment, truncated tails — yields a *typed miss* that falls through to a
+//! cold re-map with an identical program. Never a panic, never a wrong
+//! answer.
 
 use fpfa_core::cache::{CacheOutcome, SummaryTier};
 use fpfa_core::pipeline::Mapper;
 use fpfa_core::service::MappingService;
 use fpfa_core::summary::{program_digest, MappingSummary};
+use fpfa_workloads::straight_line_kernel;
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A random straight-line kernel (same generator family as `prop_cache`).
-fn random_kernel_source(ops: &[(u8, u8, u8)]) -> String {
-    let mut body = String::new();
-    for (i, (kind, a, b)) in ops.iter().enumerate() {
-        let lhs = format!("a[{}]", a % 6);
-        let rhs = if i == 0 {
-            format!("a[{}]", b % 6)
-        } else {
-            format!("t{}", (*b as usize) % i)
-        };
-        let op = match kind % 4 {
-            0 => "+",
-            1 => "-",
-            2 => "*",
-            _ => "^",
-        };
-        body.push_str(&format!("            t{i} = {lhs} {op} {rhs};\n"));
-    }
-    let decls: String = (0..ops.len())
-        .map(|i| format!("            int t{i};\n"))
-        .collect();
-    format!("void main() {{\n            int a[6];\n{decls}{body}        }}")
-}
 
 /// A fresh, unique cache directory per proptest case.
 fn case_dir() -> PathBuf {
@@ -63,8 +41,8 @@ fn segment_files(dir: &PathBuf) -> Vec<PathBuf> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Round trip: mappings stored by one process-lifetime are warm-started
-    /// by the next, bit-for-bit.  Then arbitrary byte flips and a truncated
+    /// Round trip: mappings stored by one process-lifetime are rebuilt by
+    /// the next, bit-for-bit.  Then arbitrary byte flips and a truncated
     /// tail: a third lifetime still answers every kernel with the identical
     /// program — from the surviving records where the digests still verify,
     /// from a cold re-map where they do not.
@@ -77,7 +55,7 @@ proptest! {
     ) {
         let dir = case_dir();
         let sources = [
-            random_kernel_source(&ops),
+            straight_line_kernel(&ops),
             "void main() { int a[3]; int r; r = a[0] + a[1] * a[2]; }".to_string(),
         ];
         let mapper = || Mapper::new().with_tiles(tiles);
@@ -94,10 +72,11 @@ proptest! {
         drop(service);
 
         // Lifetime 2: a fresh cache over the same directory warm-starts and
-        // serves every kernel as a mapping hit with the identical program.
-        // Before any load, the disk tier already holds each kernel's
-        // summary: the summary of the decoded mapping, with the digest of a
-        // one-shot map.
+        // rebuilds every kernel as a post-transform hit with the identical
+        // program: frontend and transform re-run, phases 1-3 come from disk,
+        // and the rebuild appends no record.  Before any load, the disk tier
+        // already holds each kernel's summary: the summary of the rebuilt
+        // mapping, with the digest of a one-shot map.
         let service = MappingService::with_cache_dir(mapper(), 64, &dir).expect("reopen tier");
         let fingerprint = service.mapper().cache_fingerprint();
         prop_assert!(service.cache().persist_stats().warm_start_entries >= sources.len() as u64);
@@ -108,15 +87,18 @@ proptest! {
                 return Err(TestCaseError::fail(format!("no disk summary: {probed:?}")));
             };
             let warm = service.map_source(source).expect("warm-started kernels map");
-            prop_assert_eq!(warm.report.cache, CacheOutcome::MappingHit);
+            prop_assert_eq!(warm.report.cache, CacheOutcome::PostTransformHit);
             prop_assert_eq!(&warm.program, program);
             prop_assert_eq!(&warm.multi, multi);
             prop_assert_eq!(summary, MappingSummary::of(&warm));
+            let stages: Vec<&str> = warm.trace.timings.iter().map(|t| t.stage).collect();
+            prop_assert_eq!(stages, ["frontend", "transform"]);
             let one_shot = mapper().map_source(source).expect("random kernels map");
             prop_assert_eq!(summary.digest, program_digest(&one_shot));
             summaries.push(summary);
         }
         prop_assert_eq!(service.cache().persist_stats().loads, sources.len() as u64);
+        prop_assert_eq!(service.cache().persist_stats().stores, 0);
         drop(service);
 
         // Corruption: flip bytes at arbitrary offsets (magic, framing,

@@ -41,19 +41,6 @@ impl MemoryLayout {
         MemoryLayout::default()
     }
 
-    /// Rebuilds a layout from previously allocated symbols (the mapping
-    /// cache's persistence path).  The next free address resumes after the
-    /// highest allocated range, matching what the equivalent sequence of
-    /// [`allocate`](Self::allocate) calls would have produced.
-    pub fn from_symbols(arrays: Vec<ArraySymbol>) -> Self {
-        let next_free = arrays
-            .iter()
-            .map(|a| a.base.wrapping_add(a.len as i64))
-            .max()
-            .unwrap_or(0);
-        MemoryLayout { arrays, next_free }
-    }
-
     /// Allocates `len` consecutive addresses for array `name` and returns the
     /// new symbol, or `None` when the array would overflow the statespace
     /// address range (allocating anyway would silently alias earlier arrays).

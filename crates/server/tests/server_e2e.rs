@@ -1030,7 +1030,8 @@ fn metric(handle: &ServerHandle, name: &str) -> u64 {
 /// A second server over the first one's cache directory answers the
 /// registry's first pass inline from the persisted summaries: the cold
 /// digests, no record decoded, no job queued.  A `verify` request needs the
-/// mapping itself, so it decodes one and verifies it.
+/// mapping itself, so it rebuilds it from the persisted post-transform
+/// record and verifies it.
 #[test]
 fn restarted_server_answers_from_persisted_summaries_without_decoding() {
     let dir = std::env::temp_dir().join(format!("fpfa-e2e-restart-{}", std::process::id()));
@@ -1079,7 +1080,9 @@ fn restarted_server_answers_from_persisted_summaries_without_decoding() {
         )
         .expect("a persisted mapping verifies clean");
     assert_eq!(verified.digest, cold[0]);
-    assert!(metric(&restarted, "persist.loads") >= 1);
+    assert_eq!(verified.cache, fpfa_server::CacheFlavor::PostTransformHit);
+    assert_eq!(metric(&restarted, "persist.loads"), 1);
+    assert_eq!(metric(&restarted, "persist.stores"), 0);
     assert_eq!(metric(&restarted, "serve.accepted"), 1);
     restarted.shutdown();
     restarted.join();

@@ -6,34 +6,8 @@
 use fpfa_core::pipeline::Mapper;
 use fpfa_core::service::MappingService;
 use fpfa_verify::{Mutation, Verifier};
+use fpfa_workloads::straight_line_kernel;
 use proptest::prelude::*;
-
-/// A random straight-line kernel: each element builds
-/// `t{i} = <expr over array a and earlier temps>` (the generator from the
-/// mapper's own property tests, so verified coverage matches mapped
-/// coverage).
-fn random_kernel_source(ops: &[(u8, u8, u8)]) -> String {
-    let mut body = String::new();
-    for (i, (kind, a, b)) in ops.iter().enumerate() {
-        let lhs = format!("a[{}]", a % 6);
-        let rhs = if i == 0 {
-            format!("a[{}]", b % 6)
-        } else {
-            format!("t{}", (*b as usize) % i)
-        };
-        let op = match kind % 4 {
-            0 => "+",
-            1 => "-",
-            2 => "*",
-            _ => "^",
-        };
-        body.push_str(&format!("            t{i} = {lhs} {op} {rhs};\n"));
-    }
-    let decls: String = (0..ops.len())
-        .map(|i| format!("            int t{i};\n"))
-        .collect();
-    format!("void main() {{\n            int a[6];\n{decls}{body}        }}")
-}
 
 fn arb_ops() -> impl Strategy<Value = Vec<(u8, u8, u8)>> {
     prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..12)
@@ -51,7 +25,7 @@ proptest! {
         ops in arb_ops(),
         tiles in arb_tiles(),
     ) {
-        let source = random_kernel_source(&ops);
+        let source = straight_line_kernel(&ops);
         let mapper = Mapper::new().with_tiles(tiles);
         let verifier = Verifier::for_mapper(&mapper);
         let service = MappingService::new(mapper);
@@ -78,7 +52,7 @@ proptest! {
         ops in arb_ops(),
         tiles in arb_tiles(),
     ) {
-        let source = random_kernel_source(&ops);
+        let source = straight_line_kernel(&ops);
         let mapper = Mapper::new().with_tiles(tiles);
         let result = mapper.map_source(&source).expect("random kernels map");
         let verifier = Verifier::for_mapper(&mapper);

@@ -433,6 +433,33 @@ pub fn multi_tile_registry() -> Vec<Kernel> {
     vec![fir(64), fft_butterfly_stage(16), conv2d_3x3(8, 8)]
 }
 
+/// A straight-line kernel over `int a[6]` for the property tests: draw
+/// `(kind, a, b)` at index `i` becomes `t{i} = a[a % 6] <op> <rhs>`, where
+/// `kind % 4` picks `+`, `-`, `*` or `^` and the right operand is `a[b % 6]`
+/// for the first draw and an earlier temporary `t{b % i}` after it.
+pub fn straight_line_kernel(ops: &[(u8, u8, u8)]) -> String {
+    let mut body = String::new();
+    for (i, (kind, a, b)) in ops.iter().enumerate() {
+        let lhs = format!("a[{}]", a % 6);
+        let rhs = if i == 0 {
+            format!("a[{}]", b % 6)
+        } else {
+            format!("t{}", (*b as usize) % i)
+        };
+        let op = match kind % 4 {
+            0 => "+",
+            1 => "-",
+            2 => "*",
+            _ => "^",
+        };
+        body.push_str(&format!("            t{i} = {lhs} {op} {rhs};\n"));
+    }
+    let decls: String = (0..ops.len())
+        .map(|i| format!("            int t{i};\n"))
+        .collect();
+    format!("void main() {{\n            int a[6];\n{decls}{body}        }}")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

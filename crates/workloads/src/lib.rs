@@ -19,7 +19,8 @@
 //! * [`conv2d_3x3`] — a 3×3 convolution over a small image.
 //!
 //! [`registry`] returns the default benchmark suite used by the experiment
-//! tables.
+//! tables, and [`straight_line_kernel`] builds the random straight-line
+//! kernels of the property tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,6 +29,6 @@ pub mod kernels;
 
 pub use kernels::{
     conv2d_3x3, dct4, dot_product, fft_butterfly_stage, fir, horner, iir_biquad, matmul,
-    moving_average, multi_tile_registry, power_sum, registry, test_signal, vector_scale_add,
-    Kernel,
+    moving_average, multi_tile_registry, power_sum, registry, straight_line_kernel, test_signal,
+    vector_scale_add, Kernel,
 };
