@@ -271,11 +271,10 @@ impl TopoScratch {
 /// and output ports determined by their [`NodeKind`]; each input port is
 /// driven by at most one edge, while output ports may fan out to any number of
 /// consumers. Removed nodes and edges leave holes in the arena so that
-/// identifiers stay stable while a graph is rewritten; [`Cdfg::compact`]
-/// rebuilds a dense, exactly sized graph (the mapping flow's `transform`
-/// stage ends with it, so every later stage and cache tier holds no holes),
-/// and [`Cdfg::enable_id_reuse`] opts a graph into free-list reuse of the
-/// holes.
+/// identifiers stay stable while a graph is rewritten, and ids are never
+/// handed out again; [`Cdfg::compact`] rebuilds a dense, exactly sized graph
+/// (the mapping flow's `transform` stage ends with it, so every later stage
+/// and cache tier holds no holes).
 ///
 /// Every mutation primitive records the nodes it touches in an optional
 /// [`ChangeJournal`] (see [`Cdfg::enable_journal`]); the incremental rewrite
@@ -290,10 +289,6 @@ pub struct Cdfg {
     /// SoA arena: port connectivity per slot, parallel to `kinds`.
     ports: Vec<PortRecord>,
     edges: Vec<Option<Edge>>,
-    /// Freed slots handed out again under [`Cdfg::enable_id_reuse`].
-    free_nodes: Vec<NodeId>,
-    free_edges: Vec<EdgeId>,
-    reuse_ids: bool,
     live_nodes: usize,
     live_edges: usize,
     journal: Option<ChangeJournal>,
@@ -359,26 +354,6 @@ impl Cdfg {
     /// Renames the graph.
     pub fn set_name(&mut self, name: impl Into<String>) {
         self.name = name.into();
-    }
-
-    /// Opts this graph into free-list id reuse: node and edge slots freed by
-    /// [`Cdfg::remove_node`]/[`Cdfg::disconnect`] are handed out again by
-    /// later `add_node`/`connect` calls instead of growing the arena.
-    ///
-    /// Off by default: the mapping flow keeps allocation monotonic so that
-    /// every downstream ordering (topological ready stacks, extraction op
-    /// order) — and therefore every mapped-program digest — is reproducible
-    /// run-over-run.  Long-running rewrite sessions that churn many nodes
-    /// can opt in to keep the arena dense; graph *semantics* (canonical
-    /// signature, interpreter results) are unaffected, only the identity of
-    /// freshly allocated ids changes.
-    pub fn enable_id_reuse(&mut self) {
-        self.reuse_ids = true;
-    }
-
-    /// `true` when freed ids are reused (see [`Cdfg::enable_id_reuse`]).
-    pub fn id_reuse_enabled(&self) -> bool {
-        self.reuse_ids
     }
 
     // ------------------------------------------------------------------
@@ -481,22 +456,12 @@ impl Cdfg {
     // Mutation
     // ------------------------------------------------------------------
 
-    /// Adds a node and returns its id.
+    /// Adds a node and returns its id, one past every id handed out before.
     pub fn add_node(&mut self, kind: NodeKind) -> NodeId {
-        let record = PortRecord::new(kind.input_arity(), kind.output_arity());
-        let id = match self.free_nodes.pop() {
-            Some(id) => {
-                self.kinds[id.index()] = Some(kind);
-                self.ports[id.index()] = record;
-                id
-            }
-            None => {
-                let id = NodeId::from_index(self.kinds.len());
-                self.kinds.push(Some(kind));
-                self.ports.push(record);
-                id
-            }
-        };
+        let id = NodeId::from_index(self.kinds.len());
+        self.ports
+            .push(PortRecord::new(kind.input_arity(), kind.output_arity()));
+        self.kinds.push(Some(kind));
         self.live_nodes += 1;
         self.touch(id);
         id
@@ -544,17 +509,8 @@ impl Cdfg {
             }
         }
         let edge = Edge::new(Endpoint::new(from, from_port), Endpoint::new(to, to_port));
-        let id = match self.free_edges.pop() {
-            Some(id) => {
-                self.edges[id.index()] = Some(edge);
-                id
-            }
-            None => {
-                let id = EdgeId::from_index(self.edges.len());
-                self.edges.push(Some(edge));
-                id
-            }
-        };
+        let id = EdgeId::from_index(self.edges.len());
+        self.edges.push(Some(edge));
         self.ports[from.index()].push_out(id.index() as u32);
         self.ports[to.index()].in_slots_mut()[to_port] = id.index() as u32;
         self.live_edges += 1;
@@ -581,9 +537,6 @@ impl Cdfg {
             }
         }
         self.edges[id.index()] = None;
-        if self.reuse_ids {
-            self.free_edges.push(id);
-        }
         self.live_edges -= 1;
         self.touch(edge.from.node);
         self.touch(edge.to.node);
@@ -617,9 +570,6 @@ impl Cdfg {
         self.touch(id);
         let kind = self.kinds[id.index()].take().expect("checked above");
         self.ports[id.index()] = PortRecord::default();
-        if self.reuse_ids {
-            self.free_nodes.push(id);
-        }
         Ok(kind)
     }
 
@@ -907,12 +857,10 @@ impl Cdfg {
     /// The result is exactly sized: its node and edge arenas reserve the live
     /// counts and nothing more.  Live nodes keep their relative order (the
     /// remap is strictly increasing) and edges are re-created in id order, so
-    /// [`Cdfg::edges`] yields the same sequence.  On a graph that never
-    /// enabled [`Cdfg::enable_id_reuse`], edge ids grow in connect order, so
-    /// every output port also keeps its sink order, and walks that follow
-    /// id or connect order (the topological sort, extraction) visit the
-    /// compacted graph in the same order as the original.  Under id reuse
-    /// the per-port sink order becomes edge-id order instead.
+    /// [`Cdfg::edges`] yields the same sequence.  Edge ids grow in connect
+    /// order, so every output port also keeps its sink order, and walks that
+    /// follow id or connect order (the topological sort, extraction) visit
+    /// the compacted graph in the same order as the original.
     pub fn compact(&self) -> (Cdfg, NodeRemap) {
         let mut out = Cdfg {
             name: self.name.clone(),
@@ -1224,35 +1172,6 @@ mod tests {
         g.connect(y, 0, x, 0).unwrap();
         assert!(!g.is_acyclic());
         assert!(matches!(g.topo_order(), Err(CdfgError::CycleDetected)));
-    }
-
-    #[test]
-    fn ids_are_not_reused_by_default() {
-        let (mut g, _a, _b, _c, mul, _add, _out) = mac_graph();
-        let bound = g.node_bound();
-        g.remove_node(mul).unwrap();
-        let fresh = g.add_node(NodeKind::Const(1));
-        assert_eq!(fresh.index(), bound);
-        assert_eq!(g.node_bound(), bound + 1);
-    }
-
-    #[test]
-    fn id_reuse_recycles_freed_slots() {
-        let (mut g, _a, _b, _c, mul, add, _out) = mac_graph();
-        assert!(!g.id_reuse_enabled());
-        g.enable_id_reuse();
-        let bound = g.node_bound();
-        let edges_bound = g.edges.len();
-        g.remove_node(mul).unwrap();
-        let recycled = g.add_node(NodeKind::Const(1));
-        assert_eq!(recycled, mul);
-        assert_eq!(g.node_bound(), bound);
-        // Freed edge slots are recycled too.
-        let eid = g.connect(recycled, 0, add, 0).unwrap();
-        assert!(eid.index() < edges_bound);
-        assert_eq!(g.edges.len(), edges_bound);
-        // Graph semantics are unchanged: the recycled node behaves normally.
-        assert_eq!(g.input_source(add, 0).unwrap().node, recycled);
     }
 
     #[test]

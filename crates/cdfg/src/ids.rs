@@ -5,10 +5,8 @@ use std::ops::Index;
 
 /// Identifier of a node inside a [`Cdfg`](crate::Cdfg).
 ///
-/// `NodeId`s are only meaningful for the graph that created them.  By
-/// default an id is never reused after a node has been removed; a graph
-/// opted into [`Cdfg::enable_id_reuse`](crate::Cdfg::enable_id_reuse) hands
-/// freed ids out again.
+/// `NodeId`s are only meaningful for the graph that created them.  An id is
+/// never reused after a node has been removed.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 

@@ -1,8 +1,7 @@
 //! Differential property test for the flat-arena [`Cdfg`] storage.
 //!
 //! A straightforward reference implementation of the pre-arena semantics
-//! (`Vec<Option<node>>` with per-node port lists and an explicit free list)
-//! is driven through the *same* random primitive sequence as the real graph
+//! (`Vec<Option<node>>` with per-node port lists) is driven through the *same* random primitive sequence as the real graph
 //! — `add_node`, `connect`, `disconnect`, `remove_node`, `replace_uses` —
 //! over node kinds that include the statespace operators and structured
 //! loops.  Every observable must agree: allocated ids, per-port
@@ -44,13 +43,10 @@ struct RefNode {
 }
 
 /// The old `Vec<Option<_>>` graph: slots freed by removal, ids handed out
-/// monotonically unless `reuse` turns on LIFO free-list recycling.
+/// monotonically.
 struct RefGraph {
-    reuse: bool,
     nodes: Vec<Option<RefNode>>,
     edges: Vec<Option<RefEdge>>,
-    free_nodes: Vec<usize>,
-    free_edges: Vec<usize>,
     /// The node of every change the old event journal reported, in emission
     /// order, as raw slot indices (the reference mirrors the arena's
     /// allocation order exactly, so slot index == `NodeId::index`).
@@ -58,13 +54,10 @@ struct RefGraph {
 }
 
 impl RefGraph {
-    fn new(reuse: bool) -> Self {
+    fn new() -> Self {
         RefGraph {
-            reuse,
             nodes: Vec::new(),
             edges: Vec::new(),
-            free_nodes: Vec::new(),
-            free_edges: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -87,16 +80,8 @@ impl RefGraph {
             outs: Vec::new(),
             kind,
         };
-        let id = match self.free_nodes.pop() {
-            Some(id) => {
-                self.nodes[id] = Some(node);
-                id
-            }
-            None => {
-                self.nodes.push(Some(node));
-                self.nodes.len() - 1
-            }
-        };
+        self.nodes.push(Some(node));
+        let id = self.nodes.len() - 1;
         self.events.push(id);
         id
     }
@@ -106,16 +91,8 @@ impl RefGraph {
             from: (from, from_port),
             to: (to, to_port),
         };
-        let id = match self.free_edges.pop() {
-            Some(id) => {
-                self.edges[id] = Some(edge);
-                id
-            }
-            None => {
-                self.edges.push(Some(edge));
-                self.edges.len() - 1
-            }
-        };
+        self.edges.push(Some(edge));
+        let id = self.edges.len() - 1;
         self.nodes[from]
             .as_mut()
             .expect("live source")
@@ -137,9 +114,6 @@ impl RefGraph {
         if ins[to.1] == Some(edge) {
             ins[to.1] = None;
         }
-        if self.reuse {
-            self.free_edges.push(edge);
-        }
         self.events.extend([from.0, to.0]);
     }
 
@@ -156,9 +130,6 @@ impl RefGraph {
         }
         self.events.push(id);
         self.nodes[id] = None;
-        if self.reuse {
-            self.free_nodes.push(id);
-        }
     }
 
     fn replace_uses(&mut self, from: usize, from_port: usize, to: usize, to_port: usize) {
@@ -344,13 +315,10 @@ fn add_both(
 /// Applies `ops` to a fresh journal-enabled [`Cdfg`] and the reference model
 /// in lock-step, asserting that allocated node/edge ids always agree.
 /// Returns the graph, the reference, and the real id stored at each slot.
-fn apply(ops: &[Op], reuse: bool) -> (Cdfg, RefGraph, Vec<NodeId>) {
+fn apply(ops: &[Op]) -> (Cdfg, RefGraph, Vec<NodeId>) {
     let mut graph = Cdfg::new("differential");
     graph.enable_journal();
-    if reuse {
-        graph.enable_id_reuse();
-    }
-    let mut reference = RefGraph::new(reuse);
+    let mut reference = RefGraph::new();
     let mut ids: Vec<NodeId> = Vec::new();
     let mut live: Vec<usize> = Vec::new();
     let mut inputs = 0usize;
@@ -618,17 +586,16 @@ fn compare_runs(a: &Cdfg, b: &Cdfg, values: &[i64]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every primitive, with and without id reuse: ids, connectivity,
-    /// journal contents, stats, signatures, and interpretation all match the
-    /// reference implementation of the old semantics.  The journal holds
-    /// each node the reference's events name once, in first-touch order.
+    /// Every primitive: ids, connectivity, journal contents, stats,
+    /// signatures, and interpretation all match the reference
+    /// implementation of the old semantics.  The journal holds each node the
+    /// reference's events name once, in first-touch order.
     #[test]
     fn flat_graph_matches_the_reference_semantics(
         ops in prop::collection::vec(arb_op(), 1..60),
-        reuse in any::<bool>(),
         values in prop::collection::vec(-40i64..40, 0..8),
     ) {
-        let (mut graph, reference, ids) = apply(&ops, reuse);
+        let (mut graph, reference, ids) = apply(&ops);
         check_structure(&graph, &reference, &ids);
 
         let mut drained = Vec::new();
@@ -649,16 +616,14 @@ proptest! {
     }
 
     /// `compact` and `splice` preserve structure for any mutation history,
-    /// including histories that left holes or recycled slots.  `compact`
-    /// also preserves order: node order and the global edge order always,
-    /// and every output port's sink order when the history never enabled
-    /// id reuse (edge ids then grow in connect order).
+    /// including histories that left holes.  `compact` also preserves
+    /// order: node order, the global edge order and every output port's
+    /// sink order (edge ids grow in connect order).
     #[test]
     fn compact_and_splice_preserve_the_reference_structure(
         ops in prop::collection::vec(arb_op(), 1..40),
-        reuse in any::<bool>(),
     ) {
-        let (graph, reference, ids) = apply(&ops, reuse);
+        let (graph, reference, ids) = apply(&ops);
 
         let (compacted, remap) = graph.compact();
         prop_assert_eq!(compacted.node_count(), graph.node_count());
@@ -680,13 +645,10 @@ proptest! {
             .collect();
         let compacted_edges: Vec<Edge> = compacted.edges().map(|(_, edge)| *edge).collect();
         prop_assert_eq!(compacted_edges, original_edges);
-        if !reuse {
-            for (id, node) in graph.nodes() {
-                for port in 0..node.output_count() {
-                    let sinks: Vec<Endpoint> =
-                        graph.output_sinks_iter(id, port).map(moved).collect();
-                    prop_assert_eq!(compacted.output_sinks(remap[id], port), sinks);
-                }
+        for (id, node) in graph.nodes() {
+            for port in 0..node.output_count() {
+                let sinks: Vec<Endpoint> = graph.output_sinks_iter(id, port).map(moved).collect();
+                prop_assert_eq!(compacted.output_sinks(remap[id], port), sinks);
             }
         }
 

@@ -29,8 +29,8 @@
 //!
 //! An optional [`DiskTier`] sits below both levels and survives restarts.
 //! It keeps a full mapping as its served summary only, which answers
-//! [`MappingCache::summary`] probes, and the post-transform artifacts in
-//! full, which a post-transform lookup falls through to on a memory miss.
+//! [`DiskTier::summary`] probes, and the post-transform artifacts in full,
+//! which a post-transform lookup falls through to on a memory miss.
 //! So after a restart a request that needs the mapping itself runs frontend
 //! and transform and is a post-transform hit: the costly phases do not
 //! re-run.
@@ -44,7 +44,7 @@ use crate::persist::{DiskTier, PersistStats};
 use crate::pipeline::MappingResult;
 use crate::program::TileProgram;
 use crate::schedule::Schedule;
-use crate::summary::{Fnv, MappingSummary};
+use crate::summary::Fnv;
 use fpfa_arch::{AluCapability, ArrayConfig, TileConfig};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -249,15 +249,6 @@ impl PostTransformArtifacts {
             fingerprint: result.config_fingerprint,
         }
     }
-}
-
-/// The tier a [`MappingCache::summary`] probe answered from.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SummaryTier {
-    /// The in-memory LRU held the mapping.
-    Memory,
-    /// The disk tier's summary map held it; the mapping was not decoded.
-    Disk,
 }
 
 /// How one mapping request interacted with the cache.
@@ -532,10 +523,10 @@ impl MappingCache {
     }
 
     /// Attaches a persistent [`DiskTier`] below the in-memory LRU (builder
-    /// style, before the cache is shared).  Summary probes and
-    /// post-transform lookups that miss in memory fall through to disk,
-    /// inserts store through, and [`clear`](Self::clear) truncates the disk
-    /// tier too.
+    /// style, before the cache is shared).  Post-transform lookups that miss
+    /// in memory fall through to disk, inserts store through, and
+    /// [`clear`](Self::clear) truncates the disk tier too; callers probe its
+    /// summary map through [`disk_tier`](Self::disk_tier).
     pub fn with_disk_tier(mut self, tier: Arc<DiskTier>) -> Self {
         self.disk = Some(tier);
         self
@@ -569,32 +560,13 @@ impl MappingCache {
         found
     }
 
-    /// Probes for the served summary of a full mapping: the in-memory LRU
-    /// first (refreshing the entry's recency), then the disk tier's summary
-    /// map.  Nothing is decoded, nothing is promoted and the hit/miss
-    /// counters are left alone: a caller that answers from the summary
-    /// accounts the hit itself ([`note_shard_hit`]), and on `None` the
-    /// request goes through the counted [`get_mapping`] path.  Requests
-    /// that need the mapping itself (verification, simulation) must use
-    /// [`get_mapping`].
-    ///
-    /// [`note_shard_hit`]: MappingCache::note_shard_hit
-    /// [`get_mapping`]: MappingCache::get_mapping
-    pub fn summary(&self, source: &str, config: u64) -> Option<(MappingSummary, SummaryTier)> {
-        let key = MappingKey::new(source, config);
-        let shard = &self.mapping_shards[key.shard_hash() as usize % self.mapping_shards.len()];
-        if let Some(result) = lock_shard(shard).get(&key) {
-            return Some((MappingSummary::of(&result), SummaryTier::Memory));
-        }
-        let summary = self.disk.as_ref()?.summary(source, config)?;
-        Some((summary, SummaryTier::Disk))
-    }
-
-    /// Records one full-mapping hit served from a derived cache (e.g. an I/O
-    /// shard's warm summary table) so the hit ratio reported by [`stats`]
-    /// keeps covering requests that never reach the cache proper.
+    /// Records one full-mapping hit answered from a summary instead of the
+    /// cache proper — an I/O shard's L0 table or the disk tier's summary
+    /// map — so the hit ratio reported by [`stats`] keeps covering requests
+    /// that never reach [`get_mapping`].
     ///
     /// [`stats`]: MappingCache::stats
+    /// [`get_mapping`]: MappingCache::get_mapping
     pub fn note_shard_hit(&self) {
         self.counters.mapping_hits.fetch_add(1, Ordering::Relaxed);
     }
@@ -722,6 +694,7 @@ impl Default for MappingCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::MappingSummary;
 
     fn key(s: &str) -> MappingKey {
         MappingKey::new(s, 7)
@@ -852,15 +825,13 @@ mod tests {
         let tier = Arc::new(DiskTier::open(&dir).unwrap());
         let cache = MappingCache::with_capacity(8).with_disk_tier(tier);
         assert_eq!(cache.persist_stats().warm_start_entries, 2);
-        // The summary probe answers from the disk tier's summary map without
-        // decoding anything or touching the hit/miss counters.
+        // The disk tier's summary map answers without decoding anything or
+        // touching the hit/miss counters.
         let fingerprint = mapper.cache_fingerprint();
         let summary = MappingSummary::of(&cold);
-        assert_eq!(
-            cache.summary(source, fingerprint),
-            Some((summary, SummaryTier::Disk))
-        );
-        assert_eq!(cache.summary("void main() {}", fingerprint), None);
+        let disk = Arc::clone(cache.disk_tier().unwrap());
+        assert_eq!(disk.summary(source, fingerprint), Some(summary));
+        assert_eq!(disk.summary("void main() {}", fingerprint), None);
         assert_eq!(cache.persist_stats().loads, 0);
         assert_eq!(cache.stats().lookups(), 0);
         // The mapping itself is not on disk: frontend and transform re-run
@@ -876,11 +847,7 @@ mod tests {
         assert_eq!(cache.persist_stats().loads, 1);
         // The summary on disk already matches: the rebuild appends nothing.
         assert_eq!(cache.persist_stats().stores, 0);
-        // Inserted into memory, the mapping now answers from L1.
-        assert_eq!(
-            cache.summary(source, fingerprint),
-            Some((summary, SummaryTier::Memory))
-        );
+        assert_eq!(disk.summary(source, fingerprint), Some(summary));
         // The rebuilt mapping now lives in memory: the next lookup is a
         // mapping hit that does not touch disk again.
         let again = mapper.map_source_cached(source, &cache).unwrap();
@@ -888,7 +855,7 @@ mod tests {
         assert_eq!(cache.persist_stats().loads, 1);
         // clear() truncates the disk tier too: cold again everywhere.
         cache.clear();
-        assert_eq!(cache.summary(source, fingerprint), None);
+        assert_eq!(disk.summary(source, fingerprint), None);
         let reset = mapper.map_source_cached(source, &cache).unwrap();
         assert_eq!(reset.report.cache, CacheOutcome::Miss);
         let _ = std::fs::remove_dir_all(&dir);

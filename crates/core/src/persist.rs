@@ -32,8 +32,10 @@
 //! whose tag-1 records also carry an encoded mapping (as earlier versions
 //! wrote them) still warm-start.  A tag-2 value is a [`crate::codec`]
 //! payload.  Records for the same key supersede earlier ones (append-only
-//! updates); superseded bytes are *dead* and reclaimed by compaction once
-//! they outweigh the live bytes.
+//! updates); superseded bytes are *dead*, and so are the bytes after a
+//! tag-1 record's summary.  Compaction reclaims them once they outweigh the
+//! live bytes, at the next store: it copies every live record and writes a
+//! tag-1 record summary-only.
 //!
 //! The checksum reads the payload as 8-byte little-endian words (the tail
 //! zero-padded) in four lanes, each folding every fourth word with xor,
@@ -211,11 +213,19 @@ struct RecordLoc {
     offset: u64,
     /// Payload length (excluding the frame header).
     payload_len: u32,
+    /// Trailing payload bytes that are dead from the start: whatever an
+    /// earlier version wrote after a full-mapping record's summary.
+    tail: u32,
 }
 
 impl RecordLoc {
     fn frame_len(&self) -> u64 {
         FRAME_HEADER + u64::from(self.payload_len)
+    }
+
+    /// The bytes that stay live while the record is indexed.
+    fn live_len(&self) -> u64 {
+        self.frame_len() - u64::from(self.tail)
     }
 }
 
@@ -337,14 +347,20 @@ impl TierInner {
         }
     }
 
-    /// Points `key` at a newly written record, accounting whatever record
-    /// it supersedes as dead bytes.
+    /// Points `key` at a newly written record, accounting its dead tail and
+    /// the live bytes of whatever record it supersedes as dead bytes.
     fn index_record(&mut self, key: RecordKey, loc: RecordLoc) {
-        self.live_bytes += loc.frame_len();
+        self.live_bytes += loc.live_len();
+        self.dead_bytes += u64::from(loc.tail);
         if let Some(old) = self.index.insert(key, loc) {
-            self.live_bytes = self.live_bytes.saturating_sub(old.frame_len());
-            self.dead_bytes += old.frame_len();
+            self.unlive(old);
         }
+    }
+
+    /// Accounts the live bytes of a record leaving the index as dead.
+    fn unlive(&mut self, loc: RecordLoc) {
+        self.live_bytes = self.live_bytes.saturating_sub(loc.live_len());
+        self.dead_bytes += loc.live_len();
     }
 }
 
@@ -568,8 +584,7 @@ impl DiskTier {
         let mut inner = self.lock();
         if inner.index.get(&key) == Some(&loc) {
             inner.index.remove(&key);
-            inner.live_bytes = inner.live_bytes.saturating_sub(loc.frame_len());
-            inner.dead_bytes += loc.frame_len();
+            inner.unlive(loc);
         }
         self.counters.corrupt();
     }
@@ -604,6 +619,7 @@ impl DiskTier {
             seg: active,
             offset,
             payload_len: (frame.len() as u64 - FRAME_HEADER) as u32,
+            tail: 0,
         };
         inner.active_len += loc.frame_len();
         inner.index_record(record_key, loc);
@@ -620,19 +636,37 @@ impl DiskTier {
     }
 
     /// Rewrites every live record into a fresh segment and deletes the old
-    /// files, reclaiming the dead bytes of superseded records.  A record
-    /// that no longer verifies is left behind (its summary, verified when
-    /// it was read or stored, stays answerable).
+    /// files, reclaiming the dead bytes of superseded records and of the
+    /// tails after full-mapping summaries (such a record is rewritten
+    /// summary-only).  A record that no longer verifies is left behind (its
+    /// summary, verified when it was read or stored, stays answerable).
     fn compact(&self, inner: &mut TierInner) {
         let next = inner.active + 1;
         let entries: Vec<(RecordKey, RecordLoc)> =
             inner.index.iter().map(|(k, v)| (*k, *v)).collect();
         let mut frames = Vec::with_capacity(entries.len());
         for (key, loc) in entries {
-            match read_frame(inner, loc) {
-                Ok(frame) if verified_frame(&frame).is_some() => frames.push((key, frame)),
-                _ => self.counters.corrupt(),
-            }
+            let Ok(frame) = read_frame(inner, loc) else {
+                self.counters.corrupt();
+                continue;
+            };
+            let trimmed = match verified_frame(&frame) {
+                None => {
+                    self.counters.corrupt();
+                    continue;
+                }
+                Some(Record {
+                    config,
+                    key,
+                    summary: Some(summary),
+                    value,
+                    ..
+                }) if !value.is_empty() => std::str::from_utf8(key).ok().and_then(|source| {
+                    encode_frame(TAG_MAPPING, config, source, Some(&summary), &[])
+                }),
+                Some(_) => None,
+            };
+            frames.push((key, trimmed.unwrap_or(frame)));
         }
         let old_ids: Vec<u64> = inner.segments.keys().copied().collect();
         let mut fresh = TierInner::empty(next);
@@ -650,6 +684,7 @@ impl DiskTier {
                 seg: next,
                 offset,
                 payload_len: (frame.len() as u64 - FRAME_HEADER) as u32,
+                tail: 0,
             };
             offset += loc.frame_len();
             placed.push((*key, loc));
@@ -706,9 +741,10 @@ fn verified_frame(frame: &[u8]) -> Option<Record<'_>> {
 /// Scans one segment at warm start, streaming it through `record` (the
 /// scan's one reusable record buffer): checksum-verifies every record,
 /// indexes the valid ones (later records supersede earlier ones), keeps the
-/// summary of every full-mapping record and counts corruption.  Returns the
-/// length of the valid prefix (the resume offset for appends), or `None`
-/// when the file does not start with the current magic.
+/// summary of every full-mapping record, accounts the bytes after it as
+/// dead and counts corruption.  Returns the length of the valid prefix (the
+/// resume offset for appends), or `None` when the file does not start with
+/// the current magic.
 fn scan_segment(
     file: &File,
     seg_id: u64,
@@ -746,6 +782,7 @@ fn scan_segment(
             seg: seg_id,
             offset,
             payload_len,
+            tail: 0,
         };
         offset += loc.frame_len();
         // A record whose payload is bad while the framing held is skipped
@@ -754,6 +791,7 @@ fn scan_segment(
             counters.corrupt();
             continue;
         };
+        let mut tail = 0;
         if let Some(summary) = verified.summary {
             let Ok(source) = std::str::from_utf8(verified.key) else {
                 counters.corrupt();
@@ -763,10 +801,11 @@ fn scan_segment(
                 .entry(verified.config)
                 .or_default()
                 .insert(source.into(), summary);
+            tail = verified.value.len() as u32;
         }
         inner.index_record(
             RecordKey::new(verified.tag, verified.config, verified.key),
-            loc,
+            RecordLoc { tail, ..loc },
         );
     }
     Some(offset)
@@ -867,9 +906,89 @@ mod tests {
         assert_eq!(stats.warm_start_entries, 1);
         assert_eq!(stats.corrupt_skipped, 0);
         assert_eq!(tier.summary(SRC, key.config), Some(summary));
+        // The trailing bytes are dead from the open on; the rest is live.
+        let frame_len = FRAME_HEADER + (KEY_PREFIX + SRC.len() + SUMMARY_LEN + 300) as u64;
+        assert_eq!(tier.lock().dead_bytes, 300);
+        assert_eq!(tier.lock().live_bytes, frame_len - 300);
         // The summary matches, so storing the same mapping appends nothing.
         tier.store_mapping(&key, &result);
         assert_eq!(tier.stats().stores, 0);
+        // A different summary supersedes the record: its trailing bytes are
+        // not counted a second time.
+        let mut changed = result.clone();
+        changed.report.cycles += 1;
+        tier.store_mapping(&key, &changed);
+        assert_eq!(tier.stats().stores, 1);
+        assert_eq!(tier.lock().dead_bytes, frame_len);
+        assert_eq!(tier.lock().live_bytes, frame_len - 300);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tailed_summary_records_compact_to_their_summaries() {
+        // A segment as earlier versions wrote it: every full-mapping record
+        // carries an encoded mapping after its summary.  Those tails are
+        // dead from the open on, and the first store compacts them away.
+        let dir = temp_dir("tails");
+        fs::create_dir_all(&dir).unwrap();
+        let config = fingerprint();
+        let result = Mapper::new().map_source(SRC).unwrap();
+        let summary = MappingSummary::of(&result);
+        let tail = [0xA5; 4096];
+        let sources: Vec<String> = (0..300).map(|i| format!("{SRC} // {i}")).collect();
+        let mut segment = SEGMENT_MAGIC.to_vec();
+        for source in &sources {
+            segment
+                .extend(encode_frame(TAG_MAPPING, config, source, Some(&summary), &tail).unwrap());
+        }
+        fs::write(segment_path(&dir, 0), &segment).unwrap();
+
+        let tier = DiskTier::open(&dir).unwrap();
+        let (live, dead) = {
+            let inner = tier.lock();
+            (inner.live_bytes, inner.dead_bytes)
+        };
+        assert_eq!(dead, (sources.len() * tail.len()) as u64);
+        assert_eq!(
+            live + dead,
+            segment.len() as u64 - SEGMENT_MAGIC.len() as u64
+        );
+        assert!(dead >= COMPACT_MIN_DEAD && dead > live);
+        // Opening does not compact; the next store does.
+        assert_eq!(tier.stats().compactions, 0);
+        tier.store_mapping(&MappingKey::new(SRC, config), &result);
+        assert_eq!(tier.stats().compactions, 1);
+        assert_eq!(tier.lock().dead_bytes, 0);
+
+        // One segment is left, and it holds summary-sized records only.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        let bytes = fs::read(segment_path(&dir, tier.lock().active)).unwrap();
+        let mut at = SEGMENT_MAGIC.len();
+        let mut records = 0;
+        while at < bytes.len() {
+            let frame_len = FRAME_HEADER as usize + read_u32(&bytes[at..]) as usize;
+            let record = verified_frame(&bytes[at..at + frame_len]).unwrap();
+            assert_eq!(record.tag, TAG_MAPPING);
+            assert!(record.value.is_empty(), "a tail survived at byte {at}");
+            at += frame_len;
+            records += 1;
+        }
+        assert_eq!(records, sources.len() + 1);
+        for source in &sources {
+            assert_eq!(tier.summary(source, config), Some(summary));
+        }
+        assert_eq!(tier.summary(SRC, config), Some(summary));
+
+        // The compacted segment warm-starts with every summary and no dead
+        // bytes.
+        drop(tier);
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.stats().warm_start_entries, sources.len() as u64 + 1);
+        assert_eq!(tier.stats().corrupt_skipped, 0);
+        assert_eq!(tier.lock().dead_bytes, 0);
+        for source in &sources {
+            assert_eq!(tier.summary(source, config), Some(summary));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

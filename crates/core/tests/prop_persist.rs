@@ -6,7 +6,7 @@
 //! cold re-map with an identical program. Never a panic, never a wrong
 //! answer.
 
-use fpfa_core::cache::{CacheOutcome, SummaryTier};
+use fpfa_core::cache::CacheOutcome;
 use fpfa_core::pipeline::Mapper;
 use fpfa_core::service::MappingService;
 use fpfa_core::summary::{program_digest, MappingSummary};
@@ -82,9 +82,9 @@ proptest! {
         prop_assert!(service.cache().persist_stats().warm_start_entries >= sources.len() as u64);
         let mut summaries = Vec::new();
         for (source, (program, multi)) in sources.iter().zip(&programs) {
-            let probed = service.cache().summary(source, fingerprint);
-            let Some((summary, SummaryTier::Disk)) = probed else {
-                return Err(TestCaseError::fail(format!("no disk summary: {probed:?}")));
+            let disk = service.cache().disk_tier().expect("a disk tier");
+            let Some(summary) = disk.summary(source, fingerprint) else {
+                return Err(TestCaseError::fail("no disk summary"));
             };
             let warm = service.map_source(source).expect("warm-started kernels map");
             prop_assert_eq!(warm.report.cache, CacheOutcome::PostTransformHit);
@@ -132,11 +132,12 @@ proptest! {
         // re-map where it did not).
         let service = MappingService::with_cache_dir(mapper(), 64, &dir)
             .expect("corrupt contents never fail the open");
-        // The summary probe answers with the true summary or not at all.
+        // The disk summary map answers with the true summary or not at all.
+        let disk = service.cache().disk_tier().expect("a disk tier");
         for (source, summary) in sources.iter().zip(&summaries) {
-            let probed = service.cache().summary(source, fingerprint);
+            let probed = disk.summary(source, fingerprint);
             prop_assert!(
-                probed.is_none() || probed == Some((*summary, SummaryTier::Disk)),
+                probed.is_none() || probed == Some(*summary),
                 "corrupt summary served: {:?}",
                 probed
             );

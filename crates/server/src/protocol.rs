@@ -35,7 +35,9 @@
 //!   **request id** followed by the v1 message body
 //!   ([`encode_request_frame`] / [`decode_response_frame`]).  A connection
 //!   may have many requests in flight; responses carry the id they answer
-//!   and may arrive **out of order**.
+//!   and may arrive **out of order**.  The server writes each response with
+//!   [`append_response_frame`], which encodes length prefix, id and body
+//!   straight into the connection's write buffer.
 //!
 //! [`FrameBuffer`] is the nonblocking counterpart of [`read_frame`]: it
 //! accumulates bytes as they arrive and yields complete frames, enforcing
@@ -364,10 +366,8 @@ pub struct HelloAck {
 /// Encodes a v2 request frame payload: the `u64` request id followed by the
 /// v1 request body.
 pub fn encode_request_frame(id: u64, request: &Request) -> Vec<u8> {
-    let body = request.encode();
-    let mut buf = Vec::with_capacity(8 + body.len());
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(&body);
+    let mut buf = id.to_le_bytes().to_vec();
+    request.encode_into(&mut Enc { buf: &mut buf });
     buf
 }
 
@@ -387,14 +387,19 @@ pub fn decode_request_frame(payload: &[u8]) -> Result<(u64, Request), ProtocolEr
     Ok((id, Request::decode(&payload[8..])?))
 }
 
-/// Encodes a v2 response frame payload: the echoed `u64` request id
-/// followed by the v1 response body.
-pub fn encode_response_frame(id: u64, response: &Response) -> Vec<u8> {
-    let body = response.encode();
-    let mut buf = Vec::with_capacity(8 + body.len());
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(&body);
-    buf
+/// Appends one complete v2 response frame to `out`, after whatever it
+/// already holds: the `u32` length prefix, then the payload — the echoed
+/// `u64` request id followed by the v1 response body — encoded straight
+/// into the buffer.  Returns the number of bytes appended.  With enough
+/// spare capacity in `out` nothing is allocated.
+pub fn append_response_frame(out: &mut Vec<u8>, id: u64, response: &Response) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]); // The length, once the payload is in.
+    out.extend_from_slice(&id.to_le_bytes());
+    response.encode_into(&mut Enc { buf: out });
+    let len = out.len() - start;
+    out[start..start + 4].copy_from_slice(&((len - 4) as u32).to_le_bytes());
+    len
 }
 
 /// Decodes a v2 response frame payload into `(request_id, response)`.
@@ -422,13 +427,12 @@ pub fn request_id_of(payload: &[u8]) -> Option<u64> {
 // Pure byte readers/writers
 // ---------------------------------------------------------------------------
 
-/// Append-only encoder over a byte buffer.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+/// Append-only encoder over a caller's byte buffer.
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
+impl Enc<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -582,7 +586,7 @@ impl Default for MapKnobs {
 }
 
 impl MapKnobs {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.u32(self.tiles);
         e.u32(self.pps);
         e.bool(self.clustering);
@@ -623,7 +627,7 @@ impl KernelSource {
         }
     }
 
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.str(&self.name);
         e.str(&self.source);
     }
@@ -714,20 +718,25 @@ const REQ_DUMP: u8 = 8;
 impl Request {
     /// Encodes the request into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut buf = Vec::new();
+        self.encode_into(&mut Enc { buf: &mut buf });
+        buf
+    }
+
+    fn encode_into(&self, e: &mut Enc<'_>) {
         match self {
             Request::Map { kernel, knobs } => {
                 e.u8(REQ_MAP);
-                kernel.encode(&mut e);
-                knobs.encode(&mut e);
+                kernel.encode(e);
+                knobs.encode(e);
             }
             Request::Batch { kernels, knobs } => {
                 e.u8(REQ_BATCH);
                 e.u32(kernels.len() as u32);
                 for kernel in kernels {
-                    kernel.encode(&mut e);
+                    kernel.encode(e);
                 }
-                knobs.encode(&mut e);
+                knobs.encode(e);
             }
             Request::Reset => e.u8(REQ_RESET),
             Request::Health => e.u8(REQ_HEALTH),
@@ -738,7 +747,6 @@ impl Request {
             }
             Request::Dump => e.u8(REQ_DUMP),
         }
-        e.buf
     }
 
     /// Decodes a frame payload.
@@ -888,7 +896,7 @@ pub struct MapSummary {
 }
 
 impl MapSummary {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.str(&self.name);
         e.u64(self.digest);
         e.u64(self.operations);
@@ -959,7 +967,7 @@ impl BatchSummary {
         self.entries.iter().filter(|e| e.outcome.is_ok()).count()
     }
 
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Enc<'_>) {
         e.u32(self.entries.len() as u32);
         for entry in &self.entries {
             e.str(&entry.name);
@@ -1149,15 +1157,20 @@ const ERR_VERIFY_FAILED: u8 = 7;
 impl Response {
     /// Encodes the response into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut buf = Vec::new();
+        self.encode_into(&mut Enc { buf: &mut buf });
+        buf
+    }
+
+    fn encode_into(&self, e: &mut Enc<'_>) {
         match self {
             Response::Mapped(summary) => {
                 e.u8(RESP_MAPPED);
-                summary.encode(&mut e);
+                summary.encode(e);
             }
             Response::Batch(batch) => {
                 e.u8(RESP_BATCH);
-                batch.encode(&mut e);
+                batch.encode(e);
             }
             Response::Health(health) => {
                 e.u8(RESP_HEALTH);
@@ -1227,7 +1240,6 @@ impl Response {
                 e.str(json);
             }
         }
-        e.buf
     }
 
     /// Decodes a frame payload.
@@ -1544,7 +1556,12 @@ mod tests {
         assert_eq!(decode_request_frame(&payload).unwrap(), (77, request));
 
         let response = Response::ShutdownStarted;
-        let payload = encode_response_frame(u64::MAX - 1, &response);
+        let mut wire = vec![0xAB];
+        let written = append_response_frame(&mut wire, u64::MAX - 1, &response);
+        assert_eq!(written, wire.len() - 1);
+        let payload = read_frame(&mut io::Cursor::new(&wire[1..]))
+            .unwrap()
+            .unwrap();
         assert_eq!(
             decode_response_frame(&payload).unwrap(),
             (u64::MAX - 1, response)

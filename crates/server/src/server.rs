@@ -14,10 +14,15 @@
 //!    v1 request) is answered with a typed
 //!    [`WireError::UnsupportedVersion`] and the connection is closed.
 //! 4. Cheap verbs (`health`, `reset`, `shutdown`, `metrics`, `dump`) are
-//!    answered inline on the shard.  `map` requests first consult the shard's
-//!    **warm summary table** (a private, epoch-invalidated digest of past
-//!    answers) and then probe the shared mapping cache — both answer inline
-//!    without queueing, which is the common warm-traffic fast path.
+//!    answered inline on the shard.  A `map` request first consults the
+//!    shard's **L0 table** (a private, epoch-invalidated map from config
+//!    fingerprint and kernel source to the summary of the finished mapping)
+//!    and then the disk tier's summary map, when one is attached.  Either
+//!    answers inline without queueing, which is the common warm-traffic
+//!    fast path: the summary, the request's own name and the server time
+//!    are encoded straight into the connection's write buffer.  Everything
+//!    else, including a kernel only the shared in-memory cache holds, takes
+//!    the queue; its completion seeds the shard's L0 table.
 //! 5. Cold work goes through **admission control**: the job is pushed onto
 //!    a bounded queue with a non-blocking `try_push`.  A full queue answers
 //!    [`WireError::Overloaded`] *immediately* — the server sheds load
@@ -42,12 +47,13 @@
 //! returns.
 
 use crate::protocol::{
-    decode_request_frame, encode_response_frame, request_id_of, BatchEntrySummary, BatchSummary,
-    CacheFlavor, FrameBuffer, HealthSummary, Hello, HelloAck, KernelSource, MapKnobs, MapSummary,
-    MetricsFormat, Request, Response, SimSummary, WireError, PROTOCOL_VERSION, UNKNOWN_REQUEST_ID,
+    append_response_frame, decode_request_frame, request_id_of, write_frame, BatchEntrySummary,
+    BatchSummary, CacheFlavor, FrameBuffer, HealthSummary, Hello, HelloAck, KernelSource, MapKnobs,
+    MapSummary, MetricsFormat, Request, Response, SimSummary, WireError, PROTOCOL_VERSION,
+    UNKNOWN_REQUEST_ID,
 };
 use crate::sys::{Event, Interest, Poller, WakeSender, Waker, WAKE_TOKEN};
-use fpfa_core::cache::SummaryTier;
+use fpfa_core::cache::CacheOutcome;
 use fpfa_core::flow::KernelSpec;
 use fpfa_core::pipeline::MappingResult;
 use fpfa_core::service::MappingService;
@@ -400,9 +406,9 @@ struct Completion {
     /// `reset` raced the job, so its warm entry is discarded.
     epoch: u64,
     response: Response,
-    /// `(config fingerprint, source, request name, digested answer)` — the
-    /// seed of an L0 entry on the owning shard.
-    warm: Option<(u64, Arc<str>, Arc<str>, MappingSummary)>,
+    /// `(config fingerprint, source, summary)` — the seed of an L0 entry on
+    /// the owning shard.
+    warm: Option<(u64, String, MappingSummary)>,
     timing: JobTiming,
 }
 
@@ -774,7 +780,7 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
     let epoch = inner.cache_epoch.load(Ordering::SeqCst);
     let service_started = Instant::now();
     let done = |response: Response,
-                warm: Option<(u64, Arc<str>, Arc<str>, MappingSummary)>,
+                warm: Option<(u64, String, MappingSummary)>,
                 stages: Option<StageTimings>| {
         Completion {
             conn,
@@ -812,12 +818,7 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
             Ok((summary, value, stages)) => {
                 inner.stats.served_ok.inc();
                 let fingerprint = service.mapper().cache_fingerprint();
-                let warm = Some((
-                    fingerprint,
-                    Arc::from(kernel.source.as_str()),
-                    Arc::from(kernel.name.as_str()),
-                    value,
-                ));
+                let warm = Some((fingerprint, kernel.source, value));
                 done(Response::Mapped(summary), warm, stages)
             }
             Err(error) => {
@@ -911,8 +912,9 @@ fn serve_map_job(
     };
     // The per-flow-stage child spans, bridged straight from the
     // `FlowContext` timings the pipeline already collects.  Only sampled
-    // requests pay the (small) allocation.
-    let stages = traced.then(|| {
+    // requests pay the (small) allocation.  A mapping hit ran no stage: its
+    // trace is the one the cached mapping was built with.
+    let stages = (traced && outcome != CacheOutcome::MappingHit).then(|| {
         result
             .trace
             .timings
@@ -1046,34 +1048,6 @@ fn validate(knobs: &MapKnobs, batch_len: usize) -> Result<(), String> {
 // Shard side
 // ---------------------------------------------------------------------------
 
-/// One L0 entry: a complete, length-prefixed `Mapped` response frame,
-/// pre-encoded once at insert time.  A hit copies the bytes into the write
-/// buffer and patches exactly two fields in place — the echoed request id
-/// (bytes 4..12, after the length prefix) and `server_micros` (the final 8
-/// bytes of a sim-less `MapSummary` body) — so the warm path performs no
-/// mapping clone and no protocol re-encode.  `value` is kept so a repeat of
-/// the same kernel under a *different* request name can mint its own entry
-/// without a shared-cache probe.
-#[derive(Clone, Debug)]
-struct L0Entry {
-    frame: Vec<u8>,
-    value: MappingSummary,
-}
-
-/// One fingerprint's slice of the L0 tier: kernel source → named entries.
-type WarmBySource = HashMap<Arc<str>, Vec<(Arc<str>, L0Entry)>>;
-
-impl L0Entry {
-    fn of(value: MappingSummary, name: &str) -> Self {
-        let summary = map_summary(&value, name.to_string(), CacheFlavor::MappingHit, None, 0);
-        let payload = encode_response_frame(0, &Response::Mapped(summary));
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        L0Entry { frame, value }
-    }
-}
-
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum ConnState {
     AwaitHello,
@@ -1146,9 +1120,9 @@ struct ShardRt<'a> {
     generations: Vec<u64>,
     free: Vec<usize>,
     live: usize,
-    /// The L0 tier: config-fingerprint → kernel source → pre-encoded
-    /// response frames (one per request name, almost always exactly one).
-    warm: HashMap<u64, WarmBySource>,
+    /// The L0 tier: config fingerprint → kernel source → the summary of
+    /// its finished mapping.
+    warm: HashMap<u64, HashMap<String, MappingSummary>>,
     warm_len: usize,
     warm_epoch: u64,
     knob_fingerprints: HashMap<(u32, u32, bool, bool), u64>,
@@ -1477,11 +1451,10 @@ impl<'a> ShardRt<'a> {
         }
     }
 
-    /// The map fast path: the shard's L0 frames, then a summary probe of
-    /// the shared cache (L1, then the disk tier's summary map), then the
-    /// queue.  `simulate` and `verify` requests always take the queue —
-    /// they need the mapping itself, and simulation is real compute that
-    /// must not stall the I/O loop.
+    /// The map fast path: the shard's L0 table, then the disk tier's
+    /// summary map, then the queue.  `simulate` and `verify` requests
+    /// always take the queue — they need the mapping itself, and simulation
+    /// is real compute that must not stall the I/O loop.
     fn serve_map(
         &mut self,
         conn: &mut Conn,
@@ -1508,64 +1481,25 @@ impl<'a> ShardRt<'a> {
         if !knobs.simulate && !knobs.verify {
             self.sync_epoch();
             let fingerprint = self.fingerprint_of(&knobs);
-            // L0: a repeat of (knobs, source, name) is answered by copying
-            // the pre-encoded frame — no summary build, no encode.
-            if let Some(entries) = self
+            let l0 = self
                 .warm
                 .get(&fingerprint)
-                .and_then(|table| table.get(kernel.source.as_str()))
-            {
-                if let Some((_, entry)) = entries.iter().find(|(n, _)| **n == *kernel.name) {
-                    let frame = entry.frame.clone();
-                    inner.stats.l0_hits.inc();
-                    inner.stats.fast_hits.inc();
-                    inner.base.cache().note_shard_hit();
-                    inner.stats.served_ok.inc();
-                    self.finish_preencoded(conn, id, &frame, decoded_at, "l0");
-                    return;
-                }
-                // Same kernel under a new name: mint an entry from the
-                // digested answer we already hold, still without touching
-                // the shared cache.
-                if let Some(value) = entries.first().map(|(_, e)| e.value) {
-                    inner.stats.l0_hits.inc();
-                    let frame = self.mint_inline(fingerprint, &kernel, value);
-                    self.finish_preencoded(conn, id, &frame, decoded_at, "l0");
-                    return;
-                }
+                .and_then(|table| table.get(kernel.source.as_str()));
+            if let Some(&value) = l0 {
+                inner.stats.l0_hits.inc();
+                self.finish_inline(conn, id, kernel.name, value, decoded_at, "l0");
+                return;
             }
-            // L1, then the disk tier's summary map: the persisted summary
-            // answers without decoding a mapping.
-            if let Some((value, tier)) = inner.base.cache().summary(&kernel.source, fingerprint) {
-                let outcome = match tier {
-                    SummaryTier::Memory => "l1",
-                    SummaryTier::Disk => "disk",
-                };
-                let frame = self.mint_inline(fingerprint, &kernel, value);
-                self.finish_preencoded(conn, id, &frame, decoded_at, outcome);
+            // The disk tier's summary map: a persisted summary answers
+            // without decoding a mapping.
+            let disk = inner.base.cache().disk_tier();
+            if let Some(value) = disk.and_then(|tier| tier.summary(&kernel.source, fingerprint)) {
+                self.warm_insert(fingerprint, kernel.source, value);
+                self.finish_inline(conn, id, kernel.name, value, decoded_at, "disk");
                 return;
             }
         }
         self.submit_job(conn, idx, id, Work::One(kernel), knobs, decoded_at);
-    }
-
-    /// Counts an inline answer from a mapping summary and mints its L0
-    /// entry for next time; returns the frame to serve.
-    fn mint_inline(
-        &mut self,
-        fingerprint: u64,
-        kernel: &KernelSource,
-        value: MappingSummary,
-    ) -> Vec<u8> {
-        let inner = self.inner;
-        inner.base.cache().note_shard_hit();
-        inner.stats.fast_hits.inc();
-        inner.stats.served_ok.inc();
-        let name: Arc<str> = Arc::from(kernel.name.as_str());
-        let entry = L0Entry::of(value, &name);
-        let frame = entry.frame.clone();
-        self.warm_insert(fingerprint, Arc::from(kernel.source.as_str()), name, entry);
-        frame
     }
 
     fn submit_job(
@@ -1633,9 +1567,8 @@ impl<'a> ShardRt<'a> {
         for completion in completions.drain(..) {
             inner.stats.in_flight.dec();
             if completion.epoch == current_epoch {
-                if let Some((fingerprint, source, name, value)) = completion.warm {
-                    let entry = L0Entry::of(value, &name);
-                    self.warm_insert(fingerprint, source, name, entry);
+                if let Some((fingerprint, source, value)) = completion.warm {
+                    self.warm_insert(fingerprint, source, value);
                 }
             }
             let idx = completion.conn;
@@ -1812,24 +1745,19 @@ impl<'a> ShardRt<'a> {
         }
     }
 
+    /// Encodes a response frame straight into the write buffer; returns
+    /// the number of bytes buffered (payload plus length prefix).
     fn append_response(&mut self, conn: &mut Conn, id: u64, response: &Response) -> u64 {
-        let payload = encode_response_frame(id, response);
-        self.append_frame(conn, &payload)
+        self.mailbox().counters.served.inc();
+        append_response_frame(&mut conn.wbuf, id, response) as u64
     }
 
     /// A raw (un-id'd) frame — only the handshake speaks these.
     fn append_plain(&mut self, conn: &mut Conn, response: &Response) {
-        let payload = response.encode();
-        self.append_frame(conn, &payload);
-    }
-
-    /// Returns the number of bytes buffered (payload plus length prefix).
-    fn append_frame(&mut self, conn: &mut Conn, payload: &[u8]) -> u64 {
-        conn.wbuf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        conn.wbuf.extend_from_slice(payload);
         self.mailbox().counters.served.inc();
-        payload.len() as u64 + 4
+        // Writing into a `Vec` cannot fail, and a handshake answer is far
+        // below the frame limit.
+        let _ = write_frame(&mut conn.wbuf, &response.encode());
     }
 
     /// Writes as much of the buffered output as the socket accepts,
@@ -1905,49 +1833,40 @@ impl<'a> ShardRt<'a> {
         fingerprint
     }
 
-    fn warm_insert(&mut self, fingerprint: u64, source: Arc<str>, name: Arc<str>, entry: L0Entry) {
+    fn warm_insert(&mut self, fingerprint: u64, source: String, value: MappingSummary) {
         if self.warm_len >= WARM_CAPACITY {
             self.warm.clear();
             self.warm_len = 0;
         }
-        let entries = self
-            .warm
-            .entry(fingerprint)
-            .or_default()
-            .entry(source)
-            .or_default();
-        if let Some(slot) = entries.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = entry;
-        } else {
-            entries.push((name, entry));
+        let table = self.warm.entry(fingerprint).or_default();
+        if table.insert(source, value).is_none() {
             self.warm_len += 1;
         }
     }
 
-    /// Serves an inline answer: copies the pre-encoded frame into the write
-    /// buffer and patches the two per-request fields in place — the echoed
-    /// id (bytes 4..12, after the length prefix) and `server_micros` (the
-    /// trailing 8 bytes of a sim-less `Mapped` body).  Bypasses
-    /// [`append_frame`](Self::append_frame), so the served counter and the
-    /// map-latency histogram are maintained here.  `outcome` names the tier
-    /// that held the answer (`l0`, `l1` or `disk`) for the flight recorder.
-    fn finish_preencoded(
+    /// Answers a `map` inline from the summary of a finished mapping: a
+    /// `Mapped` response carrying the request's own name, `MappingHit` and
+    /// the server time, encoded like every other response.  `outcome` names
+    /// the tier that held the summary (`l0` or `disk`) for the flight
+    /// recorder.
+    fn finish_inline(
         &mut self,
         conn: &mut Conn,
         id: u64,
-        frame: &[u8],
+        name: String,
+        value: MappingSummary,
         decoded_at: Instant,
         outcome: &'static str,
     ) {
-        let start = conn.wbuf.len();
-        conn.wbuf.extend_from_slice(frame);
-        conn.wbuf[start + 4..start + 12].copy_from_slice(&id.to_le_bytes());
+        let inner = self.inner;
+        inner.base.cache().note_shard_hit();
+        inner.stats.fast_hits.inc();
+        inner.stats.served_ok.inc();
         let micros = decoded_at.elapsed().as_micros() as u64;
-        let end = conn.wbuf.len();
-        conn.wbuf[end - 8..end].copy_from_slice(&micros.to_le_bytes());
-        self.mailbox().counters.served.inc();
-        self.inner.stats.map_latency.record(micros);
-        self.observe(id, "map", outcome, micros, frame.len() as u64, None);
+        let summary = map_summary(&value, name, CacheFlavor::MappingHit, None, micros);
+        let bytes = self.append_response(conn, id, &Response::Mapped(summary));
+        inner.stats.map_latency.record(micros);
+        self.observe(id, "map", outcome, micros, bytes, None);
     }
 }
 

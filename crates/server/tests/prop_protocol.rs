@@ -4,7 +4,7 @@
 //! as a typed [`ProtocolError`] or decodes as a well-formed message.
 
 use fpfa_server::protocol::{
-    decode_request_frame, decode_response_frame, encode_request_frame, encode_response_frame,
+    append_response_frame, decode_request_frame, decode_response_frame, encode_request_frame,
     BatchEntrySummary, BatchSummary, CacheFlavor, FrameBuffer, HealthSummary, HelloAck,
     KernelSource, MapKnobs, MapSummary, MetricsFormat, ProtocolError, Request, Response,
     SimSummary, WireError,
@@ -291,6 +291,7 @@ proptest! {
         responses in prop::collection::vec(arb_response(), 1..6),
         seed in any::<u64>(),
         chunk in 1usize..64,
+        prefix in prop::collection::vec(any::<u8>(), 1..16),
     ) {
         // Responses completing in *any* order still pair with their
         // requests: the echoed id, not wire position, is the join key.
@@ -308,11 +309,16 @@ proptest! {
             state ^= state << 17;
             tagged.swap(i, (state % (i as u64 + 1)) as usize);
         }
-        let mut stream = Vec::new();
+        // The encoder appends each frame after whatever the write buffer
+        // already holds, leaving those bytes be.
+        let mut stream = prefix.clone();
         for (id, response) in &tagged {
-            stream.extend_from_slice(&framed(&encode_response_frame(*id, response)));
+            let before = stream.len();
+            let written = append_response_frame(&mut stream, *id, response);
+            prop_assert_eq!(written, stream.len() - before);
         }
-        let frames = feed_in_chunks(&stream, chunk).map_err(TestCaseError::fail)?;
+        prop_assert_eq!(&stream[..prefix.len()], &prefix[..]);
+        let frames = feed_in_chunks(&stream[prefix.len()..], chunk).map_err(TestCaseError::fail)?;
         prop_assert_eq!(frames.len(), tagged.len());
         let mut reassembled = std::collections::HashMap::new();
         for frame in &frames {
@@ -339,7 +345,7 @@ proptest! {
         // application's `UnknownRequestId` problem, not the parser's.)
         let mut stream = Vec::new();
         for (id, response) in tagged.iter().enumerate() {
-            stream.extend_from_slice(&framed(&encode_response_frame(id as u64, response)));
+            append_response_frame(&mut stream, id as u64, response);
         }
         let cut = cut % (stream.len() + 1);
         let mut mangled = stream[..cut].to_vec();

@@ -555,7 +555,7 @@ fn stats_reset_clears_cache_and_counters() {
 }
 
 #[test]
-fn reset_truncates_the_disk_tier_and_the_l0_frames() {
+fn reset_truncates_the_disk_tier_and_the_l0_tables() {
     let dir = std::env::temp_dir().join(format!("fpfa-e2e-reset-tier-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let service = MappingService::with_cache_dir(Mapper::new(), 64, &dir).expect("open disk tier");
@@ -580,11 +580,11 @@ fn reset_truncates_the_disk_tier_and_the_l0_frames() {
     );
     assert!(
         value(&stats, "serve.l0_hits", &[]) >= 1,
-        "the identical repeat was answered from the pre-encoded L0 tier"
+        "the identical repeat was answered from the shard's L0 table"
     );
 
     // `reset` (the `--cold-storm` primitive) must invalidate every tier:
-    // the shards' L0 frames, the in-memory cache AND the on-disk segments.
+    // the shards' L0 tables, the in-memory cache AND the on-disk segments.
     // A subsequent map must be a genuine cold miss — if the disk tier
     // survived the reset it would come back as a warm mapping hit.
     let dropped = client.reset().expect("reset");
@@ -660,10 +660,11 @@ fn pipelined_requests_complete_out_of_order_by_request_id() {
         .map("k", TRIVIAL, MapKnobs::default())
         .expect("warmup map");
 
-    // Raw v2 connection: hello, then two back-to-back requests — a
-    // `simulate` map (always the worker path) followed by a plain map (the
-    // shard's warm table answers it inline).  The second response must
-    // overtake the first on the wire.
+    // Raw v2 connection: hello, a plain map that seeds this connection's
+    // shard's L0 table (the connection may live on another shard than the
+    // warmup's), then two back-to-back requests — a `simulate` map (always
+    // the worker path) followed by a plain map (the L0 table answers it
+    // inline).  The second response must overtake the first on the wire.
     let mut raw = TcpStream::connect(handle.addr()).expect("connect raw");
     write_frame(&mut raw, &Hello::current().encode()).expect("hello");
     raw.flush().expect("flush hello");
@@ -684,6 +685,10 @@ fn pipelined_requests_complete_out_of_order_by_request_id() {
         kernel: KernelSource::new("k", TRIVIAL),
         knobs: MapKnobs::default(),
     };
+    write_frame(&mut raw, &encode_request_frame(6, &fast)).expect("write seed");
+    raw.flush().expect("flush seed");
+    let seed = read_frame(&mut raw).expect("seed").expect("seed frame");
+    assert_eq!(decode_response_frame(&seed).expect("seed decodes").0, 6);
     write_frame(&mut raw, &encode_request_frame(7, &slow)).expect("write slow");
     write_frame(&mut raw, &encode_request_frame(8, &fast)).expect("write fast");
     raw.flush().expect("flush both");
@@ -950,8 +955,8 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
 
     // Every inline answer is tagged with the tier that produced it.  A
     // restarted server answers its first request from the disk tier's
-    // summaries, the repeat from the L0 frame that answer minted, and a
-    // kernel a batch put into the shared cache from L1.
+    // summaries, the repeat from the L0 entry that answer seeded, and a
+    // kernel a batch mapped from the disk summary the batch stored through.
     let dir = std::env::temp_dir().join(format!("fpfa-e2e-dump-tiers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let first = start_with_cache_dir(&dir);
@@ -973,16 +978,73 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
         .expect("batch");
     client
         .map("b", batched, MapKnobs::default())
-        .expect("from L1");
+        .expect("from disk");
     let dump = client.dump().expect("dump");
     assert_eq!(
         map_outcomes(&dump),
-        ["disk", "l0", "l1"],
+        ["disk", "l0", "disk"],
         "inline answers mis-tagged in: {dump}"
     );
     restarted.shutdown();
     restarted.join();
     let _ = std::fs::remove_dir_all(&dir);
+
+    // Without a disk tier, a kernel only the shared in-memory cache holds
+    // goes once through a worker: a mapping hit that runs no flow stage.
+    // Its completion seeds the shard's L0 table, which answers the repeat.
+    let handle = start(
+        ServerConfig {
+            trace_sample: 1,
+            ..ServerConfig::default()
+        },
+        Mapper::new(),
+    );
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client
+        .batch(vec![KernelSource::new("b", batched)], MapKnobs::default())
+        .expect("batch");
+    let worker = client
+        .map("b", batched, MapKnobs::default())
+        .expect("from a worker");
+    assert_eq!(worker.cache, fpfa_server::CacheFlavor::MappingHit);
+    let repeat = client
+        .map("b", batched, MapKnobs::default())
+        .expect("from L0");
+    assert_eq!(repeat.cache, fpfa_server::CacheFlavor::MappingHit);
+    assert_eq!(repeat.digest, worker.digest);
+    assert_eq!(metric(&handle, "serve.accepted"), 2);
+    let dump = client.dump().expect("dump");
+    assert_eq!(
+        map_outcomes(&dump),
+        ["ok", "l0"],
+        "answers mis-tagged in: {dump}"
+    );
+    let parsed = fpfa_obs::json::parse(&dump).expect("dump is valid JSON");
+    let spans: Vec<(u64, String)> = parsed
+        .as_object()
+        .and_then(|top| top.get("traces"))
+        .and_then(|v| v.as_array())
+        .expect("traces array")
+        .iter()
+        .filter_map(|span| {
+            let span = span.as_object()?;
+            let id = span.get("trace_id")?.as_u64()?;
+            Some((id, span.get("name")?.as_str()?.to_string()))
+        })
+        .collect();
+    // Client ids count from zero: the batch is 0, the worker-path map 1.
+    let names: Vec<&str> = spans
+        .iter()
+        .filter(|(id, _)| *id == 1)
+        .map(|(_, name)| name.as_str())
+        .collect();
+    assert_eq!(
+        names,
+        ["request", "queue.wait", "map.service", "respond"],
+        "a mapping hit carries no stage span: {dump}"
+    );
+    handle.shutdown();
+    handle.join();
 }
 
 /// A server with a persistent disk tier under `dir`.
@@ -1020,6 +1082,49 @@ fn map_outcomes(dump: &str) -> Vec<String> {
         .collect();
     entries.sort();
     entries.into_iter().map(|(_, outcome)| outcome).collect()
+}
+
+/// One connection maps the registry, then maps it again: every repeat is
+/// answered from the shard's L0 table with the first pass's digest, without
+/// queueing.  The table is keyed by kernel source, so a third pass under new
+/// names is answered from it too, each answer echoing its own name.
+#[test]
+fn warm_repeats_are_answered_from_l0_under_any_name() {
+    let handle = start(ServerConfig::default(), Mapper::new());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let kernels = fpfa_workloads::registry();
+    let cold: Vec<u64> = kernels
+        .iter()
+        .map(|k| {
+            client
+                .map(&k.name, &k.source, MapKnobs::default())
+                .expect("registry kernels map")
+                .digest
+        })
+        .collect();
+    let accepted = metric(&handle, "serve.accepted");
+    assert_eq!(accepted, kernels.len() as u64);
+
+    for (pass, suffix) in [(1, ""), (2, "#renamed")] {
+        let l0_hits = metric(&handle, "serve.l0_hits");
+        for (kernel, digest) in kernels.iter().zip(&cold) {
+            let name = format!("{}{suffix}", kernel.name);
+            let warm = client
+                .map(&name, &kernel.source, MapKnobs::default())
+                .expect("warm map");
+            assert_eq!(warm.cache, fpfa_server::CacheFlavor::MappingHit);
+            assert_eq!(warm.digest, *digest, "digest of `{name}`");
+            assert_eq!(warm.name, name);
+        }
+        assert_eq!(
+            metric(&handle, "serve.l0_hits") - l0_hits,
+            kernels.len() as u64,
+            "L0 hits of warm pass {pass}"
+        );
+        assert_eq!(metric(&handle, "serve.accepted"), accepted);
+    }
+    handle.shutdown();
+    handle.join();
 }
 
 /// The value of an unlabelled counter or gauge in a server's registry.

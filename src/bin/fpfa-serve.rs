@@ -353,7 +353,7 @@ fn drain_report(snapshot: &Snapshot, persist: bool) -> Result<(), String> {
         println!("fpfa-serve: final cache hit ratio {rate:.3}");
     }
     println!(
-        "fpfa-serve: {} fast-path hit(s) ({} from the L0 pre-encoded tier), \
+        "fpfa-serve: {} fast-path hit(s) ({} from the shards' L0 tables), \
          {} version rejection(s), {} protocol error(s)",
         counter("serve.fast_hits")?,
         counter("serve.l0_hits")?,
