@@ -19,9 +19,9 @@ use std::hint::black_box;
 fn prepared(source: &str) -> (MappingGraph, fpfa_core::ClusteredGraph) {
     let program = fpfa_frontend::compile(source).expect("kernel compiles");
     let mut graph = program.cdfg;
-    fpfa_transform::Pipeline::standard()
-        .run(&mut graph)
-        .expect("pipeline converges");
+    fpfa_transform::WorklistDriver::new()
+        .run_standard(&mut graph)
+        .expect("the worklist engine converges");
     let mapping = MappingGraph::from_cdfg(&graph).expect("kernel is mappable");
     let clustered = Clusterer::default().cluster(&mapping).expect("clusterable");
     (mapping, clustered)

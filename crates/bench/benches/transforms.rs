@@ -1,9 +1,9 @@
-//! Criterion benches: CDFG simplification pipeline (loop unrolling, constant
-//! folding, CSE, DCE) on FIR kernels of growing tap count (experiment FIG3's
-//! cost as the kernel scales).
+//! Criterion benches: CDFG simplification on the flow's worklist engine (loop
+//! unrolling, constant folding, CSE, DCE) on FIR kernels of growing tap
+//! count (experiment FIG3's cost as the kernel scales).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fpfa_transform::Pipeline;
+use fpfa_transform::WorklistDriver;
 use std::hint::black_box;
 
 fn bench_pipeline(c: &mut Criterion) {
@@ -18,9 +18,9 @@ fn bench_pipeline(c: &mut Criterion) {
             |b, cdfg| {
                 b.iter(|| {
                     let mut graph = cdfg.clone();
-                    Pipeline::standard()
-                        .run(black_box(&mut graph))
-                        .expect("pipeline converges");
+                    WorklistDriver::new()
+                        .run_standard(black_box(&mut graph))
+                        .expect("the worklist engine converges");
                     black_box(graph.node_count())
                 })
             },

@@ -9,7 +9,7 @@
 
 use fpfa_cdfg::GraphStats;
 use fpfa_core::dfg::MappingGraph;
-use fpfa_transform::Pipeline;
+use fpfa_transform::WorklistDriver;
 
 const TAPS: usize = 5;
 
@@ -19,15 +19,15 @@ fn main() {
 
     let before = GraphStats::of(&program.cdfg);
     let mut simplified = program.cdfg.clone();
-    let report = Pipeline::standard()
-        .run(&mut simplified)
-        .expect("pipeline converges");
+    let outcome = WorklistDriver::new()
+        .run_standard(&mut simplified)
+        .expect("the worklist engine converges");
     let after = GraphStats::of(&simplified);
 
     println!("FIG3 — FIR ({TAPS} taps) CDFG before / after full unrolling and simplification");
     println!("\n-- as produced by the frontend (loop still structured) --");
     println!("{before}");
-    println!("\n-- after {} pipeline rounds --", report.rounds);
+    println!("\n-- after {} rewrite rounds --", outcome.report.rounds);
     println!("{after}");
 
     // The shape of Fig. 3.

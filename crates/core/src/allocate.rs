@@ -21,31 +21,34 @@
 //! holds most of their operands (registers first, local memories second).
 //! Both levers can be disabled ([`Allocator::without_locality`]) to obtain
 //! the memory-only baseline of experiment T2.
+//!
+//! This module holds the per-level heuristic and the per-tile resource
+//! state. The level loop, the input pre-load and the homing of outputs and
+//! statespace writes live in [`MultiTileAllocator`], which allocates a tile
+//! array of any size; the paper's single tile is an array of one.
+//! [`Allocator`] is the one-tile entry point the experiment binaries and
+//! examples call.
 
 use crate::cluster::{ClusterId, ClusteredGraph};
 use crate::dfg::{MappingGraph, OpId, ValueRef};
 use crate::error::MapError;
+use crate::multi::{MultiSchedule, MultiTileAllocator};
+use crate::partition::TileAssignment;
 use crate::program::{
-    AllocationStats, AluJob, CycleJob, Location, MicroOp, MoveJob, OperandSource, TileProgram,
-    WritebackJob,
+    AllocationStats, AluJob, CycleJob, MicroOp, MoveJob, OperandSource, TileProgram, WritebackJob,
 };
 use crate::schedule::Schedule;
-use fpfa_arch::{MemId, MemRef, PpId, RegBankName, RegRef, TileConfig};
+use fpfa_arch::{ArrayConfig, MemId, MemRef, PpId, RegBankName, RegRef, TileConfig};
 use std::collections::HashMap;
 
 /// Sentinel meaning "reserved for the level currently being allocated".
 const LIVE_NOW: usize = usize::MAX;
 
-/// The resource allocator.
+/// The resource allocator of one tile.
 #[derive(Clone, Copy, Debug)]
 pub struct Allocator {
     config: TileConfig,
     locality: bool,
-    /// Maximum number of stall cycles one operand may insert before the
-    /// allocation is declared infeasible. Multi-tile allocation raises this:
-    /// an operand may legitimately wait out an inter-tile transfer delayed by
-    /// link contention.
-    stall_budget: usize,
 }
 
 impl Allocator {
@@ -54,7 +57,6 @@ impl Allocator {
         Allocator {
             config,
             locality: true,
-            stall_budget: config.input_move_window + 4,
         }
     }
 
@@ -65,14 +67,8 @@ impl Allocator {
         self
     }
 
-    /// Overrides the per-operand stall budget (used by the multi-tile
-    /// allocator to wait out inter-tile transfer latency).
-    pub(crate) fn with_stall_budget(mut self, budget: usize) -> Self {
-        self.stall_budget = budget;
-        self
-    }
-
-    /// Allocates a scheduled, clustered graph onto the tile.
+    /// Allocates a scheduled, clustered graph onto the tile: the array
+    /// allocator ([`MultiTileAllocator`]) on a one-tile array.
     ///
     /// # Errors
     /// * [`MapError::CapacityExceeded`] when the kernel needs more memory
@@ -86,98 +82,30 @@ impl Allocator {
         clustered: &ClusteredGraph,
         schedule: &Schedule,
     ) -> Result<TileProgram, MapError> {
-        self.config.validate()?;
-        let mut state = AllocState::new(self.config);
-
-        // Pre-place kernel inputs: statespace words that are read and scalar
-        // inputs live in the local memories before cycle 0.
-        for &addr in &graph.mem_reads {
-            let home = state.home_for_address(addr)?;
-            state.set_home(ValueRef::MemWord(addr), home, PRELOADED);
-            state.preload.push((ValueRef::MemWord(addr), home));
+        let mut allocator = MultiTileAllocator::new(self.config, ArrayConfig::single_tile());
+        if !self.locality {
+            allocator = allocator.without_locality();
         }
-        for (index, _name) in graph.scalar_inputs.iter().enumerate() {
-            let value = ValueRef::ScalarInput(index as u32);
-            let home = state.fresh_scratch(0)?;
-            state.set_home(value, home, PRELOADED);
-            state.preload.push((value, home));
-        }
-
-        // Allocate level by level.
-        for level_index in 0..schedule.level_count() {
-            let clusters = schedule.level(level_index).to_vec();
-            self.allocate_level(graph, clustered, &clusters, &mut state)?;
-        }
-
-        // Scalar outputs.
-        let mut scalar_outputs = Vec::new();
-        for (name, value) in &graph.scalar_outputs {
-            let location = match value {
-                ValueRef::Const(c) => Location::Constant(*c),
-                other => Location::Mem(state.home_of(*other).ok_or_else(|| {
-                    MapError::AllocationFailed {
-                        reason: format!("scalar output `{name}` has no memory home"),
-                    }
-                })?),
-            };
-            scalar_outputs.push((name.clone(), location));
-        }
-
-        // Statespace map: reads point at their pre-load homes; for written
-        // addresses only the last write (highest seq) is observable, and its
-        // final value resides wherever that value's home is.
-        let mut statespace_map: HashMap<i64, MemRef> = HashMap::new();
-        for &addr in &graph.mem_reads {
-            statespace_map.insert(
-                addr,
-                state.home_of(ValueRef::MemWord(addr)).expect("preloaded"),
-            );
-        }
-        let mut written_addresses = Vec::new();
-        let mut last_write: HashMap<i64, (usize, ValueRef)> = HashMap::new();
-        for write in &graph.mem_writes {
-            let entry = last_write
-                .entry(write.address)
-                .or_insert((write.seq, write.value));
-            if write.seq >= entry.0 {
-                *entry = (write.seq, write.value);
-            }
-        }
-        for (addr, (_, value)) in &last_write {
-            written_addresses.push(*addr);
-            let home = match value {
-                ValueRef::Const(c) => {
-                    // A constant final value never exists at run time as an
-                    // ALU result; give it a dedicated memory word that the
-                    // pre-load image fills with the constant.
-                    let home = state.fresh_scratch(0)?;
-                    state.preload.push((ValueRef::Const(*c), home));
-                    home
-                }
-                other => state
-                    .home_of(*other)
-                    .ok_or_else(|| MapError::AllocationFailed {
-                        reason: format!("statespace write to {addr} has no materialised value"),
-                    })?,
-            };
-            statespace_map.insert(*addr, home);
-        }
-        written_addresses.sort_unstable();
-
-        let mut stats = state.stats;
-        stats.cycles = state.cycles.len();
-        Ok(TileProgram {
-            config: self.config,
-            cycles: state.cycles,
-            preload: state.preload,
-            scalar_input_names: graph.scalar_inputs.clone(),
-            scalar_outputs,
-            statespace_map,
-            written_addresses,
-            stats,
-        })
+        let one_tile = TileAssignment::single_tile(clustered.len());
+        let schedule = MultiSchedule::from_single(schedule.clone());
+        Ok(allocator
+            .allocate(graph, clustered, &one_tile, &schedule)?
+            .into_one_tile())
     }
+}
 
+/// The Fig. 5 heuristic for the clusters of one level on one tile: the array
+/// allocator runs it for every tile, level by level.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LevelAllocator {
+    pub(crate) config: TileConfig,
+    pub(crate) locality: bool,
+    /// Maximum number of stall cycles one operand may insert before the
+    /// allocation is declared infeasible.
+    pub(crate) stall_budget: usize,
+}
+
+impl LevelAllocator {
     pub(crate) fn allocate_level(
         &self,
         graph: &MappingGraph,
@@ -223,8 +151,7 @@ impl Allocator {
 
             // --- Emit the ALU job ----------------------------------------
             let mut micro_ops = Vec::with_capacity(cluster.ops.len());
-            for (index, &op) in cluster.ops.iter().enumerate() {
-                let _ = index;
+            for &op in &cluster.ops {
                 let mapped = graph.op(op);
                 let operands = mapped
                     .inputs
@@ -284,7 +211,7 @@ impl Allocator {
     ) -> Vec<(ClusterId, PpId)> {
         let mut free: Vec<PpId> = (0..self.config.num_pps).collect();
         let mut assignments = Vec::with_capacity(clusters.len());
-        for (i, &cluster_id) in clusters.iter().enumerate() {
+        for &cluster_id in clusters {
             let pp = if !self.locality {
                 free.remove(0)
             } else {
@@ -317,7 +244,6 @@ impl Allocator {
                 chosen
             };
             assignments.push((cluster_id, pp));
-            let _ = i;
         }
         assignments
     }
@@ -684,12 +610,12 @@ mod tests {
     use super::*;
     use crate::cluster::Clusterer;
     use crate::schedule::Scheduler;
-    use fpfa_transform::Pipeline;
+    use fpfa_transform::WorklistDriver;
 
     fn mapped(src: &str, config: TileConfig, locality: bool) -> TileProgram {
         let program = fpfa_frontend::compile(src).unwrap();
         let mut g = program.cdfg;
-        Pipeline::standard().run(&mut g).unwrap();
+        WorklistDriver::new().run_standard(&mut g).unwrap();
         let m = MappingGraph::from_cdfg(&g).unwrap();
         let clustered = Clusterer::new(config.alu).cluster(&m).unwrap();
         let schedule = Scheduler::new(config.num_pps).schedule(&clustered).unwrap();
@@ -840,7 +766,7 @@ mod tests {
     fn undersized_memory_is_rejected() {
         let program = fpfa_frontend::compile(FIR8).unwrap();
         let mut g = program.cdfg;
-        Pipeline::standard().run(&mut g).unwrap();
+        WorklistDriver::new().run_standard(&mut g).unwrap();
         let m = MappingGraph::from_cdfg(&g).unwrap();
         let config = TileConfig::paper().with_memories(1, 1);
         let clustered = Clusterer::new(config.alu).cluster(&m).unwrap();

@@ -824,7 +824,7 @@ fn build_clustered(graph: &MappingGraph, membership: &[usize]) -> ClusteredGraph
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpfa_transform::Pipeline;
+    use fpfa_transform::WorklistDriver;
 
     fn fir_mapping_graph(taps: usize) -> MappingGraph {
         let src = format!(
@@ -841,7 +841,7 @@ mod tests {
         );
         let program = fpfa_frontend::compile(&src).unwrap();
         let mut g = program.cdfg;
-        Pipeline::standard().run(&mut g).unwrap();
+        WorklistDriver::new().run_standard(&mut g).unwrap();
         MappingGraph::from_cdfg(&g).unwrap()
     }
 

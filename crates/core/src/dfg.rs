@@ -133,7 +133,8 @@ pub struct MappingGraph {
     /// Named scalar results.
     pub scalar_outputs: Vec<(String, ValueRef)>,
     /// Statespace addresses read by the kernel (constant addresses of
-    /// surviving `FE` nodes).
+    /// surviving `FE` nodes), sorted ascending, each once: the allocator
+    /// finds an address's input row by binary search.
     pub mem_reads: Vec<i64>,
     /// `consumer_index[p]` = ops consuming the result of op `p`, in id order
     /// (built once at extraction: the graph is immutable afterwards, and the
@@ -516,7 +517,7 @@ fn state_input_of(graph: &Cdfg, node: NodeId) -> Result<NodeId, MapError> {
 mod tests {
     use super::*;
     use fpfa_cdfg::CdfgBuilder;
-    use fpfa_transform::Pipeline;
+    use fpfa_transform::WorklistDriver;
 
     fn fir_graph() -> Cdfg {
         let src = r#"
@@ -531,7 +532,7 @@ mod tests {
         "#;
         let program = fpfa_frontend::compile(src).unwrap();
         let mut g = program.cdfg;
-        Pipeline::standard().run(&mut g).unwrap();
+        WorklistDriver::new().run_standard(&mut g).unwrap();
         g
     }
 
@@ -630,7 +631,7 @@ mod tests {
         let src = "void main() { int a[2]; int x; if (x > 0) { a[0] = 9; } }";
         let program = fpfa_frontend::compile(src).unwrap();
         let mut g = program.cdfg;
-        Pipeline::standard().run(&mut g).unwrap();
+        WorklistDriver::new().run_standard(&mut g).unwrap();
         let err = MappingGraph::from_cdfg(&g).unwrap_err();
         assert!(matches!(err, MapError::UnmappableOperation { .. }));
     }

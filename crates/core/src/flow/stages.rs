@@ -14,14 +14,13 @@
 //! [`FlowContext`] and leave their wall-clock and change counts in it.
 
 use super::{FlowContext, Stage, TransformStats};
-use crate::allocate::Allocator;
 use crate::cluster::{ClusteredGraph, Clusterer};
 use crate::dfg::MappingGraph;
 use crate::error::MapError;
 use crate::multi::{MultiSchedule, MultiScheduler, MultiTileAllocator, MultiTileMapping};
 use crate::partition::{Partitioner, TileAssignment};
 use crate::program::TileProgram;
-use crate::schedule::{Schedule, Scheduler};
+use crate::schedule::Schedule;
 use fpfa_cdfg::Cdfg;
 use fpfa_frontend::MemoryLayout;
 
@@ -348,9 +347,9 @@ impl Stage<ClusteredKernel, PartitionedKernel> for PartitionStage {
 
 /// Phase 2: level scheduling onto the physical ALUs (stage `schedule`).
 ///
-/// Runs per tile when the flow targets a tile array: each tile's levels hold
-/// at most `num_pps` clusters and cross-tile dependences are separated by the
-/// interconnect's hop latency.
+/// Runs the array scheduler for every tile count: each tile's levels hold at
+/// most `num_pps` clusters and cross-tile dependences are separated by the
+/// interconnect's hop latency. The paper's single tile is an array of one.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct ScheduleStage;
 
@@ -364,15 +363,8 @@ impl Stage<PartitionedKernel, ScheduledKernel> for ScheduleStage {
         input: PartitionedKernel,
         cx: &mut FlowContext,
     ) -> Result<ScheduledKernel, MapError> {
-        let (schedule, multi_schedule) = if cx.array.num_tiles == 1 {
-            let schedule = Scheduler::new(cx.config.num_pps).schedule(&input.clustered)?;
-            let multi = MultiSchedule::from_single(schedule.clone());
-            (schedule, multi)
-        } else {
-            let multi = MultiScheduler::new(cx.config.num_pps, cx.array.hop_latency)
-                .schedule(&input.clustered, &input.partition)?;
-            (multi.tile(0).clone(), multi)
-        };
+        let multi_schedule = MultiScheduler::new(cx.config.num_pps, cx.array.hop_latency)
+            .schedule(&input.clustered, &input.partition)?;
         cx.info(
             self.name(),
             format!("{} levels", multi_schedule.level_count()),
@@ -383,7 +375,7 @@ impl Stage<PartitionedKernel, ScheduledKernel> for ScheduleStage {
             graph: input.graph,
             clustered: input.clustered,
             partition: input.partition,
-            schedule,
+            schedule: multi_schedule.tile(0).clone(),
             multi_schedule,
         })
     }
@@ -392,9 +384,10 @@ impl Stage<PartitionedKernel, ScheduledKernel> for ScheduleStage {
 /// Phase 3: resource allocation into a per-cycle tile program
 /// (stage `allocate`).
 ///
-/// Runs per tile when the flow targets a tile array; the tiles stay on one
+/// Runs the array allocator for every tile count: the tiles stay on one
 /// global timeline and inter-tile transfers are scheduled onto the
-/// interconnect.
+/// interconnect. A one-tile array's program is folded into one
+/// [`TileProgram`] and the mapping carries no multi-tile data.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct AllocateStage;
 
@@ -408,13 +401,19 @@ impl Stage<ScheduledKernel, AllocatedKernel> for AllocateStage {
         input: ScheduledKernel,
         cx: &mut FlowContext,
     ) -> Result<AllocatedKernel, MapError> {
-        if cx.array.num_tiles == 1 {
-            let allocator = if cx.toggles.locality {
-                Allocator::new(cx.config)
-            } else {
-                Allocator::new(cx.config).without_locality()
-            };
-            let program = allocator.allocate(&input.graph, &input.clustered, &input.schedule)?;
+        let allocator = if cx.toggles.locality {
+            MultiTileAllocator::new(cx.config, cx.array)
+        } else {
+            MultiTileAllocator::new(cx.config, cx.array).without_locality()
+        };
+        let program = allocator.allocate(
+            &input.graph,
+            &input.clustered,
+            &input.partition,
+            &input.multi_schedule,
+        )?;
+        if program.tile_count() == 1 {
+            let program = program.into_one_tile();
             cx.info(
                 self.name(),
                 format!(
@@ -433,18 +432,6 @@ impl Stage<ScheduledKernel, AllocatedKernel> for AllocateStage {
                 multi: None,
             });
         }
-
-        let allocator = if cx.toggles.locality {
-            MultiTileAllocator::new(cx.config, cx.array)
-        } else {
-            MultiTileAllocator::new(cx.config, cx.array).without_locality()
-        };
-        let program = allocator.allocate(
-            &input.graph,
-            &input.clustered,
-            &input.partition,
-            &input.multi_schedule,
-        )?;
         cx.info(
             self.name(),
             format!(

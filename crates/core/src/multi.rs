@@ -1,17 +1,18 @@
-//! Multi-tile mapping: scheduling, allocation and traffic reporting for a
-//! kernel partitioned across an FPFA tile array.
+//! Mapping onto an FPFA tile array: scheduling, allocation and traffic
+//! reporting for a kernel partitioned across any number of tiles.
 //!
-//! The single-tile flow ends in one [`TileProgram`]; the multi-tile flow ends
-//! in a [`MultiTileProgram`] — one per-cycle program per tile, all on a
-//! *shared global timeline*, plus the [`TransferJob`]s that move values
-//! between tiles over the inter-tile interconnect.
-//!
-//! The phases mirror the single-tile ones:
+//! These are the flow's only scheduler and allocator. The paper's setting is
+//! the one-tile array ([`ArrayConfig::single_tile`]): its schedule is tile
+//! 0's, and the flow folds its [`MultiTileProgram`] into one [`TileProgram`].
+//! On more tiles the flow ends in the [`MultiTileProgram`] itself — one
+//! per-cycle program per tile, all on a *shared global timeline*, plus the
+//! [`TransferJob`]s that move values between tiles over the inter-tile
+//! interconnect.
 //!
 //! * [`MultiScheduler`] — level scheduling with at most `num_pps` clusters
-//!   per tile per level; a dependence crossing tiles separates the endpoint
-//!   levels by an extra [`ArrayConfig::hop_latency`] levels so the transfer
-//!   has time to arrive.
+//!   per tile per level (Fig. 4); a dependence crossing tiles separates the
+//!   endpoint levels by an extra [`ArrayConfig::hop_latency`] levels so the
+//!   transfer has time to arrive.
 //! * [`MultiTileAllocator`] — runs the Fig. 5 allocation heuristic per tile,
 //!   level by level, keeping the tiles cycle-aligned; after every level it
 //!   schedules one transfer per `(value, consuming tile)` cut edge, subject
@@ -20,11 +21,11 @@
 //!   word counts and the energy the transfers cost under an
 //!   [`EnergyModel`].
 //!
-//! `fpfa-sim`'s multi-tile simulator executes the resulting program with the
-//! transfer latency modeled, so the functional-equivalence check covers the
-//! partitioned flow end to end.
+//! `fpfa-sim` executes the resulting program with the transfer latency
+//! modeled, so the functional-equivalence check covers the partitioned flow
+//! end to end.
 
-use crate::allocate::{AllocState, Allocator, PRELOADED};
+use crate::allocate::{AllocState, LevelAllocator, PRELOADED};
 use crate::cluster::{ClusterId, ClusteredGraph};
 use crate::dfg::{MappingGraph, OpId, ValueRef};
 use crate::error::MapError;
@@ -155,7 +156,9 @@ impl MultiScheduler {
     /// Schedules the partitioned cluster graph level by level: each cluster
     /// goes to the earliest level on its tile that satisfies its dependences
     /// (cross-tile predecessors finish `hop_latency` levels earlier) and
-    /// still has a free ALU.
+    /// still has a free ALU — when every level in that range is full, a new
+    /// level is appended (the "insert a new level when necessary" rule of
+    /// Fig. 4).
     ///
     /// # Errors
     /// [`MapError::AllocationFailed`] when `num_alus` is zero.
@@ -166,10 +169,13 @@ impl MultiScheduler {
     ) -> Result<MultiSchedule, MapError> {
         if self.num_alus == 0 {
             return Err(MapError::AllocationFailed {
-                reason: "cannot schedule on tiles with zero ALUs".into(),
+                reason: "cannot schedule on a tile with zero ALUs".into(),
             });
         }
         let num_tiles = assignment.num_tiles().max(1);
+        // Process clusters level by level: order by ASAP level, breaking ties
+        // by criticality (lower mobility first) so critical clusters keep
+        // their level and movable ones fill the gaps or get pushed down.
         let order = clustered.topo_order();
         let asap = asap_levels(clustered, &order);
         let alap = alap_levels(clustered, &order);
@@ -180,6 +186,11 @@ impl MultiScheduler {
         });
 
         let mut per_tile: Vec<Schedule> = vec![Schedule::default(); num_tiles];
+        // `next_free[t][l]` points at the first level >= l of tile `t` that
+        // may still have a free ALU (a union-find style skip list with path
+        // compression), so the whole schedule is built in time linear in the
+        // number of clusters — the complexity the paper claims for this
+        // phase.
         let mut next_free: Vec<Vec<usize>> = vec![Vec::new(); num_tiles];
         let mut level_of: HashMap<ClusterId, usize> = HashMap::new();
 
@@ -206,6 +217,7 @@ impl MultiScheduler {
             per_tile[tile].place(cluster, level);
             level_of.insert(cluster, level);
             if per_tile[tile].level(level).len() >= self.num_alus {
+                // The level is now full: future searches skip past it.
                 mark_full(&mut next_free[tile], level);
             }
         }
@@ -423,6 +435,30 @@ impl MultiTileProgram {
             / self.tiles.len() as f64
     }
 
+    /// The program of a one-tile array as one [`TileProgram`]: tile 0 with
+    /// the array-level scalar outputs, statespace map and written addresses
+    /// folded into it, the shape a single-tile mapping reports.
+    pub(crate) fn into_one_tile(self) -> TileProgram {
+        debug_assert_eq!(self.tiles.len(), 1, "only a one-tile array folds");
+        let mut program = self
+            .tiles
+            .into_iter()
+            .next()
+            .expect("an array has at least one tile");
+        program.scalar_outputs = self
+            .scalar_outputs
+            .into_iter()
+            .map(|(name, _, location)| (name, location))
+            .collect();
+        program.statespace_map = self
+            .statespace_map
+            .into_iter()
+            .map(|(addr, (_, home))| (addr, home))
+            .collect();
+        program.written_addresses = self.written_addresses;
+        program
+    }
+
     /// Human-readable per-tile listing plus the transfer schedule.
     pub fn listing(&self) -> String {
         let mut out = String::new();
@@ -484,57 +520,63 @@ impl MultiTileAllocator {
         self.config.validate()?;
         self.array.validate()?;
         let num_tiles = self.array.num_tiles;
-        let per_tile = {
-            let base = if self.locality {
-                Allocator::new(self.config)
+        let levels = LevelAllocator {
+            config: self.config,
+            locality: self.locality,
+            // One tile keeps the paper's budget; across tiles an operand may
+            // legitimately wait out a transfer delayed by link contention.
+            stall_budget: if num_tiles == 1 {
+                self.config.input_move_window + 4
             } else {
-                Allocator::new(self.config).without_locality()
-            };
-            // Operands may legitimately wait out a transfer delayed by link
-            // contention, so the stall budget is wider than on one tile.
-            base.with_stall_budget(self.config.input_move_window + self.array.hop_latency + 64)
+                self.config.input_move_window + self.array.hop_latency + 64
+            },
         };
         let mut states: Vec<AllocState> = (0..num_tiles)
             .map(|_| AllocState::new(self.config))
             .collect();
 
-        // --- Which kernel inputs each tile needs --------------------------
-        // `use_counts` additionally counts how many operand reads each tile
-        // performs per input, which picks the input's home tile below.
-        let mut needed: Vec<Vec<ValueRef>> = vec![Vec::new(); num_tiles];
-        let mut use_counts: HashMap<ValueRef, Vec<usize>> = HashMap::new();
-        let need = |needed: &mut Vec<Vec<ValueRef>>, tile: TileId, value: ValueRef| {
-            if !needed[tile].contains(&value) {
-                needed[tile].push(value);
+        // --- Which kernel inputs each tile reads --------------------------
+        // The kernel inputs are the statespace words read (`mem_reads`,
+        // sorted) followed by the scalar inputs. Input `i` owns row `i` of
+        // per-tile operand-read counts: a tile with a non-zero count needs
+        // the input, and the counts pick its home tile.
+        let row_of = |value: ValueRef| -> Option<usize> {
+            match value {
+                ValueRef::MemWord(addr) => graph.mem_reads.binary_search(&addr).ok(),
+                ValueRef::ScalarInput(index) => {
+                    let index = index as usize;
+                    (index < graph.scalar_inputs.len()).then(|| graph.mem_reads.len() + index)
+                }
+                _ => None,
             }
         };
-        for id in graph.op_ids() {
-            let tile = assignment.tile_of(clustered.owner_of(id));
-            for input in &graph.op(id).inputs {
-                if matches!(input, ValueRef::MemWord(_) | ValueRef::ScalarInput(_)) {
-                    need(&mut needed, tile, *input);
-                    use_counts
-                        .entry(*input)
-                        .or_insert_with(|| vec![0; num_tiles])[tile] += 1;
+        let inputs = graph.mem_reads.len() + graph.scalar_inputs.len();
+        let mut reads = vec![0usize; inputs * num_tiles];
+        for cluster in clustered.ids() {
+            let tile = assignment.tile_of(cluster);
+            for &op in &clustered.cluster(cluster).ops {
+                for &input in &graph.op(op).inputs {
+                    if let Some(row) = row_of(input) {
+                        reads[row * num_tiles + tile] += 1;
+                    }
                 }
             }
         }
         // Inputs flowing straight to an output or statespace write without
-        // passing through an operation get a home on tile 0.
-        let passthrough: Vec<ValueRef> = graph
+        // passing through an operation are needed on tile 0.
+        let passthrough = graph
             .scalar_outputs
             .iter()
             .map(|(_, value)| *value)
-            .chain(graph.mem_writes.iter().map(|write| write.value))
-            .filter(|value| matches!(value, ValueRef::MemWord(_) | ValueRef::ScalarInput(_)))
-            .collect();
-        for value in passthrough {
-            if !needed.iter().any(|list| list.contains(&value)) {
-                need(&mut needed, 0, value);
+            .chain(graph.mem_writes.iter().map(|write| write.value));
+        for row in passthrough.filter_map(row_of) {
+            let counts = &mut reads[row * num_tiles..(row + 1) * num_tiles];
+            if counts.iter().all(|&count| count == 0) {
+                counts[0] = 1;
             }
         }
 
-        // --- Home every input on its majority-consumer tile ---------------
+        // --- Pre-load: each tile holds the inputs its clusters read -------
         // Each consumer tile keeps a pre-loaded copy (so execution never
         // waits on the interconnect), but exactly one tile is the input's
         // *home*: the one reading it most often (ties to the lowest tile).
@@ -542,62 +584,39 @@ impl MultiTileAllocator {
         // copy is accounted as an inter-tile input broadcast in the traffic
         // report — these words cross the interconnect during statespace
         // loading and used to be invisible in the traffic/energy numbers.
-        let home_of_input = |value: &ValueRef| -> TileId {
-            use_counts
-                .get(value)
-                .and_then(|counts| {
-                    counts
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(tile, count)| (**count, std::cmp::Reverse(*tile)))
-                        .map(|(tile, _)| tile)
-                })
-                .unwrap_or(0)
-        };
-        let mut input_home: HashMap<ValueRef, TileId> = HashMap::new();
+        let mut input_home: Vec<Option<TileId>> = vec![None; inputs];
         let mut broadcasts: Vec<InputBroadcast> = Vec::new();
-        let record_home = |value: ValueRef,
-                           needed: &[Vec<ValueRef>],
-                           input_home: &mut HashMap<ValueRef, TileId>,
-                           broadcasts: &mut Vec<InputBroadcast>| {
-            let home = home_of_input(&value);
-            input_home.insert(value, home);
-            for (tile, list) in needed.iter().enumerate() {
-                if tile != home && list.contains(&value) {
+        for (row, counts) in reads.chunks_exact(num_tiles).enumerate() {
+            if counts.iter().all(|&count| count == 0) {
+                continue;
+            }
+            let value = match graph.mem_reads.get(row) {
+                Some(&addr) => ValueRef::MemWord(addr),
+                None => ValueRef::ScalarInput((row - graph.mem_reads.len()) as u32),
+            };
+            let home = counts
+                .iter()
+                .enumerate()
+                .max_by_key(|(tile, count)| (**count, std::cmp::Reverse(*tile)))
+                .map_or(0, |(tile, _)| tile);
+            input_home[row] = Some(home);
+            for (tile, state) in states.iter_mut().enumerate() {
+                if counts[tile] == 0 {
+                    continue;
+                }
+                if tile != home {
                     broadcasts.push(InputBroadcast {
                         value,
                         from: home,
                         to: tile,
                     });
                 }
-            }
-        };
-
-        // --- Pre-load: each tile holds the inputs its clusters read -------
-        for &addr in &graph.mem_reads {
-            let value = ValueRef::MemWord(addr);
-            record_home(value, &needed, &mut input_home, &mut broadcasts);
-            for state in states
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(tile, state)| needed[tile].contains(&value).then_some(state))
-            {
-                let home = state.home_for_address(addr)?;
-                state.set_home(value, home, PRELOADED);
-                state.preload.push((value, home));
-            }
-        }
-        for index in 0..graph.scalar_inputs.len() {
-            let value = ValueRef::ScalarInput(index as u32);
-            record_home(value, &needed, &mut input_home, &mut broadcasts);
-            for state in states
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(tile, state)| needed[tile].contains(&value).then_some(state))
-            {
-                let home = state.fresh_scratch(0)?;
-                state.set_home(value, home, PRELOADED);
-                state.preload.push((value, home));
+                let word = match value {
+                    ValueRef::MemWord(addr) => state.home_for_address(addr)?,
+                    _ => state.fresh_scratch(0)?,
+                };
+                state.set_home(value, word, PRELOADED);
+                state.preload.push((value, word));
             }
         }
 
@@ -617,7 +636,7 @@ impl MultiTileAllocator {
         for level in 0..schedule.level_count() {
             for (tile, state) in states.iter_mut().enumerate() {
                 let clusters = schedule.tile(tile).level(level);
-                per_tile.allocate_level(graph, clustered, clusters, state)?;
+                levels.allocate_level(graph, clustered, clusters, state)?;
             }
             // Keep the tiles cycle-aligned after every level so transfer
             // cycles mean the same instant everywhere.
@@ -684,9 +703,9 @@ impl MultiTileAllocator {
                 // Kernel inputs resolve to their designated home tile (the
                 // majority consumer), falling back to any tile holding a
                 // copy for values without a recorded home.
-                _ => input_home
-                    .get(&value)
-                    .and_then(|&tile| states[tile].home_of(value).map(|home| (tile, home)))
+                _ => row_of(value)
+                    .and_then(|row| input_home[row])
+                    .and_then(|tile| states[tile].home_of(value).map(|home| (tile, home)))
                     .or_else(|| {
                         states
                             .iter()
@@ -712,6 +731,9 @@ impl MultiTileAllocator {
         }
 
         // --- Statespace map ----------------------------------------------
+        // Reads point at their pre-load homes; for written addresses only the
+        // last write (highest seq) is observable, and its final value resides
+        // wherever that value's home is.
         let mut statespace_map: HashMap<i64, (TileId, MemRef)> = HashMap::new();
         for &addr in &graph.mem_reads {
             let value = ValueRef::MemWord(addr);
@@ -737,12 +759,17 @@ impl MultiTileAllocator {
                 *entry = (write.seq, write.value);
             }
         }
+        // Addresses in order, so constant words are homed the same way on
+        // every run.
         let mut written_addresses: Vec<i64> = last_write.keys().copied().collect();
         written_addresses.sort_unstable();
         for &addr in &written_addresses {
             let (_, value) = last_write[&addr];
             let (tile, home) = match value {
                 ValueRef::Const(c) => {
+                    // A constant final value never exists at run time as an
+                    // ALU result; give it a dedicated memory word that the
+                    // pre-load image fills with the constant.
                     let home = states[0].fresh_scratch(0)?;
                     states[0].preload.push((ValueRef::Const(c), home));
                     (0, home)
@@ -839,12 +866,12 @@ mod tests {
     use super::*;
     use crate::cluster::Clusterer;
     use crate::partition::Partitioner;
-    use fpfa_transform::Pipeline;
+    use fpfa_transform::WorklistDriver;
 
     fn clustered(src: &str) -> (MappingGraph, ClusteredGraph) {
         let program = fpfa_frontend::compile(src).unwrap();
         let mut g = program.cdfg;
-        Pipeline::standard().run(&mut g).unwrap();
+        WorklistDriver::new().run_standard(&mut g).unwrap();
         let m = MappingGraph::from_cdfg(&g).unwrap();
         let c = Clusterer::default().cluster(&m).unwrap();
         (m, c)

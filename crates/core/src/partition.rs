@@ -443,13 +443,13 @@ impl<'a> CutState<'a> {
 mod tests {
     use super::*;
     use crate::cluster::Clusterer;
-    use fpfa_transform::Pipeline;
+    use fpfa_transform::WorklistDriver;
     use std::collections::HashSet;
 
     fn clustered_kernel(src: &str) -> (MappingGraph, ClusteredGraph) {
         let program = fpfa_frontend::compile(src).unwrap();
         let mut g = program.cdfg;
-        Pipeline::standard().run(&mut g).unwrap();
+        WorklistDriver::new().run_standard(&mut g).unwrap();
         let m = MappingGraph::from_cdfg(&g).unwrap();
         let clustered = Clusterer::default().cluster(&m).unwrap();
         (m, clustered)

@@ -55,7 +55,10 @@ pub struct MappingResult {
     /// Statespace layout of the source program's arrays (empty for mappings
     /// that started from a hand-built CDFG).
     pub layout: MemoryLayout,
-    /// Per-stage wall-clock timings and diagnostics of the flow run.
+    /// Per-stage wall-clock timings and diagnostics of the flow run (empty
+    /// for a mapping hit handed out by a
+    /// [`MappingService`](crate::service::MappingService), which ran no
+    /// stage).
     pub trace: FlowTrace,
     /// [`config_fingerprint`] of the configuration this result was produced
     /// under.  Rehydrated results carry the fingerprint *stored with the
@@ -266,9 +269,10 @@ impl Mapper {
 
     /// Maps a source string, consulting (and feeding) a two-level
     /// [`MappingCache`]: a byte-identical source under the same
-    /// configuration is a *mapping hit* (no stage runs); a structurally
-    /// identical simplified CDFG is a *post-transform hit* (only frontend +
-    /// transform run).  See [`crate::cache`] for the key definitions.
+    /// configuration is a *mapping hit* (no stage runs, so its trace is
+    /// empty); a structurally identical simplified CDFG is a
+    /// *post-transform hit* (only frontend + transform run).  See
+    /// [`crate::cache`] for the key definitions.
     pub(crate) fn map_source_cached(
         &self,
         source: &str,
@@ -277,6 +281,11 @@ impl Mapper {
         let (shared, outcome) = self.map_source_cached_shared(source, cache)?;
         let mut result = (*shared).clone();
         result.report.cache = outcome;
+        if outcome == CacheOutcome::MappingHit {
+            // No stage ran: the trace of the run that built the cached
+            // mapping is not this call's.
+            result.trace = FlowTrace::default();
+        }
         Ok(result)
     }
 
@@ -418,13 +427,24 @@ fn finish_parts(
         .map(|wall| wall.as_micros())
         .sum();
 
+    let (levels, tiles, allocation) = match &multi {
+        Some(multi) => (
+            multi.schedule.level_count(),
+            multi.program.tiles.as_slice(),
+            &multi.program.stats,
+        ),
+        None => (
+            schedule.level_count(),
+            std::slice::from_ref(&*program),
+            &program.stats,
+        ),
+    };
     let mut report = MappingReport {
         kernel: graph.name.clone(),
         operations: graph.op_count(),
         clusters: clustered.len(),
         critical_path: clustered.critical_path(),
-        levels: schedule.level_count(),
-        tiles: 1,
+        levels,
         mapping_time_us,
         ..MappingReport::default()
     };
@@ -433,13 +453,7 @@ fn finish_parts(
         report.transform_visited_nodes = stats.visited_nodes;
         report.transform_peak_graph_nodes = stats.peak_graph_nodes;
     }
-    match &multi {
-        Some(multi) => {
-            report.levels = multi.schedule.level_count();
-            report.absorb_multi_program(&multi.program);
-        }
-        None => report.absorb_program(&program),
-    }
+    report.absorb_tiles(tiles, allocation);
 
     let config_fingerprint = config_fingerprint(&cx.config, &cx.array, &cx.toggles);
     MappingResult {

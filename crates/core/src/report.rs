@@ -1,8 +1,7 @@
 //! Summary statistics of one mapping run.
 
 use crate::cache::CacheOutcome;
-use crate::multi::MultiTileProgram;
-use crate::program::TileProgram;
+use crate::program::{AllocationStats, TileProgram};
 use std::fmt;
 
 /// Headline numbers describing a mapping (used by the experiment tables).
@@ -86,45 +85,33 @@ impl MappingReport {
         }
     }
 
-    /// Fills the allocation-related fields from a tile program.
-    pub fn absorb_program(&mut self, program: &TileProgram) {
-        self.cycles = program.cycle_count();
-        self.stall_cycles = program.stats.stall_cycles;
-        self.alu_utilization = program.alu_utilization();
-        self.alus_used = program
-            .cycles
-            .iter()
-            .map(|c| c.busy_alus())
-            .max()
-            .unwrap_or(0);
-        self.register_hits = program.stats.register_hits;
-        self.register_misses = program.stats.register_misses;
-        self.mem_writebacks = program.stats.mem_writebacks;
-        self.crossbar_transfers = program.stats.crossbar_transfers;
-    }
-
-    /// Fills the allocation-related fields from a multi-tile program
-    /// (aggregated across the whole array).
-    pub fn absorb_multi_program(&mut self, program: &MultiTileProgram) {
-        self.tiles = program.tile_count();
-        self.cycles = program.cycle_count();
-        self.stall_cycles = program.stats.stall_cycles;
-        self.alu_utilization = program.alu_utilization();
-        self.alus_used = (0..program.cycle_count())
+    /// Fills the allocation-related fields from the allocated tile programs
+    /// (one per tile, on one global timeline; a single-tile mapping passes
+    /// its one program) and their aggregate counters.
+    pub fn absorb_tiles(&mut self, tiles: &[TileProgram], stats: &AllocationStats) {
+        let cycles = tiles.first().map_or(0, TileProgram::cycle_count);
+        self.tiles = tiles.len();
+        self.cycles = cycles;
+        self.stall_cycles = stats.stall_cycles;
+        self.alu_utilization = if tiles.is_empty() {
+            0.0
+        } else {
+            tiles.iter().map(TileProgram::alu_utilization).sum::<f64>() / tiles.len() as f64
+        };
+        self.alus_used = (0..cycles)
             .map(|cycle| {
-                program
-                    .tiles
+                tiles
                     .iter()
                     .map(|tile| tile.cycles[cycle].busy_alus())
                     .sum::<usize>()
             })
             .max()
             .unwrap_or(0);
-        self.register_hits = program.stats.register_hits;
-        self.register_misses = program.stats.register_misses;
-        self.mem_writebacks = program.stats.mem_writebacks;
-        self.crossbar_transfers = program.stats.crossbar_transfers;
-        self.inter_tile_transfers = program.stats.inter_tile_transfers;
+        self.register_hits = stats.register_hits;
+        self.register_misses = stats.register_misses;
+        self.mem_writebacks = stats.mem_writebacks;
+        self.crossbar_transfers = stats.crossbar_transfers;
+        self.inter_tile_transfers = stats.inter_tile_transfers;
     }
 }
 

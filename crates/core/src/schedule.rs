@@ -8,9 +8,16 @@
 //! Here we adopt a heuristic procedure in which the clusters are scheduled
 //! level by level. The complexity is thus linear to the number of clusters."
 //! (Section VI-B, Fig. 4)
+//!
+//! The placement loop is [`MultiScheduler`], which schedules a tile array of
+//! any size; the paper's single tile is an array of one. [`Scheduler`] is the
+//! one-tile entry point the experiment binaries and examples call, and this
+//! module keeps the [`Schedule`] type and the level bookkeeping both share.
 
 use crate::cluster::{ClusterId, ClusteredGraph};
 use crate::error::MapError;
+use crate::multi::MultiScheduler;
+use crate::partition::TileAssignment;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -48,8 +55,8 @@ impl Schedule {
     }
 
     /// Places a cluster at a level, growing the level list as needed (used
-    /// by the multi-tile scheduler to build per-tile schedules on a shared
-    /// global level timeline).
+    /// by the scheduler to build per-tile schedules on a shared global level
+    /// timeline).
     pub(crate) fn place(&mut self, cluster: ClusterId, level: usize) {
         if level >= self.levels.len() {
             self.levels.resize(level + 1, Vec::new());
@@ -59,7 +66,7 @@ impl Schedule {
     }
 
     /// Grows the level list to `count` levels (trailing levels stay empty) so
-    /// every per-tile schedule of a multi-tile run spans the same timeline.
+    /// every per-tile schedule of an array spans the same timeline.
     pub(crate) fn pad_levels(&mut self, count: usize) {
         if self.levels.len() < count {
             self.levels.resize(count, Vec::new());
@@ -123,7 +130,7 @@ impl fmt::Display for Schedule {
     }
 }
 
-/// The level scheduler.
+/// The level scheduler of one tile.
 #[derive(Clone, Copy, Debug)]
 pub struct Scheduler {
     /// Number of physical ALUs (5 on the paper's tile).
@@ -136,65 +143,16 @@ impl Scheduler {
         Scheduler { num_alus }
     }
 
-    /// Schedules the clustered graph level by level.
-    ///
-    /// Clusters are visited in a topological order; each cluster is placed at
-    /// the earliest level that satisfies its dependences and still has a free
-    /// ALU — when every level in that range is full, a new level is appended
-    /// (the "insert a new level when necessary" rule of Fig. 4).
+    /// Schedules the clustered graph level by level on one tile: the array
+    /// scheduler ([`MultiScheduler`]) on a one-tile array, so the paper's
+    /// tile and a tile array share one placement loop.
     ///
     /// # Errors
     /// [`MapError::AllocationFailed`] when `num_alus` is zero.
     pub fn schedule(&self, clustered: &ClusteredGraph) -> Result<Schedule, MapError> {
-        if self.num_alus == 0 {
-            return Err(MapError::AllocationFailed {
-                reason: "cannot schedule on a tile with zero ALUs".into(),
-            });
-        }
-        let mut schedule = Schedule::default();
-        // Process clusters level by level: order by ASAP level, breaking ties
-        // by criticality (lower mobility first) so critical clusters keep
-        // their level and movable ones fill the gaps or get pushed down.
-        let order = clustered.topo_order();
-        let asap = asap_levels(clustered, &order);
-        let alap = alap_levels(clustered, &order);
-        let mut sorted: Vec<ClusterId> = order.clone();
-        sorted.sort_by_key(|c| {
-            let mobility = alap[c].saturating_sub(asap[c]);
-            (asap[c], mobility, c.index())
-        });
-
-        // `next_free[l]` points at the first level >= l that may still have a
-        // free ALU (a union-find style skip list with path compression), so
-        // that the whole schedule is built in time linear in the number of
-        // clusters — the complexity the paper claims for this phase.
-        let mut next_free: Vec<usize> = Vec::new();
-        for cluster in sorted {
-            // Earliest level satisfying the dependences.
-            let earliest = clustered
-                .predecessors(cluster)
-                .iter()
-                .map(|p| {
-                    schedule
-                        .level_of(*p)
-                        .expect("predecessors are scheduled before successors")
-                        + 1
-                })
-                .max()
-                .unwrap_or(0);
-            // First level at or after `earliest` with a free ALU.
-            let level = find_free_level(&mut next_free, earliest);
-            if level >= schedule.levels.len() {
-                schedule.levels.resize(level + 1, Vec::new());
-            }
-            schedule.levels[level].push(cluster);
-            schedule.level_of.insert(cluster, level);
-            if schedule.levels[level].len() >= self.num_alus {
-                // The level is now full: future searches skip past it.
-                mark_full(&mut next_free, level);
-            }
-        }
-        Ok(schedule)
+        let one_tile = TileAssignment::single_tile(clustered.len());
+        let array = MultiScheduler::new(self.num_alus, 0).schedule(clustered, &one_tile)?;
+        Ok(array.tile(0).clone())
     }
 }
 
@@ -278,7 +236,7 @@ mod tests {
     use super::*;
     use crate::cluster::Clusterer;
     use crate::dfg::MappingGraph;
-    use fpfa_transform::Pipeline;
+    use fpfa_transform::WorklistDriver;
 
     fn clustered_fir(taps: usize) -> (MappingGraph, ClusteredGraph) {
         let src = format!(
@@ -295,7 +253,7 @@ mod tests {
         );
         let program = fpfa_frontend::compile(&src).unwrap();
         let mut g = program.cdfg;
-        Pipeline::standard().run(&mut g).unwrap();
+        WorklistDriver::new().run_standard(&mut g).unwrap();
         let m = MappingGraph::from_cdfg(&g).unwrap();
         let clustered = Clusterer::default().cluster(&m).unwrap();
         (m, clustered)

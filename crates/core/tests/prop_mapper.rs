@@ -40,9 +40,9 @@ fn arb_dag(max_nodes: usize) -> impl Strategy<Value = (usize, Vec<(usize, usize)
 fn mapping_graph(source: &str) -> MappingGraph {
     let program = fpfa_frontend::compile(source).expect("random kernels compile");
     let mut g = program.cdfg;
-    fpfa_transform::Pipeline::standard()
-        .run(&mut g)
-        .expect("pipeline converges");
+    fpfa_transform::WorklistDriver::new()
+        .run_standard(&mut g)
+        .expect("the worklist engine converges");
     MappingGraph::from_cdfg(&g).expect("random kernels are mappable")
 }
 

@@ -1011,14 +1011,7 @@ fn simulate(mapping: &MappingResult) -> Result<SimSummary, String> {
     for name in &mapping.program.scalar_input_names {
         inputs.scalars.insert(name.clone(), 1);
     }
-    let outcome = match &mapping.multi {
-        Some(multi) => fpfa_sim::MultiSimulator::new(&multi.program)
-            .run(&inputs)
-            .map_err(|e| e.to_string())?,
-        None => fpfa_sim::Simulator::new(&mapping.program)
-            .run(&inputs)
-            .map_err(|e| e.to_string())?,
-    };
+    let outcome = fpfa_sim::simulate(mapping, &inputs).map_err(|e| e.to_string())?;
     let checksum = outcome
         .scalars
         .values()

@@ -1,9 +1,19 @@
-//! Cycle-by-cycle execution of a tile program.
+//! Cycle-by-cycle execution of tile programs.
+//!
+//! One cycle loop executes the tile programs of an array of any size in
+//! lock-step. [`Simulator`] runs one [`TileProgram`] — the paper's single
+//! tile — as a one-tile view of that loop;
+//! [`MultiSimulator`](crate::multi::MultiSimulator) runs a whole array
+//! program.
 
 use crate::error::SimError;
 use crate::trace::{CycleTrace, Trace};
-use fpfa_arch::{ArchError, EnergyModel, EnergyReport, EventCounts, MemRef, RegRef, Tile};
+use fpfa_arch::{
+    ArchError, ArrayConfig, EnergyModel, EnergyReport, EventCounts, MemRef, RegRef, Tile,
+    TileArray, TileId,
+};
 use fpfa_cdfg::StateSpace;
+use fpfa_core::multi::TransferJob;
 use fpfa_core::program::{CycleJob, Location, OperandSource};
 use fpfa_core::{OpId, OpKind, TileProgram, ValueRef};
 use std::collections::HashMap;
@@ -62,7 +72,7 @@ impl SimOutcome {
     }
 }
 
-/// The cycle-accurate simulator.
+/// The cycle-accurate simulator of one tile program.
 #[derive(Debug)]
 pub struct Simulator<'p> {
     program: &'p TileProgram,
@@ -86,82 +96,200 @@ impl<'p> Simulator<'p> {
         self
     }
 
-    /// Executes the program.
+    /// Executes the program: the array cycle loop on a one-tile view of it.
     ///
     /// # Errors
     /// Returns a [`SimError`] when an input is missing, a structural
     /// constraint is violated, or the program reads values that were never
     /// produced.
     pub fn run(&self, inputs: &SimInputs) -> Result<SimOutcome, SimError> {
-        let config = self.program.config;
-        let mut tile = Tile::new(config);
+        let program = self.program;
+        ArrayView {
+            array: ArrayConfig::single_tile(),
+            tiles: std::slice::from_ref(program),
+            transfers: &[],
+            input_broadcasts: 0,
+            scalar_outputs: program
+                .scalar_outputs
+                .iter()
+                .map(|(name, location)| (name.as_str(), 0, *location))
+                .collect(),
+            statespace_map: program
+                .statespace_map
+                .iter()
+                .map(|(&addr, &home)| (addr, 0, home))
+                .collect(),
+        }
+        .run(inputs, self.check_structure)
+    }
+}
+
+/// What the cycle loop executes: the per-tile programs of an array on one
+/// global timeline, the transfers between the tiles, and where the outputs
+/// can be read after the last cycle. A lone [`TileProgram`] is the view of a
+/// one-tile array without transfers.
+pub(crate) struct ArrayView<'p> {
+    pub(crate) array: ArrayConfig,
+    pub(crate) tiles: &'p [TileProgram],
+    pub(crate) transfers: &'p [TransferJob],
+    /// Kernel-input words copied to a non-home tile while the statespace is
+    /// loaded.
+    pub(crate) input_broadcasts: usize,
+    pub(crate) scalar_outputs: Vec<(&'p str, TileId, Location)>,
+    pub(crate) statespace_map: Vec<(i64, TileId, MemRef)>,
+}
+
+impl ArrayView<'_> {
+    /// Runs every tile in lock-step on one global clock, in the three steps
+    /// per cycle the [`multi`](crate::multi) module describes; with
+    /// `check_structure` each cycle is re-checked against each tile's ports,
+    /// buses and ALU capability and the interconnect's link budget.
+    pub(crate) fn run(
+        &self,
+        inputs: &SimInputs,
+        check_structure: bool,
+    ) -> Result<SimOutcome, SimError> {
+        let tile_config = self
+            .tiles
+            .first()
+            .map(|tile| tile.config)
+            .unwrap_or_default();
+        let mut array = TileArray::new(tile_config, self.array)
+            .map_err(|source| SimError::Arch { cycle: 0, source })?;
         let mut counts = EventCounts::default();
         let mut trace = Trace::default();
         let mut results: HashMap<OpId, i64> = HashMap::new();
 
         // ------------------------------------------------------------------
-        // Pre-load: kernel inputs into the local memories.
+        // Pre-load every tile's kernel inputs.
         // ------------------------------------------------------------------
-        for (value, home) in &self.program.preload {
-            let word = match value {
-                ValueRef::Const(c) => *c,
-                ValueRef::MemWord(addr) => {
-                    inputs
-                        .statespace
-                        .fetch(*addr)
-                        .ok_or_else(|| SimError::MissingInput {
-                            what: format!("statespace word at address {addr}"),
-                        })?
-                }
-                ValueRef::ScalarInput(index) => {
-                    // Index into the preserved input-name table is not carried
-                    // by the program; the allocator preserves the order, so we
-                    // recover the name through the scalar output map when
-                    // possible. The mapping result's graph knows the names;
-                    // the program's preload only needs the value, which the
-                    // caller supplies by name. We look the name up from the
-                    // program's scalar inputs table.
-                    let name =
-                        self.program
-                            .scalar_input_name(*index as usize)
-                            .ok_or_else(|| SimError::MissingInput {
-                                what: format!("scalar input #{index}"),
-                            })?;
-                    *inputs
-                        .scalars
-                        .get(name)
-                        .ok_or_else(|| SimError::MissingInput {
-                            what: format!("scalar input `{name}`"),
-                        })?
-                }
-                ValueRef::Op(op) => {
-                    return Err(SimError::MissingInput {
-                        what: format!("pre-load of computed value {op}"),
-                    })
-                }
-            };
-            write_mem(&mut tile, *home, word, 0)?;
+        // Inputs replicated beyond their home tile cross the interconnect
+        // while the statespace is loaded; count those words so the
+        // simulator's transfer count and energy agree with the allocator's
+        // traffic report.
+        counts.inter_tile_transfers += self.input_broadcasts as u64;
+        for (tile_id, tile_program) in self.tiles.iter().enumerate() {
+            for (value, home) in &tile_program.preload {
+                let word =
+                    match value {
+                        ValueRef::Const(c) => *c,
+                        ValueRef::MemWord(addr) => {
+                            inputs.statespace.fetch(*addr).ok_or_else(|| {
+                                SimError::MissingInput {
+                                    what: format!("statespace word at address {addr}"),
+                                }
+                            })?
+                        }
+                        ValueRef::ScalarInput(index) => {
+                            // The program keeps the kernel's scalar-input names
+                            // in index order; the caller supplies values by name.
+                            let name = tile_program.scalar_input_name(*index as usize).ok_or_else(
+                                || SimError::MissingInput {
+                                    what: format!("scalar input #{index}"),
+                                },
+                            )?;
+                            *inputs
+                                .scalars
+                                .get(name)
+                                .ok_or_else(|| SimError::MissingInput {
+                                    what: format!("scalar input `{name}`"),
+                                })?
+                        }
+                        ValueRef::Op(op) => {
+                            return Err(SimError::MissingInput {
+                                what: format!("pre-load of computed value {op}"),
+                            })
+                        }
+                    };
+                let tile = array
+                    .tile_mut(tile_id)
+                    .map_err(|source| SimError::Arch { cycle: 0, source })?;
+                write_mem(tile, *home, word, 0)?;
+            }
         }
 
+        // Transfers grouped by departure and arrival cycle.
+        let mut departing: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut arriving: HashMap<usize, Vec<usize>> = HashMap::new();
+        for (index, transfer) in self.transfers.iter().enumerate() {
+            departing.entry(transfer.depart).or_default().push(index);
+            arriving.entry(transfer.arrive).or_default().push(index);
+        }
+        let mut in_flight: HashMap<usize, i64> = HashMap::new();
+
         // ------------------------------------------------------------------
-        // Cycle loop.
+        // Global cycle loop.
         // ------------------------------------------------------------------
-        for (cycle_index, cycle) in self.program.cycles.iter().enumerate() {
-            if self.check_structure {
-                check_cycle(&config, cycle_index, cycle)?;
-            }
+        let total_cycles = self.tiles.first().map_or(0, TileProgram::cycle_count);
+        for cycle_index in 0..total_cycles {
             let mut cycle_trace = CycleTrace {
                 cycle: cycle_index,
                 ..CycleTrace::default()
             };
-            execute_cycle(
-                &mut tile,
-                cycle_index,
-                cycle,
-                &mut results,
-                &mut counts,
-                &mut cycle_trace,
-            )?;
+
+            // 1. Departures: read the source words into the in-flight buffer.
+            if let Some(indices) = departing.get(&cycle_index) {
+                if check_structure && indices.len() > self.array.links_per_cycle {
+                    return Err(SimError::Arch {
+                        cycle: cycle_index,
+                        source: ArchError::InterconnectOversubscribed {
+                            requested: indices.len(),
+                            available: self.array.links_per_cycle,
+                        },
+                    });
+                }
+                for &index in indices {
+                    let transfer = &self.transfers[index];
+                    let tile = array.tile(transfer.from).map_err(|source| SimError::Arch {
+                        cycle: cycle_index,
+                        source,
+                    })?;
+                    let word = read_mem(tile, transfer.src, cycle_index)?;
+                    in_flight.insert(index, word);
+                    counts.mem_reads += 1;
+                }
+            }
+
+            // 2. Every tile executes its own jobs for this cycle.
+            for (tile_id, tile_program) in self.tiles.iter().enumerate() {
+                let cycle = &tile_program.cycles[cycle_index];
+                if check_structure {
+                    check_cycle(&tile_program.config, cycle_index, cycle)?;
+                }
+                let tile = array.tile_mut(tile_id).map_err(|source| SimError::Arch {
+                    cycle: cycle_index,
+                    source,
+                })?;
+                execute_cycle(
+                    tile,
+                    cycle_index,
+                    cycle,
+                    &mut results,
+                    &mut counts,
+                    &mut cycle_trace,
+                )?;
+            }
+
+            // 3. Arrivals: commit in-flight words to the destination tiles.
+            if let Some(indices) = arriving.get(&cycle_index) {
+                for &index in indices {
+                    let transfer = &self.transfers[index];
+                    let word = in_flight.remove(&index).ok_or(SimError::MissingResult {
+                        cycle: cycle_index,
+                        op: transfer.op,
+                    })?;
+                    let tile = array
+                        .tile_mut(transfer.to)
+                        .map_err(|source| SimError::Arch {
+                            cycle: cycle_index,
+                            source,
+                        })?;
+                    write_mem(tile, transfer.dst, word, cycle_index)?;
+                    counts.mem_writes += 1;
+                    counts.inter_tile_transfers += 1;
+                }
+            }
+
             counts.cycles += 1;
             trace.cycles.push(cycle_trace);
         }
@@ -169,20 +297,26 @@ impl<'p> Simulator<'p> {
         // ------------------------------------------------------------------
         // Read back outputs.
         // ------------------------------------------------------------------
+        let tile_at_end = |tile_id: TileId| {
+            array.tile(tile_id).map_err(|source| SimError::Arch {
+                cycle: total_cycles,
+                source,
+            })
+        };
         let mut scalars = HashMap::new();
-        for (name, location) in &self.program.scalar_outputs {
+        for &(name, tile_id, location) in &self.scalar_outputs {
             let value = match location {
-                Location::Constant(c) => *c,
-                Location::Mem(mem) => read_mem(&tile, *mem, self.program.cycle_count())?,
-                Location::Reg(reg) => read_reg(&tile, *reg, self.program.cycle_count())?,
+                Location::Constant(c) => c,
+                Location::Mem(mem) => read_mem(tile_at_end(tile_id)?, mem, total_cycles)?,
+                Location::Reg(reg) => read_reg(tile_at_end(tile_id)?, reg, total_cycles)?,
             };
-            scalars.insert(name.clone(), value);
+            scalars.insert(name.to_string(), value);
         }
 
         let mut final_statespace = inputs.statespace.clone();
-        for (addr, home) in &self.program.statespace_map {
-            let value = read_mem(&tile, *home, self.program.cycle_count())?;
-            final_statespace.store(*addr, value);
+        for &(addr, tile_id, home) in &self.statespace_map {
+            let value = read_mem(tile_at_end(tile_id)?, home, total_cycles)?;
+            final_statespace.store(addr, value);
         }
 
         Ok(SimOutcome {
@@ -194,8 +328,7 @@ impl<'p> Simulator<'p> {
     }
 }
 
-/// Executes one tile's jobs for one cycle on the given tile state (shared by
-/// the single-tile and multi-tile simulators).
+/// Executes one tile's jobs for one cycle on the given tile state.
 pub(crate) fn execute_cycle(
     tile: &mut Tile,
     cycle_index: usize,
@@ -268,7 +401,7 @@ pub(crate) fn execute_cycle(
 }
 
 /// Re-checks the structural constraints of one cycle against a tile
-/// configuration (shared by the single-tile and multi-tile simulators).
+/// configuration.
 pub(crate) fn check_cycle(
     config: &fpfa_arch::TileConfig,
     cycle_index: usize,

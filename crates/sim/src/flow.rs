@@ -3,11 +3,26 @@
 //! on the tile model and the simulation time shows up in the same per-stage
 //! instrumentation as the mapping phases.
 
+use crate::error::SimError;
 use crate::exec::{SimInputs, SimOutcome, Simulator};
 use crate::multi::MultiSimulator;
 use fpfa_core::flow::{FlowContext, Stage};
 use fpfa_core::pipeline::MappingResult;
 use fpfa_core::MapError;
+
+/// Simulates a finished mapping on the whole program it carries: the array
+/// program of a multi-tile mapping (its `program` is only tile 0's slice),
+/// the tile program otherwise.
+///
+/// # Errors
+/// Returns a [`SimError`] when an input is missing, a structural constraint
+/// is violated, or the program reads values that were never produced.
+pub fn simulate(mapping: &MappingResult, inputs: &SimInputs) -> Result<SimOutcome, SimError> {
+    match &mapping.multi {
+        Some(multi) => MultiSimulator::new(&multi.program).run(inputs),
+        None => Simulator::new(&mapping.program).run(inputs),
+    }
+}
 
 /// A finished mapping together with its simulated execution.
 #[derive(Clone, PartialEq, Debug)]
@@ -42,14 +57,7 @@ impl Stage<MappingResult, SimulatedMapping> for SimulateStage {
         input: MappingResult,
         cx: &mut FlowContext,
     ) -> Result<SimulatedMapping, MapError> {
-        // Multi-tile mappings carry the whole array program in `multi`
-        // (`input.program` is only tile 0's slice), so they must run on the
-        // array simulator.
-        let outcome = match &input.multi {
-            Some(multi) => MultiSimulator::new(&multi.program).run(&self.inputs),
-            None => Simulator::new(&input.program).run(&self.inputs),
-        }
-        .map_err(|error| MapError::Simulation {
+        let outcome = simulate(&input, &self.inputs).map_err(|error| MapError::Simulation {
             reason: error.to_string(),
         })?;
         cx.info(

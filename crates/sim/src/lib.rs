@@ -1,4 +1,4 @@
-//! Cycle-accurate simulator for one FPFA processor tile.
+//! Cycle-accurate simulator for FPFA processor tiles.
 //!
 //! The paper evaluates its mapping flow on the FPFA hardware (and its VHDL
 //! model), neither of which is available. This crate is the substitute
@@ -12,6 +12,11 @@
 //!   accesses, crossbar transfers) for the energy model,
 //! * producing the kernel's outputs so they can be compared with the CDFG
 //!   reference interpreter ([`equivalence`]).
+//!
+//! One cycle loop runs a tile array of any size in lock-step, inter-tile
+//! transfers included: [`Simulator`] hands it the paper's single tile as an
+//! array of one, [`MultiSimulator`] a whole array program, and [`simulate`]
+//! picks the program a finished mapping carries.
 //!
 //! # Example
 //!
@@ -44,6 +49,6 @@ pub mod trace;
 pub use equivalence::{check_against_cdfg, check_multi_against_cdfg, EquivalenceReport};
 pub use error::SimError;
 pub use exec::{SimInputs, SimOutcome, Simulator};
-pub use flow::{SimulateStage, SimulatedMapping};
+pub use flow::{simulate, SimulateStage, SimulatedMapping};
 pub use multi::MultiSimulator;
 pub use trace::{CycleTrace, Trace};

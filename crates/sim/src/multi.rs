@@ -1,12 +1,13 @@
 //! Cycle-by-cycle execution of a multi-tile program on an FPFA tile array.
 //!
-//! All tiles advance in lock-step on one global clock. Each global cycle
+//! All tiles advance in lock-step on one global clock, in the same cycle
+//! loop that runs a single tile program. Each global cycle
 //!
 //! 1. words departing over the inter-tile interconnect are read from their
 //!    source tile's memory (the allocator guarantees the write-back happened
 //!    in an earlier cycle) and enter the in-flight buffer;
 //! 2. every tile executes its own [`CycleJob`](fpfa_core::CycleJob) — moves,
-//!    ALU clusters, write-backs — exactly like the single-tile simulator;
+//!    ALU clusters, write-backs;
 //! 3. words whose [`TransferJob::arrive`](fpfa_core::multi::TransferJob::arrive)
 //!    cycle is reached are written into their destination tile's memory
 //!    (readable from the next cycle on).
@@ -15,13 +16,8 @@
 //! interconnect's per-cycle link budget.
 
 use crate::error::SimError;
-use crate::exec::{check_cycle, execute_cycle, read_mem, write_mem, SimInputs, SimOutcome};
-use crate::trace::{CycleTrace, Trace};
-use fpfa_arch::{ArchError, EventCounts, TileArray};
+use crate::exec::{ArrayView, SimInputs, SimOutcome};
 use fpfa_core::multi::MultiTileProgram;
-use fpfa_core::program::Location;
-use fpfa_core::{OpId, ValueRef};
-use std::collections::HashMap;
 
 /// The cycle-accurate simulator for a whole tile array.
 #[derive(Debug)]
@@ -53,190 +49,23 @@ impl<'p> MultiSimulator<'p> {
     /// program reads values that were never produced.
     pub fn run(&self, inputs: &SimInputs) -> Result<SimOutcome, SimError> {
         let program = self.program;
-        let tile_config = program
-            .tiles
-            .first()
-            .map(|tile| tile.config)
-            .unwrap_or_default();
-        let mut array = TileArray::new(tile_config, program.array)
-            .map_err(|source| SimError::Arch { cycle: 0, source })?;
-        let mut counts = EventCounts::default();
-        let mut trace = Trace::default();
-        let mut results: HashMap<OpId, i64> = HashMap::new();
-
-        // ------------------------------------------------------------------
-        // Pre-load every tile's kernel inputs.
-        // ------------------------------------------------------------------
-        // Inputs replicated beyond their home tile cross the interconnect
-        // while the statespace is loaded; count those words so the
-        // simulator's transfer count and energy agree with the allocator's
-        // traffic report.
-        counts.inter_tile_transfers += program.traffic.input_broadcasts.len() as u64;
-        for (tile_id, tile_program) in program.tiles.iter().enumerate() {
-            for (value, home) in &tile_program.preload {
-                let word =
-                    match value {
-                        ValueRef::Const(c) => *c,
-                        ValueRef::MemWord(addr) => {
-                            inputs.statespace.fetch(*addr).ok_or_else(|| {
-                                SimError::MissingInput {
-                                    what: format!("statespace word at address {addr}"),
-                                }
-                            })?
-                        }
-                        ValueRef::ScalarInput(index) => {
-                            let name = tile_program.scalar_input_name(*index as usize).ok_or_else(
-                                || SimError::MissingInput {
-                                    what: format!("scalar input #{index}"),
-                                },
-                            )?;
-                            *inputs
-                                .scalars
-                                .get(name)
-                                .ok_or_else(|| SimError::MissingInput {
-                                    what: format!("scalar input `{name}`"),
-                                })?
-                        }
-                        ValueRef::Op(op) => {
-                            return Err(SimError::MissingInput {
-                                what: format!("pre-load of computed value {op}"),
-                            })
-                        }
-                    };
-                let tile = array
-                    .tile_mut(tile_id)
-                    .map_err(|source| SimError::Arch { cycle: 0, source })?;
-                write_mem(tile, *home, word, 0)?;
-            }
+        ArrayView {
+            array: program.array,
+            tiles: &program.tiles,
+            transfers: &program.transfers,
+            input_broadcasts: program.traffic.input_broadcasts.len(),
+            scalar_outputs: program
+                .scalar_outputs
+                .iter()
+                .map(|(name, tile, location)| (name.as_str(), *tile, *location))
+                .collect(),
+            statespace_map: program
+                .statespace_map
+                .iter()
+                .map(|(&addr, &(tile, home))| (addr, tile, home))
+                .collect(),
         }
-
-        // Transfers grouped by departure and arrival cycle.
-        let mut departing: HashMap<usize, Vec<usize>> = HashMap::new();
-        let mut arriving: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (index, transfer) in program.transfers.iter().enumerate() {
-            departing.entry(transfer.depart).or_default().push(index);
-            arriving.entry(transfer.arrive).or_default().push(index);
-        }
-        let mut in_flight: HashMap<usize, i64> = HashMap::new();
-
-        // ------------------------------------------------------------------
-        // Global cycle loop.
-        // ------------------------------------------------------------------
-        let total_cycles = program.cycle_count();
-        for cycle_index in 0..total_cycles {
-            let mut cycle_trace = CycleTrace {
-                cycle: cycle_index,
-                ..CycleTrace::default()
-            };
-
-            // 1. Departures: read the source words into the in-flight buffer.
-            if let Some(indices) = departing.get(&cycle_index) {
-                if self.check_structure && indices.len() > program.array.links_per_cycle {
-                    return Err(SimError::Arch {
-                        cycle: cycle_index,
-                        source: ArchError::InterconnectOversubscribed {
-                            requested: indices.len(),
-                            available: program.array.links_per_cycle,
-                        },
-                    });
-                }
-                for &index in indices {
-                    let transfer = &program.transfers[index];
-                    let tile = array.tile(transfer.from).map_err(|source| SimError::Arch {
-                        cycle: cycle_index,
-                        source,
-                    })?;
-                    let word = read_mem(tile, transfer.src, cycle_index)?;
-                    in_flight.insert(index, word);
-                    counts.mem_reads += 1;
-                }
-            }
-
-            // 2. Every tile executes its own jobs for this cycle.
-            for (tile_id, tile_program) in program.tiles.iter().enumerate() {
-                let cycle = &tile_program.cycles[cycle_index];
-                if self.check_structure {
-                    check_cycle(&tile_program.config, cycle_index, cycle)?;
-                }
-                let tile = array.tile_mut(tile_id).map_err(|source| SimError::Arch {
-                    cycle: cycle_index,
-                    source,
-                })?;
-                execute_cycle(
-                    tile,
-                    cycle_index,
-                    cycle,
-                    &mut results,
-                    &mut counts,
-                    &mut cycle_trace,
-                )?;
-            }
-
-            // 3. Arrivals: commit in-flight words to the destination tiles.
-            if let Some(indices) = arriving.get(&cycle_index) {
-                for &index in indices {
-                    let transfer = &program.transfers[index];
-                    let word = in_flight.remove(&index).ok_or(SimError::MissingResult {
-                        cycle: cycle_index,
-                        op: transfer.op,
-                    })?;
-                    let tile = array
-                        .tile_mut(transfer.to)
-                        .map_err(|source| SimError::Arch {
-                            cycle: cycle_index,
-                            source,
-                        })?;
-                    write_mem(tile, transfer.dst, word, cycle_index)?;
-                    counts.mem_writes += 1;
-                    counts.inter_tile_transfers += 1;
-                }
-            }
-
-            counts.cycles += 1;
-            trace.cycles.push(cycle_trace);
-        }
-
-        // ------------------------------------------------------------------
-        // Read back outputs.
-        // ------------------------------------------------------------------
-        let mut scalars = HashMap::new();
-        for (name, tile_id, location) in &program.scalar_outputs {
-            let value = match location {
-                Location::Constant(c) => *c,
-                Location::Mem(mem) => {
-                    let tile = array.tile(*tile_id).map_err(|source| SimError::Arch {
-                        cycle: total_cycles,
-                        source,
-                    })?;
-                    read_mem(tile, *mem, total_cycles)?
-                }
-                Location::Reg(reg) => {
-                    let tile = array.tile(*tile_id).map_err(|source| SimError::Arch {
-                        cycle: total_cycles,
-                        source,
-                    })?;
-                    crate::exec::read_reg(tile, *reg, total_cycles)?
-                }
-            };
-            scalars.insert(name.clone(), value);
-        }
-
-        let mut final_statespace = inputs.statespace.clone();
-        for (addr, (tile_id, home)) in &program.statespace_map {
-            let tile = array.tile(*tile_id).map_err(|source| SimError::Arch {
-                cycle: total_cycles,
-                source,
-            })?;
-            let value = read_mem(tile, *home, total_cycles)?;
-            final_statespace.store(*addr, value);
-        }
-
-        Ok(SimOutcome {
-            scalars,
-            final_statespace,
-            counts,
-            trace,
-        })
+        .run(inputs, self.check_structure)
     }
 }
 

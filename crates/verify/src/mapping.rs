@@ -1199,8 +1199,7 @@ impl Verifier {
     }
 
     /// FV014: the headline report equals the values recomputed from the
-    /// artifacts (mirrors `MappingReport::absorb_program` /
-    /// `absorb_multi_program`).
+    /// artifacts (mirrors `MappingReport::absorb_tiles`).
     fn check_report(&self, result: &MappingResult, view: &View<'_>, report: &mut VerifyReport) {
         let r = &result.report;
         let graph = &result.mapping_graph;

@@ -14,7 +14,7 @@ use fpfa::core::cluster::Clusterer;
 use fpfa::core::dfg::MappingGraph;
 use fpfa::core::schedule::Scheduler;
 use fpfa::sim::{SimInputs, Simulator};
-use fpfa::transform::Pipeline;
+use fpfa::transform::WorklistDriver;
 use fpfa_arch::TileConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,10 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Phase 0b: behaviour-preserving minimisation (loop unrolling, constant
     // folding, CSE, dead-code elimination, ...).
     let mut simplified = program.cdfg.clone();
-    let report = Pipeline::standard().run(&mut simplified)?;
+    let outcome = WorklistDriver::new().run_standard(&mut simplified)?;
     println!(
         "\n-- after full simplification ({} rounds) --",
-        report.rounds
+        outcome.report.rounds
     );
     println!("{}", GraphStats::of(&simplified));
 

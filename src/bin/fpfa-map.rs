@@ -43,7 +43,7 @@
 use fpfa::arch::{EnergyModel, TileConfig};
 use fpfa::core::pipeline::Mapper;
 use fpfa::core::{viz, KernelSpec, MappingResult, MappingService};
-use fpfa::sim::{MultiSimulator, SimInputs, SimOutcome, Simulator};
+use fpfa::sim::{simulate, SimInputs, SimOutcome};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -578,14 +578,7 @@ fn simulate_with_test_data(mapping: &MappingResult) -> Result<SimOutcome, String
     for name in &mapping.program.scalar_input_names {
         inputs.scalars.insert(name.clone(), 1);
     }
-    match &mapping.multi {
-        Some(multi) => MultiSimulator::new(&multi.program)
-            .run(&inputs)
-            .map_err(|e| e.to_string()),
-        None => Simulator::new(&mapping.program)
-            .run(&inputs)
-            .map_err(|e| e.to_string()),
-    }
+    simulate(mapping, &inputs).map_err(|e| e.to_string())
 }
 
 fn main() -> ExitCode {

@@ -45,6 +45,10 @@ fn warm_registry_remap_is_an_order_of_magnitude_faster_and_identical() {
     let stats = warm.cache.expect("service batches carry cache stats");
     assert_eq!(stats.mapping_hits as usize, specs.len());
     assert_eq!(stats.mapping_misses as usize, specs.len()); // the cold pass
+                                                            // No stage ran on the warm pass, so it reports no stage time.
+    assert!(warm.stage_totals().is_empty(), "{:?}", warm.stage_totals());
+    assert_eq!(warm.cpu_time(), std::time::Duration::ZERO);
+    assert!(!cold.stage_totals().is_empty());
 
     // The warm pass skips all mapping work, so it must be >= 10x faster than
     // the cold pass (in practice it is orders of magnitude faster; the

@@ -84,6 +84,33 @@ fn timings_flag_prints_the_stage_breakdown() {
 }
 
 #[test]
+fn timings_of_a_mapping_hit_list_no_stage() {
+    let dir = std::env::temp_dir().join("fpfa-map-test-hit-timings");
+    std::fs::create_dir_all(&dir).unwrap();
+    let kernel = write_kernel(&dir);
+    let output = binary()
+        .arg(&kernel)
+        .args(["--repeat", "2", "--timings"])
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("(mapping hit)"), "{stdout}");
+    // The report is the hit pass's: no stage ran, so none is listed.
+    let timings = &stdout[stdout.find("stage timings").expect("a timings section")..];
+    assert!(
+        timings.starts_with("stage timings (total 0ns):"),
+        "{stdout}"
+    );
+    for stage in ["frontend", "transform", "cluster", "schedule", "allocate"] {
+        assert!(
+            !timings.contains(stage),
+            "`{stage}` listed for a hit:\n{stdout}"
+        );
+    }
+}
+
+#[test]
 fn tiles_flag_partitions_and_simulates_across_the_array() {
     let dir = std::env::temp_dir().join("fpfa-map-test-tiles");
     std::fs::create_dir_all(&dir).unwrap();

@@ -62,6 +62,24 @@ fn constant_array_writes_reach_the_final_statespace() {
 }
 
 #[test]
+fn constant_array_writes_map_identically_on_every_run() {
+    // Each constant final write gets a memory word of its own; the words are
+    // handed out in address order, never in hash-map order, so re-mapping
+    // the kernel in one process yields the same program every time.
+    let source = "void main() { int y[6]; \
+                  y[0] = 1; y[1] = 2; y[2] = 3; y[3] = 4; y[4] = 5; y[5] = 6; }";
+    for tiles in [1, 2] {
+        let mapper = Mapper::new().with_tiles(tiles);
+        let first = mapper.map_source(source).unwrap();
+        for run in 1..20 {
+            let again = mapper.map_source(source).unwrap();
+            assert_eq!(again.program, first.program, "{tiles} tile(s), run {run}");
+            assert_eq!(again.multi, first.multi, "{tiles} tile(s), run {run}");
+        }
+    }
+}
+
+#[test]
 fn overwritten_array_elements_keep_the_last_value() {
     let mapping = Mapper::new()
         .map_source("void main() { int a[1]; int b[1]; a[0] = 5; a[0] = b[0] * 2; }")
