@@ -30,10 +30,10 @@
 //! An optional [`DiskTier`] sits below both levels and survives restarts.
 //! It keeps a full mapping as its served summary only, which answers
 //! [`DiskTier::summary`] probes, and the post-transform artifacts in full,
-//! which a post-transform lookup falls through to on a memory miss.
-//! So after a restart a request that needs the mapping itself runs frontend
-//! and transform and is a post-transform hit: the costly phases do not
-//! re-run.
+//! in files of their own that the disk tier first reads when a
+//! post-transform lookup falls through to it.  So after a restart a
+//! request that needs the mapping itself runs frontend and transform and is
+//! a post-transform hit: the costly phases do not re-run.
 
 use crate::cluster::ClusteredGraph;
 use crate::dfg::MappingGraph;
@@ -824,7 +824,6 @@ mod tests {
         // the same mapping from disk without running phases 1-3.
         let tier = Arc::new(DiskTier::open(&dir).unwrap());
         let cache = MappingCache::with_capacity(8).with_disk_tier(tier);
-        assert_eq!(cache.persist_stats().warm_start_entries, 2);
         // The disk tier's summary map answers without decoding anything or
         // touching the hit/miss counters.
         let fingerprint = mapper.cache_fingerprint();
@@ -845,6 +844,9 @@ mod tests {
         let stages: Vec<&str> = warm.trace.timings.iter().map(|t| t.stage).collect();
         assert_eq!(stages, ["frontend", "transform"]);
         assert_eq!(cache.persist_stats().loads, 1);
+        // The open indexed the summary; this first post-transform load
+        // scanned the post-transform record's file and indexed it too.
+        assert_eq!(cache.persist_stats().warm_start_entries, 2);
         // The summary on disk already matches: the rebuild appends nothing.
         assert_eq!(cache.persist_stats().stores, 0);
         assert_eq!(disk.summary(source, fingerprint), Some(summary));

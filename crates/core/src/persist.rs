@@ -12,6 +12,31 @@
 //! a memory miss, and every post-transform load is promoted back into
 //! memory.
 //!
+//! # Two kinds of segment file
+//!
+//! The two record kinds go to two kinds of file, so that opening the tier
+//! reads only what a restarted service answers from.  This is the split
+//! WiscKey makes between its key log and its value log, and Bitcask between
+//! its hint files and its data files.
+//!
+//! * `seg-NNNNNNNN.fpfa` files hold the summaries, about 0.4 KB per kernel
+//!   (most of it source text).  They are scanned when the tier opens.
+//! * `post-NNNNNNNN.fpfa` files hold the post-transform records, tens of KB
+//!   each.  They are scanned once, at the first post-transform load or
+//!   store, before it reads or appends anything.  The open creates no post
+//!   file; the first post-transform store does.  Summary stores, [`stats`]
+//!   and [`summary`] never start that scan, so a service that answers from
+//!   summaries alone never reads a post-transform byte.
+//!
+//! Both kinds share the format below and are scanned the same way.  A
+//! directory an earlier build wrote has `seg-` files only, holding both
+//! record kinds.  It warm-starts as before: the open indexes its
+//! post-transform records too, they load, and later post-transform stores
+//! go to `post-` files.  A summary record in a `post-` file is corrupt.
+//!
+//! [`stats`]: DiskTier::stats
+//! [`summary`]: DiskTier::summary
+//!
 //! # On-disk format (v2)
 //!
 //! A segment file is the 8-byte magic `FPFASEG2` followed by records:
@@ -33,9 +58,10 @@
 //! wrote them) still warm-start.  A tag-2 value is a [`crate::codec`]
 //! payload.  Records for the same key supersede earlier ones (append-only
 //! updates); superseded bytes are *dead*, and so are the bytes after a
-//! tag-1 record's summary.  Compaction reclaims them once they outweigh the
-//! live bytes, at the next store: it copies every live record and writes a
-//! tag-1 record summary-only.
+//! tag-1 record's summary.  Each file kind is compacted on its own, once
+//! its dead bytes outweigh its live ones, at the next store: every live
+//! record of that kind of file is copied into a fresh file of the same
+//! kind, and a tag-1 record is written summary-only.
 //!
 //! The checksum reads the payload as 8-byte little-endian words (the tail
 //! zero-padded) in four lanes, each folding every fourth word with xor,
@@ -46,18 +72,21 @@
 //!
 //! # Warm start
 //!
-//! [`DiskTier::open`] streams every segment through one reusable record
+//! [`DiskTier::open`] streams every `seg-` file through one reusable record
 //! buffer: each record is checksum-verified and indexed by location, and
 //! the source text and summary of each full-mapping record go into a
 //! *summary map*.  That map has its own lock, which no code holds across a
-//! segment read, write or compaction, so [`DiskTier::summary`] answers from
-//! memory and never waits for the disk.  It returns a summary only after a
-//! verbatim compare of the source text, never on a hash match alone.
+//! segment read, write, scan or compaction, so [`DiskTier::summary`]
+//! answers from memory and never waits for the disk.  It returns a summary
+//! only after a verbatim compare of the source text, never on a hash match
+//! alone.  [`PersistStats::warm_start_entries`] counts the entries the
+//! open's scan indexed, plus those the deferred scan of the `post-` files
+//! adds; [`PersistStats::scanned_bytes`] counts the bytes both scans read.
 //!
 //! A file that does not start with the current magic — an older format
 //! such as `FPFASEG1`, or an empty file left by a crash between creating a
 //! segment and writing its magic — cannot be read.  It is counted as
-//! corrupt and deleted, and appends go to a fresh segment: its records are
+//! corrupt and deleted, and appends go to a fresh file: its records are
 //! re-mapped cold and stored again in the current format.
 //!
 //! # Corruption policy
@@ -67,7 +96,15 @@
 //! Any mismatch — bit flip, truncated tail, unknown version — makes that record
 //! a **typed miss** (counted in [`PersistStats::corrupt_skipped`]): the
 //! caller falls through to a cold mapping, and corrupt bytes are never
-//! served.  Nothing in this module panics on malformed input.
+//! served.  Damage in a `seg-` file is counted at open; damage in a `post-`
+//! file is counted at the first post-transform load or store, when those
+//! files are scanned.  Nothing in this module panics on malformed input.
+//!
+//! An append that fails part-way (a full disk, say) is cut off by
+//! truncating the file back to its valid length, so later records land
+//! where the index says.  A compaction that fails deletes its partial file
+//! and leaves the old files authoritative.  Nothing is synced to disk: this
+//! is a cache, and the scan's checksums discard whatever a crash tears.
 
 use crate::cache::{MappingKey, PostTransformArtifacts, PostTransformKey};
 use crate::codec;
@@ -133,8 +170,34 @@ fn checksum(bytes: &[u8]) -> u64 {
         .fold(bytes.len() as u64, |acc, &lane| mix(acc, lane))
 }
 
-fn segment_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(format!("seg-{id:08}.fpfa"))
+/// The two kinds of segment file (see the module docs).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Kind {
+    /// `seg-` files: summaries, scanned at open.
+    Seg,
+    /// `post-` files: post-transform records, scanned on first use.
+    Post,
+}
+
+impl Kind {
+    fn prefix(self) -> &'static str {
+        match self {
+            Kind::Seg => "seg-",
+            Kind::Post => "post-",
+        }
+    }
+
+    /// The id of a file of this kind named `name`, if it is one.
+    fn id_of(self, name: &str) -> Option<u64> {
+        name.strip_prefix(self.prefix())?
+            .strip_suffix(".fpfa")?
+            .parse()
+            .ok()
+    }
+}
+
+fn segment_path(dir: &Path, kind: Kind, id: u64) -> PathBuf {
+    dir.join(format!("{}{id:08}.fpfa", kind.prefix()))
 }
 
 fn read_u64(bytes: &[u8]) -> u64 {
@@ -158,13 +221,17 @@ pub struct PersistStats {
     /// Records appended to disk.
     pub stores: u64,
     /// Records skipped because their bytes failed a checksum, framing or
-    /// codec check, and unreadable segment files deleted at open — each
+    /// codec check, and unreadable segment files deleted by a scan — each
     /// one became a typed miss, never a wrong answer.
     pub corrupt_skipped: u64,
-    /// Entries indexed by the warm-start scan when the tier was opened.
+    /// Entries indexed by the scan of the `seg-` files at open, plus those
+    /// the deferred scan of the `post-` files added.
     pub warm_start_entries: u64,
-    /// Segment compactions performed.
+    /// Compactions performed.
     pub compactions: u64,
+    /// Bytes read from segment files by the scan at open and by the
+    /// deferred scan of the `post-` files.
+    pub scanned_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -174,6 +241,7 @@ struct PersistCounters {
     corrupt_skipped: AtomicU64,
     warm_start_entries: AtomicU64,
     compactions: AtomicU64,
+    scanned_bytes: AtomicU64,
 }
 
 impl PersistCounters {
@@ -208,6 +276,8 @@ impl RecordKey {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct RecordLoc {
+    /// The kind of file the record is in.
+    kind: Kind,
     seg: u64,
     /// Offset of the frame header within the segment.
     offset: u64,
@@ -324,22 +394,25 @@ fn encode_frame(
 /// verbatim source text.
 type SummaryMap = HashMap<u64, HashMap<Box<str>, MappingSummary>>;
 
+/// The open files of one kind and their byte accounting.
 #[derive(Debug)]
-struct TierInner {
-    index: HashMap<RecordKey, RecordLoc>,
-    /// Open segments by id; the highest id is the append target.
-    segments: HashMap<u64, File>,
+struct Log {
+    kind: Kind,
+    /// Open files by id.
+    files: HashMap<u64, File>,
+    /// The append target: the highest id, created by the first append when
+    /// it is not open.
     active: u64,
     active_len: u64,
     live_bytes: u64,
     dead_bytes: u64,
 }
 
-impl TierInner {
-    fn empty(active: u64) -> Self {
-        TierInner {
-            index: HashMap::new(),
-            segments: HashMap::new(),
+impl Log {
+    fn empty(kind: Kind, active: u64) -> Self {
+        Log {
+            kind,
+            files: HashMap::new(),
             active,
             active_len: 0,
             live_bytes: 0,
@@ -347,11 +420,34 @@ impl TierInner {
         }
     }
 
+    fn wants_compaction(&self) -> bool {
+        self.dead_bytes >= COMPACT_MIN_DEAD && self.dead_bytes > self.live_bytes
+    }
+}
+
+#[derive(Debug)]
+struct TierInner {
+    index: HashMap<RecordKey, RecordLoc>,
+    seg: Log,
+    post: Log,
+    /// Ids of the `post-` files found at open, until they are scanned.
+    unscanned_posts: Option<Vec<u64>>,
+}
+
+impl TierInner {
+    fn log(&mut self, kind: Kind) -> &mut Log {
+        match kind {
+            Kind::Seg => &mut self.seg,
+            Kind::Post => &mut self.post,
+        }
+    }
+
     /// Points `key` at a newly written record, accounting its dead tail and
     /// the live bytes of whatever record it supersedes as dead bytes.
     fn index_record(&mut self, key: RecordKey, loc: RecordLoc) {
-        self.live_bytes += loc.live_len();
-        self.dead_bytes += u64::from(loc.tail);
+        let log = self.log(loc.kind);
+        log.live_bytes += loc.live_len();
+        log.dead_bytes += u64::from(loc.tail);
         if let Some(old) = self.index.insert(key, loc) {
             self.unlive(old);
         }
@@ -359,8 +455,17 @@ impl TierInner {
 
     /// Accounts the live bytes of a record leaving the index as dead.
     fn unlive(&mut self, loc: RecordLoc) {
-        self.live_bytes = self.live_bytes.saturating_sub(loc.live_len());
-        self.dead_bytes += loc.live_len();
+        let log = self.log(loc.kind);
+        log.live_bytes = log.live_bytes.saturating_sub(loc.live_len());
+        log.dead_bytes += loc.live_len();
+    }
+
+    /// Drops `key`'s entry if it still points at `loc`.
+    fn forget(&mut self, key: RecordKey, loc: RecordLoc) {
+        if self.index.get(&key) == Some(&loc) {
+            self.index.remove(&key);
+            self.unlive(loc);
+        }
     }
 }
 
@@ -382,11 +487,12 @@ pub struct DiskTier {
 }
 
 impl DiskTier {
-    /// Opens (creating if needed) a cache directory and warm-starts from any
-    /// segment files already present: every record is checksum-verified
-    /// and indexed, and every full-mapping record's summary is kept in
-    /// memory; corrupt or truncated records are skipped and counted, and
-    /// unreadable segment files are deleted.
+    /// Opens (creating if needed) a cache directory and warm-starts from the
+    /// `seg-` files already present: every record is checksum-verified and
+    /// indexed, and every full-mapping record's summary is kept in memory;
+    /// corrupt or truncated records are skipped and counted, and unreadable
+    /// files are deleted.  The `post-` files are only listed here; the first
+    /// post-transform load or store scans them.
     ///
     /// # Errors
     /// Only on I/O errors creating or listing the directory or creating a
@@ -394,59 +500,34 @@ impl DiskTier {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskTier> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let counters = PersistCounters::default();
-        let mut seg_ids: Vec<u64> = Vec::new();
+        let (mut seg_ids, mut post_ids) = (Vec::new(), Vec::new());
         for entry in fs::read_dir(&dir)? {
             let name = entry?.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some(id) = name
-                .strip_prefix("seg-")
-                .and_then(|rest| rest.strip_suffix(".fpfa"))
-                .and_then(|digits| digits.parse::<u64>().ok())
-            {
+            if let Some(id) = Kind::Seg.id_of(name) {
                 seg_ids.push(id);
+            } else if let Some(id) = Kind::Post.id_of(name) {
+                post_ids.push(id);
             }
         }
-        seg_ids.sort_unstable();
-
-        let mut inner = TierInner::empty(0);
+        let counters = PersistCounters::default();
+        let mut inner = TierInner {
+            index: HashMap::new(),
+            seg: Log::empty(Kind::Seg, 0),
+            post: Log::empty(Kind::Post, 0),
+            unscanned_posts: Some(post_ids),
+        };
         let mut summaries = SummaryMap::new();
-        let mut record = Vec::new();
-        for &id in &seg_ids {
-            let path = segment_path(&dir, id);
-            let Ok(file) = OpenOptions::new().read(true).append(true).open(&path) else {
-                counters.corrupt();
-                continue;
-            };
-            let Some(scanned_len) = scan_segment(
-                &file,
-                id,
-                &mut inner,
-                &mut summaries,
-                &counters,
-                &mut record,
-            ) else {
-                // Not a segment of this format: appending to it would lose
-                // every record at the next open.
-                counters.corrupt();
-                drop(file);
-                let _ = fs::remove_file(&path);
-                continue;
-            };
-            // Chop any torn tail so appends resume exactly where the valid
-            // records end (the file is opened in append mode, which always
-            // writes at EOF).
-            if file.metadata().is_ok_and(|m| m.len() > scanned_len) {
-                let _ = file.set_len(scanned_len);
-            }
-            inner.segments.insert(id, file);
-            inner.active = id;
-            inner.active_len = scanned_len;
-        }
-        // Append to the highest-numbered segment only if it was readable.
-        let highest = seg_ids.last().copied();
-        if highest.is_none_or(|id| !inner.segments.contains_key(&id)) {
-            new_segment(&dir, &mut inner, highest.map_or(0, |id| id + 1))?;
+        scan_log(
+            &dir,
+            Kind::Seg,
+            seg_ids,
+            &mut inner,
+            Some(&mut summaries),
+            &counters,
+        );
+        if !inner.seg.files.contains_key(&inner.seg.active) {
+            new_file(&dir, &mut inner.seg)?;
         }
         counters
             .warm_start_entries
@@ -465,7 +546,7 @@ impl DiskTier {
     }
 
     /// Number of records currently indexed: summaries and post-transform
-    /// artifacts.
+    /// artifacts (those in `post-` files once they are scanned).
     pub fn entry_count(&self) -> usize {
         self.lock().index.len()
     }
@@ -478,6 +559,7 @@ impl DiskTier {
             corrupt_skipped: self.counters.corrupt_skipped.load(Ordering::Relaxed),
             warm_start_entries: self.counters.warm_start_entries.load(Ordering::Relaxed),
             compactions: self.counters.compactions.load(Ordering::Relaxed),
+            scanned_bytes: self.counters.scanned_bytes.load(Ordering::Relaxed),
         }
     }
 
@@ -505,12 +587,14 @@ impl DiskTier {
     /// Loads post-transform artifacts by structural key: reads the record,
     /// verifies its frame and compares the stored key string verbatim, then
     /// decodes the value straight from the read buffer.  The disk read
-    /// holds the index lock; verifying and decoding do not.  Any corruption
-    /// along the way is a counted miss.
+    /// (and, the first time, the scan of the `post-` files) holds the index
+    /// lock; verifying and decoding do not.  Any corruption along the way
+    /// is a counted miss.
     pub fn load_post_transform(&self, key: &PostTransformKey) -> Option<PostTransformArtifacts> {
         let record_key = RecordKey::new(TAG_POST, key.config, key.detail().as_bytes());
         let (loc, frame) = {
             let mut inner = self.lock();
+            self.scan_posts(&mut inner);
             let loc = *inner.index.get(&record_key)?;
             (loc, read_frame(&mut inner, loc))
         };
@@ -544,19 +628,31 @@ impl DiskTier {
         self.store_value(TAG_POST, key.config, key.detail(), None, &value);
     }
 
-    /// Drops every persisted entry: deletes all segment files and starts a
-    /// fresh one.  The server's cache-reset path calls this so a reset
-    /// daemon is cold on disk too, not just in memory.  Returns how many
-    /// entries were dropped.
+    /// Drops every persisted entry: deletes all segment files of both
+    /// kinds, scanned or not.  The server's cache-reset path calls this so
+    /// a reset daemon is cold on disk too, not just in memory.  Returns how
+    /// many indexed entries were dropped.
     pub fn clear(&self) -> usize {
         let mut inner = self.lock();
         let removed = inner.index.len();
-        let next = inner.active + 1;
-        for id in inner.segments.keys() {
-            let _ = fs::remove_file(segment_path(&self.dir, *id));
-        }
-        *inner = TierInner::empty(next);
-        let _ = new_segment(&self.dir, &mut inner, next);
+        let unscanned = inner.unscanned_posts.take().unwrap_or_default();
+        let next = |log: &Log, extra: &[u64]| {
+            let mut highest = log.active;
+            for &id in log.files.keys().chain(extra) {
+                let _ = fs::remove_file(segment_path(&self.dir, log.kind, id));
+                highest = highest.max(id);
+            }
+            // Fresh ids above every old one, in case a removal failed.
+            highest + 1
+        };
+        let seg_next = next(&inner.seg, &[]);
+        let post_next = next(&inner.post, &unscanned);
+        *inner = TierInner {
+            index: HashMap::new(),
+            seg: Log::empty(Kind::Seg, seg_next),
+            post: Log::empty(Kind::Post, post_next),
+            unscanned_posts: None,
+        };
         self.lock_summaries().clear();
         removed
     }
@@ -578,14 +674,23 @@ impl DiskTier {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Scans the `post-` files found at open, the first time a
+    /// post-transform load or store needs them.
+    fn scan_posts(&self, inner: &mut TierInner) {
+        let Some(ids) = inner.unscanned_posts.take() else {
+            return;
+        };
+        let before = inner.index.len();
+        scan_log(&self.dir, Kind::Post, ids, inner, None, &self.counters);
+        self.counters
+            .warm_start_entries
+            .fetch_add((inner.index.len() - before) as u64, Ordering::Relaxed);
+    }
+
     /// Removes an entry whose record failed a check on load — unless a
     /// newer record for the same key has replaced it meanwhile.
     fn discard(&self, key: RecordKey, loc: RecordLoc) {
-        let mut inner = self.lock();
-        if inner.index.get(&key) == Some(&loc) {
-            inner.index.remove(&key);
-            inner.unlive(loc);
-        }
+        self.lock().forget(key, loc);
         self.counters.corrupt();
     }
 
@@ -602,26 +707,36 @@ impl DiskTier {
         };
         let record_key = RecordKey::new(tag, config, key_str.as_bytes());
         let mut inner = self.lock();
-        let active = inner.active;
-        let offset = inner.active_len;
-        {
-            let Some(file) = inner.segments.get_mut(&active) else {
-                return;
-            };
-            if file.write_all(&frame).is_err() {
-                // A torn tail is indistinguishable from a crash mid-append;
-                // the warm-start scan already handles it.  Leave the index
-                // unchanged so we never point at a half-written record.
-                return;
+        let kind = if tag == TAG_POST {
+            self.scan_posts(&mut inner);
+            Kind::Post
+        } else {
+            Kind::Seg
+        };
+        let log = inner.log(kind);
+        if !log.files.contains_key(&log.active) && new_file(&self.dir, log).is_err() {
+            return;
+        }
+        let (seg, offset) = (log.active, log.active_len);
+        let file = log.files.get_mut(&seg).expect("the append target is open");
+        if append(file, &frame).is_err() {
+            // Cut off whatever part of the frame reached the file, so the
+            // next record lands where the index will say.  If even that
+            // fails, later records go to a fresh file and the next open
+            // chops this one's tail.
+            if file.set_len(offset).is_err() {
+                log.active += 1;
             }
+            return;
         }
         let loc = RecordLoc {
-            seg: active,
+            kind,
+            seg,
             offset,
             payload_len: (frame.len() as u64 - FRAME_HEADER) as u32,
             tail: 0,
         };
-        inner.active_len += loc.frame_len();
+        log.active_len += loc.frame_len();
         inner.index_record(record_key, loc);
         if let Some(summary) = summary {
             self.lock_summaries()
@@ -630,28 +745,37 @@ impl DiskTier {
                 .insert(key_str.into(), summary);
         }
         self.counters.stores.fetch_add(1, Ordering::Relaxed);
-        if inner.dead_bytes >= COMPACT_MIN_DEAD && inner.dead_bytes > inner.live_bytes {
-            self.compact(&mut inner);
+        for kind in [Kind::Seg, Kind::Post] {
+            if inner.log(kind).wants_compaction() {
+                self.compact(&mut inner, kind);
+            }
         }
     }
 
-    /// Rewrites every live record into a fresh segment and deletes the old
-    /// files, reclaiming the dead bytes of superseded records and of the
-    /// tails after full-mapping summaries (such a record is rewritten
-    /// summary-only).  A record that no longer verifies is left behind (its
-    /// summary, verified when it was read or stored, stays answerable).
-    fn compact(&self, inner: &mut TierInner) {
-        let next = inner.active + 1;
-        let entries: Vec<(RecordKey, RecordLoc)> =
-            inner.index.iter().map(|(k, v)| (*k, *v)).collect();
+    /// Rewrites every live record in files of `kind` into a fresh file of
+    /// that kind and deletes the old ones, reclaiming the dead bytes of
+    /// superseded records and of the tails after full-mapping summaries
+    /// (such a record is rewritten summary-only).  A record that no longer
+    /// verifies is dropped from the index (its summary, verified when it
+    /// was read or stored, stays answerable).
+    fn compact(&self, inner: &mut TierInner, kind: Kind) {
+        let next = inner.log(kind).active + 1;
+        let entries: Vec<(RecordKey, RecordLoc)> = inner
+            .index
+            .iter()
+            .filter(|(_, loc)| loc.kind == kind)
+            .map(|(k, v)| (*k, *v))
+            .collect();
         let mut frames = Vec::with_capacity(entries.len());
         for (key, loc) in entries {
             let Ok(frame) = read_frame(inner, loc) else {
+                inner.forget(key, loc);
                 self.counters.corrupt();
                 continue;
             };
             let trimmed = match verified_frame(&frame) {
                 None => {
+                    inner.forget(key, loc);
                     self.counters.corrupt();
                     continue;
                 }
@@ -668,19 +792,25 @@ impl DiskTier {
             };
             frames.push((key, trimmed.unwrap_or(frame)));
         }
-        let old_ids: Vec<u64> = inner.segments.keys().copied().collect();
-        let mut fresh = TierInner::empty(next);
-        if new_segment(&self.dir, &mut fresh, next).is_err() {
-            return; // Keep serving from the uncompacted segments.
+        let mut fresh = Log::empty(kind, next);
+        if new_file(&self.dir, &mut fresh).is_err() {
+            return; // Keep serving from the uncompacted files.
         }
-        let file = fresh.segments.get_mut(&next).expect("fresh segment");
+        let file = fresh.files.get_mut(&next).expect("fresh segment");
         let mut placed = Vec::with_capacity(frames.len());
         let mut offset = fresh.active_len;
         for (key, frame) in &frames {
-            if file.write_all(frame).is_err() {
-                return; // Old segments stay authoritative.
+            if append(file, frame).is_err() {
+                // The old files stay authoritative.  Delete the partial
+                // copy: left behind, it would block the next compaction's
+                // file and, as the newest file, shadow newer records at
+                // the next open.
+                drop(fresh);
+                let _ = fs::remove_file(segment_path(&self.dir, kind, next));
+                return;
             }
             let loc = RecordLoc {
+                kind,
                 seg: next,
                 offset,
                 payload_len: (frame.len() as u64 - FRAME_HEADER) as u32,
@@ -689,37 +819,54 @@ impl DiskTier {
             offset += loc.frame_len();
             placed.push((*key, loc));
         }
+        fresh.live_bytes = offset - fresh.active_len;
         fresh.active_len = offset;
-        for (key, loc) in placed {
-            fresh.index_record(key, loc);
-        }
-        *inner = fresh;
-        for id in old_ids {
-            let _ = fs::remove_file(segment_path(&self.dir, id));
+        inner.index.extend(placed);
+        let old = std::mem::replace(inner.log(kind), fresh);
+        for id in old.files.into_keys() {
+            let _ = fs::remove_file(segment_path(&self.dir, kind, id));
         }
         self.counters.compactions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// Creates segment file `id`, writes the magic and registers it as the
-/// append target.
-fn new_segment(dir: &Path, inner: &mut TierInner, id: u64) -> io::Result<()> {
+/// Appends all of `bytes` to `file`, which is open in append mode.  Tests
+/// can make a chosen append stop short, as a full disk would.
+fn append(file: &mut File, bytes: &[u8]) -> io::Result<()> {
+    #[cfg(test)]
+    {
+        if tests::write_stops_short() {
+            file.write_all(&bytes[..bytes.len() / 2])?;
+            return Err(io::Error::other("write stopped short"));
+        }
+    }
+    file.write_all(bytes)
+}
+
+/// Creates `log`'s append target and writes the magic.  A file whose magic
+/// did not make it is deleted again.
+fn new_file(dir: &Path, log: &mut Log) -> io::Result<()> {
+    let path = segment_path(dir, log.kind, log.active);
     let mut file = OpenOptions::new()
         .read(true)
         .append(true)
         .create_new(true)
-        .open(segment_path(dir, id))?;
-    file.write_all(SEGMENT_MAGIC)?;
-    inner.segments.insert(id, file);
-    inner.active = id;
-    inner.active_len = SEGMENT_MAGIC.len() as u64;
+        .open(&path)?;
+    if let Err(e) = append(&mut file, SEGMENT_MAGIC) {
+        drop(file);
+        let _ = fs::remove_file(&path);
+        return Err(e);
+    }
+    log.files.insert(log.active, file);
+    log.active_len = SEGMENT_MAGIC.len() as u64;
     Ok(())
 }
 
 /// Reads one record's frame (header and payload) without verifying it.
 fn read_frame(inner: &mut TierInner, loc: RecordLoc) -> io::Result<Vec<u8>> {
     let file = inner
-        .segments
+        .log(loc.kind)
+        .files
         .get_mut(&loc.seg)
         .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "segment closed"))?;
     file.seek(SeekFrom::Start(loc.offset))?;
@@ -738,18 +885,76 @@ fn verified_frame(frame: &[u8]) -> Option<Record<'_>> {
     Record::verified(payload, read_u64(&header[4..]))
 }
 
-/// Scans one segment at warm start, streaming it through `record` (the
-/// scan's one reusable record buffer): checksum-verifies every record,
-/// indexes the valid ones (later records supersede earlier ones), keeps the
+/// Scans the files `ids` of one kind in id order through one reusable
+/// record buffer, so later records supersede earlier ones.  Each file's
+/// torn tail is chopped so appends resume exactly where its valid records
+/// end, and a file without the current magic is deleted: appending to it
+/// would lose every record at the next open.  The highest id becomes the
+/// append target, or the next id when that file was unreadable.  Summary
+/// records go into `summaries`; with `None` (the `post-` files) they are
+/// corrupt.
+fn scan_log(
+    dir: &Path,
+    kind: Kind,
+    mut ids: Vec<u64>,
+    inner: &mut TierInner,
+    mut summaries: Option<&mut SummaryMap>,
+    counters: &PersistCounters,
+) {
+    ids.sort_unstable();
+    let mut record = Vec::new();
+    for &id in &ids {
+        let path = segment_path(dir, kind, id);
+        let Ok(file) = OpenOptions::new().read(true).append(true).open(&path) else {
+            counters.corrupt();
+            continue;
+        };
+        let scanned = scan_segment(
+            &file,
+            kind,
+            id,
+            inner,
+            summaries.as_deref_mut(),
+            counters,
+            &mut record,
+        );
+        let read = (&file).stream_position().unwrap_or(0);
+        counters.scanned_bytes.fetch_add(read, Ordering::Relaxed);
+        let Some(scanned_len) = scanned else {
+            counters.corrupt();
+            drop(file);
+            let _ = fs::remove_file(&path);
+            continue;
+        };
+        if file.metadata().is_ok_and(|m| m.len() > scanned_len) {
+            let _ = file.set_len(scanned_len);
+        }
+        let log = inner.log(kind);
+        log.files.insert(id, file);
+        log.active = id;
+        log.active_len = scanned_len;
+    }
+    let log = inner.log(kind);
+    if let Some(&highest) = ids.last() {
+        if !log.files.contains_key(&highest) {
+            log.active = highest + 1;
+            log.active_len = 0;
+        }
+    }
+}
+
+/// Scans segment file `seg` of `kind`, streaming it through `record`:
+/// checksum-verifies every record, indexes the valid ones, keeps the
 /// summary of every full-mapping record, accounts the bytes after it as
 /// dead and counts corruption.  Returns the length of the valid prefix (the
 /// resume offset for appends), or `None` when the file does not start with
 /// the current magic.
 fn scan_segment(
     file: &File,
-    seg_id: u64,
+    kind: Kind,
+    seg: u64,
     inner: &mut TierInner,
-    summaries: &mut SummaryMap,
+    mut summaries: Option<&mut SummaryMap>,
     counters: &PersistCounters,
     record: &mut Vec<u8>,
 ) -> Option<u64> {
@@ -779,7 +984,8 @@ fn scan_segment(
             break;
         }
         let loc = RecordLoc {
-            seg: seg_id,
+            kind,
+            seg,
             offset,
             payload_len,
             tail: 0,
@@ -793,7 +999,9 @@ fn scan_segment(
         };
         let mut tail = 0;
         if let Some(summary) = verified.summary {
-            let Ok(source) = std::str::from_utf8(verified.key) else {
+            let (Some(summaries), Ok(source)) =
+                (summaries.as_deref_mut(), std::str::from_utf8(verified.key))
+            else {
                 counters.corrupt();
                 continue;
             };
@@ -818,6 +1026,33 @@ mod tests {
     use crate::flow::FlowToggles;
     use crate::pipeline::Mapper;
     use fpfa_arch::{ArrayConfig, TileConfig};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Appends this thread makes before one stops short, when armed.
+        static APPENDS_BEFORE_SHORT: Cell<Option<u32>> = const { Cell::new(None) };
+    }
+
+    /// Lets the next `n` appends on this thread through and makes the one
+    /// after them write half its bytes and fail.
+    fn stop_write_short_after(n: u32) {
+        APPENDS_BEFORE_SHORT.with(|left| left.set(Some(n)));
+    }
+
+    /// Whether the append being made is the one that stops short.
+    pub(super) fn write_stops_short() -> bool {
+        APPENDS_BEFORE_SHORT.with(|left| match left.get() {
+            Some(0) => {
+                left.set(None);
+                true
+            }
+            Some(n) => {
+                left.set(Some(n - 1));
+                false
+            }
+            None => false,
+        })
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fpfa-persist-{tag}-{}", std::process::id()));
@@ -831,6 +1066,24 @@ mod tests {
             &ArrayConfig::single_tile(),
             &FlowToggles::default(),
         )
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        fs::metadata(path).unwrap().len()
+    }
+
+    /// The `post-` files in `dir`, by name.
+    fn post_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| {
+                let name = path.file_name().unwrap().to_str().unwrap();
+                Kind::Post.id_of(name).is_some()
+            })
+            .collect();
+        files.sort();
+        files
     }
 
     /// The post-transform key and artifacts of a finished mapping, the key
@@ -847,7 +1100,18 @@ mod tests {
         )
     }
 
+    /// The post-transform keys and artifacts of [`SRC`], [`OTHER`] and
+    /// [`THIRD`].
+    fn three_post_records() -> Vec<(PostTransformKey, PostTransformArtifacts)> {
+        [SRC, OTHER, THIRD]
+            .iter()
+            .map(|source| post_transform_of(&Mapper::new().map_source(source).unwrap()))
+            .collect()
+    }
+
     const SRC: &str = "void main() { int a[3]; int r; r = a[0] + a[1] * a[2]; }";
+    const OTHER: &str = "void main() { int b[2]; int r; r = b[0] - b[1]; }";
+    const THIRD: &str = "void main() { int c[4]; int r; r = c[0] * c[1] + c[2] * c[3]; }";
 
     #[test]
     fn store_survives_reopen() {
@@ -908,8 +1172,8 @@ mod tests {
         assert_eq!(tier.summary(SRC, key.config), Some(summary));
         // The trailing bytes are dead from the open on; the rest is live.
         let frame_len = FRAME_HEADER + (KEY_PREFIX + SRC.len() + SUMMARY_LEN + 300) as u64;
-        assert_eq!(tier.lock().dead_bytes, 300);
-        assert_eq!(tier.lock().live_bytes, frame_len - 300);
+        assert_eq!(tier.lock().seg.dead_bytes, 300);
+        assert_eq!(tier.lock().seg.live_bytes, frame_len - 300);
         // The summary matches, so storing the same mapping appends nothing.
         tier.store_mapping(&key, &result);
         assert_eq!(tier.stats().stores, 0);
@@ -919,8 +1183,8 @@ mod tests {
         changed.report.cycles += 1;
         tier.store_mapping(&key, &changed);
         assert_eq!(tier.stats().stores, 1);
-        assert_eq!(tier.lock().dead_bytes, frame_len);
-        assert_eq!(tier.lock().live_bytes, frame_len - 300);
+        assert_eq!(tier.lock().seg.dead_bytes, frame_len);
+        assert_eq!(tier.lock().seg.live_bytes, frame_len - 300);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -941,12 +1205,12 @@ mod tests {
             segment
                 .extend(encode_frame(TAG_MAPPING, config, source, Some(&summary), &tail).unwrap());
         }
-        fs::write(segment_path(&dir, 0), &segment).unwrap();
+        fs::write(segment_path(&dir, Kind::Seg, 0), &segment).unwrap();
 
         let tier = DiskTier::open(&dir).unwrap();
         let (live, dead) = {
             let inner = tier.lock();
-            (inner.live_bytes, inner.dead_bytes)
+            (inner.seg.live_bytes, inner.seg.dead_bytes)
         };
         assert_eq!(dead, (sources.len() * tail.len()) as u64);
         assert_eq!(
@@ -958,11 +1222,11 @@ mod tests {
         assert_eq!(tier.stats().compactions, 0);
         tier.store_mapping(&MappingKey::new(SRC, config), &result);
         assert_eq!(tier.stats().compactions, 1);
-        assert_eq!(tier.lock().dead_bytes, 0);
+        assert_eq!(tier.lock().seg.dead_bytes, 0);
 
         // One segment is left, and it holds summary-sized records only.
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
-        let bytes = fs::read(segment_path(&dir, tier.lock().active)).unwrap();
+        let bytes = fs::read(segment_path(&dir, Kind::Seg, tier.lock().seg.active)).unwrap();
         let mut at = SEGMENT_MAGIC.len();
         let mut records = 0;
         while at < bytes.len() {
@@ -985,7 +1249,7 @@ mod tests {
         let tier = DiskTier::open(&dir).unwrap();
         assert_eq!(tier.stats().warm_start_entries, sources.len() as u64 + 1);
         assert_eq!(tier.stats().corrupt_skipped, 0);
-        assert_eq!(tier.lock().dead_bytes, 0);
+        assert_eq!(tier.lock().seg.dead_bytes, 0);
         for source in &sources {
             assert_eq!(tier.summary(source, config), Some(summary));
         }
@@ -997,50 +1261,63 @@ mod tests {
         let dir = temp_dir("flips");
         let result = Mapper::new().map_source(SRC).unwrap();
         let key = MappingKey::new(SRC, fingerprint());
+        let summary = MappingSummary::of(&result);
         let (post_key, artifacts) = post_transform_of(&result);
-        let seg_path = {
+        {
             let tier = DiskTier::open(&dir).unwrap();
             tier.store_mapping(&key, &result);
             tier.store_post_transform(&post_key, &artifacts);
-            let active = tier.lock().active;
-            segment_path(tier.dir(), active)
-        };
-        let pristine = fs::read(&seg_path).unwrap();
-        // After the magic: the summary record (header, key prefix, key,
-        // summary and nothing more), then the post-transform record.
-        let record = SEGMENT_MAGIC.len();
-        let post_at = record + FRAME_HEADER as usize + KEY_PREFIX + SRC.len() + SUMMARY_LEN;
-        assert!(post_at < pristine.len());
-        for at in record..pristine.len() {
-            let mut bytes = pristine.clone();
+        }
+        // After each file's magic, one record: the summary (header, key
+        // prefix, key, summary and nothing more) in the `seg-` file, the
+        // post-transform record in the `post-` file.
+        let seg_path = segment_path(&dir, Kind::Seg, 0);
+        let post_path = segment_path(&dir, Kind::Post, 0);
+        let seg = fs::read(&seg_path).unwrap();
+        let post = fs::read(&post_path).unwrap();
+        assert_eq!(
+            seg.len(),
+            SEGMENT_MAGIC.len() + FRAME_HEADER as usize + KEY_PREFIX + SRC.len() + SUMMARY_LEN
+        );
+        assert!(post.len() > SEGMENT_MAGIC.len() + FRAME_HEADER as usize);
+        for at in SEGMENT_MAGIC.len()..seg.len() {
+            let mut bytes = seg.clone();
             bytes[at] ^= 1 << (at % 8);
             fs::write(&seg_path, &bytes).unwrap();
             let tier = DiskTier::open(&dir).unwrap();
             let stats = tier.stats();
-            assert!(stats.warm_start_entries <= 1, "flip at byte {at}");
+            assert_eq!(stats.warm_start_entries, 0, "flip at byte {at}");
             assert!(stats.corrupt_skipped >= 1, "flip at byte {at}");
-            if at < post_at {
-                assert_eq!(tier.summary(SRC, key.config), None, "flip at byte {at}");
-            } else {
-                assert_eq!(
-                    tier.summary(SRC, key.config),
-                    Some(MappingSummary::of(&result)),
-                    "flip at byte {at}"
-                );
-                assert!(
-                    tier.load_post_transform(&post_key).is_none(),
-                    "flip at byte {at}"
-                );
-            }
+            assert_eq!(tier.summary(SRC, key.config), None, "flip at byte {at}");
         }
-        // The unflipped segment still answers both ways.
-        fs::write(&seg_path, &pristine).unwrap();
+        fs::write(&seg_path, &seg).unwrap();
+        for at in SEGMENT_MAGIC.len()..post.len() {
+            let mut bytes = post.clone();
+            bytes[at] ^= 1 << (at % 8);
+            fs::write(&post_path, &bytes).unwrap();
+            let tier = DiskTier::open(&dir).unwrap();
+            // The open never reads the post file: the summary answers and
+            // nothing is counted yet.
+            assert_eq!(tier.stats().corrupt_skipped, 0, "flip at byte {at}");
+            assert_eq!(
+                tier.summary(SRC, key.config),
+                Some(summary),
+                "flip at byte {at}"
+            );
+            assert!(
+                tier.load_post_transform(&post_key).is_none(),
+                "flip at byte {at}"
+            );
+            let stats = tier.stats();
+            assert_eq!(stats.warm_start_entries, 1, "flip at byte {at}");
+            assert!(stats.corrupt_skipped >= 1, "flip at byte {at}");
+        }
+        // The unflipped files still answer both ways.
+        fs::write(&post_path, &post).unwrap();
         let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(
-            tier.summary(SRC, key.config),
-            Some(MappingSummary::of(&result))
-        );
+        assert_eq!(tier.summary(SRC, key.config), Some(summary));
         assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
+        assert_eq!(tier.stats().corrupt_skipped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1057,13 +1334,13 @@ mod tests {
         ] {
             let dir = temp_dir(&format!("magic-{tag}"));
             fs::create_dir_all(&dir).unwrap();
-            fs::write(segment_path(&dir, 0), contents).unwrap();
+            fs::write(segment_path(&dir, Kind::Seg, 0), contents).unwrap();
             let result = Mapper::new().map_source(SRC).unwrap();
             let key = MappingKey::new(SRC, fingerprint());
             {
                 let tier = DiskTier::open(&dir).unwrap();
                 assert_eq!(tier.stats().corrupt_skipped, 1, "{tag}");
-                assert!(!segment_path(&dir, 0).exists(), "{tag}");
+                assert!(!segment_path(&dir, Kind::Seg, 0).exists(), "{tag}");
                 tier.store_mapping(&key, &result);
             }
             let tier = DiskTier::open(&dir).unwrap();
@@ -1083,14 +1360,23 @@ mod tests {
         let dir = temp_dir("clear");
         let result = Mapper::new().map_source(SRC).unwrap();
         let key = MappingKey::new(SRC, fingerprint());
+        let (post_key, artifacts) = post_transform_of(&result);
+        {
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.store_mapping(&key, &result);
+            tier.store_post_transform(&post_key, &artifacts);
+        }
         let tier = DiskTier::open(&dir).unwrap();
-        tier.store_mapping(&key, &result);
+        // The `post-` file is not scanned yet, and clear deletes it anyway.
         assert_eq!(tier.clear(), 1);
         assert_eq!(tier.entry_count(), 0);
         assert_eq!(tier.summary(SRC, key.config), None);
+        assert!(post_files(&dir).is_empty());
+        assert_eq!(tier.load_post_transform(&post_key), None);
         // A reopened tier is empty too.
         drop(tier);
         let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.load_post_transform(&post_key), None);
         assert_eq!(tier.stats().warm_start_entries, 0);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1104,7 +1390,7 @@ mod tests {
         {
             let tier = DiskTier::open(&dir).unwrap();
             tier.store_mapping(&key, &result);
-            seg_path = segment_path(tier.dir(), tier.lock().active);
+            seg_path = segment_path(tier.dir(), Kind::Seg, tier.lock().seg.active);
         }
         // Flip a byte in the middle of the stored record.
         let mut bytes = fs::read(&seg_path).unwrap();
@@ -1125,15 +1411,14 @@ mod tests {
         let dir = temp_dir("truncate");
         let result = Mapper::new().map_source(SRC).unwrap();
         let key = MappingKey::new(SRC, fingerprint());
-        let other = "void main() { int b[2]; int r; r = b[0] - b[1]; }";
-        let other_result = Mapper::new().map_source(other).unwrap();
-        let other_key = MappingKey::new(other, fingerprint());
+        let other_result = Mapper::new().map_source(OTHER).unwrap();
+        let other_key = MappingKey::new(OTHER, fingerprint());
         let seg_path;
         {
             let tier = DiskTier::open(&dir).unwrap();
             tier.store_mapping(&key, &result);
             tier.store_mapping(&other_key, &other_result);
-            seg_path = segment_path(tier.dir(), tier.lock().active);
+            seg_path = segment_path(tier.dir(), Kind::Seg, tier.lock().seg.active);
         }
         // Chop bytes off the tail, tearing the second record.
         let bytes = fs::read(&seg_path).unwrap();
@@ -1143,14 +1428,14 @@ mod tests {
         assert_eq!(tier.stats().warm_start_entries, 1);
         assert!(tier.stats().corrupt_skipped >= 1);
         assert!(tier.summary(SRC, key.config).is_some());
-        assert_eq!(tier.summary(other, other_key.config), None);
+        assert_eq!(tier.summary(OTHER, other_key.config), None);
         // The tier keeps accepting stores after recovering a torn tail.
         tier.store_mapping(&other_key, &other_result);
         drop(tier);
         let tier = DiskTier::open(&dir).unwrap();
         assert_eq!(tier.stats().corrupt_skipped, 0);
         assert_eq!(
-            tier.summary(other, other_key.config),
+            tier.summary(OTHER, other_key.config),
             Some(MappingSummary::of(&other_result))
         );
         let _ = fs::remove_dir_all(&dir);
@@ -1165,9 +1450,9 @@ mod tests {
         let tier = DiskTier::open(&dir).unwrap();
         tier.store_mapping(&key, &result);
         let record_bytes = {
-            let before = tier.lock().live_bytes;
+            let before = tier.lock().post.live_bytes;
             tier.store_post_transform(&post_key, &artifacts);
-            tier.lock().live_bytes - before
+            tier.lock().post.live_bytes - before
         };
         // Re-store the same key until the dead bytes pass the floor.
         let rewrites = (COMPACT_MIN_DEAD / record_bytes.max(1)) + 2;
@@ -1179,17 +1464,17 @@ mod tests {
             stats.compactions >= 1,
             "no compaction after {rewrites} rewrites"
         );
-        assert!(tier.lock().dead_bytes < COMPACT_MIN_DEAD);
+        assert!(tier.lock().post.dead_bytes < COMPACT_MIN_DEAD);
         // Both survivors are intact, on disk and in the reopened index.
         assert_eq!(tier.load_post_transform(&post_key), Some(artifacts.clone()));
         drop(tier);
         let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier.stats().warm_start_entries, 2);
         assert_eq!(
             tier.summary(SRC, key.config),
             Some(MappingSummary::of(&result))
         );
         assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
+        assert_eq!(tier.stats().warm_start_entries, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1199,9 +1484,216 @@ mod tests {
         let result = Mapper::new().map_source(SRC).unwrap();
         let (key, artifacts) = post_transform_of(&result);
         let tier = DiskTier::open(&dir).unwrap();
+        // The open creates no `post-` file; the first store does.
+        assert!(post_files(&dir).is_empty());
         tier.store_post_transform(&key, &artifacts);
+        assert_eq!(post_files(&dir), [segment_path(&dir, Kind::Post, 0)]);
         let loaded = tier.load_post_transform(&key).unwrap();
         assert_eq!(loaded, artifacts);
+        // A reopened tier reads the `seg-` file at open and the `post-` file
+        // on first use, every byte of each.
+        drop(tier);
+        let seg_len = file_len(&segment_path(&dir, Kind::Seg, 0));
+        let post_len = file_len(&segment_path(&dir, Kind::Post, 0));
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.stats().scanned_bytes, seg_len);
+        assert_eq!(tier.load_post_transform(&key), Some(artifacts));
+        assert_eq!(tier.stats().scanned_bytes, seg_len + post_len);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn garbage_post_files_are_found_at_the_first_post_transform_load() {
+        let dir = temp_dir("garbage-posts");
+        let result = Mapper::new().map_source(SRC).unwrap();
+        let key = MappingKey::new(SRC, fingerprint());
+        let (post_key, artifacts) = post_transform_of(&result);
+        {
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.store_mapping(&key, &result);
+            tier.store_post_transform(&post_key, &artifacts);
+        }
+        // Garbage after the magic of the one `post-` file, and a second
+        // `post-` file that is garbage throughout.
+        let post_path = segment_path(&dir, Kind::Post, 0);
+        let mut bytes = fs::read(&post_path).unwrap();
+        bytes[SEGMENT_MAGIC.len()..].fill(0xA5);
+        fs::write(&post_path, &bytes).unwrap();
+        fs::write(segment_path(&dir, Kind::Post, 7), [0x5A; 3000]).unwrap();
+        let seg_len = file_len(&segment_path(&dir, Kind::Seg, 0));
+
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(
+            tier.stats(),
+            PersistStats {
+                warm_start_entries: 1,
+                scanned_bytes: seg_len,
+                ..PersistStats::default()
+            }
+        );
+        assert_eq!(
+            tier.summary(SRC, key.config),
+            Some(MappingSummary::of(&result))
+        );
+        // A summary store does not scan the `post-` files either.
+        let other = Mapper::new().map_source(OTHER).unwrap();
+        tier.store_mapping(&MappingKey::new(OTHER, fingerprint()), &other);
+        let stats = tier.stats();
+        assert_eq!((stats.corrupt_skipped, stats.scanned_bytes), (0, seg_len));
+        // The first post-transform load does: a typed miss that counts the
+        // broken framing of one file and the missing magic of the other,
+        // which is deleted.
+        assert_eq!(tier.load_post_transform(&post_key), None);
+        let stats = tier.stats();
+        assert_eq!(stats.corrupt_skipped, 2);
+        assert_eq!(stats.warm_start_entries, 1);
+        assert!(stats.scanned_bytes > seg_len);
+        assert!(!segment_path(&dir, Kind::Post, 7).exists());
+        // The tier stores again, and a reopened tier loads the new record.
+        tier.store_post_transform(&post_key, &artifacts);
+        drop(tier);
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
+        assert_eq!(tier.stats().corrupt_skipped, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_post_tail_is_chopped_before_the_next_append() {
+        let dir = temp_dir("torn-post");
+        let records = three_post_records();
+        {
+            let tier = DiskTier::open(&dir).unwrap();
+            for (key, artifacts) in &records[..2] {
+                tier.store_post_transform(key, artifacts);
+            }
+        }
+        // Tear the second record.
+        let post_path = segment_path(&dir, Kind::Post, 0);
+        let bytes = fs::read(&post_path).unwrap();
+        fs::write(&post_path, &bytes[..bytes.len() - 40]).unwrap();
+
+        let tier = DiskTier::open(&dir).unwrap();
+        let (key, artifacts) = &records[2];
+        tier.store_post_transform(key, artifacts);
+        assert_eq!(tier.stats().corrupt_skipped, 1);
+        drop(tier);
+        let tier = DiskTier::open(&dir).unwrap();
+        for (i, (key, artifacts)) in records.iter().enumerate() {
+            let expected = (i != 1).then(|| artifacts.clone());
+            assert_eq!(tier.load_post_transform(key), expected, "record {i}");
+        }
+        let stats = tier.stats();
+        assert_eq!(stats.corrupt_skipped, 0);
+        assert_eq!(stats.warm_start_entries, 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_single_file_directory_from_an_earlier_build_warm_starts() {
+        // Earlier builds kept both record kinds in `seg-` files.
+        let dir = temp_dir("one-file");
+        fs::create_dir_all(&dir).unwrap();
+        let config = fingerprint();
+        let result = Mapper::new().map_source(SRC).unwrap();
+        let summary = MappingSummary::of(&result);
+        let (post_key, artifacts) = post_transform_of(&result);
+        let value = codec::encode_post_transform(&artifacts);
+        let mut segment = SEGMENT_MAGIC.to_vec();
+        segment.extend(encode_frame(TAG_MAPPING, config, SRC, Some(&summary), &[]).unwrap());
+        segment.extend(encode_frame(TAG_POST, config, post_key.detail(), None, &value).unwrap());
+        let seg_path = segment_path(&dir, Kind::Seg, 0);
+        fs::write(&seg_path, &segment).unwrap();
+
+        let tier = DiskTier::open(&dir).unwrap();
+        let stats = tier.stats();
+        assert_eq!(stats.warm_start_entries, 2);
+        assert_eq!(stats.scanned_bytes, segment.len() as u64);
+        assert_eq!(tier.summary(SRC, config), Some(summary));
+        assert_eq!(tier.load_post_transform(&post_key), Some(artifacts.clone()));
+        assert!(post_files(&dir).is_empty());
+        // The next post-transform store lands in a `post-` file.
+        let other = Mapper::new().map_source(OTHER).unwrap();
+        let (other_key, other_artifacts) = post_transform_of(&other);
+        tier.store_post_transform(&other_key, &other_artifacts);
+        assert_eq!(post_files(&dir), [segment_path(&dir, Kind::Post, 0)]);
+        assert_eq!(fs::read(&seg_path).unwrap(), segment);
+        drop(tier);
+        let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.summary(SRC, config), Some(summary));
+        assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
+        assert_eq!(tier.load_post_transform(&other_key), Some(other_artifacts));
+        assert_eq!(tier.stats().corrupt_skipped, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_is_cut_off_and_later_records_survive() {
+        let dir = temp_dir("short-append");
+        let records = three_post_records();
+        let tier = DiskTier::open(&dir).unwrap();
+        tier.store_post_transform(&records[0].0, &records[0].1);
+        // The second record's write stops half-way, as on a full disk.
+        stop_write_short_after(0);
+        tier.store_post_transform(&records[1].0, &records[1].1);
+        tier.store_post_transform(&records[2].0, &records[2].1);
+        assert_eq!(tier.stats().stores, 2);
+        let check = |tier: &DiskTier| {
+            for (i, (key, artifacts)) in records.iter().enumerate() {
+                let expected = (i != 1).then(|| artifacts.clone());
+                assert_eq!(tier.load_post_transform(key), expected, "record {i}");
+            }
+            assert_eq!(tier.stats().corrupt_skipped, 0);
+        };
+        // The third record sits where the index says, in this process and
+        // after a reopen.
+        check(&tier);
+        drop(tier);
+        check(&DiskTier::open(&dir).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_compaction_leaves_no_partial_file() {
+        // The store that compacts makes append 0 (its own record); the
+        // compaction then writes the fresh file's magic (1) and its two
+        // records (2 and 3).
+        for stop_after in 1..=3 {
+            let dir = temp_dir(&format!("short-compact-{stop_after}"));
+            let records = three_post_records();
+            let ((key, artifacts), (kept_key, kept)) = (&records[0], &records[1]);
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.store_post_transform(kept_key, kept);
+            let value = codec::encode_post_transform(artifacts);
+            let frame = encode_frame(TAG_POST, key.config, key.detail(), None, &value).unwrap();
+            let record_len = frame.len() as u64;
+            // Re-store one key until the next store compacts.
+            loop {
+                tier.store_post_transform(key, artifacts);
+                let inner = tier.lock();
+                let dead = inner.post.dead_bytes + record_len;
+                if dead >= COMPACT_MIN_DEAD && dead > inner.post.live_bytes {
+                    break;
+                }
+            }
+            stop_write_short_after(stop_after);
+            tier.store_post_transform(key, artifacts);
+            assert_eq!(tier.stats().compactions, 0, "stop after {stop_after}");
+            assert_eq!(
+                post_files(&dir),
+                [segment_path(&dir, Kind::Post, 0)],
+                "stop after {stop_after}"
+            );
+            assert_eq!(tier.load_post_transform(key), Some(artifacts.clone()));
+            // The next store compacts.
+            tier.store_post_transform(key, artifacts);
+            assert_eq!(tier.stats().compactions, 1, "stop after {stop_after}");
+            drop(tier);
+            let tier = DiskTier::open(&dir).unwrap();
+            assert_eq!(tier.load_post_transform(key), Some(artifacts.clone()));
+            assert_eq!(tier.load_post_transform(kept_key), Some(kept.clone()));
+            assert_eq!(tier.stats().corrupt_skipped, 0);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

@@ -325,6 +325,7 @@ fn register_cache_gauges(registry: &Registry, service: &MappingService) {
             c.persist_stats().warm_start_entries
         }),
         ("persist.compactions", |c| c.persist_stats().compactions),
+        ("persist.scanned_bytes", |c| c.persist_stats().scanned_bytes),
     ];
     for &(name, read) in READS {
         let cache = Arc::clone(service.cache());

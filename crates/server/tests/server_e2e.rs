@@ -1134,9 +1134,10 @@ fn metric(handle: &ServerHandle, name: &str) -> u64 {
 
 /// A second server over the first one's cache directory answers the
 /// registry's first pass inline from the persisted summaries: the cold
-/// digests, no record decoded, no job queued.  A `verify` request needs the
-/// mapping itself, so it rebuilds it from the persisted post-transform
-/// record and verifies it.
+/// digests, no record decoded, no job queued, and not one byte of the
+/// post-transform records read.  A `verify` request needs the mapping
+/// itself, so it scans the `post-` files, rebuilds the mapping from its
+/// persisted post-transform record and verifies it.
 #[test]
 fn restarted_server_answers_from_persisted_summaries_without_decoding() {
     let dir = std::env::temp_dir().join(format!("fpfa-e2e-restart-{}", std::process::id()));
@@ -1156,6 +1157,16 @@ fn restarted_server_answers_from_persisted_summaries_without_decoding() {
         .collect();
     first.shutdown();
     first.join();
+    let bytes_of = |prefix: &str| -> u64 {
+        std::fs::read_dir(&dir)
+            .expect("cache dir listable")
+            .map(|entry| entry.expect("dir entry"))
+            .filter(|entry| entry.file_name().to_string_lossy().starts_with(prefix))
+            .map(|entry| entry.metadata().expect("file metadata").len())
+            .sum()
+    };
+    let (seg_bytes, post_bytes) = (bytes_of("seg-"), bytes_of("post-"));
+    assert!(post_bytes > seg_bytes, "{post_bytes} <= {seg_bytes}");
 
     let restarted = start_with_cache_dir(&dir);
     let mut client = Client::connect(restarted.addr()).expect("connect");
@@ -1167,6 +1178,7 @@ fn restarted_server_answers_from_persisted_summaries_without_decoding() {
         assert_eq!(summary.cache, fpfa_server::CacheFlavor::MappingHit);
     }
     assert_eq!(metric(&restarted, "persist.loads"), 0);
+    assert_eq!(metric(&restarted, "persist.scanned_bytes"), seg_bytes);
     assert_eq!(metric(&restarted, "serve.accepted"), 0);
     assert_eq!(
         metric(&restarted, "cache.mapping.hits"),
@@ -1188,6 +1200,10 @@ fn restarted_server_answers_from_persisted_summaries_without_decoding() {
     assert_eq!(verified.cache, fpfa_server::CacheFlavor::PostTransformHit);
     assert_eq!(metric(&restarted, "persist.loads"), 1);
     assert_eq!(metric(&restarted, "persist.stores"), 0);
+    assert_eq!(
+        metric(&restarted, "persist.scanned_bytes"),
+        seg_bytes + post_bytes
+    );
     assert_eq!(metric(&restarted, "serve.accepted"), 1);
     restarted.shutdown();
     restarted.join();

@@ -209,9 +209,10 @@ fn main() -> ExitCode {
     if options.cache_dir.is_some() {
         let persist = service.cache().persist_stats();
         println!(
-            "fpfa-serve: warm-started {} cached mapping(s) from {}",
+            "fpfa-serve: warm-started {} cached mapping(s) from {} ({} byte(s) scanned)",
             persist.warm_start_entries,
-            options.cache_dir.as_deref().unwrap_or_default()
+            options.cache_dir.as_deref().unwrap_or_default(),
+            persist.scanned_bytes
         );
     }
 
