@@ -12,7 +12,7 @@
 //! [`WireError::UnsupportedVersion`], surfaced as [`ClientError::Server`].
 
 use crate::protocol::{
-    decode_response_frame, encode_request_frame, read_frame, write_frame, BatchSummary, FrameError,
+    decode_response_frame, encode_request_frame, read_frame, write_frame, FrameError,
     HealthSummary, Hello, HelloAck, KernelSource, MapKnobs, MapSummary, MetricsFormat,
     ProtocolError, Request, Response, WireError,
 };
@@ -202,22 +202,6 @@ impl Client {
             Response::Mapped(summary) => Ok(summary),
             Response::Error(error) => Err(ClientError::Server(error)),
             _ => Err(ClientError::Unexpected("expected a mapping summary")),
-        }
-    }
-
-    /// Maps a batch of kernels under one knob set.
-    ///
-    /// # Errors
-    /// Fails on transport errors or typed server rejections.
-    pub fn batch(
-        &mut self,
-        kernels: Vec<KernelSource>,
-        knobs: MapKnobs,
-    ) -> Result<BatchSummary, ClientError> {
-        match self.call(&Request::Batch { kernels, knobs })? {
-            Response::Batch(summary) => Ok(summary),
-            Response::Error(error) => Err(ClientError::Server(error)),
-            _ => Err(ClientError::Unexpected("expected a batch summary")),
         }
     }
 

@@ -24,6 +24,10 @@
 //!   ([`Client::submit`] / [`Client::wait`]) with the blocking one-call
 //!   verbs kept as wrappers.
 //!
+//! The unit of work is one kernel: many kernels travel as many `map`
+//! requests pipelined on one connection, each with its own request id,
+//! queue slot and deadline, and each answerable from the warm tiers.
+//!
 //! # Example
 //!
 //! ```
@@ -64,7 +68,7 @@ pub mod server;
 
 pub use client::{Client, ClientError, Ticket};
 pub use protocol::{
-    program_digest, BatchSummary, CacheFlavor, HelloAck, KernelSource, MapKnobs, MapSummary,
-    MetricsFormat, ProtocolError, Request, Response, WireError,
+    program_digest, CacheFlavor, HelloAck, KernelSource, MapKnobs, MapSummary, MetricsFormat,
+    ProtocolError, Request, Response, WireError,
 };
 pub use server::{Server, ServerConfig, ServerHandle, ShutdownTrigger};

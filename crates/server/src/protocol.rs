@@ -10,16 +10,17 @@
 //!   `bytes -> value` / `value -> bytes` layer that is testable without any
 //!   I/O.  Frames above [`MAX_FRAME_LEN`] are rejected before any allocation
 //!   happens, so a corrupt length prefix cannot balloon memory.
-//! * **Requests** ([`Request`]) — `map` (one kernel + [`MapKnobs`]), `batch`
-//!   (many kernels under one knob set), `reset` (drop cached entries and
-//!   zero the counters), `health`, `shutdown`, `metrics` (the metrics
-//!   registry, rendered) and `dump` (the flight recorder).
+//! * **Requests** ([`Request`]) — `map` (one kernel + [`MapKnobs`]),
+//!   `reset` (drop cached entries and zero the counters), `health`,
+//!   `shutdown`, `metrics` (the metrics registry, rendered) and `dump` (the
+//!   flight recorder).  Many kernels travel as many pipelined `map`
+//!   requests.
 //! * **Responses** ([`Response`]) — a mapping summary (headline report
 //!   numbers plus a structural [program digest](program_digest) and the
-//!   cache outcome), a batch summary, a health snapshot, a metrics scrape,
-//!   a flight dump, acks, or a *typed* [`WireError`].  Admission-control
-//!   rejections travel as [`WireError::Overloaded`] — a first-class
-//!   response, never a dropped connection.
+//!   cache outcome), a health snapshot, a metrics scrape, a flight dump,
+//!   acks, or a *typed* [`WireError`].  Admission-control rejections
+//!   travel as [`WireError::Overloaded`] — a first-class response, never a
+//!   dropped connection.
 //!
 //! **Protocol v2** adds an explicit handshake and pipelining on top of the
 //! same framing:
@@ -56,8 +57,8 @@ use std::io::{self, Read, Write};
 pub use fpfa_core::summary::program_digest;
 
 /// Hard ceiling on one frame's payload, request or response (16 MiB —
-/// generous for batches of kernel sources, small enough that a corrupt
-/// length prefix cannot balloon memory).
+/// generous for any kernel source, small enough that a corrupt length
+/// prefix cannot balloon memory).
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// The protocol version this build speaks (and the only one the server
@@ -516,20 +517,6 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8 { context })
     }
 
-    /// Upper bound for decoded collection lengths: every element needs at
-    /// least one byte, so any claimed length beyond the remaining payload is
-    /// corrupt (and would otherwise pre-allocate unboundedly).
-    fn seq_len(&mut self, context: &'static str) -> Result<usize, ProtocolError> {
-        let len = self.u32(context)? as usize;
-        if len > self.bytes.len().saturating_sub(self.pos) {
-            return Err(ProtocolError::BadLength {
-                context,
-                len: len as u64,
-            });
-        }
-        Ok(len)
-    }
-
     fn finish<T>(self, value: T) -> Result<T, ProtocolError> {
         let left = self.bytes.len() - self.pos;
         if left > 0 {
@@ -650,14 +637,6 @@ pub enum Request {
         /// Mapping knobs.
         knobs: MapKnobs,
     },
-    /// Map a batch of kernels under one knob set (served by the service's
-    /// parallel `map_many`, including in-batch dedup).
-    Batch {
-        /// The kernels to map.
-        kernels: Vec<KernelSource>,
-        /// Mapping knobs shared by the whole batch.
-        knobs: MapKnobs,
-    },
     /// Drop every cached mapping and zero the statistics counters.
     Reset,
     /// Liveness / drain-state probe.
@@ -706,9 +685,9 @@ impl MetricsFormat {
 }
 
 const REQ_MAP: u8 = 1;
-const REQ_BATCH: u8 = 2;
-// Tag 3 (the retired `stats` verb) is never reused: an old client sending
-// it gets a typed `BadTag`, answered on the wire as `Invalid`.
+// Tags 2 and 3 (the retired `batch` and `stats` verbs) are never reused: an
+// old client sending either gets a typed `BadTag`, answered on the wire as
+// `Invalid`.
 const REQ_RESET: u8 = 4;
 const REQ_HEALTH: u8 = 5;
 const REQ_SHUTDOWN: u8 = 6;
@@ -728,14 +707,6 @@ impl Request {
             Request::Map { kernel, knobs } => {
                 e.u8(REQ_MAP);
                 kernel.encode(e);
-                knobs.encode(e);
-            }
-            Request::Batch { kernels, knobs } => {
-                e.u8(REQ_BATCH);
-                e.u32(kernels.len() as u32);
-                for kernel in kernels {
-                    kernel.encode(e);
-                }
                 knobs.encode(e);
             }
             Request::Reset => e.u8(REQ_RESET),
@@ -761,17 +732,6 @@ impl Request {
                 kernel: KernelSource::decode(&mut d)?,
                 knobs: MapKnobs::decode(&mut d)?,
             },
-            REQ_BATCH => {
-                let count = d.seq_len("batch count")?;
-                let mut kernels = Vec::with_capacity(count);
-                for _ in 0..count {
-                    kernels.push(KernelSource::decode(&mut d)?);
-                }
-                Request::Batch {
-                    kernels,
-                    knobs: MapKnobs::decode(&mut d)?,
-                }
-            }
             REQ_RESET => Request::Reset,
             REQ_HEALTH => Request::Health,
             REQ_SHUTDOWN => Request::Shutdown,
@@ -870,7 +830,7 @@ pub struct SimSummary {
 /// Headline numbers of one served mapping.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MapSummary {
-    /// The kernel name from the request (disambiguated inside batches).
+    /// The kernel name from the request.
     pub name: String,
     /// Structural digest of the mapped program ([`program_digest`]): equal
     /// digests ⇒ the server produced the same mapping.
@@ -941,71 +901,6 @@ impl MapSummary {
     }
 }
 
-/// One entry of a batch response.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BatchEntrySummary {
-    /// Disambiguated entry name (`name`, `name#2`, … as in `fpfa-map`).
-    pub name: String,
-    /// The mapping summary, or the kernel's error rendering.
-    pub outcome: Result<MapSummary, String>,
-}
-
-/// Aggregate response to a [`Request::Batch`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct BatchSummary {
-    /// Per-kernel outcomes in input order.
-    pub entries: Vec<BatchEntrySummary>,
-    /// Wall-clock of the whole batch, in microseconds.
-    pub wall_micros: u64,
-    /// Specs served by in-batch source deduplication.
-    pub deduped: u64,
-}
-
-impl BatchSummary {
-    /// Number of entries that mapped successfully.
-    pub fn succeeded(&self) -> usize {
-        self.entries.iter().filter(|e| e.outcome.is_ok()).count()
-    }
-
-    fn encode(&self, e: &mut Enc<'_>) {
-        e.u32(self.entries.len() as u32);
-        for entry in &self.entries {
-            e.str(&entry.name);
-            match &entry.outcome {
-                Ok(summary) => {
-                    e.bool(true);
-                    summary.encode(e);
-                }
-                Err(error) => {
-                    e.bool(false);
-                    e.str(error);
-                }
-            }
-        }
-        e.u64(self.wall_micros);
-        e.u64(self.deduped);
-    }
-
-    fn decode(d: &mut Dec<'_>) -> Result<Self, ProtocolError> {
-        let count = d.seq_len("batch entries")?;
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name = d.str("batch entry name")?;
-            let outcome = if d.bool("batch entry flag")? {
-                Ok(MapSummary::decode(d)?)
-            } else {
-                Err(d.str("batch entry error")?)
-            };
-            entries.push(BatchEntrySummary { name, outcome });
-        }
-        Ok(BatchSummary {
-            entries,
-            wall_micros: d.u64("batch wall")?,
-            deduped: d.u64("batch deduped")?,
-        })
-    }
-}
-
 /// A liveness snapshot.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct HealthSummary {
@@ -1035,7 +930,8 @@ pub enum WireError {
     },
     /// The server is draining for shutdown and accepts no new work.
     ShuttingDown,
-    /// The request was structurally invalid (bad knobs, empty batch, …).
+    /// The request was structurally invalid (out-of-range knobs, an unknown
+    /// or retired request tag, …).
     Invalid(String),
     /// The kernel failed to map; the payload is the flow error rendering.
     MapFailed {
@@ -1105,8 +1001,6 @@ impl std::error::Error for WireError {}
 pub enum Response {
     /// A served mapping.
     Mapped(MapSummary),
-    /// A served batch.
-    Batch(BatchSummary),
     /// Health snapshot.
     Health(HealthSummary),
     /// Acknowledges a [`Request::Reset`]; carries the number of cache
@@ -1136,8 +1030,7 @@ pub enum Response {
 }
 
 const RESP_MAPPED: u8 = 1;
-const RESP_BATCH: u8 = 2;
-// Tag 3 (the retired `stats` answer) is never reused.
+// Tags 2 and 3 (the retired `batch` and `stats` answers) are never reused.
 const RESP_HEALTH: u8 = 4;
 const RESP_RESET: u8 = 5;
 const RESP_SHUTDOWN: u8 = 6;
@@ -1167,10 +1060,6 @@ impl Response {
             Response::Mapped(summary) => {
                 e.u8(RESP_MAPPED);
                 summary.encode(e);
-            }
-            Response::Batch(batch) => {
-                e.u8(RESP_BATCH);
-                batch.encode(e);
             }
             Response::Health(health) => {
                 e.u8(RESP_HEALTH);
@@ -1251,7 +1140,6 @@ impl Response {
         let mut d = Dec::new(bytes);
         let response = match d.u8("response tag")? {
             RESP_MAPPED => Response::Mapped(MapSummary::decode(&mut d)?),
-            RESP_BATCH => Response::Batch(BatchSummary::decode(&mut d)?),
             RESP_HEALTH => Response::Health(HealthSummary {
                 uptime_micros: d.u64("health.uptime")?,
                 in_flight: d.u64("health.in_flight")?,
@@ -1332,13 +1220,6 @@ mod tests {
                     deadline_ms: 250,
                 },
             },
-            Request::Batch {
-                kernels: vec![
-                    KernelSource::new("a", "void main() {}"),
-                    KernelSource::new("b", "int x;"),
-                ],
-                knobs: MapKnobs::default(),
-            },
             Request::Reset,
             Request::Health,
             Request::Shutdown,
@@ -1354,22 +1235,24 @@ mod tests {
             let decoded = Request::decode(&request.encode()).unwrap();
             assert_eq!(decoded, request);
         }
-        // The retired `stats` tag decodes to a typed error in both
-        // directions.
-        assert_eq!(
-            Request::decode(&[3]),
-            Err(ProtocolError::BadTag {
-                context: "request tag",
-                tag: 3
-            })
-        );
-        assert_eq!(
-            Response::decode(&[3]),
-            Err(ProtocolError::BadTag {
-                context: "response tag",
-                tag: 3
-            })
-        );
+        // The retired `batch` and `stats` tags decode to a typed error in
+        // both directions.
+        for tag in [2, 3] {
+            assert_eq!(
+                Request::decode(&[tag]),
+                Err(ProtocolError::BadTag {
+                    context: "request tag",
+                    tag
+                })
+            );
+            assert_eq!(
+                Response::decode(&[tag]),
+                Err(ProtocolError::BadTag {
+                    context: "response tag",
+                    tag
+                })
+            );
+        }
     }
 
     #[test]
@@ -1391,21 +1274,7 @@ mod tests {
             server_micros: 120,
         };
         let responses = [
-            Response::Mapped(summary.clone()),
-            Response::Batch(BatchSummary {
-                entries: vec![
-                    BatchEntrySummary {
-                        name: "fir".into(),
-                        outcome: Ok(summary),
-                    },
-                    BatchEntrySummary {
-                        name: "bad".into(),
-                        outcome: Err("frontend: nope".into()),
-                    },
-                ],
-                wall_micros: 900,
-                deduped: 1,
-            }),
+            Response::Mapped(summary),
             Response::Hello(HelloAck {
                 version: PROTOCOL_VERSION,
                 shards: 4,
@@ -1425,7 +1294,7 @@ mod tests {
             Response::Error(WireError::Overloaded { queue_depth: 64 }),
             Response::Error(WireError::DeadlineExceeded { budget_ms: 100 }),
             Response::Error(WireError::ShuttingDown),
-            Response::Error(WireError::Invalid("empty batch".into())),
+            Response::Error(WireError::Invalid("tiles 65 exceeds the 64 limit".into())),
             Response::Error(WireError::MapFailed {
                 name: "bad".into(),
                 error: "loops remain".into(),
@@ -1476,15 +1345,28 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_sequence_lengths_are_rejected_without_allocation() {
-        // A batch claiming u32::MAX kernels in a 10-byte payload.
-        let mut bytes = vec![REQ_BATCH];
+    fn corrupt_string_lengths_are_rejected_without_allocation() {
+        // A kernel name claiming u32::MAX bytes in a 10-byte payload is
+        // refused from its length alone.
+        let mut bytes = vec![REQ_MAP];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&[0; 5]);
-        assert!(matches!(
+        bytes.extend_from_slice(&[b'k'; 5]);
+        assert_eq!(
             Request::decode(&bytes),
-            Err(ProtocolError::BadLength { .. })
-        ));
+            Err(ProtocolError::BadLength {
+                context: "kernel.name",
+                len: u64::from(u32::MAX)
+            })
+        );
+        // A plausible length that still overruns the payload is a
+        // truncation.
+        bytes[1..5].copy_from_slice(&6u32.to_le_bytes());
+        assert_eq!(
+            Request::decode(&bytes),
+            Err(ProtocolError::Truncated {
+                context: "kernel.name"
+            })
+        );
     }
 
     #[test]

@@ -47,14 +47,12 @@
 //! returns.
 
 use crate::protocol::{
-    append_response_frame, decode_request_frame, request_id_of, write_frame, BatchEntrySummary,
-    BatchSummary, CacheFlavor, FrameBuffer, HealthSummary, Hello, HelloAck, KernelSource, MapKnobs,
-    MapSummary, MetricsFormat, Request, Response, SimSummary, WireError, PROTOCOL_VERSION,
-    UNKNOWN_REQUEST_ID,
+    append_response_frame, decode_request_frame, request_id_of, write_frame, CacheFlavor,
+    FrameBuffer, HealthSummary, Hello, HelloAck, KernelSource, MapKnobs, MapSummary, MetricsFormat,
+    Request, Response, SimSummary, WireError, PROTOCOL_VERSION, UNKNOWN_REQUEST_ID,
 };
 use crate::sys::{Event, Interest, Poller, WakeSender, Waker, WAKE_TOKEN};
 use fpfa_core::cache::CacheOutcome;
-use fpfa_core::flow::KernelSpec;
 use fpfa_core::pipeline::MappingResult;
 use fpfa_core::service::MappingService;
 use fpfa_core::summary::MappingSummary;
@@ -71,8 +69,10 @@ use std::time::{Duration, Instant};
 /// `Invalid` rejection, so a stray knob cannot make a worker build an
 /// arbitrarily large array model).
 pub const MAX_TILES: u32 = 64;
-/// Upper bound on per-request batch size.
-pub const MAX_BATCH_KERNELS: usize = 1024;
+/// Upper bound on the processing parts per tile a request may ask for (a
+/// typed `Invalid` rejection: the allocator lists every part at each
+/// schedule level, so a stray knob must not size that list).
+pub const MAX_PPS: u32 = 64;
 /// Upper bound on queued (worker-path) requests one connection may have in
 /// flight; advertised in the [`HelloAck`] so clients can self-limit.
 pub const MAX_CONN_IN_FLIGHT: u32 = 1024;
@@ -265,8 +265,7 @@ pub struct ServerStats {
     accepted: fpfa_obs::Counter,
     served_ok: fpfa_obs::Counter,
     served_err: fpfa_obs::Counter,
-    verify_failures_map: fpfa_obs::Counter,
-    verify_failures_batch: fpfa_obs::Counter,
+    verify_failures: fpfa_obs::Counter,
     rejected_overload: fpfa_obs::Counter,
     rejected_deadline: fpfa_obs::Counter,
     rejected_shutdown: fpfa_obs::Counter,
@@ -276,7 +275,6 @@ pub struct ServerStats {
     l0_hits: fpfa_obs::Counter,
     in_flight: fpfa_obs::Gauge,
     map_latency: fpfa_obs::Histogram,
-    batch_latency: fpfa_obs::Histogram,
     /// Decode → worker-pop wait of queued (cold-path) jobs.
     queue_wait: fpfa_obs::Histogram,
 }
@@ -288,8 +286,7 @@ impl ServerStats {
             accepted: registry.counter("serve.accepted", &[]),
             served_ok: registry.counter("serve.served", &[("outcome", "ok")]),
             served_err: registry.counter("serve.served", &[("outcome", "err")]),
-            verify_failures_map: registry.counter("serve.verify_failures", &[("verb", "map")]),
-            verify_failures_batch: registry.counter("serve.verify_failures", &[("verb", "batch")]),
+            verify_failures: registry.counter("serve.verify_failures", &[("verb", "map")]),
             rejected_overload: registry.counter("serve.rejected", &[("reason", "overload")]),
             rejected_deadline: registry.counter("serve.rejected", &[("reason", "deadline")]),
             rejected_shutdown: registry.counter("serve.rejected", &[("reason", "shutdown")]),
@@ -299,7 +296,6 @@ impl ServerStats {
             l0_hits: registry.counter("serve.l0_hits", &[]),
             in_flight: registry.gauge("serve.in_flight", &[]),
             map_latency: registry.histogram("serve.map.latency", &[]),
-            batch_latency: registry.histogram("serve.batch.latency", &[]),
             queue_wait: registry.histogram("serve.queue.wait", &[]),
         }
     }
@@ -361,18 +357,13 @@ impl ShardCounters {
 // Jobs and completions
 // ---------------------------------------------------------------------------
 
-enum Work {
-    One(KernelSource),
-    Many(Vec<KernelSource>),
-}
-
 struct Job {
     shard: usize,
     conn: usize,
     generation: u64,
     request_id: u64,
     decoded_at: Instant,
-    work: Work,
+    kernel: KernelSource,
     knobs: MapKnobs,
     /// Whether this request was selected by `--trace-sample`: the worker
     /// then collects per-flow-stage timings for its span breakdown.
@@ -388,12 +379,12 @@ type StageTimings = Vec<(&'static str, u64)>;
 struct JobTiming {
     /// Decode → worker-pop wait.
     queue_us: u64,
-    /// Worker service time (deadline check + map/batch work).
+    /// Worker service time (deadline check + map work).
     service_us: u64,
     /// When the worker finished; the shard derives respond time from it.
     completed_at: Instant,
     /// Per-flow-stage wall times bridged from `FlowContext`, present only
-    /// on traced single-map jobs.
+    /// on traced jobs.
     stages: Option<StageTimings>,
 }
 
@@ -402,7 +393,6 @@ struct Completion {
     generation: u64,
     request_id: u64,
     decoded_at: Instant,
-    batch: bool,
     /// Cache epoch the job was processed under; a stale epoch means a
     /// `reset` raced the job, so its warm entry is discarded.
     epoch: u64,
@@ -772,12 +762,11 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
         generation,
         request_id,
         decoded_at,
-        work,
+        kernel,
         knobs,
         traced,
         ..
     } = job;
-    let batch = matches!(work, Work::Many(_));
     let epoch = inner.cache_epoch.load(Ordering::SeqCst);
     let service_started = Instant::now();
     let done = |response: Response,
@@ -788,7 +777,6 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
             generation,
             request_id,
             decoded_at,
-            batch,
             epoch,
             response,
             warm,
@@ -814,72 +802,21 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
     }
 
     let service = inner.service_for(&knobs);
-    match work {
-        Work::One(kernel) => match serve_map_job(&service, &kernel, &knobs, decoded_at, traced) {
-            Ok((summary, value, stages)) => {
-                inner.stats.served_ok.inc();
-                let fingerprint = service.mapper().cache_fingerprint();
-                let warm = Some((fingerprint, kernel.source, value));
-                done(Response::Mapped(summary), warm, stages)
-            }
-            Err(error) => {
-                let counter = if matches!(error, WireError::VerifyFailed { .. }) {
-                    &inner.stats.verify_failures_map
-                } else {
-                    &inner.stats.served_err
-                };
-                counter.inc();
-                done(Response::Error(error), None, None)
-            }
-        },
-        Work::Many(kernels) => {
-            let specs: Vec<KernelSpec> = kernels
-                .iter()
-                .map(|k| KernelSpec::new(k.name.clone(), k.source.clone()))
-                .collect();
-            let report = service.map_many(&specs);
-            let mut verify_failed = 0usize;
-            let entries = report
-                .entries
-                .iter()
-                .zip(&specs)
-                .map(|(entry, spec)| BatchEntrySummary {
-                    name: entry.name.clone(),
-                    outcome: match &entry.outcome {
-                        Ok(result) => {
-                            let rejection = knobs
-                                .verify
-                                .then(|| verify_result(&service, &entry.name, &spec.source, result))
-                                .flatten();
-                            match rejection {
-                                Some(error) => {
-                                    verify_failed += 1;
-                                    Err(error.to_string())
-                                }
-                                None => Ok(summarize(&entry.name, result, None, decoded_at)),
-                            }
-                        }
-                        Err(error) => Err(error.to_string()),
-                    },
-                })
-                .collect();
-            if verify_failed > 0 {
-                inner.stats.verify_failures_batch.inc();
-            }
-            if report.failed() == 0 && verify_failed == 0 {
-                inner.stats.served_ok.inc();
-            } else if report.failed() > 0 {
-                inner.stats.served_err.inc();
-            }
-            done(
-                Response::Batch(BatchSummary {
-                    entries,
-                    wall_micros: report.wall.as_micros() as u64,
-                    deduped: report.deduped as u64,
-                }),
-                None,
-                None,
-            )
+    match serve_map_job(&service, &kernel, &knobs, decoded_at, traced) {
+        Ok((summary, value, stages)) => {
+            inner.stats.served_ok.inc();
+            let fingerprint = service.mapper().cache_fingerprint();
+            let warm = Some((fingerprint, kernel.source, value));
+            done(Response::Mapped(summary), warm, stages)
+        }
+        Err(error) => {
+            let counter = if matches!(error, WireError::VerifyFailed { .. }) {
+                &inner.stats.verify_failures
+            } else {
+                &inner.stats.served_err
+            };
+            counter.inc();
+            done(Response::Error(error), None, None)
         }
     }
 }
@@ -899,9 +836,7 @@ fn serve_map_job(
                 error: error.to_string(),
             })?;
     if knobs.verify {
-        if let Some(error) = verify_result(service, &kernel.name, &kernel.source, &result) {
-            return Err(error);
-        }
+        verify(service, kernel, &result)?;
     }
     let sim = if knobs.simulate {
         Some(simulate(&result).map_err(|error| WireError::MapFailed {
@@ -934,20 +869,20 @@ fn serve_map_job(
     Ok((summary, value, stages))
 }
 
-/// Lints the kernel source and statically verifies its mapping; `Some` is
-/// the typed [`WireError::VerifyFailed`] to answer with.
-fn verify_result(
+/// Lints the kernel source and statically verifies its mapping; a
+/// deny-level finding is the typed [`WireError::VerifyFailed`] to answer
+/// with.
+fn verify(
     service: &MappingService,
-    name: &str,
-    source: &str,
+    kernel: &KernelSource,
     result: &MappingResult,
-) -> Option<WireError> {
+) -> Result<(), WireError> {
     // The source mapped, so it parses; an analyzer parse error is
     // unreachable here and degrades to "no lint findings".
-    let mut report = fpfa_verify::analyze(source).unwrap_or_default();
+    let mut report = fpfa_verify::analyze(&kernel.source).unwrap_or_default();
     report.merge(fpfa_verify::Verifier::for_mapper(service.mapper()).verify(result));
     if report.is_clean() {
-        return None;
+        return Ok(());
     }
     let first = report
         .diagnostics
@@ -955,26 +890,11 @@ fn verify_result(
         .find(|d| d.severity == fpfa_verify::Severity::Deny)
         .map(ToString::to_string)
         .unwrap_or_default();
-    Some(WireError::VerifyFailed {
-        name: name.to_string(),
+    Err(WireError::VerifyFailed {
+        name: kernel.name.clone(),
         denies: report.deny_count() as u64,
         first,
     })
-}
-
-fn summarize(
-    name: &str,
-    result: &MappingResult,
-    sim: Option<SimSummary>,
-    decoded_at: Instant,
-) -> MapSummary {
-    map_summary(
-        &MappingSummary::of(result),
-        name.to_string(),
-        CacheFlavor::from(result.report.cache),
-        sim,
-        decoded_at.elapsed().as_micros() as u64,
-    )
 }
 
 /// The wire answer for one request: the mapping's summary plus the
@@ -1023,17 +943,15 @@ fn simulate(mapping: &MappingResult) -> Result<SimSummary, String> {
     })
 }
 
-fn validate(knobs: &MapKnobs, batch_len: usize) -> Result<(), String> {
+fn validate(knobs: &MapKnobs) -> Result<(), String> {
     if knobs.tiles > MAX_TILES {
         return Err(format!(
             "tiles {} exceeds the {MAX_TILES} limit",
             knobs.tiles
         ));
     }
-    if batch_len > MAX_BATCH_KERNELS {
-        return Err(format!(
-            "batch of {batch_len} kernels exceeds the {MAX_BATCH_KERNELS} limit"
-        ));
+    if knobs.pps > MAX_PPS {
+        return Err(format!("pps {} exceeds the {MAX_PPS} limit", knobs.pps));
     }
     Ok(())
 }
@@ -1422,26 +1340,6 @@ impl<'a> ShardRt<'a> {
             Request::Map { kernel, knobs } => {
                 self.serve_map(conn, idx, id, kernel, knobs, decoded_at)
             }
-            Request::Batch { kernels, knobs } => {
-                if kernels.is_empty() {
-                    let response = Response::Error(WireError::Invalid("empty batch".to_string()));
-                    self.finish(conn, id, &response, decoded_at, true, None);
-                    return;
-                }
-                if let Err(reason) = validate(&knobs, kernels.len()) {
-                    let response = Response::Error(WireError::Invalid(reason));
-                    self.finish(conn, id, &response, decoded_at, true, None);
-                    return;
-                }
-                if knobs.simulate {
-                    let response = Response::Error(WireError::Invalid(
-                        "simulate is not supported for batches".to_string(),
-                    ));
-                    self.finish(conn, id, &response, decoded_at, true, None);
-                    return;
-                }
-                self.submit_job(conn, idx, id, Work::Many(kernels), knobs, decoded_at);
-            }
         }
     }
 
@@ -1459,15 +1357,15 @@ impl<'a> ShardRt<'a> {
         decoded_at: Instant,
     ) {
         let inner = self.inner;
-        if let Err(reason) = validate(&knobs, 1) {
+        if let Err(reason) = validate(&knobs) {
             let response = Response::Error(WireError::Invalid(reason));
-            self.finish(conn, id, &response, decoded_at, false, None);
+            self.finish(conn, id, &response, decoded_at, None);
             return;
         }
         if inner.shutting_down.load(Ordering::SeqCst) {
             inner.stats.rejected_shutdown.inc();
             let response = Response::Error(WireError::ShuttingDown);
-            self.finish(conn, id, &response, decoded_at, false, None);
+            self.finish(conn, id, &response, decoded_at, None);
             return;
         }
         // Verify requests must actually verify: the warm tables hold digested
@@ -1493,7 +1391,7 @@ impl<'a> ShardRt<'a> {
                 return;
             }
         }
-        self.submit_job(conn, idx, id, Work::One(kernel), knobs, decoded_at);
+        self.submit_job(conn, idx, id, kernel, knobs, decoded_at);
     }
 
     fn submit_job(
@@ -1501,18 +1399,17 @@ impl<'a> ShardRt<'a> {
         conn: &mut Conn,
         idx: usize,
         id: u64,
-        work: Work,
+        kernel: KernelSource,
         knobs: MapKnobs,
         decoded_at: Instant,
     ) {
         let inner = self.inner;
-        let batch = matches!(work, Work::Many(_));
         if conn.in_flight >= MAX_CONN_IN_FLIGHT {
             inner.stats.rejected_overload.inc();
             let response = Response::Error(WireError::Overloaded {
                 queue_depth: u64::from(MAX_CONN_IN_FLIGHT),
             });
-            self.finish(conn, id, &response, decoded_at, batch, None);
+            self.finish(conn, id, &response, decoded_at, None);
             return;
         }
         inner.stats.in_flight.inc();
@@ -1522,7 +1419,7 @@ impl<'a> ShardRt<'a> {
             generation: conn.generation,
             request_id: id,
             decoded_at,
-            work,
+            kernel,
             knobs,
             traced: inner.traced(id),
         };
@@ -1545,7 +1442,7 @@ impl<'a> ShardRt<'a> {
                         Response::Error(WireError::ShuttingDown)
                     }
                 };
-                self.finish(conn, id, &response, decoded_at, batch, None);
+                self.finish(conn, id, &response, decoded_at, None);
             }
         }
     }
@@ -1583,7 +1480,6 @@ impl<'a> ShardRt<'a> {
                 completion.request_id,
                 &completion.response,
                 completion.decoded_at,
-                completion.batch,
                 Some(&completion.timing),
             );
             self.conns[idx] = Some(conn);
@@ -1603,9 +1499,9 @@ impl<'a> ShardRt<'a> {
         }
     }
 
-    /// Appends a response frame, records its decode → write-back latency,
-    /// and feeds the observability sinks (flight ring, trace ring, slow
-    /// log).  `timing` carries the worker-side decomposition when the
+    /// Appends a `map` response frame, records its decode → write-back
+    /// latency, and feeds the observability sinks (flight ring, trace ring,
+    /// slow log).  `timing` carries the worker-side decomposition when the
     /// request went through the queue; shard-side rejections pass `None`.
     fn finish(
         &mut self,
@@ -1613,28 +1509,22 @@ impl<'a> ShardRt<'a> {
         id: u64,
         response: &Response,
         decoded_at: Instant,
-        batch: bool,
         timing: Option<&JobTiming>,
     ) {
         let bytes = self.append_response(conn, id, response);
         let micros = decoded_at.elapsed().as_micros() as u64;
-        if batch {
-            self.inner.stats.batch_latency.record(micros);
-        } else {
-            self.inner.stats.map_latency.record(micros);
-        }
-        let verb = if batch { "batch" } else { "map" };
+        self.inner.stats.map_latency.record(micros);
         let outcome = match response {
             Response::Error(_) => "error",
             _ => "ok",
         };
-        self.observe(id, verb, outcome, micros, bytes, timing);
+        self.observe(id, "map", outcome, micros, bytes, timing);
     }
 
-    /// Appends a control-verb response (stats, health, metrics, …).  These
-    /// land in the flight recorder so a dump shows the whole conversation,
-    /// but stay out of the map/batch latency histograms so the serving
-    /// percentiles keep describing real mapping work.
+    /// Appends a control-verb response (health, metrics, …).  These land in
+    /// the flight recorder so a dump shows the whole conversation, but stay
+    /// out of the map latency histogram so the serving percentiles keep
+    /// describing real mapping work.
     fn finish_control(
         &mut self,
         conn: &mut Conn,
@@ -1908,16 +1798,24 @@ mod tests {
     #[test]
     fn knob_validation_rejects_out_of_range() {
         let good = MapKnobs::default();
-        assert!(validate(&good, 1).is_ok());
+        assert!(validate(&good).is_ok());
         // 0 is the "inherit the daemon default" sentinel, not an error.
         let inherit_tiles = MapKnobs { tiles: 0, ..good };
-        assert!(validate(&inherit_tiles, 1).is_ok());
+        assert!(validate(&inherit_tiles).is_ok());
         let huge = MapKnobs {
             tiles: MAX_TILES + 1,
             ..good
         };
-        assert!(validate(&huge, 1).is_err());
-        assert!(validate(&good, MAX_BATCH_KERNELS + 1).is_err());
+        assert!(validate(&huge).is_err());
+        let at_limit = MapKnobs {
+            tiles: MAX_TILES,
+            pps: MAX_PPS,
+            ..good
+        };
+        assert!(validate(&at_limit).is_ok());
+        for pps in [MAX_PPS + 1, u32::MAX] {
+            assert!(validate(&MapKnobs { pps, ..good }).is_err(), "pps {pps}");
+        }
     }
 
     #[test]

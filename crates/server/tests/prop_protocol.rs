@@ -5,9 +5,8 @@
 
 use fpfa_server::protocol::{
     append_response_frame, decode_request_frame, decode_response_frame, encode_request_frame,
-    BatchEntrySummary, BatchSummary, CacheFlavor, FrameBuffer, HealthSummary, HelloAck,
-    KernelSource, MapKnobs, MapSummary, MetricsFormat, ProtocolError, Request, Response,
-    SimSummary, WireError,
+    CacheFlavor, FrameBuffer, HealthSummary, HelloAck, KernelSource, MapKnobs, MapSummary,
+    MetricsFormat, ProtocolError, Request, Response, SimSummary, WireError,
 };
 use proptest::prelude::*;
 
@@ -60,8 +59,6 @@ fn arb_metrics_format() -> impl Strategy<Value = MetricsFormat> {
 fn arb_request() -> BoxedStrategy<Request> {
     prop_oneof![
         (arb_kernel(), arb_knobs()).prop_map(|(kernel, knobs)| Request::Map { kernel, knobs }),
-        (prop::collection::vec(arb_kernel(), 0..5), arb_knobs())
-            .prop_map(|(kernels, knobs)| Request::Batch { kernels, knobs }),
         Just(Request::Reset),
         Just(Request::Health),
         Just(Request::Shutdown),
@@ -145,26 +142,8 @@ fn arb_wire_error() -> BoxedStrategy<WireError> {
 }
 
 fn arb_response() -> BoxedStrategy<Response> {
-    let entry = (arb_string(), any::<bool>(), arb_summary(), arb_string()).prop_map(
-        |(name, ok, summary, error)| BatchEntrySummary {
-            name,
-            outcome: if ok { Ok(summary) } else { Err(error) },
-        },
-    );
     prop_oneof![
         arb_summary().prop_map(Response::Mapped),
-        (
-            prop::collection::vec(entry, 0..4),
-            any::<u64>(),
-            any::<u64>()
-        )
-            .prop_map(
-                |(entries, wall_micros, deduped)| Response::Batch(BatchSummary {
-                    entries,
-                    wall_micros,
-                    deduped,
-                })
-            ),
         (any::<u64>(), any::<u64>(), any::<bool>()).prop_map(
             |(uptime_micros, in_flight, draining)| Response::Health(HealthSummary {
                 uptime_micros,

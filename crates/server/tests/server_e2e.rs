@@ -17,8 +17,13 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 fn start(config: ServerConfig, mapper: Mapper) -> ServerHandle {
-    let server =
-        Server::bind("127.0.0.1:0", config, MappingService::new(mapper)).expect("bind on port 0");
+    serve(config, MappingService::new(mapper))
+}
+
+/// A server over `service`; a clone kept by the caller shares its cache
+/// and disk tier.
+fn serve(config: ServerConfig, service: MappingService) -> ServerHandle {
+    let server = Server::bind("127.0.0.1:0", config, service).expect("bind on port 0");
     server.spawn().expect("spawn server")
 }
 
@@ -352,34 +357,6 @@ fn lapsed_deadline_budget_is_a_typed_rejection() {
 }
 
 #[test]
-fn batch_verb_disambiguates_names_and_reports_failures() {
-    let handle = start(ServerConfig::default(), Mapper::new());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    let batch = client
-        .batch(
-            vec![
-                KernelSource::new("k", TRIVIAL),
-                KernelSource::new("k", TRIVIAL),
-                KernelSource::new("bad", "void main() { r = 1; }"),
-            ],
-            MapKnobs::default(),
-        )
-        .expect("batch call");
-    assert_eq!(batch.entries.len(), 3);
-    assert_eq!(batch.entries[0].name, "k");
-    assert_eq!(batch.entries[1].name, "k#2");
-    assert_eq!(batch.succeeded(), 2);
-    assert_eq!(batch.deduped, 1, "identical sources dedup in-batch");
-    let error = batch.entries[2].outcome.as_ref().unwrap_err();
-    assert!(error.contains("frontend"), "unexpected error: {error}");
-    // Structurally invalid batches are typed rejections.
-    let empty = client.batch(Vec::new(), MapKnobs::default()).unwrap_err();
-    assert!(matches!(empty, ClientError::Server(WireError::Invalid(_))));
-    handle.shutdown();
-    handle.join();
-}
-
-#[test]
 fn invalid_knobs_and_payloads_are_typed_not_fatal() {
     let handle = start(ServerConfig::default(), Mapper::new());
     let mut client = Client::connect(handle.addr()).expect("connect");
@@ -397,6 +374,25 @@ fn invalid_knobs_and_payloads_are_typed_not_fatal() {
         oversized_array,
         ClientError::Server(WireError::Invalid(_))
     ));
+    // Processing parts are bounded the same way.  One past the bound is
+    // enough: an unbounded `pps` would size the allocator's per-level part
+    // list, so a regression must fail here rather than exhaust memory.
+    let oversized_parts = client
+        .map(
+            "k",
+            TRIVIAL,
+            MapKnobs {
+                pps: fpfa_server::server::MAX_PPS + 1,
+                ..MapKnobs::default()
+            },
+        )
+        .unwrap_err();
+    match oversized_parts {
+        ClientError::Server(WireError::Invalid(reason)) => {
+            assert!(reason.contains("pps"), "unexpected reason: {reason}");
+        }
+        other => panic!("expected Invalid, got {other:?}"),
+    }
     // A kernel that fails to map is a typed MapFailed naming the kernel.
     let failed = client
         .map("broken", "void main() { x = 1; }", MapKnobs::default())
@@ -440,7 +436,32 @@ fn invalid_knobs_and_payloads_are_typed_not_fatal() {
         decode_response_frame(&reply),
         Ok((6, Response::Mapped(_)))
     ));
-    assert_eq!(metric(&handle, "serve.protocol_errors"), 1);
+
+    // So is a well-formed frame of the retired `batch` verb (tag 2): a
+    // kernel count of one, then that kernel and its knobs.
+    let mut retired = encode_request_frame(7, &map);
+    retired[8] = 2;
+    retired.splice(9..9, 1u32.to_le_bytes());
+    write_frame(&mut raw, &retired).expect("write tag 2");
+    raw.flush().expect("flush tag 2");
+    let reply = read_frame(&mut raw).expect("reply").expect("a reply");
+    match decode_response_frame(&reply).expect("reply decodes") {
+        (7, Response::Error(WireError::Invalid(reason))) => {
+            assert!(
+                reason.contains("request tag"),
+                "unexpected reason: {reason}"
+            );
+        }
+        other => panic!("expected a typed Invalid for tag 2, got {other:?}"),
+    }
+    write_frame(&mut raw, &encode_request_frame(8, &map)).expect("write map");
+    raw.flush().expect("flush map");
+    let reply = read_frame(&mut raw).expect("reply").expect("a reply");
+    assert!(matches!(
+        decode_response_frame(&reply),
+        Ok((8, Response::Mapped(_)))
+    ));
+    assert_eq!(metric(&handle, "serve.protocol_errors"), 2);
     handle.shutdown();
     handle.join();
 }
@@ -486,30 +507,10 @@ fn verify_knob_rejects_bad_kernels_with_a_typed_error() {
     let warm = client.map("k", TRIVIAL, verify).expect("warm re-verify");
     assert_eq!(warm.digest, cold.digest);
 
-    // Batches verify per entry: the bad kernel is rejected in place while
-    // its neighbours are served.
-    let batch = client
-        .batch(
-            vec![
-                KernelSource::new("good", TRIVIAL),
-                KernelSource::new("oob", OOB),
-            ],
-            verify,
-        )
-        .expect("batch call");
-    assert!(batch.entries[0].outcome.is_ok());
-    let error = batch.entries[1].outcome.as_ref().unwrap_err();
-    assert!(error.contains("FS006"), "unexpected batch error: {error}");
-
     let stats = handle.registry().snapshot();
     assert!(
         value(&stats, "serve.verify_failures", &[("verb", "map")]) >= 1,
         "map rejections:\n{}",
-        stats.to_prometheus()
-    );
-    assert!(
-        value(&stats, "serve.verify_failures", &[("verb", "batch")]) >= 1,
-        "batch rejections:\n{}",
         stats.to_prometheus()
     );
     handle.shutdown();
@@ -956,7 +957,8 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     // Every inline answer is tagged with the tier that produced it.  A
     // restarted server answers its first request from the disk tier's
     // summaries, the repeat from the L0 entry that answer seeded, and a
-    // kernel a batch mapped from the disk summary the batch stored through.
+    // kernel mapped beside the daemon, through a clone of its service, from
+    // the disk summary that mapping stored through.
     let dir = std::env::temp_dir().join(format!("fpfa-e2e-dump-tiers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let first = start_with_cache_dir(&dir);
@@ -964,7 +966,8 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     client.map("k", TRIVIAL, MapKnobs::default()).expect("cold");
     first.shutdown();
     first.join();
-    let restarted = start_with_cache_dir(&dir);
+    let service = MappingService::with_cache_dir(Mapper::new(), 64, &dir).expect("open disk tier");
+    let restarted = serve(ServerConfig::default(), service.clone());
     let mut client = Client::connect(restarted.addr()).expect("connect");
     client
         .map("k", TRIVIAL, MapKnobs::default())
@@ -972,12 +975,12 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     client
         .map("k", TRIVIAL, MapKnobs::default())
         .expect("from L0");
-    let batched = "void main() { int a[2]; int r; r = a[0] * a[1]; }";
+    let beside = "void main() { int a[2]; int r; r = a[0] * a[1]; }";
+    service
+        .map_source_shared(beside)
+        .expect("maps beside the daemon");
     client
-        .batch(vec![KernelSource::new("b", batched)], MapKnobs::default())
-        .expect("batch");
-    client
-        .map("b", batched, MapKnobs::default())
+        .map("b", beside, MapKnobs::default())
         .expect("from disk");
     let dump = client.dump().expect("dump");
     assert_eq!(
@@ -987,32 +990,34 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     );
     restarted.shutdown();
     restarted.join();
+    drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 
     // Without a disk tier, a kernel only the shared in-memory cache holds
     // goes once through a worker: a mapping hit that runs no flow stage.
     // Its completion seeds the shard's L0 table, which answers the repeat.
-    let handle = start(
+    let service = MappingService::new(Mapper::new());
+    let handle = serve(
         ServerConfig {
             trace_sample: 1,
             ..ServerConfig::default()
         },
-        Mapper::new(),
+        service.clone(),
     );
     let mut client = Client::connect(handle.addr()).expect("connect");
-    client
-        .batch(vec![KernelSource::new("b", batched)], MapKnobs::default())
-        .expect("batch");
+    service
+        .map_source_shared(beside)
+        .expect("maps beside the daemon");
     let worker = client
-        .map("b", batched, MapKnobs::default())
+        .map("b", beside, MapKnobs::default())
         .expect("from a worker");
     assert_eq!(worker.cache, fpfa_server::CacheFlavor::MappingHit);
     let repeat = client
-        .map("b", batched, MapKnobs::default())
+        .map("b", beside, MapKnobs::default())
         .expect("from L0");
     assert_eq!(repeat.cache, fpfa_server::CacheFlavor::MappingHit);
     assert_eq!(repeat.digest, worker.digest);
-    assert_eq!(metric(&handle, "serve.accepted"), 2);
+    assert_eq!(metric(&handle, "serve.accepted"), 1);
     let dump = client.dump().expect("dump");
     assert_eq!(
         map_outcomes(&dump),
@@ -1032,10 +1037,10 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
             Some((id, span.get("name")?.as_str()?.to_string()))
         })
         .collect();
-    // Client ids count from zero: the batch is 0, the worker-path map 1.
+    // Client ids count from zero: the worker-path map is 0.
     let names: Vec<&str> = spans
         .iter()
-        .filter(|(id, _)| *id == 1)
+        .filter(|(id, _)| *id == 0)
         .map(|(_, name)| name.as_str())
         .collect();
     assert_eq!(
@@ -1050,10 +1055,7 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
 /// A server with a persistent disk tier under `dir`.
 fn start_with_cache_dir(dir: &std::path::Path) -> ServerHandle {
     let service = MappingService::with_cache_dir(Mapper::new(), 64, dir).expect("open disk tier");
-    Server::bind("127.0.0.1:0", ServerConfig::default(), service)
-        .expect("bind on port 0")
-        .spawn()
-        .expect("spawn server")
+    serve(ServerConfig::default(), service)
 }
 
 /// The flight-recorder outcomes of a dump's `map` entries, in id order.

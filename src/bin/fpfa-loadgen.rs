@@ -315,13 +315,9 @@ fn run(options: &Options) -> Result<(), String> {
         counter("serve.fast_hits")?,
         counter("serve.l0_hits")?,
     );
-    let verify_map = count(&server, "serve.verify_failures", &[("verb", "map")])?;
-    let verify_batch = count(&server, "serve.verify_failures", &[("verb", "batch")])?;
-    if options.verify || verify_map + verify_batch > 0 {
-        println!(
-            "  server: {} verify failure(s) (map/batch {verify_map}/{verify_batch})",
-            verify_map + verify_batch,
-        );
+    let verify_failures = count(&server, "serve.verify_failures", &[("verb", "map")])?;
+    if options.verify || verify_failures > 0 {
+        println!("  server: {verify_failures} verify failure(s)");
     }
     let hits = counter("cache.mapping.hits")?;
     let hit_ratio = report::hit_ratio(&server)?.unwrap_or(0.0);

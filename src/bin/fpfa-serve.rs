@@ -13,7 +13,7 @@
 //! fpfa-serve --deadline-ms 2000      # default per-request budget
 //! fpfa-serve --cache-capacity 1024   # mapping-cache entries per level
 //! fpfa-serve --cache-dir /var/cache/fpfa  # persistent (L2) mapping cache
-//! fpfa-serve --tiles 4 --pps 3       # default mapper configuration
+//! fpfa-serve --tiles 4 --pps 3       # default mapper configuration (each at most 64)
 //! fpfa-serve --metrics-file m.prom   # periodic Prometheus-text snapshots
 //! fpfa-serve --flight-file f.json    # flight-recorder dump on drain/SIGUSR1
 //! fpfa-serve --trace-sample 100      # trace every 100th request
@@ -43,6 +43,7 @@ use fpfa::arch::TileConfig;
 use fpfa::core::cache::DEFAULT_CAPACITY;
 use fpfa::core::pipeline::Mapper;
 use fpfa::core::MappingService;
+use fpfa::server::server::{MAX_PPS, MAX_TILES};
 use fpfa::server::sys::{TermSignals, SIGUSR1};
 use fpfa::server::{Server, ServerConfig};
 use fpfa_obs::Snapshot;
@@ -126,8 +127,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 )?);
             }
             "--cache-dir" => options.cache_dir = Some(value_of("--cache-dir")?),
-            "--tiles" => options.tiles = parse_positive(&value_of("--tiles")?, "--tiles")?,
-            "--pps" => options.pps = parse_positive(&value_of("--pps")?, "--pps")?,
+            "--tiles" => {
+                options.tiles = parse_bounded(&value_of("--tiles")?, "--tiles", MAX_TILES)?
+            }
+            "--pps" => options.pps = parse_bounded(&value_of("--pps")?, "--pps", MAX_PPS)?,
             "--metrics-file" => options.metrics_file = Some(value_of("--metrics-file")?),
             "--metrics-interval-ms" => {
                 options.metrics_interval_ms =
@@ -169,6 +172,16 @@ fn parse_positive(value: &str, flag: &str) -> Result<usize, String> {
         .map_err(|_| format!("{flag} needs a number"))?;
     if parsed == 0 {
         return Err(format!("{flag} needs at least 1"));
+    }
+    Ok(parsed)
+}
+
+/// A positive value no larger than `max`, the bound a request's knob is
+/// held to: a zero knob inherits this default, so it obeys the same bound.
+fn parse_bounded(value: &str, flag: &str, max: u32) -> Result<usize, String> {
+    let parsed = parse_positive(value, flag)?;
+    if parsed > max as usize {
+        return Err(format!("{flag} {parsed} exceeds the {max} limit"));
     }
     Ok(parsed)
 }
@@ -334,19 +347,15 @@ fn main() -> ExitCode {
 /// Prints the drain report from the final registry snapshot.
 fn drain_report(snapshot: &Snapshot, persist: bool) -> Result<(), String> {
     let counter = |name| count(snapshot, name, &[]);
-    let verify_map = count(snapshot, "serve.verify_failures", &[("verb", "map")])?;
-    let verify_batch = count(snapshot, "serve.verify_failures", &[("verb", "batch")])?;
     println!(
         "fpfa-serve: drained and stopped; {} connection(s), {} request(s) accepted, \
-         {} served ok, {} map failure(s), {} verify failure(s) (map/batch {}/{}), \
+         {} served ok, {} map failure(s), {} verify failure(s), \
          {} overloaded, {} deadline-expired",
         counter("serve.connections")?,
         counter("serve.accepted")?,
         count(snapshot, "serve.served", &[("outcome", "ok")])?,
         count(snapshot, "serve.served", &[("outcome", "err")])?,
-        verify_map + verify_batch,
-        verify_map,
-        verify_batch,
+        count(snapshot, "serve.verify_failures", &[("verb", "map")])?,
         count(snapshot, "serve.rejected", &[("reason", "overload")])?,
         count(snapshot, "serve.rejected", &[("reason", "deadline")])?,
     );

@@ -396,3 +396,93 @@ fn daemon_writes_metrics_flight_and_slow_request_logs() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `Threads:` count of a live process, read from `/proc/<pid>/status`.
+#[cfg(target_os = "linux")]
+fn thread_count(status: &std::path::Path) -> u64 {
+    let text = std::fs::read_to_string(status).expect("readable /proc status");
+    text.lines()
+        .find_map(|line| line.strip_prefix("Threads:"))
+        .and_then(|count| count.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no Threads: line in:\n{text}"))
+}
+
+/// A distinct cold 4-tile kernel per index: a small 2D convolution whose
+/// added constant keeps every source a cache miss.
+#[cfg(target_os = "linux")]
+fn cold_conv(index: usize) -> String {
+    fpfa::workloads::conv2d_3x3(8, 8)
+        .source
+        .replace("acc = acc +", &format!("acc = acc + {} +", index + 1))
+}
+
+/// Many kernels travel as pipelined `map` requests, and the daemon maps
+/// them on the threads it starts with: a `--workers 1 --shards 1` daemon
+/// serves eight cold 4-tile kernels in flight at once without starting a
+/// single thread.  A sampler polls the thread count every millisecond; a
+/// missed sample can only hide a thread, never add one, so the check does
+/// not fail spuriously.
+#[cfg(target_os = "linux")]
+#[test]
+fn daemon_maps_pipelined_kernels_on_the_threads_it_starts_with() {
+    use fpfa::server::{Client, KernelSource, MapKnobs, Request, Response};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    // No default deadline: eight kernels queue behind one worker.
+    let (mut daemon, addr, _) =
+        spawn_daemon(&["--workers", "1", "--shards", "1", "--deadline-ms", "0"]);
+    let knobs = MapKnobs {
+        tiles: 4,
+        ..MapKnobs::default()
+    };
+    let mut client = Client::connect(&addr).expect("connect to daemon");
+    // One cold map first, so every thread the daemon starts exists.
+    client
+        .map("warm-up", &cold_conv(0), knobs)
+        .expect("warm-up map");
+    let status = std::path::PathBuf::from(format!("/proc/{}/status", daemon.id()));
+    let idle = thread_count(&status);
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let sampler = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut peak = 0;
+            while !stop.load(Ordering::SeqCst) {
+                peak = peak.max(thread_count(&status));
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            peak.max(thread_count(&status))
+        })
+    };
+    let tickets: Vec<_> = (1..=8)
+        .map(|index| {
+            let kernel = KernelSource::new(format!("conv-{index}"), cold_conv(index));
+            client
+                .submit(&Request::Map { kernel, knobs })
+                .expect("submit")
+        })
+        .collect();
+    let answers: Vec<Response> = tickets
+        .into_iter()
+        .map(|ticket| client.wait(ticket).expect("an answer"))
+        .collect();
+    stop.store(true, Ordering::SeqCst);
+    let peak = sampler.join().expect("sampler thread");
+
+    for answer in &answers {
+        assert!(
+            matches!(answer, Response::Mapped(summary) if summary.tiles == 4),
+            "expected a 4-tile mapping, got {answer:?}"
+        );
+    }
+    assert_eq!(
+        peak, idle,
+        "the daemon started threads while mapping ({idle} idle, {peak} at peak)"
+    );
+    client.shutdown().expect("shutdown verb");
+    drop(client);
+    let tail = drain_daemon(&mut daemon);
+    assert!(tail.contains("drained and stopped"), "{tail}");
+}
