@@ -1,7 +1,8 @@
-//! Experiment harness for the FPFA mapping reproduction.
+//! Reproduction binaries for the paper's tables and figures.
 //!
-//! The interesting code lives in the `benches/` Criterion targets and the
-//! `src/bin/` experiment binaries; this library only hosts small shared
-//! helpers.
+//! The `src/bin/` binaries print the numbers behind the paper's tables
+//! (`table*`), figures (`fig*`) and ablations (`ablation_*`); this library
+//! only hosts the table printer they share.  Timing lives in one harness,
+//! `perfbench/`, outside the workspace.
 
 pub mod table;

@@ -104,7 +104,20 @@
 //! truncating the file back to its valid length, so later records land
 //! where the index says.  A compaction that fails deletes its partial file
 //! and leaves the old files authoritative.  Nothing is synced to disk: this
-//! is a cache, and the scan's checksums discard whatever a crash tears.
+//! is a cache, so a record a crash loses is only mapped again, and the
+//! scan's checksums discard whatever a crash tears.
+//!
+//! # One writer per directory
+//!
+//! A tier indexes records at offsets its own appends computed, so two tiers
+//! on one directory would index each other's records wrongly.
+//! [`DiskTier::open`] takes an exclusive advisory lock on the directory's
+//! `LOCK` file for the tier's life, as LevelDB does; a second open fails
+//! with [`io::ErrorKind::WouldBlock`].  The lock is held on the open file,
+//! so a stale or copied `LOCK` file locks nothing.  Scans, [`clear`] and
+//! compaction leave the file alone.
+//!
+//! [`clear`]: DiskTier::clear
 
 use crate::cache::{MappingKey, PostTransformArtifacts, PostTransformKey};
 use crate::codec;
@@ -119,6 +132,8 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Magic prefix of every segment file.
 const SEGMENT_MAGIC: &[u8; 8] = b"FPFASEG2";
+/// The file whose advisory lock the open tier holds.
+const LOCK_FILE: &str = "LOCK";
 /// Record tag: the summary of a full mapping.
 const TAG_MAPPING: u8 = 1;
 /// Record tag: post-transform artifacts.
@@ -481,6 +496,9 @@ impl TierInner {
 #[derive(Debug)]
 pub struct DiskTier {
     dir: PathBuf,
+    /// The open `LOCK` file, whose advisory lock this tier holds until it
+    /// is dropped.
+    _lock: File,
     inner: Mutex<TierInner>,
     summaries: Mutex<SummaryMap>,
     counters: PersistCounters,
@@ -495,11 +513,31 @@ impl DiskTier {
     /// post-transform load or store scans them.
     ///
     /// # Errors
-    /// Only on I/O errors creating or listing the directory or creating a
-    /// fresh segment — corrupt segment *contents* never fail the open.
+    /// An [`io::ErrorKind::WouldBlock`] error naming the directory when
+    /// another tier holds it (see the module docs), and I/O errors creating
+    /// or listing the directory, its lock file or a fresh segment —
+    /// corrupt segment *contents* never fail the open.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskTier> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
+        let lock = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK_FILE))?;
+        match lock.try_lock() {
+            Ok(()) => {}
+            Err(fs::TryLockError::WouldBlock) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::WouldBlock,
+                    format!(
+                        "cache directory {} is already open in another cache tier",
+                        dir.display()
+                    ),
+                ))
+            }
+            Err(fs::TryLockError::Error(e)) => return Err(e),
+        }
         let (mut seg_ids, mut post_ids) = (Vec::new(), Vec::new());
         for entry in fs::read_dir(&dir)? {
             let name = entry?.file_name();
@@ -534,6 +572,7 @@ impl DiskTier {
             .store(inner.index.len() as u64, Ordering::Relaxed);
         Ok(DiskTier {
             dir,
+            _lock: lock,
             inner: Mutex::new(inner),
             summaries: Mutex::new(summaries),
             counters,
@@ -1189,6 +1228,50 @@ mod tests {
     }
 
     #[test]
+    fn a_directory_has_one_tier_at_a_time() {
+        // Two tiers appending to one directory index records at offsets
+        // their own appends computed: without the lock, a second tier read
+        // back none of its own records.
+        let dir = temp_dir("one-writer");
+        let records = three_post_records();
+        let first = DiskTier::open(&dir).unwrap();
+        let refused = DiskTier::open(&dir).unwrap_err();
+        assert_eq!(refused.kind(), io::ErrorKind::WouldBlock);
+        assert!(
+            refused.to_string().contains(&dir.display().to_string()),
+            "{refused}"
+        );
+        for (key, artifacts) in &records {
+            first.store_post_transform(key, artifacts);
+        }
+        drop(first);
+
+        let reopened = DiskTier::open(&dir).unwrap();
+        for (key, _) in &records {
+            assert!(reopened.load_post_transform(key).is_some());
+        }
+        assert_eq!(reopened.stats().corrupt_skipped, 0);
+
+        // The lock is held on the open file, not by the file's existence: a
+        // copy of the directory, lock file included, opens while the
+        // original is held, and serves the same records.
+        let copy = temp_dir("one-writer-copy");
+        fs::create_dir_all(&copy).unwrap();
+        for entry in fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        assert!(copy.join(LOCK_FILE).is_file());
+        let copied = DiskTier::open(&copy).unwrap();
+        for (key, _) in &records {
+            assert!(copied.load_post_transform(key).is_some());
+        }
+        drop((reopened, copied));
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&copy);
+    }
+
+    #[test]
     fn tailed_summary_records_compact_to_their_summaries() {
         // A segment as earlier versions wrote it: every full-mapping record
         // carries an encoded mapping after its summary.  Those tails are
@@ -1224,8 +1307,10 @@ mod tests {
         assert_eq!(tier.stats().compactions, 1);
         assert_eq!(tier.lock().seg.dead_bytes, 0);
 
-        // One segment is left, and it holds summary-sized records only.
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        // One segment is left beside the lock file, and it holds
+        // summary-sized records only.
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
+        assert!(dir.join(LOCK_FILE).is_file());
         let bytes = fs::read(segment_path(&dir, Kind::Seg, tier.lock().seg.active)).unwrap();
         let mut at = SEGMENT_MAGIC.len();
         let mut records = 0;

@@ -88,6 +88,14 @@ pub enum FrontendError {
         /// Where it is declared.
         span: Span,
     },
+    /// The source nests deeper than the parser's limit
+    /// ([`MAX_DEPTH`](crate::parser::MAX_DEPTH)).
+    TooDeep {
+        /// The nesting limit.
+        limit: usize,
+        /// Where the first level past the limit opens.
+        span: Span,
+    },
     /// The translation unit does not define `main`.
     MissingMain,
     /// Internal graph-construction failure (should not happen for accepted
@@ -112,7 +120,8 @@ impl FrontendError {
             | FrontendError::UseBeforeAssignment { span, .. }
             | FrontendError::Unsupported { span, .. }
             | FrontendError::BadArraySize { span, .. }
-            | FrontendError::AddressSpaceExhausted { span, .. } => Some(*span),
+            | FrontendError::AddressSpaceExhausted { span, .. }
+            | FrontendError::TooDeep { span, .. } => Some(*span),
             FrontendError::MissingMain | FrontendError::Graph(_) => None,
         }
     }
@@ -189,6 +198,9 @@ impl fmt::Display for FrontendError {
                     f,
                     "{span}: array `{name}` does not fit in the statespace address range"
                 )
+            }
+            FrontendError::TooDeep { limit, span } => {
+                write!(f, "{span}: nesting deeper than {limit} levels")
             }
             FrontendError::MissingMain => write!(f, "translation unit does not define `main`"),
             FrontendError::Graph(e) => write!(f, "graph construction failed: {e}"),

@@ -1,22 +1,38 @@
 //! Recursive-descent parser for the C subset.
+//!
+//! Every stage recurses once per level of nesting, so one count bounds it:
+//! statement bodies, parentheses, index brackets and unary and binary
+//! operators each open a level (a flat sum's left-deep tree, one per `+`).
 
 use crate::ast::{AstBinOp, Expr, Function, LValue, Stmt, TranslationUnit};
 use crate::error::FrontendError;
 use crate::token::{Span, Token, TokenKind};
 use fpfa_cdfg::{BinOp, UnOp};
 
+/// The deepest nesting the parser accepts: every stage of the flow fits a
+/// 2 MiB thread stack at this depth, with room to spare.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a token stream into a translation unit.
 ///
 /// # Errors
 /// Returns [`FrontendError::UnexpectedToken`] (or another frontend error) on
-/// the first syntax problem.
+/// the first syntax problem, and [`FrontendError::TooDeep`] when the
+/// nesting exceeds [`MAX_DEPTH`].
 pub fn parse(tokens: &[Token]) -> Result<TranslationUnit, FrontendError> {
-    Parser { tokens, pos: 0 }.translation_unit()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    }
+    .translation_unit()
 }
 
 struct Parser<'t> {
     tokens: &'t [Token],
     pos: usize,
+    /// Nesting levels open at the current token.
+    depth: usize,
 }
 
 impl<'t> Parser<'t> {
@@ -65,6 +81,18 @@ impl<'t> Parser<'t> {
         }
     }
 
+    /// Opens one more level of nesting at the current token.
+    fn descend(&mut self) -> Result<(), FrontendError> {
+        if self.depth == MAX_DEPTH {
+            return Err(FrontendError::TooDeep {
+                limit: MAX_DEPTH,
+                span: self.span(),
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn ident(&mut self, what: &str) -> Result<(String, Span), FrontendError> {
         let span = self.span();
         match self.peek_kind().clone() {
@@ -109,6 +137,7 @@ impl<'t> Parser<'t> {
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, FrontendError> {
+        self.descend()?;
         self.expect(TokenKind::LBrace, "`{`")?;
         let mut stmts = Vec::new();
         while self.peek_kind() != &TokenKind::RBrace {
@@ -118,6 +147,7 @@ impl<'t> Parser<'t> {
             stmts.push(self.statement()?);
         }
         self.expect(TokenKind::RBrace, "`}`")?;
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -318,7 +348,10 @@ impl<'t> Parser<'t> {
         if self.peek_kind() == &TokenKind::LBrace {
             self.block()
         } else {
-            Ok(vec![self.statement()?])
+            self.descend()?;
+            let stmt = self.statement()?;
+            self.depth -= 1;
+            Ok(vec![stmt])
         }
     }
 
@@ -331,15 +364,15 @@ impl<'t> Parser<'t> {
     }
 
     fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, FrontendError> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
-        loop {
-            let Some((op, prec)) = binary_op(self.peek_kind()) else {
-                return Ok(lhs);
-            };
+        while let Some((op, prec)) = binary_op(self.peek_kind()) {
             if prec < min_prec {
-                return Ok(lhs);
+                break;
             }
             let span = self.span();
+            // Each operator nests the tree built so far one level deeper.
+            self.descend()?;
             self.bump();
             let rhs = self.binary_expr(prec + 1)?;
             lhs = Expr::Binary {
@@ -349,6 +382,8 @@ impl<'t> Parser<'t> {
                 span,
             };
         }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, FrontendError> {
@@ -360,8 +395,10 @@ impl<'t> Parser<'t> {
             _ => None,
         };
         if let Some(op) = op {
+            self.descend()?;
             self.bump();
             let operand = self.unary_expr()?;
+            self.depth -= 1;
             return Ok(Expr::Unary {
                 op,
                 operand: Box::new(operand),
@@ -379,16 +416,21 @@ impl<'t> Parser<'t> {
                 Ok(Expr::Literal { value, span })
             }
             TokenKind::LParen => {
+                self.descend()?;
                 self.bump();
                 let e = self.expression()?;
                 self.expect(TokenKind::RParen, "`)`")?;
+                self.depth -= 1;
                 Ok(e)
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.eat(&TokenKind::LBracket) {
+                if self.peek_kind() == &TokenKind::LBracket {
+                    self.descend()?;
+                    self.bump();
                     let index = self.expression()?;
                     self.expect(TokenKind::RBracket, "`]`")?;
+                    self.depth -= 1;
                     Ok(Expr::Index {
                         name,
                         index: Box::new(index),

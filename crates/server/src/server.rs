@@ -922,16 +922,7 @@ fn map_summary(
 }
 
 fn simulate(mapping: &MappingResult) -> Result<SimSummary, String> {
-    let mut inputs = fpfa_sim::SimInputs::new();
-    for (phase, sym) in mapping.layout.arrays().iter().enumerate() {
-        inputs.statespace.store_array(
-            sym.base,
-            &fpfa_workloads::test_signal(sym.len, phase as i64),
-        );
-    }
-    for name in &mapping.program.scalar_input_names {
-        inputs.scalars.insert(name.clone(), 1);
-    }
+    let inputs = fpfa_sim::test_inputs(mapping);
     let outcome = fpfa_sim::simulate(mapping, &inputs).map_err(|e| e.to_string())?;
     let checksum = outcome
         .scalars

@@ -8,7 +8,7 @@ use crate::exec::{SimInputs, SimOutcome, Simulator};
 use crate::multi::MultiSimulator;
 use fpfa_core::flow::{FlowContext, Stage};
 use fpfa_core::pipeline::MappingResult;
-use fpfa_core::MapError;
+use fpfa_core::{MapError, TileProgram, ValueRef};
 
 /// Simulates a finished mapping on the whole program it carries: the array
 /// program of a multi-tile mapping (its `program` is only tile 0's slice),
@@ -22,6 +22,42 @@ pub fn simulate(mapping: &MappingResult, inputs: &SimInputs) -> Result<SimOutcom
         Some(multi) => MultiSimulator::new(&multi.program).run(inputs),
         None => Simulator::new(&mapping.program).run(inputs),
     }
+}
+
+/// The inputs `fpfa-map --simulate` and the daemon's `simulate` knob use:
+/// every scalar input is 1, and each statespace word the program pre-loads
+/// holds the [`test_signal`](fpfa_workloads::test_signal) of its array (the
+/// `i`-th declared has phase `i`) at its index.  The simulator reads no
+/// other word, so none is stored: the cost follows the mapped program.
+pub fn test_inputs(mapping: &MappingResult) -> SimInputs {
+    let mut inputs = SimInputs::new();
+    let tiles: &[TileProgram] = match &mapping.multi {
+        Some(multi) => &multi.program.tiles,
+        None => std::slice::from_ref(&mapping.program),
+    };
+    // The frontend places arrays in declaration order at rising bases.
+    let arrays = mapping.layout.arrays();
+    for (value, _) in tiles.iter().flat_map(|tile| &tile.preload) {
+        let ValueRef::MemWord(addr) = *value else {
+            continue;
+        };
+        let Some(phase) = arrays
+            .partition_point(|sym| sym.base <= addr)
+            .checked_sub(1)
+        else {
+            continue;
+        };
+        let index = (addr - arrays[phase].base) as usize;
+        if index < arrays[phase].len {
+            inputs
+                .statespace
+                .store(addr, fpfa_workloads::test_signal_at(index, phase as i64));
+        }
+    }
+    for name in &mapping.program.scalar_input_names {
+        inputs.scalars.insert(name.clone(), 1);
+    }
+    inputs
 }
 
 /// A finished mapping together with its simulated execution.

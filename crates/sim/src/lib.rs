@@ -49,6 +49,6 @@ pub mod trace;
 pub use equivalence::{check_against_cdfg, check_multi_against_cdfg, EquivalenceReport};
 pub use error::SimError;
 pub use exec::{SimInputs, SimOutcome, Simulator};
-pub use flow::{simulate, SimulateStage, SimulatedMapping};
+pub use flow::{simulate, test_inputs, SimulateStage, SimulatedMapping};
 pub use multi::MultiSimulator;
 pub use trace::{CycleTrace, Trace};

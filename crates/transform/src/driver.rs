@@ -24,7 +24,7 @@
 //!
 //! The driver records per-round instrumentation ([`RoundStats`]): how many
 //! nodes were visited versus how many the graph holds, making the engine's
-//! output-sensitivity observable in `--timings` output and benches.
+//! output-sensitivity observable in `--timings` output and work counts.
 
 use crate::error::TransformError;
 use crate::pass::TransformReport;

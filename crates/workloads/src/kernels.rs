@@ -45,12 +45,17 @@ impl fmt::Display for Kernel {
 /// Deterministic pseudo-data: small signed values without randomness so every
 /// run of every experiment sees identical inputs.  Exported because every
 /// tool that simulates a mapped kernel (`fpfa-map --simulate`, the serving
-/// daemon's `simulate` knob, the benches) must fill arrays with the *same*
-/// signal, or their outputs and checksums silently diverge.
+/// daemon's `simulate` knob) must fill arrays with the *same* signal, or
+/// their outputs and checksums silently diverge; `fpfa_sim::test_inputs`
+/// builds it for them.
 pub fn test_signal(len: usize, phase: i64) -> Vec<i64> {
-    (0..len as i64)
-        .map(|i| ((i * 7 + phase * 3) % 13) - 6)
-        .collect()
+    (0..len).map(|i| test_signal_at(i, phase)).collect()
+}
+
+/// Element `index` of [`test_signal`]`(len, phase)`, for any `len` above
+/// `index`, without building the rest of the signal.
+pub fn test_signal_at(index: usize, phase: i64) -> i64 {
+    ((index as i64 * 7 + phase * 3) % 13) - 6
 }
 
 /// The paper's FIR example (Section V), parameterised by the number of taps.

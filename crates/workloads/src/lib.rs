@@ -30,5 +30,5 @@ pub mod kernels;
 pub use kernels::{
     conv2d_3x3, dct4, dot_product, fft_butterfly_stage, fir, horner, iir_biquad, matmul,
     moving_average, multi_tile_registry, power_sum, registry, straight_line_kernel, test_signal,
-    vector_scale_add, Kernel,
+    test_signal_at, vector_scale_add, Kernel,
 };

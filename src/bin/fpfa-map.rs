@@ -43,7 +43,8 @@
 use fpfa::arch::{EnergyModel, TileConfig};
 use fpfa::core::pipeline::Mapper;
 use fpfa::core::{viz, KernelSpec, MappingResult, MappingService};
-use fpfa::sim::{simulate, SimInputs, SimOutcome};
+use fpfa::sim::{simulate, test_inputs, SimOutcome};
+use fpfa_obs::json::escape_into;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -270,24 +271,14 @@ fn print_diagnostics(name: &str, source: &str, report: &fpfa::verify::VerifyRepo
     }
 }
 
-/// Kernel names come from the command line, so they may hold anything —
-/// escape the two characters JSON string syntax cares about.
-fn json_escape_name(name: &str) -> String {
-    name.chars()
-        .flat_map(|c| match c {
-            '"' | '\\' => vec!['\\', c],
-            c => vec![c],
-        })
-        .collect()
-}
-
-/// One `{"kernel":..,"diagnostics":[..]}` object of the `--diag-json` array.
-fn diag_json_entry(name: &str, report: &fpfa::verify::VerifyReport) -> String {
-    format!(
-        "{{\"kernel\":\"{}\",\"diagnostics\":{}}}",
-        json_escape_name(name),
-        report.to_json()
-    )
+/// One `{"kernel":..,"<field>":<json>}` object of a JSON array the CLI
+/// prints (`--diag-json`, `--timings-json`).  Kernel names come from the
+/// command line, so they may hold anything.
+fn kernel_json(name: &str, field: &str, json: &str) -> String {
+    let mut out = String::from("{\"kernel\":");
+    escape_into(&mut out, name);
+    out.push_str(&format!(",\"{field}\":{json}}}"));
+    out
 }
 
 /// `--batch`: maps every given kernel (or the built-in workload registry)
@@ -337,11 +328,7 @@ fn run_batch(options: &Options) -> Result<(), String> {
             .iter()
             .filter_map(|entry| {
                 entry.outcome.as_ref().ok().map(|mapping| {
-                    format!(
-                        "{{\"kernel\":\"{}\",\"timings\":{}}}",
-                        json_escape_name(&entry.name),
-                        mapping.trace.timings_json()
-                    )
+                    kernel_json(&entry.name, "timings", &mapping.trace.timings_json())
                 })
             })
             .collect();
@@ -373,7 +360,7 @@ fn run_batch(options: &Options) -> Result<(), String> {
             print_diagnostics(&entry.name, &spec.source, &diags);
             verify_denies += diags.deny_count();
             if options.diag_json {
-                json_entries.push(diag_json_entry(&entry.name, &diags));
+                json_entries.push(kernel_json(&entry.name, "diagnostics", &diags.to_json()));
             }
         }
         if options.diag_json {
@@ -413,7 +400,7 @@ fn run(options: &Options) -> Result<(), String> {
         if !diags.is_clean() {
             print_diagnostics(path, &source, &diags);
             if options.diag_json {
-                println!("[{}]", diag_json_entry(path, &diags));
+                println!("[{}]", kernel_json(path, "diagnostics", &diags.to_json()));
             }
             return Err(format!(
                 "verification failed with {} error(s) in {path}",
@@ -465,7 +452,7 @@ fn run(options: &Options) -> Result<(), String> {
         diags.merge(verifier.verify(&mapping));
         print_diagnostics(path, &source, &diags);
         if options.diag_json {
-            println!("[{}]", diag_json_entry(path, &diags));
+            println!("[{}]", kernel_json(path, "diagnostics", &diags.to_json()));
         }
         if !diags.is_clean() {
             return Err(format!(
@@ -568,17 +555,7 @@ fn print_multi_summary(multi: &fpfa::core::MultiTileMapping) {
 /// Runs the mapped program (single- or multi-tile) on the deterministic test
 /// signal the benchmark suite uses.
 fn simulate_with_test_data(mapping: &MappingResult) -> Result<SimOutcome, String> {
-    let mut inputs = SimInputs::new();
-    for (phase, sym) in mapping.layout.arrays().iter().enumerate() {
-        inputs.statespace.store_array(
-            sym.base,
-            &fpfa::workloads::test_signal(sym.len, phase as i64),
-        );
-    }
-    for name in &mapping.program.scalar_input_names {
-        inputs.scalars.insert(name.clone(), 1);
-    }
-    simulate(mapping, &inputs).map_err(|e| e.to_string())
+    simulate(mapping, &test_inputs(mapping)).map_err(|e| e.to_string())
 }
 
 fn main() -> ExitCode {

@@ -310,3 +310,33 @@ fn batch_repeat_reports_cache_stats_per_pass() {
     // Per-kernel timing sections name the cache outcome of the final pass.
     assert!(stdout.contains("(mapping hit)"), "{stdout}");
 }
+
+/// `--diag-json` prints one JSON array on a line of its own, and a kernel
+/// path holding a control character is escaped, not written raw.
+#[cfg(unix)]
+#[test]
+fn diag_json_escapes_control_characters_in_kernel_names() {
+    let dir = std::env::temp_dir().join("fpfa-map-test-diag-json");
+    std::fs::create_dir_all(&dir).unwrap();
+    let kernel = dir.join("a\tb.c");
+    std::fs::copy(write_kernel(&dir), &kernel).unwrap();
+    let output = binary()
+        .arg(&kernel)
+        .args(["--verify", "--diag-json"])
+        .output()
+        .expect("binary runs");
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let line = stdout
+        .lines()
+        .find(|line| line.starts_with('['))
+        .unwrap_or_else(|| panic!("no JSON line in:\n{stdout}"));
+    let doc = fpfa_obs::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+    let entries = doc.as_array().expect("a JSON array");
+    let entry = entries[0].as_object().expect("an object per kernel");
+    assert_eq!(
+        entry["kernel"].as_str(),
+        Some(kernel.to_str().expect("a UTF-8 path"))
+    );
+    assert!(entry["diagnostics"].as_array().is_some(), "{line}");
+}

@@ -486,3 +486,36 @@ fn daemon_maps_pipelined_kernels_on_the_threads_it_starts_with() {
     let tail = drain_daemon(&mut daemon);
     assert!(tail.contains("drained and stopped"), "{tail}");
 }
+
+/// A 6 KB kernel nested 3,000 parentheses deep once overflowed a worker's
+/// 2 MiB stack, which aborts the whole daemon and drops every connection.
+/// The frontend refuses it at the syntax-depth limit, so the daemon answers
+/// `MapFailed` and maps the next kernel on the same connection.
+#[test]
+fn daemon_answers_a_too_deep_kernel_and_keeps_mapping() {
+    use fpfa::server::{Client, ClientError, MapKnobs, WireError};
+
+    let (mut daemon, addr, _) = spawn_daemon(&["--workers", "1"]);
+    let mut client = Client::connect(&addr).expect("connect to daemon");
+    let deep = format!(
+        "void main() {{ int x; x = {}1{}; }}",
+        "(".repeat(3_000),
+        ")".repeat(3_000)
+    );
+    match client.map("deep", &deep, MapKnobs::default()) {
+        Err(ClientError::Server(WireError::MapFailed { name, error })) => {
+            assert_eq!(name, "deep");
+            assert!(error.contains("nesting deeper than 256 levels"), "{error}");
+        }
+        other => panic!("expected a typed MapFailed, got {other:?}"),
+    }
+    let kernel = &fpfa::workloads::registry()[0];
+    let summary = client
+        .map(&kernel.name, &kernel.source, MapKnobs::default())
+        .expect("the same connection still maps");
+    assert!(summary.operations > 0);
+    client.shutdown().expect("shutdown verb");
+    drop(client);
+    let tail = drain_daemon(&mut daemon);
+    assert!(tail.contains("drained and stopped"), "{tail}");
+}
