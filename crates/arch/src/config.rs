@@ -142,6 +142,23 @@ impl TileConfig {
                 "the ALU must execute at least one operation with one input".into(),
             ));
         }
+        // `MemRef` and `RegRef` store indices in the narrowest integers these
+        // bounds allow; one past the last index must fit too.
+        for (what, count, max) in [
+            ("PPs", self.num_pps, usize::from(u8::MAX)),
+            (
+                "registers per bank",
+                self.regs_per_bank,
+                usize::from(u8::MAX),
+            ),
+            ("words per memory", self.mem_words, usize::from(u16::MAX)),
+        ] {
+            if count > max {
+                return Err(ArchError::InvalidConfig(format!(
+                    "{count} {what} exceed the model's limit of {max}"
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -199,6 +216,27 @@ mod tests {
             .with_crossbar_buses(0)
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn configurations_past_the_reference_widths_are_refused() {
+        let widest = TileConfig::paper()
+            .with_num_pps(255)
+            .with_register_files(4, 255)
+            .with_memories(2, 65_535);
+        assert_eq!(widest.validate(), Ok(()));
+        for (config, what) in [
+            (widest.with_num_pps(256), "256 PPs"),
+            (widest.with_register_files(4, 256), "256 registers per bank"),
+            (widest.with_memories(2, 65_536), "65536 words per memory"),
+        ] {
+            match config.validate() {
+                Err(ArchError::InvalidConfig(reason)) => {
+                    assert!(reason.contains(what), "{reason}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -48,20 +48,40 @@ impl fmt::Display for MemId {
 }
 
 /// Reference to one word of one local memory of one PP.
+///
+/// Four bytes: [`TileConfig::validate`](crate::TileConfig::validate) bounds
+/// the PP count by [`u8::MAX`] and the memory size by [`u16::MAX`] words, so
+/// every word of a valid tile, and the index one past either end, fits.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct MemRef {
     /// Processing part owning the memory.
-    pub pp: usize,
+    pub pp: u8,
     /// Which of the two local memories.
     pub mem: MemId,
     /// Word offset inside the memory.
-    pub offset: usize,
+    pub offset: u16,
 }
+
+const _: () = assert!(std::mem::size_of::<MemRef>() <= 8);
 
 impl MemRef {
     /// Creates a memory reference.
+    ///
+    /// # Panics
+    /// Panics when `pp` or `offset` exceeds the bounds
+    /// [`TileConfig::validate`](crate::TileConfig::validate) enforces; a
+    /// reference into a validated tile never does.
     pub fn new(pp: usize, mem: MemId, offset: usize) -> Self {
-        MemRef { pp, mem, offset }
+        MemRef {
+            pp: u8::try_from(pp).expect("PP index within the validated tile"),
+            mem,
+            offset: u16::try_from(offset).expect("memory offset within the validated tile"),
+        }
+    }
+
+    /// The processing part as an index.
+    pub fn pp_index(self) -> usize {
+        usize::from(self.pp)
     }
 }
 

@@ -64,20 +64,39 @@ impl fmt::Display for RegBankName {
 }
 
 /// Reference to one register of one bank of one PP.
+///
+/// Three bytes: [`TileConfig::validate`](crate::TileConfig::validate) bounds
+/// the PP count and the registers per bank by [`u8::MAX`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RegRef {
     /// Processing part owning the register.
-    pub pp: usize,
+    pub pp: u8,
     /// Register bank within the PP.
     pub bank: RegBankName,
     /// Register index within the bank.
-    pub index: usize,
+    pub index: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<RegRef>() <= 8);
 
 impl RegRef {
     /// Creates a register reference.
+    ///
+    /// # Panics
+    /// Panics when `pp` or `index` exceeds the bounds
+    /// [`TileConfig::validate`](crate::TileConfig::validate) enforces; a
+    /// reference into a validated tile never does.
     pub fn new(pp: usize, bank: RegBankName, index: usize) -> Self {
-        RegRef { pp, bank, index }
+        RegRef {
+            pp: u8::try_from(pp).expect("PP index within the validated tile"),
+            bank,
+            index: u8::try_from(index).expect("register index within the validated tile"),
+        }
+    }
+
+    /// The processing part as an index.
+    pub fn pp_index(self) -> usize {
+        usize::from(self.pp)
     }
 }
 

@@ -48,7 +48,7 @@ fn main() {
     let i_out = mapping
         .scalar_outputs
         .iter()
-        .find(|(name, _)| name == "i")
+        .find(|(name, _)| *name == "i")
         .expect("i is an output");
     println!(
         "loop counter `i` folded to {:?} (the figure stores the constant 4+1 bound)",

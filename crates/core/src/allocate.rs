@@ -30,12 +30,12 @@
 //! examples call.
 
 use crate::cluster::{ClusterId, ClusteredGraph};
-use crate::dfg::{MappingGraph, OpId, ValueRef};
+use crate::dfg::{MappingGraph, Names, OpId, ValueRef};
 use crate::error::MapError;
 use crate::multi::{MultiSchedule, MultiTileAllocator};
 use crate::partition::TileAssignment;
 use crate::program::{
-    AllocationStats, AluJob, CycleJob, MicroOp, MoveJob, OperandSource, TileProgram, WritebackJob,
+    AllocationStats, AluJob, CycleBuilder, MoveJob, OperandSource, TileProgram, WritebackJob,
 };
 use crate::schedule::Schedule;
 use fpfa_arch::{ArrayConfig, MemId, MemRef, PpId, RegBankName, RegRef, TileConfig};
@@ -130,7 +130,7 @@ impl LevelAllocator {
             // first-use order.
             let mut externals: Vec<ValueRef> = Vec::new();
             for &op in &cluster.ops {
-                for input in &graph.op(op).inputs {
+                for input in graph.op(op).inputs {
                     match input {
                         ValueRef::Const(_) => {}
                         ValueRef::Op(p) if cluster.ops.contains(p) => {}
@@ -150,13 +150,12 @@ impl LevelAllocator {
             }
 
             // --- Emit the ALU job ----------------------------------------
-            let mut micro_ops = Vec::with_capacity(cluster.ops.len());
+            let mut job = state.jobs.open_alu(pp_u8(pp), cluster_id);
             for &op in &cluster.ops {
                 let mapped = graph.op(op);
-                let operands = mapped
-                    .inputs
-                    .iter()
-                    .map(|input| match input {
+                state.jobs.push_micro_op(&mut job, op, mapped.kind);
+                for input in mapped.inputs {
+                    let operand = match input {
                         ValueRef::Const(c) => OperandSource::Immediate(*c),
                         ValueRef::Op(p) if cluster.ops.contains(p) => {
                             let position = cluster
@@ -167,20 +166,13 @@ impl LevelAllocator {
                             OperandSource::Internal(position)
                         }
                         other => OperandSource::Register(operand_regs[other]),
-                    })
-                    .collect();
-                micro_ops.push(MicroOp {
-                    op,
-                    kind: mapped.kind,
-                    operands,
-                });
+                    };
+                    let pushed = state.jobs.push_operand(operand);
+                    debug_assert!(pushed, "a graph operation has at most three inputs");
+                }
             }
-            state.stats.alu_ops += micro_ops.len();
-            state.cycles[exec].alus.push(AluJob {
-                pp,
-                cluster: cluster_id,
-                micro_ops,
-            });
+            state.stats.alu_ops += job.micro_op_count();
+            state.cycles[exec].alus.push(job);
         }
 
         // Registers reserved for this level become evictable after it.
@@ -222,14 +214,14 @@ impl LevelAllocator {
                 for &candidate in &free {
                     let mut score = 0usize;
                     for &op in &cluster.ops {
-                        for input in &graph.op(op).inputs {
+                        for input in graph.op(op).inputs {
                             if input.is_const() {
                                 continue;
                             }
                             if state.register_holding(candidate, *input).is_some() {
                                 score += 2;
                             } else if let Some(home) = state.home_of(*input) {
-                                if home.pp == candidate {
+                                if home.pp_index() == candidate {
                                     score += 1;
                                 }
                             }
@@ -286,7 +278,7 @@ impl LevelAllocator {
                 if !state.mem_port_free(m, home) {
                     continue;
                 }
-                let crosses = home.pp != pp;
+                let crosses = home.pp_index() != pp;
                 if crosses && !state.bus_free(m) {
                     continue;
                 }
@@ -349,11 +341,11 @@ impl LevelAllocator {
             if cycle >= state.cycles.len() {
                 state.push_cycle();
             }
-            let crosses = dest.pp != pp;
+            let crosses = dest.pp_index() != pp;
             if state.mem_port_free(cycle, dest) && (!crosses || state.bus_free(cycle)) {
                 state.cycles[cycle].writebacks.push(WritebackJob {
                     op,
-                    src_pp: pp,
+                    src_pp: pp_u8(pp),
                     dest,
                     via_crossbar: crosses,
                 });
@@ -379,6 +371,22 @@ impl LevelAllocator {
 /// Cycle index meaning "present before execution starts".
 pub(crate) const PRELOADED: i64 = -1;
 
+/// A processing-part index in the width of the program records.
+fn pp_u8(pp: PpId) -> u8 {
+    u8::try_from(pp).expect("TileConfig::validate bounds the PP count")
+}
+
+/// One cycle of the program under allocation.  Operand staging adds moves
+/// to earlier cycles and write-backs to later ones, and stalls are inserted
+/// between cycles, so the cycles stay growable until
+/// [`AllocState::into_program`] freezes them.
+#[derive(Default)]
+struct StagedCycle {
+    moves: Vec<MoveJob>,
+    alus: Vec<AluJob>,
+    writebacks: Vec<WritebackJob>,
+}
+
 struct CycleUsage {
     mem_access: HashMap<(PpId, MemId), usize>,
     bank_writes: HashMap<(PpId, RegBankName), usize>,
@@ -403,7 +411,10 @@ struct RegSlot {
 
 pub(crate) struct AllocState {
     config: TileConfig,
-    pub(crate) cycles: Vec<CycleJob>,
+    cycles: Vec<StagedCycle>,
+    /// The program's flat arrays: the micro-operations of every ALU job
+    /// staged so far, and at the freeze all the cycles.
+    jobs: CycleBuilder,
     usage: Vec<CycleUsage>,
     regs: HashMap<RegRef, RegSlot>,
     value_home: HashMap<ValueRef, MemRef>,
@@ -419,6 +430,7 @@ impl AllocState {
         AllocState {
             config,
             cycles: Vec::new(),
+            jobs: CycleBuilder::default(),
             usage: Vec::new(),
             regs: HashMap::new(),
             value_home: HashMap::new(),
@@ -431,13 +443,13 @@ impl AllocState {
     }
 
     fn push_cycle(&mut self) -> usize {
-        self.cycles.push(CycleJob::default());
+        self.cycles.push(StagedCycle::default());
         self.usage.push(CycleUsage::new());
         self.cycles.len() - 1
     }
 
     fn insert_stall(&mut self, at: usize) {
-        self.cycles.insert(at, CycleJob::default());
+        self.cycles.insert(at, StagedCycle::default());
         self.usage.insert(at, CycleUsage::new());
         self.stats.stall_cycles += 1;
     }
@@ -468,11 +480,39 @@ impl AllocState {
         self.cycles.len()
     }
 
+    /// Freezes the staged cycles and the pre-load image into a tile program
+    /// with no output tables: the allocator's one freeze step.
+    pub(crate) fn into_program(
+        self,
+        scalar_input_names: Names,
+        stats: AllocationStats,
+    ) -> TileProgram {
+        let mut jobs = self.jobs;
+        for cycle in self.cycles {
+            jobs.moves.extend(cycle.moves);
+            jobs.alus.extend(cycle.alus);
+            jobs.writebacks.extend(cycle.writebacks);
+            jobs.end_cycle();
+        }
+        let mut preload = self.preload;
+        preload.shrink_to_fit();
+        TileProgram {
+            config: self.config,
+            jobs: jobs.finish(),
+            preload,
+            scalar_input_names,
+            scalar_outputs: Default::default(),
+            statespace_map: Vec::new(),
+            written_addresses: Vec::new(),
+            stats,
+        }
+    }
+
     /// A register of `pp` currently holding `value`, if any.
     fn register_holding(&self, pp: PpId, value: ValueRef) -> Option<RegRef> {
         self.regs
             .iter()
-            .find(|(reg, slot)| reg.pp == pp && slot.value == value)
+            .find(|(reg, slot)| reg.pp_index() == pp && slot.value == value)
             .map(|(reg, _)| *reg)
     }
 
@@ -532,7 +572,7 @@ impl AllocState {
     fn mem_port_free(&self, cycle: usize, mem: MemRef) -> bool {
         let used = self.usage[cycle]
             .mem_access
-            .get(&(mem.pp, mem.mem))
+            .get(&(mem.pp_index(), mem.mem))
             .copied()
             .unwrap_or(0);
         used < self.config.mem_ports
@@ -541,7 +581,7 @@ impl AllocState {
     fn use_mem_port(&mut self, cycle: usize, mem: MemRef) {
         *self.usage[cycle]
             .mem_access
-            .entry((mem.pp, mem.mem))
+            .entry((mem.pp_index(), mem.mem))
             .or_insert(0) += 1;
     }
 
@@ -556,7 +596,7 @@ impl AllocState {
     fn use_bank_port(&mut self, cycle: usize, reg: RegRef) {
         *self.usage[cycle]
             .bank_writes
-            .entry((reg.pp, reg.bank))
+            .entry((reg.pp_index(), reg.bank))
             .or_insert(0) += 1;
     }
 
@@ -650,12 +690,12 @@ mod tests {
     #[test]
     fn respects_memory_port_limits_per_cycle() {
         let program = mapped(FIR8, TileConfig::paper(), true);
-        for cycle in &program.cycles {
-            let mut per_mem: HashMap<(usize, MemId), usize> = HashMap::new();
-            for mv in &cycle.moves {
+        for cycle in program.cycles() {
+            let mut per_mem: HashMap<(u8, MemId), usize> = HashMap::new();
+            for mv in cycle.moves {
                 *per_mem.entry((mv.src.pp, mv.src.mem)).or_insert(0) += 1;
             }
-            for wb in &cycle.writebacks {
+            for wb in cycle.writebacks {
                 *per_mem.entry((wb.dest.pp, wb.dest.mem)).or_insert(0) += 1;
             }
             for count in per_mem.values() {
@@ -667,7 +707,7 @@ mod tests {
     #[test]
     fn respects_crossbar_width_per_cycle() {
         let program = mapped(FIR8, TileConfig::paper(), true);
-        for cycle in &program.cycles {
+        for cycle in program.cycles() {
             let transfers = cycle.moves.iter().filter(|m| m.via_crossbar).count()
                 + cycle.writebacks.iter().filter(|w| w.via_crossbar).count();
             assert!(transfers <= program.config.crossbar_buses);
@@ -677,8 +717,8 @@ mod tests {
     #[test]
     fn at_most_one_cluster_per_pp_per_cycle() {
         let program = mapped(FIR8, TileConfig::paper(), true);
-        for cycle in &program.cycles {
-            let mut pps: Vec<usize> = cycle.alus.iter().map(|a| a.pp).collect();
+        for cycle in program.cycles() {
+            let mut pps: Vec<u8> = cycle.alus.iter().map(|a| a.pp).collect();
             let before = pps.len();
             pps.sort_unstable();
             pps.dedup();
@@ -693,10 +733,10 @@ mod tests {
         // Every register read by an ALU in cycle c must have been loaded by a
         // move in some cycle < c (or be a register hit from an earlier load).
         let mut loaded: HashMap<RegRef, usize> = HashMap::new();
-        for (c, cycle) in program.cycles.iter().enumerate() {
-            for alu in &cycle.alus {
-                for micro in &alu.micro_ops {
-                    for operand in &micro.operands {
+        for (c, cycle) in program.cycles().enumerate() {
+            for alu in cycle.alus {
+                for micro in cycle.micro_ops(alu) {
+                    for operand in cycle.operands(micro) {
                         if let OperandSource::Register(reg) = operand {
                             let load_cycle = loaded
                                 .get(reg)
@@ -710,7 +750,7 @@ mod tests {
                     }
                 }
             }
-            for mv in &cycle.moves {
+            for mv in cycle.moves {
                 loaded.insert(mv.dst, c);
             }
         }
@@ -719,7 +759,7 @@ mod tests {
     #[test]
     fn single_alu_tile_serialises_but_still_allocates() {
         let program = mapped(FIR8, TileConfig::single_alu(), true);
-        for cycle in &program.cycles {
+        for cycle in program.cycles() {
             assert!(cycle.busy_alus() <= 1);
         }
         let five = mapped(FIR8, TileConfig::paper(), true);
@@ -758,7 +798,7 @@ mod tests {
         let program = mapped(src, TileConfig::paper(), true);
         assert_eq!(program.written_addresses.len(), 4);
         for addr in &program.written_addresses {
-            assert!(program.statespace_map.contains_key(addr));
+            assert!(program.statespace_map.iter().any(|(a, _)| a == addr));
         }
     }
 

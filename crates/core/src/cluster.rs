@@ -84,8 +84,8 @@ pub struct ClusteredGraph {
     /// `succs[i]` = clusters that depend on cluster `i` (cached transpose of
     /// `deps` so that successor queries stay O(out-degree)).
     succs: Vec<Vec<ClusterId>>,
-    /// Cluster that produces each operation.
-    owner: HashMap<OpId, ClusterId>,
+    /// `owner[op]` = cluster that executes operation `op`.
+    owner: Vec<ClusterId>,
 }
 
 impl ClusteredGraph {
@@ -98,11 +98,18 @@ impl ClusteredGraph {
         deps: Vec<Vec<ClusterId>>,
         succs: Vec<Vec<ClusterId>>,
     ) -> Self {
-        let owner = clusters
+        let op_count = clusters
             .iter()
-            .enumerate()
-            .flat_map(|(i, cluster)| cluster.ops.iter().map(move |&op| (op, ClusterId(i as u32))))
-            .collect();
+            .flat_map(|cluster| &cluster.ops)
+            .map(|op| op.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut owner = vec![ClusterId(u32::MAX); op_count];
+        for (i, cluster) in clusters.iter().enumerate() {
+            for op in &cluster.ops {
+                owner[op.index()] = ClusterId(i as u32);
+            }
+        }
         ClusteredGraph {
             clusters,
             deps,
@@ -152,9 +159,7 @@ impl ClusteredGraph {
                 succs[from].push(ClusterId(to as u32));
             }
         }
-        let owner = (0..count)
-            .map(|i| (OpId(i as u32), ClusterId(i as u32)))
-            .collect();
+        let owner = (0..count).map(|i| ClusterId(i as u32)).collect();
         ClusteredGraph {
             clusters,
             deps,
@@ -192,13 +197,16 @@ impl ClusteredGraph {
     }
 
     /// Clusters that depend on `id`.
-    pub fn successors(&self, id: ClusterId) -> Vec<ClusterId> {
-        self.succs[id.index()].clone()
+    pub fn successors(&self, id: ClusterId) -> &[ClusterId] {
+        &self.succs[id.index()]
     }
 
     /// The cluster executing a given operation.
+    ///
+    /// # Panics
+    /// Panics when the operation belongs to no cluster.
     pub fn owner_of(&self, op: OpId) -> ClusterId {
-        self.owner[&op]
+        self.owner[op.index()]
     }
 
     /// Critical-path length of the cluster graph, in clusters (= minimum
@@ -226,7 +234,7 @@ impl ClusteredGraph {
         let mut crossings: HashSet<(ClusterId, ClusterId, OpId)> = HashSet::new();
         for id in graph.op_ids() {
             let consumer_cluster = self.owner_of(id);
-            for input in &graph.op(id).inputs {
+            for input in graph.op(id).inputs {
                 if let ValueRef::Op(producer) = input {
                     let producer_cluster = self.owner_of(*producer);
                     if producer_cluster != consumer_cluster {
@@ -249,7 +257,7 @@ impl ClusteredGraph {
         let mut order = Vec::with_capacity(n);
         while let Some(id) = ready.pop() {
             order.push(id);
-            for succ in self.successors(id) {
+            for &succ in self.successors(id) {
                 in_deg[succ.index()] -= 1;
                 if in_deg[succ.index()] == 0 {
                     ready.push(succ);
@@ -285,7 +293,7 @@ fn shape_of(graph: &MappingGraph, ops: &[OpId]) -> ClusterShape {
             multiplies += 1;
         }
         let mut local_depth = 1;
-        for input in &op.inputs {
+        for input in op.inputs {
             match input {
                 ValueRef::Op(p) if members.contains(p) => {
                     local_depth = local_depth.max(depth.get(p).copied().unwrap_or(1) + 1);
@@ -569,7 +577,7 @@ impl<'g> MergeState<'g> {
                 multiplies += 1;
             }
             let mut local_depth = 1u32;
-            for input in &op.inputs {
+            for input in op.inputs {
                 match input {
                     ValueRef::Op(p)
                         if self.membership[p.index()] == a || self.membership[p.index()] == b =>
@@ -790,7 +798,7 @@ fn build_clustered(graph: &MappingGraph, membership: &[usize]) -> ClusteredGraph
     // Compact the membership labels into dense cluster ids.
     let mut label_to_id: HashMap<usize, ClusterId> = HashMap::new();
     let mut clusters: Vec<Cluster> = Vec::new();
-    let mut owner: HashMap<OpId, ClusterId> = HashMap::new();
+    let mut owner: Vec<ClusterId> = Vec::with_capacity(graph.op_count());
     for id in graph.op_ids() {
         let label = membership[id.index()];
         let cluster_id = *label_to_id.entry(label).or_insert_with(|| {
@@ -798,15 +806,15 @@ fn build_clustered(graph: &MappingGraph, membership: &[usize]) -> ClusteredGraph
             ClusterId((clusters.len() - 1) as u32)
         });
         clusters[cluster_id.index()].ops.push(id);
-        owner.insert(id, cluster_id);
+        owner.push(cluster_id);
     }
     // Dependence edges between clusters.
     let mut deps: Vec<Vec<ClusterId>> = vec![Vec::new(); clusters.len()];
     let mut succs: Vec<Vec<ClusterId>> = vec![Vec::new(); clusters.len()];
     for id in graph.op_ids() {
-        let consumer = owner[&id];
+        let consumer = owner[id.index()];
         for p in graph.producers(id) {
-            let producer = owner[&p];
+            let producer = owner[p.index()];
             if producer != consumer && !deps[consumer.index()].contains(&producer) {
                 deps[consumer.index()].push(producer);
                 succs[producer.index()].push(consumer);

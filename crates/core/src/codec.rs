@@ -28,21 +28,17 @@
 
 use crate::cache::PostTransformArtifacts;
 use crate::cluster::{Cluster, ClusterId, ClusteredGraph};
-use crate::dfg::{MapOp, MappingGraph, MemWrite, OpId, OpKind, ValueRef};
+use crate::dfg::{MappingGraph, MemWrite, Named, OpEntry, OpId, OpKind, ValueRef};
 use crate::multi::{
     InputBroadcast, MultiSchedule, MultiTileMapping, MultiTileProgram, TrafficReport, TransferJob,
 };
 use crate::partition::{CutEdge, TileAssignment};
 use crate::program::{
-    AllocationStats, AluJob, CycleJob, Location, MicroOp, MoveJob, OperandSource, TileProgram,
-    WritebackJob,
+    AllocationStats, CycleBuilder, Location, MoveJob, OperandSource, TileProgram, WritebackJob,
 };
 use crate::schedule::Schedule;
-use fpfa_arch::{
-    AluCapability, ArrayConfig, MemId, MemRef, RegBankName, RegRef, TileConfig, TileId,
-};
+use fpfa_arch::{AluCapability, ArrayConfig, MemId, MemRef, RegBankName, RegRef, TileConfig};
 use fpfa_cdfg::{BinOp, UnOp};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -178,10 +174,33 @@ fn get_len(input: &mut &[u8], min_elem_bytes: usize) -> Result<usize> {
     Ok(len)
 }
 
-fn get_str(input: &mut &[u8]) -> Result<String> {
+fn get_str<'a>(input: &mut &'a [u8]) -> Result<&'a str> {
     let len = get_len(input, 1)?;
-    String::from_utf8(take(input, len)?.to_vec())
-        .map_err(|_| CodecError::Malformed("invalid utf-8"))
+    std::str::from_utf8(take(input, len)?).map_err(|_| CodecError::Malformed("invalid utf-8"))
+}
+
+/// `n` strings, in order (each decoded in place, then packed once).
+fn get_strs<'a>(input: &mut &'a [u8], n: usize) -> Result<Vec<&'a str>> {
+    (0..n).map(|_| get_str(input)).collect()
+}
+
+/// Reads a sorted statespace map: a valid record lists each address once,
+/// in ascending order.
+fn get_statespace<'a, T>(
+    input: &mut &'a [u8],
+    min_entry_bytes: usize,
+    mut entry: impl FnMut(&mut &'a [u8]) -> Result<T>,
+) -> Result<Vec<(i64, T)>> {
+    let n = get_len(input, min_entry_bytes)?;
+    let mut map = Vec::with_capacity(n);
+    for _ in 0..n {
+        let address = get_i64(input)?;
+        if map.last().is_some_and(|&(last, _)| last >= address) {
+            return Err(CodecError::Malformed("statespace map out of order"));
+        }
+        map.push((address, entry(input)?));
+    }
+    Ok(map)
 }
 
 // ---------------------------------------------------------------------------
@@ -250,35 +269,43 @@ fn get_array_config(input: &mut &[u8]) -> Result<ArrayConfig> {
     })
 }
 
+// The in-memory references are narrower than their 8-byte encodings (the
+// format predates the narrowing); a decoded index that does not fit is
+// malformed, never truncated.
+
+fn get_narrow<T: TryFrom<usize>>(input: &mut &[u8], what: &'static str) -> Result<T> {
+    T::try_from(get_usize(input)?).map_err(|_| CodecError::Malformed(what))
+}
+
 fn put_mem_ref(out: &mut Vec<u8>, mem: &MemRef) {
-    put_usize(out, mem.pp);
+    put_usize(out, mem.pp_index());
     put_u8(out, mem.mem.index() as u8);
-    put_usize(out, mem.offset);
+    put_usize(out, usize::from(mem.offset));
 }
 
 fn get_mem_ref(input: &mut &[u8]) -> Result<MemRef> {
-    let pp = get_usize(input)?;
+    let pp = get_narrow(input, "PP index out of range")?;
     let mem = match get_u8(input)? {
         0 => MemId::Mem1,
         1 => MemId::Mem2,
         _ => return Err(CodecError::Malformed("mem id out of range")),
     };
-    let offset = get_usize(input)?;
+    let offset = get_narrow(input, "memory offset out of range")?;
     Ok(MemRef { pp, mem, offset })
 }
 
 fn put_reg_ref(out: &mut Vec<u8>, reg: &RegRef) {
-    put_usize(out, reg.pp);
+    put_usize(out, reg.pp_index());
     put_u8(out, reg.bank.index() as u8);
-    put_usize(out, reg.index);
+    put_usize(out, usize::from(reg.index));
 }
 
 fn get_reg_ref(input: &mut &[u8]) -> Result<RegRef> {
-    let pp = get_usize(input)?;
+    let pp = get_narrow(input, "PP index out of range")?;
     let bank = *RegBankName::ALL
         .get(get_u8(input)? as usize)
         .ok_or(CodecError::Malformed("register bank out of range"))?;
-    let index = get_usize(input)?;
+    let index = get_narrow(input, "register index out of range")?;
     Ok(RegRef { pp, bank, index })
 }
 
@@ -372,7 +399,7 @@ fn get_op_kind(input: &mut &[u8]) -> Result<OpKind> {
 fn put_mapping_graph(out: &mut Vec<u8>, graph: &MappingGraph) {
     put_str(out, &graph.name);
     put_u32(out, graph.scalar_inputs.len() as u32);
-    for name in &graph.scalar_inputs {
+    for name in graph.scalar_inputs.iter() {
         put_str(out, name);
     }
     put_u32(out, graph.op_count() as u32);
@@ -380,7 +407,7 @@ fn put_mapping_graph(out: &mut Vec<u8>, graph: &MappingGraph) {
         let op = graph.op(id);
         put_op_kind(out, &op.kind);
         put_u32(out, op.inputs.len() as u32);
-        for input in &op.inputs {
+        for input in op.inputs {
             put_value_ref(out, input);
         }
     }
@@ -391,9 +418,9 @@ fn put_mapping_graph(out: &mut Vec<u8>, graph: &MappingGraph) {
         put_usize(out, write.seq);
     }
     put_u32(out, graph.scalar_outputs.len() as u32);
-    for (name, value) in &graph.scalar_outputs {
+    for (name, value) in graph.scalar_outputs.iter() {
         put_str(out, name);
-        put_value_ref(out, value);
+        put_value_ref(out, &value);
     }
     put_u32(out, graph.mem_reads.len() as u32);
     for address in &graph.mem_reads {
@@ -402,22 +429,19 @@ fn put_mapping_graph(out: &mut Vec<u8>, graph: &MappingGraph) {
 }
 
 fn get_mapping_graph(input: &mut &[u8]) -> Result<MappingGraph> {
-    let name = get_str(input)?;
+    let name = get_str(input)?.to_string();
     let n = get_len(input, 4)?;
-    let mut scalar_inputs = Vec::with_capacity(n);
-    for _ in 0..n {
-        scalar_inputs.push(get_str(input)?);
-    }
+    let scalar_inputs = get_strs(input, n)?.into_iter().collect();
     let op_count = get_len(input, 5)?;
     let mut ops = Vec::with_capacity(op_count);
+    let mut inputs = Vec::new();
     for _ in 0..op_count {
         let kind = get_op_kind(input)?;
         let nin = get_len(input, 5)?;
-        let mut inputs = Vec::with_capacity(nin);
         for _ in 0..nin {
             inputs.push(get_graph_value_ref(input, op_count)?);
         }
-        ops.push(MapOp { kind, inputs });
+        ops.push(OpEntry::new(kind, inputs.len()));
     }
     let n = get_len(input, 17)?;
     let mut mem_writes = Vec::with_capacity(n);
@@ -447,8 +471,9 @@ fn get_mapping_graph(input: &mut &[u8]) -> Result<MappingGraph> {
         name,
         scalar_inputs,
         ops,
+        inputs,
         mem_writes,
-        scalar_outputs,
+        scalar_outputs.into_iter().collect(),
         mem_reads,
     ))
 }
@@ -460,11 +485,16 @@ fn put_cluster_list(out: &mut Vec<u8>, list: &[ClusterId]) {
     }
 }
 
-fn get_cluster_list(input: &mut &[u8]) -> Result<Vec<ClusterId>> {
+/// Reads a list of ids of a clustering with `clusters` clusters.
+fn get_cluster_list(input: &mut &[u8], clusters: usize) -> Result<Vec<ClusterId>> {
     let n = get_len(input, 4)?;
     let mut list = Vec::with_capacity(n);
     for _ in 0..n {
-        list.push(ClusterId(get_u32(input)?));
+        let id = get_u32(input)?;
+        if id as usize >= clusters {
+            return Err(CodecError::Malformed("cluster reference out of range"));
+        }
+        list.push(ClusterId(id));
     }
     Ok(list)
 }
@@ -486,24 +516,29 @@ fn put_clustered(out: &mut Vec<u8>, clustered: &ClusteredGraph) {
     }
 }
 
-fn get_clustered(input: &mut &[u8]) -> Result<ClusteredGraph> {
+/// Reads the clustering of a graph with `op_count` operations.
+fn get_clustered(input: &mut &[u8], op_count: usize) -> Result<ClusteredGraph> {
     let n = get_len(input, 4)?;
     let mut clusters = Vec::with_capacity(n);
     for _ in 0..n {
         let nops = get_len(input, 4)?;
         let mut ops = Vec::with_capacity(nops);
         for _ in 0..nops {
-            ops.push(OpId(get_u32(input)?));
+            let op = get_u32(input)?;
+            if op as usize >= op_count {
+                return Err(CodecError::Malformed("op reference out of range"));
+            }
+            ops.push(OpId(op));
         }
         clusters.push(Cluster { ops });
     }
     let mut deps = Vec::with_capacity(n);
     for _ in 0..n {
-        deps.push(get_cluster_list(input)?);
+        deps.push(get_cluster_list(input, n)?);
     }
     let mut succs = Vec::with_capacity(n);
     for _ in 0..n {
-        succs.push(get_cluster_list(input)?);
+        succs.push(get_cluster_list(input, n)?);
     }
     Ok(ClusteredGraph::from_parts(clusters, deps, succs))
 }
@@ -515,11 +550,12 @@ fn put_schedule(out: &mut Vec<u8>, schedule: &Schedule) {
     }
 }
 
-fn get_schedule(input: &mut &[u8]) -> Result<Schedule> {
+/// Reads a schedule of a clustering with `clusters` clusters.
+fn get_schedule(input: &mut &[u8], clusters: usize) -> Result<Schedule> {
     let nlevels = get_len(input, 4)?;
     let mut schedule = Schedule::default();
     for level in 0..nlevels {
-        for cluster in get_cluster_list(input)? {
+        for cluster in get_cluster_list(input, clusters)? {
             schedule.place(cluster, level);
         }
     }
@@ -609,33 +645,35 @@ fn get_alloc_stats(input: &mut &[u8]) -> Result<AllocationStats> {
 
 fn put_tile_program(out: &mut Vec<u8>, program: &TileProgram) {
     put_tile_config(out, &program.config);
-    put_u32(out, program.cycles.len() as u32);
-    for cycle in &program.cycles {
+    put_u32(out, program.cycle_count() as u32);
+    for cycle in program.cycles() {
         put_u32(out, cycle.moves.len() as u32);
-        for mv in &cycle.moves {
+        for mv in cycle.moves {
             put_value_ref(out, &mv.value);
             put_mem_ref(out, &mv.src);
             put_reg_ref(out, &mv.dst);
             put_bool(out, mv.via_crossbar);
         }
         put_u32(out, cycle.alus.len() as u32);
-        for alu in &cycle.alus {
-            put_usize(out, alu.pp);
+        for alu in cycle.alus {
+            put_usize(out, alu.pp_index());
             put_u32(out, alu.cluster.index() as u32);
-            put_u32(out, alu.micro_ops.len() as u32);
-            for micro in &alu.micro_ops {
+            let micro_ops = cycle.micro_ops(alu);
+            put_u32(out, micro_ops.len() as u32);
+            for micro in micro_ops {
                 put_u32(out, micro.op.index() as u32);
                 put_op_kind(out, &micro.kind);
-                put_u32(out, micro.operands.len() as u32);
-                for operand in &micro.operands {
+                let operands = cycle.operands(micro);
+                put_u32(out, operands.len() as u32);
+                for operand in operands {
                     put_operand(out, operand);
                 }
             }
         }
         put_u32(out, cycle.writebacks.len() as u32);
-        for wb in &cycle.writebacks {
+        for wb in cycle.writebacks {
             put_u32(out, wb.op.index() as u32);
-            put_usize(out, wb.src_pp);
+            put_usize(out, usize::from(wb.src_pp));
             put_mem_ref(out, &wb.dest);
             put_bool(out, wb.via_crossbar);
         }
@@ -646,20 +684,18 @@ fn put_tile_program(out: &mut Vec<u8>, program: &TileProgram) {
         put_mem_ref(out, mem);
     }
     put_u32(out, program.scalar_input_names.len() as u32);
-    for name in &program.scalar_input_names {
+    for name in program.scalar_input_names.iter() {
         put_str(out, name);
     }
     put_u32(out, program.scalar_outputs.len() as u32);
-    for (name, location) in &program.scalar_outputs {
+    for (name, location) in program.scalar_outputs.iter() {
         put_str(out, name);
-        put_location(out, location);
+        put_location(out, &location);
     }
-    // HashMap iteration order is nondeterministic; sort by address so equal
-    // programs encode to identical bytes (content-addressed storage).
-    let mut statespace: Vec<(&i64, &MemRef)> = program.statespace_map.iter().collect();
-    statespace.sort_by_key(|(address, _)| **address);
-    put_u32(out, statespace.len() as u32);
-    for (address, mem) in statespace {
+    // Sorted by address, so equal programs encode to identical bytes
+    // (content-addressed storage).
+    put_u32(out, program.statespace_map.len() as u32);
+    for (address, mem) in &program.statespace_map {
         put_i64(out, *address);
         put_mem_ref(out, mem);
     }
@@ -670,19 +706,19 @@ fn put_tile_program(out: &mut Vec<u8>, program: &TileProgram) {
     put_alloc_stats(out, &program.stats);
 }
 
+/// Decodes a tile program straight into the flat layout.
 fn get_tile_program(input: &mut &[u8]) -> Result<TileProgram> {
     let config = get_tile_config(input)?;
     let ncycles = get_len(input, 12)?;
-    let mut cycles = Vec::with_capacity(ncycles);
+    let mut jobs = CycleBuilder::default();
     for _ in 0..ncycles {
         let nmoves = get_len(input, 2)?;
-        let mut moves = Vec::with_capacity(nmoves);
         for _ in 0..nmoves {
             let value = get_value_ref(input)?;
             let src = get_mem_ref(input)?;
             let dst = get_reg_ref(input)?;
             let via_crossbar = get_bool(input)?;
-            moves.push(MoveJob {
+            jobs.moves.push(MoveJob {
                 value,
                 src,
                 dst,
@@ -690,47 +726,37 @@ fn get_tile_program(input: &mut &[u8]) -> Result<TileProgram> {
             });
         }
         let nalus = get_len(input, 16)?;
-        let mut alus = Vec::with_capacity(nalus);
         for _ in 0..nalus {
-            let pp = get_usize(input)?;
-            let cluster = ClusterId(get_u32(input)?);
+            let pp = get_narrow(input, "PP index out of range")?;
+            let mut alu = jobs.open_alu(pp, ClusterId(get_u32(input)?));
             let nmicro = get_len(input, 9)?;
-            let mut micro_ops = Vec::with_capacity(nmicro);
             for _ in 0..nmicro {
                 let op = OpId(get_u32(input)?);
                 let kind = get_op_kind(input)?;
+                jobs.push_micro_op(&mut alu, op, kind);
                 let nops = get_len(input, 9)?;
-                let mut operands = Vec::with_capacity(nops);
                 for _ in 0..nops {
-                    operands.push(get_operand(input)?);
+                    if !jobs.push_operand(get_operand(input)?) {
+                        return Err(CodecError::Malformed("more than three operands"));
+                    }
                 }
-                micro_ops.push(MicroOp { op, kind, operands });
             }
-            alus.push(AluJob {
-                pp,
-                cluster,
-                micro_ops,
-            });
+            jobs.alus.push(alu);
         }
         let nwb = get_len(input, 2)?;
-        let mut writebacks = Vec::with_capacity(nwb);
         for _ in 0..nwb {
             let op = OpId(get_u32(input)?);
-            let src_pp = get_usize(input)?;
+            let src_pp = get_narrow(input, "PP index out of range")?;
             let dest = get_mem_ref(input)?;
             let via_crossbar = get_bool(input)?;
-            writebacks.push(WritebackJob {
+            jobs.writebacks.push(WritebackJob {
                 op,
                 src_pp,
                 dest,
                 via_crossbar,
             });
         }
-        cycles.push(CycleJob {
-            moves,
-            alus,
-            writebacks,
-        });
+        jobs.end_cycle();
     }
     let n = get_len(input, 2)?;
     let mut preload = Vec::with_capacity(n);
@@ -740,10 +766,7 @@ fn get_tile_program(input: &mut &[u8]) -> Result<TileProgram> {
         preload.push((value, mem));
     }
     let n = get_len(input, 4)?;
-    let mut scalar_input_names = Vec::with_capacity(n);
-    for _ in 0..n {
-        scalar_input_names.push(get_str(input)?);
-    }
+    let scalar_input_names = get_strs(input, n)?.into_iter().collect();
     let n = get_len(input, 5)?;
     let mut scalar_outputs = Vec::with_capacity(n);
     for _ in 0..n {
@@ -751,13 +774,7 @@ fn get_tile_program(input: &mut &[u8]) -> Result<TileProgram> {
         let location = get_location(input)?;
         scalar_outputs.push((name, location));
     }
-    let n = get_len(input, 25)?;
-    let mut statespace_map = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let address = get_i64(input)?;
-        let mem = get_mem_ref(input)?;
-        statespace_map.insert(address, mem);
-    }
+    let statespace_map = get_statespace(input, 25, get_mem_ref)?;
     let n = get_len(input, 8)?;
     let mut written_addresses = Vec::with_capacity(n);
     for _ in 0..n {
@@ -766,10 +783,10 @@ fn get_tile_program(input: &mut &[u8]) -> Result<TileProgram> {
     let stats = get_alloc_stats(input)?;
     Ok(TileProgram {
         config,
-        cycles,
+        jobs: jobs.finish(),
         preload,
         scalar_input_names,
-        scalar_outputs,
+        scalar_outputs: scalar_outputs.into_iter().collect(),
         statespace_map,
         written_addresses,
         stats,
@@ -875,15 +892,13 @@ fn put_multi(out: &mut Vec<u8>, multi: &MultiTileMapping) {
         put_usize(out, transfer.arrive);
     }
     put_u32(out, program.scalar_outputs.len() as u32);
-    for (name, tile, location) in &program.scalar_outputs {
+    for (name, (tile, location)) in program.scalar_outputs.iter() {
         put_str(out, name);
-        put_usize(out, *tile);
-        put_location(out, location);
+        put_usize(out, tile);
+        put_location(out, &location);
     }
-    let mut statespace: Vec<(&i64, &(TileId, MemRef))> = program.statespace_map.iter().collect();
-    statespace.sort_by_key(|(address, _)| **address);
-    put_u32(out, statespace.len() as u32);
-    for (address, (tile, mem)) in statespace {
+    put_u32(out, program.statespace_map.len() as u32);
+    for (address, (tile, mem)) in &program.statespace_map {
         put_i64(out, *address);
         put_usize(out, *tile);
         put_mem_ref(out, mem);
@@ -896,7 +911,8 @@ fn put_multi(out: &mut Vec<u8>, multi: &MultiTileMapping) {
     put_traffic(out, &program.traffic);
 }
 
-fn get_multi(input: &mut &[u8]) -> Result<MultiTileMapping> {
+/// Reads a multi-tile mapping of a clustering with `clusters` clusters.
+fn get_multi(input: &mut &[u8], clusters: usize) -> Result<MultiTileMapping> {
     let array = get_array_config(input)?;
     let n = get_len(input, 8)?;
     let mut tiles = Vec::with_capacity(n);
@@ -908,7 +924,7 @@ fn get_multi(input: &mut &[u8]) -> Result<MultiTileMapping> {
     let n = get_len(input, 4)?;
     let mut per_tile = Vec::with_capacity(n);
     for _ in 0..n {
-        per_tile.push(get_schedule(input)?);
+        per_tile.push(get_schedule(input, clusters)?);
     }
     let level_count = get_usize(input)?;
     let schedule = MultiSchedule::from_parts(per_tile, level_count);
@@ -944,16 +960,12 @@ fn get_multi(input: &mut &[u8]) -> Result<MultiTileMapping> {
         let name = get_str(input)?;
         let tile = get_usize(input)?;
         let location = get_location(input)?;
-        scalar_outputs.push((name, tile, location));
+        scalar_outputs.push((name, (tile, location)));
     }
-    let n = get_len(input, 33)?;
-    let mut statespace_map = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let address = get_i64(input)?;
+    let statespace_map = get_statespace(input, 33, |input| {
         let tile = get_usize(input)?;
-        let mem = get_mem_ref(input)?;
-        statespace_map.insert(address, (tile, mem));
-    }
+        Ok((tile, get_mem_ref(input)?))
+    })?;
     let n = get_len(input, 8)?;
     let mut written_addresses = Vec::with_capacity(n);
     for _ in 0..n {
@@ -969,7 +981,7 @@ fn get_multi(input: &mut &[u8]) -> Result<MultiTileMapping> {
             array: program_array,
             tiles: program_tiles,
             transfers,
-            scalar_outputs,
+            scalar_outputs: scalar_outputs.into_iter().collect::<Named<_>>(),
             statespace_map,
             written_addresses,
             stats,
@@ -1029,12 +1041,12 @@ pub fn decode_post_transform(mut input: &[u8]) -> Result<PostTransformArtifacts>
     let input = &mut input;
     check_header(input)?;
     let graph = Arc::new(get_mapping_graph(input)?);
-    let clustered = Arc::new(get_clustered(input)?);
-    let schedule = Arc::new(get_schedule(input)?);
+    let clustered = Arc::new(get_clustered(input, graph.op_count())?);
+    let schedule = Arc::new(get_schedule(input, clustered.len())?);
     let program = Arc::new(get_tile_program(input)?);
     let multi = match get_u8(input)? {
         0 => None,
-        1 => Some(Arc::new(get_multi(input)?)),
+        1 => Some(Arc::new(get_multi(input, clustered.len())?)),
         _ => return Err(CodecError::Malformed("multi presence tag")),
     };
     let fingerprint = get_u64(input)?;
@@ -1123,6 +1135,37 @@ mod tests {
         assert_eq!(decode(encode(op1, op0, op0)), out_of_range);
         assert_eq!(decode(encode(ValueRef::Const(1), op1, op0)), out_of_range);
         assert_eq!(decode(encode(ValueRef::Const(1), op0, op1)), out_of_range);
+    }
+
+    #[test]
+    fn indices_wider_than_the_references_are_malformed() {
+        let mem = |pp: usize, offset: usize| {
+            let mut out = Vec::new();
+            put_usize(&mut out, pp);
+            put_u8(&mut out, 1);
+            put_usize(&mut out, offset);
+            get_mem_ref(&mut out.as_slice())
+        };
+        assert_eq!(mem(255, 65_535), Ok(MemRef::new(255, MemId::Mem2, 65_535)));
+        let wide_pp = CodecError::Malformed("PP index out of range");
+        assert_eq!(mem(256, 0), Err(wide_pp.clone()));
+        assert_eq!(
+            mem(0, 65_536),
+            Err(CodecError::Malformed("memory offset out of range"))
+        );
+        let reg = |pp: usize, index: usize| {
+            let mut out = Vec::new();
+            put_usize(&mut out, pp);
+            put_u8(&mut out, 3);
+            put_usize(&mut out, index);
+            get_reg_ref(&mut out.as_slice())
+        };
+        assert_eq!(reg(255, 255), Ok(RegRef::new(255, RegBankName::Rd, 255)));
+        assert_eq!(reg(256, 0), Err(wide_pp));
+        assert_eq!(
+            reg(0, 256),
+            Err(CodecError::Malformed("register index out of range"))
+        );
     }
 
     #[test]

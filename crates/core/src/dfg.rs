@@ -16,6 +16,21 @@
 //! mapper cannot handle: remaining loops, non-constant statespace addresses,
 //! conditional statespace updates and `DEL` primitives (all listed as future
 //! work in the paper).
+//!
+//! # Flat layout
+//!
+//! The graph is immutable once extracted, so it is frozen, once, into a few
+//! exactly sized arrays: one row per operation (its kind and where its
+//! inputs and consumers end), every operation's inputs in one array, the
+//! consumer index in another (compressed sparse row: the consumers of op
+//! `p` follow those of op `p - 1`), and the scalar names in [`Names`]
+//! tables.  Extraction stages the operations in growable vectors and the
+//! binary codec decodes into the same vectors; both freeze them through one
+//! constructor, which derives the consumer index.  The codec's byte format
+//! is the nested layout's, unchanged, so records written before the
+//! flattening still decode.
+//! Readers see slices: [`MappingGraph::op`] gives an operation's kind and
+//! inputs, [`MappingGraph::consumers`] its consumers.
 
 use crate::error::MapError;
 use fpfa_cdfg::{BinOp, Cdfg, NodeId, NodeKind, UnOp};
@@ -98,13 +113,14 @@ impl OpKind {
     }
 }
 
-/// One ALU operation of the mapping graph.
-#[derive(Clone, PartialEq, Debug)]
-pub struct MapOp {
+/// One ALU operation of the mapping graph: a view into the graph's flat
+/// arrays.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct MapOp<'g> {
     /// What the operation computes.
     pub kind: OpKind,
     /// Input values in port order.
-    pub inputs: Vec<ValueRef>,
+    pub inputs: &'g [ValueRef],
 }
 
 /// A value that must be committed to the statespace.
@@ -119,51 +135,219 @@ pub struct MemWrite {
     pub seq: usize,
 }
 
+/// Strings packed into one buffer, in index order: the name table of the
+/// flat layout (two heap blocks however many names it holds).
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct Names {
+    text: Box<str>,
+    /// `ends[i]` is the end of name `i` in `text`; it starts where name
+    /// `i - 1` ends.
+    ends: Box<[u32]>,
+}
+
+impl Names {
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// `true` when the table holds no name.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The name with the given index, if any.
+    pub fn get(&self, index: usize) -> Option<&str> {
+        let end = *self.ends.get(index)? as usize;
+        let start = index.checked_sub(1).map_or(0, |i| self.ends[i] as usize);
+        self.text.get(start..end)
+    }
+
+    /// All names in index order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let name = &self.text[start..end as usize];
+            start = end as usize;
+            name
+        })
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for Names {
+    fn from_iter<I: IntoIterator<Item = S>>(names: I) -> Self {
+        let mut text = String::new();
+        let mut ends = Vec::new();
+        for name in names {
+            text.push_str(name.as_ref());
+            ends.push(u32::try_from(text.len()).expect("a name table under 4 GiB"));
+        }
+        Names {
+            text: text.into_boxed_str(),
+            ends: ends.into_boxed_slice(),
+        }
+    }
+}
+
+/// Named values in the flat layout: a [`Names`] table and one value per
+/// name.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Named<T> {
+    names: Names,
+    values: Box<[T]>,
+}
+
+impl<T> Default for Named<T> {
+    fn default() -> Self {
+        Named {
+            names: Names::default(),
+            values: Box::default(),
+        }
+    }
+}
+
+impl<T: Copy> Named<T> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// `true` when there is no entry.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The values, in entry order.
+    pub fn values(&self) -> &[T] {
+        &self.values
+    }
+
+    /// `(name, value)` pairs in entry order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, T)> + '_ {
+        self.names.iter().zip(self.values.iter().copied())
+    }
+}
+
+impl<S: AsRef<str>, T> FromIterator<(S, T)> for Named<T> {
+    fn from_iter<I: IntoIterator<Item = (S, T)>>(entries: I) -> Self {
+        let (names, values): (Vec<S>, Vec<T>) = entries.into_iter().unzip();
+        Named {
+            names: names.iter().collect(),
+            values: values.into_boxed_slice(),
+        }
+    }
+}
+
+/// One operation's row in the flat layout: its kind and where its inputs
+/// and consumers end in the graph's shared arrays (each starts where the
+/// previous operation's ends).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct OpEntry {
+    kind: OpKind,
+    inputs_end: u32,
+    consumers_end: u32,
+}
+
+impl OpEntry {
+    /// An operation whose inputs end at `inputs_end`; the consumer range is
+    /// filled in when the graph is frozen.
+    pub(crate) fn new(kind: OpKind, inputs_end: usize) -> Self {
+        OpEntry {
+            kind,
+            inputs_end: u32::try_from(inputs_end).expect("fewer than 2^32 operand references"),
+            consumers_end: 0,
+        }
+    }
+}
+
 /// The loop-free data-path view of a kernel.
+///
+/// The graph is immutable once extracted, and frozen into a flat layout:
+/// every operation's inputs sit in one array and its consumers in another
+/// (a compressed sparse row index), each addressed by the per-operation
+/// ends in one row array, and the scalar names in two string tables.  A
+/// graph thus holds a dozen exactly sized heap blocks however many
+/// operations it has.  [`MappingGraph::op`] and [`MappingGraph::consumers`]
+/// read it through slices.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct MappingGraph {
     /// Kernel name (from the CDFG).
     pub name: String,
     /// Names of the scalar kernel inputs, indexed by
     /// [`ValueRef::ScalarInput`].
-    pub scalar_inputs: Vec<String>,
-    ops: Vec<MapOp>,
+    pub scalar_inputs: Names,
+    ops: Box<[OpEntry]>,
+    inputs: Box<[ValueRef]>,
+    /// Consumers of each op, distinct and in id order (built once at
+    /// extraction: the clusterer asks for consumers on every merge
+    /// candidate).
+    consumers: Box<[OpId]>,
     /// Values that must be written back to the statespace.
     pub mem_writes: Vec<MemWrite>,
     /// Named scalar results.
-    pub scalar_outputs: Vec<(String, ValueRef)>,
+    pub scalar_outputs: Named<ValueRef>,
     /// Statespace addresses read by the kernel (constant addresses of
     /// surviving `FE` nodes), sorted ascending, each once: the allocator
     /// finds an address's input row by binary search.
     pub mem_reads: Vec<i64>,
-    /// `consumer_index[p]` = ops consuming the result of op `p`, in id order
-    /// (built once at extraction: the graph is immutable afterwards, and the
-    /// clusterer asks for consumers on every merge candidate).
-    consumer_index: Vec<Vec<OpId>>,
 }
 
 impl MappingGraph {
-    /// Rebuilds a graph from its serialized parts, recomputing the derived
-    /// consumer index (the binary codec's decode path).
+    /// Freezes a graph from its parts: `ops` in topological order, each
+    /// ending its inputs at its `inputs_end` in `inputs`.  Derives the
+    /// consumer index and sizes every array exactly (the one freeze step of
+    /// both extraction and the binary codec's decode path).
     pub(crate) fn from_parts(
         name: String,
-        scalar_inputs: Vec<String>,
-        ops: Vec<MapOp>,
-        mem_writes: Vec<MemWrite>,
-        scalar_outputs: Vec<(String, ValueRef)>,
-        mem_reads: Vec<i64>,
+        scalar_inputs: Names,
+        mut ops: Vec<OpEntry>,
+        inputs: Vec<ValueRef>,
+        mut mem_writes: Vec<MemWrite>,
+        scalar_outputs: Named<ValueRef>,
+        mut mem_reads: Vec<i64>,
     ) -> Self {
-        let mut graph = MappingGraph {
+        // One (producer, consumer) edge per consuming op: an op using the
+        // same producer on several ports still counts once.  A stable sort
+        // by producer keeps each producer's consumers in id order.
+        let mut edges: Vec<(OpId, OpId)> = Vec::new();
+        let mut start = 0;
+        for (consumer, op) in ops.iter().enumerate() {
+            let first = edges.len();
+            for input in &inputs[start..op.inputs_end as usize] {
+                if let ValueRef::Op(producer) = *input {
+                    let edge = (producer, OpId(consumer as u32));
+                    if !edges[first..].contains(&edge) {
+                        edges.push(edge);
+                    }
+                }
+            }
+            start = op.inputs_end as usize;
+        }
+        edges.sort_by_key(|&(producer, _)| producer);
+        let mut end = 0;
+        for (index, op) in ops.iter_mut().enumerate() {
+            while edges
+                .get(end)
+                .is_some_and(|(producer, _)| producer.index() == index)
+            {
+                end += 1;
+            }
+            op.consumers_end = end as u32;
+        }
+        let consumers = edges.into_iter().map(|(_, consumer)| consumer).collect();
+        mem_writes.shrink_to_fit();
+        mem_reads.shrink_to_fit();
+        ops.shrink_to_fit();
+        MappingGraph {
             name,
             scalar_inputs,
-            ops,
+            ops: ops.into_boxed_slice(),
+            inputs: inputs.into_boxed_slice(),
+            consumers,
             mem_writes,
             scalar_outputs,
             mem_reads,
-            consumer_index: Vec::new(),
-        };
-        graph.build_consumer_index();
-        graph
+        }
     }
 
     /// Number of ALU operations.
@@ -176,26 +360,41 @@ impl MappingGraph {
         (0..self.ops.len()).map(|i| OpId(i as u32))
     }
 
+    /// Start of op `index`'s row in the shared arrays: where the previous
+    /// op's row ends.
+    fn row_start(&self, index: usize) -> (usize, usize) {
+        index.checked_sub(1).map_or((0, 0), |previous| {
+            let op = &self.ops[previous];
+            (op.inputs_end as usize, op.consumers_end as usize)
+        })
+    }
+
     /// The operation with the given id.
     ///
     /// # Panics
     /// Panics when the id does not belong to this graph.
-    pub fn op(&self, id: OpId) -> &MapOp {
-        &self.ops[id.index()]
+    pub fn op(&self, id: OpId) -> MapOp<'_> {
+        let entry = self.ops[id.index()];
+        let (start, _) = self.row_start(id.index());
+        MapOp {
+            kind: entry.kind,
+            inputs: &self.inputs[start..entry.inputs_end as usize],
+        }
     }
 
     /// Ids of the operations that consume the result of `id` (distinct, in
     /// id order).
     pub fn consumers(&self, id: OpId) -> &[OpId] {
-        self.consumer_index
-            .get(id.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        let Some(entry) = self.ops.get(id.index()) else {
+            return &[];
+        };
+        let (_, start) = self.row_start(id.index());
+        &self.consumers[start..entry.consumers_end as usize]
     }
 
     /// Ids of the operations whose results feed `id`.
     pub fn producers(&self, id: OpId) -> Vec<OpId> {
-        self.ops[id.index()]
+        self.op(id)
             .inputs
             .iter()
             .filter_map(|v| match v {
@@ -208,9 +407,7 @@ impl MappingGraph {
     /// `true` when the result of `id` is observable outside the operation
     /// graph (a scalar output or a statespace write).
     pub fn is_externally_used(&self, id: OpId) -> bool {
-        self.scalar_outputs
-            .iter()
-            .any(|(_, v)| *v == ValueRef::Op(id))
+        self.scalar_outputs.values().contains(&ValueRef::Op(id))
             || self.mem_writes.iter().any(|w| w.value == ValueRef::Op(id))
     }
 
@@ -236,10 +433,7 @@ impl MappingGraph {
             return Err(MapError::LoopsRemain { count: loops });
         }
 
-        let mut out = MappingGraph {
-            name: graph.name().to_string(),
-            ..MappingGraph::default()
-        };
+        let mut out = Extraction::default();
         // Classification of values produced by each (node, port): either a
         // word value or a statespace token (represented by the node that
         // produced it, for chain walking).
@@ -335,21 +529,12 @@ impl MappingGraph {
                     produced.insert(id, value);
                 }
                 NodeKind::BinOp(op) => {
-                    let inputs = vec![word_input(0, &produced)?, word_input(1, &produced)?];
-                    let op_id = OpId(out.ops.len() as u32);
-                    out.ops.push(MapOp {
-                        kind: OpKind::Bin(*op),
-                        inputs,
-                    });
+                    let inputs = [word_input(0, &produced)?, word_input(1, &produced)?];
+                    let op_id = out.push_op(OpKind::Bin(*op), &inputs);
                     produced.insert(id, Produced::Word(ValueRef::Op(op_id)));
                 }
                 NodeKind::UnOp(op) => {
-                    let inputs = vec![word_input(0, &produced)?];
-                    let op_id = OpId(out.ops.len() as u32);
-                    out.ops.push(MapOp {
-                        kind: OpKind::Un(*op),
-                        inputs,
-                    });
+                    let op_id = out.push_op(OpKind::Un(*op), &[word_input(0, &produced)?]);
                     produced.insert(id, Produced::Word(ValueRef::Op(op_id)));
                 }
                 NodeKind::Mux => {
@@ -368,16 +553,12 @@ impl MappingGraph {
                             reason: "conditional statespace update (mux over memory state)".into(),
                         });
                     }
-                    let inputs = vec![
+                    let inputs = [
                         word_input(0, &produced)?,
                         word_input(1, &produced)?,
                         word_input(2, &produced)?,
                     ];
-                    let op_id = OpId(out.ops.len() as u32);
-                    out.ops.push(MapOp {
-                        kind: OpKind::Mux,
-                        inputs,
-                    });
+                    let op_id = out.push_op(OpKind::Mux, &inputs);
                     produced.insert(id, Produced::Word(ValueRef::Op(op_id)));
                 }
                 NodeKind::Fetch => {
@@ -476,29 +657,37 @@ impl MappingGraph {
         }
         out.mem_reads.sort_unstable();
         out.mem_reads.dedup();
-        out.build_consumer_index();
-        Ok(out)
+        Ok(MappingGraph::from_parts(
+            graph.name().to_string(),
+            out.scalar_inputs.iter().collect(),
+            out.ops,
+            out.inputs,
+            out.mem_writes,
+            out.scalar_outputs.into_iter().collect(),
+            out.mem_reads,
+        ))
     }
+}
 
-    /// Builds the consumer adjacency (one entry per distinct consuming op,
-    /// in id order, matching what a full scan over `op_ids` would return).
-    fn build_consumer_index(&mut self) {
-        let mut index: Vec<Vec<OpId>> = vec![Vec::new(); self.ops.len()];
-        for (i, op) in self.ops.iter().enumerate() {
-            let consumer = OpId(i as u32);
-            for input in &op.inputs {
-                if let ValueRef::Op(p) = input {
-                    let slot = &mut index[p.index()];
-                    // An op using the same producer on several ports still
-                    // counts once; consumers are visited in id order, so a
-                    // duplicate can only be the most recent entry.
-                    if slot.last() != Some(&consumer) {
-                        slot.push(consumer);
-                    }
-                }
-            }
-        }
-        self.consumer_index = index;
+/// A graph under extraction, in growable form until
+/// [`MappingGraph::from_parts`] freezes it.
+#[derive(Default)]
+struct Extraction {
+    scalar_inputs: Vec<String>,
+    ops: Vec<OpEntry>,
+    inputs: Vec<ValueRef>,
+    mem_writes: Vec<MemWrite>,
+    scalar_outputs: Vec<(String, ValueRef)>,
+    mem_reads: Vec<i64>,
+}
+
+impl Extraction {
+    /// Appends an operation reading `inputs` and returns its id.
+    fn push_op(&mut self, kind: OpKind, inputs: &[ValueRef]) -> OpId {
+        let id = OpId(self.ops.len() as u32);
+        self.inputs.extend_from_slice(inputs);
+        self.ops.push(OpEntry::new(kind, self.inputs.len()));
+        id
     }
 }
 
@@ -547,7 +736,7 @@ mod tests {
         assert_eq!(m.mem_reads.len(), 8);
         // sum and i are scalar outputs; i folds to a constant.
         assert!(m.scalar_outputs.iter().any(|(n, _)| n == "sum"));
-        let i_out = m.scalar_outputs.iter().find(|(n, _)| n == "i").unwrap();
+        let i_out = m.scalar_outputs.iter().find(|(n, _)| *n == "i").unwrap();
         assert_eq!(i_out.1, ValueRef::Const(4));
         assert!(m.mem_writes.is_empty());
     }
@@ -623,7 +812,7 @@ mod tests {
         let g = b.finish().unwrap();
         let m = MappingGraph::from_cdfg(&g).unwrap();
         assert_eq!(m.mem_reads, vec![3]);
-        assert_eq!(m.scalar_outputs[0].1, ValueRef::MemWord(3));
+        assert_eq!(m.scalar_outputs.values(), [ValueRef::MemWord(3)]);
     }
 
     #[test]
@@ -666,9 +855,9 @@ mod tests {
         b.output("r", p);
         let g = b.finish().unwrap();
         let m = MappingGraph::from_cdfg(&g).unwrap();
-        let mut names = m.scalar_inputs.clone();
+        let mut names: Vec<&str> = m.scalar_inputs.iter().collect();
         names.sort();
-        assert_eq!(names, vec!["x".to_string(), "y".to_string()]);
+        assert_eq!(names, ["x", "y"]);
         assert_eq!(m.op_count(), 2);
     }
 }

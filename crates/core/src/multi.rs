@@ -27,13 +27,13 @@
 
 use crate::allocate::{AllocState, LevelAllocator, PRELOADED};
 use crate::cluster::{ClusterId, ClusteredGraph};
-use crate::dfg::{MappingGraph, OpId, ValueRef};
+use crate::dfg::{MappingGraph, Named, OpId, ValueRef};
 use crate::error::MapError;
 use crate::partition::{CutEdge, TileAssignment};
 use crate::program::{AllocationStats, Location, TileProgram};
 use crate::schedule::{alap_levels, asap_levels, find_free_level, mark_full, Schedule};
 use fpfa_arch::{ArrayConfig, EnergyModel, MemRef, TileConfig, TileId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 // ---------------------------------------------------------------------------
@@ -322,10 +322,12 @@ impl TrafficReport {
     /// Builds the report from the cut edges, the scheduled transfers and the
     /// pre-execution input broadcasts.
     pub fn new(
-        edges: Vec<CutEdge>,
+        mut edges: Vec<CutEdge>,
         transfers: &[TransferJob],
-        input_broadcasts: Vec<InputBroadcast>,
+        mut input_broadcasts: Vec<InputBroadcast>,
     ) -> Self {
+        edges.shrink_to_fit();
+        input_broadcasts.shrink_to_fit();
         let mut per_pair: HashMap<(TileId, TileId), usize> = HashMap::new();
         for edge in &edges {
             *per_pair.entry((edge.from, edge.to)).or_insert(0) += 1;
@@ -390,16 +392,18 @@ impl fmt::Display for TrafficReport {
 pub struct MultiTileProgram {
     /// The array configuration the program was allocated for.
     pub array: ArrayConfig,
-    /// Per-tile programs; `tiles[t].cycles[c]` is tile `t`'s job in global
+    /// Per-tile programs; `tiles[t].cycle(c)` is tile `t`'s job in global
     /// cycle `c`. The per-tile scalar output and statespace tables are empty
     /// — the array-level tables below are authoritative.
     pub tiles: Vec<TileProgram>,
     /// Inter-tile transfers in departure order.
     pub transfers: Vec<TransferJob>,
-    /// Where each scalar output can be read after the last cycle.
-    pub scalar_outputs: Vec<(String, TileId, Location)>,
-    /// Physical location of every statespace address the kernel touches.
-    pub statespace_map: HashMap<i64, (TileId, MemRef)>,
+    /// Where (on which tile, in which word) each scalar output can be read
+    /// after the last cycle.
+    pub scalar_outputs: Named<(TileId, Location)>,
+    /// Physical location of every statespace address the kernel touches,
+    /// sorted by address.
+    pub statespace_map: Vec<(i64, (TileId, MemRef))>,
     /// Statespace addresses written by the kernel.
     pub written_addresses: Vec<i64>,
     /// Aggregated allocation counters (summed over tiles; `cycles` is the
@@ -447,13 +451,13 @@ impl MultiTileProgram {
             .expect("an array has at least one tile");
         program.scalar_outputs = self
             .scalar_outputs
-            .into_iter()
-            .map(|(name, _, location)| (name, location))
+            .iter()
+            .map(|(name, (_, location))| (name, location))
             .collect();
         program.statespace_map = self
             .statespace_map
-            .into_iter()
-            .map(|(addr, (_, home))| (addr, home))
+            .iter()
+            .map(|&(addr, (_, home))| (addr, home))
             .collect();
         program.written_addresses = self.written_addresses;
         program
@@ -555,7 +559,7 @@ impl MultiTileAllocator {
         for cluster in clustered.ids() {
             let tile = assignment.tile_of(cluster);
             for &op in &clustered.cluster(cluster).ops {
-                for &input in &graph.op(op).inputs {
+                for &input in graph.op(op).inputs {
                     if let Some(row) = row_of(input) {
                         reads[row * num_tiles + tile] += 1;
                     }
@@ -566,8 +570,9 @@ impl MultiTileAllocator {
         // passing through an operation are needed on tile 0.
         let passthrough = graph
             .scalar_outputs
+            .values()
             .iter()
-            .map(|(_, value)| *value)
+            .copied()
             .chain(graph.mem_writes.iter().map(|write| write.value));
         for row in passthrough.filter_map(row_of) {
             let counts = &mut reads[row * num_tiles..(row + 1) * num_tiles];
@@ -714,27 +719,26 @@ impl MultiTileAllocator {
                     }),
             }
         };
-        let mut scalar_outputs = Vec::new();
-        for (name, value) in &graph.scalar_outputs {
+        let mut scalar_outputs = Vec::with_capacity(graph.scalar_outputs.len());
+        for (name, value) in graph.scalar_outputs.iter() {
             let (tile, location) = match value {
-                ValueRef::Const(c) => (0, Location::Constant(*c)),
+                ValueRef::Const(c) => (0, Location::Constant(c)),
                 other => {
-                    let (tile, home) = home_tile_of(&states, *other).ok_or_else(|| {
-                        MapError::AllocationFailed {
+                    let (tile, home) =
+                        home_tile_of(&states, other).ok_or_else(|| MapError::AllocationFailed {
                             reason: format!("scalar output `{name}` has no memory home"),
-                        }
-                    })?;
+                        })?;
                     (tile, Location::Mem(home))
                 }
             };
-            scalar_outputs.push((name.clone(), tile, location));
+            scalar_outputs.push((name, (tile, location)));
         }
 
         // --- Statespace map ----------------------------------------------
         // Reads point at their pre-load homes; for written addresses only the
         // last write (highest seq) is observable, and its final value resides
         // wherever that value's home is.
-        let mut statespace_map: HashMap<i64, (TileId, MemRef)> = HashMap::new();
+        let mut statespace_map: BTreeMap<i64, (TileId, MemRef)> = BTreeMap::new();
         for &addr in &graph.mem_reads {
             let value = ValueRef::MemWord(addr);
             let (tile, home) = match home_tile_of(&states, value) {
@@ -810,25 +814,17 @@ impl MultiTileAllocator {
             aggregate.register_misses += stats.register_misses;
             aggregate.mem_writebacks += stats.mem_writebacks;
             aggregate.crossbar_transfers += stats.crossbar_transfers;
-            tiles.push(TileProgram {
-                config: self.config,
-                cycles: state.cycles,
-                preload: state.preload,
-                scalar_input_names: graph.scalar_inputs.clone(),
-                scalar_outputs: Vec::new(),
-                statespace_map: HashMap::new(),
-                written_addresses: Vec::new(),
-                stats,
-            });
+            tiles.push(state.into_program(graph.scalar_inputs.clone(), stats));
         }
 
         let traffic = TrafficReport::new(cut, &transfers, broadcasts);
+        transfers.shrink_to_fit();
         Ok(MultiTileProgram {
             array: self.array,
             tiles,
             transfers,
-            scalar_outputs,
-            statespace_map,
+            scalar_outputs: scalar_outputs.into_iter().collect(),
+            statespace_map: statespace_map.into_iter().collect(),
             written_addresses,
             stats: aggregate,
             traffic,
@@ -957,8 +953,7 @@ mod tests {
             // The source word is written by some write-back strictly before
             // the departure cycle.
             let wrote = program.tiles[transfer.from]
-                .cycles
-                .iter()
+                .cycles()
                 .take(transfer.depart)
                 .any(|cycle| {
                     cycle
@@ -1025,7 +1020,7 @@ mod tests {
         let mut counts: HashMap<ValueRef, Vec<usize>> = HashMap::new();
         for id in m.op_ids() {
             let tile = assignment.tile_of(c.owner_of(id));
-            for input in &m.op(id).inputs {
+            for input in m.op(id).inputs {
                 if matches!(input, ValueRef::MemWord(_) | ValueRef::ScalarInput(_)) {
                     counts.entry(*input).or_insert_with(|| vec![0; 4])[tile] += 1;
                 }
@@ -1079,10 +1074,10 @@ mod tests {
     fn scalar_outputs_point_at_a_valid_tile() {
         let (_, _, _, _, program) = mapped_multi(16, 4);
         assert!(!program.scalar_outputs.is_empty());
-        for (_, tile, _) in &program.scalar_outputs {
-            assert!(*tile < 4);
+        for (_, (tile, _)) in program.scalar_outputs.iter() {
+            assert!(tile < 4);
         }
-        for (tile, _) in program.statespace_map.values() {
+        for (_, (tile, _)) in &program.statespace_map {
             assert!(*tile < 4);
         }
     }

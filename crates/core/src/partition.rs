@@ -116,7 +116,7 @@ impl TileAssignment {
         let mut edges = Vec::new();
         for id in graph.op_ids() {
             let consumer_tile = self.tile_of(clustered.owner_of(id));
-            for input in &graph.op(id).inputs {
+            for input in graph.op(id).inputs {
                 if let ValueRef::Op(producer) = input {
                     let producer_tile = self.tile_of(clustered.owner_of(*producer));
                     if producer_tile != consumer_tile {
@@ -321,7 +321,7 @@ impl<'a> CutState<'a> {
         let mut produced_by: Vec<Vec<OpId>> = vec![Vec::new(); n];
         for id in graph.op_ids() {
             let consumer = clustered.owner_of(id);
-            for input in &graph.op(id).inputs {
+            for input in graph.op(id).inputs {
                 if let ValueRef::Op(producer) = input {
                     let owner = clustered.owner_of(*producer);
                     if owner != consumer {

@@ -1,8 +1,7 @@
 //! The tile program: "the job of an FPFA tile for each clock cycle" (Fig. 5).
 //!
 //! A [`TileProgram`] is the output of the resource-allocation phase and the
-//! input of the cycle-accurate simulator. Each [`CycleJob`] lists, for one
-//! clock cycle,
+//! input of the cycle-accurate simulator. Each cycle ([`CycleJob`]) lists
 //!
 //! * the register loads ([`MoveJob`]) that bring operands from a local memory
 //!   into a register bank,
@@ -14,11 +13,25 @@
 //! statespace words live before cycle 0), where every scalar output can be
 //! read after the last cycle, and the mapping from statespace addresses to
 //! physical memory words.
+//!
+//! # Flat layout
+//!
+//! A finished program is frozen, once, into a few exactly sized arrays: all
+//! moves, ALU jobs, micro-operations, operands and write-backs of every cycle
+//! each sit in one array, a per-cycle row of end offsets says which of them
+//! belong to which cycle, an ALU job names its micro-operations and a
+//! micro-operation its operands by a range of the shared arrays, and the
+//! statespace map is a `Vec` sorted by address.  The allocator stages the
+//! cycles in growable form and freezes them once, when a tile's allocation
+//! ends; the binary codec decodes straight into the flat arrays, and its
+//! byte format is the nested layout's, unchanged.  Readers go through slices:
+//! [`TileProgram::cycle`] gives a cycle's moves, ALU jobs and write-backs,
+//! and [`CycleJob::micro_ops`] and [`CycleJob::operands`] resolve an ALU
+//! job's ranges.
 
 use crate::cluster::ClusterId;
-use crate::dfg::{OpId, OpKind, ValueRef};
-use fpfa_arch::{MemRef, PpId, RegRef, TileConfig};
-use std::collections::HashMap;
+use crate::dfg::{Named, Names, OpId, OpKind, ValueRef};
+use fpfa_arch::{MemRef, RegRef, TileConfig};
 use std::fmt;
 
 /// Where a word lives on the tile.
@@ -54,26 +67,46 @@ pub enum OperandSource {
     Internal(usize),
 }
 
+/// The most operands one micro-operation reads (a multiplexer's three).
+pub const MAX_OPERANDS: usize = 3;
+
 /// One operation executed inside an ALU cluster.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct MicroOp {
     /// The mapping-graph operation this micro-op implements.
     pub op: OpId,
     /// What it computes.
     pub kind: OpKind,
-    /// Operand sources in port order.
-    pub operands: Vec<OperandSource>,
+    /// Start of its operands (in port order) in the program's operand array.
+    operands_start: u32,
+    /// Number of operands, at most [`MAX_OPERANDS`].
+    operands_len: u8,
 }
 
 /// The work of one ALU in one cycle: a cluster of micro-operations.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct AluJob {
     /// The processing part executing the cluster.
-    pub pp: PpId,
+    pub pp: u8,
     /// The cluster being executed.
     pub cluster: ClusterId,
-    /// Micro-operations in dependence order.
-    pub micro_ops: Vec<MicroOp>,
+    /// Start of its micro-operations (in dependence order) in the program's
+    /// micro-operation array.
+    micro_start: u32,
+    /// End of its micro-operations.
+    micro_end: u32,
+}
+
+impl AluJob {
+    /// The processing part as an index.
+    pub fn pp_index(&self) -> usize {
+        usize::from(self.pp)
+    }
+
+    /// Number of micro-operations the job executes.
+    pub fn micro_op_count(&self) -> usize {
+        (self.micro_end - self.micro_start) as usize
+    }
 }
 
 /// A register load: one word moved from a local memory into a register.
@@ -96,25 +129,32 @@ pub struct WritebackJob {
     /// The operation whose result is written.
     pub op: OpId,
     /// The processing part that produced the result.
-    pub src_pp: PpId,
+    pub src_pp: u8,
     /// Destination memory word.
     pub dest: MemRef,
     /// `true` when the write-back crosses processing parts over the crossbar.
     pub via_crossbar: bool,
 }
 
-/// Everything the tile does in one clock cycle.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct CycleJob {
+const _: () = assert!(std::mem::size_of::<MoveJob>() <= 32);
+const _: () = assert!(std::mem::size_of::<WritebackJob>() <= 16);
+const _: () = assert!(std::mem::size_of::<OperandSource>() <= 16);
+
+/// Everything the tile does in one clock cycle: a view into the program's
+/// flat arrays.
+#[derive(Clone, Copy, Debug)]
+pub struct CycleJob<'p> {
     /// Register loads performed this cycle.
-    pub moves: Vec<MoveJob>,
+    pub moves: &'p [MoveJob],
     /// ALU work, at most one job per processing part.
-    pub alus: Vec<AluJob>,
+    pub alus: &'p [AluJob],
     /// Results committed to memory this cycle.
-    pub writebacks: Vec<WritebackJob>,
+    pub writebacks: &'p [WritebackJob],
+    micro_ops: &'p [MicroOp],
+    operands: &'p [OperandSource],
 }
 
-impl CycleJob {
+impl<'p> CycleJob<'p> {
     /// `true` when the cycle does nothing (a pure stall).
     pub fn is_idle(&self) -> bool {
         self.moves.is_empty() && self.alus.is_empty() && self.writebacks.is_empty()
@@ -124,6 +164,110 @@ impl CycleJob {
     pub fn busy_alus(&self) -> usize {
         self.alus.len()
     }
+
+    /// The micro-operations of one of this cycle's ALU jobs, in dependence
+    /// order.
+    pub fn micro_ops(&self, alu: &AluJob) -> &'p [MicroOp] {
+        &self.micro_ops[alu.micro_start as usize..alu.micro_end as usize]
+    }
+
+    /// The operands of one of this cycle's micro-operations, in port order.
+    pub fn operands(&self, micro: &MicroOp) -> &'p [OperandSource] {
+        let start = micro.operands_start as usize;
+        &self.operands[start..start + usize::from(micro.operands_len)]
+    }
+}
+
+/// Converts an array length to a flat-layout offset.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("a program with fewer than 2^32 jobs of each kind")
+}
+
+/// A program's flat arrays in growable form, while the codec or the
+/// allocator's freeze appends cycles to them.  An ALU job's micro-operations
+/// are appended (with [`CycleBuilder::open_alu`] and the two push methods)
+/// before the job itself.
+#[derive(Default)]
+pub(crate) struct CycleBuilder {
+    ends: Vec<[u32; 3]>,
+    pub(crate) moves: Vec<MoveJob>,
+    pub(crate) alus: Vec<AluJob>,
+    micro_ops: Vec<MicroOp>,
+    operands: Vec<OperandSource>,
+    pub(crate) writebacks: Vec<WritebackJob>,
+}
+
+impl CycleBuilder {
+    /// Opens an ALU job whose micro-operations are the ones pushed next.
+    pub(crate) fn open_alu(&self, pp: u8, cluster: ClusterId) -> AluJob {
+        let at = offset(self.micro_ops.len());
+        AluJob {
+            pp,
+            cluster,
+            micro_start: at,
+            micro_end: at,
+        }
+    }
+
+    /// Appends a micro-operation to `alu`, the job opened last; its operands
+    /// are the ones pushed next.
+    pub(crate) fn push_micro_op(&mut self, alu: &mut AluJob, op: OpId, kind: OpKind) {
+        self.micro_ops.push(MicroOp {
+            op,
+            kind,
+            operands_start: offset(self.operands.len()),
+            operands_len: 0,
+        });
+        alu.micro_end = offset(self.micro_ops.len());
+    }
+
+    /// Appends an operand to the last micro-operation; `false` (and nothing
+    /// appended) when it already has [`MAX_OPERANDS`].
+    pub(crate) fn push_operand(&mut self, operand: OperandSource) -> bool {
+        match self.micro_ops.last_mut() {
+            Some(micro) if usize::from(micro.operands_len) < MAX_OPERANDS => {
+                micro.operands_len += 1;
+                self.operands.push(operand);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Closes the current cycle: the moves, ALU jobs and write-backs pushed
+    /// since the last call are its jobs.
+    pub(crate) fn end_cycle(&mut self) {
+        self.ends.push([
+            offset(self.moves.len()),
+            offset(self.alus.len()),
+            offset(self.writebacks.len()),
+        ]);
+    }
+
+    /// The cycles closed so far, each array sized exactly.
+    pub(crate) fn finish(self) -> FlatCycles {
+        FlatCycles {
+            ends: self.ends.into_boxed_slice(),
+            moves: self.moves.into_boxed_slice(),
+            alus: self.alus.into_boxed_slice(),
+            micro_ops: self.micro_ops.into_boxed_slice(),
+            operands: self.operands.into_boxed_slice(),
+            writebacks: self.writebacks.into_boxed_slice(),
+        }
+    }
+}
+
+/// The per-cycle jobs of a program in the flat layout.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub(crate) struct FlatCycles {
+    /// Per cycle, where its moves, ALU jobs and write-backs end; each starts
+    /// where the previous cycle's end.
+    ends: Box<[[u32; 3]]>,
+    moves: Box<[MoveJob]>,
+    alus: Box<[AluJob]>,
+    micro_ops: Box<[MicroOp]>,
+    operands: Box<[OperandSource]>,
+    writebacks: Box<[WritebackJob]>,
 }
 
 /// Counters filled in by the allocator.
@@ -162,23 +306,25 @@ impl AllocationStats {
     }
 }
 
-/// A fully allocated program for one FPFA tile.
+/// A fully allocated program for one FPFA tile, in the flat layout of the
+/// module docs.
 #[derive(Clone, PartialEq, Debug)]
 pub struct TileProgram {
     /// The tile configuration the program was allocated for.
     pub config: TileConfig,
     /// Per-cycle jobs.
-    pub cycles: Vec<CycleJob>,
+    pub(crate) jobs: FlatCycles,
     /// Values that must be present in memory before cycle 0 (kernel inputs
     /// and statespace words), with their locations.
     pub preload: Vec<(ValueRef, MemRef)>,
     /// Names of the scalar kernel inputs, indexed by
     /// [`ValueRef::ScalarInput`].
-    pub scalar_input_names: Vec<String>,
+    pub scalar_input_names: Names,
     /// Where each scalar output can be read after the last cycle.
-    pub scalar_outputs: Vec<(String, Location)>,
-    /// Physical location of every statespace address the kernel touches.
-    pub statespace_map: HashMap<i64, MemRef>,
+    pub scalar_outputs: Named<Location>,
+    /// Physical location of every statespace address the kernel touches,
+    /// sorted by address.
+    pub statespace_map: Vec<(i64, MemRef)>,
     /// Statespace addresses written by the kernel.
     pub written_addresses: Vec<i64>,
     /// Allocation counters.
@@ -188,35 +334,59 @@ pub struct TileProgram {
 impl TileProgram {
     /// Number of clock cycles.
     pub fn cycle_count(&self) -> usize {
-        self.cycles.len()
+        self.jobs.ends.len()
+    }
+
+    /// The jobs of cycle `index`.
+    ///
+    /// # Panics
+    /// Panics when `index >= self.cycle_count()`.
+    pub fn cycle(&self, index: usize) -> CycleJob<'_> {
+        let jobs = &self.jobs;
+        let [moves, alus, writebacks] = jobs.ends[index].map(|end| end as usize);
+        let [moves_start, alus_start, writebacks_start] =
+            index.checked_sub(1).map_or([0; 3], |previous| {
+                jobs.ends[previous].map(|end| end as usize)
+            });
+        CycleJob {
+            moves: &jobs.moves[moves_start..moves],
+            alus: &jobs.alus[alus_start..alus],
+            writebacks: &jobs.writebacks[writebacks_start..writebacks],
+            micro_ops: &jobs.micro_ops,
+            operands: &jobs.operands,
+        }
+    }
+
+    /// The jobs of every cycle, in order.
+    pub fn cycles(&self) -> impl ExactSizeIterator<Item = CycleJob<'_>> + '_ {
+        (0..self.cycle_count()).map(|index| self.cycle(index))
     }
 
     /// Name of the scalar kernel input with the given index, if any.
     pub fn scalar_input_name(&self, index: usize) -> Option<&str> {
-        self.scalar_input_names.get(index).map(String::as_str)
+        self.scalar_input_names.get(index)
     }
 
     /// Average number of busy ALUs over all cycles.
     pub fn alu_utilization(&self) -> f64 {
-        if self.cycles.is_empty() {
+        if self.cycle_count() == 0 {
             return 0.0;
         }
-        let busy: usize = self.cycles.iter().map(CycleJob::busy_alus).sum();
-        busy as f64 / (self.cycles.len() * self.config.num_pps) as f64
+        self.jobs.alus.len() as f64 / (self.cycle_count() * self.config.num_pps) as f64
     }
 
     /// Human-readable per-cycle listing (the Fig. 5 "job of an FPFA tile for
     /// each clock cycle").
     pub fn listing(&self) -> String {
         let mut out = String::new();
-        for (i, cycle) in self.cycles.iter().enumerate() {
+        for (i, cycle) in self.cycles().enumerate() {
             out.push_str(&format!("cycle {i:3}:"));
             if cycle.is_idle() {
                 out.push_str(" (idle)\n");
                 continue;
             }
             out.push('\n');
-            for mv in &cycle.moves {
+            for mv in cycle.moves {
                 out.push_str(&format!(
                     "  move  {} -> {}   ({}{})\n",
                     mv.src,
@@ -225,8 +395,12 @@ impl TileProgram {
                     if mv.via_crossbar { ", crossbar" } else { "" }
                 ));
             }
-            for alu in &cycle.alus {
-                let ops: Vec<String> = alu.micro_ops.iter().map(|m| m.kind.mnemonic()).collect();
+            for alu in cycle.alus {
+                let ops: Vec<String> = cycle
+                    .micro_ops(alu)
+                    .iter()
+                    .map(|m| m.kind.mnemonic())
+                    .collect();
                 out.push_str(&format!(
                     "  alu   pp{} executes {} [{}]\n",
                     alu.pp,
@@ -234,7 +408,7 @@ impl TileProgram {
                     ops.join(" ")
                 ));
             }
-            for wb in &cycle.writebacks {
+            for wb in cycle.writebacks {
                 out.push_str(&format!(
                     "  store {} -> {}{}\n",
                     wb.op,
@@ -253,17 +427,40 @@ mod tests {
     use fpfa_arch::{MemId, RegBankName};
 
     #[test]
-    fn cycle_job_idleness() {
-        let mut job = CycleJob::default();
-        assert!(job.is_idle());
-        job.moves.push(MoveJob {
+    fn cycles_are_views_into_the_flat_arrays() {
+        let mut builder = CycleBuilder::default();
+        builder.end_cycle();
+        builder.moves.push(MoveJob {
             value: ValueRef::Const(0),
             src: MemRef::new(0, MemId::Mem1, 0),
             dst: RegRef::new(0, RegBankName::Ra, 0),
             via_crossbar: false,
         });
-        assert!(!job.is_idle());
-        assert_eq!(job.busy_alus(), 0);
+        let mut alu = builder.open_alu(1, ClusterId(0));
+        builder.push_micro_op(&mut alu, OpId(0), OpKind::Un(fpfa_cdfg::UnOp::Neg));
+        for _ in 0..MAX_OPERANDS {
+            assert!(builder.push_operand(OperandSource::Immediate(4)));
+        }
+        assert!(!builder.push_operand(OperandSource::Immediate(5)));
+        builder.alus.push(alu);
+        builder.end_cycle();
+        let program = TileProgram {
+            config: TileConfig::paper(),
+            jobs: builder.finish(),
+            preload: Vec::new(),
+            scalar_input_names: Names::default(),
+            scalar_outputs: Named::default(),
+            statespace_map: Vec::new(),
+            written_addresses: Vec::new(),
+            stats: AllocationStats::default(),
+        };
+        assert_eq!(program.cycle_count(), 2);
+        assert!(program.cycle(0).is_idle());
+        let cycle = program.cycle(1);
+        assert_eq!((cycle.moves.len(), cycle.busy_alus()), (1, 1));
+        let micro = cycle.micro_ops(&cycle.alus[0]);
+        assert_eq!(micro.len(), 1);
+        assert_eq!(cycle.operands(&micro[0]), [OperandSource::Immediate(4); 3]);
     }
 
     #[test]

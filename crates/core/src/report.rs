@@ -102,7 +102,7 @@ impl MappingReport {
             .map(|cycle| {
                 tiles
                     .iter()
-                    .map(|tile| tile.cycles[cycle].busy_alus())
+                    .map(|tile| tile.cycle(cycle).busy_alus())
                     .sum::<usize>()
             })
             .max()

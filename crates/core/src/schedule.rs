@@ -25,8 +25,13 @@ use std::fmt;
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Schedule {
     levels: Vec<Vec<ClusterId>>,
-    level_of: HashMap<ClusterId, usize>,
+    /// `level_of[c]` = level of cluster `c`, [`UNPLACED`] for a cluster the
+    /// schedule does not hold (another tile's, in an array schedule).
+    level_of: Vec<u32>,
 }
+
+/// The `level_of` entry of a cluster the schedule does not place.
+const UNPLACED: u32 = u32::MAX;
 
 impl Schedule {
     /// Number of levels (machine cycles of ALU work before allocation).
@@ -46,7 +51,19 @@ impl Schedule {
 
     /// The level a cluster was scheduled at.
     pub fn level_of(&self, cluster: ClusterId) -> Option<usize> {
-        self.level_of.get(&cluster).copied()
+        match self.level_of.get(cluster.index()) {
+            Some(&level) if level != UNPLACED => Some(level as usize),
+            _ => None,
+        }
+    }
+
+    /// Records that `cluster` sits at `level`.
+    fn set_level(&mut self, cluster: ClusterId, level: usize) {
+        if cluster.index() >= self.level_of.len() {
+            self.level_of.resize(cluster.index() + 1, UNPLACED);
+        }
+        self.level_of[cluster.index()] =
+            u32::try_from(level).expect("a schedule with fewer than 2^32 levels");
     }
 
     /// The largest number of clusters sharing one level.
@@ -62,7 +79,7 @@ impl Schedule {
             self.levels.resize(level + 1, Vec::new());
         }
         self.levels[level].push(cluster);
-        self.level_of.insert(cluster, level);
+        self.set_level(cluster, level);
     }
 
     /// Grows the level list to `count` levels (trailing levels stay empty) so
@@ -84,11 +101,10 @@ impl Schedule {
             return;
         }
         self.levels.swap(a, b);
-        for &cluster in &self.levels[a] {
-            self.level_of.insert(cluster, a);
-        }
-        for &cluster in &self.levels[b] {
-            self.level_of.insert(cluster, b);
+        for level in [a, b] {
+            for index in 0..self.levels[level].len() {
+                self.set_level(self.levels[level][index], level);
+            }
         }
     }
 
@@ -100,14 +116,14 @@ impl Schedule {
     /// exactly what a verifier kill suite needs to seed. The flow never calls
     /// it.
     pub fn move_cluster(&mut self, cluster: ClusterId, level: usize) {
-        if let Some(old) = self.level_of.get(&cluster).copied() {
+        if let Some(old) = self.level_of(cluster) {
             self.levels[old].retain(|c| *c != cluster);
         }
         if level >= self.levels.len() {
             self.levels.resize(level + 1, Vec::new());
         }
         self.levels[level].push(cluster);
-        self.level_of.insert(cluster, level);
+        self.set_level(cluster, level);
     }
 
     /// Average number of busy ALUs per level.

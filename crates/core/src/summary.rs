@@ -114,7 +114,7 @@ pub fn program_digest(result: &MappingResult) -> u64 {
     }
     let mut digest_tile = |program: &TileProgram| {
         fnv.usize(program.cycle_count());
-        for cycle in &program.cycles {
+        for cycle in program.cycles() {
             fnv.usize(cycle.alus.len());
             fnv.usize(cycle.moves.len());
             fnv.usize(cycle.writebacks.len());
@@ -126,14 +126,14 @@ pub fn program_digest(result: &MappingResult) -> u64 {
                 digest_tile(tile);
             }
             fnv.usize(multi.program.transfers.len());
-            for (name, tile, _) in &multi.program.scalar_outputs {
+            for (name, (tile, _)) in multi.program.scalar_outputs.iter() {
                 fnv.str(name);
-                fnv.usize(*tile);
+                fnv.usize(tile);
             }
         }
         None => {
             digest_tile(&result.program);
-            for (name, _) in &result.program.scalar_outputs {
+            for (name, _) in result.program.scalar_outputs.iter() {
                 fnv.str(name);
             }
         }

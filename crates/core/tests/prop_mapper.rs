@@ -138,7 +138,7 @@ proptest! {
 
         prop_assert_eq!(program.stats.cycles, program.cycle_count());
         prop_assert_eq!(program.stats.alu_ops, graph.op_count());
-        for cycle in &program.cycles {
+        for cycle in program.cycles() {
             // One cluster per PP.
             let mut pps: Vec<_> = cycle.alus.iter().map(|a| a.pp).collect();
             let len = pps.len();
@@ -147,10 +147,10 @@ proptest! {
             prop_assert_eq!(pps.len(), len);
             // Memory ports.
             let mut per_mem = HashMap::new();
-            for mv in &cycle.moves {
+            for mv in cycle.moves {
                 *per_mem.entry((mv.src.pp, mv.src.mem)).or_insert(0usize) += 1;
             }
-            for wb in &cycle.writebacks {
+            for wb in cycle.writebacks {
                 *per_mem.entry((wb.dest.pp, wb.dest.mem)).or_insert(0usize) += 1;
             }
             for used in per_mem.values() {

@@ -9,12 +9,12 @@
 use crate::error::SimError;
 use crate::trace::{CycleTrace, Trace};
 use fpfa_arch::{
-    ArchError, ArrayConfig, EnergyModel, EnergyReport, EventCounts, MemRef, RegRef, Tile,
-    TileArray, TileId,
+    ArchError, ArrayConfig, EnergyModel, EnergyReport, EventCounts, MemId, MemRef, RegBankName,
+    RegRef, Tile, TileArray, TileConfig, TileId,
 };
 use fpfa_cdfg::StateSpace;
 use fpfa_core::multi::TransferJob;
-use fpfa_core::program::{CycleJob, Location, OperandSource};
+use fpfa_core::program::{CycleJob, Location, OperandSource, MAX_OPERANDS};
 use fpfa_core::{OpId, OpKind, TileProgram, ValueRef};
 use std::collections::HashMap;
 
@@ -112,12 +112,12 @@ impl<'p> Simulator<'p> {
             scalar_outputs: program
                 .scalar_outputs
                 .iter()
-                .map(|(name, location)| (name.as_str(), 0, *location))
+                .map(|(name, location)| (name, 0, location))
                 .collect(),
             statespace_map: program
                 .statespace_map
                 .iter()
-                .map(|(&addr, &home)| (addr, 0, home))
+                .map(|&(addr, home)| (addr, 0, home))
                 .collect(),
         }
         .run(inputs, self.check_structure)
@@ -159,6 +159,12 @@ impl ArrayView<'_> {
         let mut counts = EventCounts::default();
         let mut trace = Trace::default();
         let mut results: HashMap<OpId, i64> = HashMap::new();
+        let mut internal: Vec<i64> = Vec::new();
+        let mut checks: Vec<CycleCheck> = self
+            .tiles
+            .iter()
+            .map(|tile| CycleCheck::new(tile.config))
+            .collect();
 
         // ------------------------------------------------------------------
         // Pre-load every tile's kernel inputs.
@@ -251,10 +257,10 @@ impl ArrayView<'_> {
             }
 
             // 2. Every tile executes its own jobs for this cycle.
-            for (tile_id, tile_program) in self.tiles.iter().enumerate() {
-                let cycle = &tile_program.cycles[cycle_index];
+            for ((tile_id, tile_program), check) in self.tiles.iter().enumerate().zip(&mut checks) {
+                let cycle = tile_program.cycle(cycle_index);
                 if check_structure {
-                    check_cycle(&tile_program.config, cycle_index, cycle)?;
+                    check.check(cycle_index, cycle)?;
                 }
                 let tile = array.tile_mut(tile_id).map_err(|source| SimError::Arch {
                     cycle: cycle_index,
@@ -265,6 +271,7 @@ impl ArrayView<'_> {
                     cycle_index,
                     cycle,
                     &mut results,
+                    &mut internal,
                     &mut counts,
                     &mut cycle_trace,
                 )?;
@@ -329,16 +336,18 @@ impl ArrayView<'_> {
 }
 
 /// Executes one tile's jobs for one cycle on the given tile state.
+/// `internal` is the ALU result buffer, reused by every job.
 pub(crate) fn execute_cycle(
     tile: &mut Tile,
     cycle_index: usize,
-    cycle: &CycleJob,
+    cycle: CycleJob<'_>,
     results: &mut HashMap<OpId, i64>,
+    internal: &mut Vec<i64>,
     counts: &mut EventCounts,
     cycle_trace: &mut CycleTrace,
 ) -> Result<(), SimError> {
     // Register loads.
-    for mv in &cycle.moves {
+    for mv in cycle.moves {
         let word = read_mem(tile, mv.src, cycle_index)?;
         write_reg(tile, mv.dst, word, cycle_index)?;
         counts.mem_reads += 1;
@@ -351,30 +360,32 @@ pub(crate) fn execute_cycle(
     }
 
     // ALU execution.
-    for alu in &cycle.alus {
-        let mut internal: Vec<i64> = Vec::with_capacity(alu.micro_ops.len());
-        for micro in &alu.micro_ops {
-            let mut operands = Vec::with_capacity(micro.operands.len());
-            for source in &micro.operands {
-                let value = match source {
-                    OperandSource::Immediate(c) => *c,
+    for alu in cycle.alus {
+        internal.clear();
+        for micro in cycle.micro_ops(alu) {
+            let mut operands = [0i64; MAX_OPERANDS];
+            let sources = cycle.operands(micro);
+            for (slot, source) in operands.iter_mut().zip(sources) {
+                *slot = match *source {
+                    OperandSource::Immediate(c) => c,
                     OperandSource::Register(reg) => {
                         counts.reg_reads += 1;
-                        read_reg(tile, *reg, cycle_index)?
+                        read_reg(tile, reg, cycle_index)?
                     }
                     OperandSource::Internal(pos) => {
-                        *internal.get(*pos).ok_or(SimError::BadInternalOperand {
+                        *internal.get(pos).ok_or(SimError::BadInternalOperand {
                             cycle: cycle_index,
                             op: micro.op,
                         })?
                     }
                 };
-                operands.push(value);
             }
-            let result = eval_op(micro.kind, &operands).ok_or(SimError::DivisionByZero {
-                cycle: cycle_index,
-                op: micro.op,
-            })?;
+            let result = eval_op(micro.kind, &operands[..sources.len()]).ok_or(
+                SimError::DivisionByZero {
+                    cycle: cycle_index,
+                    op: micro.op,
+                },
+            )?;
             internal.push(result);
             results.insert(micro.op, result);
             counts.alu_ops += 1;
@@ -384,7 +395,7 @@ pub(crate) fn execute_cycle(
     }
 
     // Write-backs.
-    for wb in &cycle.writebacks {
+    for wb in cycle.writebacks {
         let value = *results.get(&wb.op).ok_or(SimError::MissingResult {
             cycle: cycle_index,
             op: wb.op,
@@ -400,83 +411,117 @@ pub(crate) fn execute_cycle(
     Ok(())
 }
 
-/// Re-checks the structural constraints of one cycle against a tile
-/// configuration.
-pub(crate) fn check_cycle(
-    config: &fpfa_arch::TileConfig,
-    cycle_index: usize,
-    cycle: &CycleJob,
-) -> Result<(), SimError> {
-    {
-        // One cluster per PP.
-        let mut pps_seen: Vec<usize> = Vec::new();
-        for alu in &cycle.alus {
-            if pps_seen.contains(&alu.pp) {
-                return Err(SimError::AluConflict {
-                    cycle: cycle_index,
-                    pp: alu.pp,
-                });
+/// The structural re-check of one tile's cycles: resource counters indexed
+/// by processing part, memory and register bank, reused by every cycle.
+pub(crate) struct CycleCheck {
+    config: TileConfig,
+    busy_pps: Vec<bool>,
+    /// Accesses per `pp * 2 + memory`.
+    mem_accesses: Vec<usize>,
+    /// Writes per `pp * 4 + bank`.
+    bank_writes: Vec<usize>,
+    /// Micro-op depths and distinct register inputs of one ALU job.
+    depth: Vec<usize>,
+    registers: Vec<RegRef>,
+}
+
+impl CycleCheck {
+    pub(crate) fn new(config: TileConfig) -> Self {
+        CycleCheck {
+            config,
+            busy_pps: vec![false; config.num_pps],
+            mem_accesses: vec![0; config.num_pps * MemId::ALL.len()],
+            bank_writes: vec![0; config.num_pps * RegBankName::ALL.len()],
+            depth: Vec::new(),
+            registers: Vec::new(),
+        }
+    }
+
+    /// Re-checks the structural constraints of one cycle against the tile
+    /// configuration.  A reference to a PP the tile lacks is left to the
+    /// execution, which reports it.
+    pub(crate) fn check(
+        &mut self,
+        cycle_index: usize,
+        cycle: CycleJob<'_>,
+    ) -> Result<(), SimError> {
+        let config = &self.config;
+        self.busy_pps.fill(false);
+        self.mem_accesses.fill(0);
+        self.bank_writes.fill(0);
+        for alu in cycle.alus {
+            // One cluster per PP.
+            let pp = alu.pp_index();
+            if let Some(busy) = self.busy_pps.get_mut(pp) {
+                if *busy {
+                    return Err(SimError::AluConflict {
+                        cycle: cycle_index,
+                        pp,
+                    });
+                }
+                *busy = true;
             }
-            pps_seen.push(alu.pp);
             // ALU capability: count ops, multiplies, depth (approximated by
             // the number of internal dependencies on the longest chain),
             // register operands.
-            let ops = alu.micro_ops.len();
-            let multiplies = alu
-                .micro_ops
-                .iter()
-                .filter(|m| m.kind.is_multiply())
-                .count();
-            let mut depth = vec![1usize; ops];
-            for (i, micro) in alu.micro_ops.iter().enumerate() {
-                for source in &micro.operands {
-                    if let OperandSource::Internal(pos) = source {
-                        if *pos < i {
-                            depth[i] = depth[i].max(depth[*pos] + 1);
+            let micro_ops = cycle.micro_ops(alu);
+            let multiplies = micro_ops.iter().filter(|m| m.kind.is_multiply()).count();
+            self.depth.clear();
+            self.registers.clear();
+            for (i, micro) in micro_ops.iter().enumerate() {
+                let mut depth = 1;
+                for source in cycle.operands(micro) {
+                    match *source {
+                        OperandSource::Internal(pos) if pos < i => {
+                            depth = depth.max(self.depth[pos] + 1);
                         }
+                        OperandSource::Register(reg) if !self.registers.contains(&reg) => {
+                            self.registers.push(reg);
+                        }
+                        _ => {}
                     }
                 }
+                self.depth.push(depth);
             }
-            let max_depth = depth.iter().copied().max().unwrap_or(0);
-            let register_inputs: std::collections::HashSet<RegRef> = alu
-                .micro_ops
-                .iter()
-                .flat_map(|m| m.operands.iter())
-                .filter_map(|s| match s {
-                    OperandSource::Register(r) => Some(*r),
-                    _ => None,
-                })
-                .collect();
+            let max_depth = self.depth.iter().copied().max().unwrap_or(0);
             if let Some(reason) = config.alu.check(
-                register_inputs.len(),
+                self.registers.len(),
                 max_depth,
-                ops,
+                micro_ops.len(),
                 multiplies,
                 config.alu.max_outputs,
                 0,
             ) {
                 return Err(SimError::CapabilityViolated {
                     cycle: cycle_index,
-                    pp: alu.pp,
+                    pp,
                     reason,
                 });
             }
         }
         // Memory ports.
-        let mut mem_accesses: HashMap<(usize, fpfa_arch::MemId), usize> = HashMap::new();
-        for mv in &cycle.moves {
-            *mem_accesses.entry((mv.src.pp, mv.src.mem)).or_insert(0) += 1;
+        let memories = cycle
+            .moves
+            .iter()
+            .map(|mv| mv.src)
+            .chain(cycle.writebacks.iter().map(|wb| wb.dest));
+        for mem in memories.clone() {
+            if let Some(used) = self
+                .mem_accesses
+                .get_mut(mem.pp_index() * MemId::ALL.len() + mem.mem.index())
+            {
+                *used += 1;
+            }
         }
-        for wb in &cycle.writebacks {
-            *mem_accesses.entry((wb.dest.pp, wb.dest.mem)).or_insert(0) += 1;
-        }
-        for ((pp, mem), used) in &mem_accesses {
-            if *used > config.mem_ports {
+        for mem in memories {
+            let slot = mem.pp_index() * MemId::ALL.len() + mem.mem.index();
+            let used = self.mem_accesses.get(slot).copied().unwrap_or(0);
+            if used > config.mem_ports {
                 return Err(SimError::Arch {
                     cycle: cycle_index,
                     source: ArchError::PortConflict {
-                        resource: format!("pp{pp}.{mem}"),
-                        requested: *used,
+                        resource: format!("pp{}.{}", mem.pp, mem.mem),
+                        requested: used,
                         available: config.mem_ports,
                     },
                 });
@@ -495,17 +540,24 @@ pub(crate) fn check_cycle(
             });
         }
         // Register-bank write ports.
-        let mut bank_writes: HashMap<(usize, fpfa_arch::RegBankName), usize> = HashMap::new();
-        for mv in &cycle.moves {
-            *bank_writes.entry((mv.dst.pp, mv.dst.bank)).or_insert(0) += 1;
+        let bank_slot = |reg: RegRef| reg.pp_index() * RegBankName::ALL.len() + reg.bank.index();
+        for mv in cycle.moves {
+            if let Some(writes) = self.bank_writes.get_mut(bank_slot(mv.dst)) {
+                *writes += 1;
+            }
         }
-        for ((pp, bank), used) in &bank_writes {
-            if *used > config.regbank_write_ports {
+        for mv in cycle.moves {
+            let used = self
+                .bank_writes
+                .get(bank_slot(mv.dst))
+                .copied()
+                .unwrap_or(0);
+            if used > config.regbank_write_ports {
                 return Err(SimError::Arch {
                     cycle: cycle_index,
                     source: ArchError::PortConflict {
-                        resource: format!("pp{pp}.{bank}"),
-                        requested: *used,
+                        resource: format!("pp{}.{}", mv.dst.pp, mv.dst.bank),
+                        requested: used,
                         available: config.regbank_write_ports,
                     },
                 });
@@ -528,9 +580,9 @@ pub(crate) fn eval_op(kind: OpKind, operands: &[i64]) -> Option<i64> {
 }
 
 pub(crate) fn read_mem(tile: &Tile, mem: MemRef, cycle: usize) -> Result<i64, SimError> {
-    tile.pp(mem.pp)
+    tile.pp(mem.pp_index())
         .and_then(|pp| pp.memory(mem.mem))
-        .and_then(|m| m.read(mem.offset))
+        .and_then(|m| m.read(usize::from(mem.offset)))
         .map_err(|source| SimError::Arch { cycle, source })
 }
 
@@ -540,16 +592,16 @@ pub(crate) fn write_mem(
     value: i64,
     cycle: usize,
 ) -> Result<(), SimError> {
-    tile.pp_mut(mem.pp)
+    tile.pp_mut(mem.pp_index())
         .and_then(|pp| pp.memory_mut(mem.mem))
-        .and_then(|m| m.write(mem.offset, value))
+        .and_then(|m| m.write(usize::from(mem.offset), value))
         .map_err(|source| SimError::Arch { cycle, source })
 }
 
 pub(crate) fn read_reg(tile: &Tile, reg: RegRef, cycle: usize) -> Result<i64, SimError> {
-    tile.pp(reg.pp)
+    tile.pp(reg.pp_index())
         .and_then(|pp| pp.bank(reg.bank))
-        .and_then(|b| b.read(reg.index))
+        .and_then(|b| b.read(usize::from(reg.index)))
         .map_err(|source| SimError::Arch { cycle, source })
 }
 
@@ -559,9 +611,9 @@ pub(crate) fn write_reg(
     value: i64,
     cycle: usize,
 ) -> Result<(), SimError> {
-    tile.pp_mut(reg.pp)
+    tile.pp_mut(reg.pp_index())
         .and_then(|pp| pp.bank_mut(reg.bank))
-        .and_then(|b| b.write(reg.index, value))
+        .and_then(|b| b.write(usize::from(reg.index), value))
         .map_err(|source| SimError::Arch { cycle, source })
 }
 
@@ -657,6 +709,59 @@ mod tests {
         assert!(energy.total > 0.0);
         assert!(outcome.counts.mem_reads > 0);
         assert!(outcome.counts.reg_writes >= outcome.counts.mem_reads);
+    }
+
+    #[test]
+    fn structural_checks_name_the_resource_a_cycle_oversubscribes() {
+        // A program allocated for a roomier tile, re-checked against a
+        // tighter one: each tightened resource fails with its typed error
+        // on the first cycle that needs more of it.
+        let roomy = TileConfig {
+            mem_ports: 2,
+            regbank_write_ports: 2,
+            ..TileConfig::paper()
+        };
+        let kernel = fpfa_workloads::fir(16);
+        let mapping = Mapper::new()
+            .with_config(roomy)
+            .map_source(&kernel.source)
+            .unwrap();
+        let inputs = crate::flow::test_inputs(&mapping);
+        let run_on = |tighten: fn(&mut TileConfig)| {
+            let mut program = (*mapping.program).clone();
+            tighten(&mut program.config);
+            Simulator::new(&program).run(&inputs).unwrap_err()
+        };
+        let conflicts = [
+            run_on(|c| c.mem_ports = 1),
+            run_on(|c| c.regbank_write_ports = 1),
+        ];
+        for (err, resource) in conflicts.iter().zip(["MEM", ".R"]) {
+            match err {
+                SimError::Arch {
+                    source:
+                        ArchError::PortConflict {
+                            resource: named,
+                            requested,
+                            available: 1,
+                        },
+                    ..
+                } => assert!(named.contains(resource) && *requested > 1, "{err}"),
+                other => panic!("{other}"),
+            }
+        }
+        assert!(matches!(
+            run_on(|c| c.crossbar_buses = 1),
+            SimError::Arch {
+                source: ArchError::CrossbarOversubscribed { available: 1, .. },
+                ..
+            }
+        ));
+        assert!(matches!(
+            run_on(|c| c.alu.max_ops = 1),
+            SimError::CapabilityViolated { .. }
+        ));
+        assert!(Simulator::new(&mapping.program).run(&inputs).is_ok());
     }
 
     #[test]

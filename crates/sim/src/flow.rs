@@ -54,8 +54,8 @@ pub fn test_inputs(mapping: &MappingResult) -> SimInputs {
                 .store(addr, fpfa_workloads::test_signal_at(index, phase as i64));
         }
     }
-    for name in &mapping.program.scalar_input_names {
-        inputs.scalars.insert(name.clone(), 1);
+    for name in mapping.program.scalar_input_names.iter() {
+        inputs.scalars.insert(name.to_string(), 1);
     }
     inputs
 }

@@ -57,12 +57,12 @@ impl<'p> MultiSimulator<'p> {
             scalar_outputs: program
                 .scalar_outputs
                 .iter()
-                .map(|(name, tile, location)| (name.as_str(), *tile, *location))
+                .map(|(name, (tile, location))| (name, tile, location))
                 .collect(),
             statespace_map: program
                 .statespace_map
                 .iter()
-                .map(|(&addr, &(tile, home))| (addr, tile, home))
+                .map(|&(addr, (tile, home))| (addr, tile, home))
                 .collect(),
         }
         .run(inputs, self.check_structure)

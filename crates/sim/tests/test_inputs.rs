@@ -15,8 +15,8 @@ fn full_fill(mapping: &MappingResult) -> SimInputs {
             &fpfa_workloads::test_signal(sym.len, phase as i64),
         );
     }
-    for name in &mapping.program.scalar_input_names {
-        inputs.scalars.insert(name.clone(), 1);
+    for name in mapping.program.scalar_input_names.iter() {
+        inputs.scalars.insert(name.to_string(), 1);
     }
     inputs
 }

@@ -35,20 +35,14 @@ fn simulator_event_counts_are_consistent_with_the_program() {
         // Every ALU micro-op of the program is executed exactly once.
         let program_ops: usize = mapping
             .program
-            .cycles
-            .iter()
+            .cycles()
             .flat_map(|c| c.alus.iter())
-            .map(|a| a.micro_ops.len())
+            .map(|a| a.micro_op_count())
             .sum();
         assert_eq!(outcome.counts.alu_ops as usize, program_ops);
         // Moves and write-backs match the memory traffic.
-        let moves: usize = mapping.program.cycles.iter().map(|c| c.moves.len()).sum();
-        let writebacks: usize = mapping
-            .program
-            .cycles
-            .iter()
-            .map(|c| c.writebacks.len())
-            .sum();
+        let moves: usize = mapping.program.cycles().map(|c| c.moves.len()).sum();
+        let writebacks: usize = mapping.program.cycles().map(|c| c.writebacks.len()).sum();
         assert_eq!(outcome.counts.mem_reads as usize, moves);
         assert_eq!(outcome.counts.mem_writes as usize, writebacks);
         assert_eq!(outcome.counts.reg_writes as usize, moves);

@@ -76,7 +76,7 @@ impl<'a> View<'a> {
                         .program
                         .statespace_map
                         .iter()
-                        .map(|(&addr, &home)| (addr, home))
+                        .map(|&(addr, home)| (addr, home))
                         .collect(),
                     written: multi.program.written_addresses.iter().copied().collect(),
                 }
@@ -92,7 +92,7 @@ impl<'a> View<'a> {
                     .program
                     .statespace_map
                     .iter()
-                    .map(|(&addr, &home)| (addr, (0, home)))
+                    .map(|&(addr, home)| (addr, (0, home)))
                     .collect(),
                 written: result.program.written_addresses.iter().copied().collect(),
             },
@@ -268,10 +268,11 @@ impl Verifier {
         let mut exec: HashMap<ClusterId, (TileId, usize, usize)> = HashMap::new();
         let mut executed: HashMap<ClusterId, usize> = HashMap::new();
         for (tile, program) in view.tiles.iter().enumerate() {
-            for (cycle, job) in program.cycles.iter().enumerate() {
-                for alu in &job.alus {
+            for (cycle, job) in program.cycles().enumerate() {
+                for alu in job.alus {
                     *executed.entry(alu.cluster).or_insert(0) += 1;
-                    exec.entry(alu.cluster).or_insert((tile, cycle, alu.pp));
+                    exec.entry(alu.cluster)
+                        .or_insert((tile, cycle, alu.pp_index()));
                 }
             }
         }
@@ -354,7 +355,7 @@ impl Verifier {
             let Some(&consumer) = placement.owner.get(&op) else {
                 continue;
             };
-            for input in &graph.op(op).inputs {
+            for input in graph.op(op).inputs {
                 let ValueRef::Op(producer_op) = input else {
                     continue;
                 };
@@ -416,8 +417,8 @@ impl Verifier {
             for &(value, mem) in &program.preload {
                 events.entry(mem).or_default().push((-1, value));
             }
-            for (cycle, job) in program.cycles.iter().enumerate() {
-                for wb in &job.writebacks {
+            for (cycle, job) in program.cycles().enumerate() {
+                for wb in job.writebacks {
                     events
                         .entry(wb.dest)
                         .or_default()
@@ -447,7 +448,7 @@ impl Verifier {
                                     )
                                     .with_location(format!("tile {tile}, cycle {cycle}")),
                                 );
-                            } else if epp != wb.src_pp {
+                            } else if epp != usize::from(wb.src_pp) {
                                 report.push(
                                     Diagnostic::deny(
                                         "FV006",
@@ -475,8 +476,8 @@ impl Verifier {
             for stores in events.values_mut() {
                 stores.sort_by_key(|&(cycle, _)| cycle);
             }
-            for (cycle, job) in program.cycles.iter().enumerate() {
-                for mv in &job.moves {
+            for (cycle, job) in program.cycles().enumerate() {
+                for mv in job.moves {
                     let latest = events
                         .get(&mv.src)
                         .and_then(|stores| stores.iter().rev().find(|&&(c, _)| c < cycle as i64));
@@ -524,29 +525,31 @@ impl Verifier {
         let clustered = &result.clustered;
         for (tile, program) in view.tiles.iter().enumerate() {
             let mut regs: HashMap<RegRef, ValueRef> = HashMap::new();
-            for (cycle, job) in program.cycles.iter().enumerate() {
+            for (cycle, job) in program.cycles().enumerate() {
                 let here = |pp: usize| format!("tile {tile}, cycle {cycle}, pp{pp}");
-                for alu in &job.alus {
+                for alu in job.alus {
                     if alu.cluster.index() >= clustered.len() {
                         continue; // FV002 already reported the unknown cluster.
                     }
                     let cluster = clustered.cluster(alu.cluster);
-                    if alu.micro_ops.len() != cluster.ops.len() {
+                    let micro_ops = job.micro_ops(alu);
+                    if micro_ops.len() != cluster.ops.len() {
                         report.push(
                             Diagnostic::deny(
                                 "FV007",
                                 format!(
                                     "cluster {} executes {} micro-ops for {} operations",
                                     alu.cluster,
-                                    alu.micro_ops.len(),
+                                    micro_ops.len(),
                                     cluster.ops.len()
                                 ),
                             )
-                            .with_location(here(alu.pp)),
+                            .with_location(here(alu.pp_index())),
                         );
                         continue;
                     }
-                    for (k, micro) in alu.micro_ops.iter().enumerate() {
+                    for (k, micro) in micro_ops.iter().enumerate() {
+                        let operands = job.operands(micro);
                         let op = cluster.ops[k];
                         if micro.op != op {
                             report.push(
@@ -558,7 +561,7 @@ impl Verifier {
                                         alu.cluster, micro.op
                                     ),
                                 )
-                                .with_location(here(alu.pp)),
+                                .with_location(here(alu.pp_index())),
                             );
                             continue;
                         }
@@ -574,25 +577,25 @@ impl Verifier {
                                         map_op.kind.mnemonic()
                                     ),
                                 )
-                                .with_location(here(alu.pp)),
+                                .with_location(here(alu.pp_index())),
                             );
                         }
-                        if micro.operands.len() != map_op.inputs.len() {
+                        if operands.len() != map_op.inputs.len() {
                             report.push(
                                 Diagnostic::deny(
                                     "FV007",
                                     format!(
                                         "{op} takes {} operands but the micro-op supplies {}",
                                         map_op.inputs.len(),
-                                        micro.operands.len()
+                                        operands.len()
                                     ),
                                 )
-                                .with_location(here(alu.pp)),
+                                .with_location(here(alu.pp_index())),
                             );
                             continue;
                         }
                         for (port, (source, expected)) in
-                            micro.operands.iter().zip(&map_op.inputs).enumerate()
+                            operands.iter().zip(map_op.inputs).enumerate()
                         {
                             match *source {
                                 OperandSource::Immediate(value) => {
@@ -605,7 +608,7 @@ impl Verifier {
                                                      {value} but the graph expects {expected}"
                                                 ),
                                             )
-                                            .with_location(here(alu.pp)),
+                                            .with_location(here(alu.pp_index())),
                                         );
                                     }
                                 }
@@ -622,7 +625,7 @@ impl Verifier {
                                                      {expected}"
                                                 ),
                                             )
-                                            .with_location(here(alu.pp)),
+                                            .with_location(here(alu.pp_index())),
                                         );
                                     }
                                 }
@@ -636,7 +639,7 @@ impl Verifier {
                                                      register of another processing part"
                                                 ),
                                             )
-                                            .with_location(here(alu.pp)),
+                                            .with_location(here(alu.pp_index())),
                                         );
                                         continue;
                                     }
@@ -650,7 +653,7 @@ impl Verifier {
                                                      holding {held} (expected {expected})"
                                                 ),
                                             )
-                                            .with_location(here(alu.pp)),
+                                            .with_location(here(alu.pp_index())),
                                         ),
                                         None => report.push(
                                             Diagnostic::deny(
@@ -660,7 +663,7 @@ impl Verifier {
                                                      any move loaded it"
                                                 ),
                                             )
-                                            .with_location(here(alu.pp)),
+                                            .with_location(here(alu.pp_index())),
                                         ),
                                     }
                                 }
@@ -671,7 +674,7 @@ impl Verifier {
                 // Moves commit at the end of the cycle: ALU jobs of the same
                 // cycle must not observe them (the allocator always loads
                 // strictly ahead of use).
-                for mv in &job.moves {
+                for mv in job.moves {
                     regs.insert(mv.dst, mv.value);
                 }
             }
@@ -698,13 +701,13 @@ impl Verifier {
                     );
                 }
             }
-            for (cycle, job) in program.cycles.iter().enumerate() {
+            for (cycle, job) in program.cycles().enumerate() {
                 let here = format!("tile {tile}, cycle {cycle}");
-                let mut mem_accesses: BTreeMap<(usize, usize), usize> = BTreeMap::new();
-                let mut bank_writes: BTreeMap<(usize, usize), usize> = BTreeMap::new();
+                let mut mem_accesses: BTreeMap<(u8, usize), usize> = BTreeMap::new();
+                let mut bank_writes: BTreeMap<(u8, usize), usize> = BTreeMap::new();
                 let mut crossbar = 0usize;
-                let mut busy_pps: HashSet<usize> = HashSet::new();
-                for mv in &job.moves {
+                let mut busy_pps: HashSet<u8> = HashSet::new();
+                for mv in job.moves {
                     self.check_mem_ref(mv.src, &here, report);
                     self.check_reg_ref(mv.dst, &here, report);
                     *mem_accesses
@@ -737,9 +740,9 @@ impl Verifier {
                         crossbar += 1;
                     }
                 }
-                for wb in &job.writebacks {
+                for wb in job.writebacks {
                     self.check_mem_ref(wb.dest, &here, report);
-                    if wb.src_pp >= cfg.num_pps {
+                    if usize::from(wb.src_pp) >= cfg.num_pps {
                         report.push(
                             Diagnostic::deny(
                                 "FV008",
@@ -778,8 +781,8 @@ impl Verifier {
                         crossbar += 1;
                     }
                 }
-                for alu in &job.alus {
-                    if alu.pp >= cfg.num_pps {
+                for alu in job.alus {
+                    if alu.pp_index() >= cfg.num_pps {
                         report.push(
                             Diagnostic::deny(
                                 "FV008",
@@ -868,9 +871,9 @@ impl Verifier {
 
     fn check_mem_ref(&self, mem: MemRef, location: &str, report: &mut VerifyReport) {
         let cfg = &self.config;
-        if mem.pp >= cfg.num_pps
+        if mem.pp_index() >= cfg.num_pps
             || mem.mem.index() >= cfg.mems_per_pp
-            || mem.offset >= cfg.mem_words
+            || usize::from(mem.offset) >= cfg.mem_words
         {
             report.push(
                 Diagnostic::deny(
@@ -888,9 +891,9 @@ impl Verifier {
 
     fn check_reg_ref(&self, reg: RegRef, location: &str, report: &mut VerifyReport) {
         let cfg = &self.config;
-        if reg.pp >= cfg.num_pps
+        if reg.pp_index() >= cfg.num_pps
             || reg.bank.index() >= cfg.banks_per_pp
-            || reg.index >= cfg.regs_per_bank
+            || usize::from(reg.index) >= cfg.regs_per_bank
         {
             report.push(
                 Diagnostic::deny(
@@ -955,7 +958,7 @@ impl Verifier {
                 .tiles
                 .get(transfer.from)
                 .map(|program| {
-                    program.cycles.iter().take(transfer.depart).any(|job| {
+                    program.cycles().take(transfer.depart).any(|job| {
                         job.writebacks
                             .iter()
                             .any(|wb| wb.op == transfer.op && wb.dest == transfer.src)
@@ -1229,7 +1232,7 @@ impl Verifier {
                         program
                             .tiles
                             .iter()
-                            .map(|tile| tile.cycles[cycle].busy_alus())
+                            .map(|tile| tile.cycle(cycle).busy_alus())
                             .sum::<usize>()
                     })
                     .max()
@@ -1287,8 +1290,7 @@ impl Verifier {
                     program.stats.stall_cycles,
                 );
                 let alus_used = program
-                    .cycles
-                    .iter()
+                    .cycles()
                     .map(|cycle| cycle.busy_alus())
                     .max()
                     .unwrap_or(0);

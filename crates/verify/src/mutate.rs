@@ -180,18 +180,19 @@ fn corrupt_input_homing(result: &mut MappingResult) -> Result<String, String> {
     let Some(&addr) = read_only.first() else {
         return Err("kernel has no read-only statespace words".into());
     };
+    let missing = || format!("address {addr} is not in the statespace map");
     if let Some(multi) = result.multi.as_mut() {
-        let multi = Arc::make_mut(multi);
-        let Some((_, home)) = multi.program.statespace_map.get_mut(&addr) else {
-            return Err(format!("address {addr} is not in the statespace map"));
-        };
-        home.offset += 1;
+        let map = &mut Arc::make_mut(multi).program.statespace_map;
+        let index = map
+            .binary_search_by_key(&addr, |&(address, _)| address)
+            .map_err(|_| missing())?;
+        map[index].1 .1.offset += 1;
     } else {
-        let program = Arc::make_mut(&mut result.program);
-        let Some(home) = program.statespace_map.get_mut(&addr) else {
-            return Err(format!("address {addr} is not in the statespace map"));
-        };
-        home.offset += 1;
+        let map = &mut Arc::make_mut(&mut result.program).statespace_map;
+        let index = map
+            .binary_search_by_key(&addr, |&(address, _)| address)
+            .map_err(|_| missing())?;
+        map[index].1.offset += 1;
     }
     Ok(format!("re-homed read-only statespace word {addr}"))
 }
@@ -201,11 +202,7 @@ fn overflow_preload(result: &mut MappingResult) -> Result<String, String> {
     let bogus = |config: &fpfa_arch::TileConfig| {
         (
             ValueRef::Const(1),
-            MemRef {
-                pp: 0,
-                mem: MemId::Mem1,
-                offset: config.mem_words,
-            },
+            MemRef::new(0, MemId::Mem1, config.mem_words),
         )
     };
     if let Some(multi) = result.multi.as_mut() {

@@ -113,7 +113,7 @@ fn narrow_crossbar_still_produces_correct_programs() {
         .with_config(config)
         .map_source(&kernel.source)
         .unwrap();
-    for cycle in &mapping.program.cycles {
+    for cycle in mapping.program.cycles() {
         let buses = cycle.moves.iter().filter(|m| m.via_crossbar).count()
             + cycle.writebacks.iter().filter(|w| w.via_crossbar).count();
         assert!(buses <= 1);

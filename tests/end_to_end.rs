@@ -50,7 +50,7 @@ fn every_workload_kernel_respects_the_tile_limits() {
             "{}",
             kernel.name
         );
-        for cycle in &mapping.program.cycles {
+        for cycle in mapping.program.cycles() {
             assert!(cycle.busy_alus() <= config.num_pps);
             let crossbar = cycle.moves.iter().filter(|m| m.via_crossbar).count()
                 + cycle.writebacks.iter().filter(|w| w.via_crossbar).count();
@@ -134,6 +134,35 @@ fn undersized_tiles_produce_typed_errors() {
         .map_source(&kernel.source)
         .unwrap_err();
     assert!(matches!(err, fpfa::core::MapError::CapacityExceeded { .. }));
+}
+
+#[test]
+fn tiles_wider_than_the_program_records_are_refused() {
+    // Memory and register references store PP, register and word indices
+    // in one or two bytes; a tile past those widths is a typed error at 1
+    // and 4 tiles, never a panic or a truncated reference.
+    let kernel = workloads::fir(16);
+    let paper = fpfa::arch::TileConfig::paper();
+    for config in [
+        paper.with_num_pps(256),
+        paper.with_register_files(4, 256),
+        paper.with_memories(2, 65_536),
+    ] {
+        for tiles in [1, 4] {
+            let err = Mapper::new()
+                .with_config(config)
+                .with_tiles(tiles)
+                .map_source(&kernel.source)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    fpfa::core::MapError::Arch(fpfa::arch::ArchError::InvalidConfig(_))
+                ),
+                "{err}"
+            );
+        }
+    }
 }
 
 #[test]

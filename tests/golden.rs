@@ -6,20 +6,56 @@
 //! lets the cache serve a different one, fails here.  A change that moves a
 //! digest on purpose edits `GOLDEN.json` and says why.
 //!
+//! [`program_digest`] hashes only per-cycle counts, so two more columns pin
+//! the bytes: the FNV-1a hash of each cold mapping's encoded post-transform
+//! record.  They see a wrong register, address or operand, and they show
+//! that records already written to a cache directory still decode to the
+//! same mapping.  Decoding a record and encoding it again gives back the
+//! same bytes.
+//!
 //! In release builds the same registry must also map cold within the
 //! per-kernel wall-clock budget.
 
-use fpfa::core::pipeline::Mapper;
+use fpfa::core::cache::PostTransformArtifacts;
+use fpfa::core::codec::{decode_post_transform, encode_post_transform};
+use fpfa::core::pipeline::{Mapper, MappingResult};
 use fpfa::core::{program_digest, CacheOutcome, MappingService};
 use fpfa_obs::json::{self, JsonValue};
 
 const GOLDEN: &str = include_str!("../GOLDEN.json");
 
-/// The four digest columns of a golden row, in the order they are checked.
-const COLUMNS: [&str; 4] = ["t1_cold", "t1_cached", "t4_cold", "t4_cached"];
+/// The digest columns of a golden row, in the order they are checked: the
+/// program digests, then the record digests.
+const COLUMNS: [&str; 6] = [
+    "t1_cold",
+    "t1_cached",
+    "t4_cold",
+    "t4_cached",
+    "t1_record",
+    "t4_record",
+];
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The digest of a mapping's encoded post-transform record, after checking
+/// that the record decodes and re-encodes to the same bytes.
+fn record_digest(name: &str, mapping: &MappingResult) -> u64 {
+    let record = encode_post_transform(&PostTransformArtifacts::of(mapping));
+    let decoded = decode_post_transform(&record).expect("a fresh record decodes");
+    assert!(
+        encode_post_transform(&decoded) == record,
+        "{name}: decoding then re-encoding the record changed its bytes"
+    );
+    fnv1a(&record)
+}
 
 /// `(kernel name, digests in COLUMNS order)` for every row of the golden file.
-fn checked_in_digests() -> Vec<(String, [u64; 4])> {
+fn checked_in_digests() -> Vec<(String, [u64; 6])> {
     let doc = json::parse(GOLDEN).expect("GOLDEN.json parses");
     let rows = doc
         .as_object()
@@ -52,8 +88,8 @@ fn registry_kernels_map_to_the_checked_in_digests() {
         "the golden file covers the registry in order"
     );
 
-    let mut actual = vec![[0u64; 4]; registry.len()];
-    for (tiles, cold_column) in [(1, 0), (4, 2)] {
+    let mut actual = vec![[0u64; 6]; registry.len()];
+    for (tiles, cold_column, record_column) in [(1, 0, 4), (4, 2, 5)] {
         let mapper = Mapper::new().with_tiles(tiles);
         let service = MappingService::new(mapper.clone());
         for (kernel, digests) in registry.iter().zip(&mut actual) {
@@ -63,6 +99,7 @@ fn registry_kernels_map_to_the_checked_in_digests() {
             assert_eq!(cached.report.cache, CacheOutcome::MappingHit);
             digests[cold_column] = program_digest(&cold);
             digests[cold_column + 1] = program_digest(&cached);
+            digests[record_column] = record_digest(&kernel.name, &cold);
         }
     }
 

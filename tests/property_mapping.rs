@@ -94,13 +94,13 @@ proptest! {
         let source = kernel_source(&exprs);
         let mapping = Mapper::new().map_source(&source).expect("mapping succeeds");
         let config = mapping.program.config;
-        for cycle in &mapping.program.cycles {
+        for cycle in mapping.program.cycles() {
             prop_assert!(cycle.busy_alus() <= config.num_pps);
             let mut per_mem = std::collections::HashMap::new();
-            for mv in &cycle.moves {
+            for mv in cycle.moves {
                 *per_mem.entry((mv.src.pp, mv.src.mem)).or_insert(0usize) += 1;
             }
-            for wb in &cycle.writebacks {
+            for wb in cycle.writebacks {
                 *per_mem.entry((wb.dest.pp, wb.dest.mem)).or_insert(0usize) += 1;
             }
             for used in per_mem.values() {
