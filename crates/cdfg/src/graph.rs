@@ -248,6 +248,8 @@ pub struct TopoScratch {
     /// Per-node edge multiplicity, reset to zero after each visit.
     counts: Vec<u32>,
     distinct: Vec<NodeId>,
+    /// The visited node's `(output port, consumer)` pairs, in port order.
+    sinks: Vec<(u16, NodeId)>,
     ready: Vec<NodeId>,
     order: Vec<NodeId>,
 }
@@ -344,6 +346,22 @@ impl Cdfg {
         if let Some(journal) = &mut self.journal {
             journal.record(id);
         }
+    }
+
+    /// Reserves room for at least `nodes` more nodes and `edges` more
+    /// edges, so a builder that knows roughly how large its graph gets
+    /// does not copy the arena as it grows.
+    pub fn reserve(&mut self, nodes: usize, edges: usize) {
+        self.kinds.reserve(nodes);
+        self.ports.reserve(nodes);
+        self.edges.reserve(edges);
+    }
+
+    /// Gives back the arena capacity past the current slots.
+    pub fn shrink_to_fit(&mut self) {
+        self.kinds.shrink_to_fit();
+        self.ports.shrink_to_fit();
+        self.edges.shrink_to_fit();
     }
 
     /// Descriptive name of the graph (usually the source function name).
@@ -738,20 +756,20 @@ impl Cdfg {
             .collect()
     }
 
-    /// Finds the `Input` node with the given name.
+    /// Finds the first `Input` node with the given name.
     pub fn input_named(&self, name: &str) -> Option<NodeId> {
-        self.inputs()
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| id)
+        self.nodes().find_map(|(id, n)| match n.kind {
+            NodeKind::Input(input) if input == name => Some(id),
+            _ => None,
+        })
     }
 
-    /// Finds the `Output` node with the given name.
+    /// Finds the first `Output` node with the given name.
     pub fn output_named(&self, name: &str) -> Option<NodeId> {
-        self.outputs()
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| id)
+        self.nodes().find_map(|(id, n)| match n.kind {
+            NodeKind::Output(output) if output == name => Some(id),
+            _ => None,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -810,17 +828,37 @@ impl Cdfg {
             // with its edge multiplicity, using the zeroed `counts` table as
             // the seen-marker.
             let record = &self.ports[id.index()];
-            for port in 0..usize::from(record.out_ports) {
-                for raw in record.port_out_edges(&self.edges, port) {
-                    let to = self.edges[raw as usize]
-                        .as_ref()
-                        .expect("port lists only hold live edges")
-                        .to
-                        .node;
-                    if scratch.counts[to.index()] == 0 {
-                        scratch.distinct.push(to);
-                    }
-                    scratch.counts[to.index()] += 1;
+            let edge = |raw: u32| {
+                self.edges[raw as usize]
+                    .as_ref()
+                    .expect("port lists only hold live edges")
+            };
+            fn count(counts: &mut [u32], distinct: &mut Vec<NodeId>, to: NodeId) {
+                if counts[to.index()] == 0 {
+                    distinct.push(to);
+                }
+                counts[to.index()] += 1;
+            }
+            if record.out_ports > 1 {
+                // A node with several output ports (a loop) lists its edges
+                // in connect order across ports: sort them by port once,
+                // stably, instead of scanning the list once per port.
+                scratch.sinks.clear();
+                scratch.sinks.extend(record.out_edges().iter().map(|&raw| {
+                    let edge = edge(raw);
+                    (edge.from.port, edge.to.node)
+                }));
+                scratch.sinks.sort_by_key(|&(port, _)| port);
+                for &(_, to) in &scratch.sinks {
+                    count(&mut scratch.counts, &mut scratch.distinct, to);
+                }
+            } else {
+                for &raw in record.out_edges() {
+                    count(
+                        &mut scratch.counts,
+                        &mut scratch.distinct,
+                        edge(raw).to.node,
+                    );
                 }
             }
             // A successor may be connected through several ports; decrement

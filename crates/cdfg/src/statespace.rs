@@ -34,13 +34,13 @@ impl StateSpace {
     /// Creates a statespace from `(address, data)` pairs.
     ///
     /// Later pairs overwrite earlier pairs with the same address, matching the
-    /// semantics of repeated `ST` operations.
+    /// semantics of repeated `ST` operations.  The map is built in one pass:
+    /// the pairs are sorted stably by address and the last of each address
+    /// is kept, instead of inserting them one at a time.
     pub fn from_tuples<I: IntoIterator<Item = (i64, i64)>>(tuples: I) -> Self {
-        let mut ss = Self::new();
-        for (ad, da) in tuples {
-            ss.store(ad, da);
+        StateSpace {
+            tuples: tuples.into_iter().collect(),
         }
-        ss
     }
 
     /// `ST`: stores `data` at `address`, overwriting any existing tuple.
@@ -176,6 +176,18 @@ mod tests {
             ss.fetch_array(100, 4),
             vec![Some(1), Some(2), Some(3), None]
         );
+    }
+
+    #[test]
+    fn bulk_building_keeps_the_last_write_to_each_address() {
+        let pairs = [(5, 1), (-3, 2), (5, 3), (0, 4), (-3, 5), (9, 6), (5, 7)];
+        let mut stored = StateSpace::new();
+        for (ad, da) in pairs {
+            stored.store(ad, da);
+        }
+        assert_eq!(StateSpace::from_tuples(pairs), stored);
+        assert_eq!(pairs.into_iter().collect::<StateSpace>(), stored);
+        assert_eq!(stored.to_tuples(), vec![(-3, 5), (0, 4), (5, 7), (9, 6)]);
     }
 
     #[test]

@@ -1,4 +1,6 @@
 //! Abstract syntax tree of the C subset.
+//!
+//! Names are slices of the source text the tree was parsed from.
 
 use crate::token::Span;
 use fpfa_cdfg::{BinOp, UnOp};
@@ -19,7 +21,7 @@ pub enum AstBinOp {
 
 /// An expression.
 #[derive(Clone, PartialEq, Debug)]
-pub enum Expr {
+pub enum Expr<'s> {
     /// Integer literal.
     Literal {
         /// The literal value.
@@ -30,16 +32,16 @@ pub enum Expr {
     /// Scalar variable reference.
     Var {
         /// Variable name.
-        name: String,
+        name: &'s str,
         /// Source position.
         span: Span,
     },
     /// Array element read `name[index]`.
     Index {
         /// Array name.
-        name: String,
+        name: &'s str,
         /// Index expression.
-        index: Box<Expr>,
+        index: Box<Expr<'s>>,
         /// Source position.
         span: Span,
     },
@@ -48,7 +50,7 @@ pub enum Expr {
         /// The operator.
         op: UnOp,
         /// The operand.
-        operand: Box<Expr>,
+        operand: Box<Expr<'s>>,
         /// Source position.
         span: Span,
     },
@@ -57,15 +59,15 @@ pub enum Expr {
         /// The operator.
         op: AstBinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<'s>>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<'s>>,
         /// Source position.
         span: Span,
     },
 }
 
-impl Expr {
+impl Expr<'_> {
     /// Source position of the expression.
     pub fn span(&self) -> Span {
         match self {
@@ -80,26 +82,26 @@ impl Expr {
 
 /// The target of an assignment.
 #[derive(Clone, PartialEq, Debug)]
-pub enum LValue {
+pub enum LValue<'s> {
     /// Scalar variable.
     Var {
         /// Variable name.
-        name: String,
+        name: &'s str,
         /// Source position.
         span: Span,
     },
     /// Array element `name[index]`.
     Index {
         /// Array name.
-        name: String,
+        name: &'s str,
         /// Index expression.
-        index: Expr,
+        index: Expr<'s>,
         /// Source position.
         span: Span,
     },
 }
 
-impl LValue {
+impl LValue<'_> {
     /// Source position of the l-value.
     pub fn span(&self) -> Span {
         match self {
@@ -110,20 +112,20 @@ impl LValue {
 
 /// A statement.
 #[derive(Clone, PartialEq, Debug)]
-pub enum Stmt {
+pub enum Stmt<'s> {
     /// Scalar declaration `int x;` or `int x = expr;`.
     DeclScalar {
         /// Variable name.
-        name: String,
+        name: &'s str,
         /// Optional initialiser.
-        init: Option<Expr>,
+        init: Option<Expr<'s>>,
         /// Source position.
         span: Span,
     },
     /// Array declaration `int a[N];`.
     DeclArray {
         /// Array name.
-        name: String,
+        name: &'s str,
         /// Compile-time length.
         len: i64,
         /// Source position.
@@ -132,36 +134,36 @@ pub enum Stmt {
     /// Assignment `lvalue = expr;`.
     Assign {
         /// Assignment target.
-        target: LValue,
+        target: LValue<'s>,
         /// Value expression.
-        value: Expr,
+        value: Expr<'s>,
         /// Source position.
         span: Span,
     },
     /// `if (cond) { then } else { otherwise }`.
     If {
         /// Condition expression.
-        cond: Expr,
+        cond: Expr<'s>,
         /// Then branch.
-        then_branch: Vec<Stmt>,
+        then_branch: Vec<Stmt<'s>>,
         /// Else branch (empty when absent).
-        else_branch: Vec<Stmt>,
+        else_branch: Vec<Stmt<'s>>,
         /// Source position.
         span: Span,
     },
     /// `while (cond) { body }`.
     While {
         /// Condition expression.
-        cond: Expr,
+        cond: Expr<'s>,
         /// Loop body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
         /// Source position.
         span: Span,
     },
     /// A nested block of statements (also used by the `for`-loop desugaring).
     Block {
         /// The statements of the block.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'s>>,
         /// Source position.
         span: Span,
     },
@@ -174,25 +176,25 @@ pub enum Stmt {
 
 /// A function definition (only `main` is accepted by the lowering phase).
 #[derive(Clone, PartialEq, Debug)]
-pub struct Function {
+pub struct Function<'s> {
     /// Function name.
-    pub name: String,
+    pub name: &'s str,
     /// Statements of the body.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'s>>,
     /// Source position of the definition.
     pub span: Span,
 }
 
 /// A parsed translation unit.
 #[derive(Clone, PartialEq, Debug, Default)]
-pub struct TranslationUnit {
+pub struct TranslationUnit<'s> {
     /// The functions defined in the unit.
-    pub functions: Vec<Function>,
+    pub functions: Vec<Function<'s>>,
 }
 
-impl TranslationUnit {
+impl<'s> TranslationUnit<'s> {
     /// Finds a function by name.
-    pub fn function(&self, name: &str) -> Option<&Function> {
+    pub fn function(&self, name: &str) -> Option<&Function<'s>> {
         self.functions.iter().find(|f| f.name == name)
     }
 }
@@ -209,7 +211,7 @@ mod tests {
         };
         assert_eq!(e.span(), Span::new(4, 2));
         let lv = LValue::Var {
-            name: "x".into(),
+            name: "x",
             span: Span::new(1, 1),
         };
         assert_eq!(lv.span(), Span::new(1, 1));
@@ -219,7 +221,7 @@ mod tests {
     fn unit_function_lookup() {
         let unit = TranslationUnit {
             functions: vec![Function {
-                name: "main".into(),
+                name: "main",
                 body: vec![],
                 span: Span::default(),
             }],

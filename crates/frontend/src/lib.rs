@@ -19,6 +19,31 @@
 //! dataflow form instead of being stored to the statespace; the array
 //! traffic — what the figures of the paper count — is identical.
 //!
+//! # Cost
+//!
+//! The frontend runs once per cold map, per `verify` request and per cache
+//! miss of the serving daemon, so its cost is linear in the source plus the
+//! graphs it builds, and it allocates little:
+//!
+//! * the [`lexer`] walks the source's bytes and decodes a `char` only where
+//!   a non-ASCII byte starts one (Unicode whitespace is skipped, anything
+//!   else is an unexpected character; columns count characters).  Tokens
+//!   are `Copy` and borrow their identifiers from the source, so the token
+//!   vector is the one allocation, and the [`parser`] advances without
+//!   cloning a token; the [`ast`] borrows its names too;
+//! * the [lowering](mod@lower) numbers every name once, keeps one environment for
+//!   the whole function with an undo log (an `if` branch or a loop
+//!   sub-graph unwinds what it bound instead of copying the scope), and
+//!   works out every loop's read, written and declared names in one walk,
+//!   bottom-up;
+//! * [`fpfa_cdfg::validate`] checks interface names and loop specifications
+//!   against sets borrowed from the graph, in one pass over each graph.
+//!
+//! If-conversion merges the scalars the two branches change in declaration
+//! order, so a kernel lowers to the same CDFG on every call.  The output is
+//! pinned by `GOLDEN.json`'s `frontend` digests, which hash everything
+//! [`Program`]'s equality compares.
+//!
 //! # Example
 //!
 //! ```
@@ -81,14 +106,48 @@ pub fn compile(source: &str) -> Result<Program, FrontendError> {
 ///
 /// Each `(name, values)` pair is placed at the base address the frontend
 /// assigned to that array. Unknown array names are ignored so callers can
-/// share one data set across kernels.
+/// share one data set across kernels.  Where two pairs write one address
+/// (the same name twice, or arrays placed over each other), the later pair
+/// wins, as with one store after another; the statespace is built in one
+/// pass.
 pub fn initial_state(layout: &MemoryLayout, arrays: &[(&str, &[i64])]) -> StateSpace {
-    let mut state = StateSpace::new();
-    for (name, values) in arrays {
-        if let Some(sym) = layout.array(name) {
-            let n = values.len().min(sym.len);
-            state.store_array(sym.base, &values[..n]);
+    let words = arrays.iter().flat_map(|(name, values)| {
+        let (base, len) = layout.array(name).map_or((0, 0), |sym| (sym.base, sym.len));
+        (0..)
+            .map(move |i| base.wrapping_add(i))
+            .zip(&values[..values.len().min(len)])
+    });
+    StateSpace::from_tuples(words.map(|(address, &value)| (address, value)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn initial_state_equals_storing_word_by_word() {
+        let mut layout = MemoryLayout::new();
+        layout.allocate("a", 4).unwrap();
+        layout.allocate("b", 3).unwrap();
+        let arrays: [(&str, &[i64]); 5] = [
+            ("b", &[1, 2, 3, 4, 5]),
+            ("nope", &[9, 9]),
+            ("a", &[10, 11]),
+            ("b", &[20]),
+            ("a", &[30, 31, 32, 33]),
+        ];
+        let mut expected = StateSpace::new();
+        for (name, values) in arrays {
+            if let Some(sym) = layout.array(name) {
+                for (i, value) in values.iter().take(sym.len).enumerate() {
+                    expected.store(sym.address(i), *value);
+                }
+            }
         }
+        assert_eq!(initial_state(&layout, &arrays), expected);
+        assert_eq!(
+            expected.to_tuples(),
+            vec![(0, 30), (1, 31), (2, 32), (3, 33), (4, 20), (5, 2), (6, 3)]
+        );
     }
-    state
 }

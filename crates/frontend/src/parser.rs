@@ -13,13 +13,14 @@ use fpfa_cdfg::{BinOp, UnOp};
 /// 2 MiB thread stack at this depth, with room to spare.
 pub const MAX_DEPTH: usize = 256;
 
-/// Parses a token stream into a translation unit.
+/// Parses a token stream into a translation unit whose names borrow from
+/// the tokens' source.
 ///
 /// # Errors
 /// Returns [`FrontendError::UnexpectedToken`] (or another frontend error) on
 /// the first syntax problem, and [`FrontendError::TooDeep`] when the
 /// nesting exceeds [`MAX_DEPTH`].
-pub fn parse(tokens: &[Token]) -> Result<TranslationUnit, FrontendError> {
+pub fn parse<'s>(tokens: &[Token<'s>]) -> Result<TranslationUnit<'s>, FrontendError> {
     Parser {
         tokens,
         pos: 0,
@@ -28,35 +29,34 @@ pub fn parse(tokens: &[Token]) -> Result<TranslationUnit, FrontendError> {
     .translation_unit()
 }
 
-struct Parser<'t> {
-    tokens: &'t [Token],
+struct Parser<'t, 's> {
+    tokens: &'t [Token<'s>],
     pos: usize,
     /// Nesting levels open at the current token.
     depth: usize,
 }
 
-impl<'t> Parser<'t> {
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+impl<'s> Parser<'_, 's> {
+    fn peek(&self) -> Token<'s> {
+        self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
+    fn peek_kind(&self) -> TokenKind<'s> {
+        self.peek().kind
     }
 
     fn span(&self) -> Span {
         self.peek().span
     }
 
-    fn bump(&mut self) -> Token {
-        let tok = self.peek().clone();
+    /// Steps past the current token; the last one (end of input) stays.
+    fn bump(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        tok
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind<'s>) -> bool {
         if self.peek_kind() == kind {
             self.bump();
             true
@@ -65,9 +65,9 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind, what: &str) -> Result<Token, FrontendError> {
-        if self.peek_kind() == &kind {
-            Ok(self.bump())
+    fn expect(&mut self, kind: TokenKind<'s>, what: &str) -> Result<(), FrontendError> {
+        if self.eat(kind) {
+            Ok(())
         } else {
             Err(self.unexpected(what))
         }
@@ -93,9 +93,9 @@ impl<'t> Parser<'t> {
         Ok(())
     }
 
-    fn ident(&mut self, what: &str) -> Result<(String, Span), FrontendError> {
+    fn ident(&mut self, what: &str) -> Result<(&'s str, Span), FrontendError> {
         let span = self.span();
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Ident(name) => {
                 self.bump();
                 Ok((name, span))
@@ -108,24 +108,24 @@ impl<'t> Parser<'t> {
     // Grammar
     // ------------------------------------------------------------------
 
-    fn translation_unit(&mut self) -> Result<TranslationUnit, FrontendError> {
+    fn translation_unit(&mut self) -> Result<TranslationUnit<'s>, FrontendError> {
         let mut unit = TranslationUnit::default();
-        while self.peek_kind() != &TokenKind::Eof {
+        while self.peek_kind() != TokenKind::Eof {
             unit.functions.push(self.function()?);
         }
         Ok(unit)
     }
 
-    fn function(&mut self) -> Result<Function, FrontendError> {
+    fn function(&mut self) -> Result<Function<'s>, FrontendError> {
         let span = self.span();
         // Return type: void or int (ignored; the subset has no return value).
-        if !self.eat(&TokenKind::KwVoid) && !self.eat(&TokenKind::KwInt) {
+        if !self.eat(TokenKind::KwVoid) && !self.eat(TokenKind::KwInt) {
             return Err(self.unexpected("`void` or `int` return type"));
         }
         let (name, _) = self.ident("function name")?;
         self.expect(TokenKind::LParen, "`(`")?;
         // Parameter list: empty or `void`.
-        if !self.eat(&TokenKind::KwVoid) && self.peek_kind() != &TokenKind::RParen {
+        if !self.eat(TokenKind::KwVoid) && self.peek_kind() != TokenKind::RParen {
             return Err(FrontendError::Unsupported {
                 feature: "function parameters".into(),
                 span: self.span(),
@@ -136,12 +136,12 @@ impl<'t> Parser<'t> {
         Ok(Function { name, body, span })
     }
 
-    fn block(&mut self) -> Result<Vec<Stmt>, FrontendError> {
+    fn block(&mut self) -> Result<Vec<Stmt<'s>>, FrontendError> {
         self.descend()?;
         self.expect(TokenKind::LBrace, "`{`")?;
         let mut stmts = Vec::new();
-        while self.peek_kind() != &TokenKind::RBrace {
-            if self.peek_kind() == &TokenKind::Eof {
+        while self.peek_kind() != TokenKind::RBrace {
+            if self.peek_kind() == TokenKind::Eof {
                 return Err(self.unexpected("`}`"));
             }
             stmts.push(self.statement()?);
@@ -151,9 +151,9 @@ impl<'t> Parser<'t> {
         Ok(stmts)
     }
 
-    fn statement(&mut self) -> Result<Stmt, FrontendError> {
+    fn statement(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Semicolon => {
                 self.bump();
                 Ok(Stmt::Empty { span })
@@ -173,27 +173,27 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn declaration(&mut self) -> Result<Stmt, FrontendError> {
+    fn declaration(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
         self.expect(TokenKind::KwInt, "`int`")?;
         let (name, name_span) = self.ident("variable name")?;
-        if self.eat(&TokenKind::LBracket) {
+        if self.eat(TokenKind::LBracket) {
             let len_span = self.span();
-            let len = match self.peek_kind().clone() {
+            let len = match self.peek_kind() {
                 TokenKind::Int(v) => {
                     self.bump();
                     v
                 }
                 _ => {
                     return Err(FrontendError::BadArraySize {
-                        name,
+                        name: name.to_string(),
                         span: len_span,
                     })
                 }
             };
             if len <= 0 {
                 return Err(FrontendError::BadArraySize {
-                    name,
+                    name: name.to_string(),
                     span: len_span,
                 });
             }
@@ -201,7 +201,7 @@ impl<'t> Parser<'t> {
             self.expect(TokenKind::Semicolon, "`;`")?;
             Ok(Stmt::DeclArray { name, len, span })
         } else {
-            let init = if self.eat(&TokenKind::Assign) {
+            let init = if self.eat(TokenKind::Assign) {
                 Some(self.expression()?)
             } else {
                 None
@@ -212,10 +212,10 @@ impl<'t> Parser<'t> {
         }
     }
 
-    fn assignment(&mut self) -> Result<Stmt, FrontendError> {
+    fn assignment(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
         let (name, name_span) = self.ident("assignment target")?;
-        let target = if self.eat(&TokenKind::LBracket) {
+        let target = if self.eat(TokenKind::LBracket) {
             let index = self.expression()?;
             self.expect(TokenKind::RBracket, "`]`")?;
             LValue::Index {
@@ -239,14 +239,14 @@ impl<'t> Parser<'t> {
         })
     }
 
-    fn if_statement(&mut self) -> Result<Stmt, FrontendError> {
+    fn if_statement(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
         self.expect(TokenKind::KwIf, "`if`")?;
         self.expect(TokenKind::LParen, "`(`")?;
         let cond = self.expression()?;
         self.expect(TokenKind::RParen, "`)`")?;
         let then_branch = self.block_or_single()?;
-        let else_branch = if self.eat(&TokenKind::KwElse) {
+        let else_branch = if self.eat(TokenKind::KwElse) {
             self.block_or_single()?
         } else {
             Vec::new()
@@ -259,7 +259,7 @@ impl<'t> Parser<'t> {
         })
     }
 
-    fn while_statement(&mut self) -> Result<Stmt, FrontendError> {
+    fn while_statement(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
         self.expect(TokenKind::KwWhile, "`while`")?;
         self.expect(TokenKind::LParen, "`(`")?;
@@ -275,17 +275,17 @@ impl<'t> Parser<'t> {
     /// The init and step clauses must be assignments (or empty); the
     /// desugared form is returned as a two-statement `If`-free sequence
     /// wrapped in the surrounding block by the caller.
-    fn for_statement(&mut self) -> Result<Stmt, FrontendError> {
+    fn for_statement(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
         self.expect(TokenKind::KwFor, "`for`")?;
         self.expect(TokenKind::LParen, "`(`")?;
-        let init = if self.peek_kind() == &TokenKind::Semicolon {
+        let init = if self.peek_kind() == TokenKind::Semicolon {
             self.bump();
             None
         } else {
             Some(self.assignment()?)
         };
-        let cond = if self.peek_kind() == &TokenKind::Semicolon {
+        let cond = if self.peek_kind() == TokenKind::Semicolon {
             // An empty condition would loop forever; the mapping flow cannot
             // handle that, so reject it here.
             return Err(FrontendError::Unsupported {
@@ -296,7 +296,7 @@ impl<'t> Parser<'t> {
             self.expression()?
         };
         self.expect(TokenKind::Semicolon, "`;`")?;
-        let step = if self.peek_kind() == &TokenKind::RParen {
+        let step = if self.peek_kind() == TokenKind::RParen {
             None
         } else {
             Some(self.for_step()?)
@@ -318,10 +318,10 @@ impl<'t> Parser<'t> {
 
     /// Parses the step clause of a `for` loop: an assignment without the
     /// trailing semicolon.
-    fn for_step(&mut self) -> Result<Stmt, FrontendError> {
+    fn for_step(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
         let (name, name_span) = self.ident("assignment target")?;
-        let target = if self.eat(&TokenKind::LBracket) {
+        let target = if self.eat(TokenKind::LBracket) {
             let index = self.expression()?;
             self.expect(TokenKind::RBracket, "`]`")?;
             LValue::Index {
@@ -344,8 +344,8 @@ impl<'t> Parser<'t> {
         })
     }
 
-    fn block_or_single(&mut self) -> Result<Vec<Stmt>, FrontendError> {
-        if self.peek_kind() == &TokenKind::LBrace {
+    fn block_or_single(&mut self) -> Result<Vec<Stmt<'s>>, FrontendError> {
+        if self.peek_kind() == TokenKind::LBrace {
             self.block()
         } else {
             self.descend()?;
@@ -359,11 +359,11 @@ impl<'t> Parser<'t> {
     // Expressions (precedence climbing)
     // ------------------------------------------------------------------
 
-    fn expression(&mut self) -> Result<Expr, FrontendError> {
+    fn expression(&mut self) -> Result<Expr<'s>, FrontendError> {
         self.binary_expr(0)
     }
 
-    fn binary_expr(&mut self, min_prec: u8) -> Result<Expr, FrontendError> {
+    fn binary_expr(&mut self, min_prec: u8) -> Result<Expr<'s>, FrontendError> {
         let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         while let Some((op, prec)) = binary_op(self.peek_kind()) {
@@ -386,7 +386,7 @@ impl<'t> Parser<'t> {
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, FrontendError> {
+    fn unary_expr(&mut self) -> Result<Expr<'s>, FrontendError> {
         let span = self.span();
         let op = match self.peek_kind() {
             TokenKind::Minus => Some(UnOp::Neg),
@@ -408,9 +408,9 @@ impl<'t> Parser<'t> {
         self.primary_expr()
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, FrontendError> {
+    fn primary_expr(&mut self) -> Result<Expr<'s>, FrontendError> {
         let span = self.span();
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::Int(value) => {
                 self.bump();
                 Ok(Expr::Literal { value, span })
@@ -425,7 +425,7 @@ impl<'t> Parser<'t> {
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.peek_kind() == &TokenKind::LBracket {
+                if self.peek_kind() == TokenKind::LBracket {
                     self.descend()?;
                     self.bump();
                     let index = self.expression()?;
@@ -436,7 +436,7 @@ impl<'t> Parser<'t> {
                         index: Box::new(index),
                         span,
                     })
-                } else if self.peek_kind() == &TokenKind::LParen {
+                } else if self.peek_kind() == TokenKind::LParen {
                     Err(FrontendError::Unsupported {
                         feature: format!(
                             "call to `{name}` (function calls are not part of the subset)"
@@ -453,7 +453,7 @@ impl<'t> Parser<'t> {
 }
 
 /// Operator token → AST operator and precedence (higher binds tighter).
-fn binary_op(kind: &TokenKind) -> Option<(AstBinOp, u8)> {
+fn binary_op(kind: TokenKind<'_>) -> Option<(AstBinOp, u8)> {
     let (op, prec) = match kind {
         TokenKind::Star => (AstBinOp::Word(BinOp::Mul), 10),
         TokenKind::Slash => (AstBinOp::Word(BinOp::Div), 10),
@@ -483,7 +483,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse_src(src: &str) -> Result<TranslationUnit, FrontendError> {
+    fn parse_src(src: &str) -> Result<TranslationUnit<'_>, FrontendError> {
         parse(&lex(src).unwrap())
     }
 

@@ -1,4 +1,8 @@
 //! Lexical tokens of the C subset.
+//!
+//! Tokens are `Copy`: an identifier is a slice of the source text, so
+//! lexing allocates only the token vector and the parser advances without
+//! cloning anything.
 
 use std::fmt;
 
@@ -24,13 +28,14 @@ impl fmt::Display for Span {
     }
 }
 
-/// The kind of a lexical token.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum TokenKind {
+/// The kind of a lexical token; an identifier borrows its name from the
+/// source text.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum TokenKind<'s> {
     /// An integer literal.
     Int(i64),
     /// An identifier.
-    Ident(String),
+    Ident(&'s str),
     /// `void` keyword.
     KwVoid,
     /// `int` keyword.
@@ -107,7 +112,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Int(v) => write!(f, "{v}"),
@@ -154,17 +159,17 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token with its source position.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Token<'s> {
     /// What kind of token this is (and its payload, if any).
-    pub kind: TokenKind,
+    pub kind: TokenKind<'s>,
     /// Where the token starts in the source.
     pub span: Span,
 }
 
-impl Token {
+impl<'s> Token<'s> {
     /// Creates a token.
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+    pub fn new(kind: TokenKind<'s>, span: Span) -> Self {
         Token { kind, span }
     }
 }
@@ -178,7 +183,7 @@ mod tests {
         assert_eq!(TokenKind::KwWhile.to_string(), "while");
         assert_eq!(TokenKind::Shl.to_string(), "<<");
         assert_eq!(TokenKind::Int(42).to_string(), "42");
-        assert_eq!(TokenKind::Ident("x".into()).to_string(), "x");
+        assert_eq!(TokenKind::Ident("x").to_string(), "x");
         assert_eq!(Span::new(3, 7).to_string(), "3:7");
     }
 }

@@ -55,6 +55,24 @@ fn nested_whiles(depth: usize) -> String {
     source
 }
 
+/// One-trip `for` loops nested in each other, each with its own counter:
+/// one level per loop body, so `depth - 1` loops.  Each loop carries the
+/// counters of every loop inside it, so the lowered program grows with the
+/// square of the depth; at the limit it is 255 loops deep.
+fn nested_fors(depth: usize) -> String {
+    let n = depth - 1;
+    let mut source = String::from("void main() { ");
+    for i in 0..n {
+        source.push_str(&format!("int i{i}; "));
+    }
+    for i in 0..n {
+        source.push_str(&format!("for (i{i} = 0; i{i} < 1; i{i} = i{i} + 1) {{ "));
+    }
+    source.push_str(&"} ".repeat(n));
+    source.push('}');
+    source
+}
+
 /// `x = 1 + 1 + … + 1;` with `depth` terms: its left-deep tree nests one
 /// level per `+`.
 fn flat_sum(depth: usize) -> String {
@@ -121,6 +139,11 @@ fn right_nested_sums_nest_up_to_the_limit() {
 #[test]
 fn while_loops_nest_up_to_the_limit() {
     assert_limit(nested_whiles);
+}
+
+#[test]
+fn for_loops_nest_up_to_the_limit() {
+    assert_limit(nested_fors);
 }
 
 #[test]

@@ -183,6 +183,35 @@ fn multi_tile_requests_agree_and_do_not_alias_single_tile() {
     handle.join();
 }
 
+/// A kernel whose if/else merges four scalars is served with the digest a
+/// one-shot map in this process gives: the daemon's workers lower it to
+/// the same CDFG as any other caller.
+#[test]
+fn a_four_scalar_branch_merge_is_served_with_the_one_shot_digest() {
+    let source = include_str!("../../../examples/kernels/threshold.c");
+    let handle = start(ServerConfig::default(), Mapper::new());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for tiles in [1u32, 4] {
+        let one_shot = Mapper::new()
+            .with_tiles(tiles as usize)
+            .map_source(source)
+            .expect("the threshold kernel maps");
+        let served = client
+            .map(
+                "threshold",
+                source,
+                MapKnobs {
+                    tiles,
+                    ..MapKnobs::default()
+                },
+            )
+            .expect("the daemon maps the threshold kernel");
+        assert_eq!(served.digest, program_digest(&one_shot), "{tiles} tile(s)");
+    }
+    handle.shutdown();
+    handle.join();
+}
+
 #[test]
 fn zero_knobs_inherit_the_daemon_defaults() {
     // A daemon configured for a 2-tile array: requests with the `0` tile

@@ -37,7 +37,7 @@ pub fn analyze(source: &str) -> Result<VerifyReport, FrontendError> {
 }
 
 /// Lints an already-parsed translation unit.
-pub fn analyze_unit(unit: &TranslationUnit) -> VerifyReport {
+pub fn analyze_unit(unit: &TranslationUnit<'_>) -> VerifyReport {
     let mut report = VerifyReport::new();
     for function in &unit.functions {
         let mut env = Env::default();
@@ -157,17 +157,17 @@ impl Env {
 /// Scalar reads and writes of a statement list, mirroring the lowering's
 /// `Usage` collection for loop-carried variable discovery.
 #[derive(Default, Debug)]
-struct Usage {
-    reads: BTreeSet<String>,
-    writes: BTreeSet<String>,
-    locals: BTreeSet<String>,
+struct Usage<'s> {
+    reads: BTreeSet<&'s str>,
+    writes: BTreeSet<&'s str>,
+    locals: BTreeSet<&'s str>,
 }
 
-fn collect_expr(expr: &Expr, usage: &mut Usage) {
+fn collect_expr<'s>(expr: &Expr<'s>, usage: &mut Usage<'s>) {
     match expr {
         Expr::Literal { .. } => {}
         Expr::Var { name, .. } => {
-            usage.reads.insert(name.clone());
+            usage.reads.insert(name);
         }
         Expr::Index { index, .. } => collect_expr(index, usage),
         Expr::Unary { operand, .. } => collect_expr(operand, usage),
@@ -178,23 +178,23 @@ fn collect_expr(expr: &Expr, usage: &mut Usage) {
     }
 }
 
-fn collect_stmts(stmts: &[Stmt], usage: &mut Usage) {
+fn collect_stmts<'s>(stmts: &[Stmt<'s>], usage: &mut Usage<'s>) {
     for stmt in stmts {
         match stmt {
             Stmt::DeclScalar { name, init, .. } => {
                 if let Some(init) = init {
                     collect_expr(init, usage);
                 }
-                usage.locals.insert(name.clone());
+                usage.locals.insert(name);
             }
             Stmt::DeclArray { name, .. } => {
-                usage.locals.insert(name.clone());
+                usage.locals.insert(name);
             }
             Stmt::Assign { target, value, .. } => {
                 collect_expr(value, usage);
                 match target {
                     LValue::Var { name, .. } => {
-                        usage.writes.insert(name.clone());
+                        usage.writes.insert(name);
                     }
                     LValue::Index { index, .. } => collect_expr(index, usage),
                 }
@@ -222,7 +222,7 @@ fn collect_stmts(stmts: &[Stmt], usage: &mut Usage) {
 /// Constant-folds an expression without looking at variables, reporting
 /// FS005 when a fold wraps the 64-bit machine word. Mirrors the wrapping
 /// semantics of [`BinOp::eval`].
-fn const_fold(expr: &Expr, report: &mut VerifyReport) -> Option<i64> {
+fn const_fold(expr: &Expr<'_>, report: &mut VerifyReport) -> Option<i64> {
     match expr {
         Expr::Literal { value, .. } => Some(*value),
         Expr::Var { .. } | Expr::Index { .. } => None,
@@ -272,13 +272,13 @@ fn const_fold(expr: &Expr, report: &mut VerifyReport) -> Option<i64> {
     }
 }
 
-fn analyze_expr(expr: &Expr, env: &mut Env, nested: bool, report: &mut VerifyReport) {
+fn analyze_expr(expr: &Expr<'_>, env: &mut Env, nested: bool, report: &mut VerifyReport) {
     match expr {
         Expr::Literal { .. } => {}
         Expr::Var { name, span } => {
             // Undeclared names and arrays-as-scalars are hard frontend
             // errors with their own rendering; no lint for those here.
-            if let Some(Var::Scalar { assigned, read, .. }) = env.vars.get_mut(name) {
+            if let Some(Var::Scalar { assigned, read, .. }) = env.vars.get_mut(*name) {
                 *read = true;
                 if !*assigned {
                     if nested {
@@ -300,7 +300,7 @@ fn analyze_expr(expr: &Expr, env: &mut Env, nested: bool, report: &mut VerifyRep
         Expr::Index { name, index, span } => {
             analyze_expr(index, env, nested, report);
             let folded = const_fold(index, &mut VerifyReport::new());
-            if let Some(Var::Array { len, accessed, .. }) = env.vars.get_mut(name) {
+            if let Some(Var::Array { len, accessed, .. }) = env.vars.get_mut(*name) {
                 let len = *len;
                 *accessed = true;
                 if let Some(at) = folded {
@@ -328,7 +328,7 @@ fn analyze_expr(expr: &Expr, env: &mut Env, nested: bool, report: &mut VerifyRep
     }
 }
 
-fn analyze_stmts(stmts: &[Stmt], env: &mut Env, nested: bool, report: &mut VerifyReport) {
+fn analyze_stmts(stmts: &[Stmt<'_>], env: &mut Env, nested: bool, report: &mut VerifyReport) {
     for stmt in stmts {
         match stmt {
             Stmt::DeclScalar { name, init, span } => {
@@ -358,14 +358,14 @@ fn analyze_stmts(stmts: &[Stmt], env: &mut Env, nested: bool, report: &mut Verif
                 analyze_expr(value, env, nested, report);
                 match target {
                     LValue::Var { name, .. } => {
-                        if let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(name) {
+                        if let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(*name) {
                             *assigned = true;
                         }
                     }
                     LValue::Index { name, index, span } => {
                         analyze_expr(index, env, nested, report);
                         let folded = const_fold(index, &mut VerifyReport::new());
-                        if let Some(Var::Array { len, accessed, .. }) = env.vars.get_mut(name) {
+                        if let Some(Var::Array { len, accessed, .. }) = env.vars.get_mut(*name) {
                             let len = *len;
                             *accessed = true;
                             if let Some(at) = folded {
@@ -415,7 +415,7 @@ fn analyze_stmts(stmts: &[Stmt], env: &mut Env, nested: bool, report: &mut Verif
                     if usage.locals.contains(name) {
                         continue;
                     }
-                    let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(name) else {
+                    let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(*name) else {
                         continue;
                     };
                     if !*assigned && !usage.writes.contains(name) {
@@ -438,7 +438,7 @@ fn analyze_stmts(stmts: &[Stmt], env: &mut Env, nested: bool, report: &mut Verif
                     // Inside the loop every carried variable starts from its
                     // carried value (or the materialised 0 for
                     // written-before-read variables).
-                    if let Some(Var::Scalar { assigned, .. }) = loop_env.vars.get_mut(name) {
+                    if let Some(Var::Scalar { assigned, .. }) = loop_env.vars.get_mut(*name) {
                         *assigned = true;
                     }
                 }
@@ -472,7 +472,7 @@ fn analyze_stmts(stmts: &[Stmt], env: &mut Env, nested: bool, report: &mut Verif
                     if usage.locals.contains(name) {
                         continue;
                     }
-                    if let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(name) {
+                    if let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(*name) {
                         *assigned = true;
                     }
                 }

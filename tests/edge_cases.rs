@@ -1,6 +1,7 @@
 //! Integration tests for degenerate and boundary kernels.
 
 use fpfa::core::pipeline::Mapper;
+use fpfa::core::program_digest;
 use fpfa::sim::{SimInputs, Simulator};
 
 #[test]
@@ -76,6 +77,23 @@ fn constant_array_writes_map_identically_on_every_run() {
             assert_eq!(again.program, first.program, "{tiles} tile(s), run {run}");
             assert_eq!(again.multi, first.multi, "{tiles} tile(s), run {run}");
         }
+    }
+}
+
+#[test]
+fn a_four_scalar_branch_merge_maps_to_one_digest_on_every_run() {
+    // Both branches of the kernel's if/else update four scalars; the
+    // frontend merges them in declaration order, never in hash-map order,
+    // so every in-process map of it gives the same program.
+    let source = include_str!("../examples/kernels/threshold.c");
+    for tiles in [1, 4] {
+        let digests: Vec<u64> = (0..20)
+            .map(|_| program_digest(&Mapper::new().with_tiles(tiles).map_source(source).unwrap()))
+            .collect();
+        assert!(
+            digests.iter().all(|&digest| digest == digests[0]),
+            "{tiles} tile(s): {digests:#x?}"
+        );
     }
 }
 
