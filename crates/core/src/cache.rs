@@ -27,6 +27,19 @@
 //! share of the capacity.  Hit/miss/eviction counters are kept in atomics and
 //! surface in [`CacheStats`].
 //!
+//! Every map keeps its post-transform artifacts, but only a map that asks
+//! for it ([`Retain::Mapping`]) keeps its full mapping: the daemon answers a
+//! plain repeat from summaries of its own, so its plain maps keep only the
+//! summary ([`Retain::Summary`], stored on the disk tier when one is
+//! attached), while verification, simulation and library callers keep the
+//! mapping as before.
+//!
+//! A kernel is mapped once however many requests for it arrive together:
+//! an in-flight table keyed by [`MappingKey`] (Go's `singleflight`) lets the
+//! first request that misses the full-mapping level lead the run while
+//! later ones follow it, waiting for the leader's shared result (or its
+//! error) instead of running any stage themselves.
+//!
 //! An optional [`DiskTier`] sits below both levels and survives restarts.
 //! It keeps a full mapping as its served summary only, which answers
 //! [`DiskTier::summary`] probes, and the post-transform artifacts in full,
@@ -37,6 +50,7 @@
 
 use crate::cluster::ClusteredGraph;
 use crate::dfg::MappingGraph;
+use crate::error::MapError;
 use crate::flow::stages::SimplifiedKernel;
 use crate::flow::FlowToggles;
 use crate::multi::MultiTileMapping;
@@ -51,7 +65,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Keys and fingerprints
@@ -261,7 +275,8 @@ pub enum CacheOutcome {
     Uncached,
     /// Both cache levels missed; the full flow ran.
     Miss,
-    /// The full-mapping cache hit; no stage ran.
+    /// The full-mapping cache hit, or the request followed another
+    /// request's run of the same key; no stage ran.
     MappingHit,
     /// The post-transform cache hit; only frontend + transform ran.
     PostTransformHit,
@@ -279,6 +294,20 @@ impl fmt::Display for CacheOutcome {
     }
 }
 
+/// What a cached map keeps of the mapping it produced.  Every map keeps its
+/// post-transform artifacts; this chooses whether the full mapping is kept
+/// too.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Retain {
+    /// The full mapping goes into the full-mapping level, for callers that
+    /// use it again: verification, simulation and library callers.
+    Mapping,
+    /// Only the mapping's summary is kept, on the disk tier when one is
+    /// attached: for callers that answer repeats from summaries of their
+    /// own, as the daemon's plain maps do.
+    Summary,
+}
+
 // ---------------------------------------------------------------------------
 // Stats
 // ---------------------------------------------------------------------------
@@ -294,8 +323,15 @@ pub struct CacheStats {
     pub post_transform_hits: u64,
     /// Post-transform cache misses.
     pub post_transform_misses: u64,
+    /// Requests that found their kernel already being mapped and waited for
+    /// that run instead of running the flow themselves.
+    pub coalesced: u64,
     /// Entries evicted (both levels) to stay within capacity.
     pub evictions: u64,
+    /// Full mappings currently resident.
+    pub mapping_entries: u64,
+    /// Post-transform artifacts currently resident.
+    pub post_entries: u64,
     /// Entries currently resident (both levels).
     pub entries: u64,
 }
@@ -338,8 +374,10 @@ struct Counters {
     mapping_misses: AtomicU64,
     post_hits: AtomicU64,
     post_misses: AtomicU64,
+    coalesced: AtomicU64,
     evictions: AtomicU64,
-    entries: AtomicU64,
+    mapping_entries: AtomicU64,
+    post_entries: AtomicU64,
 }
 
 // ---------------------------------------------------------------------------
@@ -422,12 +460,52 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     }
 }
 
-fn lock_shard<K, V>(shard: &Mutex<Shard<K, V>>) -> MutexGuard<'_, Shard<K, V>> {
-    // A panic while holding the lock can only leave a stale recency tick
-    // behind, never a torn entry, so a poisoned shard stays usable.
+fn lock_shard<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A panic while holding a shard's lock can only leave a stale recency
+    // tick behind, never a torn entry, and the in-flight table's lock is
+    // never held across a flow run, so a poisoned lock stays usable.
     shard
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+// ---------------------------------------------------------------------------
+// Single-flight
+// ---------------------------------------------------------------------------
+
+/// What one run of the flow produced, as its followers receive it.
+type FlightOutcome = Result<Arc<MappingResult>, MapError>;
+
+/// How a request joined the in-flight table ([`MappingCache::join_flight`]).
+pub(crate) enum Joined<'a> {
+    /// No run of the key was in flight: this request leads one.
+    Leader(FlightLead<'a>),
+    /// Another request led the run of the key; this is what it produced.
+    Follower(FlightOutcome),
+}
+
+/// A leader's hold on its key's in-flight entry.  Dropping it removes the
+/// entry; a leader that drops it without [`publish`](Self::publish)ing,
+/// which happens only when the flow unwinds, answers every follower
+/// [`MapError::Abandoned`], so none waits forever.
+pub(crate) struct FlightLead<'a> {
+    cache: &'a MappingCache,
+    key: MappingKey,
+    flight: Arc<OnceLock<FlightOutcome>>,
+}
+
+impl FlightLead<'_> {
+    /// Hands the run's outcome to every follower, then leaves the table.
+    pub(crate) fn publish(self, outcome: FlightOutcome) {
+        let _ = self.flight.set(outcome);
+    }
+}
+
+impl Drop for FlightLead<'_> {
+    fn drop(&mut self) {
+        let _ = self.flight.set(Err(MapError::Abandoned));
+        lock_shard(&self.cache.flights).remove(&self.key);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -446,6 +524,10 @@ pub struct MappingCache {
     post_shards: Vec<Mutex<Shard<PostTransformKey, PostTransformArtifacts>>>,
     per_shard_capacity: usize,
     counters: Counters,
+    /// The runs of the flow in progress, by content key: a request that
+    /// misses the full-mapping level while its key is here waits for the
+    /// run's outcome instead of starting another.
+    flights: Mutex<HashMap<MappingKey, Arc<OnceLock<FlightOutcome>>>>,
     /// Optional persistent tier below the in-memory LRU: every insert stores
     /// through to it (a full mapping as its summary), post-transform misses
     /// fall through to it, and disk hits are promoted back into memory.  See
@@ -471,20 +553,24 @@ impl MappingCache {
     /// truncated too, so a reset really is cold: nothing can warm-hit from
     /// disk afterwards.  Returns how many in-memory entries were dropped.
     pub fn clear(&self) -> usize {
-        let mut removed = 0usize;
+        let mut mappings = 0usize;
         for shard in &self.mapping_shards {
-            removed += lock_shard(shard).clear();
+            mappings += lock_shard(shard).clear();
         }
+        let mut posts = 0usize;
         for shard in &self.post_shards {
-            removed += lock_shard(shard).clear();
+            posts += lock_shard(shard).clear();
         }
         self.counters
-            .entries
-            .fetch_sub(removed as u64, Ordering::Relaxed);
+            .mapping_entries
+            .fetch_sub(mappings as u64, Ordering::Relaxed);
+        self.counters
+            .post_entries
+            .fetch_sub(posts as u64, Ordering::Relaxed);
         if let Some(tier) = &self.disk {
             tier.clear();
         }
-        removed
+        mappings + posts
     }
 
     /// A cache with the default capacity ([`DEFAULT_CAPACITY`] entries per
@@ -518,6 +604,7 @@ impl MappingCache {
                 .collect(),
             per_shard_capacity: per_shard,
             counters: Counters::default(),
+            flights: Mutex::new(HashMap::new()),
             disk: None,
         }
     }
@@ -585,12 +672,51 @@ impl MappingCache {
     /// a deep clone when the caller keeps the same [`Arc`].  Stores its
     /// summary through to the disk tier when one is attached.
     pub fn insert_mapping_arc(&self, key: MappingKey, result: Arc<MappingResult>) {
-        if let Some(tier) = &self.disk {
-            tier.store_mapping(&key, &result);
-        }
+        self.store_summary(&key, &result);
         let shard = &self.mapping_shards[key.shard_hash() as usize % self.mapping_shards.len()];
         let (fresh, evicted) = lock_shard(shard).insert(key, result);
-        self.note_insert(fresh, evicted);
+        self.note_insert(&self.counters.mapping_entries, fresh, evicted);
+    }
+
+    /// Keeps a finished mapping as `retain` says: its summary goes to the
+    /// disk tier either way, and the mapping itself into the full-mapping
+    /// level only for [`Retain::Mapping`].
+    pub(crate) fn keep_mapping(
+        &self,
+        key: MappingKey,
+        result: &Arc<MappingResult>,
+        retain: Retain,
+    ) {
+        match retain {
+            Retain::Mapping => self.insert_mapping_arc(key, Arc::clone(result)),
+            Retain::Summary => self.store_summary(&key, result),
+        }
+    }
+
+    fn store_summary(&self, key: &MappingKey, result: &MappingResult) {
+        if let Some(tier) = &self.disk {
+            tier.store_mapping(key, result);
+        }
+    }
+
+    /// Joins the in-flight run of `key`: the first request for a key leads
+    /// it, and a request that finds the key in flight follows it, blocking
+    /// until the leader publishes (counted as coalesced).
+    pub(crate) fn join_flight(&self, key: &MappingKey) -> Joined<'_> {
+        let mut flights = lock_shard(&self.flights);
+        if let Some(flight) = flights.get(key) {
+            let flight = Arc::clone(flight);
+            drop(flights);
+            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            return Joined::Follower(flight.wait().clone());
+        }
+        let flight = Arc::new(OnceLock::new());
+        flights.insert(key.clone(), Arc::clone(&flight));
+        Joined::Leader(FlightLead {
+            cache: self,
+            key: key.clone(),
+            flight,
+        })
     }
 
     /// Looks up post-transform artifacts by structural key, refreshing their
@@ -611,7 +737,7 @@ impl MappingCache {
             {
                 let promoted = Arc::new(loaded);
                 let (fresh, evicted) = lock_shard(shard).insert(key.clone(), Arc::clone(&promoted));
-                self.note_insert(fresh, evicted);
+                self.note_insert(&self.counters.post_entries, fresh, evicted);
                 found = Some(promoted);
             }
         }
@@ -630,45 +756,38 @@ impl MappingCache {
         }
         let shard = &self.post_shards[key.shard_hash() as usize % self.post_shards.len()];
         let (fresh, evicted) = lock_shard(shard).insert(key, Arc::new(artifacts));
-        self.note_insert(fresh, evicted);
+        self.note_insert(&self.counters.post_entries, fresh, evicted);
     }
 
-    /// Maintains the residency gauge incrementally from one insert's
-    /// outcome, so concurrent workers never serialize on a whole-cache
-    /// sweep (the shards stay independently locked).
-    fn note_insert(&self, fresh: bool, evicted: usize) {
+    /// Maintains one level's residency gauge incrementally from one
+    /// insert's outcome, so concurrent workers never serialize on a
+    /// whole-cache sweep (the shards stay independently locked).
+    fn note_insert(&self, entries: &AtomicU64, fresh: bool, evicted: usize) {
         self.counters
             .evictions
             .fetch_add(evicted as u64, Ordering::Relaxed);
         if fresh {
-            self.counters.entries.fetch_add(1, Ordering::Relaxed);
+            entries.fetch_add(1, Ordering::Relaxed);
         }
         if evicted > 0 {
-            self.counters
-                .entries
-                .fetch_sub(evicted as u64, Ordering::Relaxed);
+            entries.fetch_sub(evicted as u64, Ordering::Relaxed);
         }
-    }
-
-    fn resident_entries(&self) -> u64 {
-        let mapping: usize = self
-            .mapping_shards
-            .iter()
-            .map(|s| lock_shard(s).len())
-            .sum();
-        let post: usize = self.post_shards.iter().map(|s| lock_shard(s).len()).sum();
-        (mapping + post) as u64
     }
 
     /// A snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
+        let mapping_entries = self.counters.mapping_entries.load(Ordering::Relaxed);
+        let post_entries = self.counters.post_entries.load(Ordering::Relaxed);
         CacheStats {
             mapping_hits: self.counters.mapping_hits.load(Ordering::Relaxed),
             mapping_misses: self.counters.mapping_misses.load(Ordering::Relaxed),
             post_transform_hits: self.counters.post_hits.load(Ordering::Relaxed),
             post_transform_misses: self.counters.post_misses.load(Ordering::Relaxed),
+            coalesced: self.counters.coalesced.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
-            entries: self.counters.entries.load(Ordering::Relaxed),
+            mapping_entries,
+            post_entries,
+            entries: mapping_entries + post_entries,
         }
     }
 
@@ -678,11 +797,20 @@ impl MappingCache {
         self.counters.mapping_misses.store(0, Ordering::Relaxed);
         self.counters.post_hits.store(0, Ordering::Relaxed);
         self.counters.post_misses.store(0, Ordering::Relaxed);
+        self.counters.coalesced.store(0, Ordering::Relaxed);
         self.counters.evictions.store(0, Ordering::Relaxed);
         self.counters
-            .entries
-            .store(self.resident_entries(), Ordering::Relaxed);
+            .mapping_entries
+            .store(resident(&self.mapping_shards), Ordering::Relaxed);
+        self.counters
+            .post_entries
+            .store(resident(&self.post_shards), Ordering::Relaxed);
     }
+}
+
+/// Entries resident over one level's shards.
+fn resident<K: Hash + Eq + Clone, V>(shards: &[Mutex<Shard<K, V>>]) -> u64 {
+    shards.iter().map(|s| lock_shard(s).len() as u64).sum()
 }
 
 impl Default for MappingCache {

@@ -84,6 +84,10 @@ pub enum MapError {
         /// The first deny-level diagnostic, rendered.
         first: String,
     },
+    /// Another request was mapping the same kernel under the same
+    /// configuration, and this one waited for it, but it stopped (it
+    /// panicked) before it produced a mapping or an error.
+    Abandoned,
 }
 
 impl fmt::Display for MapError {
@@ -129,6 +133,10 @@ impl fmt::Display for MapError {
                     "verification failed with {denies} error(s); first: {first}"
                 )
             }
+            MapError::Abandoned => f.write_str(
+                "the concurrent mapping of the same kernel this request waited for stopped \
+                 without a result",
+            ),
         }
     }
 }

@@ -75,7 +75,7 @@ pub mod summary;
 pub mod viz;
 
 pub use allocate::Allocator;
-pub use cache::{CacheOutcome, CacheStats, MappingCache};
+pub use cache::{CacheOutcome, CacheStats, MappingCache, Retain};
 pub use cluster::{Cluster, ClusterId, ClusteredGraph, Clusterer};
 pub use dfg::{MappingGraph, OpId, OpKind, ValueRef};
 pub use error::MapError;

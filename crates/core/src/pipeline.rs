@@ -3,8 +3,8 @@
 //! engine of [`crate::flow`].
 
 use crate::cache::{
-    config_fingerprint, CacheOutcome, MappingCache, MappingKey, PostTransformArtifacts,
-    PostTransformKey,
+    config_fingerprint, CacheOutcome, Joined, MappingCache, MappingKey, PostTransformArtifacts,
+    PostTransformKey, Retain,
 };
 use crate::cluster::ClusteredGraph;
 use crate::dfg::MappingGraph;
@@ -278,7 +278,7 @@ impl Mapper {
         source: &str,
         cache: &MappingCache,
     ) -> Result<MappingResult, MapError> {
-        let (shared, outcome) = self.map_source_cached_shared(source, cache)?;
+        let (shared, outcome) = self.map_source_cached_shared(source, cache, Retain::Mapping)?;
         let mut result = (*shared).clone();
         result.report.cache = outcome;
         if outcome == CacheOutcome::MappingHit {
@@ -298,19 +298,57 @@ impl Mapper {
 
     /// Like [`map_source_cached`](Self::map_source_cached), but returns the
     /// cache's shared [`Arc`] instead of deep-cloning the result — the warm
-    /// serving path.  The outcome is returned alongside because the shared
-    /// result's embedded report keeps the flavor it was *created* with.
+    /// serving path — and keeps the mapping as `retain` says.  The outcome is
+    /// returned alongside because the shared result's embedded report keeps
+    /// the flavor it was *created* with.
+    ///
+    /// A request that misses the full-mapping level while the same key is
+    /// being mapped follows that run: it runs no stage and is answered with
+    /// the leader's result as a [`CacheOutcome::MappingHit`], or with the
+    /// leader's error.
     pub(crate) fn map_source_cached_shared(
         &self,
         source: &str,
         cache: &MappingCache,
+        retain: Retain,
     ) -> Result<(Arc<MappingResult>, CacheOutcome), MapError> {
-        let fingerprint = self.cache_fingerprint();
-        let key = MappingKey::new(source, fingerprint);
+        let key = MappingKey::new(source, self.cache_fingerprint());
         if let Some(hit) = cache.get_mapping(&key) {
             return Ok((hit, CacheOutcome::MappingHit));
         }
+        let lead = match cache.join_flight(&key) {
+            Joined::Leader(lead) => lead,
+            Joined::Follower(outcome) => {
+                let shared = outcome?;
+                if retain == Retain::Mapping {
+                    cache.insert_mapping_arc(key, Arc::clone(&shared));
+                }
+                return Ok((shared, CacheOutcome::MappingHit));
+            }
+        };
+        #[cfg(test)]
+        tests::on_lead(source, cache);
+        let outcome = self.map_source_lead(source, cache, key.config);
+        if let Ok((shared, _)) = &outcome {
+            cache.keep_mapping(key, shared, retain);
+        }
+        lead.publish(
+            outcome
+                .as_ref()
+                .map(|(shared, _)| Arc::clone(shared))
+                .map_err(Clone::clone),
+        );
+        outcome
+    }
 
+    /// The leader's run: frontend and transform, then the post-transform
+    /// level or the rest of the flow (whose artifacts it keeps).
+    fn map_source_lead(
+        &self,
+        source: &str,
+        cache: &MappingCache,
+        fingerprint: u64,
+    ) -> Result<(Arc<MappingResult>, CacheOutcome), MapError> {
         let mut cx = self.flow_context();
         let front = FrontendStage.then(TransformStage::standard());
         let simplified: SimplifiedKernel =
@@ -355,9 +393,7 @@ impl Mapper {
             }
         };
         result.report.cache = outcome;
-        let shared = Arc::new(result);
-        cache.insert_mapping_arc(key, Arc::clone(&shared));
-        Ok((shared, outcome))
+        Ok((Arc::new(result), outcome))
     }
 
     fn map_cdfg_with_layout(
@@ -479,6 +515,136 @@ impl Default for Mapper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, PoisonError};
+    use std::time::{Duration, Instant};
+
+    /// What a request runs once it leads a source's in-flight entry,
+    /// before its flow starts.
+    type LeadHook = fn(&MappingCache);
+    /// What one thread's cached map returned, or its panic.
+    type ThreadOutcome = std::thread::Result<Result<(Arc<MappingResult>, CacheOutcome), MapError>>;
+
+    /// Hooks armed by tests, each for one exact source.
+    static ON_LEAD: Mutex<Vec<(&str, LeadHook)>> = Mutex::new(Vec::new());
+
+    pub(super) fn on_lead(source: &str, cache: &MappingCache) {
+        let hooks = ON_LEAD.lock().unwrap_or_else(PoisonError::into_inner);
+        let hook = hooks.iter().find(|(armed, _)| *armed == source);
+        if let Some(&(_, hook)) = hook {
+            drop(hooks);
+            hook(cache);
+        }
+    }
+
+    fn arm(source: &'static str, hook: LeadHook) {
+        ON_LEAD
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((source, hook));
+    }
+
+    fn disarm(source: &str) {
+        ON_LEAD
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|(armed, _)| *armed != source);
+    }
+
+    /// Holds a leader until seven requests follow it, so every one of eight
+    /// threads joins the same run whatever the core count.
+    fn hold_for_seven_followers(cache: &MappingCache) {
+        let started = Instant::now();
+        while cache.stats().coalesced < 7 {
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "followers never joined: {:?}",
+                cache.stats()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// Maps `source` from eight threads at once through one cache.
+    fn map_from_eight_threads(source: &str, cache: &MappingCache) -> Vec<ThreadOutcome> {
+        let mapper = Mapper::new();
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| mapper.map_source_cached_shared(source, cache, Retain::Mapping))
+                })
+                .collect();
+            threads.into_iter().map(|thread| thread.join()).collect()
+        })
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_kernel_run_the_flow_once() {
+        const SOURCE: &str = "void main() { int a[3]; int r; r = a[0] * a[1] + a[2]; }";
+        arm(SOURCE, hold_for_seven_followers);
+        let cache = MappingCache::new();
+        let results = map_from_eight_threads(SOURCE, &cache);
+        disarm(SOURCE);
+        let results: Vec<_> = results
+            .into_iter()
+            .map(|joined| joined.expect("no thread panics").expect("the kernel maps"))
+            .collect();
+        let stats = cache.stats();
+        assert_eq!(stats.post_transform_misses, 1, "one flow run: {stats:?}");
+        assert_eq!(stats.post_transform_hits, 0, "{stats:?}");
+        assert_eq!(stats.coalesced, 7, "{stats:?}");
+        assert_eq!(stats.mapping_entries, 1, "{stats:?}");
+        let outcomes = |want| results.iter().filter(|(_, got)| *got == want).count();
+        assert_eq!(outcomes(CacheOutcome::Miss), 1);
+        assert_eq!(outcomes(CacheOutcome::MappingHit), 7);
+        for (shared, _) in &results {
+            assert!(Arc::ptr_eq(shared, &results[0].0));
+        }
+    }
+
+    #[test]
+    fn followers_of_a_rejected_source_share_the_leaders_error() {
+        const SOURCE: &str = "void main() { int r; r = undeclared + 1; }";
+        arm(SOURCE, hold_for_seven_followers);
+        let cache = MappingCache::new();
+        let results = map_from_eight_threads(SOURCE, &cache);
+        disarm(SOURCE);
+        let errors: Vec<MapError> = results
+            .into_iter()
+            .map(|joined| {
+                joined
+                    .expect("no thread panics")
+                    .expect_err("the frontend rejects it")
+            })
+            .collect();
+        assert!(matches!(errors[0], MapError::Frontend(_)), "{}", errors[0]);
+        assert!(errors.iter().all(|error| *error == errors[0]));
+        let stats = cache.stats();
+        assert_eq!(stats.coalesced, 7, "{stats:?}");
+        assert_eq!(stats.entries, 0, "errors are not cached: {stats:?}");
+    }
+
+    #[test]
+    fn a_leader_that_panics_answers_its_followers_with_a_typed_error() {
+        const SOURCE: &str = "void main() { int a[2]; int r; r = a[1] - a[0]; }";
+        arm(SOURCE, |cache| {
+            hold_for_seven_followers(cache);
+            panic!("injected panic in the leader's flow");
+        });
+        let cache = MappingCache::new();
+        let results = map_from_eight_threads(SOURCE, &cache);
+        disarm(SOURCE);
+        let panicked = results.iter().filter(|joined| joined.is_err()).count();
+        assert_eq!(panicked, 1, "only the leader unwinds");
+        for joined in results.into_iter().flatten() {
+            assert_eq!(joined.map(|_| ()), Err(MapError::Abandoned));
+        }
+        // The entry left the table with the leader: the next request leads
+        // a run of its own and maps the kernel.
+        let (_, outcome) = Mapper::new()
+            .map_source_cached_shared(SOURCE, &cache, Retain::Mapping)
+            .expect("the kernel maps once no leader panics");
+        assert_eq!(outcome, CacheOutcome::Miss);
+    }
 
     const FIR: &str = r#"
         void main() {

@@ -11,7 +11,17 @@
 //!   minimiser folds to the same graph) re-runs only the cheap frontend +
 //!   transform stages and reuses the
 //!   clustering/partitioning/scheduling/allocation work
-//!   (*post-transform hit*).
+//!   (*post-transform hit*);
+//! * a request for a kernel that another request is mapping at that moment
+//!   waits for that run and shares its result (also a *mapping hit*), so
+//!   concurrent duplicates map once.
+//!
+//! Every call keeps the mapping it produced, so the next request for the
+//! same source is a mapping hit; [`map_source_retaining`] with
+//! [`Retain::Summary`] keeps only the post-transform artifacts and the
+//! summary, for a caller that answers repeats from summaries of its own.
+//!
+//! [`map_source_retaining`]: MappingService::map_source_retaining
 //!
 //! The service is [`Sync`]: one instance can serve many threads, and its
 //! [`map_many`](MappingService::map_many) distributes a batch over the
@@ -40,7 +50,7 @@
 //! # }
 //! ```
 
-use crate::cache::{CacheStats, MappingCache};
+use crate::cache::{CacheOutcome, CacheStats, MappingCache, Retain};
 use crate::error::MapError;
 use crate::flow::{BatchReport, KernelSpec};
 use crate::pipeline::{Mapper, MappingResult};
@@ -137,7 +147,7 @@ impl MappingService {
     /// [`Arc`] without deep-cloning the result — the server's warm path,
     /// where the caller only summarizes the mapping and moves on.
     ///
-    /// The [`CacheOutcome`](crate::cache::CacheOutcome) is returned
+    /// The [`CacheOutcome`] is returned
     /// alongside because the shared
     /// result's embedded report keeps the flavor it was created with (a warm
     /// hit must not mutate state shared with other readers).
@@ -148,8 +158,26 @@ impl MappingService {
     pub fn map_source_shared(
         &self,
         source: &str,
-    ) -> Result<(Arc<MappingResult>, crate::cache::CacheOutcome), MapError> {
-        self.mapper.map_source_cached_shared(source, &self.cache)
+    ) -> Result<(Arc<MappingResult>, CacheOutcome), MapError> {
+        self.map_source_retaining(source, Retain::Mapping)
+    }
+
+    /// Like [`map_source_shared`](Self::map_source_shared), but keeps the
+    /// mapping only as `retain` says: with [`Retain::Summary`] the full
+    /// mapping stays out of the full-mapping level (its summary still goes
+    /// to the disk tier, and its post-transform artifacts are kept), for a
+    /// caller that answers repeats from summaries of its own.
+    ///
+    /// # Errors
+    /// Propagates frontend, transformation and mapping errors exactly as
+    /// [`map_source`](Self::map_source) does.
+    pub fn map_source_retaining(
+        &self,
+        source: &str,
+        retain: Retain,
+    ) -> Result<(Arc<MappingResult>, CacheOutcome), MapError> {
+        self.mapper
+            .map_source_cached_shared(source, &self.cache, retain)
     }
 
     /// Maps a batch of kernels in parallel through the shared cache.
@@ -166,7 +194,6 @@ impl MappingService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheOutcome;
 
     const FIR: &str = r#"
         void main() {
@@ -239,6 +266,24 @@ void main() {
         assert_eq!(narrow.report.cache, CacheOutcome::Miss);
         assert!(narrow.report.cycles >= wide.report.cycles);
         assert_eq!(narrow.report.alus_used, 1);
+    }
+
+    #[test]
+    fn summary_only_maps_keep_the_artifacts_but_not_the_mapping() {
+        let service = MappingService::new(Mapper::new());
+        let (cold, outcome) = service.map_source_retaining(FIR, Retain::Summary).unwrap();
+        assert_eq!(outcome, CacheOutcome::Miss);
+        let stats = service.stats();
+        assert_eq!((stats.mapping_entries, stats.post_entries), (0, 1));
+        // A repeat re-runs frontend and transform and shares the rest.
+        let (again, outcome) = service.map_source_retaining(FIR, Retain::Summary).unwrap();
+        assert_eq!(outcome, CacheOutcome::PostTransformHit);
+        assert!(Arc::ptr_eq(&cold.program, &again.program));
+        // A request that keeps the mapping makes the next one a mapping hit.
+        service.map_source_shared(FIR).unwrap();
+        assert_eq!(service.stats().mapping_entries, 1);
+        let (_, outcome) = service.map_source_retaining(FIR, Retain::Summary).unwrap();
+        assert_eq!(outcome, CacheOutcome::MappingHit);
     }
 
     #[test]

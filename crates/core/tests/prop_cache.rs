@@ -2,14 +2,14 @@
 //!
 //! * a cached mapping is identical to a cold mapping of the same kernel
 //!   (canonical signature, report, program), for random kernels and tile
-//!   counts;
+//!   counts, whether the map kept its full mapping or only its summary;
 //! * the LRU evicts exactly the least-recently-used entry at capacity;
 //! * concurrent `map_many` workers share one cache without losing hits.
 
 use fpfa_cdfg::canonical_signature;
-use fpfa_core::cache::{CacheOutcome, MappingCache};
+use fpfa_core::cache::{CacheOutcome, MappingCache, Retain};
 use fpfa_core::flow::KernelSpec;
-use fpfa_core::pipeline::Mapper;
+use fpfa_core::pipeline::{Mapper, MappingResult};
 use fpfa_core::service::MappingService;
 use fpfa_workloads::straight_line_kernel;
 use proptest::prelude::*;
@@ -35,13 +35,26 @@ proptest! {
         let mapper = Mapper::new().with_tiles(tiles);
         let cold = mapper.map_source(&source).expect("random kernels map");
 
-        let service = MappingService::new(mapper);
+        let service = MappingService::new(mapper.clone());
         let miss = service.map_source(&source).expect("maps through service");
         let hit = service.map_source(&source).expect("maps from cache");
         prop_assert_eq!(miss.report.cache, CacheOutcome::Miss);
         prop_assert_eq!(hit.report.cache, CacheOutcome::MappingHit);
 
-        for warm in [&miss, &hit] {
+        // A map that keeps only its summary leaves the repeat to the
+        // post-transform level, which must serve the same program.
+        let summaries = MappingService::new(mapper);
+        let mut kept = Vec::new();
+        for expected in [CacheOutcome::Miss, CacheOutcome::PostTransformHit] {
+            let (shared, outcome) = summaries
+                .map_source_retaining(&source, Retain::Summary)
+                .expect("maps through a summary-only service");
+            prop_assert_eq!(outcome, expected);
+            kept.push(MappingResult::clone(&shared));
+        }
+        prop_assert_eq!(summaries.stats().mapping_entries, 0);
+
+        for warm in [&miss, &hit].into_iter().chain(&kept) {
             prop_assert_eq!(
                 canonical_signature(&cold.simplified),
                 canonical_signature(&warm.simplified)

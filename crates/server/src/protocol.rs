@@ -762,7 +762,9 @@ pub enum CacheFlavor {
     Uncached,
     /// Both cache levels missed; the full flow ran.
     Miss,
-    /// Served from the full-mapping cache without running any stage.
+    /// Served without running any stage: from the full-mapping cache, a
+    /// summary the daemon holds, or the run of another request for the same
+    /// kernel that was in flight (single-flight).
     MappingHit,
     /// Cluster/partition/schedule/allocate work was reused.
     PostTransformHit,

@@ -22,7 +22,7 @@
 //!    fast path: the summary, the request's own name and the server time
 //!    are encoded straight into the connection's write buffer.  Everything
 //!    else, including a kernel only the shared in-memory cache holds, takes
-//!    the queue; its completion seeds the shard's L0 table.
+//!    the queue; its completion seeds the L0 table of every shard.
 //! 5. Cold work goes through **admission control**: the job is pushed onto
 //!    a bounded queue with a non-blocking `try_push`.  A full queue answers
 //!    [`WireError::Overloaded`] *immediately* — the server sheds load
@@ -33,7 +33,12 @@
 //!    the shared [`MappingService`], and pushes the finished response onto
 //!    the owning shard's completion queue, waking its poller.  The shard
 //!    writes it back — so responses complete **out of order** relative to
-//!    their submission, matched to requests by the echoed id.
+//!    their submission, matched to requests by the echoed id.  A plain map
+//!    keeps only its summary and post-transform artifacts in the shared
+//!    cache ([`Retain::Summary`]): the L0 tables and the disk summaries
+//!    answer its repeats.  A `verify` or `simulate` map uses the mapping
+//!    itself, so it keeps it.  A worker whose map panics answers
+//!    [`WireError::MapFailed`] and lives on.
 //!
 //! Latency histograms measure frame-decode → response write-back, so time
 //! spent queueing (and time a response waits behind a slow client's socket)
@@ -52,7 +57,7 @@ use crate::protocol::{
     Request, Response, SimSummary, WireError, PROTOCOL_VERSION, UNKNOWN_REQUEST_ID,
 };
 use crate::sys::{Event, Interest, Poller, WakeSender, Waker, WAKE_TOKEN};
-use fpfa_core::cache::CacheOutcome;
+use fpfa_core::cache::{CacheOutcome, Retain};
 use fpfa_core::pipeline::MappingResult;
 use fpfa_core::service::MappingService;
 use fpfa_core::summary::MappingSummary;
@@ -61,6 +66,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -83,8 +89,10 @@ const MAX_AUTO_SHARDS: usize = 8;
 const MAX_SHARDS: usize = 64;
 /// Read chunk per `read(2)` on a readable connection.
 const READ_CHUNK: usize = 64 * 1024;
-/// Per-shard warm-table entry cap; reaching it clears the table (it re-warms
-/// from the shared cache in one probe per kernel).
+/// Per-shard warm-table entry cap; reaching it clears the table.  It
+/// re-warms from the disk tier's summaries, or through the queue, where a
+/// plain repeat is a post-transform hit (frontend and transform re-run) and
+/// its completion seeds every shard again.
 const WARM_CAPACITY: usize = 4096;
 /// A connection whose un-flushed write buffer exceeds this is dropped: the
 /// peer is pipelining requests without reading responses.
@@ -273,6 +281,7 @@ pub struct ServerStats {
     protocol_errors: fpfa_obs::Counter,
     fast_hits: fpfa_obs::Counter,
     l0_hits: fpfa_obs::Counter,
+    worker_panics: fpfa_obs::Counter,
     in_flight: fpfa_obs::Gauge,
     map_latency: fpfa_obs::Histogram,
     /// Decode → worker-pop wait of queued (cold-path) jobs.
@@ -294,6 +303,7 @@ impl ServerStats {
             protocol_errors: registry.counter("serve.protocol_errors", &[]),
             fast_hits: registry.counter("serve.fast_hits", &[]),
             l0_hits: registry.counter("serve.l0_hits", &[]),
+            worker_panics: registry.counter("serve.worker_panics", &[]),
             in_flight: registry.gauge("serve.in_flight", &[]),
             map_latency: registry.histogram("serve.map.latency", &[]),
             queue_wait: registry.histogram("serve.queue.wait", &[]),
@@ -310,6 +320,9 @@ fn register_cache_gauges(registry: &Registry, service: &MappingService) {
         ("cache.mapping.misses", |c| c.stats().mapping_misses),
         ("cache.post.hits", |c| c.stats().post_transform_hits),
         ("cache.post.misses", |c| c.stats().post_transform_misses),
+        ("cache.mapping.coalesced", |c| c.stats().coalesced),
+        ("cache.mapping.entries", |c| c.stats().mapping_entries),
+        ("cache.post.entries", |c| c.stats().post_entries),
         ("cache.entries", |c| c.stats().entries),
         ("cache.capacity", |c| c.capacity() as u64),
         ("persist.loads", |c| c.persist_stats().loads),
@@ -393,20 +406,28 @@ struct Completion {
     generation: u64,
     request_id: u64,
     decoded_at: Instant,
-    /// Cache epoch the job was processed under; a stale epoch means a
-    /// `reset` raced the job, so its warm entry is discarded.
-    epoch: u64,
     response: Response,
-    /// `(config fingerprint, source, summary)` — the seed of an L0 entry on
-    /// the owning shard.
-    warm: Option<(u64, String, MappingSummary)>,
     timing: JobTiming,
+}
+
+/// The summary of a finished mapping, left for every shard's L0 table.
+#[derive(Clone)]
+struct Seed {
+    /// Cache epoch the job was processed under; a stale epoch means a
+    /// `reset` raced the job, so the seed is discarded.
+    epoch: u64,
+    fingerprint: u64,
+    /// The kernel source, shared by every shard's table.
+    source: Arc<str>,
+    summary: MappingSummary,
 }
 
 /// The mailbox through which the acceptor and the workers reach a shard.
 struct ShardMailbox {
     inbox: Mutex<Vec<TcpStream>>,
     completions: Mutex<VecDeque<Completion>>,
+    /// Summaries of mappings finished since the shard last looked.
+    seeds: Mutex<Vec<Seed>>,
     wake: WakeSender,
     waker: Mutex<Option<Waker>>,
     counters: ShardCounters,
@@ -622,6 +643,7 @@ impl Server {
             shards.push(ShardMailbox {
                 inbox: Mutex::new(Vec::new()),
                 completions: Mutex::new(VecDeque::new()),
+                seeds: Mutex::new(Vec::new()),
                 wake: waker.sender()?,
                 waker: Mutex::new(Some(waker)),
                 counters: ShardCounters::new(&registry, shard_id),
@@ -749,14 +771,33 @@ fn worker_loop(inner: &Inner) {
         let queue_us = job.decoded_at.elapsed().as_micros() as u64;
         inner.stats.queue_wait.record(queue_us);
         let shard = job.shard.min(inner.shards.len().saturating_sub(1));
-        let completion = process_job(inner, job, queue_us);
+        let (completion, seed) = process_job(inner, job, queue_us);
+        if let Some(seed) = &seed {
+            seed_every_shard(inner, shard, seed);
+        }
         let mailbox = &inner.shards[shard];
         lock_state(&mailbox.completions).push_back(completion);
         mailbox.wake.wake();
     }
 }
 
-fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
+/// Leaves a finished mapping's summary for every shard's L0 table, so a
+/// repeat on any connection is answered inline.  The owner is about to be
+/// woken for the completion; another shard is woken only when its seed list
+/// was empty, so a burst of completions costs it one wakeup.
+fn seed_every_shard(inner: &Inner, owner: usize, seed: &Seed) {
+    for (index, mailbox) in inner.shards.iter().enumerate() {
+        let mut seeds = lock_state(&mailbox.seeds);
+        let was_empty = seeds.is_empty();
+        seeds.push(seed.clone());
+        drop(seeds);
+        if was_empty && index != owner {
+            mailbox.wake.wake();
+        }
+    }
+}
+
+fn process_job(inner: &Inner, job: Job, queue_us: u64) -> (Completion, Option<Seed>) {
     let Job {
         conn,
         generation,
@@ -769,45 +810,56 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
     } = job;
     let epoch = inner.cache_epoch.load(Ordering::SeqCst);
     let service_started = Instant::now();
-    let done = |response: Response,
-                warm: Option<(u64, String, MappingSummary)>,
-                stages: Option<StageTimings>| {
-        Completion {
-            conn,
-            generation,
-            request_id,
-            decoded_at,
-            epoch,
-            response,
-            warm,
-            timing: JobTiming {
-                queue_us,
-                service_us: service_started.elapsed().as_micros() as u64,
-                completed_at: Instant::now(),
-                stages,
-            },
-        }
+    let done = |response: Response, stages: Option<StageTimings>| Completion {
+        conn,
+        generation,
+        request_id,
+        decoded_at,
+        response,
+        timing: JobTiming {
+            queue_us,
+            service_us: service_started.elapsed().as_micros() as u64,
+            completed_at: Instant::now(),
+            stages,
+        },
     };
 
     let deadline = inner.deadline_of(&knobs);
     if !deadline.is_zero() && decoded_at.elapsed() > deadline {
         inner.stats.rejected_deadline.inc();
-        return done(
-            Response::Error(WireError::DeadlineExceeded {
-                budget_ms: deadline.as_millis() as u64,
-            }),
-            None,
+        let budget_ms = deadline.as_millis() as u64;
+        return (
+            done(
+                Response::Error(WireError::DeadlineExceeded { budget_ms }),
+                None,
+            ),
             None,
         );
     }
 
     let service = inner.service_for(&knobs);
-    match serve_map_job(&service, &kernel, &knobs, decoded_at, traced) {
+    // A panic anywhere in the flow must not take the worker down with it,
+    // or its client would wait forever: it becomes this request's answer.
+    let served = panic::catch_unwind(AssertUnwindSafe(|| {
+        serve_map_job(&service, &kernel, &knobs, decoded_at, traced)
+    }))
+    .unwrap_or_else(|payload| {
+        inner.stats.worker_panics.inc();
+        Err(WireError::MapFailed {
+            name: kernel.name.clone(),
+            error: format!("the mapper panicked: {}", panic_message(&*payload)),
+        })
+    });
+    match served {
         Ok((summary, value, stages)) => {
             inner.stats.served_ok.inc();
-            let fingerprint = service.mapper().cache_fingerprint();
-            let warm = Some((fingerprint, kernel.source, value));
-            done(Response::Mapped(summary), warm, stages)
+            let seed = Seed {
+                epoch,
+                fingerprint: service.mapper().cache_fingerprint(),
+                source: Arc::from(kernel.source),
+                summary: value,
+            };
+            (done(Response::Mapped(summary), stages), Some(seed))
         }
         Err(error) => {
             let counter = if matches!(error, WireError::VerifyFailed { .. }) {
@@ -816,9 +868,18 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
                 &inner.stats.served_err
             };
             counter.inc();
-            done(Response::Error(error), None, None)
+            (done(Response::Error(error), None), None)
         }
     }
+}
+
+/// The message a panic was raised with, when it was a string.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string payload")
 }
 
 fn serve_map_job(
@@ -828,13 +889,21 @@ fn serve_map_job(
     decoded_at: Instant,
     traced: bool,
 ) -> Result<(MapSummary, MappingSummary, Option<StageTimings>), WireError> {
-    let (result, outcome) =
-        service
-            .map_source_shared(&kernel.source)
-            .map_err(|error| WireError::MapFailed {
-                name: kernel.name.clone(),
-                error: error.to_string(),
-            })?;
+    #[cfg(test)]
+    tests::on_map(&kernel.name);
+    // Verification and simulation use the mapping itself, so they keep it;
+    // a plain map's repeats are answered from summaries.
+    let retain = if knobs.verify || knobs.simulate {
+        Retain::Mapping
+    } else {
+        Retain::Summary
+    };
+    let (result, outcome) = service
+        .map_source_retaining(&kernel.source, retain)
+        .map_err(|error| WireError::MapFailed {
+            name: kernel.name.clone(),
+            error: error.to_string(),
+        })?;
     if knobs.verify {
         verify(service, kernel, &result)?;
     }
@@ -1025,7 +1094,7 @@ struct ShardRt<'a> {
     live: usize,
     /// The L0 tier: config fingerprint → kernel source → the summary of
     /// its finished mapping.
-    warm: HashMap<u64, HashMap<String, MappingSummary>>,
+    warm: HashMap<u64, HashMap<Arc<str>, MappingSummary>>,
     warm_len: usize,
     warm_epoch: u64,
     knob_fingerprints: HashMap<(u32, u32, bool, bool), u64>,
@@ -1364,11 +1433,12 @@ impl<'a> ShardRt<'a> {
         if !knobs.simulate && !knobs.verify {
             self.sync_epoch();
             let fingerprint = self.fingerprint_of(&knobs);
-            let l0 = self
-                .warm
-                .get(&fingerprint)
-                .and_then(|table| table.get(kernel.source.as_str()));
-            if let Some(&value) = l0 {
+            let l0 = self.l0(fingerprint, &kernel.source);
+            if let Some(value) = l0.or_else(|| {
+                self.absorb_seeds()
+                    .then(|| self.l0(fingerprint, &kernel.source))
+                    .flatten()
+            }) {
                 inner.stats.l0_hits.inc();
                 self.finish_inline(conn, id, kernel.name, value, decoded_at, "l0");
                 return;
@@ -1377,7 +1447,7 @@ impl<'a> ShardRt<'a> {
             // without decoding a mapping.
             let disk = inner.base.cache().disk_tier();
             if let Some(value) = disk.and_then(|tier| tier.summary(&kernel.source, fingerprint)) {
-                self.warm_insert(fingerprint, kernel.source, value);
+                self.warm_insert(fingerprint, Arc::from(kernel.source.as_str()), value);
                 self.finish_inline(conn, id, kernel.name, value, decoded_at, "disk");
                 return;
             }
@@ -1440,19 +1510,14 @@ impl<'a> ShardRt<'a> {
 
     fn drain_completions(&mut self) {
         let inner = self.inner;
+        self.absorb_seeds();
         let mut completions = std::mem::take(&mut *lock_state(&self.mailbox().completions));
         if completions.is_empty() {
             return;
         }
-        let current_epoch = inner.cache_epoch.load(Ordering::SeqCst);
         let mut touched: Vec<usize> = Vec::with_capacity(completions.len());
         for completion in completions.drain(..) {
             inner.stats.in_flight.dec();
-            if completion.epoch == current_epoch {
-                if let Some((fingerprint, source, value)) = completion.warm {
-                    self.warm_insert(fingerprint, source, value);
-                }
-            }
             let idx = completion.conn;
             let alive = self
                 .conns
@@ -1708,7 +1773,29 @@ impl<'a> ShardRt<'a> {
         fingerprint
     }
 
-    fn warm_insert(&mut self, fingerprint: u64, source: String, value: MappingSummary) {
+    /// The L0 table's summary of `source` under `fingerprint`.
+    fn l0(&self, fingerprint: u64, source: &str) -> Option<MappingSummary> {
+        self.warm.get(&fingerprint)?.get(source).copied()
+    }
+
+    /// Moves the summaries that workers left for this shard into its L0
+    /// table, dropping those a `reset` made stale; returns whether any
+    /// were waiting.
+    fn absorb_seeds(&mut self) -> bool {
+        let seeds = std::mem::take(&mut *lock_state(&self.mailbox().seeds));
+        if seeds.is_empty() {
+            return false;
+        }
+        self.sync_epoch();
+        for seed in seeds {
+            if seed.epoch == self.warm_epoch {
+                self.warm_insert(seed.fingerprint, seed.source, seed.summary);
+            }
+        }
+        true
+    }
+
+    fn warm_insert(&mut self, fingerprint: u64, source: Arc<str>, value: MappingSummary) {
         if self.warm_len >= WARM_CAPACITY {
             self.warm.clear();
             self.warm_len = 0;
@@ -1748,6 +1835,64 @@ impl<'a> ShardRt<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{Client, ClientError};
+    use fpfa_core::pipeline::Mapper;
+    use std::sync::PoisonError;
+
+    /// Kernel names whose maps panic, armed by tests.
+    static PANICS_ON: Mutex<Vec<&str>> = Mutex::new(Vec::new());
+
+    pub(super) fn on_map(name: &str) {
+        let armed = PANICS_ON
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .contains(&name);
+        if armed {
+            panic!("injected panic mapping `{name}`");
+        }
+    }
+
+    #[test]
+    fn a_panicking_map_answers_a_typed_error_and_keeps_its_worker() {
+        PANICS_ON
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push("boom");
+        let config = ServerConfig {
+            workers: 1,
+            shards: 1,
+            ..ServerConfig::default()
+        };
+        let service = MappingService::new(Mapper::new());
+        let server = Server::bind("127.0.0.1:0", config, service).expect("bind on port 0");
+        let handle = server.spawn().expect("spawn server");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let kernel = "void main() { int a[2]; int r; r = a[0] + a[1]; }";
+        match client.map("boom", kernel, MapKnobs::default()) {
+            Err(ClientError::Server(WireError::MapFailed { name, error })) => {
+                assert_eq!(name, "boom");
+                assert!(error.contains("panicked"), "{error}");
+            }
+            other => panic!("expected a typed MapFailed, got {other:?}"),
+        }
+        // The daemon's only worker lives on: the next map, of another
+        // kernel, is served.
+        let other = "void main() { int a[2]; int r; r = a[0] * a[1]; }";
+        let served = client
+            .map("fine", other, MapKnobs::default())
+            .expect("the worker survives the panic");
+        assert!(served.operations > 0);
+        let stats = handle.registry().snapshot();
+        let value = |name, labels: &[(&str, &str)]| match stats.get(name, labels) {
+            Some(fpfa_obs::MetricValue::Counter(v) | fpfa_obs::MetricValue::Gauge(v)) => *v,
+            other => panic!("{name} is not a counter or gauge: {other:?}"),
+        };
+        assert_eq!(value("serve.worker_panics", &[]), 1);
+        assert_eq!(value("serve.in_flight", &[]), 0);
+        assert_eq!(value("serve.served", &[("outcome", "err")]), 1);
+        handle.shutdown();
+        handle.join();
+    }
 
     #[test]
     fn queue_admission_is_immediate_and_bounded() {

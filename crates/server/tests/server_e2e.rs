@@ -100,45 +100,58 @@ fn concurrent_clients_agree_with_direct_service_calls() {
         })
         .collect();
 
-    let handle = start(ServerConfig::default(), Mapper::new());
-    let addr = handle.addr();
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let kernels = &kernels;
-            let expected = &expected;
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                for ((name, source), (_, digest, cycles)) in kernels.iter().zip(expected) {
-                    let summary = client
-                        .map(name, source, MapKnobs::default())
-                        .unwrap_or_else(|e| panic!("mapping `{name}` failed: {e}"));
-                    assert_eq!(summary.digest, *digest, "digest of `{name}`");
-                    assert_eq!(summary.cycles, *cycles, "cycles of `{name}`");
-                    assert_eq!(summary.name, *name);
-                }
-            });
-        }
-    });
+    // Four clients send the registry in lockstep, so on any core count
+    // several workers ask for the same kernel at once.
+    for workers in [1, 2, 4, 8] {
+        let handle = start(
+            ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            },
+            Mapper::new(),
+        );
+        let addr = handle.addr();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let kernels = &kernels;
+                let expected = &expected;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    for ((name, source), (_, digest, cycles)) in kernels.iter().zip(expected) {
+                        let summary = client
+                            .map(name, source, MapKnobs::default())
+                            .unwrap_or_else(|e| panic!("mapping `{name}` failed: {e}"));
+                        assert_eq!(summary.digest, *digest, "digest of `{name}`");
+                        assert_eq!(summary.cycles, *cycles, "cycles of `{name}`");
+                        assert_eq!(summary.name, *name);
+                    }
+                });
+            }
+        });
 
-    let stats = scrape(&mut Client::connect(addr).expect("connect for metrics"));
-    assert_eq!(
-        value(&stats, "serve.served", &[("outcome", "ok")]),
-        4 * kernels.len() as u64
-    );
-    assert_eq!(value(&stats, "serve.served", &[("outcome", "err")]), 0);
-    assert_eq!(
-        value(&stats, "serve.rejected", &[("reason", "overload")]),
-        0
-    );
-    // 4 passes over the same kernels: at most one miss per kernel, the rest
-    // served from the shared cache.
-    assert!(
-        value(&stats, "cache.mapping.hits", &[]) >= 3 * kernels.len() as u64,
-        "expected a warm cache, got\n{}",
-        stats.to_prometheus()
-    );
-    handle.shutdown();
-    handle.join();
+        let stats = scrape(&mut Client::connect(addr).expect("connect for metrics"));
+        let text = stats.to_prometheus();
+        assert_eq!(
+            value(&stats, "serve.served", &[("outcome", "ok")]),
+            4 * kernels.len() as u64,
+            "{workers} worker(s):\n{text}"
+        );
+        assert_eq!(value(&stats, "serve.served", &[("outcome", "err")]), 0);
+        assert_eq!(
+            value(&stats, "serve.rejected", &[("reason", "overload")]),
+            0
+        );
+        // Each kernel runs the flow once, however many workers race for it:
+        // a request for a kernel in flight follows that run, and a later
+        // one is answered from a summary or the post-transform level.
+        assert_eq!(
+            value(&stats, "cache.post.misses", &[]),
+            kernels.len() as u64,
+            "flow runs with {workers} worker(s):\n{text}"
+        );
+        handle.shutdown();
+        handle.join();
+    }
 }
 
 #[test]
@@ -1161,6 +1174,111 @@ fn warm_repeats_are_answered_from_l0_under_any_name() {
 /// The value of an unlabelled counter or gauge in a server's registry.
 fn metric(handle: &ServerHandle, name: &str) -> u64 {
     value(&handle.registry().snapshot(), name, &[])
+}
+
+/// What the shared cache pins, read from a scrape: a plain map keeps its
+/// post-transform artifacts but no full mapping, since its repeats are
+/// answered from summaries; a `verify` map keeps its mapping, so a second
+/// `verify` of the same source is a mapping hit that runs no stage.
+#[test]
+fn plain_maps_pin_no_mapping_and_verified_maps_keep_theirs() {
+    let handle = start(
+        ServerConfig {
+            workers: 2,
+            shards: 1,
+            ..ServerConfig::default()
+        },
+        Mapper::new(),
+    );
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let plain = 5;
+    for index in 0..plain {
+        let source = format!(
+            "void main() {{ int a[{}]; int r; r = a[0] + a[1]; }}",
+            index + 2
+        );
+        client
+            .map(&format!("k{index}"), &source, MapKnobs::default())
+            .expect("plain map");
+    }
+    let entries = |stats: &Snapshot| {
+        (
+            value(stats, "cache.mapping.entries", &[]),
+            value(stats, "cache.post.entries", &[]),
+            value(stats, "cache.entries", &[]),
+        )
+    };
+    let stats = scrape(&mut client);
+    assert_eq!(
+        entries(&stats),
+        (0, plain, plain),
+        "{}",
+        stats.to_prometheus()
+    );
+
+    let verify = MapKnobs {
+        verify: true,
+        ..MapKnobs::default()
+    };
+    let source = "void main() { int a[3]; int r; r = a[0] + a[1] * a[2]; }";
+    let first = client.map("v", source, verify).expect("verified map");
+    assert_eq!(first.cache, fpfa_server::CacheFlavor::Miss);
+    let stats = scrape(&mut client);
+    assert_eq!(entries(&stats), (1, plain + 1, plain + 2));
+    let post_lookups = |stats: &Snapshot| {
+        value(stats, "cache.post.hits", &[]) + value(stats, "cache.post.misses", &[])
+    };
+    let before = post_lookups(&stats);
+
+    let second = client.map("v", source, verify).expect("verified repeat");
+    assert_eq!(second.cache, fpfa_server::CacheFlavor::MappingHit);
+    assert_eq!(second.digest, first.digest);
+    // Frontend and transform run before the post-transform probe: with no
+    // probe, no stage ran.
+    let stats = scrape(&mut client);
+    assert_eq!(post_lookups(&stats), before, "{}", stats.to_prometheus());
+    assert_eq!(entries(&stats), (1, plain + 1, plain + 2));
+    handle.shutdown();
+    handle.join();
+}
+
+/// With two shards and no disk tier, a kernel mapped on one connection is
+/// answered inline on a connection the other shard owns: a worker's
+/// completion seeds the L0 table of every shard, not only the owner's.
+#[test]
+fn a_completion_seeds_the_l0_table_of_every_shard() {
+    let handle = start(
+        ServerConfig {
+            workers: 2,
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Mapper::new(),
+    );
+    // The acceptor deals connections round-robin, so these two sit on
+    // different shards.
+    let mut first = Client::connect(handle.addr()).expect("connect first");
+    let mut second = Client::connect(handle.addr()).expect("connect second");
+    let cold = first
+        .map("k", TRIVIAL, MapKnobs::default())
+        .expect("cold map");
+    assert_eq!(cold.cache, fpfa_server::CacheFlavor::Miss);
+    let accepted = metric(&handle, "serve.accepted");
+    let repeat = second
+        .map("k", TRIVIAL, MapKnobs::default())
+        .expect("repeat on the other shard");
+    assert_eq!(repeat.cache, fpfa_server::CacheFlavor::MappingHit);
+    assert_eq!(repeat.digest, cold.digest);
+    assert_eq!(metric(&handle, "serve.accepted"), accepted);
+    let stats = handle.registry().snapshot();
+    for shard in ["0", "1"] {
+        assert_eq!(value(&stats, "shard.accepted", &[("shard", shard)]), 1);
+    }
+    let mut outcomes = map_outcomes(&second.dump().expect("dump"));
+    outcomes.sort();
+    assert_eq!(outcomes, ["l0", "ok"]);
+    handle.shutdown();
+    handle.join();
 }
 
 /// A second server over the first one's cache directory answers the
