@@ -17,11 +17,11 @@
 //!   concurrent duplicates map once.
 //!
 //! Every call keeps the mapping it produced, so the next request for the
-//! same source is a mapping hit; [`map_source_retaining`] with
+//! same source is a mapping hit; [`map_source_shared`] with
 //! [`Retain::Summary`] keeps only the post-transform artifacts and the
 //! summary, for a caller that answers repeats from summaries of its own.
 //!
-//! [`map_source_retaining`]: MappingService::map_source_retaining
+//! [`map_source_shared`]: MappingService::map_source_shared
 //!
 //! The service is [`Sync`]: one instance can serve many threads, and its
 //! [`map_many`](MappingService::map_many) distributes a batch over the
@@ -145,7 +145,12 @@ impl MappingService {
 
     /// Like [`map_source`](Self::map_source), but returns the cache's shared
     /// [`Arc`] without deep-cloning the result — the server's warm path,
-    /// where the caller only summarizes the mapping and moves on.
+    /// where the caller only summarizes the mapping and moves on.  `retain`
+    /// says what the cache keeps: [`Retain::Mapping`] keeps the mapping, as
+    /// [`map_source`](Self::map_source) does; with [`Retain::Summary`] the
+    /// full mapping stays out of the full-mapping level (its summary still
+    /// goes to the disk tier, and its post-transform artifacts are kept), for
+    /// a caller that answers repeats from summaries of its own.
     ///
     /// The [`CacheOutcome`] is returned
     /// alongside because the shared
@@ -156,22 +161,6 @@ impl MappingService {
     /// Propagates frontend, transformation and mapping errors exactly as
     /// [`map_source`](Self::map_source) does.
     pub fn map_source_shared(
-        &self,
-        source: &str,
-    ) -> Result<(Arc<MappingResult>, CacheOutcome), MapError> {
-        self.map_source_retaining(source, Retain::Mapping)
-    }
-
-    /// Like [`map_source_shared`](Self::map_source_shared), but keeps the
-    /// mapping only as `retain` says: with [`Retain::Summary`] the full
-    /// mapping stays out of the full-mapping level (its summary still goes
-    /// to the disk tier, and its post-transform artifacts are kept), for a
-    /// caller that answers repeats from summaries of its own.
-    ///
-    /// # Errors
-    /// Propagates frontend, transformation and mapping errors exactly as
-    /// [`map_source`](Self::map_source) does.
-    pub fn map_source_retaining(
         &self,
         source: &str,
         retain: Retain,
@@ -271,18 +260,18 @@ void main() {
     #[test]
     fn summary_only_maps_keep_the_artifacts_but_not_the_mapping() {
         let service = MappingService::new(Mapper::new());
-        let (cold, outcome) = service.map_source_retaining(FIR, Retain::Summary).unwrap();
+        let (cold, outcome) = service.map_source_shared(FIR, Retain::Summary).unwrap();
         assert_eq!(outcome, CacheOutcome::Miss);
         let stats = service.stats();
         assert_eq!((stats.mapping_entries, stats.post_entries), (0, 1));
         // A repeat re-runs frontend and transform and shares the rest.
-        let (again, outcome) = service.map_source_retaining(FIR, Retain::Summary).unwrap();
+        let (again, outcome) = service.map_source_shared(FIR, Retain::Summary).unwrap();
         assert_eq!(outcome, CacheOutcome::PostTransformHit);
         assert!(Arc::ptr_eq(&cold.program, &again.program));
         // A request that keeps the mapping makes the next one a mapping hit.
-        service.map_source_shared(FIR).unwrap();
+        service.map_source_shared(FIR, Retain::Mapping).unwrap();
         assert_eq!(service.stats().mapping_entries, 1);
-        let (_, outcome) = service.map_source_retaining(FIR, Retain::Summary).unwrap();
+        let (_, outcome) = service.map_source_shared(FIR, Retain::Summary).unwrap();
         assert_eq!(outcome, CacheOutcome::MappingHit);
     }
 

@@ -47,7 +47,7 @@ proptest! {
         let mut kept = Vec::new();
         for expected in [CacheOutcome::Miss, CacheOutcome::PostTransformHit] {
             let (shared, outcome) = summaries
-                .map_source_retaining(&source, Retain::Summary)
+                .map_source_shared(&source, Retain::Summary)
                 .expect("maps through a summary-only service");
             prop_assert_eq!(outcome, expected);
             kept.push(MappingResult::clone(&shared));

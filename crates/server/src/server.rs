@@ -899,7 +899,7 @@ fn serve_map_job(
         Retain::Summary
     };
     let (result, outcome) = service
-        .map_source_retaining(&kernel.source, retain)
+        .map_source_shared(&kernel.source, retain)
         .map_err(|error| WireError::MapFailed {
             name: kernel.name.clone(),
             error: error.to_string(),

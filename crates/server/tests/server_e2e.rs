@@ -3,6 +3,7 @@
 //! `Overloaded` rejections under queue saturation, deadline budgets, and
 //! graceful shutdown.
 
+use fpfa_core::cache::Retain;
 use fpfa_core::pipeline::Mapper;
 use fpfa_core::service::MappingService;
 use fpfa_obs::{MetricValue, Snapshot};
@@ -1019,7 +1020,7 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
         .expect("from L0");
     let beside = "void main() { int a[2]; int r; r = a[0] * a[1]; }";
     service
-        .map_source_shared(beside)
+        .map_source_shared(beside, Retain::Mapping)
         .expect("maps beside the daemon");
     client
         .map("b", beside, MapKnobs::default())
@@ -1048,7 +1049,7 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     );
     let mut client = Client::connect(handle.addr()).expect("connect");
     service
-        .map_source_shared(beside)
+        .map_source_shared(beside, Retain::Mapping)
         .expect("maps beside the daemon");
     let worker = client
         .map("b", beside, MapKnobs::default())
