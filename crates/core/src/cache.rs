@@ -27,23 +27,32 @@
 //! share of the capacity.  Hit/miss/eviction counters are kept in atomics and
 //! surface in [`CacheStats`].
 //!
-//! Every map keeps its post-transform artifacts, but only a map that asks
-//! for it ([`Retain::Mapping`]) keeps its full mapping: the daemon answers a
-//! plain repeat from summaries of its own, so its plain maps keep only the
-//! summary ([`Retain::Summary`], stored on the disk tier when one is
-//! attached), while verification, simulation and library callers keep the
-//! mapping as before.
+//! Beside them sits one **summary level**: config fingerprint → kernel
+//! source → the [`MappingSummary`] a finished mapping serves, bounded at
+//! [`SUMMARY_CAPACITY`] entries over the whole table with the same exact
+//! least-recently-used policy.  Every successful map fills it, and
+//! [`summary`](MappingCache::summary) answers from it with one probe that
+//! builds no key and allocates nothing, so every I/O shard and worker of
+//! the daemon reads the same table.  Each answer counts as a full-mapping
+//! hit.
+//!
+//! Every map keeps its summary and its post-transform artifacts, but only a
+//! map that asks for it ([`Retain::Mapping`]) keeps its full mapping: the
+//! daemon answers a plain repeat from the summary level, so its plain maps
+//! keep only the summary ([`Retain::Summary`]), while verification,
+//! simulation and library callers keep the mapping as before.
 //!
 //! A kernel is mapped once however many requests for it arrive together:
 //! an in-flight table keyed by [`MappingKey`] (Go's `singleflight`) lets the
 //! first request that misses the full-mapping level lead the run while
 //! later ones follow it, waiting for the leader's shared result (or its
-//! error) instead of running any stage themselves.
+//! error) instead of running any stage themselves.  The leader fills the
+//! summary level before it leaves the table.
 //!
-//! An optional [`DiskTier`] sits below both levels and survives restarts.
-//! It keeps a full mapping as its served summary only, which answers
-//! [`DiskTier::summary`] probes, and the post-transform artifacts in full,
-//! in files of their own that the disk tier first reads when a
+//! An optional [`DiskTier`] sits below the cache and survives restarts.  It
+//! keeps a full mapping as its served summary only, which the summary level
+//! takes over when the tier is attached, and the post-transform artifacts
+//! in full, in files of their own that the disk tier first reads when a
 //! post-transform lookup falls through to it.  So after a restart a
 //! request that needs the mapping itself runs frontend and transform and is
 //! a post-transform hit: the costly phases do not re-run.
@@ -58,9 +67,9 @@ use crate::persist::{DiskTier, PersistStats};
 use crate::pipeline::MappingResult;
 use crate::program::TileProgram;
 use crate::schedule::Schedule;
-use crate::summary::Fnv;
+use crate::summary::{Fnv, MappingSummary};
 use fpfa_arch::{AluCapability, ArrayConfig, TileConfig};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -295,16 +304,15 @@ impl fmt::Display for CacheOutcome {
 }
 
 /// What a cached map keeps of the mapping it produced.  Every map keeps its
-/// post-transform artifacts; this chooses whether the full mapping is kept
-/// too.
+/// summary and its post-transform artifacts; this chooses whether the full
+/// mapping is kept too.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Retain {
     /// The full mapping goes into the full-mapping level, for callers that
     /// use it again: verification, simulation and library callers.
     Mapping,
-    /// Only the mapping's summary is kept, on the disk tier when one is
-    /// attached: for callers that answer repeats from summaries of their
-    /// own, as the daemon's plain maps do.
+    /// Only the mapping's summary is kept: for callers that answer repeats
+    /// from the summary level, as the daemon's plain maps do.
     Summary,
 }
 
@@ -332,18 +340,13 @@ pub struct CacheStats {
     pub mapping_entries: u64,
     /// Post-transform artifacts currently resident.
     pub post_entries: u64,
-    /// Entries currently resident (both levels).
+    /// Entries currently resident (both artifact levels).
     pub entries: u64,
+    /// Summaries currently resident in the summary level.
+    pub summary_entries: u64,
 }
 
 impl CacheStats {
-    /// Fraction of full-mapping lookups that hit (`None` before the first
-    /// lookup).
-    pub fn mapping_hit_rate(&self) -> Option<f64> {
-        let total = self.mapping_hits + self.mapping_misses;
-        (total > 0).then(|| self.mapping_hits as f64 / total as f64)
-    }
-
     /// Total lookups across both levels.
     pub fn lookups(&self) -> u64 {
         self.mapping_hits
@@ -460,6 +463,86 @@ impl<K: Hash + Eq + Clone, V> Shard<K, V> {
     }
 }
 
+/// The summary level: config fingerprint → kernel source → the served
+/// summary of its finished mapping and the recency tick of its last use.
+/// One exact least-recently-used order spans every fingerprint.
+#[derive(Debug, Default)]
+struct Summaries {
+    by_config: HashMap<u64, HashMap<Arc<str>, (MappingSummary, u64)>>,
+    len: usize,
+    tick: u64,
+}
+
+impl Summaries {
+    fn get(&mut self, fingerprint: u64, source: &str) -> Option<MappingSummary> {
+        let slot = self.by_config.get_mut(&fingerprint)?.get_mut(source)?;
+        self.tick += 1;
+        slot.1 = self.tick;
+        Some(slot.0)
+    }
+
+    /// Stores `summary` as the most recently used entry, evicting the least
+    /// recently used one past [`SUMMARY_CAPACITY`]; returns the summary it
+    /// replaced.
+    fn insert(
+        &mut self,
+        fingerprint: u64,
+        source: &Arc<str>,
+        summary: MappingSummary,
+    ) -> Option<MappingSummary> {
+        self.tick += 1;
+        let slot = (summary, self.tick);
+        let table = self.by_config.entry(fingerprint).or_default();
+        if let Some(held) = table.get_mut(&**source) {
+            return Some(std::mem::replace(held, slot).0);
+        }
+        table.insert(Arc::clone(source), slot);
+        self.len += 1;
+        if self.len > SUMMARY_CAPACITY {
+            self.evict_least_recent();
+        }
+        None
+    }
+
+    /// Fills an empty level with the summaries a disk tier's open found,
+    /// oldest record first.  It reads them newest first, so the newest
+    /// record of a pair answers for it and the newest [`SUMMARY_CAPACITY`]
+    /// pairs are kept without an eviction; a record's position is its
+    /// recency tick, so the newest pairs are the most recently used.
+    fn fill(&mut self, found: Vec<(u64, Arc<str>, MappingSummary)>) {
+        self.tick = found.len() as u64;
+        for (index, (fingerprint, source, summary)) in found.into_iter().enumerate().rev() {
+            if self.len == SUMMARY_CAPACITY {
+                break;
+            }
+            let table = self.by_config.entry(fingerprint).or_default();
+            if let Entry::Vacant(slot) = table.entry(source) {
+                slot.insert((summary, index as u64 + 1));
+                self.len += 1;
+            }
+        }
+    }
+
+    fn evict_least_recent(&mut self) {
+        let oldest = self
+            .by_config
+            .iter()
+            .flat_map(|(&fingerprint, table)| {
+                table.values().map(move |&(_, used)| (used, fingerprint))
+            })
+            .min();
+        if let Some((used, fingerprint)) = oldest {
+            let table = self.by_config.get_mut(&fingerprint).expect("its table");
+            // Ticks are unique, so this drops exactly one entry.
+            table.retain(|_, slot| slot.1 != used);
+            if table.is_empty() {
+                self.by_config.remove(&fingerprint);
+            }
+            self.len -= 1;
+        }
+    }
+}
+
 fn lock_shard<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
     // A panic while holding a shard's lock can only leave a stale recency
     // tick behind, never a torn entry, and the in-flight table's lock is
@@ -512,7 +595,8 @@ impl Drop for FlightLead<'_> {
 // The cache
 // ---------------------------------------------------------------------------
 
-/// The two-level, sharded, capacity-bounded mapping cache.
+/// The two-level, sharded, capacity-bounded mapping cache, with its summary
+/// level.
 ///
 /// Thread-safe: shards are individually locked and the counters are atomics,
 /// so it is shared freely between
@@ -523,22 +607,29 @@ pub struct MappingCache {
     mapping_shards: Vec<Mutex<Shard<MappingKey, MappingResult>>>,
     post_shards: Vec<Mutex<Shard<PostTransformKey, PostTransformArtifacts>>>,
     per_shard_capacity: usize,
+    /// The served summary of every finished mapping, bounded over the whole
+    /// table.  Its lock is held for one probe or insert, never across disk
+    /// I/O or a flow stage.
+    summaries: Mutex<Summaries>,
     counters: Counters,
     /// The runs of the flow in progress, by content key: a request that
     /// misses the full-mapping level while its key is here waits for the
     /// run's outcome instead of starting another.
     flights: Mutex<HashMap<MappingKey, Arc<OnceLock<FlightOutcome>>>>,
-    /// Optional persistent tier below the in-memory LRU: every insert stores
-    /// through to it (a full mapping as its summary), post-transform misses
-    /// fall through to it, and disk hits are promoted back into memory.  See
-    /// [`crate::persist`].
-    disk: Option<Arc<DiskTier>>,
+    /// Optional persistent tier below the in-memory LRU: every new summary
+    /// and every post-transform insert store through to it, post-transform
+    /// misses fall through to it, and disk hits are promoted back into
+    /// memory.  See [`crate::persist`].
+    disk: Option<DiskTier>,
 }
 
 /// Default capacity per cache level, in entries.
 pub const DEFAULT_CAPACITY: usize = 256;
 /// Default number of shards per cache level.
 pub const DEFAULT_SHARDS: usize = 8;
+/// Bound of the summary level, in `(fingerprint, source)` pairs over the
+/// whole table.
+pub const SUMMARY_CAPACITY: usize = 4096;
 
 impl MappingCache {
     /// The nominal capacity of each cache level, in entries (the per-shard
@@ -547,11 +638,12 @@ impl MappingCache {
         self.per_shard_capacity * self.mapping_shards.len()
     }
 
-    /// Drops every resident entry (both levels) and zeroes the residency
-    /// gauge, leaving the hit/miss/eviction counters untouched — the
-    /// server's cache-reset path.  When a disk tier is attached it is
+    /// Drops every resident entry (all three levels) and zeroes the
+    /// residency gauges, leaving the hit/miss/eviction counters untouched —
+    /// the server's cache-reset path.  When a disk tier is attached it is
     /// truncated too, so a reset really is cold: nothing can warm-hit from
-    /// disk afterwards.  Returns how many in-memory entries were dropped.
+    /// disk afterwards.  Returns how many entries of the two artifact levels
+    /// were dropped.
     pub fn clear(&self) -> usize {
         let mut mappings = 0usize;
         for shard in &self.mapping_shards {
@@ -567,6 +659,7 @@ impl MappingCache {
         self.counters
             .post_entries
             .fetch_sub(posts as u64, Ordering::Relaxed);
+        *lock_shard(&self.summaries) = Summaries::default();
         if let Some(tier) = &self.disk {
             tier.clear();
         }
@@ -603,6 +696,7 @@ impl MappingCache {
                 .map(|_| Mutex::new(Shard::new(per_shard)))
                 .collect(),
             per_shard_capacity: per_shard,
+            summaries: Mutex::new(Summaries::default()),
             counters: Counters::default(),
             flights: Mutex::new(HashMap::new()),
             disk: None,
@@ -610,17 +704,21 @@ impl MappingCache {
     }
 
     /// Attaches a persistent [`DiskTier`] below the in-memory LRU (builder
-    /// style, before the cache is shared).  Post-transform lookups that miss
-    /// in memory fall through to disk, inserts store through, and
-    /// [`clear`](Self::clear) truncates the disk tier too; callers probe its
-    /// summary map through [`disk_tier`](Self::disk_tier).
-    pub fn with_disk_tier(mut self, tier: Arc<DiskTier>) -> Self {
+    /// style, before the cache is shared).  The summary level takes over
+    /// the summaries the tier's open found (the newest
+    /// [`SUMMARY_CAPACITY`] of them), post-transform lookups that miss in
+    /// memory fall through to disk, inserts store through, and
+    /// [`clear`](Self::clear) truncates the disk tier too.
+    pub fn with_disk_tier(mut self, mut tier: DiskTier) -> Self {
+        lock_shard(&self.summaries).fill(tier.take_summaries());
         self.disk = Some(tier);
         self
     }
 
-    /// The attached persistent tier, if any.
-    pub fn disk_tier(&self) -> Option<&Arc<DiskTier>> {
+    /// The attached persistent tier, if any (the disk tier's tests read its
+    /// internals through a cache).
+    #[cfg(test)]
+    pub(crate) fn disk_tier(&self) -> Option<&DiskTier> {
         self.disk.as_ref()
     }
 
@@ -647,55 +745,47 @@ impl MappingCache {
         found
     }
 
-    /// Records one full-mapping hit answered from a summary instead of the
-    /// cache proper — an I/O shard's L0 table or the disk tier's summary
-    /// map — so the hit ratio reported by [`stats`] keeps covering requests
-    /// that never reach [`get_mapping`].
-    ///
-    /// [`stats`]: MappingCache::stats
-    /// [`get_mapping`]: MappingCache::get_mapping
-    pub fn note_shard_hit(&self) {
-        self.counters.mapping_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The number of independently locked shards per cache level.
-    pub fn shard_count(&self) -> usize {
-        self.mapping_shards.len()
-    }
-
-    /// Stores a full mapping under its content key.
-    pub fn insert_mapping(&self, key: MappingKey, result: MappingResult) {
-        self.insert_mapping_arc(key, Arc::new(result));
-    }
-
-    /// Stores an already shared full mapping under its content key, avoiding
-    /// a deep clone when the caller keeps the same [`Arc`].  Stores its
-    /// summary through to the disk tier when one is attached.
-    pub fn insert_mapping_arc(&self, key: MappingKey, result: Arc<MappingResult>) {
-        self.store_summary(&key, &result);
-        let shard = &self.mapping_shards[key.shard_hash() as usize % self.mapping_shards.len()];
-        let (fresh, evicted) = lock_shard(shard).insert(key, result);
-        self.note_insert(&self.counters.mapping_entries, fresh, evicted);
+    /// The summary level's answer for `source` under the configuration
+    /// `fingerprint`, refreshing its recency: the summary of a finished
+    /// mapping of exactly this source text, with no key built and nothing
+    /// allocated.  An answer counts as a full-mapping hit, so the hit ratio
+    /// of [`stats`](Self::stats) covers requests that never reach
+    /// [`get_mapping`](Self::get_mapping); a miss counts nothing.
+    pub fn summary(&self, fingerprint: u64, source: &str) -> Option<MappingSummary> {
+        let found = lock_shard(&self.summaries).get(fingerprint, source);
+        if found.is_some() {
+            self.counters.mapping_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
     }
 
     /// Keeps a finished mapping as `retain` says: its summary goes to the
-    /// disk tier either way, and the mapping itself into the full-mapping
-    /// level only for [`Retain::Mapping`].
+    /// summary level either way, and the mapping itself into the
+    /// full-mapping level only for [`Retain::Mapping`].
     pub(crate) fn keep_mapping(
         &self,
         key: MappingKey,
         result: &Arc<MappingResult>,
         retain: Retain,
     ) {
-        match retain {
-            Retain::Mapping => self.insert_mapping_arc(key, Arc::clone(result)),
-            Retain::Summary => self.store_summary(&key, result),
+        self.keep_summary(&key, MappingSummary::of(result));
+        if retain == Retain::Mapping {
+            let shard = &self.mapping_shards[key.shard_hash() as usize % self.mapping_shards.len()];
+            let (fresh, evicted) = lock_shard(shard).insert(key, Arc::clone(result));
+            self.note_insert(&self.counters.mapping_entries, fresh, evicted);
         }
     }
 
-    fn store_summary(&self, key: &MappingKey, result: &MappingResult) {
-        if let Some(tier) = &self.disk {
-            tier.store_mapping(key, result);
+    /// Puts `summary` into the summary level and stores it through to the
+    /// disk tier unless the level already held this very summary, which is
+    /// the case of every mapping a restarted service rebuilds from a
+    /// persisted post-transform record.
+    pub(crate) fn keep_summary(&self, key: &MappingKey, summary: MappingSummary) {
+        let replaced = lock_shard(&self.summaries).insert(key.config, &key.source, summary);
+        if replaced != Some(summary) {
+            if let Some(tier) = &self.disk {
+                tier.store_summary(key, summary);
+            }
         }
     }
 
@@ -788,6 +878,7 @@ impl MappingCache {
             mapping_entries,
             post_entries,
             entries: mapping_entries + post_entries,
+            summary_entries: lock_shard(&self.summaries).len as u64,
         }
     }
 
@@ -940,8 +1031,8 @@ mod tests {
         let source = "void main() { int a[4]; int r; int i; r = 0; i = 0; \
                       while (i < 4) { r = r + a[i] * a[i]; i = i + 1; } }";
         let cold = {
-            let tier = Arc::new(DiskTier::open(&dir).unwrap());
-            let cache = MappingCache::with_capacity(8).with_disk_tier(tier);
+            let cache =
+                MappingCache::with_capacity(8).with_disk_tier(DiskTier::open(&dir).unwrap());
             let result = mapper.map_source_cached(source, &cache).unwrap();
             assert_eq!(result.report.cache, CacheOutcome::Miss);
             // The miss stored through: one mapping + one post-transform record.
@@ -950,17 +1041,18 @@ mod tests {
         };
         // A brand-new process (fresh cache over the same directory) rebuilds
         // the same mapping from disk without running phases 1-3.
-        let tier = Arc::new(DiskTier::open(&dir).unwrap());
-        let cache = MappingCache::with_capacity(8).with_disk_tier(tier);
-        // The disk tier's summary map answers without decoding anything or
-        // touching the hit/miss counters.
+        let cache = MappingCache::with_capacity(8).with_disk_tier(DiskTier::open(&dir).unwrap());
+        // The open handed the persisted summary to the summary level, which
+        // answers without decoding anything; taking it over counts no
+        // lookup, and each answer counts one mapping hit.
+        assert_eq!(cache.stats().lookups(), 0);
+        assert_eq!(cache.stats().summary_entries, 1);
         let fingerprint = mapper.cache_fingerprint();
         let summary = MappingSummary::of(&cold);
-        let disk = Arc::clone(cache.disk_tier().unwrap());
-        assert_eq!(disk.summary(source, fingerprint), Some(summary));
-        assert_eq!(disk.summary("void main() {}", fingerprint), None);
+        assert_eq!(cache.summary(fingerprint, source), Some(summary));
+        assert_eq!(cache.summary(fingerprint, "void main() {}"), None);
         assert_eq!(cache.persist_stats().loads, 0);
-        assert_eq!(cache.stats().lookups(), 0);
+        assert_eq!(cache.stats().mapping_hits, 1);
         // The mapping itself is not on disk: frontend and transform re-run
         // and the persisted post-transform record supplies the rest.
         let warm = mapper.map_source_cached(source, &cache).unwrap();
@@ -975,31 +1067,107 @@ mod tests {
         // The open indexed the summary; this first post-transform load
         // scanned the post-transform record's file and indexed it too.
         assert_eq!(cache.persist_stats().warm_start_entries, 2);
-        // The summary on disk already matches: the rebuild appends nothing.
+        // The summary level already holds this summary: the rebuild appends
+        // nothing.
         assert_eq!(cache.persist_stats().stores, 0);
-        assert_eq!(disk.summary(source, fingerprint), Some(summary));
+        assert_eq!(cache.summary(fingerprint, source), Some(summary));
         // The rebuilt mapping now lives in memory: the next lookup is a
         // mapping hit that does not touch disk again.
         let again = mapper.map_source_cached(source, &cache).unwrap();
         assert_eq!(again.report.cache, CacheOutcome::MappingHit);
         assert_eq!(cache.persist_stats().loads, 1);
-        // clear() truncates the disk tier too: cold again everywhere.
+        // clear() empties the summary level and truncates the disk tier too:
+        // cold again everywhere.
         cache.clear();
-        assert_eq!(disk.summary(source, fingerprint), None);
+        assert_eq!(cache.summary(fingerprint, source), None);
+        assert_eq!(cache.stats().summary_entries, 0);
         let reset = mapper.map_source_cached(source, &cache).unwrap();
         assert_eq!(reset.report.cache, CacheOutcome::Miss);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A summary whose fields all read `n`.
+    fn numbered_summary(n: u64) -> MappingSummary {
+        MappingSummary {
+            digest: n,
+            operations: n,
+            clusters: n,
+            levels: n,
+            cycles: n,
+            tiles: n,
+            inter_tile_transfers: n,
+        }
+    }
+
     #[test]
-    fn stats_display_and_hit_rate() {
+    fn the_summary_level_evicts_exactly_the_least_recent_pair_past_its_bound() {
+        let cache = MappingCache::new();
+        let sources: Vec<String> = (0..=SUMMARY_CAPACITY)
+            .map(|i| format!("void main() {{ int r; r = {i}; }}"))
+            .collect();
+        // Two fingerprints share the one bound and the one recency order.
+        let fingerprint = |i: usize| 7 + (i % 2) as u64;
+        for (i, source) in sources[..SUMMARY_CAPACITY].iter().enumerate() {
+            cache.keep_summary(
+                &MappingKey::new(source, fingerprint(i)),
+                numbered_summary(i as u64),
+            );
+        }
+        assert_eq!(cache.stats().summary_entries, SUMMARY_CAPACITY as u64);
+        // Touch the oldest pair, so the second oldest is the least recent.
+        assert_eq!(
+            cache.summary(fingerprint(0), &sources[0]),
+            Some(numbered_summary(0))
+        );
+        let newest = SUMMARY_CAPACITY;
+        cache.keep_summary(
+            &MappingKey::new(&sources[newest], fingerprint(newest)),
+            numbered_summary(newest as u64),
+        );
+        assert_eq!(cache.stats().summary_entries, SUMMARY_CAPACITY as u64);
+        for (i, source) in sources.iter().enumerate() {
+            let expected = (i != 1).then(|| numbered_summary(i as u64));
+            assert_eq!(cache.summary(fingerprint(i), source), expected, "pair {i}");
+        }
+        // The source is compared under its own fingerprint only.
+        assert_eq!(cache.summary(fingerprint(1), &sources[0]), None);
+    }
+
+    #[test]
+    fn a_warm_start_keeps_the_newest_summaries() {
+        // What an open lists, oldest record first: one kernel more than the
+        // level holds, then records that supersede kernel 1's and the
+        // newest kernel's.
+        let source = |i: usize| Arc::<str>::from(format!("void main() {{ int r; r = {i}; }}"));
+        let newest = SUMMARY_CAPACITY;
+        let mut found: Vec<_> = (0..=newest)
+            .map(|i| (7, source(i), numbered_summary(i as u64)))
+            .collect();
+        found.push((7, source(1), numbered_summary(0)));
+        found.push((7, source(newest), numbered_summary(1)));
+        let mut level = Summaries::default();
+        level.fill(found);
+        // A superseded record takes no room: every kernel but the least
+        // recent one is resident.
+        assert_eq!(level.len, SUMMARY_CAPACITY);
+        assert_eq!(level.get(7, &source(0)), None);
+        // Record order is recency order: the next insert evicts kernel 2,
+        // whose only record is the oldest one read.
+        level.insert(7, &source(newest + 1), numbered_summary(9));
+        assert_eq!(level.get(7, &source(2)), None);
+        assert_eq!(level.get(7, &source(3)), Some(numbered_summary(3)));
+        // The newest record of a kernel answers for it.
+        assert_eq!(level.get(7, &source(1)), Some(numbered_summary(0)));
+        assert_eq!(level.get(7, &source(newest)), Some(numbered_summary(1)));
+    }
+
+    #[test]
+    fn stats_display() {
         let stats = CacheStats {
             mapping_hits: 3,
             mapping_misses: 1,
             ..CacheStats::default()
         };
-        assert!((stats.mapping_hit_rate().unwrap() - 0.75).abs() < 1e-9);
         assert!(stats.to_string().contains("mapping 3/4"));
-        assert_eq!(CacheStats::default().mapping_hit_rate(), None);
     }
 }

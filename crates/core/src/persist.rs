@@ -4,13 +4,13 @@
 //! files* under a cache directory: the served summary of every full mapping,
 //! and the post-transform artifacts of every simplified kernel — the output
 //! of the costly clustering, partitioning, scheduling and allocation phases.
-//! A restarted service answers a plain map request from the summaries
-//! without decoding anything.  A request that needs the mapping itself
-//! (verification, simulation, a batch) re-runs only frontend and transform,
-//! and the post-transform record supplies the rest.  The tier sits **below**
-//! the in-memory LRU: the memory tier is probed first, the disk tier only on
-//! a memory miss, and every post-transform load is promoted back into
-//! memory.
+//! The open hands the summaries to the cache's summary level, so a
+//! restarted service answers a plain map request without decoding anything.
+//! A request that needs the mapping itself (verification, simulation, a
+//! batch) re-runs only frontend and transform, and the post-transform record
+//! supplies the rest.  The tier sits **below** the in-memory LRU: the memory
+//! tier is probed first, the disk tier only on a memory miss, and every
+//! post-transform load is promoted back into memory.
 //!
 //! # Two kinds of segment file
 //!
@@ -24,8 +24,8 @@
 //! * `post-NNNNNNNN.fpfa` files hold the post-transform records, tens of KB
 //!   each.  They are scanned once, at the first post-transform load or
 //!   store, before it reads or appends anything.  The open creates no post
-//!   file; the first post-transform store does.  Summary stores, [`stats`]
-//!   and [`summary`] never start that scan, so a service that answers from
+//!   file; the first post-transform store does.  Summary stores and
+//!   [`stats`] never start that scan, so a service that answers from
 //!   summaries alone never reads a post-transform byte.
 //!
 //! Both kinds share the format below and are scanned the same way.  A
@@ -35,7 +35,6 @@
 //! go to `post-` files.  A summary record in a `post-` file is corrupt.
 //!
 //! [`stats`]: DiskTier::stats
-//! [`summary`]: DiskTier::summary
 //!
 //! # On-disk format (v2)
 //!
@@ -74,14 +73,17 @@
 //!
 //! [`DiskTier::open`] streams every `seg-` file through one reusable record
 //! buffer: each record is checksum-verified and indexed by location, and
-//! the source text and summary of each full-mapping record go into a
-//! *summary map*.  That map has its own lock, which no code holds across a
-//! segment read, write, scan or compaction, so [`DiskTier::summary`]
-//! answers from memory and never waits for the disk.  It returns a summary
-//! only after a verbatim compare of the source text, never on a hash match
-//! alone.  [`PersistStats::warm_start_entries`] counts the entries the
-//! open's scan indexed, plus those the deferred scan of the `post-` files
-//! adds; [`PersistStats::scanned_bytes`] counts the bytes both scans read.
+//! the config fingerprint, source text and summary of each full-mapping
+//! record are listed in scan order.  The tier keeps no summaries itself: it
+//! hands that list over once, to the summary level of the
+//! [`MappingCache`](crate::cache::MappingCache) it is attached to, which
+//! keeps the newest [`SUMMARY_CAPACITY`](crate::cache::SUMMARY_CAPACITY)
+//! and answers from memory after a verbatim compare of the source text,
+//! never on a hash match alone.  A summary the level lets go of is answered
+//! through the kernel's post-transform record instead.
+//! [`PersistStats::warm_start_entries`] counts the entries the open's scan
+//! indexed, plus those the deferred scan of the `post-` files adds;
+//! [`PersistStats::scanned_bytes`] counts the bytes both scans read.
 //!
 //! A file that does not start with the current magic — an older format
 //! such as `FPFASEG1`, or an empty file left by a crash between creating a
@@ -121,14 +123,13 @@
 
 use crate::cache::{MappingKey, PostTransformArtifacts, PostTransformKey};
 use crate::codec;
-use crate::pipeline::MappingResult;
 use crate::summary::MappingSummary;
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Magic prefix of every segment file.
 const SEGMENT_MAGIC: &[u8; 8] = b"FPFASEG2";
@@ -405,9 +406,9 @@ fn encode_frame(
     Some(frame)
 }
 
-/// Summaries of the full-mapping records by config fingerprint, then by
-/// verbatim source text.
-type SummaryMap = HashMap<u64, HashMap<Box<str>, MappingSummary>>;
+/// The full-mapping records an open found, in scan order: config
+/// fingerprint, verbatim source text and summary.
+type Found = Vec<(u64, Arc<str>, MappingSummary)>;
 
 /// The open files of one kind and their byte accounting.
 #[derive(Debug)]
@@ -488,11 +489,10 @@ impl TierInner {
 // The tier
 // ---------------------------------------------------------------------------
 
-/// The persistent, content-addressed cache tier.  All methods take `&self`.
-/// The segment files and their index live behind one mutex, which only the
-/// cold path (memory-tier misses and inserts) ever touches; the summary map
-/// has a mutex of its own that is never held across disk I/O (when both are
-/// taken, the index lock comes first).
+/// The persistent, content-addressed cache tier.  Every method but the
+/// hand-over of the open's summaries takes `&self`.  The segment files and
+/// their index live behind one mutex, which only the cold path
+/// (memory-tier misses and inserts) ever touches.
 #[derive(Debug)]
 pub struct DiskTier {
     dir: PathBuf,
@@ -500,17 +500,18 @@ pub struct DiskTier {
     /// is dropped.
     _lock: File,
     inner: Mutex<TierInner>,
-    summaries: Mutex<SummaryMap>,
+    /// The summaries the open found, until the cache takes them over.
+    found: Found,
     counters: PersistCounters,
 }
 
 impl DiskTier {
     /// Opens (creating if needed) a cache directory and warm-starts from the
     /// `seg-` files already present: every record is checksum-verified and
-    /// indexed, and every full-mapping record's summary is kept in memory;
-    /// corrupt or truncated records are skipped and counted, and unreadable
-    /// files are deleted.  The `post-` files are only listed here; the first
-    /// post-transform load or store scans them.
+    /// indexed, and every full-mapping record's summary is listed for the
+    /// cache to take over; corrupt or truncated records are skipped and
+    /// counted, and unreadable files are deleted.  The `post-` files are
+    /// only listed here; the first post-transform load or store scans them.
     ///
     /// # Errors
     /// An [`io::ErrorKind::WouldBlock`] error naming the directory when
@@ -555,13 +556,13 @@ impl DiskTier {
             post: Log::empty(Kind::Post, 0),
             unscanned_posts: Some(post_ids),
         };
-        let mut summaries = SummaryMap::new();
+        let mut found = Found::new();
         scan_log(
             &dir,
             Kind::Seg,
             seg_ids,
             &mut inner,
-            Some(&mut summaries),
+            Some(&mut found),
             &counters,
         );
         if !inner.seg.files.contains_key(&inner.seg.active) {
@@ -574,9 +575,16 @@ impl DiskTier {
             dir,
             _lock: lock,
             inner: Mutex::new(inner),
-            summaries: Mutex::new(summaries),
+            found,
             counters,
         })
+    }
+
+    /// Hands over the summaries the open found, oldest record first (a
+    /// later record for the same source and configuration supersedes an
+    /// earlier one); empty after the first call.
+    pub(crate) fn take_summaries(&mut self) -> Found {
+        std::mem::take(&mut self.found)
     }
 
     /// The cache directory this tier persists into.
@@ -602,24 +610,11 @@ impl DiskTier {
         }
     }
 
-    /// The persisted summary of the full mapping of `source` under `config`,
-    /// from memory: no disk access and no decoding.  `None` unless a
-    /// verified record (or a store by this process) holds exactly this
-    /// source text.
-    pub fn summary(&self, source: &str, config: u64) -> Option<MappingSummary> {
-        self.lock_summaries().get(&config)?.get(source).copied()
-    }
-
     /// Stores the summary of a full mapping under its content key (best
     /// effort: an I/O error leaves the tier consistent and the entry simply
-    /// unpersisted).  Appends nothing when the tier already holds this
-    /// summary for the same source and config — the case of every mapping a
-    /// restarted service rebuilds from a persisted post-transform record.
-    pub fn store_mapping(&self, key: &MappingKey, result: &MappingResult) {
-        let summary = MappingSummary::of(result);
-        if self.summary(key.source(), key.config) == Some(summary) {
-            return;
-        }
+    /// unpersisted).  The cache stores only a summary its summary level did
+    /// not already hold.
+    pub(crate) fn store_summary(&self, key: &MappingKey, summary: MappingSummary) {
         self.store_value(TAG_MAPPING, key.config, key.source(), Some(summary), &[]);
     }
 
@@ -692,7 +687,6 @@ impl DiskTier {
             post: Log::empty(Kind::Post, post_next),
             unscanned_posts: None,
         };
-        self.lock_summaries().clear();
         removed
     }
 
@@ -701,14 +695,6 @@ impl DiskTier {
         // at worst lose one record, never tear the index structures we
         // re-derive from disk anyway.
         self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn lock_summaries(&self) -> MutexGuard<'_, SummaryMap> {
-        // Every update is a single map insert or clear, so a poisoned map
-        // is still valid.
-        self.summaries
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -777,12 +763,6 @@ impl DiskTier {
         };
         log.active_len += loc.frame_len();
         inner.index_record(record_key, loc);
-        if let Some(summary) = summary {
-            self.lock_summaries()
-                .entry(config)
-                .or_default()
-                .insert(key_str.into(), summary);
-        }
         self.counters.stores.fetch_add(1, Ordering::Relaxed);
         for kind in [Kind::Seg, Kind::Post] {
             if inner.log(kind).wants_compaction() {
@@ -796,15 +776,19 @@ impl DiskTier {
     /// superseded records and of the tails after full-mapping summaries
     /// (such a record is rewritten summary-only).  A record that no longer
     /// verifies is dropped from the index (its summary, verified when it
-    /// was read or stored, stays answerable).
+    /// was read or stored, stays answerable from the cache's summary
+    /// level).
     fn compact(&self, inner: &mut TierInner, kind: Kind) {
         let next = inner.log(kind).active + 1;
-        let entries: Vec<(RecordKey, RecordLoc)> = inner
+        let mut entries: Vec<(RecordKey, RecordLoc)> = inner
             .index
             .iter()
             .filter(|(_, loc)| loc.kind == kind)
             .map(|(k, v)| (*k, *v))
             .collect();
+        // Rewritten in store order, so the next open still lists the
+        // summaries oldest first and the cache keeps the newest.
+        entries.sort_unstable_by_key(|(_, loc)| (loc.seg, loc.offset));
         let mut frames = Vec::with_capacity(entries.len());
         for (key, loc) in entries {
             let Ok(frame) = read_frame(inner, loc) else {
@@ -930,14 +914,14 @@ fn verified_frame(frame: &[u8]) -> Option<Record<'_>> {
 /// end, and a file without the current magic is deleted: appending to it
 /// would lose every record at the next open.  The highest id becomes the
 /// append target, or the next id when that file was unreadable.  Summary
-/// records go into `summaries`; with `None` (the `post-` files) they are
+/// records are listed in `found`; with `None` (the `post-` files) they are
 /// corrupt.
 fn scan_log(
     dir: &Path,
     kind: Kind,
     mut ids: Vec<u64>,
     inner: &mut TierInner,
-    mut summaries: Option<&mut SummaryMap>,
+    mut found: Option<&mut Found>,
     counters: &PersistCounters,
 ) {
     ids.sort_unstable();
@@ -953,7 +937,7 @@ fn scan_log(
             kind,
             id,
             inner,
-            summaries.as_deref_mut(),
+            found.as_deref_mut(),
             counters,
             &mut record,
         );
@@ -983,7 +967,7 @@ fn scan_log(
 }
 
 /// Scans segment file `seg` of `kind`, streaming it through `record`:
-/// checksum-verifies every record, indexes the valid ones, keeps the
+/// checksum-verifies every record, indexes the valid ones, lists the
 /// summary of every full-mapping record, accounts the bytes after it as
 /// dead and counts corruption.  Returns the length of the valid prefix (the
 /// resume offset for appends), or `None` when the file does not start with
@@ -993,7 +977,7 @@ fn scan_segment(
     kind: Kind,
     seg: u64,
     inner: &mut TierInner,
-    mut summaries: Option<&mut SummaryMap>,
+    mut found: Option<&mut Found>,
     counters: &PersistCounters,
     record: &mut Vec<u8>,
 ) -> Option<u64> {
@@ -1038,16 +1022,13 @@ fn scan_segment(
         };
         let mut tail = 0;
         if let Some(summary) = verified.summary {
-            let (Some(summaries), Ok(source)) =
-                (summaries.as_deref_mut(), std::str::from_utf8(verified.key))
+            let (Some(found), Ok(source)) =
+                (found.as_deref_mut(), std::str::from_utf8(verified.key))
             else {
                 counters.corrupt();
                 continue;
             };
-            summaries
-                .entry(verified.config)
-                .or_default()
-                .insert(source.into(), summary);
+            found.push((verified.config, source.into(), summary));
             tail = verified.value.len() as u32;
         }
         inner.index_record(
@@ -1061,9 +1042,9 @@ fn scan_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::config_fingerprint;
+    use crate::cache::{config_fingerprint, MappingCache, Retain};
     use crate::flow::FlowToggles;
-    use crate::pipeline::Mapper;
+    use crate::pipeline::{Mapper, MappingResult};
     use fpfa_arch::{ArrayConfig, TileConfig};
     use std::cell::Cell;
 
@@ -1109,6 +1090,25 @@ mod tests {
 
     fn file_len(path: &Path) -> u64 {
         fs::metadata(path).unwrap().len()
+    }
+
+    /// A cache over a tier opened on `dir`: its summary level answers from
+    /// what the open handed over, and it stores a summary through to the
+    /// tier unless the level already holds it.
+    fn cache_over(dir: &Path) -> MappingCache {
+        MappingCache::with_capacity(8).with_disk_tier(DiskTier::open(dir).unwrap())
+    }
+
+    fn tier_of(cache: &MappingCache) -> &DiskTier {
+        cache.disk_tier().expect("a disk tier")
+    }
+
+    /// The summary with its cycle count moved by one.
+    fn changed(summary: MappingSummary) -> MappingSummary {
+        MappingSummary {
+            cycles: summary.cycles + 1,
+            ..summary
+        }
     }
 
     /// The `post-` files in `dir`, by name.
@@ -1157,38 +1157,38 @@ mod tests {
         let dir = temp_dir("reopen");
         let result = Mapper::new().map_source(SRC).unwrap();
         let key = MappingKey::new(SRC, fingerprint());
+        let summary = MappingSummary::of(&result);
         {
-            let tier = DiskTier::open(&dir).unwrap();
-            assert_eq!(tier.stats().warm_start_entries, 0);
-            tier.store_mapping(&key, &result);
-            assert_eq!(tier.stats().stores, 1);
+            let cache = cache_over(&dir);
+            assert_eq!(cache.persist_stats().warm_start_entries, 0);
+            cache.keep_summary(&key, summary);
+            assert_eq!(cache.persist_stats().stores, 1);
             // The same summary again appends nothing.
-            tier.store_mapping(&key, &result);
-            assert_eq!(tier.stats().stores, 1);
+            cache.keep_summary(&key, summary);
+            assert_eq!(cache.persist_stats().stores, 1);
         }
-        let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier.stats().warm_start_entries, 1);
-        assert_eq!(tier.entry_count(), 1);
+        let cache = cache_over(&dir);
+        assert_eq!(cache.persist_stats().warm_start_entries, 1);
+        assert_eq!(tier_of(&cache).entry_count(), 1);
         // The summary answers from memory: nothing is read or decoded.
-        let summary = tier.summary(SRC, key.config).unwrap();
-        assert_eq!(summary, MappingSummary::of(&result));
-        assert_eq!(tier.stats().loads, 0);
+        assert_eq!(cache.summary(key.config, SRC), Some(summary));
+        assert_eq!(cache.persist_stats().loads, 0);
         // Only the exact source text under the same config matches.
-        assert_eq!(tier.summary(&format!("{SRC} "), key.config), None);
-        assert_eq!(tier.summary(SRC, key.config ^ 1), None);
+        assert_eq!(cache.summary(key.config, &format!("{SRC} ")), None);
+        assert_eq!(cache.summary(key.config ^ 1, SRC), None);
         // A persisted summary holds off an equal store after the reopen; a
         // different one supersedes it.
-        tier.store_mapping(&key, &result);
-        assert_eq!(tier.stats().stores, 0);
-        let mut changed = result.clone();
-        changed.report.cycles += 1;
-        tier.store_mapping(&key, &changed);
-        assert_eq!(tier.stats().stores, 1);
+        cache.keep_summary(&key, summary);
+        assert_eq!(cache.persist_stats().stores, 0);
+        cache.keep_summary(&key, changed(summary));
+        assert_eq!(cache.persist_stats().stores, 1);
+        assert_eq!(cache.summary(key.config, SRC), Some(changed(summary)));
+        assert_eq!(tier_of(&cache).entry_count(), 1);
+        drop(cache);
         assert_eq!(
-            tier.summary(SRC, key.config),
-            Some(MappingSummary::of(&changed))
+            cache_over(&dir).summary(key.config, SRC),
+            Some(changed(summary))
         );
-        assert_eq!(tier.entry_count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1204,23 +1204,22 @@ mod tests {
             let tier = DiskTier::open(&dir).unwrap();
             tier.store_value(TAG_MAPPING, key.config, SRC, Some(summary), &[0xA5; 300]);
         }
-        let tier = DiskTier::open(&dir).unwrap();
+        let cache = cache_over(&dir);
+        let tier = tier_of(&cache);
         let stats = tier.stats();
         assert_eq!(stats.warm_start_entries, 1);
         assert_eq!(stats.corrupt_skipped, 0);
-        assert_eq!(tier.summary(SRC, key.config), Some(summary));
+        assert_eq!(cache.summary(key.config, SRC), Some(summary));
         // The trailing bytes are dead from the open on; the rest is live.
         let frame_len = FRAME_HEADER + (KEY_PREFIX + SRC.len() + SUMMARY_LEN + 300) as u64;
         assert_eq!(tier.lock().seg.dead_bytes, 300);
         assert_eq!(tier.lock().seg.live_bytes, frame_len - 300);
-        // The summary matches, so storing the same mapping appends nothing.
-        tier.store_mapping(&key, &result);
+        // The summary matches, so keeping the same mapping appends nothing.
+        cache.keep_mapping(key.clone(), &Arc::new(result), Retain::Summary);
         assert_eq!(tier.stats().stores, 0);
         // A different summary supersedes the record: its trailing bytes are
         // not counted a second time.
-        let mut changed = result.clone();
-        changed.report.cycles += 1;
-        tier.store_mapping(&key, &changed);
+        cache.keep_summary(&key, changed(summary));
         assert_eq!(tier.stats().stores, 1);
         assert_eq!(tier.lock().seg.dead_bytes, frame_len);
         assert_eq!(tier.lock().seg.live_bytes, frame_len - 300);
@@ -1290,7 +1289,8 @@ mod tests {
         }
         fs::write(segment_path(&dir, Kind::Seg, 0), &segment).unwrap();
 
-        let tier = DiskTier::open(&dir).unwrap();
+        let cache = cache_over(&dir);
+        let tier = tier_of(&cache);
         let (live, dead) = {
             let inner = tier.lock();
             (inner.seg.live_bytes, inner.seg.dead_bytes)
@@ -1303,40 +1303,42 @@ mod tests {
         assert!(dead >= COMPACT_MIN_DEAD && dead > live);
         // Opening does not compact; the next store does.
         assert_eq!(tier.stats().compactions, 0);
-        tier.store_mapping(&MappingKey::new(SRC, config), &result);
+        cache.keep_summary(&MappingKey::new(SRC, config), summary);
         assert_eq!(tier.stats().compactions, 1);
         assert_eq!(tier.lock().seg.dead_bytes, 0);
 
         // One segment is left beside the lock file, and it holds
-        // summary-sized records only.
+        // summary-sized records only, in the order they were stored.
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 2);
         assert!(dir.join(LOCK_FILE).is_file());
         let bytes = fs::read(segment_path(&dir, Kind::Seg, tier.lock().seg.active)).unwrap();
         let mut at = SEGMENT_MAGIC.len();
-        let mut records = 0;
+        let mut records = Vec::new();
         while at < bytes.len() {
             let frame_len = FRAME_HEADER as usize + read_u32(&bytes[at..]) as usize;
             let record = verified_frame(&bytes[at..at + frame_len]).unwrap();
             assert_eq!(record.tag, TAG_MAPPING);
             assert!(record.value.is_empty(), "a tail survived at byte {at}");
+            records.push(std::str::from_utf8(record.key).unwrap().to_owned());
             at += frame_len;
-            records += 1;
         }
-        assert_eq!(records, sources.len() + 1);
+        let stored: Vec<&str> = sources.iter().map(String::as_str).chain([SRC]).collect();
+        assert_eq!(records, stored);
         for source in &sources {
-            assert_eq!(tier.summary(source, config), Some(summary));
+            assert_eq!(cache.summary(config, source), Some(summary));
         }
-        assert_eq!(tier.summary(SRC, config), Some(summary));
+        assert_eq!(cache.summary(config, SRC), Some(summary));
 
         // The compacted segment warm-starts with every summary and no dead
         // bytes.
-        drop(tier);
-        let tier = DiskTier::open(&dir).unwrap();
+        drop(cache);
+        let cache = cache_over(&dir);
+        let tier = tier_of(&cache);
         assert_eq!(tier.stats().warm_start_entries, sources.len() as u64 + 1);
         assert_eq!(tier.stats().corrupt_skipped, 0);
         assert_eq!(tier.lock().seg.dead_bytes, 0);
         for source in &sources {
-            assert_eq!(tier.summary(source, config), Some(summary));
+            assert_eq!(cache.summary(config, source), Some(summary));
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1350,7 +1352,7 @@ mod tests {
         let (post_key, artifacts) = post_transform_of(&result);
         {
             let tier = DiskTier::open(&dir).unwrap();
-            tier.store_mapping(&key, &result);
+            tier.store_summary(&key, summary);
             tier.store_post_transform(&post_key, &artifacts);
         }
         // After each file's magic, one record: the summary (header, key
@@ -1369,23 +1371,24 @@ mod tests {
             let mut bytes = seg.clone();
             bytes[at] ^= 1 << (at % 8);
             fs::write(&seg_path, &bytes).unwrap();
-            let tier = DiskTier::open(&dir).unwrap();
-            let stats = tier.stats();
+            let cache = cache_over(&dir);
+            let stats = cache.persist_stats();
             assert_eq!(stats.warm_start_entries, 0, "flip at byte {at}");
             assert!(stats.corrupt_skipped >= 1, "flip at byte {at}");
-            assert_eq!(tier.summary(SRC, key.config), None, "flip at byte {at}");
+            assert_eq!(cache.summary(key.config, SRC), None, "flip at byte {at}");
         }
         fs::write(&seg_path, &seg).unwrap();
         for at in SEGMENT_MAGIC.len()..post.len() {
             let mut bytes = post.clone();
             bytes[at] ^= 1 << (at % 8);
             fs::write(&post_path, &bytes).unwrap();
-            let tier = DiskTier::open(&dir).unwrap();
+            let cache = cache_over(&dir);
+            let tier = tier_of(&cache);
             // The open never reads the post file: the summary answers and
             // nothing is counted yet.
             assert_eq!(tier.stats().corrupt_skipped, 0, "flip at byte {at}");
             assert_eq!(
-                tier.summary(SRC, key.config),
+                cache.summary(key.config, SRC),
                 Some(summary),
                 "flip at byte {at}"
             );
@@ -1399,10 +1402,13 @@ mod tests {
         }
         // The unflipped files still answer both ways.
         fs::write(&post_path, &post).unwrap();
-        let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier.summary(SRC, key.config), Some(summary));
-        assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
-        assert_eq!(tier.stats().corrupt_skipped, 0);
+        let cache = cache_over(&dir);
+        assert_eq!(cache.summary(key.config, SRC), Some(summary));
+        assert_eq!(
+            tier_of(&cache).load_post_transform(&post_key),
+            Some(artifacts)
+        );
+        assert_eq!(cache.persist_stats().corrupt_skipped, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1426,14 +1432,14 @@ mod tests {
                 let tier = DiskTier::open(&dir).unwrap();
                 assert_eq!(tier.stats().corrupt_skipped, 1, "{tag}");
                 assert!(!segment_path(&dir, Kind::Seg, 0).exists(), "{tag}");
-                tier.store_mapping(&key, &result);
+                tier.store_summary(&key, MappingSummary::of(&result));
             }
-            let tier = DiskTier::open(&dir).unwrap();
-            let stats = tier.stats();
+            let cache = cache_over(&dir);
+            let stats = cache.persist_stats();
             assert_eq!(stats.warm_start_entries, 1, "{tag}");
             assert_eq!(stats.corrupt_skipped, 0, "{tag}");
             assert_eq!(
-                tier.summary(SRC, key.config),
+                cache.summary(key.config, SRC),
                 Some(MappingSummary::of(&result))
             );
             let _ = fs::remove_dir_all(&dir);
@@ -1448,21 +1454,26 @@ mod tests {
         let (post_key, artifacts) = post_transform_of(&result);
         {
             let tier = DiskTier::open(&dir).unwrap();
-            tier.store_mapping(&key, &result);
+            tier.store_summary(&key, MappingSummary::of(&result));
             tier.store_post_transform(&post_key, &artifacts);
         }
-        let tier = DiskTier::open(&dir).unwrap();
-        // The `post-` file is not scanned yet, and clear deletes it anyway.
-        assert_eq!(tier.clear(), 1);
+        let cache = cache_over(&dir);
+        let tier = tier_of(&cache);
+        assert_eq!(tier.entry_count(), 1);
+        assert!(cache.summary(key.config, SRC).is_some());
+        // The `post-` file is not scanned yet, and clear deletes it anyway;
+        // the cache's clear empties its summary level too.
+        cache.clear();
         assert_eq!(tier.entry_count(), 0);
-        assert_eq!(tier.summary(SRC, key.config), None);
+        assert_eq!(cache.summary(key.config, SRC), None);
         assert!(post_files(&dir).is_empty());
         assert_eq!(tier.load_post_transform(&post_key), None);
         // A reopened tier is empty too.
-        drop(tier);
-        let tier = DiskTier::open(&dir).unwrap();
+        drop(cache);
+        let mut tier = DiskTier::open(&dir).unwrap();
         assert_eq!(tier.load_post_transform(&post_key), None);
         assert_eq!(tier.stats().warm_start_entries, 0);
+        assert!(tier.take_summaries().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1474,7 +1485,7 @@ mod tests {
         let seg_path;
         {
             let tier = DiskTier::open(&dir).unwrap();
-            tier.store_mapping(&key, &result);
+            tier.store_summary(&key, MappingSummary::of(&result));
             seg_path = segment_path(tier.dir(), Kind::Seg, tier.lock().seg.active);
         }
         // Flip a byte in the middle of the stored record.
@@ -1483,11 +1494,11 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&seg_path, &bytes).unwrap();
 
-        let tier = DiskTier::open(&dir).unwrap();
+        let cache = cache_over(&dir);
         // The warm-start scan already rejects the record.
-        assert_eq!(tier.stats().warm_start_entries, 0);
-        assert!(tier.stats().corrupt_skipped >= 1);
-        assert_eq!(tier.summary(SRC, key.config), None);
+        assert_eq!(cache.persist_stats().warm_start_entries, 0);
+        assert!(cache.persist_stats().corrupt_skipped >= 1);
+        assert_eq!(cache.summary(key.config, SRC), None);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1501,26 +1512,26 @@ mod tests {
         let seg_path;
         {
             let tier = DiskTier::open(&dir).unwrap();
-            tier.store_mapping(&key, &result);
-            tier.store_mapping(&other_key, &other_result);
+            tier.store_summary(&key, MappingSummary::of(&result));
+            tier.store_summary(&other_key, MappingSummary::of(&other_result));
             seg_path = segment_path(tier.dir(), Kind::Seg, tier.lock().seg.active);
         }
         // Chop bytes off the tail, tearing the second record.
         let bytes = fs::read(&seg_path).unwrap();
         fs::write(&seg_path, &bytes[..bytes.len() - 40]).unwrap();
 
-        let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier.stats().warm_start_entries, 1);
-        assert!(tier.stats().corrupt_skipped >= 1);
-        assert!(tier.summary(SRC, key.config).is_some());
-        assert_eq!(tier.summary(OTHER, other_key.config), None);
+        let cache = cache_over(&dir);
+        assert_eq!(cache.persist_stats().warm_start_entries, 1);
+        assert!(cache.persist_stats().corrupt_skipped >= 1);
+        assert!(cache.summary(key.config, SRC).is_some());
+        assert_eq!(cache.summary(other_key.config, OTHER), None);
         // The tier keeps accepting stores after recovering a torn tail.
-        tier.store_mapping(&other_key, &other_result);
-        drop(tier);
-        let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier.stats().corrupt_skipped, 0);
+        cache.keep_summary(&other_key, MappingSummary::of(&other_result));
+        drop(cache);
+        let cache = cache_over(&dir);
+        assert_eq!(cache.persist_stats().corrupt_skipped, 0);
         assert_eq!(
-            tier.summary(OTHER, other_key.config),
+            cache.summary(other_key.config, OTHER),
             Some(MappingSummary::of(&other_result))
         );
         let _ = fs::remove_dir_all(&dir);
@@ -1533,7 +1544,7 @@ mod tests {
         let key = MappingKey::new(SRC, fingerprint());
         let (post_key, artifacts) = post_transform_of(&result);
         let tier = DiskTier::open(&dir).unwrap();
-        tier.store_mapping(&key, &result);
+        tier.store_summary(&key, MappingSummary::of(&result));
         let record_bytes = {
             let before = tier.lock().post.live_bytes;
             tier.store_post_transform(&post_key, &artifacts);
@@ -1553,13 +1564,16 @@ mod tests {
         // Both survivors are intact, on disk and in the reopened index.
         assert_eq!(tier.load_post_transform(&post_key), Some(artifacts.clone()));
         drop(tier);
-        let tier = DiskTier::open(&dir).unwrap();
+        let cache = cache_over(&dir);
         assert_eq!(
-            tier.summary(SRC, key.config),
+            cache.summary(key.config, SRC),
             Some(MappingSummary::of(&result))
         );
-        assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
-        assert_eq!(tier.stats().warm_start_entries, 2);
+        assert_eq!(
+            tier_of(&cache).load_post_transform(&post_key),
+            Some(artifacts)
+        );
+        assert_eq!(cache.persist_stats().warm_start_entries, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1595,7 +1609,7 @@ mod tests {
         let (post_key, artifacts) = post_transform_of(&result);
         {
             let tier = DiskTier::open(&dir).unwrap();
-            tier.store_mapping(&key, &result);
+            tier.store_summary(&key, MappingSummary::of(&result));
             tier.store_post_transform(&post_key, &artifacts);
         }
         // Garbage after the magic of the one `post-` file, and a second
@@ -1607,7 +1621,8 @@ mod tests {
         fs::write(segment_path(&dir, Kind::Post, 7), [0x5A; 3000]).unwrap();
         let seg_len = file_len(&segment_path(&dir, Kind::Seg, 0));
 
-        let tier = DiskTier::open(&dir).unwrap();
+        let cache = cache_over(&dir);
+        let tier = tier_of(&cache);
         assert_eq!(
             tier.stats(),
             PersistStats {
@@ -1617,12 +1632,15 @@ mod tests {
             }
         );
         assert_eq!(
-            tier.summary(SRC, key.config),
+            cache.summary(key.config, SRC),
             Some(MappingSummary::of(&result))
         );
         // A summary store does not scan the `post-` files either.
         let other = Mapper::new().map_source(OTHER).unwrap();
-        tier.store_mapping(&MappingKey::new(OTHER, fingerprint()), &other);
+        cache.keep_summary(
+            &MappingKey::new(OTHER, fingerprint()),
+            MappingSummary::of(&other),
+        );
         let stats = tier.stats();
         assert_eq!((stats.corrupt_skipped, stats.scanned_bytes), (0, seg_len));
         // The first post-transform load does: a typed miss that counts the
@@ -1636,7 +1654,7 @@ mod tests {
         assert!(!segment_path(&dir, Kind::Post, 7).exists());
         // The tier stores again, and a reopened tier loads the new record.
         tier.store_post_transform(&post_key, &artifacts);
-        drop(tier);
+        drop(cache);
         let tier = DiskTier::open(&dir).unwrap();
         assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
         assert_eq!(tier.stats().corrupt_skipped, 0);
@@ -1690,11 +1708,12 @@ mod tests {
         let seg_path = segment_path(&dir, Kind::Seg, 0);
         fs::write(&seg_path, &segment).unwrap();
 
-        let tier = DiskTier::open(&dir).unwrap();
+        let cache = cache_over(&dir);
+        let tier = tier_of(&cache);
         let stats = tier.stats();
         assert_eq!(stats.warm_start_entries, 2);
         assert_eq!(stats.scanned_bytes, segment.len() as u64);
-        assert_eq!(tier.summary(SRC, config), Some(summary));
+        assert_eq!(cache.summary(config, SRC), Some(summary));
         assert_eq!(tier.load_post_transform(&post_key), Some(artifacts.clone()));
         assert!(post_files(&dir).is_empty());
         // The next post-transform store lands in a `post-` file.
@@ -1703,9 +1722,10 @@ mod tests {
         tier.store_post_transform(&other_key, &other_artifacts);
         assert_eq!(post_files(&dir), [segment_path(&dir, Kind::Post, 0)]);
         assert_eq!(fs::read(&seg_path).unwrap(), segment);
-        drop(tier);
-        let tier = DiskTier::open(&dir).unwrap();
-        assert_eq!(tier.summary(SRC, config), Some(summary));
+        drop(cache);
+        let cache = cache_over(&dir);
+        let tier = tier_of(&cache);
+        assert_eq!(cache.summary(config, SRC), Some(summary));
         assert_eq!(tier.load_post_transform(&post_key), Some(artifacts));
         assert_eq!(tier.load_post_transform(&other_key), Some(other_artifacts));
         assert_eq!(tier.stats().corrupt_skipped, 0);

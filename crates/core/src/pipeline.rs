@@ -320,9 +320,7 @@ impl Mapper {
             Joined::Leader(lead) => lead,
             Joined::Follower(outcome) => {
                 let shared = outcome?;
-                if retain == Retain::Mapping {
-                    cache.insert_mapping_arc(key, Arc::clone(&shared));
-                }
+                cache.keep_mapping(key, &shared, retain);
                 return Ok((shared, CacheOutcome::MappingHit));
             }
         };

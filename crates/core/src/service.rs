@@ -19,7 +19,8 @@
 //! Every call keeps the mapping it produced, so the next request for the
 //! same source is a mapping hit; [`map_source_shared`] with
 //! [`Retain::Summary`] keeps only the post-transform artifacts and the
-//! summary, for a caller that answers repeats from summaries of its own.
+//! summary, for a caller that answers repeats from the cache's summary
+//! level ([`MappingCache::summary`]).
 //!
 //! [`map_source_shared`]: MappingService::map_source_shared
 //!
@@ -97,7 +98,7 @@ impl MappingService {
         capacity: usize,
         cache_dir: impl Into<std::path::PathBuf>,
     ) -> std::io::Result<Self> {
-        let tier = Arc::new(crate::persist::DiskTier::open(cache_dir)?);
+        let tier = crate::persist::DiskTier::open(cache_dir)?;
         let cache = MappingCache::with_capacity(capacity).with_disk_tier(tier);
         Ok(Self::with_cache(mapper, Arc::new(cache)))
     }
@@ -148,9 +149,9 @@ impl MappingService {
     /// where the caller only summarizes the mapping and moves on.  `retain`
     /// says what the cache keeps: [`Retain::Mapping`] keeps the mapping, as
     /// [`map_source`](Self::map_source) does; with [`Retain::Summary`] the
-    /// full mapping stays out of the full-mapping level (its summary still
-    /// goes to the disk tier, and its post-transform artifacts are kept), for
-    /// a caller that answers repeats from summaries of its own.
+    /// full mapping stays out of the full-mapping level (its summary and its
+    /// post-transform artifacts are kept), for a caller that answers repeats
+    /// from the summary level.
     ///
     /// The [`CacheOutcome`] is returned
     /// alongside because the shared

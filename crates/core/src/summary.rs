@@ -2,9 +2,10 @@
 //!
 //! A client of the mapping service sees seven numbers per mapped kernel — a
 //! structural [`program_digest`] plus the headline report figures — not the
-//! mapping itself.  [`MappingSummary`] is that answer.  The serving layer
-//! keeps it in each I/O shard's warm table and encodes every warm response
-//! from it, and the disk tier
+//! mapping itself.  [`MappingSummary`] is that answer.  The cache keeps one
+//! per finished mapping in its summary level
+//! ([`MappingCache::summary`](crate::cache::MappingCache::summary)), from
+//! which the serving layer encodes every warm response, and the disk tier
 //! ([`crate::persist`]) stores it in place of every full mapping, so a
 //! restarted service answers a persisted kernel from its summary alone.
 

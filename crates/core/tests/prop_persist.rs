@@ -74,17 +74,16 @@ proptest! {
         // Lifetime 2: a fresh cache over the same directory warm-starts and
         // rebuilds every kernel as a post-transform hit with the identical
         // program: frontend and transform re-run, phases 1-3 come from disk,
-        // and the rebuild appends no record.  Before any load, the disk tier
-        // already holds each kernel's summary: the summary of the rebuilt
-        // mapping, with the digest of a one-shot map.
+        // and the rebuild appends no record.  Before any load, the summary
+        // level the open filled already holds each kernel's summary: the
+        // summary of the rebuilt mapping, with the digest of a one-shot map.
         let service = MappingService::with_cache_dir(mapper(), 64, &dir).expect("reopen tier");
         let fingerprint = service.mapper().cache_fingerprint();
         prop_assert!(service.cache().persist_stats().warm_start_entries >= sources.len() as u64);
         let mut summaries = Vec::new();
         for (source, (program, multi)) in sources.iter().zip(&programs) {
-            let disk = service.cache().disk_tier().expect("a disk tier");
-            let Some(summary) = disk.summary(source, fingerprint) else {
-                return Err(TestCaseError::fail("no disk summary"));
+            let Some(summary) = service.cache().summary(fingerprint, source) else {
+                return Err(TestCaseError::fail("no persisted summary"));
             };
             let warm = service.map_source(source).expect("warm-started kernels map");
             prop_assert_eq!(warm.report.cache, CacheOutcome::PostTransformHit);
@@ -132,10 +131,10 @@ proptest! {
         // re-map where it did not).
         let service = MappingService::with_cache_dir(mapper(), 64, &dir)
             .expect("corrupt contents never fail the open");
-        // The disk summary map answers with the true summary or not at all.
-        let disk = service.cache().disk_tier().expect("a disk tier");
+        // The summary level the open filled answers with the true summary or
+        // not at all.
         for (source, summary) in sources.iter().zip(&summaries) {
-            let probed = disk.summary(source, fingerprint);
+            let probed = service.cache().summary(fingerprint, source);
             prop_assert!(
                 probed.is_none() || probed == Some(*summary),
                 "corrupt summary served: {:?}",

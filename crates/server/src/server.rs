@@ -14,15 +14,15 @@
 //!    v1 request) is answered with a typed
 //!    [`WireError::UnsupportedVersion`] and the connection is closed.
 //! 4. Cheap verbs (`health`, `reset`, `shutdown`, `metrics`, `dump`) are
-//!    answered inline on the shard.  A `map` request first consults the
-//!    shard's **L0 table** (a private, epoch-invalidated map from config
-//!    fingerprint and kernel source to the summary of the finished mapping)
-//!    and then the disk tier's summary map, when one is attached.  Either
-//!    answers inline without queueing, which is the common warm-traffic
-//!    fast path: the summary, the request's own name and the server time
-//!    are encoded straight into the connection's write buffer.  Everything
-//!    else, including a kernel only the shared in-memory cache holds, takes
-//!    the queue; its completion seeds the L0 table of every shard.
+//!    answered inline on the shard.  A plain `map` request first probes the
+//!    shared cache's **summary level** (config fingerprint → kernel source →
+//!    the summary of the finished mapping, see
+//!    [`MappingCache::summary`](fpfa_core::cache::MappingCache::summary)),
+//!    which every shard and worker reads and every successful map fills,
+//!    the disk tier's summaries included.  A hit answers inline without
+//!    queueing, which is the common warm-traffic fast path: the summary,
+//!    the request's own name and the server time are encoded straight into
+//!    the connection's write buffer.  Everything else takes the queue.
 //! 5. Cold work goes through **admission control**: the job is pushed onto
 //!    a bounded queue with a non-blocking `try_push`.  A full queue answers
 //!    [`WireError::Overloaded`] *immediately* — the server sheds load
@@ -35,10 +35,11 @@
 //!    writes it back — so responses complete **out of order** relative to
 //!    their submission, matched to requests by the echoed id.  A plain map
 //!    keeps only its summary and post-transform artifacts in the shared
-//!    cache ([`Retain::Summary`]): the L0 tables and the disk summaries
-//!    answer its repeats.  A `verify` or `simulate` map uses the mapping
-//!    itself, so it keeps it.  A worker whose map panics answers
-//!    [`WireError::MapFailed`] and lives on.
+//!    cache ([`Retain::Summary`]): the summary level answers its repeats,
+//!    and a worker answers a plain map it finds there, such as a repeat
+//!    queued while its kernel was mapped, before it leads a run.  A
+//!    `verify` or `simulate` map uses the mapping itself, so it keeps it.  A
+//!    worker whose map panics answers [`WireError::MapFailed`] and lives on.
 //!
 //! Latency histograms measure frame-decode → response write-back, so time
 //! spent queueing (and time a response waits behind a slow client's socket)
@@ -67,7 +68,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -89,11 +90,6 @@ const MAX_AUTO_SHARDS: usize = 8;
 const MAX_SHARDS: usize = 64;
 /// Read chunk per `read(2)` on a readable connection.
 const READ_CHUNK: usize = 64 * 1024;
-/// Per-shard warm-table entry cap; reaching it clears the table.  It
-/// re-warms from the disk tier's summaries, or through the queue, where a
-/// plain repeat is a post-transform hit (frontend and transform re-run) and
-/// its completion seeds every shard again.
-const WARM_CAPACITY: usize = 4096;
 /// A connection whose un-flushed write buffer exceeds this is dropped: the
 /// peer is pipelining requests without reading responses.
 const WBUF_LIMIT: usize = 64 * 1024 * 1024;
@@ -279,7 +275,6 @@ pub struct ServerStats {
     rejected_shutdown: fpfa_obs::Counter,
     rejected_version: fpfa_obs::Counter,
     protocol_errors: fpfa_obs::Counter,
-    fast_hits: fpfa_obs::Counter,
     l0_hits: fpfa_obs::Counter,
     worker_panics: fpfa_obs::Counter,
     in_flight: fpfa_obs::Gauge,
@@ -301,7 +296,6 @@ impl ServerStats {
             rejected_shutdown: registry.counter("serve.rejected", &[("reason", "shutdown")]),
             rejected_version: registry.counter("serve.rejected", &[("reason", "version")]),
             protocol_errors: registry.counter("serve.protocol_errors", &[]),
-            fast_hits: registry.counter("serve.fast_hits", &[]),
             l0_hits: registry.counter("serve.l0_hits", &[]),
             worker_panics: registry.counter("serve.worker_panics", &[]),
             in_flight: registry.gauge("serve.in_flight", &[]),
@@ -324,6 +318,7 @@ fn register_cache_gauges(registry: &Registry, service: &MappingService) {
         ("cache.mapping.entries", |c| c.stats().mapping_entries),
         ("cache.post.entries", |c| c.stats().post_entries),
         ("cache.entries", |c| c.stats().entries),
+        ("cache.summary.entries", |c| c.stats().summary_entries),
         ("cache.capacity", |c| c.capacity() as u64),
         ("persist.loads", |c| c.persist_stats().loads),
         ("persist.stores", |c| c.persist_stats().stores),
@@ -410,24 +405,10 @@ struct Completion {
     timing: JobTiming,
 }
 
-/// The summary of a finished mapping, left for every shard's L0 table.
-#[derive(Clone)]
-struct Seed {
-    /// Cache epoch the job was processed under; a stale epoch means a
-    /// `reset` raced the job, so the seed is discarded.
-    epoch: u64,
-    fingerprint: u64,
-    /// The kernel source, shared by every shard's table.
-    source: Arc<str>,
-    summary: MappingSummary,
-}
-
 /// The mailbox through which the acceptor and the workers reach a shard.
 struct ShardMailbox {
     inbox: Mutex<Vec<TcpStream>>,
     completions: Mutex<VecDeque<Completion>>,
-    /// Summaries of mappings finished since the shard last looked.
-    seeds: Mutex<Vec<Seed>>,
     wake: WakeSender,
     waker: Mutex<Option<Waker>>,
     counters: ShardCounters,
@@ -451,8 +432,6 @@ struct Inner {
     trace: TraceSink,
     shutting_down: AtomicBool,
     workers_done: AtomicBool,
-    /// Bumped by `reset`; shards drop their warm tables when it moves.
-    cache_epoch: AtomicU64,
     started: Instant,
     shards: Vec<ShardMailbox>,
 }
@@ -643,7 +622,6 @@ impl Server {
             shards.push(ShardMailbox {
                 inbox: Mutex::new(Vec::new()),
                 completions: Mutex::new(VecDeque::new()),
-                seeds: Mutex::new(Vec::new()),
                 wake: waker.sender()?,
                 waker: Mutex::new(Some(waker)),
                 counters: ShardCounters::new(&registry, shard_id),
@@ -662,7 +640,6 @@ impl Server {
                 trace: TraceSink::new(TRACE_RING_CAPACITY),
                 shutting_down: AtomicBool::new(false),
                 workers_done: AtomicBool::new(false),
-                cache_epoch: AtomicU64::new(0),
                 started: Instant::now(),
                 shards,
             }),
@@ -771,33 +748,14 @@ fn worker_loop(inner: &Inner) {
         let queue_us = job.decoded_at.elapsed().as_micros() as u64;
         inner.stats.queue_wait.record(queue_us);
         let shard = job.shard.min(inner.shards.len().saturating_sub(1));
-        let (completion, seed) = process_job(inner, job, queue_us);
-        if let Some(seed) = &seed {
-            seed_every_shard(inner, shard, seed);
-        }
+        let completion = process_job(inner, job, queue_us);
         let mailbox = &inner.shards[shard];
         lock_state(&mailbox.completions).push_back(completion);
         mailbox.wake.wake();
     }
 }
 
-/// Leaves a finished mapping's summary for every shard's L0 table, so a
-/// repeat on any connection is answered inline.  The owner is about to be
-/// woken for the completion; another shard is woken only when its seed list
-/// was empty, so a burst of completions costs it one wakeup.
-fn seed_every_shard(inner: &Inner, owner: usize, seed: &Seed) {
-    for (index, mailbox) in inner.shards.iter().enumerate() {
-        let mut seeds = lock_state(&mailbox.seeds);
-        let was_empty = seeds.is_empty();
-        seeds.push(seed.clone());
-        drop(seeds);
-        if was_empty && index != owner {
-            mailbox.wake.wake();
-        }
-    }
-}
-
-fn process_job(inner: &Inner, job: Job, queue_us: u64) -> (Completion, Option<Seed>) {
+fn process_job(inner: &Inner, job: Job, queue_us: u64) -> Completion {
     let Job {
         conn,
         generation,
@@ -808,7 +766,6 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> (Completion, Option<Se
         traced,
         ..
     } = job;
-    let epoch = inner.cache_epoch.load(Ordering::SeqCst);
     let service_started = Instant::now();
     let done = |response: Response, stages: Option<StageTimings>| Completion {
         conn,
@@ -828,11 +785,8 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> (Completion, Option<Se
     if !deadline.is_zero() && decoded_at.elapsed() > deadline {
         inner.stats.rejected_deadline.inc();
         let budget_ms = deadline.as_millis() as u64;
-        return (
-            done(
-                Response::Error(WireError::DeadlineExceeded { budget_ms }),
-                None,
-            ),
+        return done(
+            Response::Error(WireError::DeadlineExceeded { budget_ms }),
             None,
         );
     }
@@ -851,15 +805,9 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> (Completion, Option<Se
         })
     });
     match served {
-        Ok((summary, value, stages)) => {
+        Ok((summary, stages)) => {
             inner.stats.served_ok.inc();
-            let seed = Seed {
-                epoch,
-                fingerprint: service.mapper().cache_fingerprint(),
-                source: Arc::from(kernel.source),
-                summary: value,
-            };
-            (done(Response::Mapped(summary), stages), Some(seed))
+            done(Response::Mapped(summary), stages)
         }
         Err(error) => {
             let counter = if matches!(error, WireError::VerifyFailed { .. }) {
@@ -868,7 +816,7 @@ fn process_job(inner: &Inner, job: Job, queue_us: u64) -> (Completion, Option<Se
                 &inner.stats.served_err
             };
             counter.inc();
-            (done(Response::Error(error), None), None)
+            done(Response::Error(error), None)
         }
     }
 }
@@ -888,15 +836,26 @@ fn serve_map_job(
     knobs: &MapKnobs,
     decoded_at: Instant,
     traced: bool,
-) -> Result<(MapSummary, MappingSummary, Option<StageTimings>), WireError> {
+) -> Result<(MapSummary, Option<StageTimings>), WireError> {
     #[cfg(test)]
     tests::on_map(&kernel.name);
-    // Verification and simulation use the mapping itself, so they keep it;
-    // a plain map's repeats are answered from summaries.
-    let retain = if knobs.verify || knobs.simulate {
-        Retain::Mapping
-    } else {
+    // Verification and simulation use the mapping itself, so they keep it.
+    // A plain map's repeats are answered from summaries, and so is a plain
+    // map whose kernel finished while it waited in the queue.
+    let plain = !knobs.verify && !knobs.simulate;
+    if plain {
+        let fingerprint = service.mapper().cache_fingerprint();
+        if let Some(value) = service.cache().summary(fingerprint, &kernel.source) {
+            let micros = decoded_at.elapsed().as_micros() as u64;
+            let name = kernel.name.clone();
+            let summary = map_summary(&value, name, CacheFlavor::MappingHit, None, micros);
+            return Ok((summary, None));
+        }
+    }
+    let retain = if plain {
         Retain::Summary
+    } else {
+        Retain::Mapping
     };
     let (result, outcome) = service
         .map_source_shared(&kernel.source, retain)
@@ -927,15 +886,14 @@ fn serve_map_job(
             .map(|timing| (timing.stage, timing.wall.as_micros() as u64))
             .collect()
     });
-    let value = MappingSummary::of(&result);
     let summary = map_summary(
-        &value,
+        &MappingSummary::of(&result),
         kernel.name.clone(),
         CacheFlavor::from(outcome),
         sim,
         decoded_at.elapsed().as_micros() as u64,
     );
-    Ok((summary, value, stages))
+    Ok((summary, stages))
 }
 
 /// Lints the kernel source and statically verifies its mapping; a
@@ -1073,9 +1031,6 @@ fn shard_loop(inner: &Arc<Inner>, shard_id: usize, mut poller: Poller) {
         generations: Vec::new(),
         free: Vec::new(),
         live: 0,
-        warm: HashMap::new(),
-        warm_len: 0,
-        warm_epoch: inner.cache_epoch.load(Ordering::SeqCst),
         knob_fingerprints: HashMap::new(),
         scratch: vec![0u8; READ_CHUNK],
         drain_deadline: None,
@@ -1092,11 +1047,6 @@ struct ShardRt<'a> {
     generations: Vec<u64>,
     free: Vec<usize>,
     live: usize,
-    /// The L0 tier: config fingerprint → kernel source → the summary of
-    /// its finished mapping.
-    warm: HashMap<u64, HashMap<Arc<str>, MappingSummary>>,
-    warm_len: usize,
-    warm_epoch: u64,
     knob_fingerprints: HashMap<(u32, u32, bool, bool), u64>,
     scratch: Vec<u8>,
     drain_deadline: Option<Instant>,
@@ -1374,15 +1324,6 @@ impl<'a> ShardRt<'a> {
                 let dropped = inner.base.clear_cache() as u64;
                 inner.base.cache().reset_stats();
                 inner.reset_counters();
-                inner.cache_epoch.fetch_add(1, Ordering::SeqCst);
-                self.sync_epoch();
-                // Wake the other shards so they drop their warm tables
-                // promptly instead of at their next map request.
-                for (i, mailbox) in inner.shards.iter().enumerate() {
-                    if i != self.shard_id {
-                        mailbox.wake.wake();
-                    }
-                }
                 self.finish_control(
                     conn,
                     id,
@@ -1403,10 +1344,10 @@ impl<'a> ShardRt<'a> {
         }
     }
 
-    /// The map fast path: the shard's L0 table, then the disk tier's
-    /// summary map, then the queue.  `simulate` and `verify` requests
-    /// always take the queue — they need the mapping itself, and simulation
-    /// is real compute that must not stall the I/O loop.
+    /// The map fast path: the shared summary level, then the queue.
+    /// `simulate` and `verify` requests always take the queue — they need
+    /// the mapping itself, and simulation is real compute that must not
+    /// stall the I/O loop.
     fn serve_map(
         &mut self,
         conn: &mut Conn,
@@ -1428,27 +1369,13 @@ impl<'a> ShardRt<'a> {
             self.finish(conn, id, &response, decoded_at, None);
             return;
         }
-        // Verify requests must actually verify: the warm tables hold digested
-        // answers, not full mappings, so they cannot vouch for legality.
+        // Verify requests must actually verify: the summary level holds
+        // digested answers, not full mappings, so it cannot vouch for
+        // legality.
         if !knobs.simulate && !knobs.verify {
-            self.sync_epoch();
             let fingerprint = self.fingerprint_of(&knobs);
-            let l0 = self.l0(fingerprint, &kernel.source);
-            if let Some(value) = l0.or_else(|| {
-                self.absorb_seeds()
-                    .then(|| self.l0(fingerprint, &kernel.source))
-                    .flatten()
-            }) {
-                inner.stats.l0_hits.inc();
-                self.finish_inline(conn, id, kernel.name, value, decoded_at, "l0");
-                return;
-            }
-            // The disk tier's summary map: a persisted summary answers
-            // without decoding a mapping.
-            let disk = inner.base.cache().disk_tier();
-            if let Some(value) = disk.and_then(|tier| tier.summary(&kernel.source, fingerprint)) {
-                self.warm_insert(fingerprint, Arc::from(kernel.source.as_str()), value);
-                self.finish_inline(conn, id, kernel.name, value, decoded_at, "disk");
+            if let Some(value) = inner.base.cache().summary(fingerprint, &kernel.source) {
+                self.finish_inline(conn, id, kernel.name, value, decoded_at);
                 return;
             }
         }
@@ -1510,7 +1437,6 @@ impl<'a> ShardRt<'a> {
 
     fn drain_completions(&mut self) {
         let inner = self.inner;
-        self.absorb_seeds();
         let mut completions = std::mem::take(&mut *lock_state(&self.mailbox().completions));
         if completions.is_empty() {
             return;
@@ -1751,16 +1677,6 @@ impl<'a> ShardRt<'a> {
         true
     }
 
-    /// Drops the warm table when a `reset` moved the cache epoch.
-    fn sync_epoch(&mut self) {
-        let epoch = self.inner.cache_epoch.load(Ordering::SeqCst);
-        if epoch != self.warm_epoch {
-            self.warm.clear();
-            self.warm_len = 0;
-            self.warm_epoch = epoch;
-        }
-    }
-
     /// The cache fingerprint of the mapper a knob set derives, memoised per
     /// shard so the fast path never rebuilds a mapper.
     fn fingerprint_of(&mut self, knobs: &MapKnobs) -> u64 {
@@ -1773,44 +1689,10 @@ impl<'a> ShardRt<'a> {
         fingerprint
     }
 
-    /// The L0 table's summary of `source` under `fingerprint`.
-    fn l0(&self, fingerprint: u64, source: &str) -> Option<MappingSummary> {
-        self.warm.get(&fingerprint)?.get(source).copied()
-    }
-
-    /// Moves the summaries that workers left for this shard into its L0
-    /// table, dropping those a `reset` made stale; returns whether any
-    /// were waiting.
-    fn absorb_seeds(&mut self) -> bool {
-        let seeds = std::mem::take(&mut *lock_state(&self.mailbox().seeds));
-        if seeds.is_empty() {
-            return false;
-        }
-        self.sync_epoch();
-        for seed in seeds {
-            if seed.epoch == self.warm_epoch {
-                self.warm_insert(seed.fingerprint, seed.source, seed.summary);
-            }
-        }
-        true
-    }
-
-    fn warm_insert(&mut self, fingerprint: u64, source: Arc<str>, value: MappingSummary) {
-        if self.warm_len >= WARM_CAPACITY {
-            self.warm.clear();
-            self.warm_len = 0;
-        }
-        let table = self.warm.entry(fingerprint).or_default();
-        if table.insert(source, value).is_none() {
-            self.warm_len += 1;
-        }
-    }
-
     /// Answers a `map` inline from the summary of a finished mapping: a
     /// `Mapped` response carrying the request's own name, `MappingHit` and
-    /// the server time, encoded like every other response.  `outcome` names
-    /// the tier that held the summary (`l0` or `disk`) for the flight
-    /// recorder.
+    /// the server time, encoded like every other response, and flight
+    /// recorded as `l0`.
     fn finish_inline(
         &mut self,
         conn: &mut Conn,
@@ -1818,17 +1700,15 @@ impl<'a> ShardRt<'a> {
         name: String,
         value: MappingSummary,
         decoded_at: Instant,
-        outcome: &'static str,
     ) {
         let inner = self.inner;
-        inner.base.cache().note_shard_hit();
-        inner.stats.fast_hits.inc();
+        inner.stats.l0_hits.inc();
         inner.stats.served_ok.inc();
         let micros = decoded_at.elapsed().as_micros() as u64;
         let summary = map_summary(&value, name, CacheFlavor::MappingHit, None, micros);
         let bytes = self.append_response(conn, id, &Response::Mapped(summary));
         inner.stats.map_latency.record(micros);
-        self.observe(id, "map", outcome, micros, bytes, None);
+        self.observe(id, "map", "l0", micros, bytes, None);
     }
 }
 
@@ -1841,6 +1721,10 @@ mod tests {
 
     /// Kernel names whose maps panic, armed by tests.
     static PANICS_ON: Mutex<Vec<&str>> = Mutex::new(Vec::new());
+    /// Kernel names whose maps wait on their worker until a test releases
+    /// them.
+    static HELD: Mutex<Vec<&str>> = Mutex::new(Vec::new());
+    static RELEASED: Condvar = Condvar::new();
 
     pub(super) fn on_map(name: &str) {
         let armed = PANICS_ON
@@ -1850,6 +1734,77 @@ mod tests {
         if armed {
             panic!("injected panic mapping `{name}`");
         }
+        let mut held = HELD.lock().unwrap_or_else(PoisonError::into_inner);
+        while held.contains(&name) {
+            held = RELEASED.wait(held).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn release(name: &str) {
+        HELD.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retain(|held| *held != name);
+        RELEASED.notify_all();
+    }
+
+    /// A plain repeat that waited in the queue while its kernel's leader
+    /// ran is answered by the worker from the summary the leader left: a
+    /// mapping hit that runs no stage.  Without the worker's probe it would
+    /// find no mapping (plain maps keep none) and no flight to follow, and
+    /// re-run frontend and transform as a post-transform hit.
+    #[test]
+    fn a_plain_repeat_queued_behind_its_leader_runs_no_stage() {
+        HELD.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push("held-leader");
+        let config = ServerConfig {
+            workers: 1,
+            shards: 1,
+            ..ServerConfig::default()
+        };
+        let service = MappingService::new(Mapper::new());
+        let server = Server::bind("127.0.0.1:0", config, service).expect("bind on port 0");
+        let handle = server.spawn().expect("spawn server");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let map = |name: &str| Request::Map {
+            kernel: KernelSource::new(name, "void main() { int a[3]; int r; r = a[2] - a[0]; }"),
+            knobs: MapKnobs::default(),
+        };
+        let leader = client.submit(&map("held-leader")).expect("submit");
+        let repeat = client.submit(&map("repeat")).expect("submit");
+        client.flush().expect("flush");
+        let value = |name| match handle.registry().snapshot().get(name, &[]) {
+            Some(fpfa_obs::MetricValue::Counter(v) | fpfa_obs::MetricValue::Gauge(v)) => *v,
+            other => panic!("{name} is not a counter or gauge: {other:?}"),
+        };
+        // The only worker holds the leader, so the repeat is queued.
+        let started = Instant::now();
+        while value("serve.accepted") < 2 {
+            assert!(
+                started.elapsed() < Duration::from_secs(60),
+                "the repeat never queued"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release("held-leader");
+        let answer = |response| match response {
+            Ok(Response::Mapped(summary)) => summary,
+            other => panic!("expected a mapping, got {other:?}"),
+        };
+        let leader = answer(client.wait(leader));
+        let repeat = answer(client.wait(repeat));
+        assert_eq!(leader.cache, CacheFlavor::Miss);
+        assert_eq!(repeat.cache, CacheFlavor::MappingHit);
+        assert_eq!(
+            (repeat.name.as_str(), repeat.digest),
+            ("repeat", leader.digest)
+        );
+        // One flow run, and no post-transform lookup for the repeat.
+        assert_eq!(value("cache.post.misses"), 1);
+        assert_eq!(value("cache.post.hits"), 0);
+        assert_eq!(value("serve.l0_hits"), 0);
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]

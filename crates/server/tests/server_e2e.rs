@@ -599,7 +599,7 @@ fn stats_reset_clears_cache_and_counters() {
 }
 
 #[test]
-fn reset_truncates_the_disk_tier_and_the_l0_tables() {
+fn reset_truncates_the_disk_tier_and_the_summary_level() {
     let dir = std::env::temp_dir().join(format!("fpfa-e2e-reset-tier-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let service = MappingService::with_cache_dir(Mapper::new(), 64, &dir).expect("open disk tier");
@@ -624,11 +624,11 @@ fn reset_truncates_the_disk_tier_and_the_l0_tables() {
     );
     assert!(
         value(&stats, "serve.l0_hits", &[]) >= 1,
-        "the identical repeat was answered from the shard's L0 table"
+        "the identical repeat was answered inline from the summary level"
     );
 
     // `reset` (the `--cold-storm` primitive) must invalidate every tier:
-    // the shards' L0 tables, the in-memory cache AND the on-disk segments.
+    // the summary level, the in-memory cache AND the on-disk segments.
     // A subsequent map must be a genuine cold miss — if the disk tier
     // survived the reset it would come back as a warm mapping hit.
     let dropped = client.reset().expect("reset");
@@ -704,11 +704,11 @@ fn pipelined_requests_complete_out_of_order_by_request_id() {
         .map("k", TRIVIAL, MapKnobs::default())
         .expect("warmup map");
 
-    // Raw v2 connection: hello, a plain map that seeds this connection's
-    // shard's L0 table (the connection may live on another shard than the
-    // warmup's), then two back-to-back requests — a `simulate` map (always
-    // the worker path) followed by a plain map (the L0 table answers it
-    // inline).  The second response must overtake the first on the wire.
+    // Raw v2 connection: hello, a plain map (answered inline from the
+    // summary level the warmup filled, whichever shard owns this
+    // connection), then two back-to-back requests — a `simulate` map (always
+    // the worker path) followed by a plain map (answered inline again).
+    // The second response must overtake the first on the wire.
     let mut raw = TcpStream::connect(handle.addr()).expect("connect raw");
     write_frame(&mut raw, &Hello::current().encode()).expect("hello");
     raw.flush().expect("flush hello");
@@ -919,7 +919,8 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     // A cold map takes the worker path, so its flight entry carries a queue
     // wait and its sampled trace carries the full span decomposition.
     client.map("k", TRIVIAL, MapKnobs::default()).expect("cold");
-    // A warm repeat is answered from the L0 tier and still flight-recorded.
+    // A warm repeat is answered inline from the summary level and still
+    // flight-recorded.
     client.map("k", TRIVIAL, MapKnobs::default()).expect("warm");
 
     let dump = client.dump().expect("dump");
@@ -953,7 +954,7 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     );
     assert!(
         entries.iter().any(|e| outcome_of(e, "l0")),
-        "no L0 flight entry in: {dump}"
+        "no inline flight entry in: {dump}"
     );
 
     // The sampled trace decomposes the worker-path request: queue wait,
@@ -997,11 +998,10 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     handle.shutdown();
     handle.join();
 
-    // Every inline answer is tagged with the tier that produced it.  A
-    // restarted server answers its first request from the disk tier's
-    // summaries, the repeat from the L0 entry that answer seeded, and a
-    // kernel mapped beside the daemon, through a clone of its service, from
-    // the disk summary that mapping stored through.
+    // Every inline answer comes from the one summary level and is tagged
+    // `l0`: a restarted server's first request (a summary the open handed
+    // over), its repeat, and a kernel mapped beside the daemon through a
+    // clone of its service (a summary that mapping left).
     let dir = std::env::temp_dir().join(format!("fpfa-e2e-dump-tiers-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let first = start_with_cache_dir(&dir);
@@ -1014,21 +1014,21 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     let mut client = Client::connect(restarted.addr()).expect("connect");
     client
         .map("k", TRIVIAL, MapKnobs::default())
-        .expect("from disk");
+        .expect("from the open's summaries");
     client
         .map("k", TRIVIAL, MapKnobs::default())
-        .expect("from L0");
+        .expect("a repeat");
     let beside = "void main() { int a[2]; int r; r = a[0] * a[1]; }";
     service
         .map_source_shared(beside, Retain::Mapping)
         .expect("maps beside the daemon");
     client
         .map("b", beside, MapKnobs::default())
-        .expect("from disk");
+        .expect("from the summary the mapping left");
     let dump = client.dump().expect("dump");
     assert_eq!(
         map_outcomes(&dump),
-        ["disk", "l0", "disk"],
+        ["l0", "l0", "l0"],
         "inline answers mis-tagged in: {dump}"
     );
     restarted.shutdown();
@@ -1036,9 +1036,9 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     drop(service);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Without a disk tier, a kernel only the shared in-memory cache holds
+    // Without a disk tier, a kernel mapped beside the daemon is answered
+    // inline too, and a `verify` repeat, which needs the mapping itself,
     // goes once through a worker: a mapping hit that runs no flow stage.
-    // Its completion seeds the shard's L0 table, which answers the repeat.
     let service = MappingService::new(Mapper::new());
     let handle = serve(
         ServerConfig {
@@ -1051,20 +1051,22 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
     service
         .map_source_shared(beside, Retain::Mapping)
         .expect("maps beside the daemon");
-    let worker = client
+    let inline = client
         .map("b", beside, MapKnobs::default())
-        .expect("from a worker");
+        .expect("inline");
+    assert_eq!(inline.cache, fpfa_server::CacheFlavor::MappingHit);
+    let verify = MapKnobs {
+        verify: true,
+        ..MapKnobs::default()
+    };
+    let worker = client.map("b", beside, verify).expect("from a worker");
     assert_eq!(worker.cache, fpfa_server::CacheFlavor::MappingHit);
-    let repeat = client
-        .map("b", beside, MapKnobs::default())
-        .expect("from L0");
-    assert_eq!(repeat.cache, fpfa_server::CacheFlavor::MappingHit);
-    assert_eq!(repeat.digest, worker.digest);
+    assert_eq!(worker.digest, inline.digest);
     assert_eq!(metric(&handle, "serve.accepted"), 1);
     let dump = client.dump().expect("dump");
     assert_eq!(
         map_outcomes(&dump),
-        ["ok", "l0"],
+        ["l0", "ok"],
         "answers mis-tagged in: {dump}"
     );
     let parsed = fpfa_obs::json::parse(&dump).expect("dump is valid JSON");
@@ -1080,10 +1082,10 @@ fn dump_verb_reports_flight_entries_and_sampled_spans_decompose() {
             Some((id, span.get("name")?.as_str()?.to_string()))
         })
         .collect();
-    // Client ids count from zero: the worker-path map is 0.
+    // Client ids count from zero: the worker-path map is 1.
     let names: Vec<&str> = spans
         .iter()
-        .filter(|(id, _)| *id == 0)
+        .filter(|(id, _)| *id == 1)
         .map(|(_, name)| name.as_str())
         .collect();
     assert_eq!(
@@ -1130,9 +1132,10 @@ fn map_outcomes(dump: &str) -> Vec<String> {
 }
 
 /// One connection maps the registry, then maps it again: every repeat is
-/// answered from the shard's L0 table with the first pass's digest, without
-/// queueing.  The table is keyed by kernel source, so a third pass under new
-/// names is answered from it too, each answer echoing its own name.
+/// answered inline from the summary level with the first pass's digest,
+/// without queueing.  The level is keyed by kernel source, so a third pass
+/// under new names is answered from it too, each answer echoing its own
+/// name.
 #[test]
 fn warm_repeats_are_answered_from_l0_under_any_name() {
     let handle = start(ServerConfig::default(), Mapper::new());
@@ -1216,6 +1219,9 @@ fn plain_maps_pin_no_mapping_and_verified_maps_keep_theirs() {
         "{}",
         stats.to_prometheus()
     );
+    // Every map leaves its summary; `cache.entries` counts the artifact
+    // levels only.
+    assert_eq!(value(&stats, "cache.summary.entries", &[]), plain);
 
     let verify = MapKnobs {
         verify: true,
@@ -1243,41 +1249,71 @@ fn plain_maps_pin_no_mapping_and_verified_maps_keep_theirs() {
     handle.join();
 }
 
-/// With two shards and no disk tier, a kernel mapped on one connection is
-/// answered inline on a connection the other shard owns: a worker's
-/// completion seeds the L0 table of every shard, not only the owner's.
+/// With eight shards and no disk tier, the registry mapped on one connection
+/// is answered inline on connections the other seven shards own: every
+/// shard reads the one summary level, which holds one summary per kernel,
+/// not one per shard.
 #[test]
-fn a_completion_seeds_the_l0_table_of_every_shard() {
+fn every_shard_answers_from_the_one_summary_level() {
     let handle = start(
         ServerConfig {
             workers: 2,
-            shards: 2,
+            shards: 8,
             ..ServerConfig::default()
         },
         Mapper::new(),
     );
-    // The acceptor deals connections round-robin, so these two sit on
-    // different shards.
-    let mut first = Client::connect(handle.addr()).expect("connect first");
-    let mut second = Client::connect(handle.addr()).expect("connect second");
-    let cold = first
-        .map("k", TRIVIAL, MapKnobs::default())
-        .expect("cold map");
-    assert_eq!(cold.cache, fpfa_server::CacheFlavor::Miss);
-    let accepted = metric(&handle, "serve.accepted");
-    let repeat = second
-        .map("k", TRIVIAL, MapKnobs::default())
-        .expect("repeat on the other shard");
-    assert_eq!(repeat.cache, fpfa_server::CacheFlavor::MappingHit);
-    assert_eq!(repeat.digest, cold.digest);
-    assert_eq!(metric(&handle, "serve.accepted"), accepted);
-    let stats = handle.registry().snapshot();
-    for shard in ["0", "1"] {
-        assert_eq!(value(&stats, "shard.accepted", &[("shard", shard)]), 1);
+    // The acceptor deals connections round-robin, so each of these sits on
+    // a shard of its own.
+    let mut clients: Vec<Client> = (0..8)
+        .map(|_| Client::connect(handle.addr()).expect("connect"))
+        .collect();
+    let kernels = fpfa_workloads::registry();
+    let cold: Vec<u64> = kernels
+        .iter()
+        .map(|k| {
+            let summary = clients[0]
+                .map(&k.name, &k.source, MapKnobs::default())
+                .expect("registry kernels map");
+            assert_eq!(summary.cache, fpfa_server::CacheFlavor::Miss);
+            summary.digest
+        })
+        .collect();
+    for (i, (kernel, digest)) in kernels.iter().zip(&cold).enumerate() {
+        let repeat = clients[1 + i % 7]
+            .map(&kernel.name, &kernel.source, MapKnobs::default())
+            .expect("repeat on another shard");
+        assert_eq!(repeat.cache, fpfa_server::CacheFlavor::MappingHit);
+        assert_eq!(repeat.digest, *digest, "digest of `{}`", kernel.name);
     }
-    let mut outcomes = map_outcomes(&second.dump().expect("dump"));
+    let stats = handle.registry().snapshot();
+    let text = stats.to_prometheus();
+    for shard in 0..8 {
+        let shard = shard.to_string();
+        assert_eq!(
+            value(&stats, "shard.accepted", &[("shard", &shard)]),
+            1,
+            "{text}"
+        );
+    }
+    let registry = kernels.len() as u64;
+    assert_eq!(value(&stats, "serve.accepted", &[]), registry, "{text}");
+    assert_eq!(value(&stats, "serve.l0_hits", &[]), registry, "{text}");
+    assert_eq!(
+        value(&stats, "cache.summary.entries", &[]),
+        registry,
+        "{text}"
+    );
+    let mut outcomes = map_outcomes(&clients[0].dump().expect("dump"));
     outcomes.sort();
-    assert_eq!(outcomes, ["l0", "ok"]);
+    assert_eq!(
+        outcomes.iter().filter(|o| *o == "l0").count(),
+        kernels.len()
+    );
+    assert_eq!(
+        outcomes.iter().filter(|o| *o == "ok").count(),
+        kernels.len()
+    );
     handle.shutdown();
     handle.join();
 }

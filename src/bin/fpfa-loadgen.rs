@@ -306,13 +306,12 @@ fn run(options: &Options) -> Result<(), String> {
     let protocol_errors = counter("serve.protocol_errors")?;
     println!(
         "  server: accepted {}, served ok {}, map failures {}, overloaded {}, \
-         deadline-expired {}, fast-path hits {} (L0 {}), protocol errors {protocol_errors}",
+         deadline-expired {}, fast-path hits {}, protocol errors {protocol_errors}",
         counter("serve.accepted")?,
         count(&server, "serve.served", &[("outcome", "ok")])?,
         count(&server, "serve.served", &[("outcome", "err")])?,
         count(&server, "serve.rejected", &[("reason", "overload")])?,
         count(&server, "serve.rejected", &[("reason", "deadline")])?,
-        counter("serve.fast_hits")?,
         counter("serve.l0_hits")?,
     );
     let verify_failures = count(&server, "serve.verify_failures", &[("verb", "map")])?;

@@ -363,9 +363,7 @@ fn drain_report(snapshot: &Snapshot, persist: bool) -> Result<(), String> {
         println!("fpfa-serve: final cache hit ratio {rate:.3}");
     }
     println!(
-        "fpfa-serve: {} fast-path hit(s) ({} from the shards' L0 tables), \
-         {} version rejection(s), {} protocol error(s)",
-        counter("serve.fast_hits")?,
+        "fpfa-serve: {} fast-path hit(s), {} version rejection(s), {} protocol error(s)",
         counter("serve.l0_hits")?,
         count(snapshot, "serve.rejected", &[("reason", "version")])?,
         counter("serve.protocol_errors")?,

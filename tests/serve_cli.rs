@@ -365,7 +365,7 @@ fn daemon_writes_metrics_flight_and_slow_request_logs() {
     assert!(tail.contains("flight dump ->"), "{tail}");
     let final_dump = std::fs::read_to_string(&flight_path).expect("drain-time flight dump");
     assert!(final_dump.contains("\"verb\":\"map\""), "{final_dump}");
-    // Both maps (cold worker path + L0 repeat) are in the drain-time
+    // Both maps (cold worker path + inline repeat) are in the drain-time
     // snapshot written after the periodic writer stopped.
     let final_scrape = std::fs::read_to_string(&metrics_path).expect("final metrics snapshot");
     assert!(
