@@ -1,9 +1,24 @@
 //! Abstract syntax tree of the C subset.
 //!
-//! Names are slices of the source text the tree was parsed from.
+//! Names are slices of the source text the tree was parsed from.  Every
+//! occurrence of a name, declaration or use, also carries a [`NameId`]:
+//! its index among its function's name occurrences, so the
+//! [resolution](crate::resolve) of each one is a table entry.
 
 use crate::token::Span;
 use fpfa_cdfg::{BinOp, UnOp};
+
+/// The index of one name occurrence among those of its function, in the
+/// order the parser met them: `0..`[`Function::occurrences`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct NameId(pub u32);
+
+impl NameId {
+    /// The occurrence's index, for tables indexed by occurrence.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// A binary operator as written in the source.
 ///
@@ -33,6 +48,8 @@ pub enum Expr<'s> {
     Var {
         /// Variable name.
         name: &'s str,
+        /// This occurrence of the name.
+        id: NameId,
         /// Source position.
         span: Span,
     },
@@ -40,6 +57,8 @@ pub enum Expr<'s> {
     Index {
         /// Array name.
         name: &'s str,
+        /// This occurrence of the name.
+        id: NameId,
         /// Index expression.
         index: Box<Expr<'s>>,
         /// Source position.
@@ -67,19 +86,6 @@ pub enum Expr<'s> {
     },
 }
 
-impl Expr<'_> {
-    /// Source position of the expression.
-    pub fn span(&self) -> Span {
-        match self {
-            Expr::Literal { span, .. }
-            | Expr::Var { span, .. }
-            | Expr::Index { span, .. }
-            | Expr::Unary { span, .. }
-            | Expr::Binary { span, .. } => *span,
-        }
-    }
-}
-
 /// The target of an assignment.
 #[derive(Clone, PartialEq, Debug)]
 pub enum LValue<'s> {
@@ -87,6 +93,8 @@ pub enum LValue<'s> {
     Var {
         /// Variable name.
         name: &'s str,
+        /// This occurrence of the name.
+        id: NameId,
         /// Source position.
         span: Span,
     },
@@ -94,20 +102,13 @@ pub enum LValue<'s> {
     Index {
         /// Array name.
         name: &'s str,
+        /// This occurrence of the name.
+        id: NameId,
         /// Index expression.
         index: Expr<'s>,
         /// Source position.
         span: Span,
     },
-}
-
-impl LValue<'_> {
-    /// Source position of the l-value.
-    pub fn span(&self) -> Span {
-        match self {
-            LValue::Var { span, .. } | LValue::Index { span, .. } => *span,
-        }
-    }
 }
 
 /// A statement.
@@ -117,6 +118,8 @@ pub enum Stmt<'s> {
     DeclScalar {
         /// Variable name.
         name: &'s str,
+        /// This occurrence of the name.
+        id: NameId,
         /// Optional initialiser.
         init: Option<Expr<'s>>,
         /// Source position.
@@ -126,6 +129,8 @@ pub enum Stmt<'s> {
     DeclArray {
         /// Array name.
         name: &'s str,
+        /// This occurrence of the name.
+        id: NameId,
         /// Compile-time length.
         len: i64,
         /// Source position.
@@ -181,6 +186,9 @@ pub struct Function<'s> {
     pub name: &'s str,
     /// Statements of the body.
     pub body: Vec<Stmt<'s>>,
+    /// The number of name occurrences in the body: their [`NameId`]s are
+    /// `0..occurrences`.
+    pub occurrences: usize,
     /// Source position of the definition.
     pub span: Span,
 }
@@ -204,25 +212,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spans_are_reachable() {
-        let e = Expr::Literal {
-            value: 1,
-            span: Span::new(4, 2),
-        };
-        assert_eq!(e.span(), Span::new(4, 2));
-        let lv = LValue::Var {
-            name: "x",
-            span: Span::new(1, 1),
-        };
-        assert_eq!(lv.span(), Span::new(1, 1));
-    }
-
-    #[test]
     fn unit_function_lookup() {
         let unit = TranslationUnit {
             functions: vec![Function {
                 name: "main",
                 body: vec![],
+                occurrences: 0,
                 span: Span::default(),
             }],
         };

@@ -58,7 +58,9 @@ impl MemoryLayout {
         Some(sym)
     }
 
-    /// Looks up an array by name.
+    /// Looks up an array by name: the first one declared under it.  An
+    /// array declared again under that name (after a branch that declared
+    /// one) has a base of its own, listed after it in [`Self::arrays`].
     pub fn array(&self, name: &str) -> Option<&ArraySymbol> {
         self.arrays.iter().find(|a| a.name == name)
     }

@@ -31,11 +31,12 @@
 //!   are `Copy` and borrow their identifiers from the source, so the token
 //!   vector is the one allocation, and the [`parser`] advances without
 //!   cloning a token; the [`ast`] borrows its names too;
-//! * the [lowering](mod@lower) numbers every name once, keeps one environment for
-//!   the whole function with an undo log (an `if` branch or a loop
-//!   sub-graph unwinds what it bound instead of copying the scope), and
-//!   works out every loop's read, written and declared names in one walk,
-//!   bottom-up;
+//! * the [resolver](mod@resolve) walks the body once and binds every name
+//!   occurrence to its declaration, with what each loop carries and which
+//!   reads no assignment reaches; the [lowering](mod@lower) reads that and
+//!   looks up no name, keeping one environment for the whole function, a
+//!   table indexed by declaration, with an undo log (an `if` branch or a
+//!   loop sub-graph unwinds what it bound instead of copying the scope);
 //! * [`fpfa_cdfg::validate`] checks interface names and loop specifications
 //!   against sets borrowed from the graph, in one pass over each graph.
 //!
@@ -77,6 +78,7 @@ pub mod layout;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
+pub mod resolve;
 pub mod source;
 pub mod token;
 

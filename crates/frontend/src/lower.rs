@@ -1,11 +1,11 @@
 //! Lowering of the AST to a CDFG.
 //!
-//! * Scalar locals become pure dataflow values (an environment maps each name
-//!   to the wire holding its current value).
-//! * Arrays are placed in the statespace ([`crate::MemoryLayout`]); reads and
-//!   writes become `FE`/`ST` primitives threaded through a single statespace
-//!   token, which enters the graph as the input `mem` and leaves it as the
-//!   output `mem`.
+//! * Scalar locals become pure dataflow values (an environment maps each
+//!   declaration to the wire holding its current value).
+//! * Arrays are placed in the statespace ([`crate::MemoryLayout`]), each
+//!   declaration at a base of its own; reads and writes become `FE`/`ST`
+//!   primitives threaded through a single statespace token, which enters
+//!   the graph as the input `mem` and leaves it as the output `mem`.
 //! * `if`/`else` is if-converted: both branches are lowered and every scalar
 //!   (and the statespace token) modified in either branch is merged with a
 //!   multiplexer controlled by the condition.  The scalars merge in
@@ -13,26 +13,27 @@
 //! * `while` loops become structured [`LoopSpec`] nodes whose condition and
 //!   body are separate CDFGs over the loop-carried variables; the
 //!   transformation engine unrolls them later.
-//! * A scalar that is read before ever being assigned becomes a named graph
-//!   input, so kernels can take scalar parameters.
+//! * A scalar of the function body that is read where no assignment reaches
+//!   it is a kernel parameter: one named graph input, made at its first such
+//!   read, which is the scalar's value wherever no assignment reaches.
 //! * At the end of `main` every declared scalar that holds a value becomes a
 //!   named graph output, alongside the final statespace.
 //!
-//! The cost is linear in the source plus the graphs built.  One walk before
-//! lowering numbers every name and works out every loop's read, written and
-//! declared names, bottom-up, so a loop header finds its carried variables
-//! without re-walking its body.  One environment, a table indexed by name
-//! number, serves the whole function with an undo log: an `if` branch or a
-//! loop sub-graph records the bindings it changes and unwinds them
+//! Which declaration each name occurrence names, what every loop carries and
+//! which reads no assignment reaches come from [`crate::resolve`], the one
+//! walk before lowering; the lowering looks up no name.  The cost is linear
+//! in the source plus the graphs built.  One environment, a table indexed by
+//! declaration, serves the whole function with an undo log: an `if` branch
+//! or a loop sub-graph records the bindings it changes and unwinds them
 //! afterwards instead of copying the environment.
 
-use crate::ast::{AstBinOp, Expr, Function, LValue, Stmt, TranslationUnit};
+use crate::ast::{AstBinOp, Expr, Function, LValue, NameId, Stmt, TranslationUnit};
 use crate::error::FrontendError;
 use crate::layout::MemoryLayout;
+use crate::resolve::{resolve, DeclId, Loop, Resolution};
 use crate::token::Span;
 use fpfa_cdfg::builder::Wire;
 use fpfa_cdfg::{BinOp, Cdfg, LoopSpec, NodeId, NodeKind};
-use std::collections::HashMap;
 
 /// Name of the statespace input/output of every lowered program.
 pub const STATE_NAME: &str = "mem";
@@ -64,21 +65,19 @@ pub fn lower(unit: &TranslationUnit<'_>) -> Result<Program, FrontendError> {
 /// # Errors
 /// See [`lower`].
 pub fn lower_function(function: &Function<'_>) -> Result<Program, FrontendError> {
-    let mut walk = Walk::default();
-    walk.stmts(&function.body);
-    let loops = walk.loop_usages();
+    let resolution = resolve(function);
+    let decls = resolution.decls().len();
     let mut scope = Scope {
-        env: vec![None; walk.names.len()],
-        first_base: vec![None; walk.names.len()],
-        names: walk.names,
-        ids: walk.ids,
+        resolution: &resolution,
+        env: vec![None; decls],
         log: Vec::new(),
+        bases: vec![0; decls],
+        parameters: vec![None; decls],
         layout: MemoryLayout::new(),
-        loops,
         next_loop: 0,
     };
     let mut ctx = Lowerer::new(function.name, &mut scope);
-    let (nodes, edges) = room(walk.size, 0);
+    let (nodes, edges) = room(resolution.size, 0);
     ctx.graph.reserve(nodes, edges);
     ctx.lower_block(&function.body)?;
     let mut cdfg = ctx.finish()?;
@@ -89,80 +88,62 @@ pub fn lower_function(function: &Function<'_>) -> Result<Program, FrontendError>
     })
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Symbol {
-    /// A scalar and the wire holding its value, once it has one.
-    Scalar { value: Option<Wire> },
-    /// An array and the base address its elements are read and written at.
-    Array { base: i64 },
-}
-
-/// What a name is bound to, and where.
+/// A scalar's binding in the graph being built.
 #[derive(Clone, Copy, Debug)]
 struct Binding {
-    symbol: Symbol,
-    /// The graph that bound the name: 0 for the function, one more per loop
-    /// sub-graph.  Arrays are visible in every deeper graph; scalars only in
-    /// their own, where they are loop carried or declared.
-    frame: u32,
-    /// A scalar's position in its graph's declaration order.
-    decl: u32,
+    /// The wire holding its value, once an assignment reaches it.
+    value: Option<Wire>,
+    /// Its position in its graph's declaration order.
+    order: u32,
 }
 
-/// What every graph of one function shares.  Names are numbered once, so
-/// the environment is a table indexed by name id.
-struct Scope<'s> {
-    /// Every name of the function body, by id, and the id of each.
-    names: Vec<&'s str>,
-    ids: HashMap<&'s str, u32>,
-    /// The innermost binding of every name, by id.
+/// What every graph of one function shares.
+struct Scope<'r> {
+    resolution: &'r Resolution<'r>,
+    /// The binding of every scalar in scope, by declaration.
     env: Vec<Option<Binding>>,
-    /// Undo log: each entry holds a name's binding (or its absence) before a
-    /// change.
-    log: Vec<(u32, Option<Binding>)>,
+    /// Undo log: each entry holds a scalar's binding (or its absence) before
+    /// a change.
+    log: Vec<(DeclId, Option<Binding>)>,
+    /// The base of every array, by declaration.
+    bases: Vec<i64>,
+    /// The graph input of every parameter, by declaration, once made.
+    parameters: Vec<Option<Wire>>,
     layout: MemoryLayout,
-    /// The base of the first array declared under each name, by id.  Every
-    /// later array of that name (one declared after a branch that declared
-    /// its own) is read and written there too.
-    first_base: Vec<Option<i64>>,
-    /// Every loop's usage, in the order the lowering meets the loops.
-    loops: Vec<LoopUsage>,
+    /// The next loop of the resolution the lowering meets.
     next_loop: usize,
 }
 
 impl Scope<'_> {
-    fn bind(&mut self, id: u32, binding: Binding) {
-        let before = self.env[id as usize].replace(binding);
-        self.log.push((id, before));
+    fn bind(&mut self, decl: DeclId, binding: Binding) {
+        let before = self.env[decl.index()].replace(binding);
+        self.log.push((decl, before));
     }
 
     /// Undoes every change logged since `mark`, newest first.
     fn unwind(&mut self, mark: usize) {
-        for (id, before) in self.log.drain(mark..).rev() {
-            self.env[id as usize] = before;
+        for (decl, before) in self.log.drain(mark..).rev() {
+            self.env[decl.index()] = before;
         }
     }
 }
 
 /// Builds one graph: the function's, or a loop's condition or body.
-struct Lowerer<'a, 's> {
+struct Lowerer<'a, 'r> {
     graph: Cdfg,
     state: Wire,
-    /// Nesting of this graph; see [`Binding::frame`].
-    frame: u32,
     /// Scalars of this graph in declaration order (loop-carried ones first).
-    scalar_order: Vec<u32>,
-    scope: &'a mut Scope<'s>,
+    scalar_order: Vec<DeclId>,
+    scope: &'a mut Scope<'r>,
 }
 
-impl<'a, 's> Lowerer<'a, 's> {
-    fn new(name: &str, scope: &'a mut Scope<'s>) -> Self {
+impl<'a, 'r> Lowerer<'a, 'r> {
+    fn new(name: &str, scope: &'a mut Scope<'r>) -> Self {
         let mut graph = Cdfg::new(name);
         let mem = graph.add_node(NodeKind::Input(STATE_NAME.to_string()));
         Lowerer {
             graph,
             state: Wire { node: mem, port: 0 },
-            frame: 0,
             scalar_order: Vec::new(),
             scope,
         }
@@ -171,9 +152,9 @@ impl<'a, 's> Lowerer<'a, 's> {
     /// Starts a loop's condition or body graph: one input per carried
     /// scalar, in order, so carried scalar `k` is node `k`, then the
     /// statespace's.  The caller unwinds the scope once the graph is built.
-    fn sub_graph(&mut self, part: &str, carried: &Carried) -> Lowerer<'_, 's> {
+    fn sub_graph(&mut self, part: &str, resolved: &Loop) -> Lowerer<'_, 'r> {
         let mut graph = Cdfg::new(format!("{}::{part}", self.graph.name()));
-        let (nodes, edges) = room(carried.size, carried.ids.len() + 1);
+        let (nodes, edges) = room(resolved.size, resolved.carried.len() + 1);
         graph.reserve(nodes, edges);
         let mut sub = Lowerer {
             graph,
@@ -181,27 +162,16 @@ impl<'a, 's> Lowerer<'a, 's> {
                 node: NodeId::from_index(0),
                 port: 0,
             },
-            frame: self.frame + 1,
-            scalar_order: Vec::with_capacity(carried.ids.len()),
+            scalar_order: Vec::with_capacity(resolved.carried.len()),
             scope: &mut *self.scope,
         };
-        for &id in &carried.ids {
-            let name = sub.scope.names[id as usize].to_string();
-            let input = sub.graph.add_node(NodeKind::Input(name));
-            sub.declare_scalar(
-                id,
-                Some(Wire {
-                    node: input,
-                    port: 0,
-                }),
-            );
+        let resolution = sub.scope.resolution;
+        for scalar in &resolved.carried {
+            let input = sub.input(resolution.decl(scalar.decl).name.to_string());
+            sub.declare_scalar(scalar.decl, Some(input));
         }
-        sub.state = if carried.state {
-            let input = sub.graph.add_node(NodeKind::Input(STATE_VAR.to_string()));
-            Wire {
-                node: input,
-                port: 0,
-            }
+        sub.state = if resolved.touches_state {
+            sub.input(STATE_VAR.to_string())
         } else {
             // A loop that does not touch the statespace gets a dummy
             // constant, which keeps the wire plumbing uniform and is pruned
@@ -211,48 +181,50 @@ impl<'a, 's> Lowerer<'a, 's> {
         sub
     }
 
-    /// The id of a name of the function body.
-    fn id(&self, name: &str) -> u32 {
-        self.scope.ids[name]
-    }
-
-    /// The binding name `id` has in this graph, if it is visible here.
-    fn lookup(&self, id: u32) -> Option<Binding> {
-        self.scope.env[id as usize].filter(|binding| {
-            matches!(binding.symbol, Symbol::Array { .. }) || binding.frame == self.frame
-        })
-    }
-
-    /// The value of the scalar `id`, if it is visible here and has one.
-    fn value(&self, id: u32) -> Option<Wire> {
-        match self.lookup(id)?.symbol {
-            Symbol::Scalar { value } => value,
-            Symbol::Array { .. } => None,
+    /// The value of the scalar `decl` here: its wire, or a parameter's input
+    /// where no assignment reaches it.
+    fn value(&mut self, decl: DeclId) -> Option<Wire> {
+        match self.scope.env[decl.index()].and_then(|binding| binding.value) {
+            None if self.scope.resolution.decl(decl).parameter => Some(self.parameter(decl)),
+            value => value,
         }
     }
 
-    fn declare_scalar(&mut self, id: u32, value: Option<Wire>) {
-        let decl = self.scalar_order.len() as u32;
-        self.scalar_order.push(id);
-        self.scope.bind(
-            id,
-            Binding {
-                symbol: Symbol::Scalar { value },
-                frame: self.frame,
-                decl,
-            },
-        );
+    /// The graph input of the parameter `decl`, made on first use.  Only the
+    /// function's graph has parameters: a loop carries them in.
+    fn parameter(&mut self, decl: DeclId) -> Wire {
+        if let Some(wire) = self.scope.parameters[decl.index()] {
+            return wire;
+        }
+        let wire = self.input(self.scope.resolution.decl(decl).name.to_string());
+        self.scope.parameters[decl.index()] = Some(wire);
+        wire
     }
 
-    /// Gives the scalar bound as `binding` a new value.
-    fn assign(&mut self, id: u32, binding: Binding, value: Option<Wire>) {
-        self.scope.bind(
-            id,
-            Binding {
-                symbol: Symbol::Scalar { value },
-                ..binding
-            },
-        );
+    /// The value of `decl` where no assignment reaches it: a parameter's
+    /// input, or [`FrontendError::UseBeforeAssignment`] inside a loop.
+    fn unassigned(&mut self, decl: DeclId, span: Span) -> Result<Wire, FrontendError> {
+        let scalar = self.scope.resolution.decl(decl);
+        if scalar.parameter {
+            Ok(self.parameter(decl))
+        } else {
+            Err(FrontendError::UseBeforeAssignment {
+                name: scalar.name.to_string(),
+                span,
+            })
+        }
+    }
+
+    fn declare_scalar(&mut self, decl: DeclId, value: Option<Wire>) {
+        let order = self.scalar_order.len() as u32;
+        self.scalar_order.push(decl);
+        self.scope.bind(decl, Binding { value, order });
+    }
+
+    /// Gives the scalar `decl`, which is in scope, a new value.
+    fn assign(&mut self, decl: DeclId, value: Option<Wire>) {
+        let binding = self.scope.env[decl.index()].expect("an assigned scalar is in scope");
+        self.scope.bind(decl, Binding { value, ..binding });
     }
 
     fn constant(&mut self, value: i64) -> Wire {
@@ -290,7 +262,7 @@ impl<'a, 's> Lowerer<'a, 's> {
     /// a stack of their own rather than by recursion: the recursion of a loop
     /// nest stays at a few small frames per level, which a 2 MiB thread
     /// holds 255 levels deep even in a debug build.
-    fn lower_block(&mut self, stmts: &[Stmt<'s>]) -> Result<(), FrontendError> {
+    fn lower_block(&mut self, stmts: &[Stmt<'_>]) -> Result<(), FrontendError> {
         let mut blocks = vec![stmts.iter()];
         while let Some(block) = blocks.last_mut() {
             match block.next() {
@@ -304,12 +276,22 @@ impl<'a, 's> Lowerer<'a, 's> {
         Ok(())
     }
 
-    fn lower_stmt(&mut self, stmt: &Stmt<'s>) -> Result<(), FrontendError> {
+    fn lower_stmt(&mut self, stmt: &Stmt<'_>) -> Result<(), FrontendError> {
         match stmt {
             Stmt::Empty { .. } => Ok(()),
             Stmt::Block { body, .. } => self.lower_block(body),
-            Stmt::DeclScalar { name, init, span } => self.declare(name, init.as_ref(), *span),
-            Stmt::DeclArray { name, len, span } => self.declare_array(name, *len, *span),
+            Stmt::DeclScalar {
+                name,
+                id,
+                init,
+                span,
+            } => self.declare(name, *id, init.as_ref(), *span),
+            Stmt::DeclArray {
+                name,
+                id,
+                len,
+                span,
+            } => self.declare_array(name, *id, *len, *span),
             Stmt::Assign { target, value, .. } => self.lower_assign(target, value),
             Stmt::If {
                 cond,
@@ -324,78 +306,52 @@ impl<'a, 's> Lowerer<'a, 's> {
     fn declare(
         &mut self,
         name: &str,
-        init: Option<&Expr<'s>>,
+        id: NameId,
+        init: Option<&Expr<'_>>,
         span: Span,
     ) -> Result<(), FrontendError> {
-        let id = self.id(name);
-        if self.lookup(id).is_some() {
-            return Err(FrontendError::DuplicateDeclaration {
-                name: name.to_string(),
-                span,
-            });
-        }
+        let decl = self.scope.resolution.bound(id, name, span)?.decl;
         let value = match init {
             Some(expr) => Some(self.lower_expr(expr)?),
             None => None,
         };
-        self.declare_scalar(id, value);
+        self.declare_scalar(decl, value);
         Ok(())
     }
 
-    fn declare_array(&mut self, name: &str, len: i64, span: Span) -> Result<(), FrontendError> {
-        let id = self.id(name);
-        if self.lookup(id).is_some() {
-            return Err(FrontendError::DuplicateDeclaration {
-                name: name.to_string(),
-                span,
-            });
-        }
+    fn declare_array(
+        &mut self,
+        name: &str,
+        id: NameId,
+        len: i64,
+        span: Span,
+    ) -> Result<(), FrontendError> {
+        let decl = self.scope.resolution.bound(id, name, span)?.decl;
         let Some(array) = self.scope.layout.allocate(name, len as usize) else {
             return Err(FrontendError::AddressSpaceExhausted {
                 name: name.to_string(),
                 span,
             });
         };
-        let base = *self.scope.first_base[id as usize].get_or_insert(array.base);
-        self.scope.bind(
-            id,
-            Binding {
-                symbol: Symbol::Array { base },
-                frame: self.frame,
-                decl: 0,
-            },
-        );
+        self.scope.bases[decl.index()] = array.base;
         Ok(())
     }
 
-    fn lower_assign(&mut self, target: &LValue<'s>, value: &Expr<'s>) -> Result<(), FrontendError> {
+    fn lower_assign(&mut self, target: &LValue<'_>, value: &Expr<'_>) -> Result<(), FrontendError> {
         let value_wire = self.lower_expr(value)?;
         match target {
-            LValue::Var { name, span } => {
-                let id = self.id(name);
-                match self.lookup(id) {
-                    Some(
-                        binding @ Binding {
-                            symbol: Symbol::Scalar { .. },
-                            ..
-                        },
-                    ) => {
-                        self.assign(id, binding, Some(value_wire));
-                        Ok(())
-                    }
-                    Some(_) => Err(FrontendError::KindMismatch {
-                        name: name.to_string(),
-                        expected: "a scalar",
-                        span: *span,
-                    }),
-                    None => Err(FrontendError::UndeclaredIdentifier {
-                        name: name.to_string(),
-                        span: *span,
-                    }),
-                }
+            LValue::Var { name, id, span } => {
+                let decl = self.scope.resolution.bound(*id, name, *span)?.decl;
+                self.assign(decl, Some(value_wire));
+                Ok(())
             }
-            LValue::Index { name, index, span } => {
-                let address = self.array_address(name, index, *span)?;
+            LValue::Index {
+                name,
+                id,
+                index,
+                span,
+            } => {
+                let address = self.array_address(name, *id, index, *span)?;
                 let st = self.graph.add_node(NodeKind::Store);
                 let state = self.state;
                 self.graph
@@ -415,9 +371,9 @@ impl<'a, 's> Lowerer<'a, 's> {
 
     fn lower_if(
         &mut self,
-        cond: &Expr<'s>,
-        then_branch: &[Stmt<'s>],
-        else_branch: &[Stmt<'s>],
+        cond: &Expr<'_>,
+        then_branch: &[Stmt<'_>],
+        else_branch: &[Stmt<'_>],
     ) -> Result<(), FrontendError> {
         let cond_wire = self.lower_expr(cond)?;
 
@@ -440,26 +396,31 @@ impl<'a, 's> Lowerer<'a, 's> {
         self.scope.unwind(mark);
         self.scalar_order.truncate(declared);
 
-        // Merge every changed scalar, in declaration order.
+        // Merge every changed scalar, in declaration order.  A branch that
+        // left a scalar alone keeps its value from before the `if`.
         let mut then_values = then_values.into_iter().peekable();
         let mut else_values = else_values.into_iter().peekable();
         loop {
-            let decl = match (then_values.peek(), else_values.peek()) {
+            let order = match (then_values.peek(), else_values.peek()) {
                 (None, None) => break,
-                (Some(t), None) => t.decl,
-                (None, Some(e)) => e.decl,
-                (Some(t), Some(e)) => t.decl.min(e.decl),
+                (Some(t), None) => t.order,
+                (None, Some(e)) => e.order,
+                (Some(t), Some(e)) => t.order.min(e.order),
             };
-            let then_change = then_values.next_if(|t| t.decl == decl);
-            let else_change = else_values.next_if(|e| e.decl == decl);
-            let id = then_change
+            let then_change = then_values.next_if(|t| t.order == order);
+            let else_change = else_values.next_if(|e| e.order == order);
+            let decl = then_change
                 .or(else_change)
                 .expect("one branch changed it")
-                .id;
-            let binding = self.lookup(id).expect("a changed scalar is in scope");
-            let before = self.value(id);
-            let then_value = then_change.map_or(before, |t| t.value);
-            let else_value = else_change.map_or(before, |e| e.value);
+                .decl;
+            let then_value = match then_change {
+                Some(t) => t.value,
+                None => self.value(decl),
+            };
+            let else_value = match else_change {
+                Some(e) => e.value,
+                None => self.value(decl),
+            };
             let merged = match (then_value, else_value) {
                 (Some(t), Some(e)) if t != e => Some(self.mux(cond_wire, t, e)),
                 (t, e) => {
@@ -476,7 +437,7 @@ impl<'a, 's> Lowerer<'a, 's> {
                     }
                 }
             };
-            self.assign(id, binding, merged);
+            self.assign(decl, merged);
         }
         self.state = if then_state != else_state {
             self.mux(cond_wire, then_state, else_state)
@@ -491,20 +452,17 @@ impl<'a, 's> Lowerer<'a, 's> {
     fn branch_values(&self, mark: usize, declared: usize) -> Vec<BranchValue> {
         let mut changed: Vec<BranchValue> = self.scope.log[mark..]
             .iter()
-            .filter_map(|&(id, before)| {
+            .filter_map(|&(decl, before)| {
                 let before = before?;
-                let outer = matches!(before.symbol, Symbol::Scalar { .. })
-                    && before.frame == self.frame
-                    && (before.decl as usize) < declared;
-                outer.then(|| BranchValue {
-                    decl: before.decl,
-                    id,
-                    value: self.value(id),
+                ((before.order as usize) < declared).then(|| BranchValue {
+                    order: before.order,
+                    decl,
+                    value: self.scope.env[decl.index()].and_then(|binding| binding.value),
                 })
             })
             .collect();
-        changed.sort_unstable_by_key(|change| change.decl);
-        changed.dedup_by_key(|change| change.decl);
+        changed.sort_unstable_by_key(|change| change.order);
+        changed.dedup_by_key(|change| change.order);
         changed
     }
 
@@ -513,40 +471,23 @@ impl<'a, 's> Lowerer<'a, 's> {
     /// recurses into inner loops) are small.
     fn lower_while(
         &mut self,
-        cond: &Expr<'s>,
-        body: &[Stmt<'s>],
+        cond: &Expr<'_>,
+        body: &[Stmt<'_>],
         span: Span,
     ) -> Result<(), FrontendError> {
-        let carried = self.carried(span)?;
-        let cond = self.loop_cond(cond, &carried)?;
-        let body = self.loop_body(body, &carried)?;
-        self.close_loop(carried, cond, body, span)
+        let resolved = self.next_loop(span)?;
+        let cond = self.loop_cond(cond, resolved)?;
+        let body = self.loop_body(body, resolved)?;
+        self.close_loop(resolved, cond, body, span)
     }
 
-    /// The loop-carried variables of the next loop: every scalar of this
-    /// graph that its condition or body reads or writes, in name order,
-    /// plus the statespace when arrays are touched.  A name the loop
-    /// declares is not carried, and a truly undeclared one is reported by
-    /// the nested lowering with a precise span.
-    fn carried(&mut self, span: Span) -> Result<Carried, FrontendError> {
-        let usage = std::mem::take(&mut self.scope.loops[self.scope.next_loop]);
+    /// The next loop's resolution: the scalars of this graph that it
+    /// carries, in name order, and whether it carries the statespace too.
+    fn next_loop(&mut self, span: Span) -> Result<&'r Loop, FrontendError> {
+        let resolution = self.scope.resolution;
+        let resolved = &resolution.loops()[self.scope.next_loop];
         self.scope.next_loop += 1;
-        let (ids, written): (Vec<u32>, Vec<bool>) = usage
-            .names
-            .iter()
-            .filter(|&&(id, _)| {
-                matches!(
-                    self.lookup(id),
-                    Some(Binding {
-                        symbol: Symbol::Scalar { .. },
-                        ..
-                    })
-                )
-            })
-            .copied()
-            .unzip();
-        let state = usage.touches_state;
-        if ids.is_empty() && !state {
+        if resolved.carried.is_empty() && !resolved.touches_state {
             // A loop that neither reads nor writes anything observable: the
             // condition is either always false (dead code) or the loop never
             // terminates. Reject it as unsupported rather than silently
@@ -556,18 +497,13 @@ impl<'a, 's> Lowerer<'a, 's> {
                 span,
             });
         }
-        Ok(Carried {
-            ids,
-            written,
-            state,
-            size: usage.size,
-        })
+        Ok(resolved)
     }
 
     /// Builds a loop's condition sub-graph.
-    fn loop_cond(&mut self, cond: &Expr<'s>, carried: &Carried) -> Result<Cdfg, FrontendError> {
+    fn loop_cond(&mut self, cond: &Expr<'_>, resolved: &Loop) -> Result<Cdfg, FrontendError> {
         let mark = self.scope.log.len();
-        let mut sub = self.sub_graph("cond", carried);
+        let mut sub = self.sub_graph("cond", resolved);
         let wire = sub.lower_expr(cond)?;
         sub.output(LoopSpec::COND_OUTPUT.to_string(), wire);
         sub.prune_dead_interface();
@@ -579,20 +515,20 @@ impl<'a, 's> Lowerer<'a, 's> {
 
     /// Builds a loop's body sub-graph, with one output per carried variable
     /// holding its value at the end of an iteration.
-    fn loop_body(&mut self, body: &[Stmt<'s>], carried: &Carried) -> Result<Cdfg, FrontendError> {
+    fn loop_body(&mut self, body: &[Stmt<'_>], resolved: &Loop) -> Result<Cdfg, FrontendError> {
         let mark = self.scope.log.len();
-        let mut sub = self.sub_graph("body", carried);
+        let mut sub = self.sub_graph("body", resolved);
         sub.lower_block(body)?;
-        for (port, &id) in carried.ids.iter().enumerate() {
+        let resolution = sub.scope.resolution;
+        for scalar in &resolved.carried {
             // A scalar the body never assigned passes its input through.
-            let wire = sub.value(id).unwrap_or(Wire {
-                node: NodeId::from_index(port),
-                port: 0,
-            });
-            let name = sub.scope.names[id as usize].to_string();
+            let wire = sub.scope.env[scalar.decl.index()]
+                .and_then(|binding| binding.value)
+                .expect("a carried scalar holds a value in the body");
+            let name = resolution.decl(scalar.decl).name.to_string();
             sub.output(name, wire);
         }
-        if carried.state {
+        if resolved.touches_state {
             let wire = sub.state;
             sub.output(STATE_VAR.to_string(), wire);
         }
@@ -606,37 +542,37 @@ impl<'a, 's> Lowerer<'a, 's> {
     /// Adds the loop node with its initial values, and binds its outputs.
     fn close_loop(
         &mut self,
-        carried: Carried,
+        resolved: &Loop,
         cond: Cdfg,
         body: Cdfg,
         span: Span,
     ) -> Result<(), FrontendError> {
-        let mut initial = Vec::with_capacity(carried.ids.len() + 1);
-        for (&id, &writes) in carried.ids.iter().zip(&carried.written) {
-            let wire = match self.value(id) {
-                // An outer value exists: use it.
-                Some(w) => w,
-                // No outer value. A variable that is (re)assigned inside the
-                // loop gets a don't-care initial value of 0; a variable that
-                // is only *read* by the loop is a genuine kernel input.
-                None if writes => self.constant(0),
-                None => {
-                    let name = self.scope.names[id as usize];
-                    self.read_scalar(name, span)?
-                }
+        let resolution = self.scope.resolution;
+        let mut initial = Vec::with_capacity(resolved.carried.len() + 1);
+        for scalar in &resolved.carried {
+            let wire = if scalar.assigned {
+                self.value(scalar.decl)
+                    .expect("an assignment reaches the loop")
+            } else if scalar.written && !resolution.decl(scalar.decl).parameter {
+                // No value yet, and the loop assigns one: the first
+                // iteration starts from a don't-care 0.
+                self.constant(0)
+            } else {
+                // A scalar the loop only reads is a kernel input.
+                self.unassigned(scalar.decl, span)?
             };
             initial.push(wire);
         }
-        if carried.state {
+        if resolved.touches_state {
             initial.push(self.state);
         }
 
-        let mut vars: Vec<String> = carried
-            .ids
+        let mut vars: Vec<String> = resolved
+            .carried
             .iter()
-            .map(|&id| self.scope.names[id as usize].to_string())
+            .map(|scalar| resolution.decl(scalar.decl).name.to_string())
             .collect();
-        if carried.state {
+        if resolved.touches_state {
             vars.push(STATE_VAR.to_string());
         }
         let spec = LoopSpec { vars, cond, body };
@@ -648,24 +584,28 @@ impl<'a, 's> Lowerer<'a, 's> {
         }
 
         // Bind the loop outputs back into the environment.
-        for (port, &id) in carried.ids.iter().enumerate() {
-            let binding = self.lookup(id).expect("carried variables are in scope");
+        for (port, scalar) in resolved.carried.iter().enumerate() {
             self.assign(
-                id,
-                binding,
+                scalar.decl,
                 Some(Wire {
                     node: loop_node,
                     port,
                 }),
             );
         }
-        if carried.state {
+        if resolved.touches_state {
             self.state = Wire {
                 node: loop_node,
-                port: carried.ids.len(),
+                port: resolved.carried.len(),
             };
         }
         Ok(())
+    }
+
+    /// Adds an input named `name`.
+    fn input(&mut self, name: String) -> Wire {
+        let node = self.graph.add_node(NodeKind::Input(name));
+        Wire { node, port: 0 }
     }
 
     /// Adds an output named `name` driven by `wire`.
@@ -696,12 +636,17 @@ impl<'a, 's> Lowerer<'a, 's> {
     // Expressions
     // ------------------------------------------------------------------
 
-    fn lower_expr(&mut self, expr: &Expr<'s>) -> Result<Wire, FrontendError> {
+    fn lower_expr(&mut self, expr: &Expr<'_>) -> Result<Wire, FrontendError> {
         match expr {
             Expr::Literal { value, .. } => Ok(self.constant(*value)),
-            Expr::Var { name, span } => self.read_scalar(name, *span),
-            Expr::Index { name, index, span } => {
-                let address = self.array_address(name, index, *span)?;
+            Expr::Var { name, id, span } => self.read_scalar(name, *id, *span),
+            Expr::Index {
+                name,
+                id,
+                index,
+                span,
+            } => {
+                let address = self.array_address(name, *id, index, *span)?;
                 let fe = self.graph.add_node(NodeKind::Fetch);
                 let state = self.state;
                 self.graph
@@ -746,73 +691,25 @@ impl<'a, 's> Lowerer<'a, 's> {
         self.binop(BinOp::Ne, w, zero)
     }
 
-    fn read_scalar(&mut self, name: &str, span: Span) -> Result<Wire, FrontendError> {
-        let id = self.id(name);
-        match self.lookup(id) {
-            Some(Binding {
-                symbol: Symbol::Scalar { value: Some(w) },
-                ..
-            }) => Ok(w),
-            Some(
-                binding @ Binding {
-                    symbol: Symbol::Scalar { value: None },
-                    ..
-                },
-            ) => {
-                // Declared but never assigned: the scalar becomes a kernel
-                // input (unless we are inside a loop sub-graph, where every
-                // readable scalar is already an input).
-                if self.frame > 0 {
-                    return Err(FrontendError::UseBeforeAssignment {
-                        name: name.to_string(),
-                        span,
-                    });
-                }
-                let input = self.graph.add_node(NodeKind::Input(name.to_string()));
-                let wire = Wire {
-                    node: input,
-                    port: 0,
-                };
-                self.assign(id, binding, Some(wire));
-                Ok(wire)
-            }
-            Some(_) => Err(FrontendError::KindMismatch {
-                name: name.to_string(),
-                expected: "a scalar",
-                span,
-            }),
-            None => Err(FrontendError::UndeclaredIdentifier {
-                name: name.to_string(),
-                span,
-            }),
+    fn read_scalar(&mut self, name: &str, id: NameId, span: Span) -> Result<Wire, FrontendError> {
+        let bound = self.scope.resolution.bound(id, name, span)?;
+        if bound.unassigned {
+            return self.unassigned(bound.decl, span);
         }
+        Ok(self
+            .value(bound.decl)
+            .expect("an assignment reaches the read"))
     }
 
     fn array_address(
         &mut self,
         name: &str,
-        index: &Expr<'s>,
+        id: NameId,
+        index: &Expr<'_>,
         span: Span,
     ) -> Result<Wire, FrontendError> {
-        let base = match self.lookup(self.id(name)) {
-            Some(Binding {
-                symbol: Symbol::Array { base },
-                ..
-            }) => base,
-            Some(_) => {
-                return Err(FrontendError::KindMismatch {
-                    name: name.to_string(),
-                    expected: "an array",
-                    span,
-                })
-            }
-            None => {
-                return Err(FrontendError::UndeclaredIdentifier {
-                    name: name.to_string(),
-                    span,
-                })
-            }
-        };
+        let decl = self.scope.resolution.bound(id, name, span)?.decl;
+        let base = self.scope.bases[decl.index()];
         let index_wire = self.lower_expr(index)?;
         if base == 0 {
             return Ok(index_wire);
@@ -828,88 +725,26 @@ impl<'a, 's> Lowerer<'a, 's> {
     fn finish(mut self) -> Result<Cdfg, FrontendError> {
         // Emit outputs for every declared scalar holding a value, in
         // declaration order, then the final statespace.
+        let resolution = self.scope.resolution;
         for i in 0..self.scalar_order.len() {
-            let id = self.scalar_order[i];
-            if let Some(w) = self.value(id) {
-                let name = self.scope.names[id as usize].to_string();
-                let out = self.graph.add_node(NodeKind::Output(name));
-                self.graph.connect(w.node, w.port, out, 0)?;
+            let decl = self.scalar_order[i];
+            if let Some(wire) = self.value(decl) {
+                self.output(resolution.decl(decl).name.to_string(), wire);
             }
         }
-        let out = self
-            .graph
-            .add_node(NodeKind::Output(STATE_NAME.to_string()));
         let state = self.state;
-        self.graph.connect(state.node, state.port, out, 0)?;
+        self.output(STATE_NAME.to_string(), state);
         fpfa_cdfg::validate::validate(&self.graph)?;
         Ok(self.graph)
     }
 }
 
-/// The variables a loop carries.
-struct Carried {
-    /// The carried scalars, in name order: the loop node's first ports.
-    ids: Vec<u32>,
-    /// Whether the loop writes each carried scalar.
-    written: Vec<bool>,
-    /// Whether the statespace is carried too, on the last port.
-    state: bool,
-    /// Expressions and statements of the condition and body, outside the
-    /// loops inside.
-    size: usize,
-}
-
 /// A scalar's value at the end of an `if` branch that changed it.
 #[derive(Clone, Copy)]
 struct BranchValue {
-    decl: u32,
-    id: u32,
+    order: u32,
+    decl: DeclId,
     value: Option<Wire>,
-}
-
-// ----------------------------------------------------------------------
-// Name numbering and loop usage (for loop-carried variable discovery)
-// ----------------------------------------------------------------------
-
-/// What one loop's condition and body use, nested loops included.
-#[derive(Default)]
-struct LoopUsage {
-    /// Ids of the names read or written but not declared inside the loop,
-    /// in name order, each with whether the loop writes it.
-    names: Vec<(u32, bool)>,
-    touches_state: bool,
-    /// Expressions and statements of the condition and body, outside the
-    /// loops inside.
-    size: usize,
-}
-
-/// What a loop's statements use, as sorted, deduplicated name ids.
-#[derive(Default)]
-struct RawUsage {
-    /// Names read or written.
-    used: Vec<u32>,
-    writes: Vec<u32>,
-    /// Names declared; these are not loop carried.
-    locals: Vec<u32>,
-    touches_state: bool,
-    /// Expressions and statements of the condition and body, outside the
-    /// loops inside.
-    size: usize,
-}
-
-/// One walk over a function body: numbers every name and works out every
-/// loop's usage, bottom-up, so no loop body is walked twice.
-#[derive(Default)]
-struct Walk<'s> {
-    /// Every name of the body, by id, and the id of each.
-    names: Vec<&'s str>,
-    ids: HashMap<&'s str, u32>,
-    /// Every loop's usage, in source pre-order.
-    loops: Vec<RawUsage>,
-    /// The loops being walked, innermost last, as indices into `loops`.
-    open: Vec<usize>,
-    /// The expressions and statements met outside every loop.
-    size: usize,
 }
 
 /// Room to reserve for a graph lowered from `size` expressions and
@@ -917,178 +752,6 @@ struct Walk<'s> {
 /// one or two edges each, doubled (the builder gives back the rest).
 fn room(size: usize, interface: usize) -> (usize, usize) {
     (2 * (size + interface), 2 * size + interface)
-}
-
-impl<'s> Walk<'s> {
-    /// Every loop's usage, in the order the lowering meets the loops
-    /// (source pre-order), each loop's names in name order.
-    fn loop_usages(&mut self) -> Vec<LoopUsage> {
-        let names = &self.names;
-        let mut by_name: Vec<u32> = (0..names.len() as u32).collect();
-        by_name.sort_unstable_by_key(|&id| names[id as usize]);
-        let mut rank = vec![0u32; names.len()];
-        for (position, &id) in by_name.iter().enumerate() {
-            rank[id as usize] = position as u32;
-        }
-        const LOCAL: u8 = 1;
-        const WRITTEN: u8 = 2;
-        let mut marks = vec![0u8; names.len()];
-        std::mem::take(&mut self.loops)
-            .into_iter()
-            .map(|usage| {
-                for &id in &usage.locals {
-                    marks[id as usize] |= LOCAL;
-                }
-                for &id in &usage.writes {
-                    marks[id as usize] |= WRITTEN;
-                }
-                let mut carried: Vec<(u32, bool)> = usage
-                    .used
-                    .iter()
-                    .filter(|&&id| marks[id as usize] & LOCAL == 0)
-                    .map(|&id| (id, marks[id as usize] & WRITTEN != 0))
-                    .collect();
-                for &id in usage.locals.iter().chain(&usage.writes) {
-                    marks[id as usize] = 0;
-                }
-                carried.sort_unstable_by_key(|&(id, _)| rank[id as usize]);
-                LoopUsage {
-                    names: carried,
-                    touches_state: usage.touches_state,
-                    size: usage.size,
-                }
-            })
-            .collect()
-    }
-
-    fn intern(&mut self, name: &'s str) -> u32 {
-        let next = self.names.len() as u32;
-        let id = *self.ids.entry(name).or_insert(next);
-        if id == next {
-            self.names.push(name);
-        }
-        id
-    }
-
-    /// Counts one expression or statement of the graph being walked.
-    fn grow(&mut self) {
-        match self.usage() {
-            Some(usage) => usage.size += 1,
-            None => self.size += 1,
-        }
-    }
-
-    /// The usage of the innermost loop being walked, if any.
-    fn usage(&mut self) -> Option<&mut RawUsage> {
-        let at = *self.open.last()?;
-        Some(&mut self.loops[at])
-    }
-
-    fn read(&mut self, name: &'s str) {
-        let id = self.intern(name);
-        if let Some(usage) = self.usage() {
-            usage.used.push(id);
-        }
-    }
-
-    fn write(&mut self, name: &'s str) {
-        let id = self.intern(name);
-        if let Some(usage) = self.usage() {
-            usage.used.push(id);
-            usage.writes.push(id);
-        }
-    }
-
-    fn declare(&mut self, name: &'s str) {
-        let id = self.intern(name);
-        if let Some(usage) = self.usage() {
-            usage.locals.push(id);
-        }
-    }
-
-    /// Notes an array access.
-    fn array(&mut self, name: &'s str) {
-        self.intern(name);
-        if let Some(usage) = self.usage() {
-            usage.touches_state = true;
-        }
-    }
-
-    fn expr(&mut self, expr: &Expr<'s>) {
-        self.grow();
-        match expr {
-            Expr::Literal { .. } => {}
-            Expr::Var { name, .. } => self.read(name),
-            Expr::Index { name, index, .. } => {
-                self.array(name);
-                self.expr(index);
-            }
-            Expr::Unary { operand, .. } => self.expr(operand),
-            Expr::Binary { lhs, rhs, .. } => {
-                self.expr(lhs);
-                self.expr(rhs);
-            }
-        }
-    }
-
-    fn stmts(&mut self, stmts: &[Stmt<'s>]) {
-        for stmt in stmts {
-            self.grow();
-            match stmt {
-                Stmt::Empty { .. } => {}
-                Stmt::Block { body, .. } => self.stmts(body),
-                Stmt::DeclScalar { name, init, .. } => {
-                    if let Some(init) = init {
-                        self.expr(init);
-                    }
-                    self.declare(name);
-                }
-                Stmt::DeclArray { name, .. } => self.declare(name),
-                Stmt::Assign { target, value, .. } => {
-                    self.expr(value);
-                    match target {
-                        LValue::Var { name, .. } => self.write(name),
-                        LValue::Index { name, index, .. } => {
-                            self.array(name);
-                            self.expr(index);
-                        }
-                    }
-                }
-                Stmt::If {
-                    cond,
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    self.expr(cond);
-                    self.stmts(then_branch);
-                    self.stmts(else_branch);
-                }
-                Stmt::While { cond, body, .. } => {
-                    let at = self.loops.len();
-                    self.loops.push(RawUsage::default());
-                    self.open.push(at);
-                    self.expr(cond);
-                    self.stmts(body);
-                    self.open.pop();
-                    let usage = &mut self.loops[at];
-                    for ids in [&mut usage.used, &mut usage.writes, &mut usage.locals] {
-                        ids.sort_unstable();
-                        ids.dedup();
-                    }
-                    // The enclosing loop uses whatever this one does.
-                    if let Some(&outer) = self.open.last() {
-                        let (before, after) = self.loops.split_at_mut(at);
-                        let (inner, outer) = (&after[0], &mut before[outer]);
-                        outer.used.extend_from_slice(&inner.used);
-                        outer.writes.extend_from_slice(&inner.writes);
-                        outer.locals.extend_from_slice(&inner.locals);
-                        outer.touches_state |= inner.touches_state;
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! statement bodies, parentheses, index brackets and unary and binary
 //! operators each open a level (a flat sum's left-deep tree, one per `+`).
 
-use crate::ast::{AstBinOp, Expr, Function, LValue, Stmt, TranslationUnit};
+use crate::ast::{AstBinOp, Expr, Function, LValue, NameId, Stmt, TranslationUnit};
 use crate::error::FrontendError;
 use crate::token::{Span, Token, TokenKind};
 use fpfa_cdfg::{BinOp, UnOp};
@@ -25,6 +25,7 @@ pub fn parse<'s>(tokens: &[Token<'s>]) -> Result<TranslationUnit<'s>, FrontendEr
         tokens,
         pos: 0,
         depth: 0,
+        occurrences: 0,
     }
     .translation_unit()
 }
@@ -34,6 +35,8 @@ struct Parser<'t, 's> {
     pos: usize,
     /// Nesting levels open at the current token.
     depth: usize,
+    /// Name occurrences met so far in the current function.
+    occurrences: u32,
 }
 
 impl<'s> Parser<'_, 's> {
@@ -93,6 +96,13 @@ impl<'s> Parser<'_, 's> {
         Ok(())
     }
 
+    /// The id of the next name occurrence of the current function.
+    fn occurrence(&mut self) -> NameId {
+        let id = NameId(self.occurrences);
+        self.occurrences += 1;
+        id
+    }
+
     fn ident(&mut self, what: &str) -> Result<(&'s str, Span), FrontendError> {
         let span = self.span();
         match self.peek_kind() {
@@ -132,8 +142,14 @@ impl<'s> Parser<'_, 's> {
             });
         }
         self.expect(TokenKind::RParen, "`)`")?;
+        self.occurrences = 0;
         let body = self.block()?;
-        Ok(Function { name, body, span })
+        Ok(Function {
+            name,
+            body,
+            occurrences: self.occurrences as usize,
+            span,
+        })
     }
 
     fn block(&mut self) -> Result<Vec<Stmt<'s>>, FrontendError> {
@@ -176,7 +192,8 @@ impl<'s> Parser<'_, 's> {
     fn declaration(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
         self.expect(TokenKind::KwInt, "`int`")?;
-        let (name, name_span) = self.ident("variable name")?;
+        let (name, _) = self.ident("variable name")?;
+        let id = self.occurrence();
         if self.eat(TokenKind::LBracket) {
             let len_span = self.span();
             let len = match self.peek_kind() {
@@ -199,7 +216,12 @@ impl<'s> Parser<'_, 's> {
             }
             self.expect(TokenKind::RBracket, "`]`")?;
             self.expect(TokenKind::Semicolon, "`;`")?;
-            Ok(Stmt::DeclArray { name, len, span })
+            Ok(Stmt::DeclArray {
+                name,
+                id,
+                len,
+                span,
+            })
         } else {
             let init = if self.eat(TokenKind::Assign) {
                 Some(self.expression()?)
@@ -207,36 +229,19 @@ impl<'s> Parser<'_, 's> {
                 None
             };
             self.expect(TokenKind::Semicolon, "`;`")?;
-            let _ = name_span;
-            Ok(Stmt::DeclScalar { name, init, span })
+            Ok(Stmt::DeclScalar {
+                name,
+                id,
+                init,
+                span,
+            })
         }
     }
 
     fn assignment(&mut self) -> Result<Stmt<'s>, FrontendError> {
-        let span = self.span();
-        let (name, name_span) = self.ident("assignment target")?;
-        let target = if self.eat(TokenKind::LBracket) {
-            let index = self.expression()?;
-            self.expect(TokenKind::RBracket, "`]`")?;
-            LValue::Index {
-                name,
-                index,
-                span: name_span,
-            }
-        } else {
-            LValue::Var {
-                name,
-                span: name_span,
-            }
-        };
-        self.expect(TokenKind::Assign, "`=`")?;
-        let value = self.expression()?;
+        let stmt = self.assignment_clause()?;
         self.expect(TokenKind::Semicolon, "`;`")?;
-        Ok(Stmt::Assign {
-            target,
-            value,
-            span,
-        })
+        Ok(stmt)
     }
 
     fn if_statement(&mut self) -> Result<Stmt<'s>, FrontendError> {
@@ -299,7 +304,7 @@ impl<'s> Parser<'_, 's> {
         let step = if self.peek_kind() == TokenKind::RParen {
             None
         } else {
-            Some(self.for_step()?)
+            Some(self.assignment_clause()?)
         };
         self.expect(TokenKind::RParen, "`)`")?;
         let mut body = self.block_or_single()?;
@@ -316,22 +321,25 @@ impl<'s> Parser<'_, 's> {
         })
     }
 
-    /// Parses the step clause of a `for` loop: an assignment without the
-    /// trailing semicolon.
-    fn for_step(&mut self) -> Result<Stmt<'s>, FrontendError> {
+    /// An assignment without its semicolon: the body of an assignment
+    /// statement, or the step clause of a `for` loop.
+    fn assignment_clause(&mut self) -> Result<Stmt<'s>, FrontendError> {
         let span = self.span();
         let (name, name_span) = self.ident("assignment target")?;
+        let id = self.occurrence();
         let target = if self.eat(TokenKind::LBracket) {
             let index = self.expression()?;
             self.expect(TokenKind::RBracket, "`]`")?;
             LValue::Index {
                 name,
+                id,
                 index,
                 span: name_span,
             }
         } else {
             LValue::Var {
                 name,
+                id,
                 span: name_span,
             }
         };
@@ -425,6 +433,7 @@ impl<'s> Parser<'_, 's> {
             }
             TokenKind::Ident(name) => {
                 self.bump();
+                let id = self.occurrence();
                 if self.peek_kind() == TokenKind::LBracket {
                     self.descend()?;
                     self.bump();
@@ -433,6 +442,7 @@ impl<'s> Parser<'_, 's> {
                     self.depth -= 1;
                     Ok(Expr::Index {
                         name,
+                        id,
                         index: Box::new(index),
                         span,
                     })
@@ -444,7 +454,7 @@ impl<'s> Parser<'_, 's> {
                         span,
                     })
                 } else {
-                    Ok(Expr::Var { name, span })
+                    Ok(Expr::Var { name, id, span })
                 }
             }
             _ => Err(self.unexpected("an expression")),

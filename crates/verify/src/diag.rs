@@ -292,12 +292,12 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "FS001",
         severity: Severity::Warn,
-        summary: "scalar variable is never read",
+        summary: "scalar declaration is never read",
     },
     RuleInfo {
         id: "FS002",
         severity: Severity::Warn,
-        summary: "array is never accessed",
+        summary: "array declaration is never accessed",
     },
     RuleInfo {
         id: "FS003",

@@ -12,6 +12,10 @@
 //!   before lowering, with span-carrying `FS0xx` diagnostics (use before
 //!   assignment, unused variables, out-of-bounds constant indices, ...).
 //!
+//! Beside them, [`interp`] runs kernel sources directly, with its own
+//! environment stack: a reference for the frontend that uses none of its
+//! scoping or lowering code.
+//!
 //! Both report through [`Diagnostic`]/[`VerifyReport`], render as
 //! `rustc`-style text or `--diag-json` machine output, and distinguish
 //! deny-level errors (fail the run) from warn-level lints.
@@ -24,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod diag;
+pub mod interp;
 pub mod mapping;
 pub mod mutate;
 pub mod semantic;

@@ -1,28 +1,33 @@
 //! Frontend semantic analysis: span-carrying lint diagnostics over the AST.
 //!
 //! [`analyze`] runs *before* lowering and reports the `FS0xx` rules of
-//! [`crate::diag::RULES`]:
+//! [`crate::diag::RULES`].  Which declaration each name occurrence names,
+//! and which reads no assignment reaches, it takes from
+//! [`fpfa_frontend::resolve`], the resolution the lowering reads, so the
+//! lints and the lowering see one scope model:
 //!
-//! * **FS003** (deny) mirrors the lowering's use-before-assignment rule: a
-//!   scalar declared inside a loop construct and read before it was assigned
-//!   fails to lower, and this pass points at the exact source position. At
-//!   the top level an unassigned read legally becomes an implicit kernel
-//!   parameter, so no diagnostic fires there.
+//! * **FS003** (deny) reports the unassigned reads inside loops: a scalar
+//!   declared in a loop and read where no assignment reaches it, or a loop
+//!   that starts by reading such a scalar of the loop around it.  The
+//!   lowering rejects exactly these with `UseBeforeAssignment`, at the same
+//!   span.  In the function body an unassigned read makes the scalar a
+//!   kernel parameter, so no diagnostic fires there.
 //! * **FS006** (deny) flags constant array indices outside the declared
 //!   bounds — the lowering happily emits the out-of-bounds statespace access,
 //!   so this is the only line of defence before a silently corrupted
 //!   mapping.
-//! * **FS001/FS002/FS004/FS005** (warn) are lints: unused scalars and
-//!   arrays, loop bounds that are not compile-time constants (the flow can
-//!   only unroll constant-trip-count loops) and constant arithmetic that
-//!   wraps the 64-bit machine word.
+//! * **FS001/FS002/FS004/FS005** (warn) are lints: scalar declarations no
+//!   read names and array declarations no access names (each declaration on
+//!   its own, after the walk), loop bounds that are not compile-time
+//!   constants (the flow can only unroll constant-trip-count loops) and
+//!   constant arithmetic that wraps the 64-bit machine word.
 
 use crate::diag::{Diagnostic, VerifyReport};
 use fpfa_cdfg::BinOp;
-use fpfa_frontend::ast::{AstBinOp, Expr, LValue, Stmt, TranslationUnit};
+use fpfa_frontend::ast::{AstBinOp, Expr, LValue, NameId, Stmt, TranslationUnit};
+use fpfa_frontend::resolve::{resolve, Resolution};
 use fpfa_frontend::token::Span;
 use fpfa_frontend::{lexer, parser, FrontendError};
-use std::collections::{BTreeSet, HashMap};
 
 /// Lints a C-subset source string.
 ///
@@ -40,182 +45,183 @@ pub fn analyze(source: &str) -> Result<VerifyReport, FrontendError> {
 pub fn analyze_unit(unit: &TranslationUnit<'_>) -> VerifyReport {
     let mut report = VerifyReport::new();
     for function in &unit.functions {
-        let mut env = Env::default();
-        analyze_stmts(&function.body, &mut env, false, &mut report);
-        env.finish(&mut report);
+        let resolution = resolve(function);
+        let mut lints = Lints {
+            resolution: &resolution,
+            used: vec![false; resolution.decls().len()],
+            next_loop: 0,
+            report: &mut report,
+        };
+        lints.stmts(&function.body);
+        let used = lints.used;
+        for (decl, used) in resolution.decls().iter().zip(used) {
+            if used {
+                continue;
+            }
+            let name = decl.name;
+            let diagnostic = match decl.len {
+                None => Diagnostic::warn("FS001", format!("scalar '{name}' is never read")),
+                Some(_) => Diagnostic::warn("FS002", format!("array '{name}' is never accessed")),
+            };
+            report.push(diagnostic.with_span(decl.span));
+        }
     }
     report
 }
 
-/// What the analyzer knows about one declared name.
-#[derive(Clone, Debug)]
-enum Var {
-    Scalar {
-        span: Span,
-        assigned: bool,
-        read: bool,
-    },
-    Array {
-        span: Span,
-        len: i64,
-        accessed: bool,
-    },
+/// One walk over a function body, in source order.
+struct Lints<'a, 's> {
+    resolution: &'a Resolution<'s>,
+    /// Whether a read names each scalar declaration, or an access each array
+    /// declaration.
+    used: Vec<bool>,
+    /// The next loop of the resolution the walk meets.
+    next_loop: usize,
+    report: &'a mut VerifyReport,
 }
 
-/// The per-scope environment: declaration state of every visible name.
-#[derive(Clone, Default, Debug)]
-struct Env {
-    vars: HashMap<String, Var>,
-    /// Declaration order, so unused-variable lints come out deterministic.
-    order: Vec<String>,
-}
-
-impl Env {
-    fn declare(&mut self, name: &str, var: Var) {
-        if self.vars.insert(name.to_string(), var).is_none() {
-            self.order.push(name.to_string());
-        }
-    }
-
-    /// Emits the unused-name lints for everything declared in this scope.
-    fn finish(&self, report: &mut VerifyReport) {
-        for name in &self.order {
-            match &self.vars[name] {
-                Var::Scalar {
-                    span, read: false, ..
-                } => report.push(
-                    Diagnostic::warn("FS001", format!("scalar '{name}' is never read"))
-                        .with_span(*span),
-                ),
-                Var::Array {
-                    span,
-                    accessed: false,
-                    ..
-                } => report.push(
-                    Diagnostic::warn("FS002", format!("array '{name}' is never accessed"))
-                        .with_span(*span),
-                ),
-                _ => {}
-            }
-        }
-    }
-
-    /// Emits the unused lints for names declared here but not in `outer`
-    /// (scope-local declarations about to go out of scope), then merges the
-    /// read/assigned/accessed flags of the shared names back into `outer`.
-    fn merge_into(self, outer: &mut Env, report: &mut VerifyReport) {
-        for name in &self.order {
-            if outer.vars.contains_key(name) {
-                continue;
-            }
-            match &self.vars[name] {
-                Var::Scalar {
-                    span, read: false, ..
-                } => report.push(
-                    Diagnostic::warn("FS001", format!("scalar '{name}' is never read"))
-                        .with_span(*span),
-                ),
-                Var::Array {
-                    span,
-                    accessed: false,
-                    ..
-                } => report.push(
-                    Diagnostic::warn("FS002", format!("array '{name}' is never accessed"))
-                        .with_span(*span),
-                ),
-                _ => {}
-            }
-        }
-        for (name, var) in self.vars {
-            if let Some(outer_var) = outer.vars.get_mut(&name) {
-                match (outer_var, var) {
-                    (
-                        Var::Scalar { assigned, read, .. },
-                        Var::Scalar {
-                            assigned: inner_assigned,
-                            read: inner_read,
-                            ..
-                        },
-                    ) => {
-                        *assigned |= inner_assigned;
-                        *read |= inner_read;
+impl Lints<'_, '_> {
+    fn stmts(&mut self, stmts: &[Stmt<'_>]) {
+        for stmt in stmts {
+            match stmt {
+                Stmt::DeclScalar {
+                    init: Some(init), ..
+                } => self.expr(init),
+                Stmt::DeclScalar { .. } | Stmt::DeclArray { .. } | Stmt::Empty { .. } => {}
+                Stmt::Assign { target, value, .. } => {
+                    self.expr(value);
+                    if let LValue::Index {
+                        name,
+                        id,
+                        index,
+                        span,
+                    } = target
+                    {
+                        self.expr(index);
+                        self.access(name, *id, index, *span);
                     }
-                    (
-                        Var::Array { accessed, .. },
-                        Var::Array {
-                            accessed: inner_accessed,
-                            ..
-                        },
-                    ) => *accessed |= inner_accessed,
-                    _ => {}
                 }
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    self.expr(cond);
+                    self.stmts(then_branch);
+                    self.stmts(else_branch);
+                }
+                Stmt::While { cond, body, span } => {
+                    self.loop_start(cond, *span);
+                    self.expr(cond);
+                    self.stmts(body);
+                }
+                Stmt::Block { body, .. } => self.stmts(body),
             }
         }
     }
-}
 
-/// Scalar reads and writes of a statement list, mirroring the lowering's
-/// `Usage` collection for loop-carried variable discovery.
-#[derive(Default, Debug)]
-struct Usage<'s> {
-    reads: BTreeSet<&'s str>,
-    writes: BTreeSet<&'s str>,
-    locals: BTreeSet<&'s str>,
-}
-
-fn collect_expr<'s>(expr: &Expr<'s>, usage: &mut Usage<'s>) {
-    match expr {
-        Expr::Literal { .. } => {}
-        Expr::Var { name, .. } => {
-            usage.reads.insert(name);
+    /// FS003 for a scalar the loop starts by reading where it holds no
+    /// value, and FS004 for a loop bound that is not a constant.
+    fn loop_start(&mut self, cond: &Expr<'_>, span: Span) {
+        let resolution = self.resolution;
+        let this = &resolution.loops()[self.next_loop];
+        self.next_loop += 1;
+        // The loop reads each carried scalar it does not write; one of the
+        // loop around it may hold no value yet.
+        for carried in &this.carried {
+            let decl = resolution.decl(carried.decl);
+            if !carried.assigned && !carried.written && decl.depth > 0 {
+                self.read_before_assignment(decl.name, span);
+            }
         }
-        Expr::Index { index, .. } => collect_expr(index, usage),
-        Expr::Unary { operand, .. } => collect_expr(operand, usage),
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_expr(lhs, usage);
-            collect_expr(rhs, usage);
+        // FS004: the flow can only unroll loops whose trip count is a
+        // compile-time constant — a comparison against a foldable bound.
+        // Warn when no side of the condition folds.
+        let Expr::Binary {
+            op: AstBinOp::Word(op),
+            lhs,
+            rhs,
+            ..
+        } = cond
+        else {
+            return;
+        };
+        let mut scratch = VerifyReport::new();
+        if op.is_comparison()
+            && const_fold(lhs, &mut scratch).is_none()
+            && const_fold(rhs, &mut scratch).is_none()
+        {
+            let message = "loop bound is not a compile-time constant; the flow cannot unroll \
+                           this loop";
+            self.report
+                .push(Diagnostic::warn("FS004", message.to_string()).with_span(span));
         }
     }
-}
 
-fn collect_stmts<'s>(stmts: &[Stmt<'s>], usage: &mut Usage<'s>) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::DeclScalar { name, init, .. } => {
-                if let Some(init) = init {
-                    collect_expr(init, usage);
-                }
-                usage.locals.insert(name);
-            }
-            Stmt::DeclArray { name, .. } => {
-                usage.locals.insert(name);
-            }
-            Stmt::Assign { target, value, .. } => {
-                collect_expr(value, usage);
-                match target {
-                    LValue::Var { name, .. } => {
-                        usage.writes.insert(name);
-                    }
-                    LValue::Index { index, .. } => collect_expr(index, usage),
+    fn expr(&mut self, expr: &Expr<'_>) {
+        match expr {
+            Expr::Literal { .. } => {}
+            Expr::Var { name, id, span } => {
+                // Undeclared names and arrays read as scalars are hard
+                // frontend errors with their own rendering; no lint here.
+                let Ok(bound) = self.resolution.binding(*id) else {
+                    return;
+                };
+                self.used[bound.decl.index()] = true;
+                if bound.unassigned && self.resolution.decl(bound.decl).depth > 0 {
+                    self.read_before_assignment(name, *span);
                 }
             }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-                ..
+            Expr::Index {
+                name,
+                id,
+                index,
+                span,
             } => {
-                collect_expr(cond, usage);
-                collect_stmts(then_branch, usage);
-                collect_stmts(else_branch, usage);
+                self.expr(index);
+                self.access(name, *id, index, *span);
             }
-            Stmt::While { cond, body, .. } => {
-                collect_expr(cond, usage);
-                collect_stmts(body, usage);
+            Expr::Unary { operand, .. } => {
+                self.expr(operand);
+                const_fold(expr, self.report);
             }
-            Stmt::Block { body, .. } => collect_stmts(body, usage),
-            Stmt::Empty { .. } => {}
+            Expr::Binary { lhs, rhs, .. } => {
+                self.expr(lhs);
+                self.expr(rhs);
+                const_fold(expr, self.report);
+            }
         }
+    }
+
+    /// An array read or write; FS006 when its index is a constant outside
+    /// the array's bounds.
+    fn access(&mut self, name: &str, id: NameId, index: &Expr<'_>, span: Span) {
+        let Ok(bound) = self.resolution.binding(id) else {
+            return;
+        };
+        self.used[bound.decl.index()] = true;
+        let Some(len) = self.resolution.decl(bound.decl).len else {
+            return;
+        };
+        if let Some(at) = const_fold(index, &mut VerifyReport::new()) {
+            if at < 0 || at >= len {
+                self.report.push(
+                    Diagnostic::deny(
+                        "FS006",
+                        format!("constant index {at} is out of bounds for '{name}[{len}]'"),
+                    )
+                    .with_span(span),
+                );
+            }
+        }
+    }
+
+    /// FS003, the lint of the lowering's `UseBeforeAssignment`.
+    fn read_before_assignment(&mut self, name: &str, span: Span) {
+        self.report.push(
+            Diagnostic::deny("FS003", format!("'{name}' read before assignment")).with_span(span),
+        );
     }
 }
 
@@ -268,221 +274,6 @@ fn const_fold(expr: &Expr<'_>, report: &mut VerifyReport) -> Option<i64> {
                 AstBinOp::LogicalAnd => Some(i64::from(lhs != 0 && rhs != 0)),
                 AstBinOp::LogicalOr => Some(i64::from(lhs != 0 || rhs != 0)),
             }
-        }
-    }
-}
-
-fn analyze_expr(expr: &Expr<'_>, env: &mut Env, nested: bool, report: &mut VerifyReport) {
-    match expr {
-        Expr::Literal { .. } => {}
-        Expr::Var { name, span } => {
-            // Undeclared names and arrays-as-scalars are hard frontend
-            // errors with their own rendering; no lint for those here.
-            if let Some(Var::Scalar { assigned, read, .. }) = env.vars.get_mut(*name) {
-                *read = true;
-                if !*assigned {
-                    if nested {
-                        // Mirrors `FrontendError::UseBeforeAssignment`: a
-                        // scalar declared inside the loop construct has no
-                        // loop-carried initial value to fall back on.
-                        report.push(
-                            Diagnostic::deny("FS003", format!("'{name}' read before assignment"))
-                                .with_span(*span),
-                        );
-                    } else {
-                        // Top level: the read turns the scalar into an
-                        // implicit kernel parameter.
-                        *assigned = true;
-                    }
-                }
-            }
-        }
-        Expr::Index { name, index, span } => {
-            analyze_expr(index, env, nested, report);
-            let folded = const_fold(index, &mut VerifyReport::new());
-            if let Some(Var::Array { len, accessed, .. }) = env.vars.get_mut(*name) {
-                let len = *len;
-                *accessed = true;
-                if let Some(at) = folded {
-                    if at < 0 || at >= len {
-                        report.push(
-                            Diagnostic::deny(
-                                "FS006",
-                                format!("constant index {at} is out of bounds for '{name}[{len}]'"),
-                            )
-                            .with_span(*span),
-                        );
-                    }
-                }
-            }
-        }
-        Expr::Unary { operand, .. } => {
-            analyze_expr(operand, env, nested, report);
-            const_fold(expr, report);
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            analyze_expr(lhs, env, nested, report);
-            analyze_expr(rhs, env, nested, report);
-            const_fold(expr, report);
-        }
-    }
-}
-
-fn analyze_stmts(stmts: &[Stmt<'_>], env: &mut Env, nested: bool, report: &mut VerifyReport) {
-    for stmt in stmts {
-        match stmt {
-            Stmt::DeclScalar { name, init, span } => {
-                if let Some(init) = init {
-                    analyze_expr(init, env, nested, report);
-                }
-                env.declare(
-                    name,
-                    Var::Scalar {
-                        span: *span,
-                        assigned: init.is_some(),
-                        read: false,
-                    },
-                );
-            }
-            Stmt::DeclArray { name, len, span } => {
-                env.declare(
-                    name,
-                    Var::Array {
-                        span: *span,
-                        len: *len,
-                        accessed: false,
-                    },
-                );
-            }
-            Stmt::Assign { target, value, .. } => {
-                analyze_expr(value, env, nested, report);
-                match target {
-                    LValue::Var { name, .. } => {
-                        if let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(*name) {
-                            *assigned = true;
-                        }
-                    }
-                    LValue::Index { name, index, span } => {
-                        analyze_expr(index, env, nested, report);
-                        let folded = const_fold(index, &mut VerifyReport::new());
-                        if let Some(Var::Array { len, accessed, .. }) = env.vars.get_mut(*name) {
-                            let len = *len;
-                            *accessed = true;
-                            if let Some(at) = folded {
-                                if at < 0 || at >= len {
-                                    report.push(
-                                        Diagnostic::deny(
-                                            "FS006",
-                                            format!(
-                                                "constant index {at} is out of bounds for \
-                                                 '{name}[{len}]'"
-                                            ),
-                                        )
-                                        .with_span(*span),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                analyze_expr(cond, env, nested, report);
-                let mut then_env = env.clone();
-                analyze_stmts(then_branch, &mut then_env, nested, report);
-                let mut else_env = env.clone();
-                analyze_stmts(else_branch, &mut else_env, nested, report);
-                // The lowering merges one-sided assignments through a mux
-                // (materialising 0 on the missing side), so a variable
-                // assigned in either branch counts as assigned afterwards.
-                then_env.merge_into(env, report);
-                else_env.merge_into(env, report);
-            }
-            Stmt::While { cond, body, span } => {
-                // Mirror the lowering's loop-carried variable discovery:
-                // outer scalars read or written by the loop, minus the
-                // loop's own declarations.
-                let mut usage = Usage::default();
-                collect_expr(cond, &mut usage);
-                collect_stmts(body, &mut usage);
-                let mut loop_env = env.clone();
-                for name in usage.reads.union(&usage.writes) {
-                    if usage.locals.contains(name) {
-                        continue;
-                    }
-                    let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(*name) else {
-                        continue;
-                    };
-                    if !*assigned && !usage.writes.contains(name) {
-                        // The lowering reads the carried variable's initial
-                        // value here; at the top level that read makes it a
-                        // kernel parameter, inside a loop it is
-                        // use-before-assignment.
-                        if nested {
-                            report.push(
-                                Diagnostic::deny(
-                                    "FS003",
-                                    format!("'{name}' read before assignment"),
-                                )
-                                .with_span(*span),
-                            );
-                        } else {
-                            *assigned = true;
-                        }
-                    }
-                    // Inside the loop every carried variable starts from its
-                    // carried value (or the materialised 0 for
-                    // written-before-read variables).
-                    if let Some(Var::Scalar { assigned, .. }) = loop_env.vars.get_mut(*name) {
-                        *assigned = true;
-                    }
-                }
-                // FS004: the flow can only unroll loops whose trip count is
-                // a compile-time constant — a comparison against a foldable
-                // bound. Warn when no side of the condition folds.
-                if let Expr::Binary { op, lhs, rhs, .. } = cond {
-                    let comparison = matches!(op, AstBinOp::Word(word) if word.is_comparison());
-                    let mut scratch = VerifyReport::new();
-                    if comparison
-                        && const_fold(lhs, &mut scratch).is_none()
-                        && const_fold(rhs, &mut scratch).is_none()
-                    {
-                        report.push(
-                            Diagnostic::warn(
-                                "FS004",
-                                "loop bound is not a compile-time constant; the flow cannot \
-                                 unroll this loop"
-                                    .to_string(),
-                            )
-                            .with_span(*span),
-                        );
-                    }
-                }
-                analyze_expr(cond, &mut loop_env, true, report);
-                analyze_stmts(body, &mut loop_env, true, report);
-                loop_env.merge_into(env, report);
-                // After the loop, every carried variable holds its final
-                // value.
-                for name in usage.writes.iter() {
-                    if usage.locals.contains(name) {
-                        continue;
-                    }
-                    if let Some(Var::Scalar { assigned, .. }) = env.vars.get_mut(*name) {
-                        *assigned = true;
-                    }
-                }
-            }
-            Stmt::Block { body, .. } => {
-                // Blocks are transparent in the lowering (the `for`
-                // desugaring relies on it), so no scope is pushed.
-                analyze_stmts(body, env, nested, report);
-            }
-            Stmt::Empty { .. } => {}
         }
     }
 }
@@ -565,6 +356,32 @@ mod tests {
         // `y` is assigned but never read -> also FS001.
         assert_eq!(report.of_rule("FS001").len(), 2);
         assert!(report.is_clean(), "lints must stay warn-level:\n{report}");
+    }
+
+    #[test]
+    fn unused_scalars_are_counted_per_declaration() {
+        // The loop declares its own `x`, so the outer `x` is never read even
+        // though a scalar of that name is.
+        let report = run("void main() { int x; int i; int r; x = 5; i = 0; \
+             while (i < 2) { int x; x = i; r = x; i = i + 1; } }");
+        let unused: Vec<(String, Option<Span>)> = report
+            .of_rule("FS001")
+            .iter()
+            .map(|diag| (diag.message.clone(), diag.span))
+            .collect();
+        assert_eq!(
+            unused,
+            [
+                (
+                    "scalar 'x' is never read".to_string(),
+                    Some(Span::new(1, 15))
+                ),
+                (
+                    "scalar 'r' is never read".to_string(),
+                    Some(Span::new(1, 29))
+                ),
+            ]
+        );
     }
 
     #[test]
