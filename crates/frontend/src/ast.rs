@@ -86,6 +86,19 @@ pub enum Expr<'s> {
     },
 }
 
+impl Expr<'_> {
+    /// Source position of the expression.
+    pub fn span(&self) -> Span {
+        match self {
+            Expr::Literal { span, .. }
+            | Expr::Var { span, .. }
+            | Expr::Index { span, .. }
+            | Expr::Unary { span, .. }
+            | Expr::Binary { span, .. } => *span,
+        }
+    }
+}
+
 /// The target of an assignment.
 #[derive(Clone, PartialEq, Debug)]
 pub enum LValue<'s> {
@@ -109,6 +122,15 @@ pub enum LValue<'s> {
         /// Source position.
         span: Span,
     },
+}
+
+impl LValue<'_> {
+    /// Source position of the l-value.
+    pub fn span(&self) -> Span {
+        match self {
+            LValue::Var { span, .. } | LValue::Index { span, .. } => *span,
+        }
+    }
 }
 
 /// A statement.
@@ -210,6 +232,21 @@ impl<'s> TranslationUnit<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spans_are_reachable() {
+        let e = Expr::Literal {
+            value: 1,
+            span: Span::new(4, 2),
+        };
+        assert_eq!(e.span(), Span::new(4, 2));
+        let lv = LValue::Var {
+            name: "x",
+            id: NameId(0),
+            span: Span::new(1, 1),
+        };
+        assert_eq!(lv.span(), Span::new(1, 1));
+    }
 
     #[test]
     fn unit_function_lookup() {

@@ -346,12 +346,9 @@ impl<'a, 'r> Lowerer<'a, 'r> {
                 Ok(())
             }
             LValue::Index {
-                name,
-                id,
-                index,
-                span,
+                name, id, index, ..
             } => {
-                let address = self.array_address(name, *id, index, *span)?;
+                let address = self.array_address(name, *id, index, target.span())?;
                 let st = self.graph.add_node(NodeKind::Store);
                 let state = self.state;
                 self.graph
@@ -641,12 +638,9 @@ impl<'a, 'r> Lowerer<'a, 'r> {
             Expr::Literal { value, .. } => Ok(self.constant(*value)),
             Expr::Var { name, id, span } => self.read_scalar(name, *id, *span),
             Expr::Index {
-                name,
-                id,
-                index,
-                span,
+                name, id, index, ..
             } => {
-                let address = self.array_address(name, *id, index, *span)?;
+                let address = self.array_address(name, *id, index, expr.span())?;
                 let fe = self.graph.add_node(NodeKind::Fetch);
                 let state = self.state;
                 self.graph

@@ -13,8 +13,12 @@
 //!   give 0 or 1;
 //! * every array declaration gets a base of its own, in declaration order,
 //!   and reading an address that holds no word fails the run;
-//! * a scalar declared outside every loop starts at the parameter of its
-//!   name, when one is given; every other scalar starts at 0;
+//! * a scalar declared outside every loop is a parameter when it is read
+//!   where no assignment can reach it, or when a loop reads it without
+//!   writing it and no assignment reaches the loop (an assignment reaches a
+//!   point if it does along either branch of an `if`, and a loop leaves one
+//!   in every outer scalar it uses); a parameter starts at the value bound
+//!   to its name, and every other scalar starts at 0;
 //! * a loop runs at most [`DEFAULT_LOOP_BUDGET`] iterations, the CDFG
 //!   interpreter's budget.
 //!
@@ -26,8 +30,8 @@ use fpfa_cdfg::interp::DEFAULT_LOOP_BUDGET;
 use fpfa_cdfg::StateSpace;
 #[cfg(doc)]
 use fpfa_cdfg::{BinOp, UnOp};
-use fpfa_frontend::ast::{AstBinOp, Expr, Function, LValue, Stmt};
-use fpfa_frontend::{lexer, parser, FrontendError, Span};
+use fpfa_frontend::ast::{AstBinOp, Expr, LValue, NameId, Stmt};
+use fpfa_frontend::{lexer, parser, FrontendError};
 use std::fmt;
 
 /// What a run leaves behind.
@@ -101,29 +105,20 @@ pub fn run(
     let main = unit
         .function("main")
         .ok_or(RunError::Frontend(FrontendError::MissingMain))?;
-    run_function(main, parameters, state)
-}
-
-/// Runs one function from the statespace `state`, with `parameters` bound
-/// by name.
-///
-/// # Errors
-/// See [`RunError`].
-pub fn run_function(
-    function: &Function<'_>,
-    parameters: &[(&str, i64)],
-    state: StateSpace,
-) -> Result<SourceRun, RunError> {
-    let mut machine = Machine {
+    let mut plan = Plan {
         parameters,
-        bases: Vec::new(),
+        starts: vec![0; main.occurrences],
         next_base: 0,
-        vars: Vec::new(),
+        scope: Vec::new(),
         loops: 0,
+    };
+    plan.stmts(&main.body)?;
+    let mut machine = Machine {
+        starts: plan.starts,
+        vars: Vec::new(),
         state,
     };
-    machine.place(&function.body)?;
-    machine.stmts(&function.body)?;
+    machine.stmts(&main.body)?;
     let scalars = machine
         .vars
         .into_iter()
@@ -137,6 +132,183 @@ pub fn run_function(
     })
 }
 
+/// The walk before the run: it gives every array declaration its base, in
+/// source order, and finds the parameters, with a scope stack of its own.
+struct Plan<'p, 's> {
+    parameters: &'p [(&'p str, i64)],
+    /// Where each declaration starts, by the occurrence of its name: an
+    /// array's base, or the value of a scalar declared without initialiser.
+    starts: Vec<i64>,
+    next_base: i64,
+    /// The declarations in scope, innermost last.
+    scope: Vec<Visible<'s>>,
+    /// The loops around the point of the walk.
+    loops: usize,
+}
+
+/// A declaration in the planning walk's scope.
+struct Visible<'s> {
+    name: &'s str,
+    id: NameId,
+    /// Whether it is a scalar declared outside every loop.
+    outer: bool,
+    /// Whether an assignment can reach the point of the walk.
+    assigned: bool,
+    /// Whether the outermost loop being walked reads or writes it, and
+    /// whether it writes it.
+    used: bool,
+    written: bool,
+}
+
+impl<'s> Plan<'_, 's> {
+    fn stmts(&mut self, stmts: &[Stmt<'s>]) -> Result<(), RunError> {
+        for stmt in stmts {
+            match stmt {
+                Stmt::Empty { .. } => {}
+                Stmt::Block { body, .. } => self.stmts(body)?,
+                Stmt::DeclScalar { name, id, init, .. } => {
+                    if let Some(init) = init {
+                        self.expr(init);
+                    }
+                    self.declare(name, *id, self.loops == 0, init.is_some());
+                }
+                Stmt::DeclArray { name, id, len, .. } => {
+                    self.starts[id.index()] = self.next_base;
+                    self.next_base = self
+                        .next_base
+                        .checked_add(*len)
+                        .ok_or_else(|| RunError::AddressSpaceExhausted(name.to_string()))?;
+                    self.declare(name, *id, false, false);
+                }
+                Stmt::Assign { target, value, .. } => {
+                    self.expr(value);
+                    match target {
+                        LValue::Var { name, .. } => self.write(name),
+                        LValue::Index { index, .. } => self.expr(index),
+                    }
+                }
+                Stmt::If {
+                    cond,
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    self.expr(cond);
+                    self.branches(then_branch, else_branch)?;
+                }
+                Stmt::While { cond, body, .. } => {
+                    let mark = self.scope.len();
+                    self.loops += 1;
+                    self.expr(cond);
+                    self.stmts(body)?;
+                    self.loops -= 1;
+                    self.scope.truncate(mark);
+                    if self.loops == 0 {
+                        self.close_loop();
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn declare(&mut self, name: &'s str, id: NameId, outer: bool, assigned: bool) {
+        self.scope.push(Visible {
+            name,
+            id,
+            outer,
+            assigned,
+            used: false,
+            written: false,
+        });
+    }
+
+    fn expr(&mut self, expr: &Expr<'s>) {
+        match expr {
+            Expr::Literal { .. } => {}
+            Expr::Var { name, .. } => match self.outer(name) {
+                Some(at) if self.loops > 0 => self.scope[at].used = true,
+                Some(at) if !self.scope[at].assigned => self.take_parameter(at),
+                _ => {}
+            },
+            Expr::Index { index, .. } => self.expr(index),
+            Expr::Unary { operand, .. } => self.expr(operand),
+            Expr::Binary { lhs, rhs, .. } => {
+                self.expr(lhs);
+                self.expr(rhs);
+            }
+        }
+    }
+
+    fn write(&mut self, name: &str) {
+        let Some(at) = self.outer(name) else {
+            return;
+        };
+        let var = &mut self.scope[at];
+        if self.loops > 0 {
+            var.used = true;
+            var.written = true;
+        } else {
+            var.assigned = true;
+        }
+    }
+
+    /// The position in scope of the innermost declaration of `name`, if it
+    /// is a scalar declared outside every loop.
+    fn outer(&self, name: &str) -> Option<usize> {
+        let at = self.scope.iter().rposition(|var| var.name == name)?;
+        self.scope[at].outer.then_some(at)
+    }
+
+    /// Starts the scalar at `at` from the parameter of its name.
+    fn take_parameter(&mut self, at: usize) {
+        let Visible { name, id, .. } = self.scope[at];
+        let mut parameters = self.parameters.iter();
+        let value = parameters.find(|(parameter, _)| *parameter == name);
+        self.starts[id.index()] = value.map_or(0, |&(_, value)| value);
+    }
+
+    /// An `if`'s branches: each starts from what reached the `if`, and an
+    /// assignment reaches what follows if it does along either.
+    fn branches(
+        &mut self,
+        then_branch: &[Stmt<'s>],
+        else_branch: &[Stmt<'s>],
+    ) -> Result<(), RunError> {
+        let mark = self.scope.len();
+        let before: Vec<bool> = self.scope.iter().map(|var| var.assigned).collect();
+        self.stmts(then_branch)?;
+        self.scope.truncate(mark);
+        let mut then = Vec::with_capacity(mark);
+        for (var, before) in self.scope.iter_mut().zip(before) {
+            then.push(std::mem::replace(&mut var.assigned, before));
+        }
+        self.stmts(else_branch)?;
+        self.scope.truncate(mark);
+        for (var, then) in self.scope.iter_mut().zip(then) {
+            var.assigned |= then;
+        }
+        Ok(())
+    }
+
+    /// Ends an outermost loop: a scalar it reads but does not write, with
+    /// no assignment reaching the loop, is a parameter, and the loop leaves
+    /// a value in every scalar it uses.
+    fn close_loop(&mut self) {
+        for at in 0..self.scope.len() {
+            let var = &mut self.scope[at];
+            let written = std::mem::take(&mut var.written);
+            if std::mem::take(&mut var.used) {
+                let parameter = !var.assigned && !written;
+                var.assigned = true;
+                if parameter {
+                    self.take_parameter(at);
+                }
+            }
+        }
+    }
+}
+
 /// A variable in the environment.
 #[derive(Clone, Copy)]
 enum Var {
@@ -144,47 +316,15 @@ enum Var {
     Array { base: i64 },
 }
 
-struct Machine<'p, 's> {
-    parameters: &'p [(&'p str, i64)],
-    /// Every array declaration's span with its base, in source order.
-    bases: Vec<(Span, i64)>,
-    next_base: i64,
+struct Machine<'s> {
+    /// Where each declaration starts, from [`Plan`].
+    starts: Vec<i64>,
     /// The environment stack: every variable in scope, innermost last.
     vars: Vec<(&'s str, Var)>,
-    /// The loops being run.
-    loops: usize,
     state: StateSpace,
 }
 
-impl<'s> Machine<'_, 's> {
-    /// Gives every array declaration its base, in source order.
-    fn place(&mut self, stmts: &[Stmt<'s>]) -> Result<(), RunError> {
-        for stmt in stmts {
-            match stmt {
-                Stmt::DeclArray {
-                    name, len, span, ..
-                } => {
-                    self.bases.push((*span, self.next_base));
-                    self.next_base = self
-                        .next_base
-                        .checked_add(*len)
-                        .ok_or_else(|| RunError::AddressSpaceExhausted(name.to_string()))?;
-                }
-                Stmt::Block { body, .. } | Stmt::While { body, .. } => self.place(body)?,
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    self.place(then_branch)?;
-                    self.place(else_branch)?;
-                }
-                Stmt::DeclScalar { .. } | Stmt::Assign { .. } | Stmt::Empty { .. } => {}
-            }
-        }
-        Ok(())
-    }
-
+impl<'s> Machine<'s> {
     /// Runs `stmts` as a scope of their own.
     fn scope(&mut self, stmts: &[Stmt<'s>]) -> Result<(), RunError> {
         let mark = self.vars.len();
@@ -199,24 +339,16 @@ impl<'s> Machine<'_, 's> {
                 Stmt::Empty { .. } => {}
                 // Blocks open no scope: the `for` desugaring relies on it.
                 Stmt::Block { body, .. } => self.stmts(body)?,
-                Stmt::DeclScalar { name, init, .. } => {
+                Stmt::DeclScalar { name, id, init, .. } => {
                     let value = match init {
                         Some(init) => self.expr(init)?,
-                        None if self.loops == 0 => self
-                            .parameters
-                            .iter()
-                            .find(|(parameter, _)| parameter == name)
-                            .map_or(0, |&(_, value)| value),
-                        None => 0,
+                        None => self.starts[id.index()],
                     };
                     self.vars.push((name, Var::Scalar(value)));
                 }
-                Stmt::DeclArray { name, span, .. } => {
-                    let mut bases = self.bases.iter();
-                    let (_, base) = bases
-                        .find(|(at, _)| at == span)
-                        .expect("every array declaration is placed");
-                    self.vars.push((name, Var::Array { base: *base }));
+                Stmt::DeclArray { name, id, .. } => {
+                    let base = self.starts[id.index()];
+                    self.vars.push((name, Var::Array { base }));
                 }
                 Stmt::Assign { target, value, .. } => {
                     let value = self.expr(value)?;
@@ -241,11 +373,7 @@ impl<'s> Machine<'_, 's> {
                     };
                     self.scope(taken)?;
                 }
-                Stmt::While { cond, body, .. } => {
-                    self.loops += 1;
-                    self.run_loop(cond, body)?;
-                    self.loops -= 1;
-                }
+                Stmt::While { cond, body, .. } => self.run_loop(cond, body)?,
             }
         }
         Ok(())
@@ -332,6 +460,32 @@ mod tests {
         assert_eq!(run.scalar("s"), Some(9));
         assert_eq!(run.scalar("i"), Some(4));
         assert_eq!(run.state.fetch(5), Some(9));
+    }
+
+    #[test]
+    fn only_scalars_no_assignment_reaches_take_a_parameter() {
+        let with_n = |source, c, d| {
+            let parameters = [("c", c), ("d", d), ("n", 7)];
+            run(source, &parameters, StateSpace::new()).unwrap()
+        };
+        // The first `n` is read unassigned; the second is assigned along
+        // one branch, so it starts at 0, not at the parameter `n`.
+        let source = "void main() { int c; int d; int y; int z; if (c) { int n; y = n; } \
+                      int n; if (d) { n = 1; } z = n; }";
+        let untaken = with_n(source, 1, 0);
+        assert_eq!(
+            (untaken.scalar("y"), untaken.scalar("z")),
+            (Some(7), Some(0))
+        );
+        assert_eq!(with_n(source, 1, 1).scalar("z"), Some(1));
+        // A loop that reads an outer scalar it does not write takes the
+        // parameter; one that writes it starts it at 0.
+        let read = "void main() { int n; int i; int s; i = 0; s = 0; \
+                    while (i < 2) { s = s + n; i = i + 1; } }";
+        assert_eq!(with_n(read, 0, 0).scalar("s"), Some(14));
+        let written = "void main() { int n; int i; int s; i = 0; s = 0; \
+                       while (i < 2) { s = s + n; n = 5; i = i + 1; } }";
+        assert_eq!(with_n(written, 0, 0).scalar("s"), Some(5));
     }
 
     #[test]

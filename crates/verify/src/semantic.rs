@@ -90,15 +90,9 @@ impl Lints<'_, '_> {
                 Stmt::DeclScalar { .. } | Stmt::DeclArray { .. } | Stmt::Empty { .. } => {}
                 Stmt::Assign { target, value, .. } => {
                     self.expr(value);
-                    if let LValue::Index {
-                        name,
-                        id,
-                        index,
-                        span,
-                    } = target
-                    {
+                    if let LValue::Index { id, index, .. } = target {
                         self.expr(index);
-                        self.access(name, *id, index, *span);
+                        self.access(*id, index, target.span());
                     }
                 }
                 Stmt::If {
@@ -173,14 +167,9 @@ impl Lints<'_, '_> {
                     self.read_before_assignment(name, *span);
                 }
             }
-            Expr::Index {
-                name,
-                id,
-                index,
-                span,
-            } => {
+            Expr::Index { id, index, .. } => {
                 self.expr(index);
-                self.access(name, *id, index, *span);
+                self.access(*id, index, expr.span());
             }
             Expr::Unary { operand, .. } => {
                 self.expr(operand);
@@ -196,12 +185,13 @@ impl Lints<'_, '_> {
 
     /// An array read or write; FS006 when its index is a constant outside
     /// the array's bounds.
-    fn access(&mut self, name: &str, id: NameId, index: &Expr<'_>, span: Span) {
+    fn access(&mut self, id: NameId, index: &Expr<'_>, span: Span) {
         let Ok(bound) = self.resolution.binding(id) else {
             return;
         };
         self.used[bound.decl.index()] = true;
-        let Some(len) = self.resolution.decl(bound.decl).len else {
+        let decl = self.resolution.decl(bound.decl);
+        let (name, Some(len)) = (decl.name, decl.len) else {
             return;
         };
         if let Some(at) = const_fold(index, &mut VerifyReport::new()) {

@@ -7,8 +7,10 @@
 //!   parameters and statespace (eight draws per source and case) they must
 //!   leave the same named scalars and the same statespace, or both fail.
 //!   The graph evaluates both branches of an `if`, so it alone can fail in
-//!   an untaken branch: such runs are counted and printed, not counted as
-//!   agreement.
+//!   an untaken branch.  Such runs are printed apart, and none is allowed:
+//!   no source here divides by zero or reads past its words in a branch
+//!   that is not taken, so the same failure from a wrong carried set or a
+//!   wrong merge is caught.
 //! * The FS003 lint and the lowering's `UseBeforeAssignment` name the same
 //!   reads, over the frontend's error table, the sweeps and the registry.
 
@@ -25,11 +27,25 @@ use fpfa_cdfg::interp::Interpreter;
 use fpfa_cdfg::{CdfgError, NodeKind, StateSpace, Value};
 use proptest::prelude::*;
 
-/// Every registry kernel and every sweep source.
+/// Scope shapes that no sweep draws.  In the first, only the first of two
+/// declarations of `n` is read where no assignment reaches it, so only it
+/// is a parameter and the second starts at 0 when `d` is 0.  In the second,
+/// a loop in one branch writes `n` after the branch assigned it, and a loop
+/// in the other only reads it, which makes `n` a parameter.
+const SHAPES: &[&str] = &[
+    "void main() { int c; int d; int y; int z; \
+     if (c) { int n; y = n; } int n; if (d) { n = 1; } z = n; }",
+    "void main() { int c; int n; int i; int s; s = 0; \
+     if (c) { n = 1; i = 0; while (i < 2) { n = n + i; i = i + 1; } } \
+     else { i = 0; while (i < 2) { s = s + n; i = i + 1; } } }",
+];
+
+/// Every registry kernel, every sweep source and the shapes.
 fn sources() -> Vec<String> {
     let registry = fpfa::workloads::registry().into_iter().map(|k| k.source);
     let sweeps = sweeps::SWEEPS.iter().flat_map(|(_, sources)| sources());
-    registry.chain(sweeps).collect()
+    let shapes = SHAPES.iter().map(|shape| shape.to_string());
+    registry.chain(sweeps).chain(shapes).collect()
 }
 
 /// Runs `check` on a thread whose stack holds the deepest sweep shapes in a
@@ -202,10 +218,8 @@ proptest! {
             counts[1],
             untaken.len()
         );
-        for run in &untaken {
-            println!("  untaken branch: {run}");
-        }
         prop_assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+        prop_assert!(untaken.is_empty(), "only the graph failed: {}", untaken.join("\n"));
         prop_assert!(counts[0] > 0);
     }
 }
