@@ -24,7 +24,7 @@
 use crate::error::CdfgError;
 use crate::graph::Cdfg;
 use crate::ids::NodeId;
-use crate::node::{BinOp, LoopSpec, NodeKind, UnOp};
+use crate::node::{BinOp, LoopSpec, Name, NodeKind, UnOp};
 use crate::validate;
 
 /// A handle to one output port of a node under construction.
@@ -51,7 +51,7 @@ impl CdfgBuilder {
     }
 
     /// Adds a named graph input and returns its wire.
-    pub fn input(&mut self, name: impl Into<String>) -> Wire {
+    pub fn input(&mut self, name: impl Into<Name>) -> Wire {
         let id = self.graph.add_node(NodeKind::Input(name.into()));
         Wire { node: id, port: 0 }
     }
@@ -63,7 +63,7 @@ impl CdfgBuilder {
     }
 
     /// Adds a named graph output driven by `value`.
-    pub fn output(&mut self, name: impl Into<String>, value: Wire) -> NodeId {
+    pub fn output(&mut self, name: impl Into<Name>, value: Wire) -> NodeId {
         let id = self.graph.add_node(NodeKind::Output(name.into()));
         self.graph
             .connect(value.node, value.port, id, 0)

@@ -44,9 +44,28 @@ pub struct Edge {
 }
 
 impl Edge {
+    /// The slot of a removed edge in a graph's edge table: it starts at
+    /// [`NodeId::NONE`], where no live edge does, so a slot needs no
+    /// `Option` around it.
+    pub(crate) const DEAD: Edge = Edge {
+        from: Endpoint {
+            node: NodeId::NONE,
+            port: 0,
+        },
+        to: Endpoint {
+            node: NodeId::NONE,
+            port: 0,
+        },
+    };
+
     /// Creates an edge between two endpoints.
     pub fn new(from: Endpoint, to: Endpoint) -> Self {
         Edge { from, to }
+    }
+
+    /// `false` for [`Edge::DEAD`].
+    pub(crate) fn is_live(&self) -> bool {
+        self.from.node != NodeId::NONE
     }
 }
 

@@ -4,17 +4,23 @@
 //! ([`NodeKind`]) and port connectivity (`PortRecord`) live in parallel
 //! vectors indexed by the dense `u32` inside [`NodeId`].  A node's port
 //! connectivity is one small buffer of edge ids: its input slots followed by
-//! its outgoing edges in connect order.  Up to seven entries live on the
-//! 40-byte record itself, so nearly every node of a simplified graph
+//! its outgoing edges in connect order.  Up to six entries live on the
+//! 32-byte record itself, so nearly every node of a simplified graph
 //! allocates nothing on the heap; larger sets spill into one `Vec`.  An
 //! outgoing edge's port is not stored on the record: it is read from the
 //! edge table.  [`Node`] is a cheap `Copy` *view* over one arena slot, not an
 //! owned record.
+//!
+//! Holes stay in the arena until [`Cdfg::compact`], so every slot is paid
+//! for, live or not: a node slot is 48 bytes (a 16-byte `Option<NodeKind>`
+//! and the port record) and an edge slot 16 (a removed edge is marked
+//! inside its [`Edge`] instead of wrapped in an `Option`).  Compile-time
+//! asserts below hold all three sizes.
 
 use crate::edge::{Edge, Endpoint};
 use crate::error::CdfgError;
 use crate::ids::{EdgeId, NodeId, NodeRemap};
-use crate::node::NodeKind;
+use crate::node::{Name, NodeKind};
 use crate::observer::ChangeJournal;
 use std::fmt;
 
@@ -23,39 +29,44 @@ const NO_EDGE: u32 = u32::MAX;
 
 /// Inline capacity of a node's port buffer, in entries.  Fixed node kinds
 /// have at most three input ports and one output port, so they stay inline
-/// up to a fan-out of four; loop headers (arity = carried variables) and
+/// up to a fan-out of three; loop headers (arity = carried variables) and
 /// high-fanout values spill to the heap.
-const INLINE_SLOTS: usize = 7;
-
-/// Entry storage of a [`PortRecord`]: inline up to [`INLINE_SLOTS`], one heap
-/// `Vec` beyond.  A buffer that spilled stays spilled.
-#[derive(Clone, Debug)]
-enum Slots {
-    Inline([u32; INLINE_SLOTS]),
-    Spilled(Vec<u32>),
-}
+const INLINE_SLOTS: usize = 6;
 
 /// Port connectivity of one arena slot: one buffer holding `ins` input-edge
 /// slots ([`NO_EDGE`] while unconnected) followed by the outgoing edge ids in
 /// connect order across all output ports.  An out entry's port is the
 /// edge's own `from.port`.
 ///
-/// Equality compares the logical entries, so a record that spilled equals an
-/// inline one with the same entries.
+/// Up to [`INLINE_SLOTS`] entries live on the record itself, with its
+/// counts in single bytes (an inline record has at most six input ports);
+/// more spill into one `Vec`, and a record that spilled stays spilled.
+/// Equality compares the logical entries, so a record that spilled equals
+/// an inline one with the same entries.
 #[derive(Clone, Debug)]
-struct PortRecord {
-    slots: Slots,
-    /// Live entries: `inline[..len]`, or the whole spilled `Vec`.
-    len: u32,
-    /// Number of input ports (fixed by the node kind; ports are `u16`, as in
-    /// [`Endpoint`]).
-    ins: u16,
-    /// Number of output ports (fixed by the node kind).
-    out_ports: u16,
+enum PortRecord {
+    Inline {
+        /// Live entries: `slots[..len]`.
+        slots: [u32; INLINE_SLOTS],
+        len: u8,
+        /// Number of input ports (fixed by the node kind).
+        ins: u8,
+        /// Number of output ports (fixed by the node kind).
+        out_ports: u8,
+    },
+    Spilled {
+        entries: Vec<u32>,
+        /// Ports are `u16`, as in [`Endpoint`].
+        ins: u16,
+        out_ports: u16,
+    },
 }
 
-// Every copy of a graph pays this per node slot: keep the record small.
-const _: () = assert!(std::mem::size_of::<PortRecord>() <= 40);
+// Every copy of a graph pays these per node and edge slot, holes included:
+// keep them small.
+const _: () = assert!(std::mem::size_of::<PortRecord>() <= 32);
+const _: () = assert!(std::mem::size_of::<Option<NodeKind>>() <= 16);
+const _: () = assert!(std::mem::size_of::<Edge>() <= 16);
 
 impl Default for PortRecord {
     fn default() -> Self {
@@ -65,8 +76,8 @@ impl Default for PortRecord {
 
 impl PartialEq for PortRecord {
     fn eq(&self, other: &Self) -> bool {
-        self.ins == other.ins
-            && self.out_ports == other.out_ports
+        self.ins() == other.ins()
+            && self.out_ports() == other.out_ports()
             && self.entries() == other.entries()
     }
 }
@@ -74,57 +85,85 @@ impl PartialEq for PortRecord {
 impl PortRecord {
     /// A record with `ins` unconnected input slots and no outgoing edges.
     fn new(ins: usize, out_ports: usize) -> Self {
-        let slots = if ins <= INLINE_SLOTS {
-            Slots::Inline([NO_EDGE; INLINE_SLOTS])
-        } else {
-            Slots::Spilled(vec![NO_EDGE; ins])
-        };
-        PortRecord {
-            slots,
-            len: ins as u32,
-            ins: ins as u16,
-            out_ports: out_ports as u16,
+        match (u8::try_from(ins), u8::try_from(out_ports)) {
+            (Ok(ins), Ok(out_ports)) if usize::from(ins) <= INLINE_SLOTS => PortRecord::Inline {
+                slots: [NO_EDGE; INLINE_SLOTS],
+                len: ins,
+                ins,
+                out_ports,
+            },
+            _ => PortRecord::Spilled {
+                entries: vec![NO_EDGE; ins],
+                ins: ins as u16,
+                out_ports: out_ports as u16,
+            },
+        }
+    }
+
+    /// Number of input ports.
+    fn ins(&self) -> usize {
+        match self {
+            PortRecord::Inline { ins, .. } => usize::from(*ins),
+            PortRecord::Spilled { ins, .. } => usize::from(*ins),
+        }
+    }
+
+    /// Number of output ports.
+    fn out_ports(&self) -> usize {
+        match self {
+            PortRecord::Inline { out_ports, .. } => usize::from(*out_ports),
+            PortRecord::Spilled { out_ports, .. } => usize::from(*out_ports),
         }
     }
 
     fn entries(&self) -> &[u32] {
-        match &self.slots {
-            Slots::Inline(inline) => &inline[..self.len as usize],
-            Slots::Spilled(spilled) => spilled,
+        match self {
+            PortRecord::Inline { slots, len, .. } => &slots[..usize::from(*len)],
+            PortRecord::Spilled { entries, .. } => entries,
         }
     }
 
     /// Input slots in port order.
     fn in_slots(&self) -> &[u32] {
-        &self.entries()[..usize::from(self.ins)]
+        &self.entries()[..self.ins()]
     }
 
     fn in_slots_mut(&mut self) -> &mut [u32] {
-        let ins = usize::from(self.ins);
-        match &mut self.slots {
-            Slots::Inline(inline) => &mut inline[..ins],
-            Slots::Spilled(spilled) => &mut spilled[..ins],
+        match self {
+            PortRecord::Inline { slots, ins, .. } => &mut slots[..usize::from(*ins)],
+            PortRecord::Spilled { entries, ins, .. } => &mut entries[..usize::from(*ins)],
         }
     }
 
     /// Outgoing edge ids in connect order, across all output ports.
     fn out_edges(&self) -> &[u32] {
-        &self.entries()[usize::from(self.ins)..]
+        &self.entries()[self.ins()..]
     }
 
     /// Appends an outgoing edge.
     fn push_out(&mut self, edge: u32) {
-        let len = self.len as usize;
-        match &mut self.slots {
-            Slots::Inline(inline) if len < INLINE_SLOTS => inline[len] = edge,
-            Slots::Inline(inline) => {
-                let mut spilled = inline.to_vec();
-                spilled.push(edge);
-                self.slots = Slots::Spilled(spilled);
+        match self {
+            PortRecord::Inline { slots, len, .. } if usize::from(*len) < INLINE_SLOTS => {
+                slots[usize::from(*len)] = edge;
+                *len += 1;
             }
-            Slots::Spilled(spilled) => spilled.push(edge),
+            PortRecord::Inline {
+                slots,
+                ins,
+                out_ports,
+                ..
+            } => {
+                let mut entries = Vec::with_capacity(2 * INLINE_SLOTS);
+                entries.extend_from_slice(slots);
+                entries.push(edge);
+                *self = PortRecord::Spilled {
+                    entries,
+                    ins: u16::from(*ins),
+                    out_ports: u16::from(*out_ports),
+                };
+            }
+            PortRecord::Spilled { entries, .. } => entries.push(edge),
         }
-        self.len += 1;
     }
 
     /// Removes an outgoing edge, keeping the order of the others.
@@ -132,37 +171,40 @@ impl PortRecord {
         let Some(offset) = self.out_edges().iter().position(|out| *out == edge) else {
             return;
         };
-        let at = usize::from(self.ins) + offset;
-        match &mut self.slots {
-            Slots::Inline(inline) => inline.copy_within(at + 1..self.len as usize, at),
-            Slots::Spilled(spilled) => {
-                spilled.remove(at);
+        let at = self.ins() + offset;
+        match self {
+            PortRecord::Inline { slots, len, .. } => {
+                slots.copy_within(at + 1..usize::from(*len), at);
+                *len -= 1;
+            }
+            PortRecord::Spilled { entries, .. } => {
+                entries.remove(at);
             }
         }
-        self.len -= 1;
     }
 
     /// The outgoing edges leaving output port `port`, in connect order.
     /// Single-output kinds skip the edge table: all their edges leave port 0.
     fn port_out_edges<'g>(
         &'g self,
-        edges: &'g [Option<Edge>],
+        edges: &'g [Edge],
         port: usize,
     ) -> impl Iterator<Item = u32> + 'g {
-        let outs = if port < usize::from(self.out_ports) {
+        let outs = if port < self.out_ports() {
             self.out_edges()
         } else {
             &[]
         };
-        let single = self.out_ports == 1;
+        let single = self.out_ports() == 1;
         outs.iter().copied().filter(move |raw| {
-            single
-                || edges
-                    .get(*raw as usize)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|edge| edge.from.port_index() == port)
+            single || live_edge(edges, *raw).is_some_and(|edge| edge.from.port_index() == port)
         })
     }
+}
+
+/// The live edge in slot `raw` of an edge table, if any.
+fn live_edge(edges: &[Edge], raw: u32) -> Option<&Edge> {
+    edges.get(raw as usize).filter(|edge| edge.is_live())
 }
 
 /// A read-only view of one node: its operation plus port connectivity.
@@ -175,7 +217,7 @@ pub struct Node<'g> {
     pub kind: &'g NodeKind,
     ports: &'g PortRecord,
     /// The graph's edge table, where out-edge ports are read.
-    edges: &'g [Option<Edge>],
+    edges: &'g [Edge],
 }
 
 impl fmt::Debug for Node<'_> {
@@ -217,12 +259,12 @@ impl<'g> Node<'g> {
 
     /// Number of input ports.
     pub fn input_count(&self) -> usize {
-        usize::from(self.ports.ins)
+        self.ports.ins()
     }
 
     /// Number of output ports.
     pub fn output_count(&self) -> usize {
-        usize::from(self.ports.out_ports)
+        self.ports.out_ports()
     }
 
     /// Total number of edges leaving this node across all output ports.
@@ -290,7 +332,8 @@ pub struct Cdfg {
     kinds: Vec<Option<NodeKind>>,
     /// SoA arena: port connectivity per slot, parallel to `kinds`.
     ports: Vec<PortRecord>,
-    edges: Vec<Option<Edge>>,
+    /// Edge per slot ([`Edge::DEAD`] = hole).
+    edges: Vec<Edge>,
     live_nodes: usize,
     live_edges: usize,
     journal: Option<ChangeJournal>,
@@ -425,10 +468,7 @@ impl Cdfg {
     /// # Errors
     /// [`CdfgError::UnknownEdge`] if the id is stale or out of range.
     pub fn edge(&self, id: EdgeId) -> Result<&Edge, CdfgError> {
-        self.edges
-            .get(id.index())
-            .and_then(Option::as_ref)
-            .ok_or(CdfgError::UnknownEdge(id))
+        live_edge(&self.edges, id.0).ok_or(CdfgError::UnknownEdge(id))
     }
 
     /// `true` when the node id refers to a live node.
@@ -467,7 +507,8 @@ impl Cdfg {
         self.edges
             .iter()
             .enumerate()
-            .filter_map(|(i, e)| e.as_ref().map(|e| (EdgeId::from_index(i), e)))
+            .filter(|(_, e)| e.is_live())
+            .map(|(i, e)| (EdgeId::from_index(i), e))
     }
 
     // ------------------------------------------------------------------
@@ -528,7 +569,7 @@ impl Cdfg {
         }
         let edge = Edge::new(Endpoint::new(from, from_port), Endpoint::new(to, to_port));
         let id = EdgeId::from_index(self.edges.len());
-        self.edges.push(Some(edge));
+        self.edges.push(edge);
         self.ports[from.index()].push_out(id.index() as u32);
         self.ports[to.index()].in_slots_mut()[to_port] = id.index() as u32;
         self.live_edges += 1;
@@ -554,7 +595,7 @@ impl Cdfg {
                 ins[port] = NO_EDGE;
             }
         }
-        self.edges[id.index()] = None;
+        self.edges[id.index()] = Edge::DEAD;
         self.live_edges -= 1;
         self.touch(edge.from.node);
         self.touch(edge.to.node);
@@ -646,7 +687,7 @@ impl Cdfg {
 
     /// The live edge with raw id `raw`, if any.
     fn edge_at(&self, raw: u32) -> Option<&Edge> {
-        self.edges.get(raw as usize).and_then(Option::as_ref)
+        live_edge(&self.edges, raw)
     }
 
     /// Predecessor nodes of `node` (one entry per connected input port, in
@@ -737,7 +778,7 @@ impl Cdfg {
     // ------------------------------------------------------------------
 
     /// All `Input` nodes as `(name, id)` pairs in id order.
-    pub fn inputs(&self) -> Vec<(String, NodeId)> {
+    pub fn inputs(&self) -> Vec<(Name, NodeId)> {
         self.nodes()
             .filter_map(|(id, n)| match &n.kind {
                 NodeKind::Input(name) => Some((name.clone(), id)),
@@ -747,7 +788,7 @@ impl Cdfg {
     }
 
     /// All `Output` nodes as `(name, id)` pairs in id order.
-    pub fn outputs(&self) -> Vec<(String, NodeId)> {
+    pub fn outputs(&self) -> Vec<(Name, NodeId)> {
         self.nodes()
             .filter_map(|(id, n)| match &n.kind {
                 NodeKind::Output(name) => Some((name.clone(), id)),
@@ -828,18 +869,15 @@ impl Cdfg {
             // with its edge multiplicity, using the zeroed `counts` table as
             // the seen-marker.
             let record = &self.ports[id.index()];
-            let edge = |raw: u32| {
-                self.edges[raw as usize]
-                    .as_ref()
-                    .expect("port lists only hold live edges")
-            };
+            // Port lists only hold live edges.
+            let edge = |raw: u32| &self.edges[raw as usize];
             fn count(counts: &mut [u32], distinct: &mut Vec<NodeId>, to: NodeId) {
                 if counts[to.index()] == 0 {
                     distinct.push(to);
                 }
                 counts[to.index()] += 1;
             }
-            if record.out_ports > 1 {
+            if record.out_ports() > 1 {
                 // A node with several output ports (a loop) lists its edges
                 // in connect order across ports: sort them by port once,
                 // stably, instead of scanning the list once per port.
@@ -1006,7 +1044,7 @@ impl Cdfg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::BinOp;
+    use crate::node::{BinOp, LoopSpec};
     use std::collections::HashMap;
 
     fn mac_graph() -> (Cdfg, NodeId, NodeId, NodeId, NodeId, NodeId, NodeId) {
@@ -1108,7 +1146,7 @@ mod tests {
         let c = g.add_node(NodeKind::Const(7));
         let mut sinks = Vec::new();
         for i in 0..INLINE_SLOTS + 3 {
-            let out = g.add_node(NodeKind::Output(format!("o{i}")));
+            let out = g.add_node(NodeKind::Output(format!("o{i}").into()));
             g.connect(c, 0, out, 0).unwrap();
             sinks.push(out);
         }
@@ -1127,13 +1165,53 @@ mod tests {
             g.disconnect(edge).unwrap();
         }
         let spilled = &g.ports[c.index()];
-        let mut inline = PortRecord::new(usize::from(spilled.ins), usize::from(spilled.out_ports));
+        let mut inline = PortRecord::new(spilled.ins(), spilled.out_ports());
         for &edge in spilled.out_edges() {
             inline.push_out(edge);
         }
-        assert!(matches!(spilled.slots, Slots::Spilled(_)));
-        assert!(matches!(inline.slots, Slots::Inline(_)));
+        assert!(matches!(spilled, PortRecord::Spilled { .. }));
+        assert!(matches!(inline, PortRecord::Inline { .. }));
         assert_eq!(&inline, spilled);
+    }
+
+    #[test]
+    fn wide_loop_headers_keep_every_port() {
+        // A loop of six carried values fills the inline buffer with its
+        // input slots and spills at its first outgoing edge; one of eight
+        // starts spilled.  Either way every port keeps its own edges.
+        for arity in [INLINE_SLOTS, INLINE_SLOTS + 2] {
+            let spec = LoopSpec {
+                vars: (0..arity).map(|k| format!("v{k}")).collect(),
+                cond: Cdfg::new("cond"),
+                body: Cdfg::new("body"),
+            };
+            let mut g = Cdfg::new("wide");
+            let header = g.add_node(NodeKind::Loop(Box::new(spec)));
+            assert_eq!(
+                matches!(g.ports[header.index()], PortRecord::Spilled { .. }),
+                arity > INLINE_SLOTS
+            );
+            let mut sinks = Vec::new();
+            for port in 0..arity {
+                let value = g.add_node(NodeKind::Const(port as i64));
+                g.connect(value, 0, header, port).unwrap();
+                let out = g.add_node(NodeKind::Output(format!("o{port}").into()));
+                g.connect(header, port, out, 0).unwrap();
+                sinks.push(out);
+            }
+            assert!(matches!(
+                g.ports[header.index()],
+                PortRecord::Spilled { .. }
+            ));
+            let node = g.node(header).unwrap();
+            assert_eq!((node.input_count(), node.output_count()), (arity, arity));
+            assert!(node.fully_connected());
+            for (port, sink) in sinks.iter().enumerate() {
+                let source = g.input_source(header, port).unwrap().node;
+                assert_eq!(g.kind(source).unwrap(), &NodeKind::Const(port as i64));
+                assert_eq!(g.output_sinks(header, port), vec![Endpoint::new(*sink, 0)]);
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,11 @@ pub struct NodeId(pub(crate) u32);
 pub struct EdgeId(pub(crate) u32);
 
 impl NodeId {
+    /// No node: arena indices stay below the live node count, so `u32::MAX`
+    /// never names a real one.  It marks unmapped [`NodeRemap`] slots and
+    /// removed edges.
+    pub(crate) const NONE: NodeId = NodeId(u32::MAX);
+
     /// Raw index of this node (useful for dense side tables).
     pub fn index(self) -> usize {
         self.0 as usize
@@ -66,10 +71,6 @@ impl fmt::Display for EdgeId {
     }
 }
 
-/// Sentinel for an unmapped [`NodeRemap`] slot.  Arena indices are bounded
-/// by the live node count, so `u32::MAX` can never name a real node.
-const UNMAPPED: NodeId = NodeId(u32::MAX);
-
 /// A dense old-id → new-id mapping, as returned by
 /// [`Cdfg::compact`](crate::Cdfg::compact) and
 /// [`Cdfg::splice`](crate::Cdfg::splice).
@@ -87,7 +88,7 @@ impl NodeRemap {
     /// An empty remap sized for source ids below `bound`.
     pub(crate) fn with_bound(bound: usize) -> Self {
         NodeRemap {
-            map: vec![UNMAPPED; bound],
+            map: vec![NodeId::NONE; bound],
             mapped: 0,
         }
     }
@@ -96,10 +97,10 @@ impl NodeRemap {
     /// presized bound.
     pub(crate) fn insert(&mut self, old: NodeId, new: NodeId) {
         if old.index() >= self.map.len() {
-            self.map.resize(old.index() + 1, UNMAPPED);
+            self.map.resize(old.index() + 1, NodeId::NONE);
         }
         let slot = &mut self.map[old.index()];
-        if *slot == UNMAPPED {
+        if *slot == NodeId::NONE {
             self.mapped += 1;
         }
         *slot = new;
@@ -110,7 +111,7 @@ impl NodeRemap {
         self.map
             .get(old.index())
             .copied()
-            .filter(|id| *id != UNMAPPED)
+            .filter(|id| *id != NodeId::NONE)
     }
 
     /// Number of remapped ids.
@@ -128,7 +129,7 @@ impl NodeRemap {
         self.map
             .iter()
             .enumerate()
-            .filter(|(_, new)| **new != UNMAPPED)
+            .filter(|(_, new)| **new != NodeId::NONE)
             .map(|(old, new)| (NodeId::from_index(old), *new))
     }
 }
@@ -141,8 +142,8 @@ impl Index<NodeId> for NodeRemap {
     /// # Panics
     /// When `old` was not remapped.
     fn index(&self, old: NodeId) -> &NodeId {
-        let slot = self.map.get(old.index()).unwrap_or(&UNMAPPED);
-        assert!(*slot != UNMAPPED, "node {old} was not remapped");
+        let slot = self.map.get(old.index()).unwrap_or(&NodeId::NONE);
+        assert!(*slot != NodeId::NONE, "node {old} was not remapped");
         slot
     }
 }

@@ -165,13 +165,13 @@ pub fn eval_graph(
             }
             NodeKind::Input(name) => {
                 let value = bindings
-                    .get(name)
+                    .get(name.as_str())
                     .cloned()
-                    .ok_or_else(|| CdfgError::UnboundInput(name.clone()))?;
+                    .ok_or_else(|| CdfgError::UnboundInput(name.to_string()))?;
                 produced.insert((id, 0), value);
             }
             NodeKind::Output(name) => {
-                outputs.insert(name.clone(), ins.remove(0));
+                outputs.insert(name.to_string(), ins.remove(0));
             }
             NodeKind::BinOp(op) => {
                 let a = expect_word(id, &ins[0])?;

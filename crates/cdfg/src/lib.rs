@@ -75,7 +75,7 @@ pub use edge::{Edge, Endpoint};
 pub use error::CdfgError;
 pub use graph::{Cdfg, Node, TopoScratch};
 pub use ids::{EdgeId, NodeId, NodeRemap};
-pub use node::{BinOp, LoopSpec, NodeKind, UnOp};
+pub use node::{BinOp, LoopSpec, Name, NodeKind, UnOp};
 pub use observer::ChangeJournal;
 pub use statespace::StateSpace;
 pub use stats::GraphStats;

@@ -1,7 +1,75 @@
 //! CDFG node kinds: operations, statespace primitives and structured loops.
+//!
+//! A [`NodeKind`] is 16 bytes, and so is an arena slot of one
+//! (`Option<NodeKind>`): every payload is at most one word.  An interface
+//! node's [`Name`] is one thin pointer to a string that every node of that
+//! name can share, and a loop's [`LoopSpec`] is boxed.
 
 use crate::graph::Cdfg;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// The name of an [`NodeKind::Input`] or [`NodeKind::Output`] node.
+///
+/// One thin pointer to a shared string: cloning a name bumps a count, so a
+/// builder that hands the same `Name` to every node of one name stores the
+/// string once, and copying a graph copies no string.  Equality, ordering
+/// and the `Debug` and `Display` text are those of the string, so
+/// `Input("x")` prints as it would with a `String` inside.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Name(Arc<Box<str>>);
+
+impl Name {
+    /// The name as a string slice.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<&str> for Name {
+    fn from(name: &str) -> Self {
+        Name(Arc::new(name.into()))
+    }
+}
+
+impl From<String> for Name {
+    fn from(name: String) -> Self {
+        Name(Arc::new(name.into_boxed_str()))
+    }
+}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
 
 /// Binary word operations supported by the CDFG (and by the FPFA ALU).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -244,9 +312,9 @@ pub enum NodeKind {
     /// A compile-time constant word.
     Const(i64),
     /// A named external input of the graph (no input ports, one output port).
-    Input(String),
+    Input(Name),
     /// A named external output of the graph (one input port, no output port).
-    Output(String),
+    Output(Name),
     /// A binary word operation (two input ports, one output port).
     BinOp(BinOp),
     /// A unary word operation (one input port, one output port).
@@ -399,6 +467,18 @@ mod tests {
         assert_eq!(NodeKind::Delete.input_arity(), 2);
         assert_eq!(NodeKind::Mux.input_arity(), 3);
         assert_eq!(NodeKind::Output("x".into()).output_arity(), 0);
+    }
+
+    #[test]
+    fn names_compare_and_print_as_strings() {
+        let x = Name::from("x");
+        assert_eq!(x, Name::from(String::from("x")));
+        assert_eq!(x, "x");
+        let mut names = vec![Name::from("y"), x.clone()];
+        names.sort();
+        assert_eq!(names, ["x", "y"]);
+        assert_eq!(format!("{:?}", NodeKind::Input(x.clone())), r#"Input("x")"#);
+        assert_eq!(NodeKind::Output(x).label(), "out x");
     }
 
     #[test]

@@ -267,7 +267,7 @@ fn loop_spec(arity: usize) -> LoopSpec {
     let lt = cond.add_node(NodeKind::BinOp(BinOp::Lt));
     let out = cond.add_node(NodeKind::Output(LoopSpec::COND_OUTPUT.into()));
     for (i, var) in vars.iter().enumerate() {
-        let input = cond.add_node(NodeKind::Input(var.clone()));
+        let input = cond.add_node(NodeKind::Input(var.as_str().into()));
         if i == 0 {
             cond.connect(input, 0, lt, 0).unwrap();
         }
@@ -277,9 +277,9 @@ fn loop_spec(arity: usize) -> LoopSpec {
 
     let mut body = Cdfg::new("body");
     for var in &vars {
-        let input = body.add_node(NodeKind::Input(var.clone()));
+        let input = body.add_node(NodeKind::Input(var.as_str().into()));
         let neg = body.add_node(NodeKind::UnOp(UnOp::Neg));
-        let out = body.add_node(NodeKind::Output(var.clone()));
+        let out = body.add_node(NodeKind::Output(var.as_str().into()));
         body.connect(input, 0, neg, 0).unwrap();
         body.connect(neg, 0, out, 0).unwrap();
     }
@@ -331,11 +331,11 @@ fn apply(ops: &[Op]) -> (Cdfg, RefGraph, Vec<NodeId>) {
                     Kind::Const(v) => NodeKind::Const(*v),
                     Kind::Input => {
                         inputs += 1;
-                        NodeKind::Input(format!("x{inputs}"))
+                        NodeKind::Input(format!("x{inputs}").into())
                     }
                     Kind::Output => {
                         outputs += 1;
-                        NodeKind::Output(format!("y{outputs}"))
+                        NodeKind::Output(format!("y{outputs}").into())
                     }
                     Kind::Bin(op) => NodeKind::BinOp(*op),
                     Kind::Un(op) => NodeKind::UnOp(*op),
@@ -556,7 +556,11 @@ fn rebuild(reference: &RefGraph, name: &str) -> Cdfg {
 }
 
 fn run(graph: &Cdfg, values: &[i64]) -> Result<RunResult, CdfgError> {
-    let mut names: Vec<String> = graph.inputs().into_iter().map(|(name, _)| name).collect();
+    let mut names: Vec<String> = graph
+        .inputs()
+        .into_iter()
+        .map(|(name, _)| name.to_string())
+        .collect();
     names.sort();
     let mut interp = Interpreter::new(graph);
     for (i, name) in names.into_iter().enumerate() {

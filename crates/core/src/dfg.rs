@@ -443,7 +443,7 @@ impl MappingGraph {
             State(NodeId),
         }
         let mut produced: HashMap<NodeId, Produced> = HashMap::new();
-        let mut scalar_input_ids: HashMap<String, u32> = HashMap::new();
+        let mut scalar_input_ids: HashMap<&str, u32> = HashMap::new();
         let mut seq = 0usize;
 
         // Identify which Input nodes carry the statespace: an input is a
@@ -509,9 +509,9 @@ impl MappingGraph {
                         produced.insert(id, Produced::State(id));
                     } else {
                         let next = scalar_input_ids.len() as u32;
-                        let index = *scalar_input_ids.entry(name.clone()).or_insert(next);
+                        let index = *scalar_input_ids.entry(name).or_insert(next);
                         if index as usize == out.scalar_inputs.len() {
-                            out.scalar_inputs.push(name.clone());
+                            out.scalar_inputs.push(name.to_string());
                         }
                         produced.insert(id, Produced::Word(ValueRef::ScalarInput(index)));
                     }
@@ -638,7 +638,7 @@ impl MappingGraph {
                     ))?;
                     match produced.get(&src.node) {
                         Some(Produced::Word(v)) => {
-                            out.scalar_outputs.push((name.clone(), *v));
+                            out.scalar_outputs.push((name.to_string(), *v));
                         }
                         Some(Produced::State(_)) => {
                             // The final statespace: the memory writes already

@@ -80,7 +80,9 @@
 //! keeps the newest [`SUMMARY_CAPACITY`](crate::cache::SUMMARY_CAPACITY)
 //! and answers from memory after a verbatim compare of the source text,
 //! never on a hash match alone.  A summary the level lets go of is answered
-//! through the kernel's post-transform record instead.
+//! through the kernel's post-transform record instead; when that map hands
+//! the same summary back, the tier reads the record its index holds for
+//! the key and appends nothing if the source and summary match verbatim.
 //! [`PersistStats::warm_start_entries`] counts the entries the open's scan
 //! indexed, plus those the deferred scan of the `post-` files adds;
 //! [`PersistStats::scanned_bytes`] counts the bytes both scans read.
@@ -469,6 +471,30 @@ impl TierInner {
         }
     }
 
+    /// Whether the record indexed under `key` holds this very source text
+    /// and summary, read back and compared verbatim, the way a load compares
+    /// its key.
+    fn holds_summary(
+        &mut self,
+        key: RecordKey,
+        config: u64,
+        source: &str,
+        summary: MappingSummary,
+    ) -> bool {
+        let Some(&loc) = self.index.get(&key) else {
+            return false;
+        };
+        let frame = read_frame(self, loc).ok();
+        frame
+            .as_deref()
+            .and_then(verified_frame)
+            .is_some_and(|record| {
+                record.config == config
+                    && record.key == source.as_bytes()
+                    && record.summary == Some(summary)
+            })
+    }
+
     /// Accounts the live bytes of a record leaving the index as dead.
     fn unlive(&mut self, loc: RecordLoc) {
         let log = self.log(loc.kind);
@@ -613,7 +639,9 @@ impl DiskTier {
     /// Stores the summary of a full mapping under its content key (best
     /// effort: an I/O error leaves the tier consistent and the entry simply
     /// unpersisted).  The cache stores only a summary its summary level did
-    /// not already hold.
+    /// not already hold, and the tier appends nothing when it holds that
+    /// very summary already: the level lets go of summaries past its bound,
+    /// and a later map of such a kernel hands the same summary back.
     pub(crate) fn store_summary(&self, key: &MappingKey, summary: MappingSummary) {
         self.store_value(TAG_MAPPING, key.config, key.source(), Some(summary), &[]);
     }
@@ -732,6 +760,9 @@ impl DiskTier {
         };
         let record_key = RecordKey::new(tag, config, key_str.as_bytes());
         let mut inner = self.lock();
+        if summary.is_some_and(|s| inner.holds_summary(record_key, config, key_str, s)) {
+            return;
+        }
         let kind = if tag == TAG_POST {
             self.scan_posts(&mut inner);
             Kind::Post
@@ -1042,7 +1073,7 @@ fn scan_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::{config_fingerprint, MappingCache, Retain};
+    use crate::cache::{config_fingerprint, MappingCache, Retain, SUMMARY_CAPACITY};
     use crate::flow::FlowToggles;
     use crate::pipeline::{Mapper, MappingResult};
     use fpfa_arch::{ArrayConfig, TileConfig};
@@ -1189,6 +1220,46 @@ mod tests {
             cache_over(&dir).summary(key.config, SRC),
             Some(changed(summary))
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_summary_the_level_let_go_of_is_not_appended_again() {
+        let dir = temp_dir("evicted");
+        let cache = cache_over(&dir);
+        let keys: Vec<MappingKey> = (0..=SUMMARY_CAPACITY)
+            .map(|i| MappingKey::new(&format!("void main() {{ int r; r = {i}; }}"), fingerprint()))
+            .collect();
+        let summary = |i: usize| MappingSummary {
+            digest: i as u64,
+            operations: 1,
+            clusters: 1,
+            levels: 1,
+            cycles: 1,
+            tiles: 1,
+            inter_tile_transfers: 0,
+        };
+        for (i, key) in keys.iter().enumerate() {
+            cache.keep_summary(key, summary(i));
+        }
+        let stored = keys.len() as u64;
+        assert_eq!(cache.persist_stats().stores, stored);
+        // The first summary left the level past its bound; the tier still
+        // holds it, so keeping it again appends nothing.
+        assert_eq!(cache.summary(keys[0].config, keys[0].source()), None);
+        cache.keep_summary(&keys[0], summary(0));
+        assert_eq!(cache.persist_stats().stores, stored);
+        assert_eq!(
+            cache.summary(keys[0].config, keys[0].source()),
+            Some(summary(0))
+        );
+        // The second one left the level in turn; a changed summary of it is
+        // appended.
+        cache.keep_summary(&keys[1], changed(summary(1)));
+        assert_eq!(cache.persist_stats().stores, stored + 1);
+        drop(cache);
+        let reopened = cache_over(&dir);
+        assert_eq!(tier_of(&reopened).entry_count(), keys.len());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -15,13 +15,16 @@
 //!   transformation engine unrolls them later.
 //! * A scalar of the function body that is read where no assignment reaches
 //!   it is a kernel parameter: one named graph input, made at its first such
-//!   read, which is the scalar's value wherever no assignment reaches.
+//!   read, which is the scalar's value wherever no assignment reaches.  Every
+//!   parameter declaration of one name reads that name's one input.
 //! * At the end of `main` every declared scalar that holds a value becomes a
 //!   named graph output, alongside the final statespace.
 //!
 //! Which declaration each name occurrence names, what every loop carries and
 //! which reads no assignment reaches come from [`crate::resolve`], the one
-//! walk before lowering; the lowering looks up no name.  The cost is linear
+//! walk before lowering; the lowering looks up no name but a parameter's
+//! input.  Every interface node of one scalar holds the same [`Name`], made
+//! once per declaration, so the graphs store each name once.  The cost is linear
 //! in the source plus the graphs built.  One environment, a table indexed by
 //! declaration, serves the whole function with an undo log: an `if` branch
 //! or a loop sub-graph records the bindings it changes and unwinds them
@@ -33,7 +36,8 @@ use crate::layout::MemoryLayout;
 use crate::resolve::{resolve, DeclId, Loop, Resolution};
 use crate::token::Span;
 use fpfa_cdfg::builder::Wire;
-use fpfa_cdfg::{BinOp, Cdfg, LoopSpec, NodeId, NodeKind};
+use fpfa_cdfg::{BinOp, Cdfg, LoopSpec, Name, NodeId, NodeKind};
+use std::collections::HashMap;
 
 /// Name of the statespace input/output of every lowered program.
 pub const STATE_NAME: &str = "mem";
@@ -72,7 +76,10 @@ pub fn lower_function(function: &Function<'_>) -> Result<Program, FrontendError>
         env: vec![None; decls],
         log: Vec::new(),
         bases: vec![0; decls],
-        parameters: vec![None; decls],
+        parameters: HashMap::new(),
+        names: vec![None; decls],
+        state_name: Name::from(STATE_NAME),
+        state_var: Name::from(STATE_VAR),
         layout: MemoryLayout::new(),
         next_loop: 0,
     };
@@ -107,8 +114,13 @@ struct Scope<'r> {
     log: Vec<(DeclId, Option<Binding>)>,
     /// The base of every array, by declaration.
     bases: Vec<i64>,
-    /// The graph input of every parameter, by declaration, once made.
-    parameters: Vec<Option<Wire>>,
+    /// The graph input of every parameter name, once made.
+    parameters: HashMap<&'r str, Wire>,
+    /// The interface name of every scalar, by declaration, once made.
+    names: Vec<Option<Name>>,
+    /// The statespace's names: [`STATE_NAME`] and [`STATE_VAR`].
+    state_name: Name,
+    state_var: Name,
     layout: MemoryLayout,
     /// The next loop of the resolution the lowering meets.
     next_loop: usize,
@@ -126,6 +138,15 @@ impl Scope<'_> {
             self.env[decl.index()] = before;
         }
     }
+
+    /// The interface name of the scalar `decl`, which all its inputs and
+    /// outputs share.
+    fn name(&mut self, decl: DeclId) -> Name {
+        let resolution = self.resolution;
+        self.names[decl.index()]
+            .get_or_insert_with(|| Name::from(resolution.decl(decl).name))
+            .clone()
+    }
 }
 
 /// Builds one graph: the function's, or a loop's condition or body.
@@ -140,7 +161,7 @@ struct Lowerer<'a, 'r> {
 impl<'a, 'r> Lowerer<'a, 'r> {
     fn new(name: &str, scope: &'a mut Scope<'r>) -> Self {
         let mut graph = Cdfg::new(name);
-        let mem = graph.add_node(NodeKind::Input(STATE_NAME.to_string()));
+        let mem = graph.add_node(NodeKind::Input(scope.state_name.clone()));
         Lowerer {
             graph,
             state: Wire { node: mem, port: 0 },
@@ -165,13 +186,13 @@ impl<'a, 'r> Lowerer<'a, 'r> {
             scalar_order: Vec::with_capacity(resolved.carried.len()),
             scope: &mut *self.scope,
         };
-        let resolution = sub.scope.resolution;
         for scalar in &resolved.carried {
-            let input = sub.input(resolution.decl(scalar.decl).name.to_string());
+            let name = sub.scope.name(scalar.decl);
+            let input = sub.input(name);
             sub.declare_scalar(scalar.decl, Some(input));
         }
         sub.state = if resolved.touches_state {
-            sub.input(STATE_VAR.to_string())
+            sub.input(sub.scope.state_var.clone())
         } else {
             // A loop that does not touch the statespace gets a dummy
             // constant, which keeps the wire plumbing uniform and is pruned
@@ -190,14 +211,17 @@ impl<'a, 'r> Lowerer<'a, 'r> {
         }
     }
 
-    /// The graph input of the parameter `decl`, made on first use.  Only the
-    /// function's graph has parameters: a loop carries them in.
+    /// The graph input of the parameter `decl`, made at the first use of a
+    /// parameter of its name.  Only the function's graph has parameters: a
+    /// loop carries them in.
     fn parameter(&mut self, decl: DeclId) -> Wire {
-        if let Some(wire) = self.scope.parameters[decl.index()] {
+        let name = self.scope.resolution.decl(decl).name;
+        if let Some(&wire) = self.scope.parameters.get(name) {
             return wire;
         }
-        let wire = self.input(self.scope.resolution.decl(decl).name.to_string());
-        self.scope.parameters[decl.index()] = Some(wire);
+        let input = self.scope.name(decl);
+        let wire = self.input(input);
+        self.scope.parameters.insert(name, wire);
         wire
     }
 
@@ -502,7 +526,7 @@ impl<'a, 'r> Lowerer<'a, 'r> {
         let mark = self.scope.log.len();
         let mut sub = self.sub_graph("cond", resolved);
         let wire = sub.lower_expr(cond)?;
-        sub.output(LoopSpec::COND_OUTPUT.to_string(), wire);
+        sub.output(LoopSpec::COND_OUTPUT.into(), wire);
         sub.prune_dead_interface();
         let mut graph = sub.graph;
         graph.shrink_to_fit();
@@ -516,18 +540,17 @@ impl<'a, 'r> Lowerer<'a, 'r> {
         let mark = self.scope.log.len();
         let mut sub = self.sub_graph("body", resolved);
         sub.lower_block(body)?;
-        let resolution = sub.scope.resolution;
         for scalar in &resolved.carried {
             // A scalar the body never assigned passes its input through.
             let wire = sub.scope.env[scalar.decl.index()]
                 .and_then(|binding| binding.value)
                 .expect("a carried scalar holds a value in the body");
-            let name = resolution.decl(scalar.decl).name.to_string();
+            let name = sub.scope.name(scalar.decl);
             sub.output(name, wire);
         }
         if resolved.touches_state {
             let wire = sub.state;
-            sub.output(STATE_VAR.to_string(), wire);
+            sub.output(sub.scope.state_var.clone(), wire);
         }
         sub.prune_dead_interface();
         let mut graph = sub.graph;
@@ -600,13 +623,13 @@ impl<'a, 'r> Lowerer<'a, 'r> {
     }
 
     /// Adds an input named `name`.
-    fn input(&mut self, name: String) -> Wire {
+    fn input(&mut self, name: Name) -> Wire {
         let node = self.graph.add_node(NodeKind::Input(name));
         Wire { node, port: 0 }
     }
 
     /// Adds an output named `name` driven by `wire`.
-    fn output(&mut self, name: String, wire: Wire) {
+    fn output(&mut self, name: Name, wire: Wire) {
         let out = self.graph.add_node(NodeKind::Output(name));
         self.graph
             .connect(wire.node, wire.port, out, 0)
@@ -719,15 +742,15 @@ impl<'a, 'r> Lowerer<'a, 'r> {
     fn finish(mut self) -> Result<Cdfg, FrontendError> {
         // Emit outputs for every declared scalar holding a value, in
         // declaration order, then the final statespace.
-        let resolution = self.scope.resolution;
         for i in 0..self.scalar_order.len() {
             let decl = self.scalar_order[i];
             if let Some(wire) = self.value(decl) {
-                self.output(resolution.decl(decl).name.to_string(), wire);
+                let name = self.scope.name(decl);
+                self.output(name, wire);
             }
         }
         let state = self.state;
-        self.output(STATE_NAME.to_string(), state);
+        self.output(self.scope.state_name.clone(), state);
         fpfa_cdfg::validate::validate(&self.graph)?;
         Ok(self.graph)
     }

@@ -4,7 +4,8 @@
 //! arrays of one name shared a base, two branches reading one unassigned
 //! scalar made two inputs of its name, a loop did not carry a scalar it
 //! declared again in a nested branch, and a parameter first read inside a
-//! branch was dropped after it.
+//! branch was dropped after it.  Two parameter declarations of one name
+//! made two inputs of that name until the lowering bound both to one.
 
 use fpfa_cdfg::interp::{Interpreter, RunResult};
 use fpfa_cdfg::{StateSpace, Value};
@@ -65,5 +66,31 @@ fn a_parameter_first_read_in_a_branch_keeps_its_value_after_it() {
         let result = run(source, &[("n", 7), ("c", c)], &[]);
         assert_eq!(result.word("z"), Some(7), "c = {c}");
         assert_eq!(result.word("n"), Some(7), "c = {c}");
+    }
+}
+
+#[test]
+fn parameter_declarations_of_one_name_share_one_input() {
+    let both_branches = "void main() { int c; int y; \
+                         if (c) { int n; y = n; } else { int n; y = n + 1; } }";
+    let branch_then_after = "void main() { int c; int y; int z; \
+                             if (c) { int n; y = n; } int n; z = n; }";
+    for source in [both_branches, branch_then_after] {
+        let inputs = compile(source).unwrap().cdfg.inputs();
+        let named_n = inputs.iter().filter(|(name, _)| name == "n").count();
+        assert_eq!(named_n, 1, "{source}");
+    }
+    for (c, y) in [(1, 7), (5, 7), (0, 8)] {
+        assert_eq!(
+            run(both_branches, &[("n", 7), ("c", c)], &[]).word("y"),
+            Some(y)
+        );
+    }
+    for c in [0, 1] {
+        let result = run(branch_then_after, &[("n", 7), ("c", c)], &[]);
+        assert_eq!(result.word("z"), Some(7), "c = {c}");
+        if c != 0 {
+            assert_eq!(result.word("y"), Some(7));
+        }
     }
 }

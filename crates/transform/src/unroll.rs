@@ -22,12 +22,15 @@
 //!    the current variable wires and its outputs name the next ones, so no
 //!    interface node is copied;
 //! 4. when the condition becomes false, rewire the loop node's consumers to
-//!    the final variable wires and delete the loop node.
+//!    the final variable wires and delete the loop node.  A loop whose
+//!    condition cannot be decided yet keeps the iterations peeled so far:
+//!    its node is re-anchored once on their wires and peeled further in a
+//!    later round.
 
 use crate::error::TransformError;
 use crate::pass::Transform;
 use fpfa_cdfg::interp::eval_graph;
-use fpfa_cdfg::{Cdfg, Endpoint, LoopSpec, NodeId, NodeKind, Value};
+use fpfa_cdfg::{Cdfg, Endpoint, LoopSpec, Name, NodeId, NodeKind, Value};
 use std::collections::HashMap;
 
 /// Default maximum number of iterations a single loop may be unrolled to.
@@ -157,14 +160,14 @@ impl crate::rewrite::LocalRewrite for UnrollLoops {
 struct LoopPorts {
     /// The carried port bound to each body `Input`, in id order (`Err` holds
     /// the name of an input that is not carried).
-    inputs: Vec<Result<usize, String>>,
+    inputs: Vec<Result<usize, Name>>,
     /// The carried port each body `Output` feeds, in id order (`None` for a
     /// name that is not carried: its value is dropped).
     outputs: Vec<Option<usize>>,
     /// The carried ports the condition reads, with their condition input
     /// names; `None` when the condition reads memory or a name that is not
     /// carried, so it can never be decided here.
-    cond_reads: Option<Vec<(usize, String)>>,
+    cond_reads: Option<Vec<(usize, Name)>>,
 }
 
 impl LoopPorts {
@@ -214,31 +217,30 @@ impl UnrollLoops {
         let spec: LoopSpec = *spec;
         let ports = LoopPorts::of(&spec);
 
-        // The loop node's own input edges are used as anchors for the current
+        // Between calls the loop node's own input edges anchor the current
         // value of every carried variable: constant folding rewires consumers
-        // when it replaces nodes, so reading the wires through the loop node
-        // after each folding round always yields live nodes.
-        let read_vars = |graph: &Cdfg| -> Result<Vec<Endpoint>, TransformError> {
-            (0..spec.arity())
-                .map(|port| {
-                    graph
-                        .input_source(loop_node, port)
-                        .ok_or(TransformError::Graph(
-                            fpfa_cdfg::CdfgError::PortUnconnected {
-                                node: loop_node,
-                                port,
-                            },
-                        ))
-                })
-                .collect()
-        };
+        // when it replaces nodes, so the wires read through the loop node are
+        // live.  While this call peels, it only adds nodes, so the current
+        // wires stay in `vars`; the loop node is re-anchored once, when
+        // peeling stops short of the end, instead of after every peel.
+        let mut vars: Vec<Endpoint> = (0..spec.arity())
+            .map(|port| {
+                graph
+                    .input_source(loop_node, port)
+                    .ok_or(TransformError::Graph(
+                        fpfa_cdfg::CdfgError::PortUnconnected {
+                            node: loop_node,
+                            port,
+                        },
+                    ))
+            })
+            .collect::<Result<_, _>>()?;
 
         // Memoised constant evaluation of the peeled counter chains.  The
-        // memo stays valid across peels because unrolling never rewires the
-        // inputs of a pre-existing node (splices add fresh nodes; only the
-        // loop node's own anchor ports are re-connected, and those are never
-        // evaluated).  It is dropped when this loop finishes, before the
-        // loop node's consumers are rewired.
+        // memo stays valid across peels because peeling never rewires the
+        // inputs of a pre-existing node (splices add fresh nodes), and it is
+        // not read once peeling stops and the loop node is re-anchored or
+        // its consumers are rewired.
         let mut memo: HashMap<Endpoint, Option<i64>> = HashMap::new();
         let mut stack = Vec::new();
         // Condition inputs the condition does not read keep the value 0.
@@ -246,47 +248,49 @@ impl UnrollLoops {
             .cond
             .inputs()
             .into_iter()
-            .map(|(name, _)| (name, Value::Word(0)))
+            .map(|(name, _)| (name.to_string(), Value::Word(0)))
             .collect();
         let mut iterations = 0usize;
-        loop {
-            let vars = read_vars(graph)?;
-            // Undecidable (for now): stop peeling and keep the loop in
-            // place; the iterations already peeled remain valid.
+        let finished = 'peel: loop {
             let Some(cond_reads) = &ports.cond_reads else {
-                return Ok((iterations, false));
+                break false;
             };
             for (port, name) in cond_reads {
                 let Some(value) = eval_wire(graph, vars[*port], &mut memo, &mut stack) else {
-                    return Ok((iterations, false));
+                    break 'peel false;
                 };
-                bindings.insert(name.clone(), Value::Word(value));
+                bindings.insert(name.to_string(), Value::Word(value));
             }
             if !evaluate_condition(&spec, &bindings)? {
-                break;
+                break true;
             }
             if iterations >= self.budget {
                 return Err(TransformError::UnrollBudgetExceeded {
                     budget: self.budget,
                 });
             }
-            let next = splice_body(graph, &spec, &ports, &vars)?;
-            // Re-anchor the loop node's inputs on the values produced by the
-            // iteration that was just spliced.
-            for (port, wire) in next.iter().enumerate() {
-                let edge = graph
-                    .node(loop_node)?
-                    .input_edge(port)
-                    .expect("loop inputs stay connected");
-                graph.disconnect(edge)?;
-                graph.connect(wire.node, wire.port_index(), loop_node, port)?;
-            }
+            vars = splice_body(graph, &spec, &ports, &vars)?;
             iterations += 1;
+        };
+
+        if !finished {
+            // Undecidable (for now): keep the loop in place, anchored on the
+            // values of the iterations already peeled, which remain valid.
+            if iterations > 0 {
+                for (port, wire) in vars.iter().enumerate() {
+                    let edge = graph
+                        .node(loop_node)?
+                        .input_edge(port)
+                        .expect("loop inputs stay connected");
+                    graph.disconnect(edge)?;
+                    graph.connect(wire.node, wire.port_index(), loop_node, port)?;
+                }
+            }
+            return Ok((iterations, false));
         }
 
         // The loop is finished: route its outputs to the final variable wires
         // and remove it.
-        let vars = read_vars(graph)?;
         for (port, wire) in vars.iter().enumerate() {
             graph.replace_uses(loop_node, port, wire.node, wire.port_index())?;
         }
@@ -645,6 +649,31 @@ mod tests {
         UnrollLoops::default().apply(&mut g).unwrap();
         assert_eq!(GraphStats::of(&g).loops, 0);
         assert_eq!(g.node_bound() - g.node_count() - holes_before, 111);
+    }
+
+    #[test]
+    fn a_loop_that_stops_undecided_is_anchored_on_its_last_peel() {
+        // The outer condition reads `i`, which the first peel sets to the
+        // result of an inner loop that is not unrolled yet: the outer loop
+        // stops undecided after one peel, anchored on that peel's wires, and
+        // finishes once the inner loops have unrolled.
+        let src = "void main() { int i; int j; int s; s = 0; i = 0; \
+                   while (i < 3) { j = 0; while (j < i + 1) { s = s + j; j = j + 1; } i = j; } }";
+        let mut g = fpfa_frontend::compile(src).unwrap().cdfg;
+        let is_loop = |g: &Cdfg, id: NodeId| matches!(g.kind(id), Ok(NodeKind::Loop(_)));
+        let outer = g.node_ids().find(|id| is_loop(&g, *id)).unwrap();
+        let unroll = UnrollLoops::default();
+        assert_eq!(unroll.unroll_one(&mut g, outer).unwrap(), (1, false));
+        // Carried in name order: `i` is port 0, driven by the spliced inner
+        // loop now.
+        let i = g.input_source(outer, 0).unwrap();
+        assert!(is_loop(&g, i.node) && i.node > outer);
+        unroll.apply(&mut g).unwrap();
+        assert_eq!(GraphStats::of(&g).loops, 0);
+        let mut interp = Interpreter::new(&g);
+        interp.bind("mem", Value::State(StateSpace::new()));
+        // s = 0 + (0 + 1) + (0 + 1 + 2)
+        assert_eq!(interp.run().unwrap().word("s"), Some(4));
     }
 
     #[test]

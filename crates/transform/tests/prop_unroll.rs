@@ -216,7 +216,7 @@ fn condition_holds(graph: &Cdfg, spec: &LoopSpec, vars: &[Endpoint]) -> Option<b
         } else {
             0
         };
-        bindings.insert(name, Value::Word(value));
+        bindings.insert(name.to_string(), Value::Word(value));
     }
     let outputs = eval_graph(&spec.cond, &bindings, 1, &mut 0).unwrap();
     Some(outputs[LoopSpec::COND_OUTPUT].is_truthy())

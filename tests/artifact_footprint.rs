@@ -1,18 +1,24 @@
-//! The heap footprint of the cached post-transform artifacts.
+//! The heap footprint of the cached post-transform artifacts and of the
+//! CDFGs a cold map builds.
 //!
 //! A counting global allocator (this test binary only) measures the heap
 //! blocks and bytes each registry kernel's tile program, multi-tile program
 //! and mapping graph hold, at 1 and 4 tiles, both as the flow built them
-//! and as the disk tier's codec decodes them.  The counts depend on the
-//! data layout alone, not on the host, so the test gates the shape of the
-//! artifacts the cache keeps resident: a constant number of blocks per tile,
-//! and a byte total well below the nested layout's.
+//! and as the disk tier's codec decodes them.  It also measures each
+//! kernel's frontend graph (loop conditions and bodies included) and the
+//! transform stage's arena just before the stage compacts it.  The counts
+//! depend on the data layout alone, not on the host, so the tests gate the
+//! shape of what the cache keeps resident (a constant number of blocks per
+//! tile, and a byte total well below the nested layout's) and the bytes a
+//! CDFG pays per node slot.
 //!
-//! `cargo test --test artifact_footprint -- --nocapture` prints the table.
+//! `cargo test --test artifact_footprint -- --nocapture` prints the tables.
 
+use fpfa::cdfg::{Cdfg, NodeKind};
 use fpfa::core::cache::PostTransformArtifacts;
 use fpfa::core::codec::{decode_post_transform, encode_post_transform};
 use fpfa::core::pipeline::Mapper;
+use fpfa::transform::WorklistDriver;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -207,4 +213,62 @@ fn cached_artifacts_hold_a_few_exactly_sized_blocks() {
             total.bytes
         );
     }
+}
+
+/// At most this many heap bytes per node slot of the registry's frontend
+/// graphs, loop conditions and bodies included (105.5 when a node kind took
+/// 32 bytes and an edge slot 20).
+const FRONTEND_BYTES_PER_SLOT: usize = 90;
+
+/// The registry's transform arenas before `compact()` when a node kind took
+/// 32 bytes and an edge slot 20; they must stay at least 15% below it.
+const WIDE_ARENA_BYTES: usize = 1_762_460;
+
+/// Node slots of `graph` and of every loop condition and body inside it.
+fn node_slots(graph: &Cdfg) -> usize {
+    let nested = graph.nodes().map(|(_, node)| match node.kind {
+        NodeKind::Loop(spec) => node_slots(&spec.cond) + node_slots(&spec.body),
+        _ => 0,
+    });
+    graph.node_bound() + nested.sum::<usize>()
+}
+
+#[test]
+fn cdfg_node_slots_stay_small() {
+    let registry = fpfa::workloads::registry();
+    let (mut slots, mut frontend, mut arenas) = (0, 0, 0);
+    println!(
+        "{:<12} {:>14} {:>10} {:>8}  {:>12} {:>10}",
+        "kernel", "frontend slots", "bytes", "B/slot", "arena slots", "bytes"
+    );
+    for kernel in &registry {
+        let graph = fpfa::frontend::compile(&kernel.source).unwrap().cdfg;
+        let kernel_slots = node_slots(&graph);
+        let bytes = held(graph).bytes;
+        let mut arena = fpfa::frontend::compile(&kernel.source).unwrap().cdfg;
+        WorklistDriver::new().run_standard(&mut arena).unwrap();
+        let arena_slots = arena.node_bound();
+        let arena_bytes = held(arena).bytes;
+        println!(
+            "{:<12} {kernel_slots:>14} {bytes:>10} {:>8.1}  {arena_slots:>12} {arena_bytes:>10}",
+            kernel.name,
+            bytes as f64 / kernel_slots as f64
+        );
+        slots += kernel_slots;
+        frontend += bytes;
+        arenas += arena_bytes;
+    }
+    println!(
+        "registry total: frontend graphs {frontend} B over {slots} node slots ({:.1} B/slot), \
+         transform arenas {arenas} B",
+        frontend as f64 / slots as f64
+    );
+    assert!(
+        frontend <= FRONTEND_BYTES_PER_SLOT * slots,
+        "frontend graphs: {frontend} B over {slots} node slots, above {FRONTEND_BYTES_PER_SLOT} B/slot"
+    );
+    assert!(
+        arenas * 100 <= WIDE_ARENA_BYTES * 85,
+        "transform arenas: {arenas} B, not at least 15% below {WIDE_ARENA_BYTES} B"
+    );
 }

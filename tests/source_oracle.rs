@@ -31,13 +31,17 @@ use proptest::prelude::*;
 /// declarations of `n` is read where no assignment reaches it, so only it
 /// is a parameter and the second starts at 0 when `d` is 0.  In the second,
 /// a loop in one branch writes `n` after the branch assigned it, and a loop
-/// in the other only reads it, which makes `n` a parameter.
+/// in the other only reads it, which makes `n` a parameter.  In the last
+/// two, both declarations of `n` are parameters (one in each branch, or one
+/// in a branch and one after it), and both read the one input `n`.
 const SHAPES: &[&str] = &[
     "void main() { int c; int d; int y; int z; \
      if (c) { int n; y = n; } int n; if (d) { n = 1; } z = n; }",
     "void main() { int c; int n; int i; int s; s = 0; \
      if (c) { n = 1; i = 0; while (i < 2) { n = n + i; i = i + 1; } } \
      else { i = 0; while (i < 2) { s = s + n; i = i + 1; } } }",
+    "void main() { int c; int y; if (c) { int n; y = n; } else { int n; y = n + 1; } }",
+    "void main() { int c; int y; int z; if (c) { int n; y = n; } int n; z = n; }",
 ];
 
 /// Every registry kernel, every sweep source and the shapes.
